@@ -21,7 +21,7 @@
 //	nimbus-bench -run churn           # schemes x session-arrival workloads
 //	nimbus-bench -run all -full
 //	nimbus-bench -benchmark [-bench-out BENCH_runner.json] [-topology access-hop]
-//	nimbus-bench -benchmark -churn "bulk(load=24)" -timer-wheel
+//	nimbus-bench -benchmark -churn "bulk(load=24)"
 //	nimbus-bench -grid sweep.json -out results.json
 //	nimbus-bench -grid sweep.json -remote http://127.0.0.1:9037 -out results.json
 //
@@ -61,20 +61,17 @@ func main() {
 
 func realMain() int {
 	var (
-		list            = flag.Bool("list", false, "alias for -list-experiments")
 		listExperiments = flag.Bool("list-experiments", false, "list experiment ids and exit")
 		listSchemes     = flag.Bool("list-schemes", false, "list registered schemes with their typed params and exit")
 		listTraces      = flag.Bool("list-traces", false, "list embedded link capacity traces and exit")
 		listTopologies  = flag.Bool("list-topologies", false, "list registered topology presets and exit")
 		run             = flag.String("run", "", "experiment id to run (or \"all\")")
 		topo            = flag.String("topology", "", "topology(ies) for the -benchmark sweep: preset names or chain specs, comma-separated (default: the single bottleneck)")
-		burst           = flag.Int("burst", 0, "burst link forwarding budget for the -benchmark sweep (0/1 = off; burst cells get their own scenario keys)")
 		churn           = flag.String("churn", "", "churn workload(s) for the -benchmark sweep: workload specs like bulk(load=24), comma-separated (default: no session churn)")
 		fluid           = flag.String("fluid", "", "fluid cross-traffic spec(s) for the -benchmark sweep: off, on, or dt=5ms, comma-separated — run the cross aggregate as a rate process instead of packets (fluid cells get their own scenario keys)")
 		seed            = flag.Int64("seed", 1, "simulation seed")
 		full            = flag.Bool("full", false, "run at the paper's full horizons (slower)")
 		workers         = flag.Int("workers", 0, "worker pool size for experiment grids (0 = all cores, 1 = sequential)")
-		timerWheel      = flag.Bool("timer-wheel", false, "back every scheduler with the hashed timer wheel instead of the 4-ary heap (identical results; faster under dense timer churn)")
 		bench           = flag.Bool("benchmark", false, "run the canonical scenario sweep and report events/sec per scenario")
 		benchOut        = flag.String("bench-out", "BENCH_runner.json", "where -benchmark writes its results (.json or .csv)")
 		gridFile        = flag.String("grid", "", "run the sweep grid described by this JSON file (a runner.Grid document)")
@@ -85,7 +82,6 @@ func realMain() int {
 	)
 	flag.Parse()
 	exp.Workers = *workers
-	exp.TimerWheel = *timerWheel
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -115,11 +111,11 @@ func realMain() int {
 	}
 
 	switch {
-	case exp.HandleListFlags(*listSchemes, *listTraces, *listTopologies, *list || *listExperiments):
+	case exp.HandleListFlags(*listSchemes, *listTraces, *listTopologies, *listExperiments):
 	case *gridFile != "":
 		return runGridFile(*gridFile, *remote, *workers, *outFile)
 	case *bench:
-		return runBenchmark(*seed, *workers, *benchOut, *topo, *burst, *churn, *fluid, *remote)
+		return runBenchmark(*seed, *workers, *benchOut, *topo, *churn, *fluid, *remote)
 	case *run == "":
 		flag.Usage()
 		return 2
@@ -148,11 +144,10 @@ func realMain() int {
 // default keeps the historical single-bottleneck grid). -churn swaps the
 // cross-traffic axis for session-workload cells, benchmarking the
 // scheduler under dense per-flow timer churn.
-func benchGrid(seed int64, topos, churns []string, burst int, fluids []string) runner.Grid {
+func benchGrid(seed int64, topos, churns, fluids []string) runner.Grid {
 	g := runner.Grid{
 		Base: runner.Scenario{
 			RTTms: 50, BufferMs: 100, DurationSec: 30, Seed: seed,
-			LinkBurst: burst,
 		},
 		RatesMbps:  []float64{96, 192},
 		Schemes:    scheme.Specs("nimbus", "cubic", "bbr", "copa"),
@@ -179,13 +174,18 @@ func benchGrid(seed int64, topos, churns []string, burst int, fluids []string) r
 // must already be canonical, as the CLIs and Grid emitters write them:
 // the strings enter scenario keys (and so cache keys) verbatim.
 func runGridFile(path, remote string, workers int, out string) int {
-	b, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
+	defer f.Close()
 	var g runner.Grid
-	if err := json.Unmarshal(b, &g); err != nil {
+	// Strict like POST /jobs: a removed or misspelt field is an error,
+	// not a silently different sweep.
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&g); err != nil {
 		fmt.Fprintf(os.Stderr, "-grid %s: %v\n", path, err)
 		return 2
 	}
@@ -282,7 +282,7 @@ func writeResults(out string, rs []runner.Result) int {
 	return 0
 }
 
-func runBenchmark(seed int64, workers int, out, topo string, burst int, churn, fluid, remote string) int {
+func runBenchmark(seed int64, workers int, out, topo, churn, fluid, remote string) int {
 	var topos []string
 	for _, it := range scheme.SplitList(topo) {
 		c, err := netem.CanonicalTopology(it)
@@ -301,10 +301,6 @@ func runBenchmark(seed int64, workers int, out, topo string, burst int, churn, f
 		}
 		churns = append(churns, wsp.String())
 	}
-	if burst < 0 || burst > netem.MaxBurst {
-		fmt.Fprintf(os.Stderr, "-burst: budget %d out of range 0..%d\n", burst, netem.MaxBurst)
-		return 2
-	}
 	var fluids []string
 	for _, it := range scheme.SplitList(fluid) {
 		fs, err := crosstraffic.ParseFluidSpec(it)
@@ -314,7 +310,7 @@ func runBenchmark(seed int64, workers int, out, topo string, burst int, churn, f
 		}
 		fluids = append(fluids, fs.String())
 	}
-	g := benchGrid(seed, topos, churns, burst, fluids)
+	g := benchGrid(seed, topos, churns, fluids)
 	if remote != "" {
 		return runRemote(remote, g, workers, out)
 	}

@@ -60,7 +60,6 @@ func realMain() int {
 		workers      = flag.Int("workers", 0, "default per-job worker pool size (0 = all cores; jobs may override per submission)")
 		maxCells     = flag.Int("max-cells", 1_000_000, "reject grids expanding to more cells than this")
 		codeVersion  = flag.String("code-version", "", "override the cache key's code-version component (default: hash of this executable)")
-		timerWheel   = flag.Bool("timer-wheel", false, "back every scheduler with the hashed timer wheel instead of the 4-ary heap (identical results; faster under dense timer churn)")
 		fsync        = flag.Bool("fsync", false, "fsync journal appends and cache writes before acknowledging (crash-durable; slower)")
 		failpoints   = flag.String("failpoints", "", "comma-separated fault injections, e.g. 'disk-write=err:0.5,cell-run=hang:1' (also via NIMBUS_FAILPOINTS; chaos testing only)")
 		cellTimeout  = flag.Duration("cell-timeout", 0, "per-cell watchdog: reap a cell still simulating after this long (0 = no watchdog)")
@@ -69,7 +68,6 @@ func realMain() int {
 		pprofOn      = flag.Bool("pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/ (off by default; enable only on trusted networks)")
 	)
 	flag.Parse()
-	exp.TimerWheel = *timerWheel
 
 	logger := log.New(os.Stderr, "nimbus-svc: ", log.LstdFlags)
 	spec := *failpoints

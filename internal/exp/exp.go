@@ -40,25 +40,18 @@ type NetConfig struct {
 	// rates/buffers inherit RateMbps/Buffer; the bottleneck link inherits
 	// AQM and Schedule.
 	Topology string
-	// LinkBurst, when > 1, enables burst forwarding (Link.SetBurst) with
-	// that per-event packet budget on every link that does not set its
-	// own burst= in the topology spec. Only constant-rate drop-tail
-	// links burst; see Link.SetBurst for the (documented) event-timing
-	// difference versus per-packet forwarding.
-	LinkBurst int
 	// TimerWheel backs the scheduler's event queue with the hashed timer
 	// wheel (sim.Scheduler.UseTimerWheel) instead of the 4-ary heap.
 	// Event order — and therefore every result — is identical either
 	// way; the wheel wins on dense timer churn (thousands of concurrent
-	// flows), so churn scenarios enable it automatically.
+	// flows), so NetConfigFor sets it for churn scenarios and only those.
 	TimerWheel bool
 	// Fluid, when non-empty, is a canonical crosstraffic.FluidSpec string
 	// ("on", "dt=5ms"): every link gets the fluid load term enabled
 	// (Link.EnableFluid), and AddCross kinds with a fluid model (cbr,
 	// poisson, cubic, reno) attach as rate processes instead of packet
-	// sources. Fluid and burst forwarding are mutually exclusive per
-	// link; enabling fluid wins. Kinds without a model (trace, video*)
-	// stay exact per-packet.
+	// sources. Kinds without a model (trace, video*) stay exact
+	// per-packet.
 	Fluid string
 }
 
@@ -158,14 +151,7 @@ func NewRig(cfg NetConfig) *Rig {
 		}
 		link := netem.NewLinkSchedule(sch, sched, q)
 		link.Name = ls.Name
-		if ls.Burst > 0 {
-			link.SetBurst(ls.Burst)
-		} else if cfg.LinkBurst > 0 {
-			link.SetBurst(cfg.LinkBurst)
-		}
 		if fluid.Enabled || ls.FluidMbps > 0 {
-			// After SetBurst: fluid and burst are mutually exclusive on a
-			// link, and fluid wins (EnableFluid withdraws the burst path).
 			link.EnableFluid(bufBytes)
 			if ls.FluidMbps > 0 {
 				link.AddFluidRate(ls.FluidMbps * 1e6)

@@ -19,21 +19,19 @@ import (
 // how many cells run at once.
 var Workers = 0
 
-// TimerWheel makes every rig back its scheduler with the hashed timer
-// wheel (sim.Scheduler.UseTimerWheel) instead of the 4-ary heap. Results
-// are identical either way — the wheel pops events in the same order —
-// so this is purely a performance knob; cmd binaries set it from their
-// -timer-wheel flag. Churn scenarios use the wheel regardless: their
-// dense per-flow timer populations are what it exists for.
-var TimerWheel = false
-
 // mapCells fans the n cells of an experiment grid out on the shared
 // worker pool, returning results in cell order.
 func mapCells[T any](n int, f func(i int) T) []T {
 	return runner.Map(Workers, n, f)
 }
 
-// NetConfigFor translates a declarative scenario's link description.
+// NetConfigFor translates a declarative scenario's link description. The
+// event queue is selected here, by what the scenario is rather than by a
+// flag: churn cells keep thousands of per-flow timers pending, which is
+// where the timer wheel earns its resident memory; every other cell
+// runs on the heap (the wheel would cut long-flow cells' wall time but
+// costs a third more peak RSS; docs/architecture.md has the
+// measurements). Results are identical either way.
 func NetConfigFor(sc runner.Scenario) NetConfig {
 	return NetConfig{
 		RateMbps:   sc.RateMbps,
@@ -43,10 +41,39 @@ func NetConfigFor(sc runner.Scenario) NetConfig {
 		PIETarget:  sim.FromSeconds(sc.PIETargetMs / 1e3),
 		Seed:       sc.EffectiveSeed(),
 		Topology:   sc.Topology,
-		LinkBurst:  sc.LinkBurst,
-		TimerWheel: TimerWheel || sc.Churn != "",
+		TimerWheel: sc.Churn != "",
 		Fluid:      sc.FluidCross,
 	}
+}
+
+// netConfigChecked is NetConfigFor plus everything that must hold before
+// NewRig is called, so a bad cell is an error row rather than a panic or
+// — worse — a normal-looking result: the link rate, RTT and horizon must
+// be finite and positive (a zero-rate link delivers nothing and reports
+// perfect mode accuracy), the link axes must resolve to a schedule, and
+// the topology and fluid specs must parse.
+func netConfigChecked(sc runner.Scenario) (NetConfig, error) {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"rate_mbps", sc.RateMbps}, {"rtt_ms", sc.RTTms}, {"duration_sec", sc.DurationSec}} {
+		if !(f.v > 0) || math.IsInf(f.v, 0) { // !(v > 0) also catches NaN
+			return NetConfig{}, fmt.Errorf("exp: scenario %q: %s must be finite and > 0, got %v", sc.Name, f.name, f.v)
+		}
+	}
+	cfg := NetConfigFor(sc)
+	sched, err := ScheduleForScenario(sc)
+	if err != nil {
+		return NetConfig{}, err
+	}
+	cfg.Schedule = sched
+	if _, err := netem.ParseTopology(sc.Topology); err != nil {
+		return NetConfig{}, err
+	}
+	if _, err := crosstraffic.ParseFluidSpec(sc.FluidCross); err != nil {
+		return NetConfig{}, err
+	}
+	return cfg, nil
 }
 
 // ScheduleForScenario resolves the scenario's time-varying link axes into
@@ -72,18 +99,8 @@ func ScheduleForScenario(sc runner.Scenario) (*netem.RateSchedule, error) {
 // with a probe, and the scenario's cross traffic. The caller may attach
 // extra instrumentation before running the rig to sc.DurationSec.
 func RigForScenario(sc runner.Scenario) (*Rig, Scheme, *FlowProbe, error) {
-	cfg := NetConfigFor(sc)
-	sched, err := ScheduleForScenario(sc)
+	cfg, err := netConfigChecked(sc)
 	if err != nil {
-		return nil, Scheme{}, nil, err
-	}
-	cfg.Schedule = sched
-	// Validate the topology and fluid specs up front so a malformed spec
-	// is a scenario error, not a panic out of NewRig.
-	if _, err := netem.ParseTopology(sc.Topology); err != nil {
-		return nil, Scheme{}, nil, err
-	}
-	if _, err := crosstraffic.ParseFluidSpec(sc.FluidCross); err != nil {
 		return nil, Scheme{}, nil, err
 	}
 	r := NewRig(cfg)
@@ -172,16 +189,8 @@ func RunFlowMixScenario(sc runner.Scenario) runner.Result {
 	if err != nil {
 		return fail(err)
 	}
-	cfg := NetConfigFor(sc)
-	sched, err := ScheduleForScenario(sc)
+	cfg, err := netConfigChecked(sc)
 	if err != nil {
-		return fail(err)
-	}
-	cfg.Schedule = sched
-	if _, err := netem.ParseTopology(sc.Topology); err != nil {
-		return fail(err)
-	}
-	if _, err := crosstraffic.ParseFluidSpec(sc.FluidCross); err != nil {
 		return fail(err)
 	}
 	r := NewRig(cfg)

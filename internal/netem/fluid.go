@@ -22,22 +22,18 @@ import "nimbus/internal/sim"
 // sojourn times and wall-clock laws that a rate process cannot feed, so
 // on those queues the fluid backlog still consumes buffer room and link
 // time but is invisible to the AQM drop law — a documented fidelity gap
-// (see DESIGN.md's decision table). Burst forwarding and fluid are
-// mutually exclusive on a link: both restage the drain loop, and the
-// fluid path already amortizes events without reordering deliveries.
+// (see DESIGN.md's decision table).
 
 // EnableFluid turns on the link's fluid cross-traffic term. capBytes is
 // the buffer room the fluid backlog shares with foreground packets
 // (normally the queue's own capacity). Foreground admission on a
 // FluidAware queue then counts the fluid backlog as occupancy, and the
 // backlog itself is capped at the room foreground packets leave —
-// overflow is dropped fluid. Configure before traffic starts; enabling
-// fluid disables burst forwarding on this link.
+// overflow is dropped fluid. Configure before traffic starts.
 func (l *Link) EnableFluid(capBytes int) {
 	l.fluidOn = true
 	l.fluidCap = capBytes
 	l.fluidSettled = l.Sch.Now()
-	l.bq = nil
 	if fa, ok := l.Q.(FluidAware); ok {
 		fa.SetExtraOccupancy(l.fluidOccupancy)
 	}

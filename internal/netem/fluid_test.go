@@ -7,53 +7,6 @@ import (
 	"nimbus/internal/sim"
 )
 
-// runFluidScenario drives the burst_test.go arrival pattern through a
-// 12 Mbit/s link, letting the caller configure the link (enable fluid,
-// add rate) before traffic starts. Reuses delivery/burstRun/
-// requireSameRun so fluid equivalence failures report the first
-// diverging observable.
-func runFluidScenario(t *testing.T, mkQueue func() Queue, configure func(l *Link)) burstRun {
-	t.Helper()
-	sch := sim.NewScheduler()
-	l := NewLink(sch, 12e6, mkQueue())
-	if configure != nil {
-		configure(l)
-	}
-	var r burstRun
-	l.Deliver = func(p *Packet, now sim.Time) {
-		r.dels = append(r.dels, delivery{p.Seq, now, p.QueueDelay})
-	}
-	l.OnDrop = func(p *Packet, now sim.Time) {
-		r.drops = append(r.drops, p.Seq)
-	}
-	seq := uint64(0)
-	send := func(at sim.Time, n, size int) {
-		for i := 0; i < n; i++ {
-			p := &Packet{Seq: seq, Size: size}
-			seq++
-			sch.At(at, func() { l.Send(p) })
-		}
-	}
-	send(0, 8, 1500)
-	for i := 0; i < 30; i++ {
-		send(sim.Time(i)*730*sim.Microsecond, 1, 1500)
-	}
-	send(40*sim.Millisecond, 10, 1500)
-	for i := 0; i < 12; i++ {
-		send(55*sim.Millisecond+sim.Time(i)*300*sim.Microsecond, 1, 500)
-	}
-	sch.RunUntil(100 * sim.Millisecond)
-
-	r.executed = sch.Executed
-	r.delivered = l.DeliveredPackets
-	r.bytes = l.DeliveredBytes
-	r.dropped = l.DroppedPackets
-	r.meanQD = l.MeanQueueDelay()
-	r.util = l.Utilization()
-	r.queued = l.Q.BytesQueued()
-	return r
-}
-
 // TestFluidDisabledByteIdentical pins the flag-off contract: a link that
 // never enables fluid behaves event-for-event like the seed — the
 // admission hook left nil, a hook pinned at zero extra occupancy, and a
@@ -63,12 +16,12 @@ func runFluidScenario(t *testing.T, mkQueue func() Queue, configure func(l *Link
 // rate actually flows.
 func TestFluidDisabledByteIdentical(t *testing.T) {
 	dt := func() Queue { return NewDropTail(6000) }
-	base := runFluidScenario(t, dt, nil)
+	base := runLinkScenario(t, dt, nil)
 	if len(base.drops) == 0 {
 		t.Fatal("scenario produced no drops; it no longer exercises admission under load")
 	}
 	t.Run("zero-extra-hook", func(t *testing.T) {
-		got := runFluidScenario(t, dt, func(l *Link) {
+		got := runLinkScenario(t, dt, func(l *Link) {
 			l.Q.(FluidAware).SetExtraOccupancy(func() int { return 0 })
 		})
 		requireSameRun(t, base, got)
@@ -77,31 +30,12 @@ func TestFluidDisabledByteIdentical(t *testing.T) {
 		}
 	})
 	t.Run("fluid-on-zero-rate", func(t *testing.T) {
-		got := runFluidScenario(t, dt, func(l *Link) { l.EnableFluid(6000) })
+		got := runLinkScenario(t, dt, func(l *Link) { l.EnableFluid(6000) })
 		requireSameRun(t, base, got)
 		if got.executed != base.executed {
 			t.Fatalf("executed %d events with zero-rate fluid, %d without", got.executed, base.executed)
 		}
 	})
-}
-
-// TestFluidBurstMutuallyExclusive pins the restaging conflict guard:
-// enabling fluid tears down an armed burst queue, and SetBurst after
-// EnableFluid refuses to bind one.
-func TestFluidBurstMutuallyExclusive(t *testing.T) {
-	l := NewLink(sim.NewScheduler(), 12e6, NewDropTail(6000))
-	l.SetBurst(16)
-	if l.bq == nil {
-		t.Fatal("SetBurst did not bind a burst queue on a plain drop-tail link")
-	}
-	l.EnableFluid(6000)
-	if l.bq != nil {
-		t.Fatal("EnableFluid left the burst queue bound")
-	}
-	l.SetBurst(16)
-	if l.bq != nil {
-		t.Fatal("SetBurst bound a burst queue on a fluid link")
-	}
 }
 
 // fluidConservation asserts the integrator's bookkeeping identity:

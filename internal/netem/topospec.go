@@ -35,11 +35,6 @@ type LinkSpec struct {
 	// scenario's LinkTrace/RatePattern, when set, override the
 	// bottleneck link's pattern.
 	Pattern string
-	// Burst, when > 1, enables burst forwarding on this link with that
-	// per-event packet budget (Link.SetBurst); it only takes effect on
-	// constant-rate drop-tail links. 0 defers to the scenario's
-	// link-burst setting.
-	Burst int
 	// FluidMbps, when > 0, loads this link with a constant fluid
 	// background aggregate of that rate (Link.EnableFluid +
 	// AddFluidRate): the load shapes queue occupancy, drops, and
@@ -164,9 +159,6 @@ func (ls LinkSpec) format() string {
 	if ls.Pattern != "" {
 		params = append(params, "pattern="+ls.Pattern)
 	}
-	if ls.Burst > 0 {
-		params = append(params, "burst="+strconv.Itoa(ls.Burst))
-	}
 	if ls.FluidMbps > 0 {
 		params = append(params, "fluid="+formatNum(ls.FluidMbps)+"mbps")
 	}
@@ -271,10 +263,9 @@ func init() {
 // any order: an absolute rate ("100mbps"), a nominal-rate multiple
 // ("x4"), a wire delay ("5ms"), an AQM name (droptail, pie, codel), a
 // buffer depth ("buf=50ms"), a capacity pattern
-// ("pattern=step:6:24:2000"), a burst budget ("burst=32"), and a
-// constant fluid background load ("fluid=24mbps"). A chain's
-// bottleneck is its link with no
-// explicit rate, or the lowest-rate link when all rates are explicit.
+// ("pattern=step:6:24:2000"), and a constant fluid background load
+// ("fluid=24mbps"). A chain's bottleneck is its link with no explicit
+// rate, or the lowest-rate link when all rates are explicit.
 func ParseTopology(s string) (TopoSpec, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -428,14 +419,8 @@ func parseLinkSpec(seg string) (LinkSpec, error) {
 				return LinkSpec{}, fmt.Errorf("link %q: %w", name, err)
 			}
 			ls.Pattern = pat
-		case strings.HasPrefix(tok, "burst="):
-			v, err := strconv.Atoi(strings.TrimPrefix(tok, "burst="))
-			if err != nil || v < 1 || v > MaxBurst {
-				return LinkSpec{}, fmt.Errorf("link %q: bad burst budget %q (want 1..%d)", name, tok, MaxBurst)
-			}
-			ls.Burst = v
 		default:
-			return LinkSpec{}, fmt.Errorf("link %q: unknown parameter %q (want rate like 100mbps or x4, delay like 5ms, an AQM, buf=, pattern=, burst=, or fluid=)", name, tok)
+			return LinkSpec{}, fmt.Errorf("link %q: unknown parameter %q (want rate like 100mbps or x4, delay like 5ms, an AQM, buf=, pattern=, or fluid=)", name, tok)
 		}
 	}
 	if ls.RateMbps > 0 && ls.RateScale > 0 {

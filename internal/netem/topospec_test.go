@@ -209,30 +209,12 @@ func TestTopoSpecNodes(t *testing.T) {
 	}
 }
 
-// TestTopoSpecBurst: the burst= link parameter parses, round-trips
-// through the canonical form, and rejects out-of-range budgets.
-func TestTopoSpecBurst(t *testing.T) {
-	ts, err := ParseTopology("access(100mbps,5ms)->bn(48mbps,burst=16)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts.Links[0].Burst != 0 || ts.Links[1].Burst != 16 {
-		t.Fatalf("burst budgets: %+v", ts.Links)
-	}
-	canon := ts.String()
-	if !strings.Contains(canon, "burst=16") {
-		t.Fatalf("canonical form %q drops burst=", canon)
-	}
-	ts2, err := ParseTopology(canon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts2.String() != canon {
-		t.Fatalf("round trip: %q -> %q", canon, ts2.String())
-	}
-	for _, bad := range []string{"bn(burst=0)", "bn(burst=-2)", "bn(burst=65)", "bn(burst=x)"} {
-		if _, err := ParseTopology(bad); err == nil || !strings.Contains(err.Error(), "burst") {
-			t.Errorf("%q: error %v, want a burst budget error", bad, err)
-		}
+// TestTopoSpecBurstRejected: burst link forwarding was deleted (see
+// DESIGN.md, "Decided"), and a spec still asking for it must fail loudly
+// as an unknown parameter rather than run per-packet under a burst name.
+func TestTopoSpecBurstRejected(t *testing.T) {
+	_, err := ParseTopology("bn(48mbps,burst=16)")
+	if err == nil || !strings.Contains(err.Error(), `unknown parameter "burst=16"`) {
+		t.Fatalf("burst=16: error %v, want an unknown-parameter error", err)
 	}
 }

@@ -138,13 +138,12 @@ func TestKeyDistinguishesNewAxes(t *testing.T) {
 	c := Scenario{RateMbps: 48, RatePattern: "step:6:24:2000"}
 	d := Scenario{RateMbps: 48, Topology: "parking-lot"}
 	e := Scenario{RateMbps: 48, Topology: "access(x4,5ms)->bn"}
-	f := Scenario{RateMbps: 48, LinkBurst: 16}
 	g := Scenario{RateMbps: 48, Churn: "bulk(load=24)"}
 	h := Scenario{RateMbps: 48, Churn: "web(load=24)"}
 	i := Scenario{RateMbps: 48, FluidCross: "on"}
 	j := Scenario{RateMbps: 48, FluidCross: "dt=5ms"}
 	keys := map[string]string{}
-	for _, sc := range []Scenario{a, b, c, d, e, f, g, h, i, j, {RateMbps: 48}} {
+	for _, sc := range []Scenario{a, b, c, d, e, g, h, i, j, {RateMbps: 48}} {
 		k := sc.Key()
 		if prev, dup := keys[k]; dup {
 			t.Fatalf("key collision between %q and %q: %s", prev, fmt.Sprintf("%+v", sc), k)

@@ -6,6 +6,9 @@
 #   - Every CLI flag defined in cmd/*/main.go must be mentioned (as
 #     "-flagname") in README.md or docs/*.md. A new flag lands with its
 #     documentation or the build fails.
+#   - And the reverse: every "-flagname" token in README.md or docs/*.md
+#     must be a flag some cmd/*/main.go defines (or one of go test's own,
+#     allow-listed below), so a deleted flag cannot survive in prose.
 #   - Every experiment family in exp.Families (internal/exp/registry.go)
 #     must have a "## family" section in docs/experiments.md.
 #   - Every HTTP route the service daemon registers (internal/svc/server.go)
@@ -42,6 +45,26 @@ for f in $flags; do
 done
 n=$(echo "$flags" | wc -l)
 echo "check_docs: $n CLI flags checked against $docs"
+
+# --- every documented flag exists -------------------------------------
+
+# go test's own flags, which the docs quote in benchmark/fuzz recipes.
+gotest="bench benchtime run race fuzz fuzztime count"
+
+# A flag token is "-name" (two or more characters, so curl -s and jq -e
+# do not count) at the start of a line or after whitespace, a quote, a
+# backtick, or an opening bracket — not the hyphen inside a word.
+mentioned=$(grep -hoE "(^|[[:space:]\`\"'(|/\[])-[a-z][a-z0-9-]+" $docs |
+    sed -E 's/^[^-]*-//' | sort -u || true)
+known=$(printf '%s\n' $flags $gotest)
+for f in $mentioned; do
+    if ! echo "$known" | grep -qx -- "$f"; then
+        echo "check_docs: FAIL — -$f is mentioned in README.md or docs/ but no cmd/*/main.go defines it" >&2
+        fail=1
+    fi
+done
+n=$(echo "$mentioned" | wc -l)
+echo "check_docs: $n documented flag names checked against cmd/*/main.go"
 
 # --- every experiment family has a docs section ----------------------
 
