@@ -39,17 +39,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
-	"nimbus/internal/crosstraffic"
 	"nimbus/internal/exp"
-	"nimbus/internal/netem"
 	"nimbus/internal/runner"
 	"nimbus/internal/scheme"
 	"nimbus/internal/svc"
-	"nimbus/internal/workload"
 )
 
 func main() {
@@ -83,32 +78,12 @@ func realMain() int {
 	flag.Parse()
 	exp.Workers = *workers
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := exp.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle allocations so the profile shows live heap
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}()
-	}
+	defer stopProfiles()
 
 	switch {
 	case exp.HandleListFlags(*listSchemes, *listTraces, *listTopologies, *listExperiments):
@@ -170,9 +145,9 @@ func benchGrid(seed int64, topos, churns, fluids []string) runner.Grid {
 
 // runGridFile executes an arbitrary sweep grid from a JSON file — the
 // same document POST /jobs accepts — either locally or on a nimbus-svc
-// daemon. Spec-valued fields (schemes, topologies, flow mixes, churn)
-// must already be canonical, as the CLIs and Grid emitters write them:
-// the strings enter scenario keys (and so cache keys) verbatim.
+// daemon. Spec-valued fields are validated and canonicalized
+// (exp.CanonicalGrid), so any spelling of a sweep gets the same scenario
+// keys, seeds and cache entries.
 func runGridFile(path, remote string, workers int, out string) int {
 	f, err := os.Open(path)
 	if err != nil {
@@ -186,6 +161,10 @@ func runGridFile(path, remote string, workers int, out string) int {
 	dec := json.NewDecoder(f)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&g); err != nil {
+		fmt.Fprintf(os.Stderr, "-grid %s: %v\n", path, err)
+		return 2
+	}
+	if g, err = exp.CanonicalGrid(g); err != nil {
 		fmt.Fprintf(os.Stderr, "-grid %s: %v\n", path, err)
 		return 2
 	}
@@ -283,34 +262,11 @@ func writeResults(out string, rs []runner.Result) int {
 }
 
 func runBenchmark(seed int64, workers int, out, topo, churn, fluid, remote string) int {
-	var topos []string
-	for _, it := range scheme.SplitList(topo) {
-		c, err := netem.CanonicalTopology(it)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "-topology:", err)
-			return 2
-		}
-		topos = append(topos, c)
+	g, err := exp.CanonicalGrid(benchGrid(seed, scheme.SplitList(topo), scheme.SplitList(churn), scheme.SplitList(fluid)))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
-	var churns []string
-	for _, it := range scheme.SplitList(churn) {
-		wsp, err := workload.ParseSpec(it)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "-churn:", err)
-			return 2
-		}
-		churns = append(churns, wsp.String())
-	}
-	var fluids []string
-	for _, it := range scheme.SplitList(fluid) {
-		fs, err := crosstraffic.ParseFluidSpec(it)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "-fluid:", err)
-			return 2
-		}
-		fluids = append(fluids, fs.String())
-	}
-	g := benchGrid(seed, topos, churns, fluids)
 	if remote != "" {
 		return runRemote(remote, g, workers, out)
 	}

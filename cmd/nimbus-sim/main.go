@@ -18,11 +18,11 @@
 // rev-congested; see -list-topologies) or a chain spec like
 // "access(x4,5ms)->bn", and multi-hop runs report per-hop
 // utilization/drops/queueing. Any of -scheme, -flows, -churn, -rate,
-// -rtt, -buf, -aqm, -cross, -link-trace, -rate-pattern, -topology and -seed
-// also accept comma-separated lists (commas inside a spec's parentheses
-// don't split); the cartesian product then runs as a parallel sweep on
-// -workers cores and prints one summary row per scenario (optionally
-// written to -out as JSON or CSV).
+// -rtt, -buf, -aqm, -cross, -fluid, -link-trace, -rate-pattern, -topology
+// and -seed also accept comma-separated lists (commas inside a spec's
+// parentheses don't split); the cartesian product then runs as a
+// parallel sweep on -workers cores and prints one summary row per
+// scenario (optionally written to -out as JSON or CSV).
 //
 // Examples:
 //
@@ -40,20 +40,15 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"nimbus/internal/crosstraffic"
 	"nimbus/internal/exp"
-	"nimbus/internal/netem"
 	"nimbus/internal/runner"
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
-	"nimbus/internal/workload"
 )
 
 func main() {
@@ -96,32 +91,12 @@ func realMain() int {
 		return 0
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := exp.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle allocations so the profile shows live heap
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}()
-	}
+	defer stopProfiles()
 
 	grid := runner.Grid{
 		Base: runner.Scenario{
@@ -131,26 +106,36 @@ func realMain() int {
 		RatesMbps:    parseFloats(*rate, "-rate"),
 		LinkTraces:   splitStrings(*trace),
 		RatePatterns: splitStrings(*pattern),
-		Topologies:   topoList(*topo),
+		Topologies:   spec.SplitList(*topo),
 		RTTsMs:       parseDurationsMs(*rtt, "-rtt"),
 		BuffersMs:    parseDurationsMs(*buf, "-buf"),
 		AQMs:         splitStrings(*aqm),
 		Crosses:      crossList(*cross, *crossMb),
-		Fluids:       fluidList(*fluid),
+		Fluids:       splitStrings(*fluid),
 		Seeds:        parseInts(*seed, "-seed"),
 	}
 	if *flows != "" {
 		if *churn != "" {
 			fatalf("-flows and -churn are mutually exclusive")
 		}
-		grid.FlowMixes = flowMixes(*flows)
+		if grid.FlowMixes = spec.SplitList(*flows); len(grid.FlowMixes) == 0 {
+			fatalf("-flows: no values given")
+		}
 	} else {
-		grid.Schemes = specList(*scheme)
+		if grid.Schemes, err = spec.ParseList(*scheme); err != nil {
+			fatalf("-scheme: %v", err)
+		}
 		if len(grid.Schemes) == 0 {
 			fatalf("-scheme: no values given")
 		}
 	}
-	grid.Churns = churnList(*churn)
+	grid.Churns = spec.SplitList(*churn)
+	// Flags only split; validating and canonicalizing the spec-valued
+	// axes (so "-topology single -fluid off" lands on the default key)
+	// is exp.CanonicalGrid's job, shared with -grid files and POST /jobs.
+	if grid, err = exp.CanonicalGrid(grid); err != nil {
+		fatalf("%v (see -list-schemes, -list-topologies)", err)
+	}
 	scs := grid.Expand()
 	if len(scs) == 1 {
 		// Single-scenario mode runs with the requested seed itself (the
@@ -162,94 +147,6 @@ func realMain() int {
 	}
 	runSweep(scs, *workers, *out)
 	return 0
-}
-
-// fluidList splits and canonicalizes the -fluid value: "off"/"none" map
-// to the empty (exact per-packet) axis value, "on" and "dt=..." to
-// their canonical spec strings, so equivalent spellings land on the
-// same scenario key and derived seed.
-func fluidList(s string) []string {
-	items := splitStrings(s)
-	for i, it := range items {
-		fs, err := crosstraffic.ParseFluidSpec(it)
-		if err != nil {
-			fatalf("-fluid: %v", err)
-		}
-		items[i] = fs.String()
-	}
-	return items
-}
-
-// specList parses a comma-separated scheme spec list, validating each
-// spec against the registry (names and parameters) so typos fail before
-// the sweep starts.
-func specList(s string) []spec.Spec {
-	sps, err := spec.ParseList(s)
-	if err != nil {
-		fatalf("-scheme: %v", err)
-	}
-	for _, sp := range sps {
-		if err := spec.Validate(sp); err != nil {
-			fatalf("-scheme: %v (see -list-schemes)", err)
-		}
-	}
-	return sps
-}
-
-// flowMixes splits and validates the -flows value — mix syntax plus
-// every item's scheme spec — and canonicalizes each mix, so equivalent
-// spellings ("nimbus + cubic" vs "nimbus+cubic") land on the same
-// scenario key and derived seed.
-func flowMixes(s string) []string {
-	mixes := spec.SplitList(s)
-	if len(mixes) == 0 {
-		fatalf("-flows: no values given")
-	}
-	for i, mix := range mixes {
-		fss, err := exp.ParseFlowMix(mix)
-		if err != nil {
-			fatalf("-flows: %v", err)
-		}
-		for _, fs := range fss {
-			if err := spec.Validate(fs.Scheme); err != nil {
-				fatalf("-flows: %v (see -list-schemes)", err)
-			}
-		}
-		mixes[i] = exp.FormatFlowMix(fss)
-	}
-	return mixes
-}
-
-// churnList splits and canonicalizes the -churn value (commas inside a
-// workload spec's parentheses don't split): equivalent spellings like
-// "bulk(load=24.0)" and "bulk(load=24)" land on the same scenario key
-// and derived seed.
-func churnList(s string) []string {
-	items := spec.SplitList(s)
-	for i, it := range items {
-		wsp, err := workload.ParseSpec(it)
-		if err != nil {
-			fatalf("-churn: %v", err)
-		}
-		items[i] = wsp.String()
-	}
-	return items
-}
-
-// topoList splits and canonicalizes the -topology value (commas inside a
-// chain spec's parentheses don't split). Canonicalization maps the single
-// topology to "", so "-topology single" lands on the same scenario key
-// (and seed, and results) as the default.
-func topoList(s string) []string {
-	items := spec.SplitList(s)
-	for i, it := range items {
-		c, err := netem.CanonicalTopology(it)
-		if err != nil {
-			fatalf("-topology: %v (see -list-topologies)", err)
-		}
-		items[i] = c
-	}
-	return items
 }
 
 // crossList expands a comma-separated -cross value; every kind shares the

@@ -103,6 +103,7 @@ func realMain() int {
 	server := &svc.Server{
 		Store:            store,
 		Run:              exp.RunScenario,
+		Canonical:        exp.CanonicalGrid,
 		Workers:          *workers,
 		MaxCells:         *maxCells,
 		Journal:          journal,

@@ -1,0 +1,96 @@
+package exp
+
+import (
+	"fmt"
+
+	"nimbus/internal/crosstraffic"
+	"nimbus/internal/netem"
+	"nimbus/internal/runner"
+	spec "nimbus/internal/scheme"
+	"nimbus/internal/workload"
+)
+
+// CanonicalGrid validates every spec-valued axis of a grid — schemes,
+// flow mixes, churn, topology, fluid; base value and list alike — and
+// returns the grid with each spec in its canonical spelling. Those
+// strings enter Scenario.Key() verbatim, so this is what makes two
+// spellings of one sweep ("single" and "", "bulk(load=24.0)" and
+// "bulk(load=24)", "nimbus + cubic" and "nimbus+cubic") one set of keys,
+// seeds, results and cache entries. Every path that builds a grid from
+// user input (nimbus-sim flags, nimbus-bench -benchmark and -grid,
+// POST /jobs) calls it before Expand, and nothing else canonicalizes an
+// axis. The empty string is every axis's default and passes through. The
+// error names the offending axis by its JSON field. g's lists are not
+// modified.
+func CanonicalGrid(g runner.Grid) (runner.Grid, error) {
+	for i, sp := range append([]spec.Spec{g.Base.Scheme}, g.Schemes...) {
+		if sp.Zero() {
+			continue // no scheme under test: a flow-mix grid, or a base the list overrides
+		}
+		if err := spec.Validate(sp); err != nil {
+			name := "base.scheme"
+			if i > 0 {
+				name = "schemes"
+			}
+			return g, fmt.Errorf("exp: grid %s: %w", name, err)
+		}
+	}
+	for _, ax := range []struct {
+		baseName, listName string
+		base               *string
+		list               *[]string
+		canon              func(string) (string, error)
+	}{
+		{"base.flow_mix", "flow_mixes", &g.Base.FlowMix, &g.FlowMixes, canonicalFlowMix},
+		{"base.churn", "churns", &g.Base.Churn, &g.Churns, reformat(workload.ParseSpec)},
+		{"base.topology", "topologies", &g.Base.Topology, &g.Topologies, netem.CanonicalTopology},
+		{"base.fluid_cross", "fluids", &g.Base.FluidCross, &g.Fluids, reformat(crosstraffic.ParseFluidSpec)},
+	} {
+		vals := append([]string{*ax.base}, *ax.list...)
+		for i, v := range vals {
+			if v == "" {
+				continue
+			}
+			c, err := ax.canon(v)
+			if err != nil {
+				name := ax.baseName
+				if i > 0 {
+					name = ax.listName
+				}
+				return g, fmt.Errorf("exp: grid %s: %w", name, err)
+			}
+			vals[i] = c
+		}
+		*ax.base = vals[0]
+		if len(vals) > 1 {
+			*ax.list = vals[1:]
+		}
+	}
+	return g, nil
+}
+
+// canonicalFlowMix checks the mix syntax and every item's scheme spec.
+func canonicalFlowMix(mix string) (string, error) {
+	fss, err := ParseFlowMix(mix)
+	if err != nil {
+		return "", err
+	}
+	for _, fs := range fss {
+		if err := spec.Validate(fs.Scheme); err != nil {
+			return "", err
+		}
+	}
+	return FormatFlowMix(fss), nil
+}
+
+// reformat is the canonicalizer of a spec type whose String is its
+// canonical spelling.
+func reformat[T fmt.Stringer](parse func(string) (T, error)) func(string) (string, error) {
+	return func(s string) (string, error) {
+		v, err := parse(s)
+		if err != nil {
+			return "", err
+		}
+		return v.String(), nil
+	}
+}

@@ -1,0 +1,113 @@
+package exp
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+
+	"nimbus/internal/runner"
+	spec "nimbus/internal/scheme"
+)
+
+// TestCanonicalGridCollapsesSpellings: every spelling of a spec-valued
+// axis value — in the base and in a list — lands on one string, so the
+// expansions share scenario keys and derived seeds.
+func TestCanonicalGridCollapsesSpellings(t *testing.T) {
+	base := runner.Scenario{RateMbps: 48, RTTms: 20, BufferMs: 50, DurationSec: 5, Seed: 1}
+	plain := runner.Grid{Base: base, Schemes: spec.Specs("nimbus", "cubic")}
+	respelt := plain
+	respelt.Topologies = []string{"single"}
+	respelt.Fluids = []string{"off"}
+	respelt.Base.Topology = " single "
+	respelt.Base.FluidCross = "none"
+
+	a, err := CanonicalGrid(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := CanonicalGrid(respelt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	as, bs := a.Expand(), b.Expand()
+	if len(as) != 2 || !reflect.DeepEqual(as, bs) {
+		t.Fatalf("a respelt grid expands to different cells:\n%+v\n%+v", as, bs)
+	}
+	if respelt.Topologies[0] != "single" || respelt.Fluids[0] != "off" {
+		t.Fatalf("CanonicalGrid modified its argument's lists: %+v", respelt)
+	}
+
+	for _, c := range []struct{ axis, in, want string }{
+		{"topology", "single", ""},
+		{"topology", "access-hop", "access-hop"},
+		{"fluid", "off", ""},
+		{"fluid", "on", "on"},
+		{"fluid", "dt=5.0ms", "dt=5ms"},
+		{"churn", "bulk(load=24.0)", "bulk(load=24)"},
+		{"churn", "bulk(load=96,xm=3000)", "bulk(load=96,xm=3000)"},
+		{"churn", "web(load=96)", "web(load=96)"},
+		{"flows", "nimbus + cubic", "nimbus+cubic"},
+		{"flows", "nimbus*4", "nimbus*4"},
+		{"flows", "nimbus*2+bbr@2.0", "nimbus*2+bbr@2"},
+	} {
+		// Once as the base value, once as a list entry.
+		var g runner.Grid
+		base, list := stringAxis(&g, c.axis)
+		*base, *list = c.in, []string{"", c.in}
+		got, err := CanonicalGrid(g)
+		if err != nil {
+			t.Errorf("%s %q: %v", c.axis, c.in, err)
+			continue
+		}
+		*base, *list = c.want, []string{"", c.want}
+		if !reflect.DeepEqual(got, g) {
+			t.Errorf("%s %q: canonical grid %+v, want %+v", c.axis, c.in, got, g)
+		}
+		again, err := CanonicalGrid(got)
+		if err != nil || !reflect.DeepEqual(again, got) {
+			t.Errorf("%s %q: not idempotent: %+v then %+v (err %v)", c.axis, c.in, got, again, err)
+		}
+	}
+}
+
+// stringAxis returns the base field and the list of a string-valued
+// spec axis of g.
+func stringAxis(g *runner.Grid, axis string) (*string, *[]string) {
+	switch axis {
+	case "topology":
+		return &g.Base.Topology, &g.Topologies
+	case "fluid":
+		return &g.Base.FluidCross, &g.Fluids
+	case "churn":
+		return &g.Base.Churn, &g.Churns
+	case "flows":
+		return &g.Base.FlowMix, &g.FlowMixes
+	}
+	panic("no string axis " + axis)
+}
+
+// TestCanonicalGridRejectsBadSpecs: a malformed or unknown spec is one
+// error naming the axis by its JSON field, before anything expands.
+func TestCanonicalGridRejectsBadSpecs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    runner.Grid
+	}{
+		{"schemes", runner.Grid{Schemes: []spec.Spec{spec.New("nimbus"), spec.New("nosuchscheme")}}},
+		{"schemes", runner.Grid{Schemes: spec.Specs("nimbus(nosuchparam=1)")}},
+		{"base.scheme", runner.Grid{Base: runner.Scenario{Scheme: spec.New("nosuchscheme")}}},
+		{"fluids", runner.Grid{Fluids: []string{"on", "dt=fast"}}},
+		{"base.fluid_cross", runner.Grid{Base: runner.Scenario{FluidCross: "dt=-1ms"}}},
+		{"topologies", runner.Grid{Topologies: []string{"access-hop", "no-such-preset"}}},
+		{"base.topology", runner.Grid{Base: runner.Scenario{Topology: "a(->"}}},
+		{"churns", runner.Grid{Churns: []string{"bulk(load=oops)"}}},
+		{"base.churn", runner.Grid{Base: runner.Scenario{Churn: "nosuchmodel"}}},
+		{"flow_mixes", runner.Grid{FlowMixes: []string{"nimbus+nosuchscheme"}}},
+		{"base.flow_mix", runner.Grid{Base: runner.Scenario{FlowMix: "nimbus*0"}}},
+	} {
+		_, err := CanonicalGrid(c.g)
+		if err == nil || !strings.Contains(err.Error(), "grid "+c.name+":") {
+			t.Errorf("bad %s: err = %v, want an error naming the axis", c.name, err)
+		}
+	}
+}

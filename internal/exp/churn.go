@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"nimbus/internal/core"
 	"nimbus/internal/runner"
 	spec "nimbus/internal/scheme"
-	"nimbus/internal/sim"
-	"nimbus/internal/workload"
 )
 
 // The churn experiment family asks the paper's question at Internet
@@ -33,75 +30,6 @@ var ChurnWorkloads = []string{
 
 // ChurnSchemes are the schemes under test.
 var ChurnSchemes = spec.Specs("nimbus", "cubic", "copa", "bbr")
-
-// RunChurnScenario is RunScenario for scenarios whose Churn is set: the
-// scheme under test runs as the long-lived flow while the churn workload
-// arrives and departs around it. Beyond the usual link metrics the
-// result carries the workload's streaming summary (churn_* metrics) and,
-// for Nimbus schemes, mode accuracy scored against the workload's exact
-// elastic-flow ground truth instead of a static label.
-func RunChurnScenario(sc runner.Scenario) runner.Result {
-	fail := func(err error) runner.Result {
-		return runner.Result{Scenario: sc, Err: err.Error()}
-	}
-	if sc.FlowMix != "" {
-		return fail(fmt.Errorf("exp: scenario %q sets both FlowMix (%s) and Churn (%s); pick one",
-			sc.Name, sc.FlowMix, sc.Churn))
-	}
-	wsp, err := workload.ParseSpec(sc.Churn)
-	if err != nil {
-		return fail(err)
-	}
-	r, scheme, probe, err := RigForScenario(sc)
-	if err != nil {
-		return fail(err)
-	}
-	gen := &workload.Generator{
-		Net:   r.Net,
-		Rng:   r.Rng.Split("churn"),
-		Spec:  wsp,
-		RTT:   sim.FromSeconds(sc.RTTms / 1e3),
-		MuBps: r.MuBps,
-	}
-	if err := gen.Start(0); err != nil {
-		return fail(err)
-	}
-	end := sim.FromSeconds(sc.DurationSec)
-	var mt ModeTracker
-	if scheme.Nimbus != nil {
-		// Ground truth is live: "is any elastic session flow active right
-		// now", not a per-scenario constant.
-		mt.Track(scheme.Nimbus, func(sim.Time) bool { return gen.ElasticActive() }, end/4)
-	}
-	r.Sch.RunUntil(end)
-
-	m := linkMetrics(r, probe.MeanMbps(0, end))
-	addQdelayMetrics(m, probe.Delay)
-	sm := gen.Stats.Snapshot(end)
-	m["churn_started"] = float64(sm.Started)
-	m["churn_completed"] = float64(sm.Completed)
-	m["churn_capped"] = float64(sm.Capped)
-	m["churn_mbps"] = sm.AggMbps
-	m["churn_mean_active"] = sm.MeanActive
-	m["churn_max_active"] = float64(sm.MaxActive)
-	m["churn_fct_mean_ms"] = sm.FCTMeanMs
-	m["churn_fct_p50_ms"] = sm.FCTP50Ms
-	m["churn_fct_p95_ms"] = sm.FCTP95Ms
-	m["churn_jain"] = sm.Jain
-	m["churn_elastic_frac"] = sm.ElasticFrac
-	if scheme.Nimbus != nil {
-		m["mode_switches"] = float64(scheme.Nimbus.ModeSwitches)
-		m["eta"] = scheme.Nimbus.LastEta()
-		mode := 0.0
-		if scheme.Nimbus.Mode() == core.ModeCompetitive {
-			mode = 1
-		}
-		m["competitive_mode"] = mode
-		m["mode_accuracy"] = mt.Acc.Accuracy()
-	}
-	dropNonFinite(m)
-	return runner.Result{Scenario: sc, Metrics: m, Events: r.Sch.Executed}
-}
 
 // ChurnGrid is the declarative sweep behind `nimbus-bench -run churn`:
 // schemes x session workloads on the standard bottleneck.

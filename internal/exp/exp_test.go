@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -44,6 +46,32 @@ func TestEveryExperimentHasFamily(t *testing.T) {
 		if !strings.Contains(list, f.Name+": ") {
 			t.Errorf("FormatExperimentList missing family header %q", f.Name)
 		}
+	}
+}
+
+// TestStartProfiles: both profiles land on disk when stop runs, an empty
+// path skips its profile, and an unwritable CPU path is an error before
+// anything runs.
+func TestStartProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	stop, err := StartProfiles(cpu, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Fatalf("profile %s not written: %v", p, err)
+		}
+	}
+	stop, err = StartProfiles("", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	if _, err := StartProfiles(filepath.Join(dir, "missing", "cpu.prof"), ""); err == nil {
+		t.Fatal("unwritable -cpuprofile path: want an error")
 	}
 }
 

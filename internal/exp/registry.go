@@ -3,6 +3,8 @@ package exp
 import (
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 
@@ -148,6 +150,51 @@ func HandleListFlags(schemes, traces, topologies, experiments bool) bool {
 	}
 	fmt.Print(out)
 	return true
+}
+
+// StartProfiles is the CLIs' shared -cpuprofile/-memprofile set-up: it
+// starts a CPU profile into cpuPath and returns a stop function that
+// writes the heap profile to memPath and then ends the CPU profile. An
+// empty path skips that profile. Call stop by defer from a function that
+// returns before the process exits. Heap-profile errors are printed, not
+// returned: by then the run the profile describes has succeeded.
+func StartProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() {
+		if memPath != "" {
+			if err := writeHeapProfile(memPath); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+			}
+		}
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+			}
+		}
+	}, nil
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // settle allocations so the profile shows live heap
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Family is one group of related experiments in the registry: the paper

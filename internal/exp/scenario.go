@@ -10,6 +10,7 @@ import (
 	"nimbus/internal/netem"
 	"nimbus/internal/runner"
 	"nimbus/internal/sim"
+	"nimbus/internal/workload"
 )
 
 // Workers is the worker-pool size every experiment grid in this package
@@ -112,16 +113,20 @@ func RigForScenario(sc runner.Scenario) (*Rig, Scheme, *FlowProbe, error) {
 	if err != nil {
 		return nil, Scheme{}, nil, err
 	}
-	rtt := sim.FromSeconds(sc.RTTms / 1e3)
-	probe := r.AddFlow(scheme, rtt, 0)
-	crossRTT := rtt
-	if sc.CrossRTTms > 0 {
-		crossRTT = sim.FromSeconds(sc.CrossRTTms / 1e3)
-	}
-	if err := AddCross(r, sc.Cross, sc.CrossRateMbps*1e6, crossRTT); err != nil {
+	probe := r.AddFlow(scheme, sim.FromSeconds(sc.RTTms/1e3), 0)
+	if err := AddCross(r, sc.Cross, sc.CrossRateMbps*1e6, crossRTT(sc)); err != nil {
 		return nil, Scheme{}, nil, err
 	}
 	return r, scheme, probe, nil
+}
+
+// crossRTT is the cross traffic's base RTT: the scenario's own unless
+// CrossRTTms overrides it.
+func crossRTT(sc runner.Scenario) sim.Time {
+	if sc.CrossRTTms > 0 {
+		return sim.FromSeconds(sc.CrossRTTms / 1e3)
+	}
+	return sim.FromSeconds(sc.RTTms / 1e3)
 }
 
 // CrossElastic reports whether a cross-traffic kind backs off under
@@ -140,28 +145,74 @@ func CrossElastic(kind string) bool {
 // Nimbus schemes) mode telemetry including time-weighted mode accuracy
 // against the cross traffic's known elasticity. The engine fills in wall
 // time.
+//
+// With Churn set, the scheme under test runs as the long-lived flow
+// while the session workload arrives and departs around it on the same
+// rig: the result adds the workload's streaming summary (churn_*
+// metrics), and mode accuracy is scored against the workload's exact
+// elastic-flow ground truth instead of a static label.
 func RunScenario(sc runner.Scenario) runner.Result {
-	if sc.Churn != "" {
-		return RunChurnScenario(sc)
+	fail := func(err error) runner.Result {
+		return runner.Result{Scenario: sc, Err: err.Error()}
 	}
 	if sc.FlowMix != "" {
+		if sc.Churn != "" {
+			return fail(fmt.Errorf("exp: scenario %q sets both FlowMix (%s) and Churn (%s); pick one",
+				sc.Name, sc.FlowMix, sc.Churn))
+		}
 		return RunFlowMixScenario(sc)
 	}
 	r, scheme, probe, err := RigForScenario(sc)
 	if err != nil {
-		return runner.Result{Scenario: sc, Err: err.Error()}
+		return fail(err)
+	}
+	truth := CrossElastic(sc.Cross)
+	elastic := func(sim.Time) bool { return truth }
+	var gen *workload.Generator
+	if sc.Churn != "" {
+		wsp, err := workload.ParseSpec(sc.Churn)
+		if err != nil {
+			return fail(err)
+		}
+		// Built after the rig's flow and cross traffic: Split consumes the
+		// parent stream, so the order is part of every churn cell's result.
+		gen = &workload.Generator{
+			Net:   r.Net,
+			Rng:   r.Rng.Split("churn"),
+			Spec:  wsp,
+			RTT:   sim.FromSeconds(sc.RTTms / 1e3),
+			MuBps: r.MuBps,
+		}
+		if err := gen.Start(0); err != nil {
+			return fail(err)
+		}
+		// Ground truth is live: "is any elastic session flow active right
+		// now", not a per-scenario constant.
+		elastic = func(sim.Time) bool { return gen.ElasticActive() }
 	}
 	end := sim.FromSeconds(sc.DurationSec)
 	var mt ModeTracker
 	if scheme.Nimbus != nil {
-		truth := CrossElastic(sc.Cross)
-		mt.Track(scheme.Nimbus, func(sim.Time) bool { return truth }, end/4)
+		mt.Track(scheme.Nimbus, elastic, end/4)
 	}
 	r.Sch.RunUntil(end)
 
 	m := linkMetrics(r, probe.MeanMbps(0, end))
 	addQdelayMetrics(m, probe.Delay)
-	dropNonFinite(m)
+	if gen != nil {
+		sm := gen.Stats.Snapshot(end)
+		m["churn_started"] = float64(sm.Started)
+		m["churn_completed"] = float64(sm.Completed)
+		m["churn_capped"] = float64(sm.Capped)
+		m["churn_mbps"] = sm.AggMbps
+		m["churn_mean_active"] = sm.MeanActive
+		m["churn_max_active"] = float64(sm.MaxActive)
+		m["churn_fct_mean_ms"] = sm.FCTMeanMs
+		m["churn_fct_p50_ms"] = sm.FCTP50Ms
+		m["churn_fct_p95_ms"] = sm.FCTP95Ms
+		m["churn_jain"] = sm.Jain
+		m["churn_elastic_frac"] = sm.ElasticFrac
+	}
 	if scheme.Nimbus != nil {
 		m["mode_switches"] = float64(scheme.Nimbus.ModeSwitches)
 		m["eta"] = scheme.Nimbus.LastEta()
@@ -172,6 +223,7 @@ func RunScenario(sc runner.Scenario) runner.Result {
 		m["competitive_mode"] = mode
 		m["mode_accuracy"] = mt.Acc.Accuracy()
 	}
+	dropNonFinite(m)
 	return runner.Result{Scenario: sc, Metrics: m, Events: r.Sch.Executed}
 }
 
@@ -209,12 +261,7 @@ func RunFlowMixScenario(sc runner.Scenario) runner.Result {
 			sharedDelay.Add(p.QueueDelay)
 		})
 	}
-	rtt := sim.FromSeconds(sc.RTTms / 1e3)
-	crossRTT := rtt
-	if sc.CrossRTTms > 0 {
-		crossRTT = sim.FromSeconds(sc.CrossRTTms / 1e3)
-	}
-	if err := AddCross(r, sc.Cross, sc.CrossRateMbps*1e6, crossRTT); err != nil {
+	if err := AddCross(r, sc.Cross, sc.CrossRateMbps*1e6, crossRTT(sc)); err != nil {
 		return fail(err)
 	}
 	end := sim.FromSeconds(sc.DurationSec)

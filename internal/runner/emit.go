@@ -19,24 +19,30 @@ func WriteJSON(w io.Writer, rs []Result) error {
 
 // WriteCSV writes results as CSV: one row per run, scenario fields first,
 // then the union of metric names in sorted order, then events and wall
-// time. Missing metrics render as empty cells.
+// time. Missing metrics render as empty cells. The scenario columns are
+// named by the fields' JSON tags and cover every Scenario field except
+// the derived RunSeed (TestCSVCoversEveryField), so no two cells of a
+// sweep write rows that differ only in name; new fields append, so
+// column positions hold.
 func WriteCSV(w io.Writer, rs []Result) error {
 	names := MetricNames(rs)
 	cw := csv.NewWriter(w)
 	header := []string{"name", "scheme", "flow_mix", "rate_mbps", "link_trace", "rate_pattern",
-		"rtt_ms", "buffer_ms", "aqm", "cross", "cross_rate_mbps", "duration_sec", "seed"}
+		"rtt_ms", "buffer_ms", "aqm", "cross", "cross_rate_mbps", "duration_sec", "seed",
+		"topology", "churn", "fluid_cross", "cross_rtt_ms", "pie_target_ms"}
 	header = append(header, names...)
 	header = append(header, "events", "wall_sec", "err")
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	g := formatFloat
 	row := make([]string, 0, len(header)) // reused across rows
 	for _, r := range rs {
 		sc := r.Scenario
 		row = append(row[:0], sc.Name, sc.Scheme.String(), sc.FlowMix, g(sc.RateMbps), sc.LinkTrace, sc.RatePattern,
 			g(sc.RTTms), g(sc.BufferMs), sc.AQM,
-			sc.Cross, g(sc.CrossRateMbps), g(sc.DurationSec), strconv.FormatInt(sc.Seed, 10))
+			sc.Cross, g(sc.CrossRateMbps), g(sc.DurationSec), strconv.FormatInt(sc.Seed, 10),
+			sc.Topology, sc.Churn, sc.FluidCross, g(sc.CrossRTTms), g(sc.PIETargetMs))
 		for _, n := range names {
 			if v, ok := r.Metrics[n]; ok {
 				row = append(row, g(v))

@@ -23,14 +23,17 @@
 //     "/churn=", ...), so every scenario expressible before the field
 //     existed keeps its exact key, derived seed, and results.
 //
-// Fields whose string form has equivalent spellings (topologies, flow
-// mixes, churn specs) must be stored canonicalized, as the CLIs do:
-// the string enters the key verbatim.
+// Spec-valued fields (schemes, flow mixes, churn, topology, fluid) have
+// equivalent spellings and enter the key verbatim, so a grid built from
+// user input goes through exp.CanonicalGrid before Expand: every entry
+// point (the CLIs, -grid files, POST /jobs) calls it, and it is the only
+// code that canonicalizes an axis.
 package runner
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"nimbus/internal/scheme"
@@ -44,7 +47,7 @@ import (
 // Runner.
 type Scenario struct {
 	// Name labels the scenario in results; Grid.Expand derives it from
-	// the swept fields when empty.
+	// the swept fields.
 	Name string `json:"name"`
 
 	// Bottleneck.
@@ -65,10 +68,8 @@ type Scenario struct {
 	// Topology selects the path topology: "" is the paper's single
 	// bottleneck; otherwise a preset name ("access-hop", "parking-lot",
 	// "rev-congested") or a chain spec like "access(x4,5ms)->bn"
-	// (netem.ParseTopology). Store the canonical form
-	// (netem.CanonicalTopology, as the CLIs do — it maps the single
-	// topology to ""): the string enters Key() verbatim, so equivalent
-	// spellings would otherwise derive different seeds.
+	// (netem.ParseTopology). The string enters Key() verbatim;
+	// exp.CanonicalGrid maps equivalent spellings (and "single") to one.
 	Topology string `json:"topology,omitempty"`
 
 	// Scheme under test: a typed scheme spec ("nimbus", "copa(delta=0.1)",
@@ -81,9 +82,8 @@ type Scenario struct {
 	// SPEC[*COUNT][@STARTs[:STOPs]], e.g. "nimbus*2+cubic@10" (two Nimbus
 	// flows at t=0 and one Cubic flow joining at t=10s). internal/exp
 	// parses it into FlowSpecs and reports per-flow and fairness metrics.
-	// Store the canonical form (exp.FormatFlowMix of exp.ParseFlowMix, as
-	// the CLIs do): the string enters Key() verbatim, so equivalent
-	// spellings would otherwise derive different seeds.
+	// The string enters Key() verbatim; exp.CanonicalGrid maps equivalent
+	// spellings to one.
 	FlowMix string `json:"flow_mix,omitempty"`
 
 	// Churn, when non-empty, runs the scenario as a flow-churn workload:
@@ -91,10 +91,8 @@ type Scenario struct {
 	// (internal/workload) of short flows arriving and departing for the
 	// whole horizon, and the result carries detection-accuracy and
 	// fairness-under-churn metrics. The spec is a workload.Spec string
-	// like "bulk(load=24)" or "web(load=12,cc=cubic)". Store the
-	// canonical form (workload.ParseSpec(...).String(), as the CLIs do):
-	// the string enters Key() verbatim, so equivalent spellings would
-	// otherwise derive different seeds.
+	// like "bulk(load=24)" or "web(load=12,cc=cubic)". The string enters
+	// Key() verbatim; exp.CanonicalGrid maps equivalent spellings to one.
 	Churn string `json:"churn,omitempty"`
 
 	// Cross traffic (internal/exp.AddCross kinds) and its offered rate.
@@ -109,8 +107,8 @@ type Scenario struct {
 	// cubic, reno) are affected; the foreground scheme stays exact
 	// per-packet. Fluid runs approximate the packet path, so they get
 	// their own key — results are not byte-comparable to packet runs.
-	// Store the canonical form (crosstraffic.ParseFluidSpec(...).String(),
-	// as the CLIs do): the string enters Key() verbatim.
+	// The string enters Key() verbatim; exp.CanonicalGrid maps equivalent
+	// spellings (and "off") to one.
 	FluidCross string `json:"fluid_cross,omitempty"`
 
 	DurationSec float64 `json:"duration_sec"`
@@ -181,57 +179,6 @@ func (s Scenario) CacheKey(codeVersion string) string {
 	return fmt.Sprintf("%s/%d/%s", s.Key(), s.EffectiveSeed(), codeVersion)
 }
 
-// label is the human-readable name Grid.Expand assigns, listing only the
-// fields that vary.
-func (s Scenario) label(varying []string) string {
-	parts := make([]string, 0, len(varying))
-	for _, f := range varying {
-		switch f {
-		case "rate":
-			parts = append(parts, fmt.Sprintf("rate=%g", s.RateMbps))
-		case "rtt":
-			parts = append(parts, fmt.Sprintf("rtt=%g", s.RTTms))
-		case "buf":
-			parts = append(parts, fmt.Sprintf("buf=%g", s.BufferMs))
-		case "trace":
-			parts = append(parts, "trace="+s.LinkTrace)
-		case "pattern":
-			parts = append(parts, "pattern="+s.RatePattern)
-		case "topo":
-			topo := s.Topology
-			if topo == "" {
-				topo = "single"
-			}
-			parts = append(parts, "topo="+topo)
-		case "aqm":
-			parts = append(parts, "aqm="+s.AQM)
-		case "scheme":
-			parts = append(parts, s.Scheme.String())
-		case "flows":
-			parts = append(parts, "flows="+s.FlowMix)
-		case "churn":
-			parts = append(parts, "churn="+s.Churn)
-		case "cross":
-			parts = append(parts, fmt.Sprintf("cross=%s:%g", s.Cross, s.CrossRateMbps))
-		case "fluid":
-			fluid := s.FluidCross
-			if fluid == "" {
-				fluid = "off"
-			}
-			parts = append(parts, "fluid="+fluid)
-		case "seed":
-			parts = append(parts, fmt.Sprintf("seed=%d", s.Seed))
-		}
-	}
-	if len(parts) == 0 {
-		if s.FlowMix != "" {
-			return s.FlowMix
-		}
-		return s.Scheme.String()
-	}
-	return strings.Join(parts, "/")
-}
-
 // Cross pairs a cross-traffic kind with its offered rate for sweeps.
 type Cross struct {
 	Kind     string  `json:"kind"`
@@ -260,135 +207,137 @@ type Grid struct {
 	Seeds  []int64  `json:"seeds,omitempty"`
 }
 
-// Expand returns the scenarios of the grid in a stable order (outermost
-// axis first: scheme, flow mix, churn, cross, fluid, rate, trace,
-// pattern, topology, rtt, buffer, aqm, seed). Every scenario gets a per-run seed derived from its own
-// parameters via sim.DeriveSeed, so results do not depend on expansion
-// order or worker count, and a Name naming the varying axes.
+// axis is one sweepable dimension of a Grid. The axes table below is the
+// only place Grid.Expand learns which dimensions exist: a row reads the
+// axis's Grid list, writes its Scenario field(s), and formats the part
+// of the cell name the axis contributes when it varies.
+type axis struct {
+	name  string
+	n     func(g *Grid) int                  // length of the axis's Grid list
+	set   func(sc *Scenario, g *Grid, i int) // copy list value i into sc
+	label func(sc *Scenario) string
+}
+
+// newAxis is the row for an axis with one Grid list and one Scenario
+// field, labelled "name=value".
+func newAxis[T any](name string, list func(*Grid) []T, field func(*Scenario) *T, format func(T) string) axis {
+	return axis{
+		name:  name,
+		n:     func(g *Grid) int { return len(list(g)) },
+		set:   func(sc *Scenario, g *Grid, i int) { *field(sc) = list(g)[i] },
+		label: func(sc *Scenario) string { return name + "=" + format(*field(sc)) },
+	}
+}
+
+func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+
+func formatString(v string) string { return v }
+
+// formatOr names the axis's empty (default) value in cell names.
+func formatOr(empty string) func(string) string {
+	return func(v string) string {
+		if v == "" {
+			return empty
+		}
+		return v
+	}
+}
+
+// axes lists every sweep axis, outermost first. The order is the
+// expansion order and the order of the parts of a cell's name, so it is
+// pinned (testdata/expand_golden.txt); TestAxesCoverGrid holds the table
+// to Grid's lists and Scenario's fields.
+var axes = []axis{
+	{
+		name:  "scheme",
+		n:     func(g *Grid) int { return len(g.Schemes) },
+		set:   func(sc *Scenario, g *Grid, i int) { sc.Scheme = g.Schemes[i] },
+		label: func(sc *Scenario) string { return sc.Scheme.String() },
+	},
+	newAxis("flows", func(g *Grid) []string { return g.FlowMixes }, func(sc *Scenario) *string { return &sc.FlowMix }, formatString),
+	newAxis("churn", func(g *Grid) []string { return g.Churns }, func(sc *Scenario) *string { return &sc.Churn }, formatString),
+	{
+		name: "cross",
+		n:    func(g *Grid) int { return len(g.Crosses) },
+		set: func(sc *Scenario, g *Grid, i int) {
+			sc.Cross, sc.CrossRateMbps = g.Crosses[i].Kind, g.Crosses[i].RateMbps
+		},
+		label: func(sc *Scenario) string { return fmt.Sprintf("cross=%s:%g", sc.Cross, sc.CrossRateMbps) },
+	},
+	newAxis("fluid", func(g *Grid) []string { return g.Fluids }, func(sc *Scenario) *string { return &sc.FluidCross }, formatOr("off")),
+	newAxis("rate", func(g *Grid) []float64 { return g.RatesMbps }, func(sc *Scenario) *float64 { return &sc.RateMbps }, formatFloat),
+	newAxis("trace", func(g *Grid) []string { return g.LinkTraces }, func(sc *Scenario) *string { return &sc.LinkTrace }, formatString),
+	newAxis("pattern", func(g *Grid) []string { return g.RatePatterns }, func(sc *Scenario) *string { return &sc.RatePattern }, formatString),
+	newAxis("topo", func(g *Grid) []string { return g.Topologies }, func(sc *Scenario) *string { return &sc.Topology }, formatOr("single")),
+	newAxis("rtt", func(g *Grid) []float64 { return g.RTTsMs }, func(sc *Scenario) *float64 { return &sc.RTTms }, formatFloat),
+	newAxis("buf", func(g *Grid) []float64 { return g.BuffersMs }, func(sc *Scenario) *float64 { return &sc.BufferMs }, formatFloat),
+	newAxis("aqm", func(g *Grid) []string { return g.AQMs }, func(sc *Scenario) *string { return &sc.AQM }, formatString),
+	newAxis("seed", func(g *Grid) []int64 { return g.Seeds }, func(sc *Scenario) *int64 { return &sc.Seed }, func(v int64) string { return strconv.FormatInt(v, 10) }),
+}
+
+// Expand returns the scenarios of the grid in a stable order: the
+// cartesian product of the axes table, outermost axis first. Every
+// scenario gets a per-run seed derived from its own parameters via
+// sim.DeriveSeed, so results do not depend on expansion order or worker
+// count, and a Name listing the axes that vary (or, when none does, the
+// flow mix or scheme).
 func (g Grid) Expand() []Scenario {
-	rates := g.RatesMbps
-	if len(rates) == 0 {
-		rates = []float64{g.Base.RateMbps}
-	}
-	traces := g.LinkTraces
-	if len(traces) == 0 {
-		traces = []string{g.Base.LinkTrace}
-	}
-	patterns := g.RatePatterns
-	if len(patterns) == 0 {
-		patterns = []string{g.Base.RatePattern}
-	}
-	topos := g.Topologies
-	if len(topos) == 0 {
-		topos = []string{g.Base.Topology}
-	}
-	rtts := g.RTTsMs
-	if len(rtts) == 0 {
-		rtts = []float64{g.Base.RTTms}
-	}
-	bufs := g.BuffersMs
-	if len(bufs) == 0 {
-		bufs = []float64{g.Base.BufferMs}
-	}
-	aqms := g.AQMs
-	if len(aqms) == 0 {
-		aqms = []string{g.Base.AQM}
-	}
-	schemes := g.Schemes
-	if len(schemes) == 0 {
-		schemes = []scheme.Spec{g.Base.Scheme}
-	}
-	mixes := g.FlowMixes
-	if len(mixes) == 0 {
-		mixes = []string{g.Base.FlowMix}
-	}
-	churns := g.Churns
-	if len(churns) == 0 {
-		churns = []string{g.Base.Churn}
-	}
 	// A flow mix replaces the scheme under test, so sweeping both axes
 	// would emit duplicate scenarios whose scheme= key component differs
 	// but whose runs are identical in everything except the derived
 	// seed — results that look scheme-dependent while the scheme was
-	// never used. FlowMixes therefore collapses the scheme axis.
+	// never used. A flow mix therefore collapses the scheme axis.
 	if len(g.FlowMixes) > 0 || g.Base.FlowMix != "" {
-		schemes = []scheme.Spec{{}}
+		g.Schemes, g.Base.Scheme = nil, scheme.Spec{}
 	}
-	crosses := g.Crosses
-	if len(crosses) == 0 {
-		crosses = []Cross{{Kind: g.Base.Cross, RateMbps: g.Base.CrossRateMbps}}
-	}
-	fluids := g.Fluids
-	if len(fluids) == 0 {
-		fluids = []string{g.Base.FluidCross}
-	}
-	seeds := g.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{g.Base.Seed}
-	}
-
-	var varying []string
-	for _, v := range []struct {
-		name string
-		n    int
-	}{
-		{"scheme", len(schemes)}, {"flows", len(mixes)}, {"churn", len(churns)}, {"cross", len(crosses)}, {"fluid", len(fluids)}, {"rate", len(rates)},
-		{"trace", len(traces)}, {"pattern", len(patterns)}, {"topo", len(topos)},
-		{"rtt", len(rtts)}, {"buf", len(bufs)}, {"aqm", len(aqms)}, {"seed", len(seeds)},
-	} {
-		if v.n > 1 {
-			varying = append(varying, v.name)
+	counts := make([]int, len(axes)) // 0: the axis keeps the base value
+	var varying []axis
+	total := 1
+	for i, a := range axes {
+		counts[i] = a.n(&g)
+		if counts[i] > 0 {
+			total *= counts[i]
+		}
+		if counts[i] > 1 {
+			varying = append(varying, a)
 		}
 	}
 
-	out := make([]Scenario, 0, len(schemes)*len(mixes)*len(churns)*len(crosses)*len(fluids)*len(rates)*len(traces)*len(patterns)*len(topos)*len(rtts)*len(bufs)*len(aqms)*len(seeds))
-	for _, sp := range schemes {
-		for _, mix := range mixes {
-			for _, churn := range churns {
-				for _, cross := range crosses {
-					for _, fluid := range fluids {
-						for _, rate := range rates {
-							for _, trace := range traces {
-								for _, pattern := range patterns {
-									for _, topo := range topos {
-										for _, rtt := range rtts {
-											for _, buf := range bufs {
-												for _, aqm := range aqms {
-													for _, seed := range seeds {
-														sc := g.Base
-														sc.Scheme = sp
-														sc.FlowMix = mix
-														sc.Churn = churn
-														sc.Cross = cross.Kind
-														sc.CrossRateMbps = cross.RateMbps
-														sc.FluidCross = fluid
-														sc.RateMbps = rate
-														sc.LinkTrace = trace
-														sc.RatePattern = pattern
-														sc.Topology = topo
-														sc.RTTms = rtt
-														sc.BufferMs = buf
-														sc.AQM = aqm
-														sc.Seed = seed
-														sc.RunSeed = sim.DeriveSeed(seed, sc.Key())
-														if sc.Name == "" || sc.Name == g.Base.Name {
-															sc.Name = sc.label(varying)
-														}
-														out = append(out, sc)
-													}
-												}
-											}
-										}
-									}
-								}
-							}
-						}
-					}
-				}
+	out := make([]Scenario, 0, total)
+	parts := make([]string, len(varying))
+	idx := make([]int, len(axes)) // the odometer: one digit per axis
+	for {
+		sc := g.Base
+		for i, a := range axes {
+			if counts[i] > 0 {
+				a.set(&sc, &g, idx[i])
 			}
 		}
+		sc.RunSeed = sim.DeriveSeed(sc.Seed, sc.Key())
+		for i, a := range varying {
+			parts[i] = a.label(&sc)
+		}
+		switch {
+		case len(parts) > 0:
+			sc.Name = strings.Join(parts, "/")
+		case sc.FlowMix != "":
+			sc.Name = sc.FlowMix
+		default:
+			sc.Name = sc.Scheme.String()
+		}
+		out = append(out, sc)
+
+		i := len(axes) - 1 // advance, innermost axis fastest
+		for ; i >= 0; i-- {
+			if idx[i]++; idx[i] < counts[i] {
+				break
+			}
+			idx[i] = 0
+		}
+		if i < 0 {
+			return out
+		}
 	}
-	return out
 }
 
 // Result is one structured row of a sweep.

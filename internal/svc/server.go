@@ -74,6 +74,13 @@ type Server struct {
 	Store *Store
 	// Run executes one scenario; required.
 	Run runner.RunFunc
+	// Canonical validates a submitted grid's spec strings and rewrites
+	// them to their canonical spelling (cmd/nimbus-svc wires
+	// exp.CanonicalGrid), so two spellings of one sweep share scenario
+	// keys and cache entries, and a malformed spec is one 400 instead of
+	// an error row per cell. It runs before the journal append, so Replay
+	// re-expands the same cells. nil accepts grids as submitted.
+	Canonical func(runner.Grid) (runner.Grid, error)
 	// Workers is the default per-job worker pool (0 = all cores).
 	Workers int
 	// MaxCells rejects grids expanding past this many cells (0 = the
@@ -179,6 +186,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		httpError(w, http.StatusBadRequest, "bad job request: %v", err)
 		return
+	}
+	if s.Canonical != nil {
+		g, err := s.Canonical(req.Grid)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "bad job request: %v", err)
+			return
+		}
+		req.Grid = g
 	}
 	scs := req.Grid.Expand()
 	if len(scs) == 0 {

@@ -3,9 +3,13 @@ package svc
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -297,6 +301,108 @@ func TestServerBadRequests(t *testing.T) {
 	big := NewClient(hs.URL)
 	if _, err := big.Submit(ctx, smallGrid(), 0); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Fatalf("oversized grid: err = %v, want cell-limit rejection", err)
+	}
+}
+
+// TestSubmitCanonicalizesGrid: the injected canonicalizer runs on every
+// submission before the grid expands or reaches the journal, so a
+// respelt copy of a grid is the same cells — all cache hits, the same
+// bytes — and a spec it rejects is one 400, not an error row per cell.
+// The stub stands in for exp.CanonicalGrid (which svc must not import):
+// "single" is a spelling of the default topology, "bogus" is malformed.
+func TestSubmitCanonicalizesGrid(t *testing.T) {
+	dir := t.TempDir()
+	journal, _, err := OpenJournal(filepath.Join(dir, "journal"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal.Close()
+	var runs atomic.Int64
+	srv := &Server{
+		Store:   newTestStore(t, filepath.Join(dir, "cache"), 64, "test-v1"),
+		Workers: 2,
+		Journal: journal,
+		Run: func(sc runner.Scenario) runner.Result {
+			runs.Add(1)
+			return stubRun(sc)
+		},
+		Canonical: func(g runner.Grid) (runner.Grid, error) {
+			out := make([]string, len(g.Topologies))
+			for i, topo := range g.Topologies {
+				switch topo {
+				case "bogus":
+					return g, fmt.Errorf("grid topologies: unknown topology %q", topo)
+				case "single":
+					topo = ""
+				}
+				out[i] = topo
+			}
+			g.Topologies = out
+			return g, nil
+		},
+	}
+	srv.Start()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	client := NewClient(hs.URL)
+	ctx := context.Background()
+
+	plain := smallGrid()
+	created1, err := client.Submit(ctx, plain, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw1, err := client.RawResults(ctx, created1.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	respelt := smallGrid()
+	respelt.Topologies = []string{"single"}
+	created2, err := client.Submit(ctx, respelt, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw2, err := client.RawResults(ctx, created2.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw1, raw2) {
+		t.Fatalf("respelt grid returned different bytes:\n1: %s\n2: %s", raw1, raw2)
+	}
+	st, err := client.Status(ctx, created2.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cells.Hit != 4 || st.Cells.Miss != 0 || runs.Load() != 4 {
+		t.Fatalf("respelt grid re-simulated: status %+v, %d runs (want 4 hits, 4 runs)", st, runs.Load())
+	}
+
+	// The journal holds the canonical grid, so a replay expands the same
+	// cells whatever canonicalizer (or none) the next daemon is built with.
+	wal, err := os.ReadFile(filepath.Join(dir, "journal", "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := replayRecords(wal)
+	journaled := false
+	for _, rec := range recs {
+		if rec.Type == recSubmit && rec.ID == created2.ID {
+			journaled = len(rec.Grid.Topologies) == 1 && rec.Grid.Topologies[0] == ""
+		}
+	}
+	if !journaled {
+		t.Fatalf("journal does not hold job %s's grid in canonical form: %s", created2.ID, wal)
+	}
+
+	bad := smallGrid()
+	bad.Topologies = []string{"bogus"}
+	var apiErr *APIError
+	if _, err := client.Submit(ctx, bad, 0); !errors.As(err, &apiErr) ||
+		apiErr.Status != http.StatusBadRequest || !strings.Contains(apiErr.Message, "topologies") {
+		t.Fatalf("malformed spec: err = %v, want a 400 naming the axis", err)
+	}
+	if m, _ := client.Metrics(ctx); m.JobsSubmitted != 2 {
+		t.Fatalf("a rejected grid became a job: %+v", m)
 	}
 }
 
