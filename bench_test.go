@@ -148,26 +148,13 @@ func BenchmarkTopologyThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkNimbusFlow measures the full Nimbus stack (detector, pulses,
-// FFT every 10 ms) in simulation.
+// BenchmarkNimbusFlow measures the full Nimbus stack (pulses, ẑ, the
+// detector's band read every 10 ms) in simulation.
 func BenchmarkNimbusFlow(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r := exp.NewRig(exp.NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: int64(i)})
 		s := exp.MustScheme("nimbus", r.MuBps)
-		r.AddFlow(s, 50*sim.Millisecond, 0)
-		r.Sch.RunUntil(10 * sim.Second)
-	}
-}
-
-// BenchmarkNimbusFlowRFFT is BenchmarkNimbusFlow with the packed
-// real-input FFT detector path (nimbus(rfft)): the FFT-heavy cell the
-// rFFT optimization targets.
-func BenchmarkNimbusFlowRFFT(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := exp.NewRig(exp.NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: int64(i)})
-		s := exp.MustScheme("nimbus(rfft)", r.MuBps)
 		r.AddFlow(s, 50*sim.Millisecond, 0)
 		r.Sch.RunUntil(10 * sim.Second)
 	}

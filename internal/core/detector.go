@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"nimbus/internal/fft"
 	"nimbus/internal/sim"
 	"nimbus/internal/stats"
@@ -16,12 +18,10 @@ type DetectorConfig struct {
 	// Threshold is ηthresh; cross traffic with η >= Threshold is
 	// classified elastic (2, chosen in Fig. 6).
 	Threshold float64
-	// RFFT selects the packed real-input FFT (fft.RealPlan: one
-	// half-length complex transform plus an unpack pass) for the cached
-	// spectrum. It roughly halves per-window transform cost but reaches
-	// each bin through differently-ordered floating-point operations, so
-	// spectra agree with the default path only to rounding error
-	// (~1e-12 relative) — off by default to preserve bit-identical runs.
+	// RFFT is ignored. It used to select a packed real-input transform;
+	// the detector has one spectrum path now (DESIGN.md, "Decided: one
+	// spectrum path"). The field is kept only because the benchmark
+	// harness, which a change to the detector may not edit, still sets it.
 	RFFT bool
 }
 
@@ -41,19 +41,24 @@ func DefaultDetectorConfig() DetectorConfig {
 // magnitude at fp with the largest magnitude in (fp, 2fp); a pronounced
 // peak at fp only appears when the cross traffic reacts to the pulses.
 //
-// The detector is built to be allocation-free per tick: it owns an
-// fft.Plan (precomputed permutation and twiddle tables) plus scratch
-// buffers, and it caches the spectrum per push generation, so the first
-// spectral read after AddSample pays one in-place FFT and every further
-// read in the same tick — a watcher probing both pulse frequencies, the
-// multi-pulser check, the η guard's Mean — is free.
+// Those reads touch a few dozen of the window's 257 bins, so once the
+// window is full the detector keeps a sliding DFT over just the bins its
+// callers have asked about (band.go): AddSample advances it in O(bins)
+// and a read is one pass over the band, with no transform and no
+// allocation. A detector nobody reads tracks nothing and pays only the
+// ring push. The full transform (an fft.Plan, built at first use) remains
+// for Spectrum, for reads before the window is full, and for bands that
+// reach bin 0 or Nyquist; it is also what the tests compare the band
+// against.
 type Detector struct {
 	cfg  DetectorConfig
 	ring *stats.Ring
-	buf  []float64
+	buf  []float64 // window snapshot, oldest first
 
-	plan  *fft.Plan
-	rplan *fft.RealPlan // non-nil iff cfg.RFFT: packed real-input path
+	bands []band // bandFor's cache
+	band  bandTracker
+
+	plan *fft.Plan // built by the first Spectrum call
 	// Cached per-generation spectrum. spec.Mag is owned by the detector
 	// and overwritten at the first read after the next AddSample; callers
 	// must not retain it across samples.
@@ -81,15 +86,11 @@ func NewDetector(cfg DetectorConfig) *Detector {
 	if n < 8 {
 		n = 8
 	}
-	d := &Detector{
+	return &Detector{
 		cfg:  cfg,
 		ring: stats.NewRing(n),
-		plan: fft.NewPlan(n, 1/cfg.SampleInterval.Seconds()),
+		band: bandTracker{n: n, size: fft.NextPow2(n)},
 	}
-	if cfg.RFFT {
-		d.rplan = fft.NewRealPlan(n, 1/cfg.SampleInterval.Seconds())
-	}
-	return d
 }
 
 // Config returns the detector's configuration.
@@ -97,6 +98,10 @@ func (d *Detector) Config() DetectorConfig { return d.cfg }
 
 // AddSample appends one ẑ sample (call every SampleInterval).
 func (d *Detector) AddSample(z float64) {
+	if d.band.synced {
+		n := d.ring.Cap()
+		d.band.advance(d.ring.At(n-1), d.ring.At(n-2), d.ring.At(0), z)
+	}
 	d.ring.Push(z)
 	d.gen++
 }
@@ -107,11 +112,9 @@ func (d *Detector) Ready() bool { return d.ring.Full() }
 // SampleHz returns the sampling frequency of the ẑ series.
 func (d *Detector) SampleHz() float64 { return 1 / d.cfg.SampleInterval.Seconds() }
 
-// Mean returns the mean of the samples currently in the window, O(1).
-// When the cached spectrum is fresh (the common case: the η guard reads
-// Mean right after Elasticity each tick) this is exactly the mean the
-// spectrum's DC removal computed; otherwise it falls back to the ring's
-// running windowed sum.
+// Mean returns the mean of the samples currently in the window, O(1):
+// the ring's windowed sum over the sample count, or, when Spectrum has
+// run since the last AddSample, exactly the mean its DC removal used.
 func (d *Detector) Mean() float64 {
 	if d.haveSpec && d.specGen == d.gen {
 		return d.specMean
@@ -124,18 +127,18 @@ func (d *Detector) Mean() float64 {
 }
 
 // Spectrum returns the current one-sided magnitude spectrum of the ẑ
-// window (mean removed). Useful for diagnostics and for reproducing
-// Fig. 5 directly. The returned spectrum's Mag buffer is owned by the
-// detector and valid until the next AddSample; repeated calls within one
-// tick reuse the cached transform.
+// window (mean removed), by a full transform. It is the diagnostic view
+// (Fig. 5, cmd/elasticity) and the fallback of the η reads; the per-tick
+// reads of a full window do not come through here. The returned
+// spectrum's Mag buffer is owned by the detector and valid until the next
+// AddSample; repeated calls within one tick reuse the cached transform.
 func (d *Detector) Spectrum() fft.Spectrum {
 	if !d.haveSpec || d.specGen != d.gen {
-		d.buf = d.ring.Snapshot(d.buf)
-		if d.rplan != nil {
-			d.spec, d.specMean = d.rplan.AnalyzeMeanInto(d.spec, d.buf)
-		} else {
-			d.spec, d.specMean = d.plan.AnalyzeMeanInto(d.spec, d.buf)
+		if d.plan == nil {
+			d.plan = fft.NewPlan(d.ring.Cap(), d.SampleHz())
 		}
+		d.buf = d.ring.Snapshot(d.buf)
+		d.spec, d.specMean = d.plan.AnalyzeMeanInto(d.spec, d.buf)
 		d.specGen = d.gen
 		d.haveSpec = true
 	}
@@ -158,25 +161,39 @@ func (d *Detector) Elasticity(fp float64) float64 {
 // protocol needs this: with a pulser at fpc and the band (fpc, 2fpc)
 // containing fpd, a legitimate peak at fpd must not suppress η.
 func (d *Detector) ElasticityExcluding(fp, exclude float64) float64 {
+	b := d.bandFor(fp, exclude)
+	lo, hi := b.span()
+	if power, first, ok := d.bandPower(lo, hi); ok {
+		// η is a ratio, so the 2/n that turns |X_k| into a magnitude
+		// cancels.
+		num, den := b.peaks(power, first)
+		return eta(math.Sqrt(num), math.Sqrt(den))
+	}
 	spec := d.Spectrum()
 	if len(spec.Mag) == 0 || spec.Resolution == 0 {
 		return 0
 	}
-	res := spec.Resolution
-	num := spec.PeakAround(fp, res)
-	den := 0.0
-	for k := range spec.Mag {
-		f := float64(k) * res
-		if f <= fp+2*res || f >= 2*fp-res {
-			continue
-		}
-		if exclude > 0 && f > exclude-1.5*res && f < exclude+1.5*res {
-			continue
-		}
-		if spec.Mag[k] > den {
-			den = spec.Mag[k]
-		}
+	// A window still filling pads to a shorter transform, so its bins
+	// are not the cached band's.
+	short := newBand(len(spec.Mag), spec.Resolution, fp, exclude)
+	return eta(short.peaks(spec.Mag, 0))
+}
+
+// PeakAround returns the largest magnitude within one bin of fp, scaled
+// like Spectrum's (a unit-amplitude sinusoid at a bin frequency reads
+// ~1). The multi-pulser check compares it between the ẑ and R detectors.
+func (d *Detector) PeakAround(fp float64) float64 {
+	b := d.bandFor(fp, 0)
+	if power, first, ok := d.bandPower(b.numLo, b.numHi); ok {
+		return d.magnitude(peak(power, b.numLo-first, b.numHi-first))
 	}
+	spec := d.Spectrum()
+	return spec.PeakAround(fp, spec.Resolution)
+}
+
+// eta is Eq. 3 from the two peak magnitudes, capped; a zero denominator
+// reads as the cap when there is any numerator and as 0 otherwise.
+func eta(num, den float64) float64 {
 	const etaCap = 100
 	if den <= 0 {
 		if num > 0 {

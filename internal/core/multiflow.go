@@ -87,13 +87,8 @@ func (n *Nimbus) multiFlowTick(now sim.Time) {
 		}
 		n.lastDemote = now
 		fp := n.pulseFreq()
-		zspec := n.det.Spectrum()
-		rspec := n.rdet.Spectrum()
-		if len(zspec.Mag) == 0 || len(rspec.Mag) == 0 {
-			return
-		}
-		zPeak := zspec.PeakAround(fp, zspec.Resolution)
-		rPeak := rspec.PeakAround(fp, rspec.Resolution)
+		zPeak := n.det.PeakAround(fp)
+		rPeak := n.rdet.PeakAround(fp)
 		if zPeak > 1.5*rPeak && n.env.Rand != nil && n.env.Rand.Float64() < 0.5 {
 			n.role = RoleWatcher
 			n.pulserSeen = now // assume the other pulser persists

@@ -364,6 +364,37 @@ func TestRingSum(t *testing.T) {
 	}
 }
 
+// The windowed sum is recomputed every Cap pushes, so rounding cannot
+// build up however long the run and however the sample scale moves: 1e7
+// pushes alternating 1e12-scale and 1e-3-scale stretches. Two windows
+// into a stretch — one wrap after the last sample of the other scale
+// left — Sum agrees with a fresh summation to 1e-9; add/subtract
+// updates alone leave the small stretches' sums buried under the large
+// ones' rounding (absolute error ~1, against sums of ~0.1).
+func TestRingSumDoesNotDrift(t *testing.T) {
+	const capN, stretch, pushes = 100, 2500, 10_000_000
+	r := NewRing(capN)
+	x := uint64(1)
+	for i := 0; i < pushes; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		v := 1e-3 * (1 + float64(x>>40)/(1<<24))
+		if (i/stretch)%2 == 0 {
+			v *= 1e15
+		}
+		r.Push(v)
+		if i%stretch < 2*capN || i%97 != 0 {
+			continue
+		}
+		fresh := 0.0
+		for _, s := range r.Snapshot(nil) {
+			fresh += s
+		}
+		if math.Abs(r.Sum()-fresh) > 1e-9*fresh {
+			t.Fatalf("after %d pushes: Sum = %v, fresh summation %v", i+1, r.Sum(), fresh)
+		}
+	}
+}
+
 func TestRingAtPanics(t *testing.T) {
 	r := NewRing(2)
 	r.Push(1)

@@ -118,14 +118,22 @@ func (r *Ring) Push(v float64) {
 	if r.next == len(r.buf) {
 		r.next = 0
 		r.full = true
+		// The buffer now reads oldest-first from index 0: replace the
+		// incremental sum by a fresh in-order summation. One O(Cap) pass
+		// per Cap pushes is O(1) amortised, and it discards whatever
+		// rounding the add/subtract updates accumulated.
+		r.sum = 0
+		for _, x := range r.buf {
+			r.sum += x
+		}
 	}
 }
 
-// Sum returns the running sum of the samples currently in the window.
-// It is maintained incrementally (add on push, subtract on evict), so
-// it can drift from a fresh summation by floating-point rounding after
-// very long runs; callers comparing against sharp thresholds should
-// treat it as approximate at the last few ulps.
+// Sum returns the sum of the samples currently in the window. Between
+// wraps it is maintained incrementally (add on push, subtract on evict);
+// every Cap pushes it is recomputed exactly, so its rounding error never
+// spans more than one window of updates: it is bounded by the magnitudes
+// that passed through the ring since the last wrap, however long the run.
 func (r *Ring) Sum() float64 { return r.sum }
 
 // Len returns the number of samples currently held.

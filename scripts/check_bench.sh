@@ -25,7 +25,7 @@ compare_out=${3:-}
 gates="
 BenchmarkSimulatorThroughput allocs_per_op -
 BenchmarkTopologyThroughput topo_allocs_per_op -
-BenchmarkRealPlanAnalyze realplan_allocs_per_op realplan_ns_per_op
+BenchmarkDetectorTick detectortick_allocs_per_op detectortick_ns_per_op
 BenchmarkLinkPerPacket link_allocs_per_op link_ns_per_op
 BenchmarkSchedulerChurn/heap-10k schedchurn_heap_allocs_per_op schedchurn_heap_ns_per_op
 BenchmarkSchedulerChurn/wheel-10k schedchurn_wheel_allocs_per_op schedchurn_wheel_ns_per_op
