@@ -211,7 +211,7 @@ func churnSamples(churnSpec string, interval, dur sim.Time) ([]float64, error) {
 	}
 	r := exp.NewRig(exp.NetConfig{
 		RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond,
-		Seed: 1, TimerWheel: true,
+		Seed: 1,
 	})
 	var bytes float64
 	gen := &workload.Generator{
@@ -259,7 +259,7 @@ func fluidSamples(spec string, interval, dur sim.Time) ([]float64, error) {
 	const rtt = 50 * sim.Millisecond
 	r := exp.NewRig(exp.NetConfig{
 		RateMbps: 96, RTT: rtt, Buffer: 100 * sim.Millisecond,
-		Seed: 1, TimerWheel: true, Fluid: "on",
+		Seed: 1, Fluid: "on",
 	})
 	fsp, _ := crosstraffic.ParseFluidSpec("on")
 	src, err := crosstraffic.NewFluid(r.Net, "", kind, rateMbps*1e6, rtt, fsp, r.Rng.Split("fluid-"+kind))

@@ -1,7 +1,7 @@
 package cc
 
 import (
-	"fmt"
+	"errors"
 
 	"nimbus/internal/scheme"
 	"nimbus/internal/transport"
@@ -36,21 +36,18 @@ func init() {
 
 	deltaParam := scheme.Param{
 		Name: "delta", Kind: scheme.KindFloat, Default: scheme.Num(0.5),
-		Doc: "base delta: target rate is 1/(delta*dq)",
+		Check: scheme.Positive,
+		Doc:   "base delta: target rate is 1/(delta*dq)",
 	}
 	copaFactory := func(defaultOnly bool) scheme.Factory {
 		return func(_ scheme.BuildContext, a scheme.Args) (transport.Controller, error) {
-			delta := a.Float("delta")
-			if delta <= 0 {
-				return nil, fmt.Errorf("delta must be > 0, got %g", delta)
-			}
 			var c *Copa
 			if defaultOnly {
 				c = NewCopaDefaultMode()
 			} else {
 				c = NewCopa()
 			}
-			c.deltaDefault = delta
+			c.deltaDefault = a.Float("delta")
 			return c, nil
 		}
 	}
@@ -62,13 +59,15 @@ func init() {
 	scheme.Register("fixedwindow", "constant congestion window, ACK-clocked (Table 1)",
 		[]scheme.Param{{
 			Name: "cwnd", Kind: scheme.KindFloat, Default: scheme.Num(10),
+			Check: func(v float64) error {
+				if v < 1 || v != float64(int(v)) {
+					return errors.New("must be a positive integer packet count")
+				}
+				return nil
+			},
 			Doc: "window size in packets",
 		}},
 		func(_ scheme.BuildContext, a scheme.Args) (transport.Controller, error) {
-			cwnd := a.Float("cwnd")
-			if cwnd < 1 || cwnd != float64(int(cwnd)) {
-				return nil, fmt.Errorf("cwnd must be a positive integer packet count, got %g", cwnd)
-			}
-			return NewFixedWindow(int(cwnd)), nil
+			return NewFixedWindow(int(a.Float("cwnd"))), nil
 		})
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"errors"
 
 	"nimbus/internal/cc"
 	"nimbus/internal/scheme"
@@ -19,8 +19,15 @@ import (
 func nimbusParams() []scheme.Param {
 	return []scheme.Param{
 		{Name: "pulse", Kind: scheme.KindFloat, Default: scheme.Num(0.25),
-			Doc: "pulse peak amplitude as a fraction of µ"},
+			Check: scheme.Positive,
+			Doc:   "pulse peak amplitude as a fraction of µ"},
 		{Name: "fp", Kind: scheme.KindFloat, Default: scheme.Num(0),
+			Check: func(v float64) error {
+				if v < 0 {
+					return errors.New("must be >= 0")
+				}
+				return nil
+			},
 			Doc: "pulse frequency in Hz (0 = per-mode defaults: 5 competitive, 5 or 6 delay)"},
 		{Name: "mu", Kind: scheme.KindString, Default: scheme.Str("oracle"),
 			Enum: []string{"oracle", "est"},
@@ -43,12 +50,6 @@ func registerNimbus(name, doc string, delay, comp func() WindowCC, pinned bool, 
 		})
 	}
 	scheme.Register(name, doc, params, func(ctx scheme.BuildContext, a scheme.Args) (transport.Controller, error) {
-		if a.Float("pulse") <= 0 {
-			return nil, fmt.Errorf("pulse must be > 0, got %g", a.Float("pulse"))
-		}
-		if a.Float("fp") < 0 {
-			return nil, fmt.Errorf("fp must be >= 0, got %g", a.Float("fp"))
-		}
 		// "oracle" means the true link rate: the context's µ estimator
 		// when the rig supplies one (time-varying links pass the link
 		// oracle), the fixed nominal rate otherwise. An explicit "est"

@@ -15,25 +15,32 @@ import (
 // returns the grid with each spec in its canonical spelling. Those
 // strings enter Scenario.Key() verbatim, so this is what makes two
 // spellings of one sweep ("single" and "", "bulk(load=24.0)" and
-// "bulk(load=24)", "nimbus + cubic" and "nimbus+cubic") one set of keys,
-// seeds, results and cache entries. Every path that builds a grid from
-// user input (nimbus-sim flags, nimbus-bench -benchmark and -grid,
-// POST /jobs) calls it before Expand, and nothing else canonicalizes an
-// axis. The empty string is every axis's default and passes through. The
-// error names the offending axis by its JSON field. g's lists are not
-// modified.
+// "bulk(load=24)", "nimbus + cubic" and "nimbus+cubic", "nimbus" and
+// "nimbus(pulse=0.25)") one set of keys, seeds, results and cache
+// entries. Every path that builds a grid from user input (nimbus-sim
+// flags, nimbus-bench -benchmark and -grid, POST /jobs) calls it before
+// Expand, and nothing else canonicalizes an axis. The empty string is
+// every axis's default and passes through. The error names the offending
+// axis by its JSON field. g's lists are not modified.
 func CanonicalGrid(g runner.Grid) (runner.Grid, error) {
-	for i, sp := range append([]spec.Spec{g.Base.Scheme}, g.Schemes...) {
+	schemes := append([]spec.Spec{g.Base.Scheme}, g.Schemes...)
+	for i, sp := range schemes {
 		if sp.Zero() {
 			continue // no scheme under test: a flow-mix grid, or a base the list overrides
 		}
-		if err := spec.Validate(sp); err != nil {
+		c, err := spec.Canonical(sp)
+		if err != nil {
 			name := "base.scheme"
 			if i > 0 {
 				name = "schemes"
 			}
 			return g, fmt.Errorf("exp: grid %s: %w", name, err)
 		}
+		schemes[i] = c
+	}
+	g.Base.Scheme = schemes[0]
+	if len(schemes) > 1 {
+		g.Schemes = schemes[1:]
 	}
 	for _, ax := range []struct {
 		baseName, listName string
@@ -69,14 +76,15 @@ func CanonicalGrid(g runner.Grid) (runner.Grid, error) {
 	return g, nil
 }
 
-// canonicalFlowMix checks the mix syntax and every item's scheme spec.
+// canonicalFlowMix checks the mix syntax and re-spells every item's
+// scheme spec.
 func canonicalFlowMix(mix string) (string, error) {
 	fss, err := ParseFlowMix(mix)
 	if err != nil {
 		return "", err
 	}
-	for _, fs := range fss {
-		if err := spec.Validate(fs.Scheme); err != nil {
+	for i := range fss {
+		if fss[i].Scheme, err = spec.Canonical(fss[i].Scheme); err != nil {
 			return "", err
 		}
 	}

@@ -20,6 +20,10 @@ func TestCanonicalGridCollapsesSpellings(t *testing.T) {
 	respelt.Fluids = []string{"off"}
 	respelt.Base.Topology = " single "
 	respelt.Base.FluidCross = "none"
+	// A parameter spelt out at its declared default is the default.
+	respelt.Schemes = spec.Specs("nimbus(pulse=0.25,mu=oracle)", "cubic")
+	respelt.Base.Scheme = spec.MustParse("copa(delta=0.5)")
+	plain.Base.Scheme = spec.MustParse("copa")
 
 	a, err := CanonicalGrid(plain)
 	if err != nil {
@@ -33,8 +37,15 @@ func TestCanonicalGridCollapsesSpellings(t *testing.T) {
 	if len(as) != 2 || !reflect.DeepEqual(as, bs) {
 		t.Fatalf("a respelt grid expands to different cells:\n%+v\n%+v", as, bs)
 	}
-	if respelt.Topologies[0] != "single" || respelt.Fluids[0] != "off" {
+	if respelt.Topologies[0] != "single" || respelt.Fluids[0] != "off" || len(respelt.Schemes[0].Params) != 2 {
 		t.Fatalf("CanonicalGrid modified its argument's lists: %+v", respelt)
+	}
+	if !b.Base.Scheme.Equal(spec.New("copa")) || !b.Schemes[0].Equal(spec.New("nimbus")) {
+		t.Fatalf("explicit defaults survive on the scheme axis: base %s, schemes %v", b.Base.Scheme, b.Schemes)
+	}
+	kept, err := CanonicalGrid(runner.Grid{Schemes: spec.Specs("nimbus(pulse=0.125,mu=oracle)")})
+	if err != nil || kept.Schemes[0].String() != "nimbus(pulse=0.125)" {
+		t.Fatalf("a non-default parameter did not survive: %v (err %v)", kept.Schemes, err)
 	}
 
 	for _, c := range []struct{ axis, in, want string }{
@@ -46,9 +57,15 @@ func TestCanonicalGridCollapsesSpellings(t *testing.T) {
 		{"churn", "bulk(load=24.0)", "bulk(load=24)"},
 		{"churn", "bulk(load=96,xm=3000)", "bulk(load=96,xm=3000)"},
 		{"churn", "web(load=96)", "web(load=96)"},
+		{"churn", "bulk(load=12)", "bulk"},
+		{"churn", "web(cc=cubic,load=24,max=0)", "web(load=24)"},
+		{"churn", "bulk(cc=nimbus(pulse=0.25))", "bulk(cc=nimbus)"},
+		{"churn", "bulk(cc=nimbus(pulse=0.125))", "bulk(cc=nimbus(pulse=0.125))"},
 		{"flows", "nimbus + cubic", "nimbus+cubic"},
 		{"flows", "nimbus*4", "nimbus*4"},
 		{"flows", "nimbus*2+bbr@2.0", "nimbus*2+bbr@2"},
+		{"flows", "nimbus(pulse=0.25)+cubic", "nimbus+cubic"},
+		{"flows", "nimbus(pulse=0.125)*2+copa(delta=0.5)@2", "nimbus(pulse=0.125)*2+copa@2"},
 	} {
 		// Once as the base value, once as a list entry.
 		var g runner.Grid

@@ -40,11 +40,11 @@ type NetConfig struct {
 	// rates/buffers inherit RateMbps/Buffer; the bottleneck link inherits
 	// AQM and Schedule.
 	Topology string
-	// TimerWheel backs the scheduler's event queue with the hashed timer
-	// wheel (sim.Scheduler.UseTimerWheel) instead of the 4-ary heap.
-	// Event order — and therefore every result — is identical either
-	// way; the wheel wins on dense timer churn (thousands of concurrent
-	// flows), so NetConfigFor sets it for churn scenarios and only those.
+	// TimerWheel is ignored. It used to select the timer wheel over a
+	// heap; the scheduler has one event queue now (docs/architecture.md,
+	// "Decided: one event queue"). The field is kept only because the
+	// benchmark harness, which a change to the simulator may not edit,
+	// still sets it.
 	TimerWheel bool
 	// Fluid, when non-empty, is a canonical crosstraffic.FluidSpec string
 	// ("on", "dt=5ms"): every link gets the fluid load term enabled
@@ -86,9 +86,6 @@ func NewRig(cfg NetConfig) *Rig {
 		panic("exp: " + err.Error())
 	}
 	sch := sim.NewScheduler()
-	if cfg.TimerWheel {
-		sch.UseTimerWheel()
-	}
 	rng := sim.NewRand(cfg.Seed + 1)
 	nominal := cfg.RateMbps * 1e6
 	// The µ link depends on the nominal rate for chains mixing scaled and

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"nimbus/internal/metrics"
@@ -66,8 +65,6 @@ func FormatFig21(rows []Fig21Row) string {
 	b.WriteString("\n")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-8s", r.Scheme)
-		names := append([]string(nil), fig21Buckets...)
-		sort.Strings(names)
 		for _, name := range fig21Buckets {
 			if v, ok := r.Normalized[name]; ok {
 				fmt.Fprintf(&b, " %8.2f", v)

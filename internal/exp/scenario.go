@@ -26,24 +26,17 @@ func mapCells[T any](n int, f func(i int) T) []T {
 	return runner.Map(Workers, n, f)
 }
 
-// NetConfigFor translates a declarative scenario's link description. The
-// event queue is selected here, by what the scenario is rather than by a
-// flag: churn cells keep thousands of per-flow timers pending, which is
-// where the timer wheel earns its resident memory; every other cell
-// runs on the heap (the wheel would cut long-flow cells' wall time but
-// costs a third more peak RSS; docs/architecture.md has the
-// measurements). Results are identical either way.
+// NetConfigFor translates a declarative scenario's link description.
 func NetConfigFor(sc runner.Scenario) NetConfig {
 	return NetConfig{
-		RateMbps:   sc.RateMbps,
-		RTT:        sim.FromSeconds(sc.RTTms / 1e3),
-		Buffer:     sim.FromSeconds(sc.BufferMs / 1e3),
-		AQM:        sc.AQM,
-		PIETarget:  sim.FromSeconds(sc.PIETargetMs / 1e3),
-		Seed:       sc.EffectiveSeed(),
-		Topology:   sc.Topology,
-		TimerWheel: sc.Churn != "",
-		Fluid:      sc.FluidCross,
+		RateMbps:  sc.RateMbps,
+		RTT:       sim.FromSeconds(sc.RTTms / 1e3),
+		Buffer:    sim.FromSeconds(sc.BufferMs / 1e3),
+		AQM:       sc.AQM,
+		PIETarget: sim.FromSeconds(sc.PIETargetMs / 1e3),
+		Seed:      sc.EffectiveSeed(),
+		Topology:  sc.Topology,
+		Fluid:     sc.FluidCross,
 	}
 }
 

@@ -51,69 +51,54 @@ func TestScenarioRejectsNonPositive(t *testing.T) {
 	}
 }
 
-// TestRigHeapWheelEquivalent: the same rig on the 4-ary heap and on the
-// timer wheel executes the same events in the same order, so NetConfigFor
-// choosing the queue by scenario (wheel exactly for churn cells) can never
-// change a result. Compared at rig level — every event source a cell has
+// TestRigEventOrderPinned: two whole rigs — every event source a cell has
 // (pacing, ACKs, RTOs, link completions, detector ticks, multi-hop
-// forwarding) feeds the queue — not just on sim's synthetic timer loads.
-func TestRigHeapWheelEquivalent(t *testing.T) {
+// forwarding) feeds the queue — must execute the events they executed on
+// the plain (at, seq) heap the scheduler used to offer beside the timer
+// wheel. The fingerprints were captured on that heap at the last commit
+// that had it; sim's FuzzWheelOrder checks the order itself on synthetic
+// loads.
+func TestRigEventOrderPinned(t *testing.T) {
 	const rtt = 50 * sim.Millisecond
 	cubic := spec.MustParse("cubic")
 	cases := map[string]struct {
 		cfg   NetConfig
 		cross []FlowSpec
+		want  string
 	}{
 		"single-nimbus-vs-cubic": {
 			cfg:   NetConfig{RateMbps: 48, RTT: rtt, Buffer: 100 * sim.Millisecond, Seed: 1},
 			cross: []FlowSpec{{Scheme: cubic}},
+			want:  "executed=60882 switches=0 eta=1.5516317398236044 bn:19262/28893000/969 3.7464 42.4824",
 		},
 		"parking-lot": {
 			cfg: NetConfig{RateMbps: 24, RTT: rtt, Buffer: 100 * sim.Millisecond, Seed: 1, Topology: "parking-lot"},
 			cross: []FlowSpec{
 				{Scheme: cubic, Route: "hop1"}, {Scheme: cubic, Route: "hop2"}, {Scheme: cubic, Route: "hop3"},
 			},
+			want: "executed=88635 switches=0 eta=1.707315263516114 hop1:9706/14559000/454 hop2:9705/14557500/411 hop3:9706/14559000/429 1.8504 21.372 21.4248 21.4416",
 		},
-	}
-	run := func(t *testing.T, cfg NetConfig, cross []FlowSpec, wheel bool) string {
-		cfg.TimerWheel = wheel
-		r := NewRig(cfg)
-		if r.Sch.UsingTimerWheel() != wheel {
-			t.Fatalf("TimerWheel=%v but UsingTimerWheel()=%v", wheel, r.Sch.UsingTimerWheel())
-		}
-		flows, err := r.AddFlowSpecs(append([]FlowSpec{{Scheme: spec.MustParse("nimbus")}}, cross...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const end = 5 * sim.Second
-		r.Sch.RunUntil(end)
-		nimbus := flows[0].Scheme.Nimbus
-		fp := fmt.Sprintf("executed=%d switches=%d eta=%v", r.Sch.Executed, nimbus.ModeSwitches, nimbus.LastEta())
-		for _, l := range r.Net.Links() {
-			fp += fmt.Sprintf(" %s:%d/%d/%d", l.Name, l.DeliveredPackets, l.DeliveredBytes, l.Q.DropCount())
-		}
-		for _, f := range flows {
-			fp += fmt.Sprintf(" %v", f.Probe.MeanMbps(0, end))
-		}
-		return fp
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
-			heap, wheel := run(t, c.cfg, c.cross, false), run(t, c.cfg, c.cross, true)
-			if heap != wheel {
-				t.Fatalf("heap and wheel diverge:\n heap:  %s\n wheel: %s", heap, wheel)
+			r := NewRig(c.cfg)
+			flows, err := r.AddFlowSpecs(append([]FlowSpec{{Scheme: spec.MustParse("nimbus")}}, c.cross...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const end = 5 * sim.Second
+			r.Sch.RunUntil(end)
+			nimbus := flows[0].Scheme.Nimbus
+			fp := fmt.Sprintf("executed=%d switches=%d eta=%v", r.Sch.Executed, nimbus.ModeSwitches, nimbus.LastEta())
+			for _, l := range r.Net.Links() {
+				fp += fmt.Sprintf(" %s:%d/%d/%d", l.Name, l.DeliveredPackets, l.DeliveredBytes, l.Q.DropCount())
+			}
+			for _, f := range flows {
+				fp += fmt.Sprintf(" %v", f.Probe.MeanMbps(0, end))
+			}
+			if fp != c.want {
+				t.Fatalf("event order moved:\n got:  %s\n want: %s", fp, c.want)
 			}
 		})
-	}
-}
-
-// TestNetConfigForSelectsWheelForChurn pins the selection rule: the wheel
-// exactly when the scenario has a churn workload.
-func TestNetConfigForSelectsWheelForChurn(t *testing.T) {
-	if NetConfigFor(runner.Scenario{RateMbps: 48}).TimerWheel {
-		t.Fatal("a cell without churn selected the timer wheel")
-	}
-	if !NetConfigFor(runner.Scenario{RateMbps: 48, Churn: "bulk(load=12)"}).TimerWheel {
-		t.Fatal("a churn cell did not select the timer wheel")
 	}
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"nimbus/internal/cc"
@@ -121,12 +122,7 @@ func RunTable1Case(name string, seed int64, dur sim.Time) Table1Row {
 
 func median(xs []float64) float64 {
 	cp := append([]float64(nil), xs...)
-	// insertion-free: use stats? avoid import cycle none; simple sort.
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
+	sort.Float64s(cp)
 	return cp[len(cp)/2]
 }
 

@@ -1,6 +1,7 @@
 package scheme
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -12,16 +13,29 @@ import (
 )
 
 // Param declares one typed parameter of a registered scheme: its kind,
-// default, and doc string. Build validates every explicit Spec parameter
-// against these declarations, so a typo'd or mistyped parameter is an
-// error, not a silent default.
+// default, allowed values and doc string. Validate and Build check every
+// explicit Spec parameter against these declarations, so a typo'd,
+// mistyped or out-of-range parameter is an error, not a silent default.
 type Param struct {
 	Name    string
 	Kind    Kind
 	Default Value
 	// Enum, for KindString params, restricts the value to this set.
 	Enum []string
-	Doc  string
+	// Check, for KindFloat params, rejects out-of-range values; the error
+	// says what the value must be ("must be > 0"). Declaring the range
+	// here rather than testing it in the factory is what lets Validate
+	// answer without constructing a controller.
+	Check func(v float64) error
+	Doc   string
+}
+
+// Positive is the Check of a parameter that must be greater than zero.
+func Positive(v float64) error {
+	if v <= 0 {
+		return errors.New("must be > 0")
+	}
+	return nil
 }
 
 // MuEstimator mirrors core.MuEstimator structurally so implementation
@@ -115,6 +129,14 @@ func Register(name, doc string, params []Param, factory Factory) {
 					name, p.Name, p.Default.Str, p.Enum))
 			}
 		}
+		if p.Check != nil {
+			if p.Kind != KindFloat {
+				panic(fmt.Sprintf("scheme: Register(%s): param %s has a range check but kind %s", name, p.Name, p.Kind))
+			}
+			if err := p.Check(p.Default.Num); err != nil {
+				panic(fmt.Sprintf("scheme: Register(%s): param %s default: %v", name, p.Name, err))
+			}
+		}
 		// String values must survive the canonical round trip: a payload
 		// the parser would reclassify ("1", "true") could never be set
 		// from a spec string, and would break Spec.String()/Key()
@@ -139,21 +161,16 @@ func Register(name, doc string, params []Param, factory Factory) {
 	registry[name] = e
 }
 
-// Build constructs the controller a spec describes: it resolves the
-// spec's name in the registry, validates every explicit parameter
-// against the declarations (unknown names, kind mismatches, enum
-// violations, and non-finite floats are errors), overlays them on the
-// defaults, and calls the factory.
-func Build(sp Spec, ctx BuildContext) (transport.Controller, error) {
+// lookup resolves the spec's name in the registry and checks every
+// explicit parameter against the declarations: unknown names, kind
+// mismatches, enum violations, non-finite floats and values a Check
+// rejects are errors.
+func lookup(sp Spec) (*entry, error) {
 	regMu.RLock()
 	e, ok := registry[sp.Name]
 	regMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("scheme: unknown scheme %q (known: %s)", sp.Name, strings.Join(Names(), ", "))
-	}
-	vals := make(map[string]Value, len(e.params))
-	for _, p := range e.params {
-		vals[p.Name] = p.Default
 	}
 	for k, v := range sp.Params {
 		decl, ok := e.byName[k]
@@ -170,6 +187,28 @@ func Build(sp Spec, ctx BuildContext) (transport.Controller, error) {
 			return nil, fmt.Errorf("scheme: %s parameter %q must be one of %s, got %q",
 				sp.Name, k, strings.Join(decl.Enum, "|"), v.Str)
 		}
+		if decl.Check != nil {
+			if err := decl.Check(v.Num); err != nil {
+				return nil, fmt.Errorf("scheme: %s parameter %q %w, got %s", sp.Name, k, err, v)
+			}
+		}
+	}
+	return e, nil
+}
+
+// Build constructs the controller a spec describes: it checks the spec as
+// Validate does, overlays the explicit parameters on the declared
+// defaults, and calls the factory.
+func Build(sp Spec, ctx BuildContext) (transport.Controller, error) {
+	e, err := lookup(sp)
+	if err != nil {
+		return nil, err
+	}
+	vals := make(map[string]Value, len(e.params))
+	for _, p := range e.params {
+		vals[p.Name] = p.Default
+	}
+	for k, v := range sp.Params {
 		vals[k] = v
 	}
 	ctrl, err := e.factory(ctx, Args{vals: vals})
@@ -182,14 +221,35 @@ func Build(sp Spec, ctx BuildContext) (transport.Controller, error) {
 	return ctrl, nil
 }
 
-// Validate checks that a spec would build: the name is registered, every
-// explicit parameter is declared with the right kind, and the factory
-// accepts the resolved values. CLIs use it to fail flag parsing before a
-// sweep starts instead of producing one error row per cell. The trial
-// construction uses a nominal context and is discarded.
+// Validate checks a spec against the registry without building anything:
+// the name is registered and every explicit parameter is declared, of the
+// right kind and in range. CLIs and the daemon use it to reject a sweep
+// before it starts instead of producing one error row per cell.
 func Validate(sp Spec) error {
-	_, err := Build(sp, BuildContext{MuBps: 96e6})
+	_, err := lookup(sp)
 	return err
+}
+
+// Canonical validates a spec and returns it in the one spelling scenario
+// keys use: parameters equal to their declared default are dropped, so
+// "nimbus(pulse=0.25)" and "nimbus" are the same scheme under the same
+// key. sp's parameter map is not modified.
+func Canonical(sp Spec) (Spec, error) {
+	e, err := lookup(sp)
+	if err != nil {
+		return Spec{}, err
+	}
+	out := Spec{Name: sp.Name}
+	for k, v := range sp.Params {
+		if v == e.byName[k].Default {
+			continue
+		}
+		if out.Params == nil {
+			out.Params = make(map[string]Value, len(sp.Params))
+		}
+		out.Params[k] = v
+	}
+	return out, nil
 }
 
 // Info describes a registered scheme for listings and docs.

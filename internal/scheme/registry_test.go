@@ -77,6 +77,12 @@ func TestEverySchemeRoundTripsAndBuilds(t *testing.T) {
 				t.Fatalf("Build with explicit defaults: %v", err)
 			}
 
+			// ...and is one scheme with the bare name: the canonical
+			// spelling drops every parameter that equals its default.
+			if c, err := scheme.Canonical(reparsed); err != nil || c.String() != info.Name {
+				t.Fatalf("Canonical(%q) = %q (err %v), want %q", reparsed, c, err, info.Name)
+			}
+
 			// Unknown parameters are rejected.
 			if _, err := scheme.Build(sp.With("no_such_param", scheme.Num(1)), scheme.BuildContext{MuBps: testMuBps}); err == nil {
 				t.Error("unknown parameter was accepted")
@@ -109,6 +115,51 @@ func TestBuildUnknownScheme(t *testing.T) {
 	if _, err := scheme.Build(scheme.MustParse("quic"), scheme.BuildContext{MuBps: testMuBps}); err == nil {
 		t.Fatal("unknown scheme built successfully")
 	}
+}
+
+// TestValidateConstructsNothing: Validate and Build reject the same
+// specs — the range checks live on the Param declarations, not in the
+// factories — and Validate gets there without building a controller
+// (the daemon validates every scheme of every submitted grid).
+func TestValidateConstructsNothing(t *testing.T) {
+	ctx := scheme.BuildContext{MuBps: testMuBps}
+	for _, bad := range []string{
+		"nimbus(pulse=0)", "nimbus(pulse=-0.1)", "nimbus-delay(fp=-1)",
+		"copa(delta=0)", "copa-default(delta=-1)",
+		"fixedwindow(cwnd=0)", "fixedwindow(cwnd=2.5)", "fixedwindow(cwnd=-3)",
+	} {
+		sp := scheme.MustParse(bad)
+		verr := scheme.Validate(sp)
+		_, berr := scheme.Build(sp, ctx)
+		if verr == nil || berr == nil || verr.Error() != berr.Error() {
+			t.Errorf("%s: Validate: %v; Build: %v; want the same error from both", bad, verr, berr)
+		}
+		if _, err := scheme.Canonical(sp); err == nil {
+			t.Errorf("Canonical(%s) accepted an out-of-range parameter", bad)
+		}
+	}
+	for _, good := range []string{"nimbus(pulse=0.1,fp=0)", "copa(delta=0.1)", "fixedwindow(cwnd=1)"} {
+		sp := scheme.MustParse(good)
+		if err := scheme.Validate(sp); err != nil {
+			t.Errorf("Validate(%s): %v", good, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = scheme.Validate(sp) }); allocs != 0 {
+			t.Errorf("Validate(%s) allocates %.0f times; it must build nothing", good, allocs)
+		}
+	}
+}
+
+// TestRegisterRejectsDefaultOutOfRange: a default its own Check rejects
+// is a malformed declaration.
+func TestRegisterRejectsDefaultOutOfRange(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Register accepted a default outside the parameter's range")
+		}
+	}()
+	scheme.Register("bad-default-test", "doc",
+		[]scheme.Param{{Name: "v", Kind: scheme.KindFloat, Default: scheme.Num(0), Check: scheme.Positive}},
+		func(scheme.BuildContext, scheme.Args) (transport.Controller, error) { return nil, nil })
 }
 
 // controllerConstructors maps every exported New* constructor in

@@ -18,7 +18,7 @@ type Timer struct {
 	afn       func(arg any)
 	arg       any
 	sch       *Scheduler
-	idx       int // position in the event heap; -1 when not queued
+	idx       int // position in its bucket or the overflow heap; -1 when not queued
 	cancelled bool
 	fired     bool
 	pooled    bool
@@ -26,7 +26,7 @@ type Timer struct {
 
 // Cancel prevents the timer's callback from running. The event is removed
 // from the queue immediately (and a pooled timer is released back to the
-// free list on the spot), so cancelled events never linger in the heap and
+// free list on the spot), so cancelled events never linger in the queue and
 // a cancelled caller-owned handle is immediately recyclable via Rearm.
 func (t *Timer) Cancel() {
 	if t == nil || t.cancelled || t.fired {
@@ -34,7 +34,7 @@ func (t *Timer) Cancel() {
 	}
 	t.cancelled = true
 	if t.idx >= 0 && t.sch != nil {
-		t.sch.qremove(t)
+		t.sch.wheel.remove(t)
 		t.sch.release(t)
 	}
 }
@@ -53,15 +53,15 @@ func (t *Timer) run() {
 	}
 }
 
-// eventHeap is a 4-ary min-heap of pending timers, specialized to *Timer.
-// It orders events by (at, seq) — the same strict total order the previous
-// container/heap implementation used, and since every (at, seq) pair is
-// unique, pop order (and therefore every simulation result) is identical.
-// The 4-ary layout halves tree depth versus binary, and the manual
-// siftUp/siftDown avoid container/heap's interface boxing and indirect
-// Less/Swap calls on the simulator's single hottest structure. Each timer
-// carries its heap index so Cancel can remove it in O(log n) instead of
-// leaving garbage to be drained at pop time.
+// eventHeap is a 4-ary min-heap of timers, specialized to *Timer. It
+// orders events by (at, seq), a strict total order since every (at, seq)
+// pair is unique. The timer wheel uses it for its overflow tier and to
+// serve each bucket in order; one eventHeap over all pending events is the
+// reference the wheel's pop order is tested against. The 4-ary layout
+// halves tree depth versus binary, and the manual siftUp/siftDown avoid
+// container/heap's interface boxing and indirect Less/Swap calls. Each
+// timer carries its heap index so Cancel can remove it in O(log n) instead
+// of leaving garbage to be drained at pop time.
 type eventHeap []*Timer
 
 // timerLess is the event order: timestamp, then FIFO among equal times.
@@ -172,8 +172,7 @@ func (h *eventHeap) remove(t *Timer) {
 // schedulers at once.
 type Scheduler struct {
 	now     Time
-	events  eventHeap
-	wheel   *timerWheel // non-nil after UseTimerWheel; replaces events
+	wheel   timerWheel
 	seq     uint64
 	stopped bool
 	free    []*Timer
@@ -185,7 +184,11 @@ type Scheduler struct {
 }
 
 // NewScheduler returns a scheduler with the clock at time zero.
-func NewScheduler() *Scheduler { return &Scheduler{} }
+func NewScheduler() *Scheduler {
+	s := &Scheduler{}
+	s.wheel.init()
+	return s
+}
 
 // Now returns the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
@@ -205,7 +208,7 @@ func (s *Scheduler) schedule(t Time, fn func(), afn func(any), arg any, pooled b
 	} else {
 		ev = &Timer{at: t, seq: s.seq, fn: fn, afn: afn, arg: arg, sch: s, pooled: pooled}
 	}
-	s.qpush(ev)
+	s.wheel.push(ev)
 	return ev
 }
 
@@ -260,7 +263,7 @@ func (s *Scheduler) Rearm(tm *Timer, t Time, fn func()) *Timer {
 	}
 	s.seq++
 	*tm = Timer{at: t, seq: s.seq, fn: fn, sch: s}
-	s.qpush(tm)
+	s.wheel.push(tm)
 	return tm
 }
 
@@ -291,7 +294,7 @@ func (s *Scheduler) AfterArg(d Time, fn func(arg any), arg any) {
 
 // Pending returns the number of events currently queued. Cancelled events
 // are removed at Cancel time, so they are never counted.
-func (s *Scheduler) Pending() int { return s.qlen() }
+func (s *Scheduler) Pending() int { return s.wheel.len() }
 
 // FreeTimers returns the current size of the timer free list (tests).
 func (s *Scheduler) FreeTimers() int { return len(s.free) }
@@ -304,7 +307,7 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // queue (releasing pooled ones) immediately, so Run and RunUntil share
 // this single drain-free pop path.
 func (s *Scheduler) step() bool {
-	ev := s.qpop()
+	ev := s.wheel.pop()
 	if ev == nil {
 		return false
 	}
@@ -328,7 +331,7 @@ func (s *Scheduler) Run() {
 func (s *Scheduler) RunUntil(end Time) {
 	s.stopped = false
 	for !s.stopped {
-		head := s.qpeek()
+		head := s.wheel.peek()
 		if head == nil || head.at > end {
 			break
 		}

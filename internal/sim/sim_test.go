@@ -362,8 +362,7 @@ func TestSchedulerHeapMatchesReference(t *testing.T) {
 // BenchmarkSchedulerPooledChurn measures the event queue under the
 // simulator's real mix: pooled fire-and-forget events plus a rearmed
 // cancellable timer, all allocation-free in steady state. (The 10k-timer
-// heap-vs-wheel comparison lives in BenchmarkSchedulerChurn in
-// wheel_test.go.)
+// load is BenchmarkSchedulerChurn in wheel_test.go.)
 func BenchmarkSchedulerPooledChurn(b *testing.B) {
 	s := NewScheduler()
 	noop := func() {}

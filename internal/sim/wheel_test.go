@@ -4,89 +4,165 @@ import (
 	"testing"
 )
 
-// runQueueWorkload drives one scheduler through a deterministic mix of
-// schedule/cancel/rearm/RunUntil traffic spanning ties, the wheel horizon
-// (events > 268ms ahead land in the overflow heap and must cascade back),
-// and mid-run scheduling, and returns the execution order. The heap and
-// the wheel must produce identical sequences.
-func runQueueWorkload(s *Scheduler, seed int64) []int {
-	rng := NewRand(seed)
-	var got []int
-	id := 0
-	var handles []*Timer
-	schedule := func(d Time) {
-		i := id
-		id++
-		handles = append(handles, s.At(s.Now()+d, func() { got = append(got, i) }))
-	}
-	// Phase 1: a burst with many ties and a few far-future events.
-	for i := 0; i < 400; i++ {
-		schedule(Time(rng.Intn(40)) * Millisecond)
-	}
-	for i := 0; i < 50; i++ {
-		schedule(Time(rng.Intn(4000)) * Millisecond) // beyond the wheel span
-	}
-	// Cancel a third (repeats included), rearm a few.
-	for i := 0; i < 150; i++ {
-		handles[rng.Intn(len(handles))].Cancel()
-	}
-	for i := 0; i < 40; i++ {
-		tm := handles[rng.Intn(len(handles))]
-		j := id
-		id++
-		s.Rearm(tm, s.Now()+Time(rng.Intn(600))*Millisecond, func() { got = append(got, j) })
-	}
-	// Phase 2: interleave RunUntil slices with fresh events, so the
-	// queue is exercised while partially drained and the clock jumps to
-	// horizons with no event on them.
-	for round := 0; round < 20; round++ {
-		s.RunUntil(s.Now() + Time(rng.Intn(300))*Millisecond)
-		for i := 0; i < 20; i++ {
-			schedule(Time(rng.Intn(500)) * Millisecond)
-		}
-		handles[rng.Intn(len(handles))].Cancel()
-	}
-	// Phase 3: self-rearming timers (the pacing pattern) for a while.
-	var pace *Timer
-	left := 300
-	var fire func()
-	fire = func() {
-		got = append(got, -1)
-		left--
-		if left > 0 {
-			pace = s.Rearm(pace, s.Now()+Time(10+rng.Intn(990))*Microsecond, fire)
-		}
-	}
-	pace = s.Rearm(nil, s.Now()+Microsecond, fire)
-	s.Run()
-	return got
+// wheelModel is the reference FuzzWheelOrder checks the scheduler against:
+// every pending event in one bare eventHeap, in shadow Timers that carry
+// the event's id in arg. It mirrors the scheduler's seq counter, so the
+// two agree on FIFO order among ties as long as they have agreed so far.
+type wheelModel struct {
+	heap  eventHeap
+	seq   uint64
+	now   Time
+	child map[int]Time // id -> delay of the follow-up event id+1 it arms when it fires
 }
 
-// TestWheelMatchesHeap runs the identical randomized workload on a
-// heap-backed and a wheel-backed scheduler and requires the execution
-// orders to be byte-identical — the wheel's core contract.
-func TestWheelMatchesHeap(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42, 99, 12345} {
-		heap := NewScheduler()
-		wheel := NewScheduler()
-		wheel.UseTimerWheel()
-		if !wheel.UsingTimerWheel() || heap.UsingTimerWheel() {
-			t.Fatal("UsingTimerWheel misreports")
-		}
-		a := runQueueWorkload(heap, seed)
-		b := runQueueWorkload(wheel, seed)
-		if len(a) != len(b) {
-			t.Fatalf("seed %d: heap ran %d events, wheel ran %d", seed, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("seed %d: order diverges at event %d: heap=%d wheel=%d", seed, i, a[i], b[i])
-			}
-		}
-		if heap.Executed != wheel.Executed {
-			t.Fatalf("seed %d: Executed: heap=%d wheel=%d", seed, heap.Executed, wheel.Executed)
+func (m *wheelModel) push(at Time, id int) *Timer {
+	m.seq++
+	t := &Timer{at: at, seq: m.seq, arg: id}
+	m.heap.push(t)
+	return t
+}
+
+func (m *wheelModel) cancel(t *Timer) {
+	if t.idx >= 0 {
+		m.heap.remove(t)
+	}
+}
+
+// runUntil pops everything due by end and returns the ids in pop order.
+func (m *wheelModel) runUntil(end Time) []int {
+	var order []int
+	for len(m.heap) > 0 && m.heap[0].at <= end {
+		t := m.heap.pop()
+		m.now = t.at
+		id := t.arg.(int)
+		order = append(order, id)
+		if d, ok := m.child[id]; ok {
+			m.push(m.now+d, id+1)
 		}
 	}
+	if m.now < end {
+		m.now = end
+	}
+	return order
+}
+
+// FuzzWheelOrder: any sequence of At/AfterFunc/AfterArg/Rearm/Cancel/
+// RunUntil — with ties, events on slot and span boundaries, events beyond
+// the span (overflow) that cascade back over many revolutions, and events
+// armed from inside callbacks — runs in exactly the order one eventHeap
+// over the same events pops them, and Pending() always equals the number
+// of events the heap holds. Each operation is four bytes of the input:
+// what to do, how to place the time, and a 16-bit magnitude.
+func FuzzWheelOrder(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 5, 1, 1, 0})             // a tie, then run
+	f.Add([]byte{0, 2, 0, 0, 0, 2, 1, 0, 0, 2, 2, 0, 5, 6, 1, 0}) // around a slot boundary
+	f.Add([]byte{0, 3, 0, 0, 0, 3, 1, 0, 0, 3, 2, 0, 5, 5, 2, 0}) // around the span boundary
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		const slot = Time(1) << wheelShift
+		s := NewScheduler()
+		m := &wheelModel{child: map[int]Time{}}
+		var got []int
+		record := func(arg any) { got = append(got, arg.(int)) }
+		var handles, shadows []*Timer
+		var lastAt Time
+		nextID := 0
+
+		// when places an event: never before now, and on purpose often
+		// exactly where the wheel changes what it does with it.
+		when := func(where byte, mag Time) Time {
+			now := s.Now()
+			at := now
+			switch where % 8 {
+			case 0:
+				at = now + mag&3 // ties and near-ties
+			case 1:
+				at = now + mag*Microsecond
+			case 2: // one before, on, one after the next slot boundary
+				at = (now+slot)&^(slot-1) + mag%3 - 1
+			case 3: // one before, on, one after the end of the window
+				at = s.wheel.base + wheelSpan + mag%3 - 1
+			case 4: // whole slots ahead, up to 64 revolutions
+				at = now + mag*slot
+			case 5: // whole revolutions ahead
+				at = now + (mag%5)*wheelSpan + mag>>8
+			case 6:
+				at = now + mag*Millisecond
+			case 7:
+				at = lastAt // tie with the previous event, whenever that was
+			}
+			if at < now {
+				at = now
+			}
+			lastAt = at
+			return at
+		}
+		check := func(op string, want []int) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("after %s: scheduler ran %d events, the heap %d", op, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("after %s: order diverges at event %d: scheduler ran %d, the heap %d", op, i, got[i], want[i])
+				}
+			}
+			got = got[:0]
+			if s.Pending() != len(m.heap) {
+				t.Fatalf("after %s: Pending() = %d, the heap holds %d", op, s.Pending(), len(m.heap))
+			}
+		}
+
+		for ; len(prog) >= 4; prog = prog[4:] {
+			op, where, mag := prog[0]%8, prog[1], Time(prog[2])|Time(prog[3])<<8
+			at := when(where, mag)
+			id := nextID
+			nextID += 2 // id+1 is the follow-up, if the event arms one
+			switch op {
+			case 0:
+				handles = append(handles, s.At(at, func() { record(id) }))
+				shadows = append(shadows, m.push(at, id))
+			case 1:
+				s.AfterFunc(at-s.Now(), func() { record(id) })
+				m.push(at, id)
+			case 2:
+				s.AfterArg(at-s.Now(), record, id)
+				m.push(at, id)
+			case 3:
+				if len(handles) == 0 {
+					continue
+				}
+				i := int(mag) % len(handles)
+				handles[i] = s.Rearm(handles[i], at, func() { record(id) })
+				m.cancel(shadows[i])
+				shadows[i] = m.push(at, id)
+			case 4:
+				if len(handles) == 0 {
+					continue
+				}
+				i := int(mag) % len(handles)
+				handles[i].Cancel()
+				m.cancel(shadows[i])
+			case 5:
+				s.RunUntil(at)
+				check("RunUntil", m.runUntil(at))
+				if s.Now() != m.now {
+					t.Fatalf("after RunUntil(%v): Now() = %v, want %v", at, s.Now(), m.now)
+				}
+				continue
+			case 6, 7: // an event that arms a follow-up when it fires
+				d := Time(where) * slot / 16
+				s.AtFunc(at, func() {
+					record(id)
+					s.AfterArg(d, record, id+1)
+				})
+				m.child[id] = d
+				m.push(at, id)
+			}
+			check("arming", nil)
+		}
+		s.Run()
+		check("Run", m.runUntil(1<<62))
+	})
 }
 
 // TestWheelOverflowCascade pins the overflow path: events far beyond the
@@ -94,7 +170,6 @@ func TestWheelMatchesHeap(t *testing.T) {
 // advances across multiple revolutions.
 func TestWheelOverflowCascade(t *testing.T) {
 	s := NewScheduler()
-	s.UseTimerWheel()
 	var got []Time
 	// Events every 100ms out to 3s — ~11 wheel revolutions — plus ties.
 	for i := 30; i >= 0; i-- { // scheduled in reverse time order
@@ -116,7 +191,6 @@ func TestWheelOverflowCascade(t *testing.T) {
 // TestWheelPendingAndCancel checks bookkeeping across both tiers.
 func TestWheelPendingAndCancel(t *testing.T) {
 	s := NewScheduler()
-	s.UseTimerWheel()
 	near := s.At(Millisecond, func() {})
 	far := s.At(10*Second, func() {})
 	if s.Pending() != 2 {
@@ -131,17 +205,6 @@ func TestWheelPendingAndCancel(t *testing.T) {
 	if s.Executed != 0 {
 		t.Fatalf("cancelled events ran: Executed = %d", s.Executed)
 	}
-}
-
-func TestUseTimerWheelLateIsAnError(t *testing.T) {
-	s := NewScheduler()
-	s.At(Millisecond, func() {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("UseTimerWheel with queued events did not panic")
-		}
-	}()
-	s.UseTimerWheel()
 }
 
 // churnPopulation arms n self-rearming timers with a precomputed gap
@@ -171,31 +234,23 @@ func churnPopulation(s *Scheduler, n int) {
 	}
 }
 
-// BenchmarkSchedulerChurn compares the 4-ary heap and the hashed timer
-// wheel under 10k concurrent self-rearming timers — the event-queue load
-// of a 10k-flow churn scenario. One op is one event (pop + rearm push).
+// BenchmarkSchedulerChurn runs the event queue under 10k concurrent
+// self-rearming timers — the load of a 10k-flow churn scenario. One op is
+// one event (pop + rearm push).
 func BenchmarkSchedulerChurn(b *testing.B) {
-	for _, bench := range []struct {
-		name  string
-		wheel bool
-	}{{"heap-10k", false}, {"wheel-10k", true}} {
-		b.Run(bench.name, func(b *testing.B) {
-			s := NewScheduler()
-			if bench.wheel {
-				s.UseTimerWheel()
-			}
-			churnPopulation(s, 10000)
-			// Warm ~10 wheel revolutions so every bucket and the
-			// overflow heap reach steady-state capacity (append doubles
-			// bucket slices for a few revolutions; see the alloc test).
-			s.RunUntil(3 * Second)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.step()
-			}
-		})
-	}
+	b.Run("10k", func(b *testing.B) {
+		s := NewScheduler()
+		churnPopulation(s, 10000)
+		// Warm ~10 wheel revolutions so every bucket and the overflow
+		// heap reach steady-state capacity (append doubles bucket slices
+		// for a few revolutions; see the alloc test).
+		s.RunUntil(3 * Second)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.step()
+		}
+	})
 }
 
 // TestSchedulerWheelChurnAllocFree asserts the wheel's steady state
@@ -205,7 +260,6 @@ func TestSchedulerWheelChurnAllocFree(t *testing.T) {
 		t.Skip("10k-timer warmup")
 	}
 	s := NewScheduler()
-	s.UseTimerWheel()
 	churnPopulation(s, 10000)
 	// Warm for ~10 wheel revolutions: bucket capacities grow toward the
 	// maximum occupancy ever seen (append doubling), so the steady state

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"nimbus/internal/runner"
+	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
 )
 
@@ -309,7 +310,9 @@ func TestServerBadRequests(t *testing.T) {
 // respelt copy of a grid is the same cells — all cache hits, the same
 // bytes — and a spec it rejects is one 400, not an error row per cell.
 // The stub stands in for exp.CanonicalGrid (which svc must not import):
-// "single" is a spelling of the default topology, "bogus" is malformed.
+// "single" is a spelling of the default topology, pulse=0.25 and load=12
+// are defaults spelt out on the scheme and churn axes, "bogus" is
+// malformed.
 func TestSubmitCanonicalizesGrid(t *testing.T) {
 	dir := t.TempDir()
 	journal, _, err := OpenJournal(filepath.Join(dir, "journal"), false)
@@ -338,6 +341,19 @@ func TestSubmitCanonicalizesGrid(t *testing.T) {
 				out[i] = topo
 			}
 			g.Topologies = out
+			schemes := make([]spec.Spec, len(g.Schemes))
+			for i, sp := range g.Schemes {
+				if sp.Params["pulse"] == spec.Num(0.25) {
+					sp = spec.New(sp.Name)
+				}
+				schemes[i] = sp
+			}
+			g.Schemes = schemes
+			churns := make([]string, len(g.Churns))
+			for i, c := range g.Churns {
+				churns[i] = strings.Replace(c, "bulk(load=12)", "bulk", 1)
+			}
+			g.Churns = churns
 			return g, nil
 		},
 	}
@@ -348,6 +364,8 @@ func TestSubmitCanonicalizesGrid(t *testing.T) {
 	ctx := context.Background()
 
 	plain := smallGrid()
+	plain.Schemes = spec.Specs("nimbus")
+	plain.Churns = []string{"bulk"}
 	created1, err := client.Submit(ctx, plain, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -358,6 +376,8 @@ func TestSubmitCanonicalizesGrid(t *testing.T) {
 	}
 	respelt := smallGrid()
 	respelt.Topologies = []string{"single"}
+	respelt.Schemes = spec.Specs("nimbus(pulse=0.25)")
+	respelt.Churns = []string{"bulk(load=12)"}
 	created2, err := client.Submit(ctx, respelt, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +407,8 @@ func TestSubmitCanonicalizesGrid(t *testing.T) {
 	journaled := false
 	for _, rec := range recs {
 		if rec.Type == recSubmit && rec.ID == created2.ID {
-			journaled = len(rec.Grid.Topologies) == 1 && rec.Grid.Topologies[0] == ""
+			journaled = len(rec.Grid.Topologies) == 1 && rec.Grid.Topologies[0] == "" &&
+				rec.Grid.Schemes[0].String() == "nimbus" && rec.Grid.Churns[0] == "bulk"
 		}
 	}
 	if !journaled {

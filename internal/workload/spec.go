@@ -38,8 +38,6 @@ type Spec struct {
 	// Src names the trace model's session trace: an embedded name (see
 	// TraceNames) or a time_ms,bytes file path.
 	Src string
-
-	set []string // explicitly-set parameter names, for String
 }
 
 // specDefaults are the parameter defaults every model starts from.
@@ -67,8 +65,9 @@ var validParams = map[string][]string{
 func Models() []string { return []string{"bulk", "web", "video", "trace"} }
 
 // ParseSpec parses and validates a workload spec string. The returned
-// spec's String() is canonical: parameters sorted, defaults omitted,
-// values normalized ("load=24.0" becomes "load=24").
+// spec's String() is canonical: parameters sorted, values normalized
+// ("load=24.0" becomes "load=24"), and parameters left at or set to their
+// default omitted ("bulk(load=12)" is "bulk").
 func ParseSpec(s string) (Spec, error) {
 	s = strings.TrimSpace(s)
 	model, body := s, ""
@@ -95,9 +94,6 @@ func ParseSpec(s string) (Spec, error) {
 		}
 		if err := sp.setParam(k, v); err != nil {
 			return Spec{}, fmt.Errorf("workload: spec %q: %v", s, err)
-		}
-		if !slicesContains(sp.set, k) {
-			sp.set = append(sp.set, k)
 		}
 	}
 	if err := sp.validate(); err != nil {
@@ -145,7 +141,7 @@ func (sp *Spec) setParam(k, v string) error {
 		if perr != nil {
 			return perr
 		}
-		if perr := scheme.Validate(cs); perr != nil {
+		if cs, perr = scheme.Canonical(cs); perr != nil {
 			return perr
 		}
 		sp.CC = cs.String()
@@ -182,17 +178,20 @@ func (sp Spec) validate() error {
 }
 
 // String returns the canonical spec: the model name alone when every
-// parameter is default, otherwise "model(k=v,...)" with the explicitly
-// set parameters sorted by name.
+// parameter is default, otherwise "model(k=v,...)" with the non-default
+// parameters sorted by name.
 func (sp Spec) String() string {
-	if len(sp.set) == 0 {
-		return sp.Model
-	}
-	keys := append([]string(nil), sp.set...)
+	def := specDefaults(sp.Model)
+	keys := append([]string(nil), validParams[sp.Model]...)
 	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
+	var parts []string
 	for _, k := range keys {
-		parts = append(parts, k+"="+sp.paramString(k))
+		if v := sp.paramString(k); v != def.paramString(k) {
+			parts = append(parts, k+"="+v)
+		}
+	}
+	if len(parts) == 0 {
+		return sp.Model
 	}
 	return sp.Model + "(" + strings.Join(parts, ",") + ")"
 }

@@ -19,12 +19,18 @@ func TestParseSpecCanonical(t *testing.T) {
 		{"bulk()", "bulk"},
 		{"bulk(load=24)", "bulk(load=24)"},
 		{"bulk(load=24.0)", "bulk(load=24)"},
-		{"bulk(cc=cubic, load=24)", "bulk(cc=cubic,load=24)"},
-		{"web(load=12)", "web(load=12)"},
+		{"bulk(cc=bbr, load=24)", "bulk(cc=bbr,load=24)"},
+		// A parameter set to its default is the default: one spelling, one
+		// scenario key.
+		{"bulk(cc=cubic, load=24)", "bulk(load=24)"},
+		{"web(load=12)", "web"},
+		{"web(load=12.0,max=0)", "web"},
+		{"bulk(cc=nimbus(pulse=0.25))", "bulk(cc=nimbus)"},
+		{"bulk(cc=copa(delta=0.5),xm=6e3)", "bulk(cc=copa)"},
 		{"video(rate=8,load=16)", "video(load=16,rate=8)"},
 		{"trace(src=flash-crowd)", "trace(src=flash-crowd)"},
 		{"bulk(max=50,alpha=1.1)", "bulk(alpha=1.1,max=50)"},
-		{"bulk(cc=nimbus(pulse=0.25))", "bulk(cc=nimbus(pulse=0.25))"},
+		{"bulk(cc=nimbus(pulse=0.125))", "bulk(cc=nimbus(pulse=0.125))"},
 	}
 	for _, c := range cases {
 		sp, err := ParseSpec(c.in)

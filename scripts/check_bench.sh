@@ -27,8 +27,7 @@ BenchmarkSimulatorThroughput allocs_per_op -
 BenchmarkTopologyThroughput topo_allocs_per_op -
 BenchmarkDetectorTick detectortick_allocs_per_op detectortick_ns_per_op
 BenchmarkLinkPerPacket link_allocs_per_op link_ns_per_op
-BenchmarkSchedulerChurn/heap-10k schedchurn_heap_allocs_per_op schedchurn_heap_ns_per_op
-BenchmarkSchedulerChurn/wheel-10k schedchurn_wheel_allocs_per_op schedchurn_wheel_ns_per_op
+BenchmarkSchedulerChurn/10k schedchurn_allocs_per_op schedchurn_ns_per_op
 BenchmarkFluidLink fluidlink_allocs_per_op fluidlink_ns_per_op
 BenchmarkSweepFluidVsPacket sweepfluid_allocs_per_op -
 "
@@ -104,21 +103,6 @@ while read -r bench akey nskey; do
     fi
     record "$bench" ns/op "$ns" "$nsbase" "$nslimit" "$status"
 done <<< "$gates"
-
-# Relative gate: the hashed timer wheel must stay at least 2x the heap's
-# ops/s under the 10k-timer churn load. Both sides run on the same
-# hardware in the same process, so unlike the absolute ns/op bands this
-# ratio is stable across CI machines — it is the wheel's reason to exist.
-heap_ns=$(extract "BenchmarkSchedulerChurn/heap-10k" ns/op)
-wheel_ns=$(extract "BenchmarkSchedulerChurn/wheel-10k" ns/op)
-if [ -n "$heap_ns" ] && [ -n "$wheel_ns" ]; then
-    if awk -v h="$heap_ns" -v w="$wheel_ns" 'BEGIN { exit !(h < 2 * w) }'; then
-        echo "check_bench: FAIL — timer wheel only $(awk -v h="$heap_ns" -v w="$wheel_ns" 'BEGIN { printf "%.2f", h / w }')x the heap (need >= 2x): heap $heap_ns ns/op vs wheel $wheel_ns ns/op" >&2
-        fail=1
-    else
-        echo "BenchmarkSchedulerChurn wheel speedup: $(awk -v h="$heap_ns" -v w="$wheel_ns" 'BEGIN { printf "%.2f", h / w }')x over heap [OK]"
-    fi
-fi
 
 # Relative gate: the fluid cross-traffic path must execute at least 3x
 # fewer scheduler events than the per-packet path on the cross-heavy
