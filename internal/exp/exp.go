@@ -2,7 +2,9 @@
 // or figure of the paper, each returning typed rows and a textual
 // rendering that mirrors what the paper reports. The DESIGN.md experiment
 // index maps every figure/table to its function here and its benchmark in
-// the repository root.
+// the repository root. The accuracy experiments are descriptions of one
+// scoring cell, in score.go: cross-traffic construction, mode scoring
+// and the cell runner live there and nowhere else.
 package exp
 
 import (
@@ -269,13 +271,7 @@ type FlowProbe struct {
 
 // AddFlow attaches a backlogged flow with the scheme and a probe.
 func (r *Rig) AddFlow(s Scheme, rtt sim.Time, start sim.Time) *FlowProbe {
-	return r.AddFlowSrc(s, rtt, start, transport.Backlogged{})
-}
-
-// AddFlowSrc attaches a flow with an explicit application source on the
-// default route.
-func (r *Rig) AddFlowSrc(s Scheme, rtt sim.Time, start sim.Time, src transport.Source) *FlowProbe {
-	return r.AddFlowOn("", s, rtt, start, src)
+	return r.AddFlowOn("", s, rtt, start, transport.Backlogged{})
 }
 
 // AddFlowOn attaches a flow on a named route of the rig's topology (""
@@ -451,88 +447,8 @@ func FlowStats(flows []*Flow, end sim.Time) FlowSetStats {
 	return st
 }
 
-// AddCubicCross starts n long-running Cubic cross flows at time start and
-// returns their senders.
-func (r *Rig) AddCubicCross(n int, rtt sim.Time, start sim.Time) []*transport.Sender {
-	out := make([]*transport.Sender, n)
-	for i := range out {
-		s := transport.NewSender(r.Net, rtt, cc.NewCubic(), transport.Backlogged{}, r.Rng.Split(fmt.Sprintf("ccross%d", i)))
-		s.Start(start)
-		out[i] = s
-	}
-	return out
-}
-
-// StopFlows stops senders and detaches them from the network.
-func (r *Rig) StopFlows(ss []*transport.Sender, at sim.Time) {
-	r.Sch.At(at, func() {
-		for _, s := range ss {
-			s.Stop()
-			r.Net.Detach(s.ID())
-		}
-	})
-}
-
-// ModeTracker accumulates Nimbus mode/accuracy statistics from telemetry.
-type ModeTracker struct {
-	Acc          metrics.AccuracyTracker
-	EtaSer       metrics.Series
-	ModeSer      metrics.Series // 1 = competitive
-	CompTime     sim.Time
-	lastT        sim.Time
-	RecordSeries bool
-}
-
-// Track wires the tracker to a Nimbus instance with the given ground
-// truth ("is the cross traffic elastic right now").
-func (mt *ModeTracker) Track(n *core.Nimbus, truth func(now sim.Time) bool, warmup sim.Time) {
-	mt.Acc.Warmup = warmup
-	prev := n.OnTick
-	n.OnTick = func(t core.Telemetry) {
-		if prev != nil {
-			prev(t)
-		}
-		pred := t.Mode == core.ModeCompetitive
-		mt.Acc.Observe(t.Now, pred, truth(t.Now))
-		if pred && mt.lastT != 0 {
-			mt.CompTime += t.Now - mt.lastT
-		}
-		mt.lastT = t.Now
-		if mt.RecordSeries {
-			mt.EtaSer.Add(t.Now, t.Eta)
-			m := 0.0
-			if pred {
-				m = 1
-			}
-			mt.ModeSer.Add(t.Now, m)
-		}
-	}
-}
-
-// CopaModeProbe samples Copa's own mode every 10 ms against ground truth.
-func (r *Rig) CopaModeProbe(c *cc.Copa, truth func(now sim.Time) bool, warmup sim.Time) *metrics.AccuracyTracker {
-	acc := &metrics.AccuracyTracker{Warmup: warmup}
-	var tick func()
-	tick = func() {
-		acc.Observe(r.Sch.Now(), c.Competitive(), truth(r.Sch.Now()))
-		r.Sch.AfterFunc(10*sim.Millisecond, tick)
-	}
-	r.Sch.AfterFunc(10*sim.Millisecond, tick)
-	return acc
-}
-
 // Mbps formats a bits/s value in Mbit/s.
 func Mbps(bps float64) float64 { return bps / 1e6 }
-
-// newPoisson attaches a Poisson raw source to the rig.
-func newPoisson(r *Rig, rtt sim.Time, rateBps float64) *crosstraffic.RawSource {
-	return crosstraffic.NewPoisson(r.Net, rtt, rateBps, r.Rng.Split("poisson"))
-}
-
-// newCBR attaches a constant-bit-rate raw source to the rig.
-func newCBR(r *Rig, rtt sim.Time, rateBps float64) *crosstraffic.RawSource {
-	return crosstraffic.NewCBR(r.Net, rtt, rateBps)
-}
 
 // AddCross attaches a named cross-traffic generator to the rig's default
 // route (used by cmd/nimbus-sim and the examples). kind is one of: none,
@@ -556,42 +472,19 @@ func AddCrossOn(r *Rig, route, kind string, rateBps float64, rtt sim.Time) error
 		f.Start(0)
 		return nil
 	}
+	c := crossSpec{kind: kind, route: route, rate: rateBps, rtt: rtt}
 	switch kind {
 	case "none", "":
+		return nil
 	case "cubic":
-		s := transport.NewSenderOn(r.Net, route, rtt, cc.NewCubic(), transport.Backlogged{}, r.Rng.Split("ccross0"))
-		s.Start(0)
+		c.label = "ccross0"
 	case "reno":
-		s := transport.NewSenderOn(r.Net, route, rtt, cc.NewReno(), transport.Backlogged{}, r.Rng.Split("reno-cross"))
-		s.Start(0)
-	case "poisson":
-		crosstraffic.NewPoissonOn(r.Net, route, rtt, rateBps, r.Rng.Split("poisson")).Start(0)
-	case "cbr":
-		crosstraffic.NewCBROn(r.Net, route, rtt, rateBps).Start(0)
-	case "trace":
-		w := &crosstraffic.TraceWorkload{
-			Net:     r.Net,
-			Rng:     r.Rng.Split("trace"),
-			LoadBps: rateBps,
-			RTT:     rtt,
-			Route:   route,
-			NewCC:   func() transport.Controller { return cc.NewCubic() },
-		}
-		w.Start(0)
-	case "video4k", "video1080p":
-		ladder := crosstraffic.Ladder1080p
-		if kind == "video4k" {
-			ladder = crosstraffic.Ladder4K
-		}
-		v := &crosstraffic.VideoClient{
-			Net: r.Net, Rng: r.Rng.Split("video"), RTT: rtt, Route: route,
-			Ladder: ladder,
-			NewCC:  func() transport.Controller { return cc.NewCubic() },
-		}
-		v.Start(0)
+		c.label = "reno-cross"
+	case "poisson", "cbr", "trace", "video4k", "video1080p":
 	default:
 		return fmt.Errorf("exp: unknown cross traffic kind %q", kind)
 	}
+	r.addCross(c)
 	return nil
 }
 

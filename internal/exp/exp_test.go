@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -292,6 +293,22 @@ func TestParallelFigureDeterminism(t *testing.T) {
 		if par := run(w); par != seq {
 			t.Fatalf("workers=%d report differs from sequential:\n%s\nvs\n%s", w, par, seq)
 		}
+	}
+
+	// One cell description is one result, and the cross flow's stream
+	// label is part of the description (BBR draws its probing phase from
+	// it): Fig22's cell under another label is another run.
+	cell := func(label string) string {
+		c := scoreCell{cross: []crossSpec{{kind: "bbr", label: label}}, elastic: true}
+		res := c.run(spec.MustParse("nimbus"), 1, 12*sim.Second)
+		return fmt.Sprint(res.probe.MeanMbps(0, 12*sim.Second), res.acc.Accuracy(), res.etas)
+	}
+	a, b := cell("bbr"), cell("bbr")
+	if a != b {
+		t.Fatalf("the same cell description ran differently:\n%s\nvs\n%s", a, b)
+	}
+	if a == cell("bbr-relabeled") {
+		t.Fatal("a changed RNG label left the run unchanged")
 	}
 }
 

@@ -31,11 +31,9 @@ func RunFig01(scheme string, seed int64) Fig01Result {
 	probe := r.AddFlow(MustScheme(scheme, r.MuBps), 50*sim.Millisecond, 0)
 
 	// Elastic phase: one Cubic flow from 30 s to 90 s.
-	cross := r.AddCubicCross(1, 50*sim.Millisecond, 30*sim.Second)
-	r.StopFlows(cross, 90*sim.Second)
+	r.cubicCross(1, 50*sim.Millisecond, 30*sim.Second, 90*sim.Second)
 	// Inelastic phase: 24 Mbit/s Poisson from 90 s to 150 s.
-	po := newPoisson(r, 40*sim.Millisecond, 24e6)
-	po.Start(90 * sim.Second)
+	po := r.crossPoisson("", 40*sim.Millisecond, 24e6, 90*sim.Second)
 	r.Sch.At(150*sim.Second, func() { po.Stop() })
 
 	// Queueing delay series sampled every 100 ms from the probe flow,

@@ -27,10 +27,8 @@ type Fig03Result struct {
 func RunFig03(seed int64) Fig03Result {
 	r := NewRig(NetConfig{RateMbps: 48, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
 	probe := r.AddFlow(MustScheme("cubic", r.MuBps), 50*sim.Millisecond, 0)
-	cross := r.AddCubicCross(1, 50*sim.Millisecond, 30*sim.Second)
-	r.StopFlows(cross, 90*sim.Second)
-	po := newPoisson(r, 40*sim.Millisecond, 24e6)
-	po.Start(90 * sim.Second)
+	r.cubicCross(1, 50*sim.Millisecond, 30*sim.Second, 90*sim.Second)
+	po := r.crossPoisson("", 40*sim.Millisecond, 24e6, 90*sim.Second)
 	r.Sch.At(150*sim.Second, func() { po.Stop() })
 
 	// Track exact per-flow bytes in the bottleneck queue via taps.

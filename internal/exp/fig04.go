@@ -32,9 +32,9 @@ func RunFig04(elastic bool, seed int64) Fig04Result {
 	s := MustScheme("nimbus", r.MuBps)
 	r.AddFlow(s, 50*sim.Millisecond, 0)
 	if elastic {
-		r.AddCubicCross(1, 50*sim.Millisecond, 0)
+		r.cubicCross(1, 50*sim.Millisecond, 0, 0)
 	} else {
-		newCBR(r, 50*sim.Millisecond, 48e6).Start(0)
+		r.crossCBR("", 50*sim.Millisecond, 48e6, 0)
 	}
 	res := Fig04Result{Elastic: elastic}
 	from, to := 75*sim.Second, 78*sim.Second

@@ -24,9 +24,9 @@ func RunFig05(elastic bool, seed int64) Fig05Result {
 	s := MustScheme("nimbus", r.MuBps)
 	r.AddFlow(s, 50*sim.Millisecond, 0)
 	if elastic {
-		r.AddCubicCross(1, 50*sim.Millisecond, 0)
+		r.cubicCross(1, 50*sim.Millisecond, 0, 0)
 	} else {
-		newCBR(r, 50*sim.Millisecond, 48e6).Start(0)
+		r.crossCBR("", 50*sim.Millisecond, 48e6, 0)
 	}
 	r.Sch.RunUntil(40 * sim.Second)
 

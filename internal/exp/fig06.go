@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"nimbus/internal/cc"
-	"nimbus/internal/core"
+	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
 	"nimbus/internal/stats"
-	"nimbus/internal/transport"
 )
 
 // Fig06Row reproduces one curve of Fig. 6: the CDF of the elasticity
@@ -25,14 +23,9 @@ type Fig06Row struct {
 // fixed-window (ACK-clocked, rate-pinned) elastic component plus Poisson
 // inelastic traffic, together offering ~half the link.
 func RunFig06Point(frac float64, seed int64, dur sim.Time) Fig06Row {
-	r := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
-	s := MustScheme("nimbus", r.MuBps)
-	r.AddFlow(s, 50*sim.Millisecond, 0)
-
+	var c scoreCell
 	crossTotal := 48e6
-	elasticRate := frac * crossTotal
-	inelasticRate := (1 - frac) * crossTotal
-	if elasticRate > 0 {
+	if elasticRate := frac * crossTotal; elasticRate > 0 {
 		// Fixed window sized for the target rate at the base RTT plus
 		// expected queueing: W = rate * rtt / 8 bytes, in packets.
 		rtt := 62 * sim.Millisecond // base + BasicDelay's target queue
@@ -40,32 +33,15 @@ func RunFig06Point(frac float64, seed int64, dur sim.Time) Fig06Row {
 		if pkts < 2 {
 			pkts = 2
 		}
-		r.AddFlowSrc(Scheme{Name: "fixedwin", Ctrl: cc.NewFixedWindow(pkts)}, 50*sim.Millisecond, 0, transport.Backlogged{})
+		c.cross = append(c.cross, crossSpec{kind: fmt.Sprintf("fixedwindow(cwnd=%d)", pkts), label: "fixedwin", probed: true})
 	}
-	if inelasticRate > 0 {
-		newPoisson(r, 40*sim.Millisecond, inelasticRate).Start(0)
+	if inelasticRate := (1 - frac) * crossTotal; inelasticRate > 0 {
+		c.cross = append(c.cross, crossSpec{kind: "poisson", rate: inelasticRate, rtt: 40 * sim.Millisecond})
 	}
+	res := c.run(spec.MustParse("nimbus"), seed, dur)
 
-	var etas []float64
-	s.Nimbus.OnTick = func(t core.Telemetry) {
-		if t.Now > 10*sim.Second && t.EtaReady {
-			etas = append(etas, t.Eta)
-		}
-	}
-	r.Sch.RunUntil(dur)
-
-	row := Fig06Row{ElasticFraction: frac}
-	row.EtaCDF = stats.CDF(etas, 200)
-	row.MedianEta = stats.Median(etas)
-	above := 0
-	for _, e := range etas {
-		if e >= 2 {
-			above++
-		}
-	}
-	if len(etas) > 0 {
-		row.FracAboveThresh = float64(above) / float64(len(etas))
-	}
+	row := Fig06Row{ElasticFraction: frac, EtaCDF: stats.CDF(res.etas, 200)}
+	row.MedianEta, row.FracAboveThresh = res.etaStats()
 	return row
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"nimbus/internal/cc"
 	"nimbus/internal/sim"
 	"nimbus/internal/transport"
 )
@@ -50,8 +51,7 @@ func RunFig08(scheme string, seed int64, phaseDur sim.Time) Fig08Row {
 	sch := MustScheme(scheme, r.MuBps)
 	probe := r.AddFlow(sch, 50*sim.Millisecond, 0)
 
-	po := newPoisson(r, 40*sim.Millisecond, 0)
-	po.Start(0)
+	po := r.crossPoisson("", 40*sim.Millisecond, 0, 0)
 	elastic := 0
 	var cubics []*transport.Sender
 	setPhase := func(p fig08Phase) func() {
@@ -65,7 +65,7 @@ func RunFig08(scheme string, seed int64, phaseDur sim.Time) Fig08Row {
 				elastic--
 			}
 			for elastic < p.CubicFlows {
-				cubics = append(cubics, r.AddCubicCross(1, 50*sim.Millisecond, r.Sch.Now())...)
+				cubics = append(cubics, r.crossSender("ccross0", "", cc.NewCubic(), 50*sim.Millisecond, r.Sch.Now()))
 				elastic++
 			}
 		}
@@ -83,23 +83,16 @@ func RunFig08(scheme string, seed int64, phaseDur sim.Time) Fig08Row {
 		}
 		return fig08Script[idx].CubicFlows > 0
 	}
-	var mt ModeTracker
-	row := Fig08Row{Scheme: scheme}
-	if sch.Nimbus != nil {
-		mt.Track(sch.Nimbus, truth, 10*sim.Second)
-		row.HasMode = true
-	} else if sch.Copa != nil {
-		acc := r.CopaModeProbe(sch.Copa, truth, 10*sim.Second)
-		defer func() { row.ModeCorrectFrac = acc.Accuracy() }()
-		row.HasMode = true
-	}
+	acc := scoreModes(r, sch, truth, scoreWarmup)
 
 	r.Sch.RunUntil(total)
 
+	row := Fig08Row{Scheme: scheme}
 	row.MeanMbps = probe.MeanMbps(5*sim.Second, total)
 	row.MeanDelayMs = probe.Delay.Summary().Mean
-	if sch.Nimbus != nil {
-		row.ModeCorrectFrac = mt.Acc.Accuracy()
+	if acc != nil {
+		row.HasMode = true
+		row.ModeCorrectFrac = acc.Accuracy()
 	}
 	row.TputSeries = probe.Tput.SeriesMbps()
 

@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"nimbus/internal/cc"
-	"nimbus/internal/crosstraffic"
 	"nimbus/internal/metrics"
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
 	"nimbus/internal/stats"
-	"nimbus/internal/transport"
 )
 
 // Fig09Row is one scheme's performance against the WAN trace workload
@@ -38,14 +35,7 @@ func runFig09Spec(sp spec.Spec, seed int64, dur sim.Time, loadFrac float64) Fig0
 	r := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
 	sch := MustBuildScheme(sp, r.MuBps)
 	probe := r.AddFlow(sch, 50*sim.Millisecond, 0)
-	w := &crosstraffic.TraceWorkload{
-		Net:     r.Net,
-		Rng:     r.Rng.Split("trace"),
-		LoadBps: loadFrac * r.MuBps,
-		RTT:     50 * sim.Millisecond,
-		NewCC:   func() transport.Controller { return cc.NewCubic() },
-	}
-	w.Start(0)
+	w := r.crossTrace("", 50*sim.Millisecond, loadFrac*r.MuBps)
 	r.Sch.RunUntil(dur)
 
 	row := Fig09Row{Scheme: sp.String()}

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"nimbus/internal/cc"
-	"nimbus/internal/crosstraffic"
 	"nimbus/internal/sim"
-	"nimbus/internal/transport"
 )
 
 // Fig11Row is one scheme's (rate, delay) point against DASH video cross
@@ -26,16 +23,7 @@ func RunFig11(scheme, video string, seed int64, dur sim.Time) Fig11Row {
 	r := NewRig(NetConfig{RateMbps: 48, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
 	sch := MustScheme(scheme, r.MuBps)
 	probe := r.AddFlow(sch, 50*sim.Millisecond, 0)
-	ladder := crosstraffic.Ladder1080p
-	if video == "4k" {
-		ladder = crosstraffic.Ladder4K
-	}
-	v := &crosstraffic.VideoClient{
-		Net: r.Net, Rng: r.Rng.Split("video"), RTT: 50 * sim.Millisecond,
-		Ladder: ladder,
-		NewCC:  func() transport.Controller { return cc.NewCubic() },
-	}
-	v.Start(0)
+	v := r.crossVideo("", 50*sim.Millisecond, video == "4k")
 	r.Sch.RunUntil(dur)
 	return Fig11Row{
 		Scheme:      scheme,

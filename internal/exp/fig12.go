@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"nimbus/internal/cc"
-	"nimbus/internal/core"
-	"nimbus/internal/crosstraffic"
 	"nimbus/internal/metrics"
 	"nimbus/internal/sim"
-	"nimbus/internal/transport"
 )
 
 // Fig12Result reproduces Fig. 12: the elasticity metric over time
@@ -29,26 +25,14 @@ func RunFig12(seed int64, dur sim.Time) Fig12Result {
 	r := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
 	sch := MustScheme("nimbus", r.MuBps)
 	r.AddFlow(sch, 50*sim.Millisecond, 0)
-	w := &crosstraffic.TraceWorkload{
-		Net:     r.Net,
-		Rng:     r.Rng.Split("trace"),
-		LoadBps: 0.5 * r.MuBps,
-		RTT:     50 * sim.Millisecond,
-		NewCC:   func() transport.Controller { return cc.NewCubic() },
-	}
-	w.Start(0)
+	w := r.crossTrace("", 50*sim.Millisecond, 0.5*r.MuBps)
 
 	var res Fig12Result
 	// The paper's Fig 12 shading: delay mode is "correct" when the
 	// elastic byte fraction is low (< 0.3). The detector is scored with
 	// hysteresis-free instantaneous truth, which understates accuracy
 	// slightly (the detector needs 5 s of signal).
-	truth := func(now sim.Time) bool { return w.ElasticByteFraction() >= 0.3 }
-	var acc metrics.AccuracyTracker
-	acc.Warmup = 10 * sim.Second
-	sch.Nimbus.OnTick = func(t core.Telemetry) {
-		acc.Observe(t.Now, t.Mode == core.ModeCompetitive, truth(t.Now))
-	}
+	acc := scoreModes(r, sch, func(sim.Time) bool { return w.ElasticByteFraction() >= 0.3 }, scoreWarmup)
 	// Sample the two series at 100 ms for the plot.
 	var sample func()
 	sample = func() {

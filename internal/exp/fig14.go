@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"nimbus/internal/cc"
+	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
-	"nimbus/internal/transport"
 )
 
 // Fig14LeftRow compares Nimbus's and Copa's classification accuracy
@@ -20,42 +19,14 @@ type Fig14LeftRow struct {
 	CopaAcc   float64
 }
 
-// RunFig14Left runs one share point.
+// RunFig14Left runs one share point under both schemes; kind is "cbr" or
+// "poisson".
 func RunFig14Left(share float64, kind string, seed int64, dur sim.Time) Fig14LeftRow {
-	truth := func(sim.Time) bool { return false } // never elastic
-
-	// Nimbus run.
-	r1 := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
-	n := MustScheme("nimbus", r1.MuBps)
-	r1.AddFlow(n, 50*sim.Millisecond, 0)
-	addInelastic(r1, kind, share*r1.MuBps)
-	var mt ModeTracker
-	mt.Track(n.Nimbus, truth, 10*sim.Second)
-	r1.Sch.RunUntil(dur)
-
-	// Copa run.
-	r2 := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
-	c := MustScheme("copa", r2.MuBps)
-	r2.AddFlow(c, 50*sim.Millisecond, 0)
-	addInelastic(r2, kind, share*r2.MuBps)
-	acc := r2.CopaModeProbe(c.Copa, truth, 10*sim.Second)
-	r2.Sch.RunUntil(dur)
-
+	c := scoreCell{cross: []crossSpec{{kind: kind, rate: share * 96e6, rtt: 40 * sim.Millisecond}}}
 	return Fig14LeftRow{
 		Share: share, Kind: kind,
-		NimbusAcc: mt.Acc.Accuracy(),
-		CopaAcc:   acc.Accuracy(),
-	}
-}
-
-func addInelastic(r *Rig, kind string, rate float64) {
-	switch kind {
-	case "cbr":
-		newCBR(r, 40*sim.Millisecond, rate).Start(0)
-	case "poisson":
-		newPoisson(r, 40*sim.Millisecond, rate).Start(0)
-	default:
-		panic("exp: unknown inelastic kind " + kind)
+		NimbusAcc: c.run(spec.MustParse("nimbus"), seed, dur).acc.Accuracy(),
+		CopaAcc:   c.run(spec.MustParse("copa"), seed, dur).acc.Accuracy(),
 	}
 }
 
@@ -68,30 +39,15 @@ type Fig14RightRow struct {
 	CopaAcc   float64
 }
 
-// RunFig14Right runs one RTT-ratio point.
+// RunFig14Right runs one RTT-ratio point under both schemes.
 func RunFig14Right(ratio float64, seed int64, dur sim.Time) Fig14RightRow {
-	truth := func(sim.Time) bool { return true }
-	base := 50 * sim.Millisecond
-	crossRTT := sim.Time(float64(base) * ratio)
-
-	r1 := NewRig(NetConfig{RateMbps: 96, RTT: base, Buffer: 100 * sim.Millisecond, Seed: seed})
-	n := MustScheme("nimbus", r1.MuBps)
-	r1.AddFlow(n, base, 0)
-	reno1 := transport.NewSender(r1.Net, crossRTT, cc.NewReno(), transport.Backlogged{}, r1.Rng.Split("reno"))
-	reno1.Start(0)
-	var mt ModeTracker
-	mt.Track(n.Nimbus, truth, 10*sim.Second)
-	r1.Sch.RunUntil(dur)
-
-	r2 := NewRig(NetConfig{RateMbps: 96, RTT: base, Buffer: 100 * sim.Millisecond, Seed: seed})
-	c := MustScheme("copa", r2.MuBps)
-	r2.AddFlow(c, base, 0)
-	reno2 := transport.NewSender(r2.Net, crossRTT, cc.NewReno(), transport.Backlogged{}, r2.Rng.Split("reno"))
-	reno2.Start(0)
-	acc := r2.CopaModeProbe(c.Copa, truth, 10*sim.Second)
-	r2.Sch.RunUntil(dur)
-
-	return Fig14RightRow{RTTRatio: ratio, NimbusAcc: mt.Acc.Accuracy(), CopaAcc: acc.Accuracy()}
+	crossRTT := sim.Time(float64(50*sim.Millisecond) * ratio)
+	c := scoreCell{cross: []crossSpec{{kind: "reno", label: "reno", rtt: crossRTT}}, elastic: true}
+	return Fig14RightRow{
+		RTTRatio:  ratio,
+		NimbusAcc: c.run(spec.MustParse("nimbus"), seed, dur).acc.Accuracy(),
+		CopaAcc:   c.run(spec.MustParse("copa"), seed, dur).acc.Accuracy(),
+	}
 }
 
 // Fig14Result bundles both panels.

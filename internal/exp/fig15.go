@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"nimbus/internal/cc"
+	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
-	"nimbus/internal/transport"
 )
 
 // Fig15Row is one point of Fig. 15: Nimbus's classification accuracy as
@@ -18,36 +17,14 @@ type Fig15Row struct {
 	Accuracy float64
 }
 
-// RunFig15Point runs one (ratio, mix) cell.
+// RunFig15Point runs one (ratio, mix) cell: one NewReno flow and/or
+// Poisson traffic (40% of the link alone, 25% in the mix).
 func RunFig15Point(ratio float64, mix string, seed int64, dur sim.Time) Fig15Row {
-	base := 50 * sim.Millisecond
-	crossRTT := sim.Time(float64(base) * ratio)
-	r := NewRig(NetConfig{RateMbps: 96, RTT: base, Buffer: 100 * sim.Millisecond, Seed: seed})
-	n := MustScheme("nimbus", r.MuBps)
-	r.AddFlow(n, base, 0)
-
-	var truly bool
-	switch mix {
-	case "elastic":
-		s := transport.NewSender(r.Net, crossRTT, cc.NewReno(), transport.Backlogged{}, r.Rng.Split("reno"))
-		s.Start(0)
-		truly = true
-	case "inelastic":
-		newPoisson(r, crossRTT, 0.4*r.MuBps).Start(0)
-		truly = false
-	case "mix":
-		s := transport.NewSender(r.Net, crossRTT, cc.NewReno(), transport.Backlogged{}, r.Rng.Split("reno"))
-		s.Start(0)
-		newPoisson(r, crossRTT, 0.25*r.MuBps).Start(0)
-		truly = true
-	default:
-		panic("exp: unknown mix " + mix)
-	}
-
-	var mt ModeTracker
-	mt.Track(n.Nimbus, func(sim.Time) bool { return truly }, 10*sim.Second)
-	r.Sch.RunUntil(dur)
-	return Fig15Row{RTTRatio: ratio, Mix: mix, Accuracy: mt.Acc.Accuracy()}
+	crossRTT := sim.Time(float64(50*sim.Millisecond) * ratio)
+	var c scoreCell
+	mu := 96e6 // the standard rig's link rate
+	c.cross, c.elastic = mixCross(mix, crossRTT, []string{"reno"}, []string{"reno"}, 0.4*mu, 0.25*mu)
+	return Fig15Row{RTTRatio: ratio, Mix: mix, Accuracy: c.run(spec.MustParse("nimbus"), seed, dur).acc.Accuracy()}
 }
 
 // Fig15 runs the sweep.

@@ -32,10 +32,8 @@ func RunFig17(seed int64, scale float64) Fig17Result {
 		s := MustScheme("nimbus(multiflow=true)", r.MuBps)
 		probes = append(probes, r.AddFlow(s, 50*sim.Millisecond, 0))
 	}
-	cross := r.AddCubicCross(3, 50*sim.Millisecond, phase(30))
-	r.StopFlows(cross, phase(90))
-	cbr := newCBR(r, 40*sim.Millisecond, 96e6)
-	cbr.Start(phase(90))
+	r.cubicCross(3, 50*sim.Millisecond, phase(30), phase(90))
+	cbr := r.crossCBR("", 40*sim.Millisecond, 96e6, phase(90))
 	r.Sch.At(phase(150), func() { cbr.Stop() })
 
 	// Delay sampled from all Nimbus flows per phase.

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"nimbus/internal/cc"
+	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
-	"nimbus/internal/transport"
 )
 
 // Fig22Row compares Nimbus's and Cubic's throughput when competing with
@@ -24,28 +23,19 @@ type Fig22Row struct {
 
 // RunFig22Point runs both schemes against BBR at one buffer depth.
 func RunFig22Point(bufBDP float64, seed int64, dur sim.Time) Fig22Row {
-	rtt := 50 * sim.Millisecond
-	buf := sim.Time(bufBDP * float64(rtt))
-	run := func(scheme string) (float64, float64) {
-		r := NewRig(NetConfig{RateMbps: 96, RTT: rtt, Buffer: buf, Seed: seed})
-		sch := MustScheme(scheme, r.MuBps)
-		probe := r.AddFlow(sch, rtt, 0)
-		bbr := transport.NewSender(r.Net, rtt, cc.NewBBR(), transport.Backlogged{}, r.Rng.Split("bbr"))
-		bbr.Start(0)
-		var mt ModeTracker
-		if sch.Nimbus != nil {
-			mt.Track(sch.Nimbus, func(sim.Time) bool { return true }, 10*sim.Second)
-		}
-		r.Sch.RunUntil(dur)
-		frac := 0.0
-		if sch.Nimbus != nil && mt.Acc.TotalScored() > 0 {
-			frac = mt.Acc.Accuracy() // truth=elastic, so accuracy == competitive fraction
-		}
-		return probe.MeanMbps(5*sim.Second, dur), frac
+	c := scoreCell{
+		net:     NetConfig{Buffer: sim.Time(bufBDP * float64(50*sim.Millisecond))},
+		cross:   []crossSpec{{kind: "bbr", label: "bbr"}},
+		elastic: true, // so accuracy == competitive fraction
 	}
-	nim, frac := run("nimbus")
-	cub, _ := run("cubic")
-	return Fig22Row{BufferBDP: bufBDP, NimbusMbps: nim, CubicMbps: cub, NimbusCompetitiveFrac: frac}
+	nim := c.run(spec.MustParse("nimbus"), seed, dur)
+	cub := c.run(spec.MustParse("cubic"), seed, dur)
+	return Fig22Row{
+		BufferBDP:             bufBDP,
+		NimbusMbps:            nim.probe.MeanMbps(5*sim.Second, dur),
+		CubicMbps:             cub.probe.MeanMbps(5*sim.Second, dur),
+		NimbusCompetitiveFrac: nim.acc.Accuracy(),
+	}
 }
 
 // Fig22 sweeps buffer sizes 0.5-4 BDP.

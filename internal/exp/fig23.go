@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"nimbus/internal/cc"
+	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
-	"nimbus/internal/transport"
 )
 
 // Fig23Row shows Copa vs Nimbus dynamics against CBR cross traffic at a
@@ -23,38 +22,26 @@ type Fig23Row struct {
 	WrongModeFrac float64
 }
 
-// RunFig23Point runs one (scheme, cbr) cell on a 96 Mbit/s link.
-func RunFig23Point(scheme string, cbrMbps float64, seed int64, dur sim.Time) Fig23Row {
-	r := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
-	sch := MustScheme(scheme, r.MuBps)
-	probe := r.AddFlow(sch, 50*sim.Millisecond, 0)
-	newCBR(r, 40*sim.Millisecond, cbrMbps*1e6).Start(0)
-
-	row := Fig23Row{Scheme: scheme, CBRMbps: cbrMbps}
-	truth := func(sim.Time) bool { return false }
-	var mt ModeTracker
-	if sch.Nimbus != nil {
-		mt.Track(sch.Nimbus, truth, 10*sim.Second)
+// wrongModeFrac is the scored fraction of time in the wrong mode, 0 for
+// schemes without modes.
+func (res *scoreResult) wrongModeFrac() float64 {
+	if res.acc == nil {
+		return 0
 	}
-	var copaAcc *accProxy
-	if sch.Copa != nil {
-		copaAcc = &accProxy{t: r.CopaModeProbe(sch.Copa, truth, 10*sim.Second)}
-	}
-	r.Sch.RunUntil(dur)
-	row.MeanMbps = probe.MeanMbps(5*sim.Second, dur)
-	row.MeanDelayMs = probe.Delay.Summary().Mean
-	if sch.Nimbus != nil {
-		row.WrongModeFrac = 1 - mt.Acc.Accuracy()
-	}
-	if copaAcc != nil {
-		row.WrongModeFrac = 1 - copaAcc.t.Accuracy()
-	}
-	return row
+	return 1 - res.acc.Accuracy()
 }
 
-type accProxy struct{ t accuracyReader }
-
-type accuracyReader interface{ Accuracy() float64 }
+// RunFig23Point runs one (scheme, cbr) cell on a 96 Mbit/s link.
+func RunFig23Point(scheme string, cbrMbps float64, seed int64, dur sim.Time) Fig23Row {
+	c := scoreCell{cross: []crossSpec{{kind: "cbr", rate: cbrMbps * 1e6, rtt: 40 * sim.Millisecond}}}
+	res := c.run(spec.MustParse(scheme), seed, dur)
+	return Fig23Row{
+		Scheme: scheme, CBRMbps: cbrMbps,
+		MeanMbps:      res.probe.MeanMbps(5*sim.Second, dur),
+		MeanDelayMs:   res.probe.Delay.Summary().Mean,
+		WrongModeFrac: res.wrongModeFrac(),
+	}
+}
 
 // Fig23 runs the 2x2 grid.
 func Fig23(seed int64, quick bool) []Fig23Row {
@@ -101,32 +88,14 @@ type Fig24Row struct {
 
 // RunFig24Point runs one cell.
 func RunFig24Point(scheme string, ratio float64, seed int64, dur sim.Time) Fig24Row {
-	rtt := 50 * sim.Millisecond
-	r := NewRig(NetConfig{RateMbps: 96, RTT: rtt, Buffer: 100 * sim.Millisecond, Seed: seed})
-	sch := MustScheme(scheme, r.MuBps)
-	probe := r.AddFlow(sch, rtt, 0)
-	reno := transport.NewSender(r.Net, sim.Time(float64(rtt)*ratio), cc.NewReno(), transport.Backlogged{}, r.Rng.Split("reno"))
-	reno.Start(0)
-
-	truth := func(sim.Time) bool { return true }
-	var mt ModeTracker
-	if sch.Nimbus != nil {
-		mt.Track(sch.Nimbus, truth, 10*sim.Second)
+	crossRTT := sim.Time(float64(50*sim.Millisecond) * ratio)
+	c := scoreCell{cross: []crossSpec{{kind: "reno", label: "reno", rtt: crossRTT}}, elastic: true}
+	res := c.run(spec.MustParse(scheme), seed, dur)
+	return Fig24Row{
+		Scheme: scheme, RTTRatio: ratio,
+		MeanMbps:      res.probe.MeanMbps(5*sim.Second, dur),
+		WrongModeFrac: res.wrongModeFrac(),
 	}
-	var copaAcc *accProxy
-	if sch.Copa != nil {
-		copaAcc = &accProxy{t: r.CopaModeProbe(sch.Copa, truth, 10*sim.Second)}
-	}
-	r.Sch.RunUntil(dur)
-	row := Fig24Row{Scheme: scheme, RTTRatio: ratio}
-	row.MeanMbps = probe.MeanMbps(5*sim.Second, dur)
-	if sch.Nimbus != nil {
-		row.WrongModeFrac = 1 - mt.Acc.Accuracy()
-	}
-	if copaAcc != nil {
-		row.WrongModeFrac = 1 - copaAcc.t.Accuracy()
-	}
-	return row
 }
 
 // Fig24 runs the 2x2 grid.

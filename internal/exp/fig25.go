@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"nimbus/internal/cc"
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
-	"nimbus/internal/transport"
 )
 
 // Fig25Row is one cell of the App. E multi-factor sweep: detection
@@ -25,41 +23,19 @@ type Fig25Row struct {
 // does: cross traffic occupies (1 - share) of the link; for the elastic
 // mixes the elastic flows are NewReno, for inelastic Poisson.
 func RunFig25Cell(pulse, share, rateMbps float64, mix string, seed int64, dur sim.Time) Fig25Row {
-	rtt := 50 * sim.Millisecond
-	r := NewRig(NetConfig{RateMbps: rateMbps, RTT: rtt, Buffer: 100 * sim.Millisecond, Seed: seed})
-	n := MustBuildScheme(spec.MustParse("nimbus").With("pulse", spec.Num(pulse)), r.MuBps)
-	r.AddFlow(n, rtt, 0)
-
-	crossRate := (1 - share) * r.MuBps
-	var truly bool
-	switch mix {
-	case "elastic":
-		// Enough NewReno flows to claim the share: one per ~24 Mbit/s.
-		k := int(crossRate/24e6) + 1
-		for i := 0; i < k; i++ {
-			s := transport.NewSender(r.Net, rtt, cc.NewReno(), transport.Backlogged{}, r.Rng.Split(fmt.Sprintf("reno%d", i)))
-			s.Start(0)
+	c := scoreCell{net: NetConfig{RateMbps: rateMbps}}
+	// Enough NewReno flows to claim their share: one per ~24 Mbit/s.
+	renos := func(bps float64) []string {
+		labels := make([]string, int(bps/24e6)+1)
+		for i := range labels {
+			labels[i] = fmt.Sprintf("reno%d", i)
 		}
-		truly = true
-	case "inelastic":
-		newPoisson(r, rtt, crossRate).Start(0)
-		truly = false
-	case "mix":
-		k := int(crossRate/2/24e6) + 1
-		for i := 0; i < k; i++ {
-			s := transport.NewSender(r.Net, rtt, cc.NewReno(), transport.Backlogged{}, r.Rng.Split(fmt.Sprintf("reno%d", i)))
-			s.Start(0)
-		}
-		newPoisson(r, rtt, crossRate/2).Start(0)
-		truly = true
-	default:
-		panic("exp: unknown mix " + mix)
+		return labels
 	}
-
-	var mt ModeTracker
-	mt.Track(n.Nimbus, func(sim.Time) bool { return truly }, 10*sim.Second)
-	r.Sch.RunUntil(dur)
-	return Fig25Row{PulseFrac: pulse, Share: share, RateMbps: rateMbps, Mix: mix, Accuracy: mt.Acc.Accuracy()}
+	crossRate := (1 - share) * (rateMbps * 1e6)
+	c.cross, c.elastic = mixCross(mix, 0, renos(crossRate), renos(crossRate/2), crossRate, crossRate/2)
+	res := c.run(spec.MustParse("nimbus").With("pulse", spec.Num(pulse)), seed, dur)
+	return Fig25Row{PulseFrac: pulse, Share: share, RateMbps: rateMbps, Mix: mix, Accuracy: res.acc.Accuracy()}
 }
 
 // Fig25 runs the sweep. The full grid matches App. E; quick mode runs a

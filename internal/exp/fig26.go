@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"nimbus/internal/cc"
-	"nimbus/internal/core"
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
 	"nimbus/internal/stats"
-	"nimbus/internal/transport"
 )
 
 // Fig26Row is one pulse frequency's η distribution against a PCC-Vivace
@@ -25,31 +22,10 @@ type Fig26Row struct {
 
 // RunFig26Point runs one frequency.
 func RunFig26Point(freq float64, seed int64, dur sim.Time) Fig26Row {
-	r := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
-	n := MustBuildScheme(spec.MustParse("nimbus").With("fp", spec.Num(freq)), r.MuBps)
-	r.AddFlow(n, 50*sim.Millisecond, 0)
-	v := transport.NewSender(r.Net, 50*sim.Millisecond, cc.NewVivace(), transport.Backlogged{}, r.Rng.Split("vivace"))
-	v.Start(0)
-
-	var etas []float64
-	n.Nimbus.OnTick = func(t core.Telemetry) {
-		if t.Now > 10*sim.Second && t.EtaReady {
-			etas = append(etas, t.Eta)
-		}
-	}
-	r.Sch.RunUntil(dur)
-	row := Fig26Row{PulseFreq: freq}
-	row.EtaCDF = stats.CDF(etas, 200)
-	row.MedianEta = stats.Median(etas)
-	above := 0
-	for _, e := range etas {
-		if e >= 2 {
-			above++
-		}
-	}
-	if len(etas) > 0 {
-		row.FracElastic = float64(above) / float64(len(etas))
-	}
+	c := scoreCell{cross: []crossSpec{{kind: "vivace", label: "vivace"}}}
+	res := c.run(spec.MustParse("nimbus").With("fp", spec.Num(freq)), seed, dur)
+	row := Fig26Row{PulseFreq: freq, EtaCDF: stats.CDF(res.etas, 200)}
+	row.MedianEta, row.FracElastic = res.etaStats()
 	return row
 }
 

@@ -105,12 +105,11 @@ func RunPath(p PathProfile, scheme string, seed int64, dur sim.Time) PathRow {
 	sch := MustBuildScheme(sp, r.MuBps)
 	probe := r.AddFlow(sch, p.RTT, 0)
 	if p.BgLoad > 0 {
-		newPoisson(r, p.RTT/2, p.BgLoad*r.MuBps).Start(0)
+		r.crossPoisson("", p.RTT/2, p.BgLoad*r.MuBps, 0)
 	}
 	// Intermittent elastic background: a Cubic flow for the middle third.
 	if p.BgElastic > 0 {
-		cross := r.AddCubicCross(p.BgElastic, p.RTT, dur/3)
-		r.StopFlows(cross, 2*dur/3)
+		r.cubicCross(p.BgElastic, p.RTT, dur/3, 2*dur/3)
 	}
 	r.Sch.RunUntil(dur)
 	return PathRow{

@@ -184,9 +184,11 @@ func RunScenario(sc runner.Scenario) runner.Result {
 		elastic = func(sim.Time) bool { return gen.ElasticActive() }
 	}
 	end := sim.FromSeconds(sc.DurationSec)
-	var mt ModeTracker
+	// Nimbus schemes only: scoring Copa arms a sampler event, which would
+	// change the copa cells' event counts and every cached result.
+	var acc *metrics.AccuracyTracker
 	if scheme.Nimbus != nil {
-		mt.Track(scheme.Nimbus, elastic, end/4)
+		acc = scoreModes(r, scheme, elastic, end/4)
 	}
 	r.Sch.RunUntil(end)
 
@@ -214,7 +216,7 @@ func RunScenario(sc runner.Scenario) runner.Result {
 			mode = 1
 		}
 		m["competitive_mode"] = mode
-		m["mode_accuracy"] = mt.Acc.Accuracy()
+		m["mode_accuracy"] = acc.Accuracy()
 	}
 	dropNonFinite(m)
 	return runner.Result{Scenario: sc, Metrics: m, Events: r.Sch.Executed}

@@ -2,14 +2,10 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
-	"nimbus/internal/cc"
-	"nimbus/internal/core"
-	"nimbus/internal/crosstraffic"
+	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
-	"nimbus/internal/transport"
 )
 
 // Table1Row is one row of Table 1: how the elasticity detector
@@ -28,102 +24,51 @@ type Table1Row struct {
 var table1Cases = []struct {
 	name  string
 	paper string
+	kind  string // the cross traffic's crossSpec kind
 }{
-	{"cubic", "Elastic"},
-	{"reno", "Elastic"},
-	{"copa", "Elastic"},
-	{"vegas", "Elastic"},
-	{"bbr-deep", "Elastic*"},
-	{"bbr-shallow", "Inelastic*"},
-	{"vivace", "Inelastic*"},
-	{"fixed-window", "Elastic"},
-	{"app-limited", "Inelastic"},
-	{"const-stream", "Inelastic"},
+	{"cubic", "Elastic", "cubic"},
+	{"reno", "Elastic", "reno"},
+	{"copa", "Elastic", "copa"},
+	{"vegas", "Elastic", "vegas"},
+	{"bbr-deep", "Elastic*", "bbr"},
+	{"bbr-shallow", "Inelastic*", "bbr"},
+	{"vivace", "Inelastic*", "vivace"},
+	{"fixed-window", "Elastic", "fixedwindow(cwnd=160)"}, // ~48 Mbit/s at 50 ms
+	{"app-limited", "Inelastic", "video1080p"},
+	{"const-stream", "Inelastic", "cbr"},
 }
 
 // RunTable1Case measures the detector against one cross-traffic class.
 func RunTable1Case(name string, seed int64, dur sim.Time) Table1Row {
-	buf := 100 * sim.Millisecond // 2 BDP default
-	if name == "bbr-shallow" {
-		buf = 25 * sim.Millisecond // 0.5 BDP
-	}
-	r := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: buf, Seed: seed})
 	// Table 1 characterizes the *detector*, not the controller: the
 	// measuring flow is pinned to one mode so the cross traffic's
 	// operating point is stable, and the classification is the median
 	// eta against the threshold. bbr-deep is measured from competitive
 	// mode because BBR is ACK-clocked only once the standing queue
 	// exceeds its rtprop (the paper's asterisk).
+	var c scoreCell
 	scheme := "nimbus-delay"
-	if name == "bbr-deep" {
-		scheme = "nimbus-competitive"
-	}
-	n := MustScheme(scheme, r.MuBps)
-	r.AddFlow(n, 50*sim.Millisecond, 0)
-
-	rtt := 50 * sim.Millisecond
-	startSender := func(ctrl transport.Controller) {
-		s := transport.NewSender(r.Net, rtt, ctrl, transport.Backlogged{}, r.Rng.Split("cross"))
-		s.Start(0)
-	}
 	switch name {
-	case "cubic":
-		startSender(cc.NewCubic())
-	case "reno":
-		startSender(cc.NewReno())
-	case "copa":
-		startSender(cc.NewCopa())
-	case "vegas":
-		startSender(cc.NewVegas())
-	case "bbr-deep", "bbr-shallow":
-		startSender(cc.NewBBR())
-	case "vivace":
-		startSender(cc.NewVivace())
-	case "fixed-window":
-		startSender(cc.NewFixedWindow(160)) // ~48 Mbit/s at 50 ms
-	case "app-limited":
-		v := &crosstraffic.VideoClient{
-			Net: r.Net, Rng: r.Rng.Split("video"), RTT: rtt,
-			Ladder: crosstraffic.Ladder1080p,
-			NewCC:  func() transport.Controller { return cc.NewCubic() },
+	case "bbr-deep":
+		scheme = "nimbus-competitive"
+	case "bbr-shallow":
+		c.net.Buffer = 25 * sim.Millisecond // 0.5 BDP, not the default 2
+	}
+	for _, tc := range table1Cases {
+		if tc.name == name {
+			// The rate is the constant stream's; senders and video find their own.
+			c.cross = []crossSpec{{kind: tc.kind, label: "cross", rate: 48e6}}
 		}
-		v.Start(0)
-	case "const-stream":
-		newCBR(r, rtt, 48e6).Start(0)
-	default:
+	}
+	if c.cross == nil {
 		panic("exp: unknown table1 case " + name)
 	}
-
-	var etas []float64
-	elastic := 0
-	fp := 5.0
-	n.Nimbus.OnTick = func(t core.Telemetry) {
-		if t.Now > 10*sim.Second && n.Nimbus.Detector().Ready() {
-			eta := n.Nimbus.Detector().Elasticity(fp)
-			etas = append(etas, eta)
-			if eta >= n.Nimbus.Detector().Threshold() {
-				elastic++
-			}
-		}
-	}
-	r.Sch.RunUntil(dur)
-
-	row := Table1Row{CrossTraffic: name}
-	if len(etas) > 0 {
-		row.MedianEta = median(etas)
-		row.FracElastic = float64(elastic) / float64(len(etas))
-	}
-	row.Classified = "Inelastic"
+	row := Table1Row{CrossTraffic: name, Classified: "Inelastic"}
+	row.MedianEta, row.FracElastic = c.run(spec.MustParse(scheme), seed, dur).etaStats()
 	if row.MedianEta >= 2 {
 		row.Classified = "Elastic"
 	}
 	return row
-}
-
-func median(xs []float64) float64 {
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	return cp[len(cp)/2]
 }
 
 // Table1 runs all rows.

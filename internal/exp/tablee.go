@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"nimbus/internal/cc"
+	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
-	"nimbus/internal/transport"
 )
 
 // TableERow is one cell of the §8.2 buffer/RTT/AQM robustness summary
@@ -20,46 +19,24 @@ type TableERow struct {
 	Accuracy  float64
 }
 
-// RunTableECell runs one configuration.
+// RunTableECell runs one configuration: the cross traffic is Fig. 15's,
+// at the flow's own RTT.
 func RunTableECell(bufBDP float64, prop sim.Time, aqm string, pieTargetBDP float64, mix string, seed int64, dur sim.Time) TableERow {
-	buf := sim.Time(bufBDP * float64(prop))
-	cfg := NetConfig{RateMbps: 96, RTT: prop, Buffer: buf, AQM: aqm, Seed: seed}
-	if aqm == "pie" {
-		cfg.Buffer = sim.Time(4 * float64(prop)) // deep physical buffer
-		cfg.PIETarget = sim.Time(pieTargetBDP * float64(prop))
-	}
-	r := NewRig(cfg)
-	n := MustScheme("nimbus", r.MuBps)
-	r.AddFlow(n, prop, 0)
-
-	var truly bool
-	switch mix {
-	case "elastic":
-		s := transport.NewSender(r.Net, prop, cc.NewReno(), transport.Backlogged{}, r.Rng.Split("reno"))
-		s.Start(0)
-		truly = true
-	case "inelastic":
-		newPoisson(r, prop, 0.4*r.MuBps).Start(0)
-		truly = false
-	case "mix":
-		s := transport.NewSender(r.Net, prop, cc.NewReno(), transport.Backlogged{}, r.Rng.Split("reno"))
-		s.Start(0)
-		newPoisson(r, prop, 0.25*r.MuBps).Start(0)
-		truly = true
-	}
-	var mt ModeTracker
-	mt.Track(n.Nimbus, func(sim.Time) bool { return truly }, 10*sim.Second)
-	r.Sch.RunUntil(dur)
+	c := scoreCell{net: NetConfig{RTT: prop, Buffer: sim.Time(bufBDP * float64(prop)), AQM: aqm}}
 	label := aqm
 	if label == "" {
 		label = "droptail"
 	}
 	if aqm == "pie" {
+		c.net.Buffer = sim.Time(4 * float64(prop)) // deep physical buffer
+		c.net.PIETarget = sim.Time(pieTargetBDP * float64(prop))
 		label = fmt.Sprintf("pie-%.2g", pieTargetBDP)
 	}
+	mu := 96e6 // the standard rig's link rate
+	c.cross, c.elastic = mixCross(mix, prop, []string{"reno"}, []string{"reno"}, 0.4*mu, 0.25*mu)
 	return TableERow{
 		BufferBDP: bufBDP, PropRTTms: prop.Millis(), AQM: label, Mix: mix,
-		Accuracy: mt.Acc.Accuracy(),
+		Accuracy: c.run(spec.MustParse("nimbus"), seed, dur).acc.Accuracy(),
 	}
 }
 

@@ -371,9 +371,3 @@ func (t *Topology) String() string {
 	}
 	return fmt.Sprintf("bottleneck %.1f Mbit/s, %d flows", t.Link.Rate()/1e6, len(t.flows))
 }
-
-// Mbps converts bits/s to Mbit/s for reporting.
-func Mbps(bps float64) float64 { return bps / 1e6 }
-
-// BpsFromMbps converts Mbit/s to bits/s.
-func BpsFromMbps(m float64) float64 { return m * 1e6 }
