@@ -10,6 +10,7 @@ import (
 	"nimbus/internal/runner"
 	scheme "nimbus/internal/scheme"
 	"nimbus/internal/sim"
+	"nimbus/internal/workload"
 )
 
 // One benchmark per paper artifact: each iteration regenerates the
@@ -158,6 +159,32 @@ func BenchmarkNimbusFlow(b *testing.B) {
 		r.AddFlow(s, 50*sim.Millisecond, 0)
 		r.Sch.RunUntil(10 * sim.Second)
 	}
+}
+
+// BenchmarkSessionChurn measures what a churn cell pays per session: one
+// web(load=96) generator of Cubic session flows on a 192 Mbit/s rig
+// (the benchmark's churn_sessions cell without its long-lived flow), rig
+// construction included, for 2 simulated seconds per op. The per-packet
+// gates above read 0 allocs while a churn pass allocates by the session
+// (sender, controller, flow source, random stream), so the CI bench
+// smoke gates this allocs/op; sessions/op is the behavioural fingerprint.
+func BenchmarkSessionChurn(b *testing.B) {
+	spec, err := workload.ParseSpec("web(load=96)")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var started int
+	for i := 0; i < b.N; i++ {
+		r := exp.NewRig(exp.NetConfig{RateMbps: 192, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: 1})
+		g := &workload.Generator{Net: r.Net, Rng: r.Rng.Split("churn"), Spec: spec, RTT: 50 * sim.Millisecond, MuBps: r.MuBps}
+		if err := g.Start(0); err != nil {
+			b.Fatal(err)
+		}
+		r.Sch.RunUntil(2 * sim.Second)
+		started = g.Stats.Snapshot(2 * sim.Second).Started
+	}
+	b.ReportMetric(float64(started), "sessions/op")
 }
 
 // BenchmarkSweepFluidVsPacket runs the fidelity family's headline cell

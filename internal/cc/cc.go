@@ -67,7 +67,8 @@ func clampWindow(w, min, max float64) float64 {
 // Vivace use it; Nimbus has its own paired S/R estimator in core.
 type RateEstimator struct {
 	window  sim.Time
-	samples []rateSample
+	samples []rateSample // samples[head:] are inside the window
+	head    int
 }
 
 type rateSample struct {
@@ -84,22 +85,26 @@ func NewRateEstimator(window sim.Time) *RateEstimator {
 func (r *RateEstimator) Add(t sim.Time, delivered uint64) {
 	r.samples = append(r.samples, rateSample{t, delivered})
 	cut := t - r.window
-	i := 0
-	for i < len(r.samples)-1 && r.samples[i].t < cut {
-		i++
+	for r.head < len(r.samples)-1 && r.samples[r.head].t < cut {
+		r.head++
 	}
-	if i > 0 {
-		r.samples = r.samples[i:]
+	// Copy down once the expired prefix outweighs the live part, so the
+	// backing array is reused instead of walked off its end: re-slicing
+	// from the front made append reallocate for the life of the flow.
+	if r.head > len(r.samples)-r.head {
+		n := copy(r.samples, r.samples[r.head:])
+		r.samples = r.samples[:n]
+		r.head = 0
 	}
 }
 
 // RateBps returns the delivery rate in bits/s over the window (0 if not
 // enough data).
 func (r *RateEstimator) RateBps() float64 {
-	if len(r.samples) < 2 {
+	if len(r.samples)-r.head < 2 {
 		return 0
 	}
-	first, last := r.samples[0], r.samples[len(r.samples)-1]
+	first, last := r.samples[r.head], r.samples[len(r.samples)-1]
 	dt := (last.t - first.t).Seconds()
 	if dt <= 0 {
 		return 0

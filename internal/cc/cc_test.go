@@ -246,6 +246,44 @@ func TestRateEstimator(t *testing.T) {
 	}
 }
 
+// TestRateEstimatorCompaction holds the in-place window to the
+// re-slicing trim it replaced (same RateBps after every Add, over bursty
+// and sparse arrivals), and checks that a long-lived estimator stops
+// allocating once its backing array fits the window.
+func TestRateEstimatorCompaction(t *testing.T) {
+	re := NewRateEstimator(200 * sim.Millisecond)
+	var ref []rateSample
+	rng := sim.NewRand(3)
+	var now sim.Time
+	var delivered uint64
+	step := func() {
+		gap := rng.ExpTime(2 * sim.Millisecond)
+		if rng.Intn(50) == 0 {
+			gap += sim.Time(rng.Intn(500)) * sim.Millisecond // idle past the window
+		}
+		now += gap
+		delivered += uint64(rng.Intn(3000))
+		re.Add(now, delivered)
+	}
+	for i := 0; i < 20000; i++ {
+		step()
+		ref = append(ref, rateSample{now, delivered})
+		for len(ref) > 1 && ref[0].t < now-200*sim.Millisecond {
+			ref = ref[1:]
+		}
+		want := 0.0
+		if dt := (now - ref[0].t).Seconds(); len(ref) >= 2 && dt > 0 {
+			want = float64(delivered-ref[0].delivered) * 8 / dt
+		}
+		if got := re.RateBps(); got != want {
+			t.Fatalf("add %d: RateBps = %v, want %v", i, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5000, step); allocs > 0 {
+		t.Fatalf("warm RateEstimator.Add allocates %.3f/op, want 0", allocs)
+	}
+}
+
 func TestLossEventDeduplication(t *testing.T) {
 	c := &common{}
 	c.srtt = 100 * sim.Millisecond

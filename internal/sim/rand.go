@@ -9,14 +9,33 @@ import (
 // math/rand with the distributions the workload generators need. Each
 // component that needs randomness should derive its own Rand via Split so
 // that adding a component does not perturb the random streams of others.
+//
+// A stream's seed is fixed at NewRand/Split; its math/rand state (607
+// words, ~12 µs to fill) is built at first draw. Most per-flow streams
+// are never drawn from, so Split costs a hash and a 16-byte struct.
 type Rand struct {
-	r *rand.Rand
+	seed int64
+	r    *rand.Rand // nil until the first draw
 }
 
 // NewRand returns a Rand seeded with seed.
 func NewRand(seed int64) *Rand {
-	return &Rand{r: rand.New(rand.NewSource(seed))}
+	return &Rand{seed: seed}
 }
+
+// src returns the stream's generator, seeding it on first use. It must
+// stay inlinable (go build -gcflags=-m ./internal/sim): Poisson sources
+// and PIE draw once per packet.
+func (r *Rand) src() *rand.Rand {
+	if r.r == nil {
+		r.build()
+	}
+	return r.r
+}
+
+// build is src's cold half, kept out of line so src fits the inliner's
+// budget.
+func (r *Rand) build() { r.r = rand.New(rand.NewSource(r.seed)) }
 
 // Split derives an independent Rand from this one, keyed by label so the
 // derivation is stable across code changes that reorder calls.
@@ -26,12 +45,12 @@ func (r *Rand) Split(label string) *Rand {
 		h ^= uint64(label[i])
 		h *= 1099511628211
 	}
-	h ^= uint64(r.r.Int63())
+	h ^= uint64(r.src().Int63())
 	return NewRand(int64(h))
 }
 
 // Int63 returns a uniform non-negative 63-bit sample.
-func (r *Rand) Int63() int64 { return r.r.Int63() }
+func (r *Rand) Int63() int64 { return r.src().Int63() }
 
 // DeriveSeed maps (base seed, label) to an independent per-run seed via
 // Rand.Split. The derivation builds a fresh root each call, so it depends
@@ -43,32 +62,32 @@ func DeriveSeed(base int64, label string) int64 {
 }
 
 // Float64 returns a uniform sample in [0,1).
-func (r *Rand) Float64() float64 { return r.r.Float64() }
+func (r *Rand) Float64() float64 { return r.src().Float64() }
 
 // Intn returns a uniform sample in [0,n).
-func (r *Rand) Intn(n int) int { return r.r.Intn(n) }
+func (r *Rand) Intn(n int) int { return r.src().Intn(n) }
 
 // Perm returns a random permutation of [0,n).
-func (r *Rand) Perm(n int) []int { return r.r.Perm(n) }
+func (r *Rand) Perm(n int) []int { return r.src().Perm(n) }
 
 // Exp returns an exponential sample with the given mean.
-func (r *Rand) Exp(mean float64) float64 { return r.r.ExpFloat64() * mean }
+func (r *Rand) Exp(mean float64) float64 { return r.src().ExpFloat64() * mean }
 
 // ExpTime returns an exponential Time delta with the given mean.
 func (r *Rand) ExpTime(mean Time) Time {
-	return Time(r.r.ExpFloat64() * float64(mean))
+	return Time(r.src().ExpFloat64() * float64(mean))
 }
 
 // Normal returns a normal sample with the given mean and stddev.
 func (r *Rand) Normal(mean, stddev float64) float64 {
-	return r.r.NormFloat64()*stddev + mean
+	return r.src().NormFloat64()*stddev + mean
 }
 
 // Pareto returns a bounded Pareto-type sample with scale xm and shape alpha.
 func (r *Rand) Pareto(xm, alpha float64) float64 {
-	u := r.r.Float64()
+	u := r.src().Float64()
 	for u == 0 {
-		u = r.r.Float64()
+		u = r.src().Float64()
 	}
 	return xm / math.Pow(u, 1/alpha)
 }
@@ -76,5 +95,5 @@ func (r *Rand) Pareto(xm, alpha float64) float64 {
 // LogNormal returns a log-normal sample with parameters mu, sigma (of the
 // underlying normal).
 func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.r.NormFloat64()*sigma + mu)
+	return math.Exp(r.src().NormFloat64()*sigma + mu)
 }

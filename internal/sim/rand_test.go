@@ -1,0 +1,117 @@
+package sim
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+	"testing/quick"
+)
+
+// TestLazyRandMatchesMathRand holds the lazy Rand to the generator it
+// wraps: for random seeds and random op sequences, every wrapper method
+// returns what an eagerly seeded math/rand source returns for the same
+// calls in the same order, whichever method happens to be the first draw.
+func TestLazyRandMatchesMathRand(t *testing.T) {
+	f := func(seed int64, ops []uint8) bool {
+		lazy := NewRand(seed)
+		ref := rand.New(rand.NewSource(seed))
+		pareto := func(xm, alpha float64) float64 {
+			u := ref.Float64()
+			for u == 0 {
+				u = ref.Float64()
+			}
+			return xm / math.Pow(u, 1/alpha)
+		}
+		for i, op := range ops {
+			var got, want interface{}
+			switch op % 9 {
+			case 0:
+				got, want = lazy.Int63(), ref.Int63()
+			case 1:
+				got, want = lazy.Float64(), ref.Float64()
+			case 2:
+				got, want = lazy.Intn(17), ref.Intn(17)
+			case 3:
+				got, want = lazy.Perm(5), ref.Perm(5)
+			case 4:
+				got, want = lazy.Exp(3), ref.ExpFloat64()*3
+			case 5:
+				got, want = lazy.ExpTime(Millisecond), Time(ref.ExpFloat64()*float64(Millisecond))
+			case 6:
+				got, want = lazy.Normal(1, 2), ref.NormFloat64()*2+1
+			case 7:
+				got, want = lazy.Pareto(100, 1.5), pareto(100, 1.5)
+			case 8:
+				got, want = lazy.LogNormal(0.5, 0.25), math.Exp(ref.NormFloat64()*0.25+0.5)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Logf("seed %d op %d (kind %d): got %v, want %v", seed, i, op%9, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSplitCostsParentOneDraw: Split consumes exactly one Int63 from the
+// parent whether or not the child is ever drawn from, and a child's
+// stream does not depend on when it is first drawn.
+func TestSplitCostsParentOneDraw(t *testing.T) {
+	f := func(seed int64, label string) bool {
+		ref := rand.New(rand.NewSource(seed))
+		ref.Int63()
+		want := ref.Int63()
+
+		undrawn := NewRand(seed)
+		undrawn.Split(label)
+		if got := undrawn.Int63(); got != want {
+			t.Logf("parent after undrawn child: got %d, want %d", got, want)
+			return false
+		}
+
+		p1, p2 := NewRand(seed), NewRand(seed)
+		early := p1.Split(label)
+		first := early.Int63()
+		late := p2.Split(label)
+		if p1.Int63() != want || p2.Int63() != want {
+			t.Log("parent after drawn child moved")
+			return false
+		}
+		for i := 0; i < 10; i++ { // more parent draws and splits before the late child's first
+			p2.Int63()
+			p2.Split("other").Float64()
+		}
+		if got := late.Int63(); got != first {
+			t.Logf("late child drew %d, immediate child %d", got, first)
+			return false
+		}
+		return early.Float64() == late.Float64()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSplitAllocs pins what the churn workloads rely on: a stream nobody
+// draws from costs its 16-byte struct, not a seeded generator.
+func TestSplitAllocs(t *testing.T) {
+	r := NewRand(1)
+	r.Int63() // build the parent's generator outside the measurement
+	if allocs := testing.AllocsPerRun(1000, func() { r.Split("sess") }); allocs > 1 {
+		t.Fatalf("Split of an undrawn stream allocates %.1f/op, want <= 1", allocs)
+	}
+}
+
+var sinkRand *Rand
+
+func BenchmarkRandSplit(b *testing.B) {
+	r := NewRand(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkRand = r.Split("sess")
+	}
+}

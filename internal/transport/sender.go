@@ -49,7 +49,7 @@ type Sender struct {
 
 	nextSeq  uint64
 	inflight int
-	unacked  []*pktRec
+	unacked  []pktRec // in-flight records, oldest first; unacked[:head] are settled
 	head     int
 
 	srtt, rttvar sim.Time
@@ -73,7 +73,6 @@ type Sender struct {
 	onRTOFn   func()
 	onAckFn   func(arg any)
 	ackFree   []*ackRec
-	recFree   []*pktRec
 
 	// Counters and hooks.
 	SentBytes      uint64
@@ -204,15 +203,7 @@ func (s *Sender) emit(size int) {
 	p := s.att.GetPacket()
 	*p = netem.Packet{Seq: s.nextSeq, Size: size}
 	s.nextSeq++
-	var r *pktRec
-	if n := len(s.recFree); n > 0 {
-		r = s.recFree[n-1]
-		s.recFree = s.recFree[:n-1]
-		*r = pktRec{seq: p.Seq, size: size, sentAt: now}
-	} else {
-		r = &pktRec{seq: p.Seq, size: size, sentAt: now}
-	}
-	s.unacked = append(s.unacked, r)
+	s.unacked = append(s.unacked, pktRec{seq: p.Seq, size: size, sentAt: now})
 	s.inflight += size
 	s.SentBytes += uint64(size)
 	s.app.Consume(size)
@@ -261,7 +252,7 @@ func (s *Sender) onRTO() {
 	// Declare everything outstanding lost, refund, notify once.
 	lostBytes := 0
 	for i := s.head; i < len(s.unacked); i++ {
-		r := s.unacked[i]
+		r := &s.unacked[i]
 		if !r.acked && !r.lost {
 			r.lost = true
 			lostBytes += r.size
@@ -316,17 +307,16 @@ func (s *Sender) handleAck(seq uint64, size int, sentAt, qd sim.Time, delivered 
 	s.updateRTT(rtt)
 	s.rtoBackoff = 0
 
-	// Loss notifications are snapshotted by value: compact() below may
-	// recycle the underlying pktRecs into recFree, and Refund can
-	// re-enter emit (via Wake), which would overwrite them mid-loop.
+	// Loss notifications are snapshotted by value: compact() below moves
+	// the records, and Refund can re-enter emit (via Wake), which appends
+	// over them mid-loop.
 	type lossEntry struct {
 		seq  uint64
 		size int
 	}
 	var losses []lossEntry
-	found := false
 	for i := s.head; i < len(s.unacked); i++ {
-		r := s.unacked[i]
+		r := &s.unacked[i]
 		if r.seq > seq {
 			break
 		}
@@ -338,7 +328,6 @@ func (s *Sender) handleAck(seq uint64, size int, sentAt, qd sim.Time, delivered 
 			// A lost-then-acked packet was a spurious declaration; the
 			// refunded bytes are simply sent again, which is harmless
 			// for throughput accounting.
-			found = true
 			break
 		}
 		if !r.acked && !r.lost {
@@ -351,7 +340,6 @@ func (s *Sender) handleAck(seq uint64, size int, sentAt, qd sim.Time, delivered 
 			}
 		}
 	}
-	_ = found
 	s.compact()
 
 	for _, l := range losses {
@@ -403,15 +391,16 @@ func (s *Sender) updateRTT(rtt sim.Time) {
 
 func (s *Sender) compact() {
 	for s.head < len(s.unacked) {
-		r := s.unacked[s.head]
+		r := &s.unacked[s.head]
 		if !r.acked && !r.lost {
 			break
 		}
-		s.recFree = append(s.recFree, r)
-		s.unacked[s.head] = nil
 		s.head++
 	}
-	if s.head > 4096 && s.head*2 >= len(s.unacked) {
+	// Copy down once the settled prefix is at least the live part (a
+	// reset to [:0] when nothing is in flight), so the backing array
+	// stays around twice the flight size and is reused.
+	if s.head > 0 && s.head*2 >= len(s.unacked) {
 		n := copy(s.unacked, s.unacked[s.head:])
 		s.unacked = s.unacked[:n]
 		s.head = 0

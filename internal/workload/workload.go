@@ -72,6 +72,7 @@ type Generator struct {
 
 	ccSpec  scheme.Spec
 	trace   *SessionTrace
+	meanGap sim.Time // mean Poisson session gap, fixed at Start
 	stopped bool
 	active  map[netem.FlowID]*sessionFlow
 }
@@ -110,6 +111,7 @@ func (g *Generator) Start(at sim.Time) error {
 			g.Net.Sch.At(at+a.At, func() { g.spawnFlow(bytes) })
 		}
 	default:
+		g.meanGap = sim.FromSeconds(g.meanSessionBytes() * 8 / (g.Spec.Load * 1e6))
 		g.Net.Sch.At(at, g.arrival)
 	}
 	return nil
@@ -157,8 +159,7 @@ func (g *Generator) arrival() {
 		return
 	}
 	g.spawnSession()
-	meanGap := sim.FromSeconds(g.meanSessionBytes() * 8 / (g.Spec.Load * 1e6))
-	g.Net.Sch.After(g.Rng.ExpTime(meanGap), g.arrival)
+	g.Net.Sch.After(g.Rng.ExpTime(g.meanGap), g.arrival)
 }
 
 func (g *Generator) spawnSession() {

@@ -30,6 +30,7 @@ BenchmarkLinkPerPacket link_allocs_per_op link_ns_per_op
 BenchmarkSchedulerChurn/10k schedchurn_allocs_per_op schedchurn_ns_per_op
 BenchmarkFluidLink fluidlink_allocs_per_op fluidlink_ns_per_op
 BenchmarkSweepFluidVsPacket sweepfluid_allocs_per_op -
+BenchmarkSessionChurn sessionchurn_allocs_per_op -
 "
 
 [ -n "$compare_out" ] && printf '%-36s %-12s %10s %10s %10s %s\n' \
