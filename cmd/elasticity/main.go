@@ -253,9 +253,6 @@ func fluidSamples(spec string, interval, dur sim.Time) ([]float64, error) {
 		}
 		rateMbps = v
 	}
-	if !crosstraffic.HasFluidModel(kind) {
-		return nil, fmt.Errorf("-fluid: no fluid model for kind %q (want cbr, poisson, cubic, or reno)", kind)
-	}
 	const rtt = 50 * sim.Millisecond
 	r := exp.NewRig(exp.NetConfig{
 		RateMbps: 96, RTT: rtt, Buffer: 100 * sim.Millisecond,
@@ -264,7 +261,7 @@ func fluidSamples(spec string, interval, dur sim.Time) ([]float64, error) {
 	fsp, _ := crosstraffic.ParseFluidSpec("on")
 	src, err := crosstraffic.NewFluid(r.Net, "", kind, rateMbps*1e6, rtt, fsp, r.Rng.Split("fluid-"+kind))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("-fluid: %w", err)
 	}
 	src.Start(0)
 	var out []float64

@@ -225,7 +225,7 @@ func runRemote(base string, g runner.Grid, workers int, out string) int {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s (daemon response, verbatim)\n", out)
 	}
-	return 0
+	return exitStatus(rs)
 }
 
 // printResults renders the shared per-scenario table plus the aggregate
@@ -248,16 +248,26 @@ func printResults(rs []runner.Result, wall float64) {
 }
 
 // writeResults persists results locally (JSON or CSV by extension),
-// reporting the path like every other emit path in this binary.
+// reporting the path like every other emit path in this binary, and
+// returns the sweep's exit status.
 func writeResults(out string, rs []runner.Result) int {
-	if out == "" {
-		return 0
+	if out != "" {
+		if err := runner.WriteFile(out, rs); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s\n", out)
 	}
-	if err := runner.WriteFile(out, rs); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	return exitStatus(rs)
+}
+
+// exitStatus is 1 when any cell failed: error rows are printed and
+// written like the rest, but a sweep that has them did not succeed.
+func exitStatus(rs []runner.Result) int {
+	if n := runner.Failed(rs); n > 0 {
+		fmt.Fprintf(os.Stderr, "%d of %d cells failed\n", n, len(rs))
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", out)
 	return 0
 }
 

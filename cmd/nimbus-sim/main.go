@@ -45,6 +45,7 @@ import (
 	"strings"
 	"time"
 
+	"nimbus/internal/crosstraffic"
 	"nimbus/internal/exp"
 	"nimbus/internal/runner"
 	spec "nimbus/internal/scheme"
@@ -69,7 +70,7 @@ func realMain() int {
 		trace   = flag.String("link-trace", "", "time-varying link capacity trace(s): embedded names (see -list-traces) or time_ms,mbps files; comma-separated")
 		pattern = flag.String("rate-pattern", "", "time-varying link pattern(s): step:LO:HI:PERIODms, ramp:MIN:MAX:PERIODms, outage:ATms:DURms, constant; comma-separated")
 		topo    = flag.String("topology", "", "path topology(ies): preset names (see -list-topologies) or chain specs like access(x4,5ms)->bn; comma-separated")
-		cross   = flag.String("cross", "none", "cross traffic: none, cubic, reno, poisson, cbr, trace, video4k, video1080p")
+		cross   = flag.String("cross", "none", "cross traffic kind(s), comma-separated: "+crosstraffic.KindNames(nil))
 		crossMb = flag.Float64("cross-rate", 48, "cross traffic rate for poisson/cbr/trace, Mbit/s")
 		fluid   = flag.String("fluid", "", "fluid cross-traffic spec(s): off, on, or dt=5ms, comma-separated for sweeps — simulate the cross aggregate as a rate process instead of packets (cbr/poisson/cubic/reno kinds only; approximate, so fluid cells get their own scenario keys)")
 		dur     = flag.Duration("dur", 60*time.Second, "simulated duration")
@@ -145,8 +146,7 @@ func realMain() int {
 		runSingle(scs[0], *quiet)
 		return 0
 	}
-	runSweep(scs, *workers, *out)
-	return 0
+	return runSweep(scs, *workers, *out)
 }
 
 // crossList expands a comma-separated -cross value; every kind shares the
@@ -162,8 +162,9 @@ func crossList(kinds string, rateMbps float64) []runner.Cross {
 	return out
 }
 
-// runSweep executes the grid on the worker pool and prints a summary table.
-func runSweep(scs []runner.Scenario, workers int, out string) {
+// runSweep executes the grid on the worker pool, prints a summary table
+// and returns the exit status: 1 when any cell failed.
+func runSweep(scs []runner.Scenario, workers int, out string) int {
 	rn := &runner.Runner{Workers: workers, OnProgress: runner.Progress(os.Stderr)}
 	rs := rn.Run(scs, exp.RunScenario)
 
@@ -183,10 +184,15 @@ func runSweep(scs []runner.Scenario, workers int, out string) {
 	if out != "" {
 		if err := runner.WriteFile(out, rs); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", out)
 	}
+	if n := runner.Failed(rs); n > 0 {
+		fmt.Fprintf(os.Stderr, "%d of %d cells failed\n", n, len(rs))
+		return 1
+	}
+	return 0
 }
 
 // runSingle preserves the classic single-scenario view: a per-second

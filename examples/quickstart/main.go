@@ -38,10 +38,7 @@ func main() {
 	// for 90-150 s.
 	cubic := transport.NewSender(net, 50*sim.Millisecond, cc.NewCubic(), transport.Backlogged{}, rng.Split("cubic"))
 	cubic.Start(30 * sim.Second)
-	sch.At(90*sim.Second, func() {
-		cubic.Stop()
-		net.Detach(cubic.ID())
-	})
+	sch.At(90*sim.Second, cubic.Stop)
 	cbr := crosstraffic.NewCBR(net, 40*sim.Millisecond, 24e6)
 	cbr.Start(90 * sim.Second)
 

@@ -160,10 +160,7 @@ func TestNimbusModeSwitchingSequence(t *testing.T) {
 	// Elastic: Cubic from 20 s to 80 s.
 	cu := transport.NewSender(r.net, 50*sim.Millisecond, cc.NewCubic(), transport.Backlogged{}, r.rng.Split("cu"))
 	cu.Start(20 * sim.Second)
-	r.sch.At(80*sim.Second, func() {
-		cu.Stop()
-		r.net.Detach(cu.ID())
-	})
+	r.sch.At(80*sim.Second, cu.Stop)
 	// Inelastic: 24 Mbit/s Poisson from 90 s to 150 s.
 	po := crosstraffic.NewPoisson(r.net, 40*sim.Millisecond, 24e6, r.rng.Split("po"))
 	po.Start(90 * sim.Second)

@@ -68,96 +68,6 @@ func TestRawSourceSetRate(t *testing.T) {
 	}
 }
 
-func TestHeavyTailedSizes(t *testing.T) {
-	rng := sim.NewRand(3)
-	var s HeavyTailedSizes
-	n := 200000
-	var sum float64
-	small := 0
-	for i := 0; i < n; i++ {
-		v := s.Sample(rng)
-		if v < 2000 || v > 300e6 {
-			t.Fatalf("size %d out of bounds", v)
-		}
-		if v <= 15000 {
-			small++
-		}
-		sum += float64(v)
-	}
-	mean := sum / float64(n)
-	want := s.MeanBytes()
-	if math.Abs(mean-want)/want > 0.15 {
-		t.Fatalf("empirical mean %.0f vs analytic %.0f", mean, want)
-	}
-	// Most flows are mice.
-	if frac := float64(small) / float64(n); frac < 0.5 || frac > 0.6 {
-		t.Fatalf("small-flow fraction = %.2f, want ~0.55", frac)
-	}
-}
-
-func TestTraceWorkloadOfferedLoad(t *testing.T) {
-	sch, net, link := newNet(96)
-	w := &TraceWorkload{
-		Net:     net,
-		Rng:     sim.NewRand(1),
-		LoadBps: 48e6,
-		RTT:     50 * sim.Millisecond,
-		NewCC:   func() transport.Controller { return cc.NewCubic() },
-	}
-	w.Start(0)
-	dur := 120 * sim.Second
-	sch.RunUntil(dur)
-	got := float64(link.DeliveredBytes) * 8 / dur.Seconds() / 1e6
-	// Offered 48 on a 96 link: delivered should be near 48 (allowing
-	// heavy-tail variance at this horizon).
-	if got < 20 || got > 90 {
-		t.Fatalf("trace workload delivered %.1f Mbit/s at 48 offered", got)
-	}
-	if len(w.Completed()) < 50 {
-		t.Fatalf("only %d flows completed", len(w.Completed()))
-	}
-	// Some flows must be classed elastic at some point; spot-check the
-	// ground-truth helpers don't panic and fractions are sane.
-	if f := w.ElasticByteFraction(); f < 0 || f > 1 {
-		t.Fatalf("elastic fraction = %v", f)
-	}
-}
-
-func TestTraceWorkloadFCTOrdering(t *testing.T) {
-	sch, net, _ := newNet(96)
-	w := &TraceWorkload{
-		Net:     net,
-		Rng:     sim.NewRand(2),
-		LoadBps: 30e6,
-		RTT:     50 * sim.Millisecond,
-		NewCC:   func() transport.Controller { return cc.NewCubic() },
-	}
-	w.Start(0)
-	sch.RunUntil(90 * sim.Second)
-	recs := w.Completed()
-	if len(recs) < 30 {
-		t.Fatalf("too few completions: %d", len(recs))
-	}
-	// Larger flows should take longer on average: compare mean FCT of
-	// mice vs elephants.
-	var miceSum, miceN, elSum, elN float64
-	for _, r := range recs {
-		if r.Size <= 15000 {
-			miceSum += r.FCT.Seconds()
-			miceN++
-		} else if r.Size > 1.5e6 {
-			elSum += r.FCT.Seconds()
-			elN++
-		}
-	}
-	if miceN == 0 || elN == 0 {
-		t.Skip("sample too small for both classes")
-	}
-	if elSum/elN <= miceSum/miceN {
-		t.Fatalf("elephant FCT %.2fs <= mouse FCT %.2fs", elSum/elN, miceSum/miceN)
-	}
-}
-
 func TestVideo1080pIsApplicationLimited(t *testing.T) {
 	// Alone on a 48 Mbit/s link a 1080p client must settle at the top
 	// ladder rung (8 Mbit/s), far below the link rate: application
@@ -180,6 +90,39 @@ func TestVideo1080pIsApplicationLimited(t *testing.T) {
 	}
 	if v.Rebuffers > 2 {
 		t.Fatalf("%d rebuffers on an idle fat link", v.Rebuffers)
+	}
+}
+
+// TestVideoClientStopDetaches: Stop retires the connection in one call.
+// Nothing of it stays in the topology's flow table, and what it had in
+// flight completes its route into the shared packet pool (the
+// detach-leak contract of netem's TestDetachRecyclesInFlight).
+func TestVideoClientStopDetaches(t *testing.T) {
+	sch, net, _ := newNet(48)
+	v := &VideoClient{
+		Net: net, Rng: sim.NewRand(4), RTT: 50 * sim.Millisecond,
+		Ladder: Ladder4K,
+		NewCC:  func() transport.Controller { return cc.NewCubic() },
+	}
+	v.Start(0)
+	sch.RunUntil(300 * sim.Millisecond) // mid-chunk, in slow start
+	if v.Sender().Inflight() == 0 {
+		t.Fatal("nothing in flight to orphan")
+	}
+	v.Stop()
+	if n := net.Flows(); n != 0 {
+		t.Fatalf("%d flows still attached after Stop", n)
+	}
+	delivered := v.Sender().DeliveredBytes
+	sch.RunUntil(sim.Second)
+	if net.OrphanRecycled == 0 {
+		t.Fatal("no in-flight packet of the stopped client was recycled")
+	}
+	if free := net.FreePackets(); uint64(free) < net.OrphanRecycled {
+		t.Fatalf("free list has %d packets, %d orphans were recycled", free, net.OrphanRecycled)
+	}
+	if v.Sender().DeliveredBytes != delivered {
+		t.Fatal("a stopped client kept receiving")
 	}
 }
 

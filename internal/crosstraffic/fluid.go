@@ -94,17 +94,6 @@ func (f FluidSpec) String() string {
 	return "dt=" + strconv.FormatFloat(f.DT.Seconds()*1000, 'g', -1, 64) + "ms"
 }
 
-// HasFluidModel reports whether a cross-traffic kind has a fluid
-// approximation. Kinds without one (trace, video*) always run exact
-// per-packet, whatever the fluid spec says.
-func HasFluidModel(kind string) bool {
-	switch kind {
-	case "cbr", "poisson", "cubic", "reno":
-		return true
-	}
-	return false
-}
-
 // Fluid is one aggregate background source modeled as a rate process on
 // the forward links of a route. The links must have fluid enabled
 // (Link.EnableFluid) before the source starts.
@@ -139,10 +128,8 @@ type Fluid struct {
 // approximates the aggregate's feedback delay); rng drives stochastic
 // resampling and may be nil for cbr.
 func NewFluid(net *netem.Network, route string, kind string, rateBps float64, rtt sim.Time, spec FluidSpec, rng *sim.Rand) (*Fluid, error) {
-	switch kind {
-	case "cbr", "poisson", "cubic", "reno":
-	default:
-		return nil, fmt.Errorf("crosstraffic: no fluid model for cross kind %q (want cbr, poisson, cubic, or reno)", kind)
+	if !HasFluidModel(kind) {
+		return nil, fmt.Errorf("crosstraffic: no fluid model for cross kind %q (want %s)", kind, KindNames(func(k Kind) bool { return k.Fluid }))
 	}
 	r := net.Route(route)
 	if r == nil {

@@ -1,8 +1,9 @@
-// Package crosstraffic generates the cross-traffic workloads of the
-// paper's evaluation: inelastic raw sources (constant bit-rate and
-// Poisson packet arrivals), elastic congestion-controlled flow groups,
-// the heavy-tailed trace-driven WAN workload standing in for the CAIDA
-// trace, and DASH-style video clients.
+// Package crosstraffic holds the cross-traffic sources of the paper's
+// evaluation that are not sessions of finite flows — inelastic raw
+// sources (constant bit-rate and Poisson packet arrivals), fluid
+// aggregates, DASH-style video clients — and the table naming every
+// cross-traffic kind (Kinds). The heavy-tailed WAN workload standing in
+// for the CAIDA trace is a workload.Generator (exp's cross kind "trace").
 package crosstraffic
 
 import (

@@ -12,7 +12,8 @@ import (
 
 // CanonicalGrid validates every spec-valued axis of a grid — schemes,
 // flow mixes, churn, topology, fluid; base value and list alike — and
-// returns the grid with each spec in its canonical spelling. Those
+// the cross-traffic kinds, and returns the grid with each spec in its
+// canonical spelling. Those
 // strings enter Scenario.Key() verbatim, so this is what makes two
 // spellings of one sweep ("single" and "", "bulk(load=24.0)" and
 // "bulk(load=24)", "nimbus + cubic" and "nimbus+cubic", "nimbus" and
@@ -71,6 +72,21 @@ func CanonicalGrid(g runner.Grid) (runner.Grid, error) {
 		*ax.base = vals[0]
 		if len(vals) > 1 {
 			*ax.list = vals[1:]
+		}
+	}
+	// Cross kinds have one spelling each, so they are checked, not
+	// rewritten ("" and "none" stay two keys, as they always were).
+	kinds := []string{g.Base.Cross}
+	for _, c := range g.Crosses {
+		kinds = append(kinds, c.Kind)
+	}
+	for i, kind := range kinds {
+		if _, ok := crosstraffic.KindByName(kind); !ok {
+			name := "base.cross"
+			if i > 0 {
+				name = "crosses[].kind"
+			}
+			return g, fmt.Errorf("exp: grid %s: unknown cross traffic kind %q (have %s)", name, kind, crosstraffic.KindNames(nil))
 		}
 	}
 	return g, nil

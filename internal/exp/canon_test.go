@@ -121,6 +121,8 @@ func TestCanonicalGridRejectsBadSpecs(t *testing.T) {
 		{"base.churn", runner.Grid{Base: runner.Scenario{Churn: "nosuchmodel"}}},
 		{"flow_mixes", runner.Grid{FlowMixes: []string{"nimbus+nosuchscheme"}}},
 		{"base.flow_mix", runner.Grid{Base: runner.Scenario{FlowMix: "nimbus*0"}}},
+		{"crosses[].kind", runner.Grid{Crosses: []runner.Cross{{Kind: "cubic"}, {Kind: "cubik"}}}},
+		{"base.cross", runner.Grid{Base: runner.Scenario{Cross: "Trace"}}},
 	} {
 		_, err := CanonicalGrid(c.g)
 		if err == nil || !strings.Contains(err.Error(), "grid "+c.name+":") {

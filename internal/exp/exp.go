@@ -50,10 +50,9 @@ type NetConfig struct {
 	TimerWheel bool
 	// Fluid, when non-empty, is a canonical crosstraffic.FluidSpec string
 	// ("on", "dt=5ms"): every link gets the fluid load term enabled
-	// (Link.EnableFluid), and AddCross kinds with a fluid model (cbr,
-	// poisson, cubic, reno) attach as rate processes instead of packet
-	// sources. Kinds without a model (trace, video*) stay exact
-	// per-packet.
+	// (Link.EnableFluid), and AddCross kinds with a fluid model
+	// (crosstraffic.Kinds) attach as rate processes instead of packet
+	// sources. Kinds without a model stay exact per-packet.
 	Fluid string
 }
 
@@ -391,11 +390,7 @@ func (r *Rig) AddFlowSpecs(specs ...FlowSpec) ([]*Flow, error) {
 		}
 		f.Probe = r.AddFlowOn(f.Spec.Route, f.Scheme, rtt, f.Spec.StartAt, src)
 		if stop := f.Spec.StopAt; stop > 0 {
-			probe := f.Probe
-			r.Sch.At(stop, func() {
-				probe.Sender.Stop()
-				r.Net.Detach(probe.Sender.ID())
-			})
+			r.Sch.At(stop, f.Probe.Sender.Stop)
 		}
 	}
 	return flows, nil
@@ -451,8 +446,8 @@ func FlowStats(flows []*Flow, end sim.Time) FlowSetStats {
 func Mbps(bps float64) float64 { return bps / 1e6 }
 
 // AddCross attaches a named cross-traffic generator to the rig's default
-// route (used by cmd/nimbus-sim and the examples). kind is one of: none,
-// cubic, reno, poisson, cbr, trace, video4k, video1080p.
+// route (used by cmd/nimbus-sim and the examples). kind names a row of
+// crosstraffic.Kinds.
 func AddCross(r *Rig, kind string, rateBps float64, rtt sim.Time) error {
 	return AddCrossOn(r, "", kind, rateBps, rtt)
 }
@@ -464,38 +459,28 @@ func AddCrossOn(r *Rig, route, kind string, rateBps float64, rtt sim.Time) error
 	if r.Net.Route(route) == nil {
 		return fmt.Errorf("exp: cross traffic %q: no route %q in topology %s", kind, route, r.Cfg.Topology)
 	}
-	if r.Fluid.Enabled && crosstraffic.HasFluidModel(kind) {
-		f, err := crosstraffic.NewFluid(r.Net, route, kind, rateBps, rtt, r.Fluid, r.Rng.Split("fluid-"+kind))
+	k, ok := crosstraffic.KindByName(kind)
+	if !ok {
+		return fmt.Errorf("exp: unknown cross traffic kind %q (have %s)", kind, crosstraffic.KindNames(nil))
+	}
+	if k.Name == "none" {
+		return nil
+	}
+	if r.Fluid.Enabled && k.Fluid {
+		f, err := crosstraffic.NewFluid(r.Net, route, k.Name, rateBps, rtt, r.Fluid, r.Rng.Split("fluid-"+k.Name))
 		if err != nil {
 			return fmt.Errorf("exp: %w", err)
 		}
 		f.Start(0)
 		return nil
 	}
-	c := crossSpec{kind: kind, route: route, rate: rateBps, rtt: rtt}
-	switch kind {
-	case "none", "":
-		return nil
+	c := crossSpec{kind: k.Name, route: route, rate: rateBps, rtt: rtt}
+	switch k.Name {
 	case "cubic":
 		c.label = "ccross0"
 	case "reno":
 		c.label = "reno-cross"
-	case "poisson", "cbr", "trace", "video4k", "video1080p":
-	default:
-		return fmt.Errorf("exp: unknown cross traffic kind %q", kind)
 	}
 	r.addCross(c)
 	return nil
-}
-
-// addDeliverTap chains an extra observer onto a sender's delivery hook
-// without disturbing existing observers (the probe's meters).
-func addDeliverTap(s *transport.Sender, tap func(p *netem.Packet, now sim.Time)) {
-	prev := s.OnDeliverHook
-	s.OnDeliverHook = func(p *netem.Packet, now sim.Time) {
-		if prev != nil {
-			prev(p, now)
-		}
-		tap(p, now)
-	}
 }

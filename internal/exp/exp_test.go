@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"nimbus/internal/crosstraffic"
 	"nimbus/internal/netem"
 	"nimbus/internal/runner"
 	spec "nimbus/internal/scheme"
@@ -140,13 +141,26 @@ func TestNewRigAQMs(t *testing.T) {
 	}
 }
 
+// TestAddCrossKinds: every row of the kind table starts, as packets or
+// — on a fluid rig, where the row says there is a model — as a rate
+// process, and carries the ground truth CrossElastic reports; nothing
+// outside the table is accepted.
 func TestAddCrossKinds(t *testing.T) {
-	for _, kind := range []string{"none", "cubic", "reno", "poisson", "cbr", "trace", "video4k", "video1080p"} {
-		r := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Seed: 1})
-		if err := AddCross(r, kind, 24e6, 50*sim.Millisecond); err != nil {
-			t.Fatalf("AddCross(%s): %v", kind, err)
+	for _, k := range crosstraffic.Kinds {
+		for _, fluid := range []string{"", "on"} {
+			r := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Seed: 1, Fluid: fluid})
+			if err := AddCross(r, k.Name, 24e6, 50*sim.Millisecond); err != nil {
+				t.Fatalf("AddCross(%s) fluid=%q: %v", k.Name, fluid, err)
+			}
+			r.Sch.RunUntil(200 * sim.Millisecond) // must not panic
+			wantPackets := k.Name != "none" && !(fluid == "on" && k.Fluid)
+			if got := r.Link.DeliveredPackets > 0; got != wantPackets {
+				t.Errorf("AddCross(%s) fluid=%q: delivered packets = %v, want %v", k.Name, fluid, got, wantPackets)
+			}
 		}
-		r.Sch.RunUntil(200 * sim.Millisecond) // must not panic
+		if CrossElastic(k.Name) != k.Elastic {
+			t.Errorf("CrossElastic(%s) = %v, table says %v", k.Name, !k.Elastic, k.Elastic)
+		}
 	}
 	r := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Seed: 1})
 	if err := AddCross(r, "bogus", 0, 0); err == nil {

@@ -42,7 +42,7 @@ func RunFig01(scheme string, seed int64) Fig01Result {
 	var lastQ float64
 	elasticDelay := metrics.NewDelayRecorder(0, r.Rng.Split("ed"))
 	inelasticDelay := metrics.NewDelayRecorder(0, r.Rng.Split("id"))
-	addDeliverTap(probe.Sender, func(p *netem.Packet, now sim.Time) {
+	probe.Sender.TapDeliveries(func(p *netem.Packet, now sim.Time) {
 		lastQ = p.QueueDelay.Millis()
 		switch {
 		case now >= 35*sim.Second && now < 90*sim.Second:

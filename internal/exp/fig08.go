@@ -61,7 +61,6 @@ func RunFig08(scheme string, seed int64, phaseDur sim.Time) Fig08Row {
 				s := cubics[len(cubics)-1]
 				cubics = cubics[:len(cubics)-1]
 				s.Stop()
-				r.Net.Detach(s.ID())
 				elastic--
 			}
 			for elastic < p.CubicFlows {

@@ -35,10 +35,13 @@ func runFig09Spec(sp spec.Spec, seed int64, dur sim.Time, loadFrac float64) Fig0
 	r := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
 	sch := MustBuildScheme(sp, r.MuBps)
 	probe := r.AddFlow(sch, 50*sim.Millisecond, 0)
+	row := Fig09Row{Scheme: sp.String()}
 	w := r.crossTrace("", 50*sim.Millisecond, loadFrac*r.MuBps)
+	w.OnComplete = func(size int, fct sim.Time) {
+		row.CrossFCTs = append(row.CrossFCTs, metrics.FCTRecord{SizeBytes: size, FCT: fct})
+	}
 	r.Sch.RunUntil(dur)
 
-	row := Fig09Row{Scheme: sp.String()}
 	row.MeanMbps = probe.MeanMbps(5*sim.Second, dur)
 	rates := probe.Tput.SeriesMbps()
 	if len(rates) > 5 {
@@ -49,9 +52,6 @@ func runFig09Spec(sp spec.Spec, seed int64, dur sim.Time, loadFrac float64) Fig0
 	row.RTTCDF = stats.CDF(rtts, 100)
 	rttQs := stats.Percentiles(rtts, 0.5, 0.95) // one sort for both quantiles
 	row.MedianRTTms, row.P95RTTms = rttQs[0], rttQs[1]
-	for _, rec := range w.Completed() {
-		row.CrossFCTs = append(row.CrossFCTs, metrics.FCTRecord{SizeBytes: rec.Size, FCT: rec.FCT})
-	}
 	row.TputSeries = probe.Tput.SeriesMbps()
 	return row
 }

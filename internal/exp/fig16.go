@@ -6,6 +6,7 @@ import (
 
 	"nimbus/internal/core"
 	"nimbus/internal/metrics"
+	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
 )
 
@@ -34,28 +35,22 @@ func RunFig16(seed int64, scale float64) Fig16Result {
 	stagger := sim.Time(float64(120*sim.Second) * scale)
 	life := sim.Time(float64(480*sim.Second) * scale)
 
-	type flow struct {
-		n     *core.Nimbus
-		probe *FlowProbe
-	}
-	var flows []*flow
+	// Four specs, not one with Count 4: each flow has its own lifetime.
+	scheme := spec.MustParse("nimbus-vegas(multiflow=true)")
+	var specs []FlowSpec
 	for i := 0; i < 4; i++ {
-		s := MustScheme("nimbus-vegas(multiflow=true)", r.MuBps)
 		start := sim.Time(i) * stagger
-		probe := r.AddFlow(s, 50*sim.Millisecond, start)
-		f := &flow{n: s.Nimbus, probe: probe}
-		flows = append(flows, f)
-		end := start + life
-		r.Sch.At(end, func() {
-			f.probe.Sender.Stop()
-			r.Net.Detach(f.probe.Sender.ID())
-		})
+		specs = append(specs, FlowSpec{Scheme: scheme, StartAt: start, StopAt: start + life})
+	}
+	flows, err := r.AddFlowSpecs(specs...)
+	if err != nil {
+		panic(err)
 	}
 
 	// Delay-mode accounting per tick.
 	var delayTicks, totalTicks int
 	for _, f := range flows {
-		f.n.OnTick = func(t core.Telemetry) {
+		f.Scheme.Nimbus.OnTick = func(t core.Telemetry) {
 			totalTicks++
 			if t.Mode == core.ModeDelay {
 				delayTicks++
@@ -71,13 +66,12 @@ func RunFig16(seed int64, scale float64) Fig16Result {
 		if now > warm {
 			active := 0
 			pulsers := 0
-			for i, f := range flows {
-				start := sim.Time(i) * stagger
-				if now < start || now > start+life {
+			for _, f := range flows {
+				if now < f.Spec.StartAt || now > f.Spec.StopAt {
 					continue
 				}
 				active++
-				if f.n.Role() == core.RolePulser {
+				if f.Scheme.Nimbus.Role() == core.RolePulser {
 					pulsers++
 				}
 			}
@@ -105,7 +99,7 @@ func RunFig16(seed int64, scale float64) Fig16Result {
 	from, to := 3*stagger, stagger+life
 	if to > from {
 		for _, f := range flows {
-			res.PerFlowMbps = append(res.PerFlowMbps, f.probe.MeanMbps(from, to))
+			res.PerFlowMbps = append(res.PerFlowMbps, f.Probe.MeanMbps(from, to))
 		}
 		res.JainIndex = metrics.JainIndex(res.PerFlowMbps)
 	}
@@ -119,8 +113,8 @@ func RunFig16(seed int64, scale float64) Fig16Result {
 	}
 	var delays []float64
 	for _, f := range flows {
-		delays = append(delays, f.probe.Delay.Summary().Mean)
-		res.RateSeries = append(res.RateSeries, metrics.Series{V: f.probe.Tput.SeriesMbps()})
+		delays = append(delays, f.Probe.Delay.Summary().Mean)
+		res.RateSeries = append(res.RateSeries, metrics.Series{V: f.Probe.Tput.SeriesMbps()})
 	}
 	var s float64
 	for _, d := range delays {

@@ -80,7 +80,7 @@ func RunFig17(seed int64, scale float64) Fig17Result {
 func addDeliverTapProbe(r *Rig, p *FlowProbe,
 	f1, t1 sim.Time, sum1 *float64, n1 *int,
 	f2, t2 sim.Time, sum2 *float64, n2 *int) {
-	addDeliverTap(p.Sender, func(pkt *netem.Packet, now sim.Time) {
+	p.Sender.TapDeliveries(func(pkt *netem.Packet, now sim.Time) {
 		switch {
 		case now >= f1 && now < t1:
 			*sum1 += pkt.QueueDelay.Millis()

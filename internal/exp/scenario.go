@@ -123,13 +123,11 @@ func crossRTT(sc runner.Scenario) sim.Time {
 }
 
 // CrossElastic reports whether a cross-traffic kind backs off under
-// congestion — the ground truth Nimbus's mode decision is scored against.
+// congestion — the ground truth Nimbus's mode decision is scored against
+// (crosstraffic.Kinds; unknown kinds are not elastic).
 func CrossElastic(kind string) bool {
-	switch kind {
-	case "cubic", "reno", "trace":
-		return true
-	}
-	return false // none, poisson, cbr, video*: inelastic (or no) cross traffic
+	k, _ := crosstraffic.KindByName(kind)
+	return k.Elastic
 }
 
 // RunScenario is the standard runner.RunFunc: it materializes the
@@ -252,7 +250,7 @@ func RunFlowMixScenario(sc runner.Scenario) runner.Result {
 	// packets actually delivered.
 	sharedDelay := metrics.NewDelayRecorder(0, r.Rng.Split("mix-dlyrec"))
 	for _, f := range flows {
-		addDeliverTap(f.Probe.Sender, func(p *netem.Packet, now sim.Time) {
+		f.Probe.Sender.TapDeliveries(func(p *netem.Packet, now sim.Time) {
 			sharedDelay.Add(p.QueueDelay)
 		})
 	}

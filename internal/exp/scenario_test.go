@@ -9,6 +9,7 @@ import (
 	"nimbus/internal/runner"
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
+	"nimbus/internal/workload"
 )
 
 // TestScenarioRejectsNonPositive: a link rate, RTT or horizon that is
@@ -100,5 +101,73 @@ func TestRigEventOrderPinned(t *testing.T) {
 				t.Fatalf("event order moved:\n got:  %s\n want: %s", fp, c.want)
 			}
 		})
+	}
+}
+
+// TestCrossTraceCellPinned: cross=trace cells — Poisson arrivals of
+// finite Cubic flows with heavy-tailed sizes — keep the results they had
+// at the last commit where internal/crosstraffic had a generator of its
+// own for them, before workload.Generator took the job over. Every
+// arrival gap, size draw and per-flow stream split feeds these numbers.
+func TestCrossTraceCellPinned(t *testing.T) {
+	for _, c := range []struct {
+		scheme            string
+		rate, load        float64
+		events            uint64
+		mbps, drops, qdly float64
+		accuracy          float64 // nimbus only
+	}{
+		{"nimbus", 48, 12, 267161, 37.098, 1599, 13.461784836778277, 0.9253333333333333},
+		{"cubic", 96, 48, 478113, 45.7548, 3156, 40.742680839492266, 0},
+		{"copa", 96, 33.3, 448775, 80.2524, 1428, 3.3547248466737423, 0},
+	} {
+		scs := runner.Grid{
+			Base:    runner.Scenario{RateMbps: c.rate, RTTms: 50, BufferMs: 100, DurationSec: 20},
+			Schemes: spec.Specs(c.scheme),
+			Crosses: []runner.Cross{{Kind: "trace", RateMbps: c.load}},
+			Seeds:   []int64{1},
+		}.Expand()
+		r := RunScenario(scs[0])
+		if r.Err != "" {
+			t.Fatalf("%s: %s", scs[0].Name, r.Err)
+		}
+		m := r.Metrics
+		if r.Events != c.events || m["mean_mbps"] != c.mbps || m["dropped_packets"] != c.drops ||
+			m["qdelay_mean_ms"] != c.qdly || m["mode_accuracy"] != c.accuracy {
+			t.Errorf("%s moved: events=%d mean_mbps=%v dropped_packets=%v qdelay_mean_ms=%v mode_accuracy=%v, want %d %v %v %v %v",
+				scs[0].Name, r.Events, m["mean_mbps"], m["dropped_packets"], m["qdelay_mean_ms"], m["mode_accuracy"],
+				c.events, c.mbps, c.drops, c.qdly, c.accuracy)
+		}
+	}
+}
+
+// TestChurnCellTeardown: at the end of a churn cell the topology's flow
+// table holds the flow under test and the sessions still active — every
+// completed session flow was detached by its Sender.Stop — and their
+// last packets went back to the shared pool.
+func TestChurnCellTeardown(t *testing.T) {
+	r, _, _, err := RigForScenario(runner.Scenario{
+		RateMbps: 48, RTTms: 20, BufferMs: 50, Scheme: spec.MustParse("cubic"), DurationSec: 8, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := &workload.Generator{
+		Net: r.Net, Rng: r.Rng.Split("churn"), Spec: workload.MustParseSpec("web(load=24)"),
+		RTT: 20 * sim.Millisecond, MuBps: r.MuBps,
+	}
+	if err := gen.Start(0); err != nil {
+		t.Fatal(err)
+	}
+	r.Sch.RunUntil(8 * sim.Second)
+	sm := gen.Stats.Snapshot(8 * sim.Second)
+	if sm.Completed < 100 {
+		t.Fatalf("only %d sessions completed", sm.Completed)
+	}
+	if got, want := r.Net.Flows(), 1+gen.ActiveFlows(); got != want {
+		t.Fatalf("%d flows attached after %d completions, want %d (the flow under test + active sessions)", got, sm.Completed, want)
+	}
+	if r.Net.FreePackets() == 0 {
+		t.Fatal("no packet came back to the shared pool")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"nimbus/internal/sim"
 	"nimbus/internal/stats"
 	"nimbus/internal/transport"
+	"nimbus/internal/workload"
 )
 
 // The one scoring cell behind the detector-accuracy experiments: how a
@@ -38,7 +39,6 @@ func (r *Rig) cubicCross(n int, rtt, start, stop sim.Time) {
 		r.Sch.At(stop, func() {
 			for _, s := range ss {
 				s.Stop()
-				r.Net.Detach(s.ID())
 			}
 		})
 	}
@@ -58,19 +58,23 @@ func (r *Rig) crossCBR(route string, rtt sim.Time, rateBps float64, start sim.Ti
 	return src
 }
 
-// crossTrace starts the heavy-tailed Cubic flow workload at an offered
-// load.
-func (r *Rig) crossTrace(route string, rtt sim.Time, loadBps float64) *crosstraffic.TraceWorkload {
-	w := &crosstraffic.TraceWorkload{
-		Net:     r.Net,
-		Rng:     r.Rng.Split("trace"),
-		LoadBps: loadBps,
-		RTT:     rtt,
-		Route:   route,
-		NewCC:   func() transport.Controller { return cc.NewCubic() },
+// crossTrace starts the paper's WAN cross traffic (§8.1) at an offered
+// load: Poisson arrivals of finite Cubic flows with heavy-tailed sizes,
+// on the session generator.
+func (r *Rig) crossTrace(route string, rtt sim.Time, loadBps float64) *workload.Generator {
+	sp := workload.MustParseSpec("bulk")
+	sp.Load = loadBps / 1e6
+	g := &workload.Generator{
+		Net: r.Net, Rng: r.Rng.Split("trace"), Spec: sp, RTT: rtt, Route: route, MuBps: r.MuBps,
+		Sizes: workload.HeavyTailedSizes{},
+		// A stream of its own: left nil, Start would split one off the
+		// arrival stream and shift every arrival.
+		Stats: workload.NewStats(sim.NewRand(r.Cfg.Seed)),
 	}
-	w.Start(0)
-	return w
+	if err := g.Start(0); err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // crossVideo starts a DASH client over Cubic on the 4K or the 1080p

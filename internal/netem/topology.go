@@ -166,6 +166,9 @@ func (t *Topology) PutPacket(p *Packet) {
 // FreePackets returns the shared free list's size (tests).
 func (t *Topology) FreePackets() int { return len(t.pktFree) }
 
+// Flows returns the number of attached flows (tests).
+func (t *Topology) Flows() int { return len(t.flows) }
+
 // Attachment describes one flow's path through the topology.
 type Attachment struct {
 	ID       FlowID
@@ -225,9 +228,10 @@ func (t *Topology) AttachAsymOn(route string, fwd, rev sim.Time) *Attachment {
 	return a
 }
 
-// Detach removes a flow. In-flight packets of the flow are delivered to a
-// no-op receiver and recycled into the shared packet pool.
-func (t *Topology) Detach(id FlowID) { delete(t.flows, id) }
+// Detach removes the flow from its topology. Packets of the flow still
+// in flight are recycled into the shared packet pool when they complete
+// their route. Transports call it when they stop (transport.Sender.Stop).
+func (a *Attachment) Detach() { delete(a.net.flows, a.ID) }
 
 // GetPacket draws from the topology's shared packet pool.
 func (a *Attachment) GetPacket() *Packet { return a.net.GetPacket() }

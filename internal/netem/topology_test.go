@@ -92,7 +92,7 @@ func TestDetachRecyclesInFlight(t *testing.T) {
 		*p = Packet{Seq: uint64(i), Size: 1500}
 		att.Send(p)
 	}
-	topo.Detach(att.ID)
+	att.Detach()
 	sch.Run()
 	if topo.OrphanRecycled != n {
 		t.Fatalf("recycled %d orphaned packets, want %d", topo.OrphanRecycled, n)

@@ -361,6 +361,18 @@ func (r Result) EventsPerSec() float64 {
 	return float64(r.Events) / r.WallSec
 }
 
+// Failed counts the results whose run failed. A sweep with any is a
+// failed sweep: the CLIs print and write every row, then exit non-zero.
+func Failed(rs []Result) int {
+	n := 0
+	for _, r := range rs {
+		if r.Err != "" {
+			n++
+		}
+	}
+	return n
+}
+
 // MetricNames returns the union of metric keys across results, sorted.
 func MetricNames(rs []Result) []string {
 	set := map[string]bool{}

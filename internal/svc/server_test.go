@@ -330,6 +330,11 @@ func TestSubmitCanonicalizesGrid(t *testing.T) {
 			return stubRun(sc)
 		},
 		Canonical: func(g runner.Grid) (runner.Grid, error) {
+			for _, c := range g.Crosses {
+				if c.Kind == "cubik" {
+					return g, fmt.Errorf("grid crosses[].kind: unknown cross traffic kind %q", c.Kind)
+				}
+			}
 			out := make([]string, len(g.Topologies))
 			for i, topo := range g.Topologies {
 				switch topo {
@@ -421,6 +426,12 @@ func TestSubmitCanonicalizesGrid(t *testing.T) {
 	if _, err := client.Submit(ctx, bad, 0); !errors.As(err, &apiErr) ||
 		apiErr.Status != http.StatusBadRequest || !strings.Contains(apiErr.Message, "topologies") {
 		t.Fatalf("malformed spec: err = %v, want a 400 naming the axis", err)
+	}
+	bad = smallGrid()
+	bad.Crosses = []runner.Cross{{Kind: "cubik", RateMbps: 12}}
+	if _, err := client.Submit(ctx, bad, 0); !errors.As(err, &apiErr) ||
+		apiErr.Status != http.StatusBadRequest || !strings.Contains(apiErr.Message, "crosses[].kind") {
+		t.Fatalf("misspelt cross kind: err = %v, want a 400 naming the field", err)
 	}
 	if m, _ := client.Metrics(ctx); m.JobsSubmitted != 2 {
 		t.Fatalf("a rejected grid became a job: %+v", m)

@@ -139,13 +139,28 @@ func (s *Sender) Start(start sim.Time) {
 	s.env.Sch.At(start, s.trySendFn)
 }
 
-// Stop halts transmission and cancels timers. In-flight packets drain but
-// their ACKs are ignored.
+// Stop retires the flow in one call: it halts transmission, cancels
+// timers and detaches the flow from the topology. In-flight packets
+// drain into the shared packet pool and their ACKs are ignored.
 func (s *Sender) Stop() {
 	s.stopped = true
 	s.rtoTimer.Cancel()
 	s.paceTimer.Cancel()
-	s.att.Receive = nil
+	s.att.Detach()
+}
+
+// TapDeliveries chains an observer onto the delivery hook, after any
+// observer already there (a probe's meters).
+func (s *Sender) TapDeliveries(tap func(p *netem.Packet, now sim.Time)) {
+	prev := s.OnDeliverHook
+	if prev == nil {
+		s.OnDeliverHook = tap
+		return
+	}
+	s.OnDeliverHook = func(p *netem.Packet, now sim.Time) {
+		prev(p, now)
+		tap(p, now)
+	}
 }
 
 // Wake restarts transmission after the application adds data.

@@ -200,9 +200,37 @@ func TestStopHaltsTransmission(t *testing.T) {
 	e.sch.RunUntil(sim.Second)
 	sent := s.SentBytes
 	s.Stop()
+	// Stop is the whole teardown: the flow is off the topology at once,
+	// and what it had in flight ends in the shared packet pool.
+	if n := e.net.Flows(); n != 0 {
+		t.Fatalf("%d flows attached after Stop", n)
+	}
+	acks := cc.acks
 	e.sch.RunUntil(3 * sim.Second)
 	if s.SentBytes != sent {
 		t.Fatal("sender kept transmitting after Stop")
+	}
+	if cc.acks != acks {
+		t.Fatal("controller saw ACKs after Stop")
+	}
+	if e.net.OrphanRecycled == 0 || uint64(e.net.FreePackets()) < e.net.OrphanRecycled {
+		t.Fatalf("in-flight packets not recycled: %d orphans, %d free", e.net.OrphanRecycled, e.net.FreePackets())
+	}
+}
+
+// TestTapDeliveriesChains: taps run in the order they were added, after
+// a hook that was already set.
+func TestTapDeliveriesChains(t *testing.T) {
+	e := newEnv(48, 100*sim.Millisecond)
+	s := NewSender(e.net, 50*sim.Millisecond, &fixedCC{cwnd: 10 * 1500}, Backlogged{}, sim.NewRand(1))
+	var order []string
+	s.OnDeliverHook = func(*netem.Packet, sim.Time) { order = append(order, "hook") }
+	s.TapDeliveries(func(*netem.Packet, sim.Time) { order = append(order, "tap1") })
+	s.TapDeliveries(func(*netem.Packet, sim.Time) { order = append(order, "tap2") })
+	s.Start(0)
+	e.sch.RunUntil(26 * sim.Millisecond) // the first packet, 25 ms one way
+	if len(order) < 3 || order[0] != "hook" || order[1] != "tap1" || order[2] != "tap2" {
+		t.Fatalf("delivery observers ran as %v, want hook, tap1, tap2 per packet", order)
 	}
 }
 

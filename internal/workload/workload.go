@@ -4,7 +4,9 @@
 // Spec — Poisson or trace-driven arrivals, bounded-Pareto flow sizes,
 // bulk/web/video session models — as finite transport flows that attach
 // to the network, run their congestion controller, deliver their bytes,
-// and detach.
+// and detach. It is the only code in the simulator that spawns, tracks
+// and retires finite flows: the paper's WAN-trace cross traffic is a
+// bulk Generator with the HeavyTailedSizes sampler.
 //
 // Determinism: a Generator draws every random variate from the one
 // *sim.Rand it is given (per-flow streams come from Rng.Split labels),
@@ -28,9 +30,8 @@ import (
 )
 
 // ElasticThresholdBytes is the ground-truth elasticity rule (the paper's
-// Fig. 12 convention, shared with internal/crosstraffic): flows larger
-// than the initial congestion window of 10 packets are ACK-clocked over
-// their lifetime and counted elastic.
+// Fig. 12 convention): flows larger than the initial congestion window
+// of 10 packets are ACK-clocked over their lifetime and counted elastic.
 const ElasticThresholdBytes = 10 * netem.DefaultMSS
 
 // Web and video session-model constants. They are fixed (not Spec
@@ -69,6 +70,12 @@ type Generator struct {
 	// OnDeliver, when non-nil, observes every session-flow packet
 	// delivery (for feeding rate meters or detectors).
 	OnDeliver func(p *netem.Packet, now sim.Time)
+	// Sizes, when non-nil, replaces the bulk model's bounded-Pareto
+	// flow sizes (the WAN-trace cross traffic sets HeavyTailedSizes).
+	Sizes Sampler
+	// OnComplete, when non-nil, observes every completed session flow
+	// (per-flow records Stats' streaming aggregates do not keep).
+	OnComplete func(size int, fct sim.Time)
 
 	ccSpec  scheme.Spec
 	trace   *SessionTrace
@@ -127,6 +134,27 @@ func (g *Generator) ElasticActive() bool { return g.Stats.ElasticActive() }
 // ActiveFlows returns the number of in-progress session flows.
 func (g *Generator) ActiveFlows() int { return len(g.active) }
 
+// ElasticByteFraction returns the fraction of the active flows'
+// remaining bytes that belongs to elastic flows (Fig. 12's ground-truth
+// signal); 0 when nothing is active.
+func (g *Generator) ElasticByteFraction() float64 {
+	totalRem, elasticRem := 0.0, 0.0
+	for _, sf := range g.active {
+		rem := float64(sf.size) - float64(sf.sender.DeliveredBytes)
+		if rem < 0 {
+			rem = 0
+		}
+		totalRem += rem
+		if sf.elastic {
+			elasticRem += rem
+		}
+	}
+	if totalRem == 0 {
+		return 0
+	}
+	return elasticRem / totalRem
+}
+
 // meanSessionBytes is the analytic mean bytes per session, which turns
 // the offered load into the Poisson session arrival rate.
 func (g *Generator) meanSessionBytes() float64 {
@@ -142,7 +170,10 @@ func (g *Generator) meanSessionBytes() float64 {
 	}
 }
 
-func (g *Generator) sizes() SizeDist {
+func (g *Generator) sizes() Sampler {
+	if g.Sizes != nil {
+		return g.Sizes
+	}
 	return SizeDist{XM: g.Spec.XM, Cap: g.Spec.Cap, Alpha: g.Spec.Alpha}
 }
 
@@ -217,16 +248,7 @@ func (g *Generator) spawnFlow(size int) {
 	sf := &sessionFlow{size: size, started: now, elastic: size > ElasticThresholdBytes}
 	src := transport.NewFiniteFlow(size, func(done sim.Time) { g.finish(sf, done) })
 	sf.sender = transport.NewSenderOn(g.Net, g.Route, g.RTT, ctrl, src, g.Rng.Split("sess"))
-	if g.OnDeliver != nil {
-		prev := sf.sender.OnDeliverHook
-		tap := g.OnDeliver
-		sf.sender.OnDeliverHook = func(p *netem.Packet, now sim.Time) {
-			if prev != nil {
-				prev(p, now)
-			}
-			tap(p, now)
-		}
-	}
+	sf.sender.OnDeliverHook = g.OnDeliver
 	g.active[sf.sender.ID()] = sf
 	g.Stats.flowStarted(now, sf.elastic)
 	sf.sender.Start(now)
@@ -234,7 +256,9 @@ func (g *Generator) spawnFlow(size int) {
 
 func (g *Generator) finish(sf *sessionFlow, done sim.Time) {
 	sf.sender.Stop()
-	g.Net.Detach(sf.sender.ID())
 	delete(g.active, sf.sender.ID())
 	g.Stats.flowCompleted(done, sf.size, done-sf.started, sf.elastic)
+	if g.OnComplete != nil {
+		g.OnComplete(sf.size, done-sf.started)
+	}
 }

@@ -13,6 +13,9 @@
 #     must have a "## family" section in docs/experiments.md.
 #   - Every HTTP route the service daemon registers (internal/svc/server.go)
 #     must be mentioned verbatim ("METHOD /path") in docs/service.md.
+#   - The cross-traffic kind table in docs/experiments.md must be
+#     crosstraffic.Kinds (internal/crosstraffic/kinds.go), row for row:
+#     name, elastic ground truth, fluid model.
 #
 # Flags are extracted from flag.String/Bool/Int/... call sites, families
 # from the Families literal, routes from mux.HandleFunc patterns, so the
@@ -103,6 +106,25 @@ $routes
 EOF
 n=$(echo "$routes" | wc -l)
 echo "check_docs: $n service routes checked against docs/service.md"
+
+# --- the cross-kind table is the code's --------------------------------
+
+code=$(sed -nE 's/^[[:space:]]*\{Name: "([^"]+)", Elastic: (true|false), Fluid: (true|false)\},$/\1 \2 \3/p' \
+    internal/crosstraffic/kinds.go | sed 's/true/yes/g; s/false/no/g')
+if [ "$(echo "$code" | grep -c .)" -ne "$(grep -c '{Name: "' internal/crosstraffic/kinds.go)" ]; then
+    echo "check_docs: a Kinds row in internal/crosstraffic/kinds.go is not on one line in field order — extraction broken?" >&2
+    exit 1
+fi
+# Table rows are | `kind` | what it starts | elastic | fluid model |.
+doc=$(awk -F ' *[|] *' '/^## Cross-traffic kinds$/ { on = 1; next } /^## / { on = 0 }
+    on && /^\| `/ { gsub(/`/, "", $2); print $2, $4, $5 }' docs/experiments.md)
+if [ "$code" != "$doc" ]; then
+    echo "check_docs: FAIL — docs/experiments.md \"## Cross-traffic kinds\" differs from crosstraffic.Kinds (kind, elastic, fluid; < code, > docs):" >&2
+    diff <(echo "$code") <(echo "$doc") >&2 || true
+    fail=1
+fi
+n=$(echo "$code" | wc -l)
+echo "check_docs: $n cross-traffic kinds checked against docs/experiments.md"
 
 [ "$fail" -eq 0 ] && echo "check_docs: OK"
 exit "$fail"
