@@ -99,15 +99,23 @@ func realMain() int {
 		if *run == "all" {
 			ids = exp.IDs()
 		}
+		// Every report is printed, failed cells as ERROR rows; any of
+		// them makes the exit status 1, as it does for sweeps.
+		status := 0
 		for _, id := range ids {
 			start := time.Now()
-			out, err := exp.Run(id, *seed, !*full)
+			rep, err := exp.RunReport(id, *seed, !*full)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 1
 			}
-			fmt.Printf("==== %s (%s) [%.1fs wall] ====\n%s\n", id, exp.Registry[id].Title, time.Since(start).Seconds(), out)
+			fmt.Printf("==== %s (%s) [%.1fs wall] ====\n%s\n", id, exp.Registry[id].Title, time.Since(start).Seconds(), rep)
+			if rep.Failed() {
+				fmt.Fprintf(os.Stderr, "nimbus-bench: %s has failed cells\n", id)
+				status = 1
+			}
 		}
+		return status
 	}
 	return 0
 }

@@ -1,9 +1,6 @@
 package exp
 
 import (
-	"fmt"
-	"strings"
-
 	"nimbus/internal/runner"
 	spec "nimbus/internal/scheme"
 )
@@ -51,34 +48,40 @@ func ChurnGrid(seed int64, quick bool) runner.Grid {
 }
 
 // Churn runs the sweep on the package worker pool.
-func Churn(seed int64, quick bool) []runner.Result {
-	return RunSweep(ChurnGrid(seed, quick), Workers, nil)
+func Churn(seed int64, quick bool) Report {
+	return churnReport(RunSweep(ChurnGrid(seed, quick), Workers, nil))
 }
 
-// FormatChurn renders one row per (scheme, workload) cell: the
+// churnReport renders one row per (scheme, workload) cell: the
 // long-lived flow's throughput, the session population's completion
 // times and fairness, and — for Nimbus — detection accuracy against the
 // live ground truth.
-func FormatChurn(rs []runner.Result) string {
-	var b strings.Builder
-	b.WriteString("Churn: schemes vs session-arrival workloads (flow churn)\n")
-	fmt.Fprintf(&b, "%-8s %-22s %7s %7s %6s %9s %9s %6s %7s %7s\n",
-		"scheme", "workload", "Mbit/s", "flows", "active", "fct p50", "fct p95", "jain", "el.frac", "acc")
-	for _, r := range rs {
-		if r.Err != "" {
-			fmt.Fprintf(&b, "%-8s %-22s ERROR: %s\n", r.Scenario.Scheme, r.Scenario.Churn, r.Err)
-			continue
-		}
-		acc := "-"
-		if v, ok := r.Metrics["mode_accuracy"]; ok {
-			acc = fmt.Sprintf("%.3f", v)
-		}
-		fmt.Fprintf(&b, "%-8s %-22s %7.2f %7.0f %6.1f %6.0f ms %6.0f ms %6.3f %7.2f %7s\n",
-			r.Scenario.Scheme, r.Scenario.Churn,
-			r.Metrics["mean_mbps"], r.Metrics["churn_completed"], r.Metrics["churn_mean_active"],
-			r.Metrics["churn_fct_p50_ms"], r.Metrics["churn_fct_p95_ms"],
-			r.Metrics["churn_jain"], r.Metrics["churn_elastic_frac"], acc)
+func churnReport(rs []runner.Result) Report {
+	return Report{
+		Panels: []Table{{
+			Title: "Churn: schemes vs session-arrival workloads (flow churn)",
+			Cols: []Col{
+				{"scheme", "%-8s", "%-8s"},
+				{"workload", "%-22s", "%-22s"},
+				{"Mbit/s", "%7s", "%7.2f"},
+				{"flows", "%7s", "%7.0f"},
+				{"active", "%6s", "%6.1f"},
+				{"fct p50", "%9s", "%6.0f ms"},
+				{"fct p95", "%9s", "%6.0f ms"},
+				{"jain", "%6s", "%6.3f"},
+				{"el.frac", "%7s", "%7.2f"},
+				{"acc", "%7s", "%7.3f"},
+			},
+			Rows: sweepRows(rs,
+				func(sc runner.Scenario) []any { return []any{sc.Scheme, sc.Churn} },
+				func(m map[string]float64) []any {
+					return []any{
+						m["mean_mbps"], m["churn_completed"], m["churn_mean_active"],
+						m["churn_fct_p50_ms"], m["churn_fct_p95_ms"],
+						m["churn_jain"], m["churn_elastic_frac"], optional(m, "mode_accuracy"),
+					}
+				}),
+		}},
+		Expect: "session FCTs under nimbus stay at or below cubic's (pulsing does not starve the mice); detection accuracy is highest for mice-dominated churn (web) and degrades as elephant churn deepens — rapidly arriving elastic flows are the detector's hardest case",
 	}
-	b.WriteString("expected shape: session FCTs under nimbus stay at or below cubic's (pulsing does not starve the mice); detection accuracy is highest for mice-dominated churn (web) and degrades as elephant churn deepens — rapidly arriving elastic flows are the detector's hardest case\n")
-	return b.String()
 }

@@ -97,7 +97,7 @@ func TestChurnSweepDeterminism(t *testing.T) {
 	g.Churns = []string{"bulk(load=12)", "web(load=12)"}
 	g.Base.DurationSec = 6
 	run := func(workers int) string {
-		return FormatChurn(RunSweep(g, workers, nil))
+		return churnReport(RunSweep(g, workers, nil)).String()
 	}
 	seq := run(1)
 	if par := run(8); par != seq {

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"nimbus/internal/runner"
 )
@@ -46,39 +45,44 @@ func CoexistGrid(seed int64, quick bool) runner.Grid {
 }
 
 // Coexist runs the sweep on the package worker pool.
-func Coexist(seed int64, quick bool) []runner.Result {
-	return RunSweep(CoexistGrid(seed, quick), Workers, nil)
+func Coexist(seed int64, quick bool) Report {
+	return coexistReport(RunSweep(CoexistGrid(seed, quick), Workers, nil))
 }
 
-// FormatCoexist renders one row per (mix, link) cell with per-flow
+// coexistReport renders one row per (mix, link) cell with per-flow
 // throughput and the fairness of the split.
-func FormatCoexist(rs []runner.Result) string {
-	var b strings.Builder
-	b.WriteString("Coexist: heterogeneous flow mixes (per-flow Mbit/s, fairness)\n")
-	fmt.Fprintf(&b, "%-22s %-10s %8s %6s %6s %9s  %s\n",
-		"mix", "link", "Mbit/s", "jain", "jsd", "qdelay", "per-flow Mbit/s")
-	for _, r := range rs {
-		link := r.Scenario.LinkTrace
-		if link == "" {
-			link = "constant"
-		}
-		if r.Err != "" {
-			fmt.Fprintf(&b, "%-22s %-10s ERROR: %s\n", r.Scenario.FlowMix, link, r.Err)
-			continue
-		}
-		var flows []string
-		for i := 0; ; i++ {
-			v, ok := r.Metrics[fmt.Sprintf("flow%02d_mbps", i)]
-			if !ok {
-				break
-			}
-			flows = append(flows, fmt.Sprintf("%.1f", v))
-		}
-		fmt.Fprintf(&b, "%-22s %-10s %8.2f %6.3f %6.3f %6.1f ms  [%s]\n",
-			r.Scenario.FlowMix, link,
-			r.Metrics["mean_mbps"], r.Metrics["jain"], r.Metrics["jsd_uniform"],
-			r.Metrics["qdelay_p95_ms"], strings.Join(flows, ", "))
+func coexistReport(rs []runner.Result) Report {
+	return Report{
+		Panels: []Table{{
+			Title: "Coexist: heterogeneous flow mixes (per-flow Mbit/s, fairness)",
+			Cols: []Col{
+				{"mix", "%-22s", "%-22s"},
+				{"link", "%-10s", "%-10s"},
+				{"Mbit/s", "%8s", "%8.2f"},
+				{"jain", "%6s", "%6.3f"},
+				{"jsd", "%6s", "%6.3f"},
+				{"qdelay", "%9s", "%6.1f ms"},
+				{"per-flow Mbit/s", " %s", " [%s]"},
+			},
+			Rows: sweepRows(rs,
+				func(sc runner.Scenario) []any {
+					if sc.LinkTrace == "" {
+						return []any{sc.FlowMix, "constant"}
+					}
+					return []any{sc.FlowMix, sc.LinkTrace}
+				},
+				func(m map[string]float64) []any {
+					var flows mbpsList
+					for i := 0; ; i++ {
+						v, ok := m[fmt.Sprintf("flow%02d_mbps", i)]
+						if !ok {
+							break
+						}
+						flows = append(flows, v)
+					}
+					return []any{m["mean_mbps"], m["jain"], m["jsd_uniform"], m["qdelay_p95_ms"], flows}
+				}),
+		}},
+		Expect: "nimbus holds its share against elastic mixes (jain near 1 for like-for-like splits); late joiners converge; jsd exposes starvation jain smooths over",
 	}
-	b.WriteString("expected shape: nimbus holds its share against elastic mixes (jain near 1 for like-for-like splits); late joiners converge; jsd exposes starvation jain smooths over\n")
-	return b.String()
 }

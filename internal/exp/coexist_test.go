@@ -119,7 +119,7 @@ func TestCoexistSweepDeterminism(t *testing.T) {
 	g.LinkTraces = nil
 	g.Base.DurationSec = 6
 	run := func(workers int) string {
-		return FormatCoexist(RunSweep(g, workers, nil))
+		return coexistReport(RunSweep(g, workers, nil)).String()
 	}
 	seq := run(1)
 	if par := run(8); par != seq {

@@ -1,6 +1,11 @@
 // Package exp contains the experiment harness: one constructor per table
-// or figure of the paper, each returning typed rows and a textual
-// rendering that mirrors what the paper reports. The DESIGN.md experiment
+// or figure of the paper, each returning a Report (table.go): the numbers
+// the paper reports, as panels of named columns and named values, plus
+// the shape the paper expects of them. Report.String is the one renderer;
+// an experiment declares its columns and fills its rows, and prints
+// nothing itself. A Report holds what the figure's text states, not the
+// curves behind it: time series and CDFs for plotting belong to the trace
+// sink (ROADMAP item 3), not to fields here. The DESIGN.md experiment
 // index maps every figure/table to its function here and its benchmark in
 // the repository root. The accuracy experiments are descriptions of one
 // scoring cell, in score.go: cross-traffic construction, mode scoring
@@ -442,8 +447,14 @@ func FlowStats(flows []*Flow, end sim.Time) FlowSetStats {
 	return st
 }
 
-// Mbps formats a bits/s value in Mbit/s.
-func Mbps(bps float64) float64 { return bps / 1e6 }
+// ratio is a/b, 0 when there is nothing to divide by: a phase nothing
+// was sampled in reports 0, not NaN.
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
+}
 
 // AddCross attaches a named cross-traffic generator to the rig's default
 // route (used by cmd/nimbus-sim and the examples). kind names a row of

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -169,86 +170,84 @@ func TestAddCrossKinds(t *testing.T) {
 }
 
 func TestFig07PulseChecks(t *testing.T) {
-	r := Fig07()
-	if r.PeakFracOfMu < 0.249 || r.PeakFracOfMu > 0.251 {
-		t.Fatalf("peak = %v", r.PeakFracOfMu)
+	tab := Fig07(0, false).Panels[0]
+	if v := tab.Num(0, "peak/mu"); v < 0.249 || v > 0.251 {
+		t.Fatalf("peak = %v", v)
 	}
-	if r.TroughFracOfMu < 0.082 || r.TroughFracOfMu > 0.085 {
-		t.Fatalf("trough = %v", r.TroughFracOfMu)
+	if v := tab.Num(0, "trough/mu"); v < 0.082 || v > 0.085 {
+		t.Fatalf("trough = %v", v)
 	}
-	if r.MeanFracOfMu > 1e-3 {
-		t.Fatalf("mean = %v", r.MeanFracOfMu)
+	if v := tab.Num(0, "|mean|/mu"); !(v <= 1e-3) {
+		t.Fatalf("mean = %v", v)
 	}
-	if r.BurstFracOfBDP < 0.035 || r.BurstFracOfBDP > 0.045 {
-		t.Fatalf("burst/BDP = %v, paper says ~0.04", r.BurstFracOfBDP)
+	if v := tab.Num(0, "burst/BDP"); v < 0.035 || v > 0.045 {
+		t.Fatalf("burst/BDP = %v, paper says ~0.04", v)
 	}
 }
 
 func TestFig05Shape(t *testing.T) {
-	rows := Fig05(1)
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
+	tab := Fig05(1, true).Panels[0]
+	if len(tab.Rows) != 2 {
+		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	elastic, inelastic := rows[0], rows[1]
-	if !elastic.Elastic || inelastic.Elastic {
+	const elastic, inelastic = 0, 1
+	if tab.Rows[elastic][0] != "elastic" || tab.Rows[inelastic][0] != "inelastic" {
 		t.Fatal("row order wrong")
 	}
-	if elastic.Eta < 2 {
-		t.Fatalf("elastic eta = %v, want >= 2", elastic.Eta)
+	if eta := tab.Num(elastic, "eta"); !(eta >= 2) {
+		t.Fatalf("elastic eta = %v, want >= 2", eta)
 	}
-	if inelastic.Eta >= 2 {
-		t.Fatalf("inelastic eta = %v, want < 2", inelastic.Eta)
+	if eta := tab.Num(inelastic, "eta"); !(eta < 2) {
+		t.Fatalf("inelastic eta = %v, want < 2", eta)
 	}
 	// The discriminating quantity is eta (a ratio); the absolute peak
 	// magnitudes depend on the operating mode but must still separate.
-	if elastic.PeakAt5 < 1.5*inelastic.PeakAt5 {
-		t.Fatalf("5 Hz peak separation too small: %v vs %v", elastic.PeakAt5, inelastic.PeakAt5)
+	if el, inel := tab.Num(elastic, "|FFT| @5Hz Mbps"), tab.Num(inelastic, "|FFT| @5Hz Mbps"); !(el >= 1.5*inel) {
+		t.Fatalf("5 Hz peak separation too small: %v vs %v", el, inel)
 	}
 }
 
 func TestFig04Shape(t *testing.T) {
-	rows := Fig04(1)
-	el, inel := rows[0], rows[1]
-	if el.ZOscillation < 2*inel.ZOscillation {
-		t.Fatalf("elastic z oscillation %v not clearly above inelastic %v",
-			el.ZOscillation, inel.ZOscillation)
-	}
-	if el.S.Len() == 0 || el.Z.Len() == 0 {
-		t.Fatal("series empty")
+	tab := Fig04(1, true).Panels[0]
+	el, inel := tab.Num(0, "z osc (pk-pk/mean)"), tab.Num(1, "z osc (pk-pk/mean)")
+	if !(el >= 2*inel) {
+		t.Fatalf("elastic z oscillation %v not clearly above inelastic %v", el, inel)
 	}
 }
 
 func TestFig03SelfDelayRatios(t *testing.T) {
-	res := RunFig03(1)
+	tab := Fig03(1, true).Panels[0]
+	el, inel := tab.Num(0, "self/total, elastic"), tab.Num(0, "self/total, inelastic")
 	// The paper's point: the ratios are similar in both phases, near
 	// the flow's throughput share. Allow a broad band.
-	if res.ElasticSelfRatio < 0.2 || res.ElasticSelfRatio > 0.8 {
-		t.Fatalf("elastic self ratio = %v", res.ElasticSelfRatio)
+	if !(el >= 0.2 && el <= 0.8) {
+		t.Fatalf("elastic self ratio = %v", el)
 	}
-	if res.InelasticSelfRatio < 0.2 {
-		t.Fatalf("inelastic self ratio = %v", res.InelasticSelfRatio)
+	if !(inel >= 0.2) {
+		t.Fatalf("inelastic self ratio = %v", inel)
 	}
-	diff := res.ElasticSelfRatio - res.InelasticSelfRatio
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > 0.45 {
-		t.Fatalf("self ratios should be indistinguishable-ish: %v vs %v",
-			res.ElasticSelfRatio, res.InelasticSelfRatio)
+	if diff := math.Abs(el - inel); !(diff <= 0.45) {
+		t.Fatalf("self ratios should be indistinguishable-ish: %v vs %v", el, inel)
 	}
 }
 
 func TestFig23HighCBRShape(t *testing.T) {
 	// The key claim of App D.1: at 80 Mbit/s CBR Copa misclassifies
-	// (high wrong-mode fraction and delay), Nimbus does not.
-	copa := RunFig23Point("copa", 80, 1, 40*sim.Second)
-	nimb := RunFig23Point("nimbus", 80, 1, 40*sim.Second)
-	if nimb.WrongModeFrac > 0.3 {
-		t.Fatalf("nimbus wrong-mode at 80M CBR = %v", nimb.WrongModeFrac)
+	// (high wrong-mode fraction and delay), Nimbus does not. Quick mode
+	// is the 40 s horizon; rows 2 and 3 are the 80 Mbit/s cells.
+	tab := Fig23(1, true).Panels[0]
+	const copaRow, nimbRow = 2, 3
+	for row, scheme := range map[int]string{copaRow: "copa", nimbRow: "nimbus"} {
+		if tab.Rows[row][0] != scheme || tab.Num(row, "CBR") != 80 {
+			t.Fatalf("row %d is %v, want %s at 80M", row, tab.Rows[row][:2], scheme)
+		}
 	}
-	if copa.WrongModeFrac < nimb.WrongModeFrac {
-		t.Fatalf("copa (%v) should be worse than nimbus (%v) at high CBR",
-			copa.WrongModeFrac, nimb.WrongModeFrac)
+	copa, nimb := tab.Num(copaRow, "wrong-mode"), tab.Num(nimbRow, "wrong-mode")
+	if !(nimb <= 0.3) {
+		t.Fatalf("nimbus wrong-mode at 80M CBR = %v", nimb)
+	}
+	if !(copa >= nimb) {
+		t.Fatalf("copa (%v) should be worse than nimbus (%v) at high CBR", copa, nimb)
 	}
 }
 
@@ -297,10 +296,7 @@ func TestParallelFigureDeterminism(t *testing.T) {
 
 	run := func(w int) string {
 		Workers = w
-		rows := mapCells(2, func(i int) Fig22Row {
-			return RunFig22Point([]float64{0.5, 2}[i], 1, 10*sim.Second)
-		})
-		return FormatFig22(rows)
+		return fig22([]float64{0.5, 2}, 1, 10*sim.Second).String()
 	}
 	seq := run(1)
 	for _, w := range []int{2, 8} {
@@ -354,13 +350,13 @@ func TestRunScenarioMetrics(t *testing.T) {
 
 func TestFormattersNonEmpty(t *testing.T) {
 	// Cheap formatting checks (no simulation).
-	if s := FormatFig07(Fig07()); !strings.Contains(s, "pulse") {
+	if s := Fig07(0, false).String(); !strings.Contains(s, "pulse") {
 		t.Fatal("fig07 format")
 	}
-	if s := FormatTable1([]Table1Row{{CrossTraffic: "x", PaperSays: "Elastic", Classified: "Elastic"}}); !strings.Contains(s, "Table 1") {
+	if s := table1Report([][]any{{"x", "Elastic", "Elastic", 0.0, 0.0}}).String(); !strings.Contains(s, "Table 1") {
 		t.Fatal("table1 format")
 	}
-	if s := FormatFig14(Fig14Result{}); !strings.Contains(s, "Fig 14") {
+	if s := fig14Report(nil, nil).String(); !strings.Contains(s, "Fig 14") {
 		t.Fatal("fig14 format")
 	}
 }

@@ -1,9 +1,9 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"strings"
 
 	"nimbus/internal/runner"
 	spec "nimbus/internal/scheme"
@@ -18,52 +18,6 @@ import (
 // (scheduler events saved, wall-clock speedup). It is the regression
 // gate for the fluid path: scripts/check_bench.sh pins the event
 // reduction, and this family pins the accuracy side of the trade.
-
-// FidelityPair is one packet-vs-fluid comparison cell.
-type FidelityPair struct {
-	Packet runner.Result
-	Fluid  runner.Result
-}
-
-// AccDelta is the absolute mode-accuracy difference (0 when the
-// scenario has no Nimbus mode telemetry).
-func (p FidelityPair) AccDelta() float64 {
-	ap, okP := p.Packet.Metrics["mode_accuracy"]
-	af, okF := p.Fluid.Metrics["mode_accuracy"]
-	if !okP || !okF {
-		return 0
-	}
-	return math.Abs(ap - af)
-}
-
-// QdelayErrPct is the relative error of the fluid run's mean queueing
-// delay against the packet run's, in percent.
-func (p FidelityPair) QdelayErrPct() float64 {
-	qp := p.Packet.Metrics["qdelay_mean_ms"]
-	qf := p.Fluid.Metrics["qdelay_mean_ms"]
-	if qp == 0 {
-		return 0
-	}
-	return math.Abs(qf-qp) / qp * 100
-}
-
-// EventsRatio is how many fewer scheduler events the fluid run
-// executed (>1 means fewer).
-func (p FidelityPair) EventsRatio() float64 {
-	if p.Fluid.Events == 0 {
-		return 0
-	}
-	return float64(p.Packet.Events) / float64(p.Fluid.Events)
-}
-
-// WallSpeedup is the wall-clock ratio (>1 means the fluid run was
-// faster). Unlike the other columns it is host-dependent.
-func (p FidelityPair) WallSpeedup() float64 {
-	if p.Fluid.WallSec == 0 {
-		return 0
-	}
-	return p.Packet.WallSec / p.Fluid.WallSec
-}
 
 // fidelityCell is one sweep point; the zero AQM/topology means the
 // standard drop-tail bottleneck.
@@ -104,8 +58,11 @@ func fidelityCells(quick bool) []fidelityCell {
 
 // Fidelity runs the packet-vs-fluid comparison on the package worker
 // pool: both variants of every cell share one scenario definition (and
-// therefore one effective seed), differing only in FluidCross.
-func Fidelity(seed int64, quick bool) []FidelityPair {
+// therefore one effective seed), differing only in FluidCross. One row
+// per cell: both runs' mode accuracy and mean queueing delay, the
+// approximation error, and the event and wall-clock savings. The wall
+// column is host-dependent; everything else is deterministic per seed.
+func Fidelity(seed int64, quick bool) Report {
 	dur := 60.0
 	if quick {
 		dur = 30
@@ -125,36 +82,42 @@ func Fidelity(seed int64, quick bool) []FidelityPair {
 	}
 	rn := &runner.Runner{Workers: Workers}
 	rs := rn.Run(scs, RunScenario)
-	pairs := make([]FidelityPair, len(cells))
-	for i := range pairs {
-		pairs[i] = FidelityPair{Packet: rs[2*i], Fluid: rs[2*i+1]}
+	t := Table{
+		Title: "Fidelity: per-packet vs fluid-model cross traffic (same scenario, same seed)",
+		Cols: []Col{
+			{"cross", "%-11s", "%-11s"},
+			{"where", "%-12s", "%-12s"},
+			{"acc pkt", "%7s", "%7.3f"},
+			{"acc fld", "%7s", "%7.3f"},
+			// Absolute mode-accuracy difference.
+			{"dacc", "%6s", "%6.3f"},
+			{"qd pkt", "%8s", "%5.1f ms"},
+			{"qd fld", "%8s", "%5.1f ms"},
+			// The fluid run's mean queueing delay against the packet run's.
+			{"qd err", "%7s", "%6.1f%%"},
+			// Scheduler events and wall clock, packet run over fluid run.
+			{"ev ratio", "%8s", "%7.1fx"},
+			{"wall", "%6s", "%5.1fx"},
+		},
 	}
-	return pairs
-}
-
-// FormatFidelity renders one row per cell: both runs' mode accuracy
-// and mean queueing delay, the approximation error, and the event and
-// wall-clock savings. The wall column is host-dependent; everything
-// else is deterministic per seed.
-func FormatFidelity(ps []FidelityPair) string {
-	var b strings.Builder
-	b.WriteString("Fidelity: per-packet vs fluid-model cross traffic (same scenario, same seed)\n")
-	fmt.Fprintf(&b, "%-11s %-12s %7s %7s %6s %8s %8s %7s %8s %6s\n",
-		"cross", "where", "acc pkt", "acc fld", "dacc", "qd pkt", "qd fld", "qd err", "ev ratio", "wall")
-	for _, p := range ps {
-		sc := p.Packet.Scenario
-		if p.Packet.Err != "" || p.Fluid.Err != "" {
-			fmt.Fprintf(&b, "%-11s %-12s ERROR: %s%s\n", crossLabel(sc), where(sc), p.Packet.Err, p.Fluid.Err)
+	for i := range cells {
+		pkt, fld := rs[2*i], rs[2*i+1]
+		row := []any{crossLabel(pkt.Scenario), where(pkt.Scenario)}
+		if pkt.Err != "" || fld.Err != "" {
+			t.Rows = append(t.Rows, append(row, errors.New(pkt.Err+fld.Err)))
 			continue
 		}
-		fmt.Fprintf(&b, "%-11s %-12s %7.3f %7.3f %6.3f %5.1f ms %5.1f ms %6.1f%% %7.1fx %5.1fx\n",
-			crossLabel(sc), where(sc),
-			p.Packet.Metrics["mode_accuracy"], p.Fluid.Metrics["mode_accuracy"], p.AccDelta(),
-			p.Packet.Metrics["qdelay_mean_ms"], p.Fluid.Metrics["qdelay_mean_ms"], p.QdelayErrPct(),
-			p.EventsRatio(), p.WallSpeedup())
+		accP, accF := pkt.Metrics["mode_accuracy"], fld.Metrics["mode_accuracy"]
+		qdP, qdF := pkt.Metrics["qdelay_mean_ms"], fld.Metrics["qdelay_mean_ms"]
+		t.Rows = append(t.Rows, append(row,
+			accP, accF, math.Abs(accP-accF),
+			qdP, qdF, ratio(math.Abs(qdF-qdP), qdP)*100,
+			ratio(float64(pkt.Events), float64(fld.Events)), ratio(pkt.WallSec, fld.WallSec)))
 	}
-	b.WriteString("expected shape: inelastic drop-tail cells hold mode accuracy within 0.02 and mean queueing delay within a few percent, with >=5x fewer events on the cross-heavy (84 Mbit/s) cells; elastic cells keep the detector's classification but overdeepen the queue (the window model is coarser than per-flow cwnd dynamics); the codel row shows the documented AQM fidelity gap (fluid load is invisible to the drop law) — both gaps are why the fluid path is an explicit opt-in\n")
-	return b.String()
+	return Report{
+		Panels: []Table{t},
+		Expect: "inelastic drop-tail cells hold mode accuracy within 0.02 and mean queueing delay within a few percent, with >=5x fewer events on the cross-heavy (84 Mbit/s) cells; elastic cells keep the detector's classification but overdeepen the queue (the window model is coarser than per-flow cwnd dynamics); the codel row shows the documented AQM fidelity gap (fluid load is invisible to the drop law) — both gaps are why the fluid path is an explicit opt-in",
+	}
 }
 
 // crossLabel names a row's aggregate: kind plus offered rate for the

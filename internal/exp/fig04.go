@@ -1,54 +1,61 @@
 package exp
 
 import (
-	"fmt"
 	"math"
-	"strings"
 
 	"nimbus/internal/core"
-	"nimbus/internal/metrics"
 	"nimbus/internal/sim"
 )
 
-// Fig04Result reproduces Fig. 4: the sender's pulsed rate S(t) and the
-// estimated cross-traffic rate ẑ(t) over a 3-second zoom window, against
-// elastic and inelastic cross traffic. Elastic ẑ is anti-correlated with
-// the pulses; inelastic ẑ is flat.
-type Fig04Result struct {
-	Elastic bool
-	S, Z    metrics.Series
-	// ZOscillation is the peak-to-peak amplitude of ẑ within the window
-	// relative to its mean — the quantitative "reaction" signal.
-	ZOscillation float64
-	// Correlation between S(t) and z(t) shifted by one cross-RTT
-	// (elastic: strongly negative; inelastic: near zero).
-	ShiftedCorrelation float64
-}
-
-// RunFig04 runs a Nimbus flow against either one Cubic flow (elastic) or
-// half-link CBR (inelastic) and records S/ẑ telemetry for a window.
-func RunFig04(elastic bool, seed int64) Fig04Result {
+// pulseRig is the scenario of Figs. 4 and 5: a Nimbus flow on a
+// 96 Mbit/s link against one Cubic flow (the "elastic" row) or half-link
+// CBR (the "inelastic" row). It returns the row's name as well.
+func pulseRig(elastic bool, seed int64) (*Rig, Scheme, string) {
 	r := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
 	s := MustScheme("nimbus", r.MuBps)
 	r.AddFlow(s, 50*sim.Millisecond, 0)
 	if elastic {
 		r.cubicCross(1, 50*sim.Millisecond, 0, 0)
-	} else {
-		r.crossCBR("", 50*sim.Millisecond, 48e6, 0)
+		return r, s, "elastic"
 	}
-	res := Fig04Result{Elastic: elastic}
+	r.crossCBR("", 50*sim.Millisecond, 48e6, 0)
+	return r, s, "inelastic"
+}
+
+// Fig04 reproduces Fig. 4: the sender's pulsed rate S(t) against the
+// estimated cross-traffic rate ẑ(t) over a 3-second zoom window. Elastic
+// ẑ is anti-correlated with the pulses; inelastic ẑ is flat.
+func Fig04(seed int64, _ bool) Report {
+	return Report{
+		Panels: []Table{{
+			Title: "Fig 4: cross traffic reaction to 5 Hz pulses (75-78 s window)",
+			Cols: []Col{
+				{"cross", "%-10s", "%-10s"},
+				// Peak-to-peak amplitude of ẑ in the window over its mean.
+				{"z osc (pk-pk/mean)", "%16s", "%16.2f"},
+				// S(t) against z shifted by one cross-RTT: strongly
+				// negative for elastic, near zero for inelastic.
+				{"corr S(t) vs z(t+RTT)", "%22s", "%22.2f"},
+			},
+			Rows: mapCells(2, func(i int) []any { return runFig04(i == 0, seed) }),
+		}},
+		Expect: "elastic z oscillates (negative correlation with pulses); inelastic flat",
+	}
+}
+
+func runFig04(elastic bool, seed int64) []any {
+	r, s, name := pulseRig(elastic, seed)
 	from, to := 75*sim.Second, 78*sim.Second
 	var sSamp, zSamp []float64
 	s.Nimbus.OnTick = func(t core.Telemetry) {
 		if t.Now >= from && t.Now < to {
-			res.S.Add(t.Now, Mbps(t.Rate))
-			res.Z.Add(t.Now, Mbps(t.Z))
 			sSamp = append(sSamp, t.Rate)
 			zSamp = append(zSamp, t.Z)
 		}
 	}
 	r.Sch.RunUntil(to)
 
+	var osc, corr float64
 	if len(zSamp) > 10 {
 		min, max, sum := zSamp[0], zSamp[0], 0.0
 		for _, v := range zSamp {
@@ -62,11 +69,11 @@ func RunFig04(elastic bool, seed int64) Fig04Result {
 		}
 		mean := sum / float64(len(zSamp))
 		if mean > 0 {
-			res.ZOscillation = (max - min) / mean
+			osc = (max - min) / mean
 		}
-		res.ShiftedCorrelation = corrShift(sSamp, zSamp, 5) // 50 ms at 10 ms ticks
+		corr = corrShift(sSamp, zSamp, 5) // 50 ms at 10 ms ticks
 	}
-	return res
+	return []any{name, osc, corr}
 }
 
 // corrShift computes Pearson correlation between x(t) and y(t+shift).
@@ -100,27 +107,4 @@ func sqrt(x float64) float64 {
 		return 0
 	}
 	return math.Sqrt(x)
-}
-
-// Fig04 runs both panels.
-func Fig04(seed int64) []Fig04Result {
-	return mapCells(2, func(i int) Fig04Result {
-		return RunFig04(i == 0, seed)
-	})
-}
-
-// FormatFig04 renders the result.
-func FormatFig04(rows []Fig04Result) string {
-	var b strings.Builder
-	b.WriteString("Fig 4: cross traffic reaction to 5 Hz pulses (75-78 s window)\n")
-	fmt.Fprintf(&b, "%-10s %16s %22s\n", "cross", "z osc (pk-pk/mean)", "corr S(t) vs z(t+RTT)")
-	for _, r := range rows {
-		name := "inelastic"
-		if r.Elastic {
-			name = "elastic"
-		}
-		fmt.Fprintf(&b, "%-10s %16.2f %22.2f\n", name, r.ZOscillation, r.ShiftedCorrelation)
-	}
-	b.WriteString("expected shape: elastic z oscillates (negative correlation with pulses); inelastic flat\n")
-	return b.String()
 }

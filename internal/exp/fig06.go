@@ -2,27 +2,40 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
-	"nimbus/internal/stats"
 )
 
-// Fig06Row reproduces one curve of Fig. 6: the CDF of the elasticity
-// metric η as the fraction of cross-traffic bytes belonging to elastic
-// flows varies from 0% to 100%.
-type Fig06Row struct {
-	ElasticFraction float64 // 0, 0.25, 0.5, 0.75, 1.0
-	EtaCDF          []stats.CDFPoint
-	MedianEta       float64
-	FracAboveThresh float64 // fraction of samples with eta >= 2
+// Fig06 reproduces Fig. 6: the elasticity metric η as the fraction of
+// cross-traffic bytes belonging to elastic flows goes from 0% to 100%.
+func Fig06(seed int64, quick bool) Report {
+	dur := 120 * sim.Second
+	if quick {
+		dur = 40 * sim.Second
+	}
+	fracs := []float64{0, 0.25, 0.5, 0.75, 1.0}
+	return Report{
+		Panels: []Table{{
+			Title: "Fig 6: elasticity metric vs elastic fraction of cross traffic",
+			Cols: []Col{
+				{"elastic frac", "%-16s", "%15.0f%%"},
+				{"median eta", "%10s", "%10.2f"},
+				{"frac eta>=2", "%18s", "%18.2f"},
+			},
+			Rows: mapCells(len(fracs), func(i int) []any {
+				median, above := runFig06(fracs[i], seed, dur).etaStats()
+				return []any{fracs[i] * 100, median, above}
+			}),
+		}},
+		Expect: "median eta ~1 at 0% rising monotonically; >=25% elastic mostly above threshold",
+	}
 }
 
-// RunFig06Point runs one elastic-fraction point: cross traffic is a
+// runFig06 runs one elastic-fraction point: cross traffic is a
 // fixed-window (ACK-clocked, rate-pinned) elastic component plus Poisson
-// inelastic traffic, together offering ~half the link.
-func RunFig06Point(frac float64, seed int64, dur sim.Time) Fig06Row {
+// inelastic traffic, together offering about half the link.
+func runFig06(frac float64, seed int64, dur sim.Time) *scoreResult {
 	var c scoreCell
 	crossTotal := 48e6
 	if elasticRate := frac * crossTotal; elasticRate > 0 {
@@ -38,33 +51,5 @@ func RunFig06Point(frac float64, seed int64, dur sim.Time) Fig06Row {
 	if inelasticRate := (1 - frac) * crossTotal; inelasticRate > 0 {
 		c.cross = append(c.cross, crossSpec{kind: "poisson", rate: inelasticRate, rtt: 40 * sim.Millisecond})
 	}
-	res := c.run(spec.MustParse("nimbus"), seed, dur)
-
-	row := Fig06Row{ElasticFraction: frac, EtaCDF: stats.CDF(res.etas, 200)}
-	row.MedianEta, row.FracAboveThresh = res.etaStats()
-	return row
-}
-
-// Fig06 sweeps the elastic fraction.
-func Fig06(seed int64, quick bool) []Fig06Row {
-	dur := 120 * sim.Second
-	if quick {
-		dur = 40 * sim.Second
-	}
-	fracs := []float64{0, 0.25, 0.5, 0.75, 1.0}
-	return mapCells(len(fracs), func(i int) Fig06Row {
-		return RunFig06Point(fracs[i], seed, dur)
-	})
-}
-
-// FormatFig06 renders the result.
-func FormatFig06(rows []Fig06Row) string {
-	var b strings.Builder
-	b.WriteString("Fig 6: elasticity metric vs elastic fraction of cross traffic\n")
-	fmt.Fprintf(&b, "%-16s %10s %18s\n", "elastic frac", "median eta", "frac eta>=2")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%15.0f%% %10.2f %18.2f\n", r.ElasticFraction*100, r.MedianEta, r.FracAboveThresh)
-	}
-	b.WriteString("expected shape: median eta ~1 at 0% rising monotonically; >=25% elastic mostly above threshold\n")
-	return b.String()
+	return c.run(spec.MustParse("nimbus"), seed, dur)
 }

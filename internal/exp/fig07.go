@@ -1,37 +1,24 @@
 package exp
 
 import (
-	"fmt"
 	"math"
-	"strings"
 
 	"nimbus/internal/core"
 	"nimbus/internal/sim"
 )
 
-// Fig07Result validates the asymmetric pulse of Fig. 7 numerically: the
-// positive half-sine lasts T/4 with amplitude µ/4, the negative half
-// lasts 3T/4 with amplitude µ/12, and the two cancel over a period.
-type Fig07Result struct {
-	PeakFracOfMu   float64 // positive peak / µ (expected 0.25)
-	TroughFracOfMu float64 // |negative trough| / µ (expected 1/12)
-	MeanFracOfMu   float64 // |mean over a period| / µ (expected ~0)
-	BurstFracOfBDP float64 // burst bytes per pulse / BDP at 200 ms RTT
-	Samples        []float64
-	SampleT        []float64
-}
-
-// Fig07 evaluates the pulse shape for a 96 Mbit/s link at fp = 5 Hz.
-func Fig07() Fig07Result {
+// Fig07 validates the asymmetric pulse of Fig. 7 numerically, for a
+// 96 Mbit/s link at fp = 5 Hz: the positive half-sine lasts T/4 with
+// amplitude µ/4, the negative half lasts 3T/4 with amplitude µ/12, and
+// the two cancel over a period.
+func Fig07(int64, bool) Report {
 	mu := 96e6
 	p := core.Pulse{Freq: 5, Amplitude: mu / 4}
 	period := sim.FromSeconds(1 / p.Freq)
 	n := 2000
-	var res Fig07Result
 	sum, peak, trough := 0.0, 0.0, 0.0
 	for i := 0; i < n; i++ {
-		tm := sim.Time(float64(period) * float64(i) / float64(n))
-		v := p.Offset(tm)
+		v := p.Offset(sim.Time(float64(period) * float64(i) / float64(n)))
 		sum += v
 		if v > peak {
 			peak = v
@@ -39,26 +26,16 @@ func Fig07() Fig07Result {
 		if v < trough {
 			trough = v
 		}
-		if i%20 == 0 {
-			res.Samples = append(res.Samples, v/1e6)
-			res.SampleT = append(res.SampleT, tm.Seconds()*1000)
-		}
 	}
-	res.PeakFracOfMu = peak / mu
-	res.TroughFracOfMu = math.Abs(trough) / mu
-	res.MeanFracOfMu = math.Abs(sum/float64(n)) / mu
 	bdp := mu / 8 * 0.2 // 200 ms worth of bytes
-	res.BurstFracOfBDP = p.BurstBytes() / bdp
-	return res
-}
-
-// FormatFig07 renders the validation.
-func FormatFig07(r Fig07Result) string {
-	var b strings.Builder
-	b.WriteString("Fig 7: asymmetric sinusoidal pulse shape (mu=96 Mbit/s, fp=5 Hz)\n")
-	fmt.Fprintf(&b, "positive peak / mu:  %.4f (paper: 0.2500)\n", r.PeakFracOfMu)
-	fmt.Fprintf(&b, "negative peak / mu:  %.4f (paper: 0.0833)\n", r.TroughFracOfMu)
-	fmt.Fprintf(&b, "|mean| / mu:         %.5f (paper: 0)\n", r.MeanFracOfMu)
-	fmt.Fprintf(&b, "burst / BDP(200ms):  %.4f (paper: ~0.04)\n", r.BurstFracOfBDP)
-	return b.String()
+	return Report{Panels: []Table{{
+		Title: "Fig 7: asymmetric sinusoidal pulse shape (mu=96 Mbit/s, fp=5 Hz)",
+		Cols: []Col{
+			{"peak/mu", "", "positive peak / mu:  %.4f (paper: 0.2500)\n"},
+			{"trough/mu", "", "negative peak / mu:  %.4f (paper: 0.0833)\n"},
+			{"|mean|/mu", "", "|mean| / mu:         %.5f (paper: 0)\n"},
+			{"burst/BDP", "", "burst / BDP(200ms):  %.4f (paper: ~0.04)\n"},
+		},
+		Rows: [][]any{{peak / mu, math.Abs(trough) / mu, math.Abs(sum/float64(n)) / mu, p.BurstBytes() / bdp}},
+	}}}
 }

@@ -1,9 +1,6 @@
 package exp
 
 import (
-	"fmt"
-	"strings"
-
 	"nimbus/internal/cc"
 	"nimbus/internal/sim"
 	"nimbus/internal/transport"
@@ -27,26 +24,44 @@ func (p fig08Phase) fairShare(muMbps float64) float64 {
 	return (muMbps - p.PoissonMbps) / float64(1+p.CubicFlows)
 }
 
-// Fig08Row is one scheme's result on the Fig. 8 scenario.
-type Fig08Row struct {
-	Scheme string
-	// MeanMbps and MeanDelayMs over the full run (after warmup).
-	MeanMbps    float64
-	MeanDelayMs float64
-	// FairShareError is the mean |rate - fairShare| / fairShare across
-	// phases (how closely the black line is tracked).
-	FairShareError float64
-	// ModeCorrectFrac, for mode-switching schemes: fraction of time in
-	// the correct mode (elastic present => competitive).
-	ModeCorrectFrac float64
-	HasMode         bool
-	// TputSeries / DelaySeries for the plot (1 s bins).
-	TputSeries []float64
+// Fig08Schemes are the eight panels of Fig. 8.
+var Fig08Schemes = []string{
+	"nimbus", "nimbus-copa", "cubic", "bbr", "vegas", "compound", "copa", "vivace",
 }
 
-// RunFig08 runs the scripted scenario for one scheme on a 96 Mbit/s,
-// 50 ms, 2 BDP link. phaseDur shortens the script for quick runs.
-func RunFig08(scheme string, seed int64, phaseDur sim.Time) Fig08Row {
+// Fig08 runs all panels of Fig. 8: each scheme against the scripted
+// cross traffic on a 96 Mbit/s, 50 ms, 2 BDP link.
+func Fig08(seed int64, quick bool) Report {
+	phase := 20 * sim.Second
+	if quick {
+		phase = 12 * sim.Second
+	}
+	return fig08(Fig08Schemes, seed, phase)
+}
+
+// fig08 runs the script with phases of phaseDur for the given schemes.
+func fig08(schemes []string, seed int64, phaseDur sim.Time) Report {
+	return Report{
+		Panels: []Table{{
+			Title: "Fig 8: scripted cross traffic on 96 Mbit/s, 50 ms, 2 BDP (9 phases: Poisson Mbps / Cubic flows)",
+			Cols: []Col{
+				{"scheme", "%-14s", "%-14s"},
+				// Mean rate and queueing delay over the run, after warm-up.
+				{"Mbit/s", "%8s", "%8.1f"},
+				{"delay ms", "%10s", "%10.1f"},
+				// Mean |rate - fairShare| / fairShare across phases.
+				{"fair-err", "%12s", "%12.2f"},
+				// Fraction of time in the correct mode (elastic present
+				// => competitive); "-" for schemes without modes.
+				{"mode-acc", "%10s", "%10.2f"},
+			},
+			Rows: mapCells(len(schemes), func(i int) []any { return runFig08(schemes[i], seed, phaseDur) }),
+		}},
+		Expect: "nimbus tracks fair share with low delay vs inelastic; cubic high delay; vegas/compound lose to cubic; copa switches modes but with more errors",
+	}
+}
+
+func runFig08(scheme string, seed int64, phaseDur sim.Time) []any {
 	r := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
 	sch := MustScheme(scheme, r.MuBps)
 	probe := r.AddFlow(sch, 50*sim.Millisecond, 0)
@@ -86,15 +101,6 @@ func RunFig08(scheme string, seed int64, phaseDur sim.Time) Fig08Row {
 
 	r.Sch.RunUntil(total)
 
-	row := Fig08Row{Scheme: scheme}
-	row.MeanMbps = probe.MeanMbps(5*sim.Second, total)
-	row.MeanDelayMs = probe.Delay.Summary().Mean
-	if acc != nil {
-		row.HasMode = true
-		row.ModeCorrectFrac = acc.Accuracy()
-	}
-	row.TputSeries = probe.Tput.SeriesMbps()
-
 	// Fair-share tracking error, skipping the first 5 s of each phase
 	// (convergence time; the paper's detector itself needs 5 s).
 	var errSum float64
@@ -117,41 +123,13 @@ func RunFig08(scheme string, seed int64, phaseDur sim.Time) Fig08Row {
 		errSum += e
 		phases++
 	}
+	var fairErr float64
 	if phases > 0 {
-		row.FairShareError = errSum / float64(phases)
+		fairErr = errSum / float64(phases)
 	}
-	return row
-}
-
-// Fig08Schemes are the eight panels of Fig. 8.
-var Fig08Schemes = []string{
-	"nimbus", "nimbus-copa", "cubic", "bbr", "vegas", "compound", "copa", "vivace",
-}
-
-// Fig08 runs all panels.
-func Fig08(seed int64, quick bool) []Fig08Row {
-	phase := 20 * sim.Second
-	if quick {
-		phase = 12 * sim.Second
+	var modeAcc any
+	if acc != nil {
+		modeAcc = acc.Accuracy()
 	}
-	return mapCells(len(Fig08Schemes), func(i int) Fig08Row {
-		return RunFig08(Fig08Schemes[i], seed, phase)
-	})
-}
-
-// FormatFig08 renders the comparison.
-func FormatFig08(rows []Fig08Row) string {
-	var b strings.Builder
-	b.WriteString("Fig 8: scripted cross traffic on 96 Mbit/s, 50 ms, 2 BDP (9 phases: Poisson Mbps / Cubic flows)\n")
-	fmt.Fprintf(&b, "%-14s %8s %10s %12s %10s\n", "scheme", "Mbit/s", "delay ms", "fair-err", "mode-acc")
-	for _, r := range rows {
-		mode := "   -"
-		if r.HasMode {
-			mode = fmt.Sprintf("%.2f", r.ModeCorrectFrac)
-		}
-		fmt.Fprintf(&b, "%-14s %8.1f %10.1f %12.2f %10s\n",
-			r.Scheme, r.MeanMbps, r.MeanDelayMs, r.FairShareError, mode)
-	}
-	b.WriteString("expected shape: nimbus tracks fair share with low delay vs inelastic; cubic high delay; vegas/compound lose to cubic; copa switches modes but with more errors\n")
-	return b.String()
+	return []any{scheme, probe.MeanMbps(5*sim.Second, total), probe.Delay.Summary().Mean, fairErr, modeAcc}
 }

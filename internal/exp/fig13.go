@@ -1,77 +1,41 @@
 package exp
 
 import (
-	"fmt"
-	"strings"
-
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
 	"nimbus/internal/stats"
 )
 
-// Fig13Row is one cell of Fig. 13: Nimbus at a given pulse size against
-// the trace workload at a given offered load, with Cubic and Vegas
+// Fig13 reproduces Fig. 13: Nimbus at pulse sizes {0.125, 0.25} against
+// the trace workload at offered loads {50%, 90%}, with Cubic and Vegas
 // baselines.
-type Fig13Row struct {
-	Scheme      string
-	LoadFrac    float64
-	PulseFrac   float64
-	MeanMbps    float64
-	MedianRTTms float64
-	RateCDF     []stats.CDFPoint
-	RTTCDF      []stats.CDFPoint
-}
-
-// Fig13 sweeps load {50%, 90%} and Nimbus pulse size {0.125, 0.25}
-// against Cubic and Vegas baselines.
-func Fig13(seed int64, quick bool) []Fig13Row {
+func Fig13(seed int64, quick bool) Report {
 	dur := 120 * sim.Second
 	if quick {
 		dur = 50 * sim.Second
 	}
-	type cell struct {
-		name, scheme string
-		pulse, load  float64
+	loads := []float64{0.5, 0.9}
+	schemes := []struct{ name, spec string }{
+		{"nimbus0.125", "nimbus(pulse=0.125)"},
+		{"nimbus0.25", "nimbus(pulse=0.25)"},
+		{"cubic", "cubic"},
+		{"vegas", "vegas"},
 	}
-	var cells []cell
-	for _, load := range []float64{0.5, 0.9} {
-		for _, pulse := range []float64{0.125, 0.25} {
-			cells = append(cells, cell{fmt.Sprintf("nimbus%.3g", pulse), "nimbus", pulse, load})
-		}
-		cells = append(cells, cell{"cubic", "cubic", 0, load})
-		cells = append(cells, cell{"vegas", "vegas", 0, load})
+	return Report{
+		Panels: []Table{{
+			Title: "Fig 13: cross-traffic load and pulse size",
+			Cols: []Col{
+				{"scheme", "%-12s", "%-12s"},
+				{"load", "%6s", "%5.0f%%"},
+				{"Mbit/s", "%8s", "%8.1f"},
+				{"median RTT", "%12s", "%9.0f ms"},
+			},
+			Rows: grid([]int{len(loads), len(schemes)}, func(ix []int) []any {
+				load, s := loads[ix[0]], schemes[ix[1]]
+				probe, _ := runTrace(spec.MustParse(s.spec), seed, dur, load)
+				return []any{s.name, load * 100, probe.MeanMbps(5*sim.Second, dur), stats.Median(probe.RTTms.Samples())}
+			}),
+		}},
+		Expect: "nimbus ~ cubic throughput at both loads; delay benefit largest at 50% load; larger pulse behaves better at 50%",
 	}
-	return mapCells(len(cells), func(i int) Fig13Row {
-		c := cells[i]
-		return runFig13(c.name, c.scheme, c.pulse, c.load, seed, dur)
-	})
-}
-
-func runFig13(label, scheme string, pulse, load float64, seed int64, dur sim.Time) Fig13Row {
-	sp := spec.MustParse(scheme)
-	if pulse > 0 {
-		sp = sp.With("pulse", spec.Num(pulse))
-	}
-	row9 := runFig09Spec(sp, seed, dur, load)
-	return Fig13Row{
-		Scheme:      label,
-		LoadFrac:    load,
-		PulseFrac:   pulse,
-		MeanMbps:    row9.MeanMbps,
-		MedianRTTms: row9.MedianRTTms,
-		RateCDF:     row9.RateCDF,
-		RTTCDF:      row9.RTTCDF,
-	}
-}
-
-// FormatFig13 renders the sweep.
-func FormatFig13(rows []Fig13Row) string {
-	var b strings.Builder
-	b.WriteString("Fig 13: cross-traffic load and pulse size\n")
-	fmt.Fprintf(&b, "%-12s %6s %8s %12s\n", "scheme", "load", "Mbit/s", "median RTT")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s %5.0f%% %8.1f %9.0f ms\n", r.Scheme, r.LoadFrac*100, r.MeanMbps, r.MedianRTTms)
-	}
-	b.WriteString("expected shape: nimbus ~ cubic throughput at both loads; delay benefit largest at 50% load; larger pulse behaves better at 50%\n")
-	return b.String()
 }

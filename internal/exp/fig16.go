@@ -1,36 +1,22 @@
 package exp
 
 import (
-	"fmt"
-	"strings"
-
 	"nimbus/internal/core"
 	"nimbus/internal/metrics"
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
 )
 
-// Fig16Result reproduces Fig. 16 (§8.3): four staggered Nimbus flows
-// (Vegas as the delay algorithm, per the paper) share a 96 Mbit/s link
-// with no other cross traffic. One flow at a time should be the pulser;
-// the flows should share fairly and stay in delay mode.
-type Fig16Result struct {
-	// PerFlowMbps in the all-four-active window.
-	PerFlowMbps []float64
-	JainIndex   float64
-	// Pulser counts sampled at 100 ms after convergence.
-	FracOnePulser   float64
-	FracMultiPulser float64
-	FracNoPulser    float64
-	// DelayModeFrac: fraction of flow-time in delay mode (correct).
-	DelayModeFrac float64
-	MeanDelayMs   float64
-	RateSeries    []metrics.Series
-}
-
-// RunFig16 runs the staggered-arrival scenario. Scale shrinks the
-// 120 s/480 s schedule for quick runs.
-func RunFig16(seed int64, scale float64) Fig16Result {
+// Fig16 reproduces Fig. 16 (§8.3): four staggered Nimbus flows (Vegas as
+// the delay algorithm, per the paper) share a 96 Mbit/s link with no
+// other cross traffic. One flow at a time should be the pulser; the
+// flows should share fairly and stay in delay mode. Quick mode shrinks
+// the 120 s/480 s schedule to a quarter.
+func Fig16(seed int64, quick bool) Report {
+	scale := 1.0
+	if quick {
+		scale = 0.25
+	}
 	r := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
 	stagger := sim.Time(float64(120*sim.Second) * scale)
 	life := sim.Time(float64(480*sim.Second) * scale)
@@ -94,61 +80,34 @@ func RunFig16(seed int64, scale float64) Fig16Result {
 	end := 3*stagger + life
 	r.Sch.RunUntil(end)
 
-	res := Fig16Result{}
 	// Fairness window: all four flows active (3*stagger .. stagger+life).
-	from, to := 3*stagger, stagger+life
-	if to > from {
-		for _, f := range flows {
-			res.PerFlowMbps = append(res.PerFlowMbps, f.Probe.MeanMbps(from, to))
-		}
-		res.JainIndex = metrics.JainIndex(res.PerFlowMbps)
-	}
-	if census > 0 {
-		res.FracOnePulser = float64(one) / float64(census)
-		res.FracMultiPulser = float64(multi) / float64(census)
-		res.FracNoPulser = float64(zero) / float64(census)
-	}
-	if totalTicks > 0 {
-		res.DelayModeFrac = float64(delayTicks) / float64(totalTicks)
-	}
-	var delays []float64
+	var perFlow mbpsList
+	var delaySum float64
 	for _, f := range flows {
-		delays = append(delays, f.Probe.Delay.Summary().Mean)
-		res.RateSeries = append(res.RateSeries, metrics.Series{V: f.Probe.Tput.SeriesMbps()})
+		perFlow = append(perFlow, f.Probe.MeanMbps(3*stagger, stagger+life))
+		delaySum += f.Probe.Delay.Summary().Mean
 	}
-	var s float64
-	for _, d := range delays {
-		s += d
+	frac := func(n, of int) float64 { return ratio(float64(n), float64(of)) }
+	return Report{
+		Panels: []Table{{
+			Title: "Fig 16: four staggered Nimbus flows (Vegas delay mode), no cross traffic",
+			Cols: []Col{
+				{"per-flow Mbit/s", "", "per-flow Mbit/s (all active): %v\n"},
+				{"jain", "", "Jain fairness index: %.3f\n"},
+				// Pulser census, sampled every 100 ms after convergence.
+				{"one pulser", "", "pulser census: one=%.2f"},
+				{"multi pulser", "", " multi=%.2f"},
+				{"no pulser", "", " none=%.2f\n"},
+				// Fraction of flow-time in delay mode (correct).
+				{"delay-mode frac", "", "delay-mode fraction: %.2f"},
+				{"mean qdelay ms", "", "   mean queueing delay: %.1f ms\n"},
+			},
+			Rows: [][]any{{
+				perFlow, metrics.JainIndex(perFlow),
+				frac(one, census), frac(multi, census), frac(zero, census),
+				frac(delayTicks, totalTicks), delaySum / float64(len(flows)),
+			}},
+		}},
+		Expect: "fair shares, exactly one pulser nearly always, mostly delay mode, low delays",
 	}
-	res.MeanDelayMs = s / float64(len(delays))
-	return res
-}
-
-// Fig16 runs at the paper's horizon or a scaled-down one.
-func Fig16(seed int64, quick bool) Fig16Result {
-	scale := 1.0
-	if quick {
-		scale = 0.25
-	}
-	return RunFig16(seed, scale)
-}
-
-// FormatFig16 renders the result.
-func FormatFig16(r Fig16Result) string {
-	var b strings.Builder
-	b.WriteString("Fig 16: four staggered Nimbus flows (Vegas delay mode), no cross traffic\n")
-	fmt.Fprintf(&b, "per-flow Mbit/s (all active): %v\n", fmtSlice(r.PerFlowMbps))
-	fmt.Fprintf(&b, "Jain fairness index: %.3f\n", r.JainIndex)
-	fmt.Fprintf(&b, "pulser census: one=%.2f multi=%.2f none=%.2f\n", r.FracOnePulser, r.FracMultiPulser, r.FracNoPulser)
-	fmt.Fprintf(&b, "delay-mode fraction: %.2f   mean queueing delay: %.1f ms\n", r.DelayModeFrac, r.MeanDelayMs)
-	b.WriteString("expected shape: fair shares, exactly one pulser nearly always, mostly delay mode, low delays\n")
-	return b.String()
-}
-
-func fmtSlice(xs []float64) string {
-	parts := make([]string, len(xs))
-	for i, x := range xs {
-		parts[i] = fmt.Sprintf("%.1f", x)
-	}
-	return strings.Join(parts, ", ")
 }

@@ -1,29 +1,21 @@
 package exp
 
 import (
-	"fmt"
-	"strings"
-
 	"nimbus/internal/netem"
 	"nimbus/internal/sim"
 )
 
-// Fig17Result reproduces Fig. 17: three Nimbus flows on a 192 Mbit/s
-// link, with three Cubic cross flows during 30-90 s (elastic phase) and
-// a 96 Mbit/s CBR stream during 90-150 s (inelastic phase). The Nimbus
-// aggregate should track its fair share and keep delays low in the
-// inelastic phase.
-type Fig17Result struct {
-	// Aggregate Nimbus throughput per phase vs fair share.
-	ElasticAggMbps   float64 // fair share: 3/6 * 192 = 96
-	InelasticAggMbps float64 // fair share: 192 - 96 = 96
-	ElasticDelayMs   float64
-	InelasticDelayMs float64
-	AggSeries        []float64
-}
-
-// RunFig17 runs the scenario; scale shrinks phase lengths.
-func RunFig17(seed int64, scale float64) Fig17Result {
+// Fig17 reproduces Fig. 17: three Nimbus flows on a 192 Mbit/s link,
+// with three Cubic cross flows during 30-90 s (elastic phase, fair share
+// 3/6 * 192 = 96) and a 96 Mbit/s CBR stream during 90-150 s (inelastic
+// phase, fair share 192 - 96 = 96). The Nimbus aggregate should track its
+// fair share and keep delays low in the inelastic phase. Quick mode
+// shrinks the phases to 0.4 of their length.
+func Fig17(seed int64, quick bool) Report {
+	scale := 1.0
+	if quick {
+		scale = 0.4
+	}
 	r := NewRig(NetConfig{RateMbps: 192, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
 	phase := func(x float64) sim.Time { return sim.Time(x * scale * float64(sim.Second)) }
 
@@ -48,33 +40,24 @@ func RunFig17(seed int64, scale float64) Fig17Result {
 
 	r.Sch.RunUntil(phase(150))
 
-	var res Fig17Result
+	var elAgg, inelAgg float64
 	for _, p := range probes {
-		res.ElasticAggMbps += p.MeanMbps(phase(35), phase(90))
-		res.InelasticAggMbps += p.MeanMbps(phase(95), phase(150))
+		elAgg += p.MeanMbps(phase(35), phase(90))
+		inelAgg += p.MeanMbps(phase(95), phase(150))
 	}
-	if elDelay.n > 0 {
-		res.ElasticDelayMs = elDelay.sum / float64(elDelay.n)
+	return Report{
+		Panels: []Table{{
+			Title: "Fig 17: 3 Nimbus flows + elastic (3 Cubic) then inelastic (96 Mbit/s CBR) on 192 Mbit/s",
+			Cols: []Col{
+				{"elastic agg Mbit/s", "", "elastic phase:   aggregate %.1f Mbit/s (fair 96)"},
+				{"elastic delay ms", "", ", delay %.1f ms\n"},
+				{"inelastic agg Mbit/s", "", "inelastic phase: aggregate %.1f Mbit/s (fair 96)"},
+				{"inelastic delay ms", "", ", delay %.1f ms\n"},
+			},
+			Rows: [][]any{{elAgg, ratio(elDelay.sum, float64(elDelay.n)), inelAgg, ratio(inelDelay.sum, float64(inelDelay.n))}},
+		}},
+		Expect: "~fair share in both phases; much lower delay in the inelastic phase",
 	}
-	if inelDelay.n > 0 {
-		res.InelasticDelayMs = inelDelay.sum / float64(inelDelay.n)
-	}
-	// Aggregate series.
-	var maxLen int
-	series := make([][]float64, len(probes))
-	for i, p := range probes {
-		series[i] = p.Tput.SeriesMbps()
-		if len(series[i]) > maxLen {
-			maxLen = len(series[i])
-		}
-	}
-	res.AggSeries = make([]float64, maxLen)
-	for _, s := range series {
-		for i, v := range s {
-			res.AggSeries[i] += v
-		}
-	}
-	return res
 }
 
 func addDeliverTapProbe(r *Rig, p *FlowProbe,
@@ -90,23 +73,4 @@ func addDeliverTapProbe(r *Rig, p *FlowProbe,
 			*n2++
 		}
 	})
-}
-
-// Fig17 runs at full or quarter scale.
-func Fig17(seed int64, quick bool) Fig17Result {
-	scale := 1.0
-	if quick {
-		scale = 0.4
-	}
-	return RunFig17(seed, scale)
-}
-
-// FormatFig17 renders the result.
-func FormatFig17(r Fig17Result) string {
-	var b strings.Builder
-	b.WriteString("Fig 17: 3 Nimbus flows + elastic (3 Cubic) then inelastic (96 Mbit/s CBR) on 192 Mbit/s\n")
-	fmt.Fprintf(&b, "elastic phase:   aggregate %.1f Mbit/s (fair 96), delay %.1f ms\n", r.ElasticAggMbps, r.ElasticDelayMs)
-	fmt.Fprintf(&b, "inelastic phase: aggregate %.1f Mbit/s (fair 96), delay %.1f ms\n", r.InelasticAggMbps, r.InelasticDelayMs)
-	b.WriteString("expected shape: ~fair share in both phases; much lower delay in the inelastic phase\n")
-	return b.String()
 }

@@ -1,79 +1,51 @@
 package exp
 
 import (
-	"fmt"
-	"strings"
-
 	"nimbus/internal/metrics"
+	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
+	"nimbus/internal/stats"
 )
-
-// Fig21Row holds the p95 flow-completion time of the cross flows by size
-// bucket for one scheme (App. B, Fig. 21), normalized by Nimbus.
-type Fig21Row struct {
-	Scheme string
-	// P95 seconds per bucket name.
-	P95 map[string]float64
-	// Normalized is P95 / Nimbus's P95 per bucket.
-	Normalized map[string]float64
-}
 
 var fig21Buckets = []string{"15KB", "150KB", "1.5MB", "15MB", "150MB"}
 
-// Fig21 measures cross-flow FCTs under each scheme using the Fig 9
-// scenario.
-func Fig21(seed int64, quick bool) []Fig21Row {
+// Fig21 reproduces App. B, Fig. 21: the p95 completion time of the Fig. 9
+// cross flows under each scheme, by flow-size bucket, normalized by
+// Nimbus's. A bucket no flow completed in, under the scheme or under
+// Nimbus, prints "-".
+func Fig21(seed int64, quick bool) Report {
 	dur := 150 * sim.Second
 	if quick {
 		dur = 60 * sim.Second
 	}
 	schemes := []string{"nimbus", "bbr", "cubic", "vegas", "copa", "vivace"}
-	rows := mapCells(len(schemes), func(i int) Fig21Row {
-		r9 := RunFig09(schemes[i], seed, dur, 0.5)
-		b := metrics.FCTBuckets(r9.CrossFCTs)
-		p95 := map[string]float64{}
-		for name, sum := range b {
-			p95[name] = sum.P95
-		}
-		return Fig21Row{Scheme: schemes[i], P95: p95}
+	buckets := mapCells(len(schemes), func(i int) map[string]stats.Summary {
+		_, fcts := runTrace(spec.MustParse(schemes[i]), seed, dur, 0.5)
+		return metrics.FCTBuckets(fcts)
 	})
-	var nimbusP95 map[string]float64
-	for _, r := range rows {
-		if r.Scheme == "nimbus" {
-			nimbusP95 = r.P95
-		}
-	}
-	for i := range rows {
-		rows[i].Normalized = map[string]float64{}
-		for name, v := range rows[i].P95 {
-			if base, ok := nimbusP95[name]; ok && base > 0 {
-				rows[i].Normalized[name] = v / base
-			}
-		}
-	}
-	return rows
-}
-
-// FormatFig21 renders the table.
-func FormatFig21(rows []Fig21Row) string {
-	var b strings.Builder
-	b.WriteString("Fig 21 (App B): p95 cross-flow FCT normalized to Nimbus, by flow size\n")
-	fmt.Fprintf(&b, "%-8s", "scheme")
+	cols := []Col{{"scheme", "%-8s", "%-8s"}}
 	for _, name := range fig21Buckets {
-		fmt.Fprintf(&b, " %8s", name)
+		cols = append(cols, Col{name, "%8s", "%8.2f"})
 	}
-	b.WriteString("\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-8s", r.Scheme)
+	var rows [][]any
+	for i, s := range schemes {
+		row := []any{s}
 		for _, name := range fig21Buckets {
-			if v, ok := r.Normalized[name]; ok {
-				fmt.Fprintf(&b, " %8.2f", v)
+			b, ok := buckets[i][name]
+			if base := buckets[0][name].P95; ok && base > 0 {
+				row = append(row, b.P95/base)
 			} else {
-				fmt.Fprintf(&b, " %8s", "-")
+				row = append(row, nil)
 			}
 		}
-		b.WriteString("\n")
+		rows = append(rows, row)
 	}
-	b.WriteString("expected shape: bbr/vivace much worse than nimbus at all sizes; cubic worse for short flows; vegas best for cross flows\n")
-	return b.String()
+	return Report{
+		Panels: []Table{{
+			Title: "Fig 21 (App B): p95 cross-flow FCT normalized to Nimbus, by flow size",
+			Cols:  cols,
+			Rows:  rows,
+		}},
+		Expect: "bbr/vivace much worse than nimbus at all sizes; cubic worse for short flows; vegas best for cross flows",
+	}
 }

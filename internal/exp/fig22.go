@@ -1,64 +1,44 @@
 package exp
 
 import (
-	"fmt"
-	"strings"
-
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
 )
 
-// Fig22Row compares Nimbus's and Cubic's throughput when competing with
-// one BBR flow, across buffer sizes (App. C, Fig. 22). The claim: Nimbus
-// does no worse than Cubic against BBR regardless of buffer depth, even
+// Fig22 reproduces App. C, Fig. 22: Nimbus's and Cubic's throughput
+// against one BBR flow at buffer sizes 0.5-4 BDP. The claim: Nimbus does
+// no worse than Cubic against BBR regardless of buffer depth, even
 // though the detector classifies BBR differently by buffer size
 // (inelastic when shallow, elastic when deep).
-type Fig22Row struct {
-	BufferBDP  float64
-	NimbusMbps float64
-	CubicMbps  float64
-	// NimbusCompetitiveFrac: how the detector classified BBR.
-	NimbusCompetitiveFrac float64
-}
-
-// RunFig22Point runs both schemes against BBR at one buffer depth.
-func RunFig22Point(bufBDP float64, seed int64, dur sim.Time) Fig22Row {
-	c := scoreCell{
-		net:     NetConfig{Buffer: sim.Time(bufBDP * float64(50*sim.Millisecond))},
-		cross:   []crossSpec{{kind: "bbr", label: "bbr"}},
-		elastic: true, // so accuracy == competitive fraction
-	}
-	nim := c.run(spec.MustParse("nimbus"), seed, dur)
-	cub := c.run(spec.MustParse("cubic"), seed, dur)
-	return Fig22Row{
-		BufferBDP:             bufBDP,
-		NimbusMbps:            nim.probe.MeanMbps(5*sim.Second, dur),
-		CubicMbps:             cub.probe.MeanMbps(5*sim.Second, dur),
-		NimbusCompetitiveFrac: nim.acc.Accuracy(),
-	}
-}
-
-// Fig22 sweeps buffer sizes 0.5-4 BDP.
-func Fig22(seed int64, quick bool) []Fig22Row {
-	dur := 120 * sim.Second
-	bufs := []float64{0.5, 1, 2, 4}
+func Fig22(seed int64, quick bool) Report {
 	if quick {
-		dur = 45 * sim.Second
-		bufs = []float64{0.5, 2}
+		return fig22([]float64{0.5, 2}, seed, 45*sim.Second)
 	}
-	return mapCells(len(bufs), func(i int) Fig22Row {
-		return RunFig22Point(bufs[i], seed, dur)
-	})
+	return fig22([]float64{0.5, 1, 2, 4}, seed, 120*sim.Second)
 }
 
-// FormatFig22 renders the sweep.
-func FormatFig22(rows []Fig22Row) string {
-	var b strings.Builder
-	b.WriteString("Fig 22 (App C): competing with one BBR flow on 96 Mbit/s\n")
-	fmt.Fprintf(&b, "%10s %12s %12s %18s\n", "buffer BDP", "nimbus Mbps", "cubic Mbps", "nimbus comp. frac")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%10.1f %12.1f %12.1f %18.2f\n", r.BufferBDP, r.NimbusMbps, r.CubicMbps, r.NimbusCompetitiveFrac)
+func fig22(bufs []float64, seed int64, dur sim.Time) Report {
+	return Report{
+		Panels: []Table{{
+			Title: "Fig 22 (App C): competing with one BBR flow on 96 Mbit/s",
+			Cols: []Col{
+				{"buffer BDP", "%10s", "%10.1f"},
+				{"nimbus Mbps", "%12s", "%12.1f"},
+				{"cubic Mbps", "%12s", "%12.1f"},
+				// How the detector classified BBR.
+				{"nimbus comp. frac", "%18s", "%18.2f"},
+			},
+			Rows: mapCells(len(bufs), func(i int) []any {
+				c := scoreCell{
+					net:     NetConfig{Buffer: sim.Time(bufs[i] * float64(50*sim.Millisecond))},
+					cross:   []crossSpec{{kind: "bbr", label: "bbr"}},
+					elastic: true, // so accuracy == competitive fraction
+				}
+				nim := c.run(spec.MustParse("nimbus"), seed, dur)
+				cub := c.run(spec.MustParse("cubic"), seed, dur)
+				return []any{bufs[i], nim.probe.MeanMbps(5*sim.Second, dur), cub.probe.MeanMbps(5*sim.Second, dur), nim.acc.Accuracy()}
+			}),
+		}},
+		Expect: "nimbus ~ cubic at every buffer; BBR classified elastic only with deep buffers",
 	}
-	b.WriteString("expected shape: nimbus ~ cubic at every buffer; BBR classified elastic only with deep buffers\n")
-	return b.String()
 }

@@ -1,9 +1,6 @@
 package exp
 
 import (
-	"fmt"
-	"strings"
-
 	"nimbus/internal/netem"
 	"nimbus/internal/runner"
 	spec "nimbus/internal/scheme"
@@ -39,30 +36,35 @@ func MobileGrid(seed int64, quick bool) runner.Grid {
 }
 
 // Mobile runs the sweep on the package worker pool.
-func Mobile(seed int64, quick bool) []runner.Result {
-	return RunSweep(MobileGrid(seed, quick), Workers, nil)
+func Mobile(seed int64, quick bool) Report {
+	return mobileReport(RunSweep(MobileGrid(seed, quick), Workers, nil))
 }
 
-// FormatMobile renders one row per (trace, scheme) cell.
-func FormatMobile(rs []runner.Result) string {
-	var b strings.Builder
-	b.WriteString("Mobile: schemes over time-varying links (embedded trace corpus)\n")
-	fmt.Fprintf(&b, "%-10s %-8s %8s %12s %6s %8s %9s\n",
-		"trace", "scheme", "Mbit/s", "qdelay p95", "util", "mode sw", "mode acc")
-	for _, r := range rs {
-		if r.Err != "" {
-			fmt.Fprintf(&b, "%-10s %s\n", r.Scenario.LinkTrace, "ERROR: "+r.Err)
-			continue
-		}
-		sw, acc := "-", "-"
-		if v, ok := r.Metrics["mode_switches"]; ok {
-			sw = fmt.Sprintf("%.0f", v)
-			acc = fmt.Sprintf("%.2f", r.Metrics["mode_accuracy"])
-		}
-		fmt.Fprintf(&b, "%-10s %-8s %8.2f %9.1f ms %6.2f %8s %9s\n",
-			r.Scenario.LinkTrace, r.Scenario.Scheme,
-			r.Metrics["mean_mbps"], r.Metrics["qdelay_p95_ms"], r.Metrics["utilization"], sw, acc)
+// mobileReport renders one row per (trace, scheme) cell.
+func mobileReport(rs []runner.Result) Report {
+	return Report{
+		Panels: []Table{{
+			Title: "Mobile: schemes over time-varying links (embedded trace corpus)",
+			Cols: []Col{
+				{"trace", "%-10s", "%-10s"},
+				{"scheme", "%-8s", "%-8s"},
+				{"Mbit/s", "%8s", "%8.2f"},
+				{"qdelay p95", "%12s", "%9.1f ms"},
+				{"util", "%6s", "%6.2f"},
+				{"mode sw", "%8s", "%8.0f"},
+				{"mode acc", "%9s", "%9.2f"},
+			},
+			Rows: sweepRows(rs,
+				func(sc runner.Scenario) []any { return []any{sc.LinkTrace, sc.Scheme} },
+				func(m map[string]float64) []any {
+					// Mode telemetry is Nimbus's; other schemes print "-" twice.
+					sw, acc := optional(m, "mode_switches"), any(nil)
+					if sw != nil {
+						acc = m["mode_accuracy"]
+					}
+					return []any{m["mean_mbps"], m["qdelay_p95_ms"], m["utilization"], sw, acc}
+				}),
+		}},
+		Expect: "schemes track the trace's mean capacity; mode acc shows how often capacity swings masquerade as elastic cross traffic (the cross here is inelastic, so delay mode is correct)",
 	}
-	b.WriteString("expected shape: schemes track the trace's mean capacity; mode acc shows how often capacity swings masquerade as elastic cross traffic (the cross here is inelastic, so delay mode is correct)\n")
-	return b.String()
 }

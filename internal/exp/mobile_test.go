@@ -94,7 +94,7 @@ func TestMobileSweepDeterminism(t *testing.T) {
 		t.Fatalf("mobile grid too small: %d traces x %d schemes", len(g.LinkTraces), len(g.Schemes))
 	}
 	run := func(workers int) string {
-		return FormatMobile(RunSweep(g, workers, nil))
+		return mobileReport(RunSweep(g, workers, nil)).String()
 	}
 	seq := run(1)
 	if par := run(8); par != seq {
@@ -107,5 +107,21 @@ func TestMobileSweepDeterminism(t *testing.T) {
 		if !strings.Contains(seq, trace) {
 			t.Fatalf("report missing trace %s:\n%s", trace, seq)
 		}
+	}
+}
+
+// TestMobileErrorRowKeepsLabels: a failed cell prints as an ERROR row
+// under both of its labels (the scheme used to be dropped) and fails the
+// report.
+func TestMobileErrorRowKeepsLabels(t *testing.T) {
+	rep := mobileReport([]runner.Result{{
+		Scenario: runner.Scenario{LinkTrace: "outage", Scheme: spec.MustParse("bbr")},
+		Err:      "exp: boom",
+	}})
+	if want := "outage     bbr      ERROR: exp: boom\n"; !strings.Contains(rep.String(), want) {
+		t.Errorf("error row not rendered as %q:\n%s", want, rep)
+	}
+	if !rep.Failed() {
+		t.Error("a report with a failed cell did not report failure")
 	}
 }

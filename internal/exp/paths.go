@@ -2,12 +2,10 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"nimbus/internal/netem"
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
-	"nimbus/internal/stats"
 )
 
 // PathProfile is one emulated Internet path (the stand-in for the
@@ -75,18 +73,10 @@ func Paths25() []PathProfile {
 	return out
 }
 
-// PathRow is one (path, scheme) measurement: mean throughput and mean
-// RTT over a one-minute bulk transfer (the paper's methodology).
-type PathRow struct {
-	Path      string
-	Scheme    string
-	MeanMbps  float64
-	MeanRTTms float64
-	Policer   bool
-}
-
-// RunPath runs one scheme over one path profile.
-func RunPath(p PathProfile, scheme string, seed int64, dur sim.Time) PathRow {
+// runPath runs one scheme over one path profile and returns its mean
+// throughput (Mbit/s) and mean RTT (ms) over the bulk transfer (the
+// paper's methodology).
+func runPath(p PathProfile, scheme string, seed int64, dur sim.Time) (mbps, rttMs float64) {
 	cfg := NetConfig{RateMbps: p.RateMbps, RTT: p.RTT, Buffer: p.Buffer, Seed: seed}
 	if p.Pattern != "" {
 		sched, err := netem.ParsePattern(p.Pattern, p.RateMbps*1e6)
@@ -112,127 +102,93 @@ func RunPath(p PathProfile, scheme string, seed int64, dur sim.Time) PathRow {
 		r.cubicCross(p.BgElastic, p.RTT, dur/3, 2*dur/3)
 	}
 	r.Sch.RunUntil(dur)
-	return PathRow{
-		Path:      p.Name,
-		Scheme:    scheme,
-		MeanMbps:  probe.MeanMbps(5*sim.Second, dur),
-		MeanRTTms: probe.RTTms.Summary().Mean,
-		Policer:   p.Policer,
-	}
+	return probe.MeanMbps(5*sim.Second, dur), probe.RTTms.Summary().Mean
 }
 
 // PathSchemes are the four schemes the paper runs on real paths.
 var PathSchemes = []string{"nimbus", "cubic", "bbr", "vegas"}
 
 // Fig18 runs the three showcase paths for all schemes.
-func Fig18(seed int64, quick bool) []PathRow {
+func Fig18(seed int64, quick bool) Report {
 	dur := 60 * sim.Second
 	if quick {
 		dur = 30 * sim.Second
 	}
-	type cell struct {
-		path   PathProfile
-		scheme string
+	paths := Paths25()[:3]
+	return Report{
+		Panels: []Table{{
+			Title: "Fig 18: three example paths (A,B deep buffers; C lossy/policed)",
+			Cols: []Col{
+				{"path", "%-8s", "%-8s"},
+				{"scheme", "%-8s", "%-8s"},
+				{"Mbit/s", "%8s", "%8.1f"},
+				{"mean RTT", "%10s", "%7.0f ms"},
+			},
+			Rows: grid([]int{len(paths), len(PathSchemes)}, func(ix []int) []any {
+				p, scheme := paths[ix[0]], PathSchemes[ix[1]]
+				mbps, rtt := runPath(p, scheme, seed, dur)
+				return []any{p.Name, scheme, mbps, rtt}
+			}),
+		}},
+		Expect: "on A/B nimbus ~ cubic/bbr rate at lower RTT; on C cubic suffers, nimbus keeps rate; vegas low rate everywhere elastic bg exists",
 	}
-	var cells []cell
-	for _, p := range Paths25()[:3] {
-		for _, s := range PathSchemes {
-			cells = append(cells, cell{p, s})
-		}
-	}
-	return mapCells(len(cells), func(i int) PathRow {
-		return RunPath(cells[i].path, cells[i].scheme, seed, dur)
-	})
 }
 
-// FormatFig18 renders the three example paths.
-func FormatFig18(rows []PathRow) string {
-	var b strings.Builder
-	b.WriteString("Fig 18: three example paths (A,B deep buffers; C lossy/policed)\n")
-	fmt.Fprintf(&b, "%-8s %-8s %8s %10s\n", "path", "scheme", "Mbit/s", "mean RTT")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-8s %-8s %8.1f %7.0f ms\n", r.Path, r.Scheme, r.MeanMbps, r.MeanRTTms)
-	}
-	b.WriteString("expected shape: on A/B nimbus ~ cubic/bbr rate at lower RTT; on C cubic suffers, nimbus keeps rate; vegas low rate everywhere elastic bg exists\n")
-	return b.String()
-}
-
-// Fig19Result summarizes the full 25-path suite: CDFs across paths of
-// each scheme's throughput and RTT (paths with queueing only, per the
-// paper).
-type Fig19Result struct {
-	Scheme              string
-	TputCDF             []stats.CDFPoint
-	RTTCDF              []stats.CDFPoint
-	MeanMbps, MeanRTTms float64
-}
-
-// Fig19 runs the suite.
-func Fig19(seed int64, quick bool) []Fig19Result {
+// Fig19 summarizes the 25-path suite: each scheme's throughput and RTT,
+// averaged over the paths with queueing (per the paper).
+func Fig19(seed int64, quick bool) Report {
 	dur := 60 * sim.Second
 	paths := Paths25()
 	if quick {
 		dur = 20 * sim.Second
 		paths = paths[:8]
 	}
-	// "paths with queueing" per Fig 19
 	var queued []PathProfile
 	for _, p := range paths {
 		if !p.Policer {
 			queued = append(queued, p)
 		}
 	}
-	// One cell per (scheme, path); aggregate per scheme afterwards.
-	rows := mapCells(len(PathSchemes)*len(queued), func(i int) PathRow {
-		return RunPath(queued[i%len(queued)], PathSchemes[i/len(queued)], seed, dur)
+	// One cell per (scheme, path); average per scheme afterwards.
+	runs := grid([]int{len(PathSchemes), len(queued)}, func(ix []int) [2]float64 {
+		mbps, rtt := runPath(queued[ix[1]], PathSchemes[ix[0]], seed, dur)
+		return [2]float64{mbps, rtt}
 	})
-	var out []Fig19Result
+	var rows [][]any
 	for si, s := range PathSchemes {
-		var tputs, rtts []float64
-		var tputSum, rttSum float64
-		for pi, p := range queued {
-			row := rows[si*len(queued)+pi]
-			// Normalize throughput by the path rate so different paths
-			// are comparable in one CDF.
-			tputs = append(tputs, row.MeanMbps/p.RateMbps)
-			rtts = append(rtts, row.MeanRTTms)
-			tputSum += row.MeanMbps
-			rttSum += row.MeanRTTms
-		}
-		out = append(out, Fig19Result{
-			Scheme:    s,
-			TputCDF:   stats.CDF(tputs, 0),
-			RTTCDF:    stats.CDF(rtts, 0),
-			MeanMbps:  tputSum / float64(len(queued)),
-			MeanRTTms: rttSum / float64(len(queued)),
-		})
+		mbps, rtt := meanRuns(runs[si*len(queued) : (si+1)*len(queued)])
+		rows = append(rows, []any{s, mbps, rtt})
 	}
-	return out
-}
-
-// FormatFig19 renders the summary.
-func FormatFig19(rows []Fig19Result) string {
-	var b strings.Builder
-	b.WriteString("Fig 19: 25-path suite, paths with queueing\n")
-	fmt.Fprintf(&b, "%-8s %12s %12s\n", "scheme", "mean Mbit/s", "mean RTT ms")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-8s %12.1f %12.0f\n", r.Scheme, r.MeanMbps, r.MeanRTTms)
+	return Report{
+		Panels: []Table{{
+			Title: "Fig 19: 25-path suite, paths with queueing",
+			Cols: []Col{
+				{"scheme", "%-8s", "%-8s"},
+				{"mean Mbit/s", "%12s", "%12.1f"},
+				{"mean RTT ms", "%12s", "%12.0f"},
+			},
+			Rows: rows,
+		}},
+		Expect: "nimbus ~ cubic rate, ~10% below bbr, at 40-50 ms lower RTT than cubic/bbr",
 	}
-	b.WriteString("expected shape: nimbus ~ cubic rate, ~10% below bbr, at 40-50 ms lower RTT than cubic/bbr\n")
-	return b.String()
 }
 
-// Fig20Result is App. A: repeated runs of Cubic vs the pure
-// delay-control scheme on one path, showing inelastic cross traffic is
-// common enough that delay control often wins on delay at equal
-// throughput.
-type Fig20Result struct {
-	Runs []PathRow // alternating cubic / nimbus-delay
+// meanRuns averages runPath results held as {Mbit/s, RTT ms}.
+func meanRuns(runs [][2]float64) (mbps, rttMs float64) {
+	for _, r := range runs {
+		mbps += r[0]
+		rttMs += r[1]
+	}
+	n := float64(len(runs))
+	return mbps / n, rttMs / n
 }
 
-// Fig20 runs N seeds of each scheme on path A with time-varying
-// background (the per-run variance stands in for diurnal variation).
-func Fig20(seed int64, quick bool) Fig20Result {
+// Fig20 is App. A: repeated runs of Cubic and the pure delay-control
+// scheme on path A, N seeds each, with the background varied per run
+// (the per-run variance stands in for diurnal variation). Inelastic
+// cross traffic is common enough that delay control often wins on delay
+// at equal throughput.
+func Fig20(seed int64, quick bool) Report {
 	n := 20
 	dur := 60 * sim.Second
 	if quick {
@@ -240,46 +196,31 @@ func Fig20(seed int64, quick bool) Fig20Result {
 		dur = 20 * sim.Second
 	}
 	p := Paths25()[0]
-	var res Fig20Result
-	res.Runs = mapCells(2*n, func(j int) PathRow {
-		i := j / 2
+	schemes := []string{"cubic", "nimbus-delay"}
+	// Scheme-major, so each scheme's runs are contiguous.
+	runs := grid([]int{len(schemes), n}, func(ix []int) [2]float64 {
+		i := ix[1]
 		s := seed + int64(i)*101
 		// Vary the background load per run.
 		pv := p
 		pv.BgLoad = 0.1 + 0.6*sim.NewRand(s).Float64()
 		pv.BgElastic = i % 2
-		scheme := "cubic"
-		if j%2 == 1 {
-			scheme = "nimbus-delay"
-		}
-		return RunPath(pv, scheme, s, dur)
+		mbps, rtt := runPath(pv, schemes[ix[0]], s, dur)
+		return [2]float64{mbps, rtt}
 	})
-	return res
-}
-
-// FormatFig20 renders the scatter summary.
-func FormatFig20(r Fig20Result) string {
-	var cub, del struct {
-		tput, rtt float64
-		n         int
+	cubMbps, cubRTT := meanRuns(runs[:n])
+	delMbps, delRTT := meanRuns(runs[n:])
+	return Report{
+		Panels: []Table{{
+			Title: "Fig 20 (App A): loss-based vs delay-based over repeated runs",
+			Cols: []Col{
+				{"cubic Mbit/s", "", "cubic:        %.1f Mbit/s"},
+				{"cubic RTT ms", "", " at %.0f ms mean RTT\n"},
+				{"nimbus-delay Mbit/s", "", "nimbus-delay: %.1f Mbit/s"},
+				{"nimbus-delay RTT ms", "", " at %.0f ms mean RTT\n"},
+			},
+			Rows: [][]any{{cubMbps, cubRTT, delMbps, delRTT}},
+		}},
+		Expect: "similar throughput, much lower delay for the delay-controller (inelastic cross traffic is common)",
 	}
-	for _, row := range r.Runs {
-		if row.Scheme == "cubic" {
-			cub.tput += row.MeanMbps
-			cub.rtt += row.MeanRTTms
-			cub.n++
-		} else {
-			del.tput += row.MeanMbps
-			del.rtt += row.MeanRTTms
-			del.n++
-		}
-	}
-	var b strings.Builder
-	b.WriteString("Fig 20 (App A): loss-based vs delay-based over repeated runs\n")
-	if cub.n > 0 && del.n > 0 {
-		fmt.Fprintf(&b, "cubic:        %.1f Mbit/s at %.0f ms mean RTT\n", cub.tput/float64(cub.n), cub.rtt/float64(cub.n))
-		fmt.Fprintf(&b, "nimbus-delay: %.1f Mbit/s at %.0f ms mean RTT\n", del.tput/float64(del.n), del.rtt/float64(del.n))
-	}
-	b.WriteString("expected shape: similar throughput, much lower delay for the delay-controller (inelastic cross traffic is common)\n")
-	return b.String()
 }

@@ -16,78 +16,46 @@ import (
 type Experiment struct {
 	ID    string
 	Title string
-	// Run executes the experiment and returns the formatted report.
-	Run func(seed int64, quick bool) string
+	// Run executes the experiment and returns its report.
+	Run func(seed int64, quick bool) Report
 }
 
 // Registry maps experiment ids ("fig01".."fig26", "table1", "tableE",
 // "mobile", "coexist", "topo") to their runners. cmd/nimbus-bench and
 // the root benchmarks both use it.
 var Registry = map[string]Experiment{
-	"fig01": {"fig01", "Motivating comparison (Cubic / delay-control / Nimbus)",
-		func(seed int64, quick bool) string { return FormatFig01(Fig01(seed)) }},
-	"fig03": {"fig03", "Self-inflicted delay does not reveal elasticity",
-		func(seed int64, quick bool) string { return FormatFig03(RunFig03(seed)) }},
-	"fig04": {"fig04", "Cross-traffic reaction to pulses",
-		func(seed int64, quick bool) string { return FormatFig04(Fig04(seed)) }},
-	"fig05": {"fig05", "FFT of the cross-traffic estimate",
-		func(seed int64, quick bool) string { return FormatFig05(Fig05(seed)) }},
-	"fig06": {"fig06", "Eta distribution vs elastic fraction",
-		func(seed int64, quick bool) string { return FormatFig06(Fig06(seed, quick)) }},
-	"fig07": {"fig07", "Asymmetric pulse shape",
-		func(seed int64, quick bool) string { return FormatFig07(Fig07()) }},
-	"fig08": {"fig08", "Eight-scheme panel with scripted cross traffic",
-		func(seed int64, quick bool) string { return FormatFig08(Fig08(seed, quick)) }},
-	"fig09": {"fig09", "WAN trace workload: rate/RTT distributions",
-		func(seed int64, quick bool) string { return FormatFig09(Fig09(seed, quick)) }},
-	"fig10": {"fig10", "Copa throughput drop vs elastic flows",
-		func(seed int64, quick bool) string { return FormatFig10(Fig10(seed, quick)) }},
-	"fig11": {"fig11", "Video cross traffic",
-		func(seed int64, quick bool) string { return FormatFig11(Fig11(seed, quick)) }},
-	"fig12": {"fig12", "Eta tracks true elastic fraction",
-		func(seed int64, quick bool) string { return FormatFig12(Fig12(seed, quick)) }},
-	"fig13": {"fig13", "Offered load and pulse size",
-		func(seed int64, quick bool) string { return FormatFig13(Fig13(seed, quick)) }},
-	"fig14": {"fig14", "Accuracy vs Copa (inelastic share; RTT ratio)",
-		func(seed int64, quick bool) string { return FormatFig14(Fig14(seed, quick)) }},
-	"fig15": {"fig15", "Accuracy vs cross-traffic RTT",
-		func(seed int64, quick bool) string { return FormatFig15(Fig15(seed, quick)) }},
-	"fig16": {"fig16", "Multiple Nimbus flows: fairness and pulser election",
-		func(seed int64, quick bool) string { return FormatFig16(Fig16(seed, quick)) }},
-	"fig17": {"fig17", "Multiple Nimbus flows with cross traffic",
-		func(seed int64, quick bool) string { return FormatFig17(Fig17(seed, quick)) }},
-	"fig18": {"fig18", "Three example Internet paths",
-		func(seed int64, quick bool) string { return FormatFig18(Fig18(seed, quick)) }},
-	"fig19": {"fig19", "25-path suite summary",
-		func(seed int64, quick bool) string { return FormatFig19(Fig19(seed, quick)) }},
-	"fig20": {"fig20", "Cubic vs delay-control over repeated runs",
-		func(seed int64, quick bool) string { return FormatFig20(Fig20(seed, quick)) }},
-	"fig21": {"fig21", "Cross-flow FCTs",
-		func(seed int64, quick bool) string { return FormatFig21(Fig21(seed, quick)) }},
-	"fig22": {"fig22", "Competing with BBR across buffer sizes",
-		func(seed int64, quick bool) string { return FormatFig22(Fig22(seed, quick)) }},
-	"fig23": {"fig23", "Copa vs Nimbus: CBR dynamics",
-		func(seed int64, quick bool) string { return FormatFig23(Fig23(seed, quick)) }},
-	"fig24": {"fig24", "Copa vs Nimbus: elastic RTT dynamics",
-		func(seed int64, quick bool) string { return FormatFig24(Fig24(seed, quick)) }},
-	"fig25": {"fig25", "Multi-factor accuracy sweep",
-		func(seed int64, quick bool) string { return FormatFig25(Fig25(seed, quick)) }},
-	"fig26": {"fig26", "Detecting PCC-Vivace via pulse frequency",
-		func(seed int64, quick bool) string { return FormatFig26(Fig26(seed, quick)) }},
-	"churn": {"churn", "Internet-scale flow churn: schemes x session workloads",
-		func(seed int64, quick bool) string { return FormatChurn(Churn(seed, quick)) }},
-	"coexist": {"coexist", "Heterogeneous flow mixes: coexistence and fairness",
-		func(seed int64, quick bool) string { return FormatCoexist(Coexist(seed, quick)) }},
-	"fidelity": {"fidelity", "Fluid vs per-packet cross traffic: approximation error and event savings",
-		func(seed int64, quick bool) string { return FormatFidelity(Fidelity(seed, quick)) }},
-	"mobile": {"mobile", "Time-varying links: schemes x capacity-trace corpus",
-		func(seed int64, quick bool) string { return FormatMobile(Mobile(seed, quick)) }},
-	"topo": {"topo", "Multi-hop topologies: parking-lot fairness, congested ACK paths",
-		func(seed int64, quick bool) string { return FormatTopo(Topo(seed, quick)) }},
-	"table1": {"table1", "Classification by traffic class",
-		func(seed int64, quick bool) string { return FormatTable1(Table1(seed, quick)) }},
-	"tableE": {"tableE", "Buffer/RTT/AQM robustness",
-		func(seed int64, quick bool) string { return FormatTableE(TableE(seed, quick)) }},
+	"fig01":    {"fig01", "Motivating comparison (Cubic / delay-control / Nimbus)", Fig01},
+	"fig03":    {"fig03", "Self-inflicted delay does not reveal elasticity", Fig03},
+	"fig04":    {"fig04", "Cross-traffic reaction to pulses", Fig04},
+	"fig05":    {"fig05", "FFT of the cross-traffic estimate", Fig05},
+	"fig06":    {"fig06", "Eta distribution vs elastic fraction", Fig06},
+	"fig07":    {"fig07", "Asymmetric pulse shape", Fig07},
+	"fig08":    {"fig08", "Eight-scheme panel with scripted cross traffic", Fig08},
+	"fig09":    {"fig09", "WAN trace workload: rate/RTT distributions", Fig09},
+	"fig10":    {"fig10", "Copa throughput drop vs elastic flows", Fig10},
+	"fig11":    {"fig11", "Video cross traffic", Fig11},
+	"fig12":    {"fig12", "Eta tracks true elastic fraction", Fig12},
+	"fig13":    {"fig13", "Offered load and pulse size", Fig13},
+	"fig14":    {"fig14", "Accuracy vs Copa (inelastic share; RTT ratio)", Fig14},
+	"fig15":    {"fig15", "Accuracy vs cross-traffic RTT", Fig15},
+	"fig16":    {"fig16", "Multiple Nimbus flows: fairness and pulser election", Fig16},
+	"fig17":    {"fig17", "Multiple Nimbus flows with cross traffic", Fig17},
+	"fig18":    {"fig18", "Three example Internet paths", Fig18},
+	"fig19":    {"fig19", "25-path suite summary", Fig19},
+	"fig20":    {"fig20", "Cubic vs delay-control over repeated runs", Fig20},
+	"fig21":    {"fig21", "Cross-flow FCTs", Fig21},
+	"fig22":    {"fig22", "Competing with BBR across buffer sizes", Fig22},
+	"fig23":    {"fig23", "Copa vs Nimbus: CBR dynamics", Fig23},
+	"fig24":    {"fig24", "Copa vs Nimbus: elastic RTT dynamics", Fig24},
+	"fig25":    {"fig25", "Multi-factor accuracy sweep", Fig25},
+	"fig26":    {"fig26", "Detecting PCC-Vivace via pulse frequency", Fig26},
+	"churn":    {"churn", "Internet-scale flow churn: schemes x session workloads", Churn},
+	"coexist":  {"coexist", "Heterogeneous flow mixes: coexistence and fairness", Coexist},
+	"fidelity": {"fidelity", "Fluid vs per-packet cross traffic: approximation error and event savings", Fidelity},
+	"mobile":   {"mobile", "Time-varying links: schemes x capacity-trace corpus", Mobile},
+	"topo":     {"topo", "Multi-hop topologies: parking-lot fairness, congested ACK paths", Topo},
+	"table1":   {"table1", "Classification by traffic class", Table1},
+	"tableE":   {"tableE", "Buffer/RTT/AQM robustness", TableE},
 }
 
 // IDs returns the experiment ids in sorted order.
@@ -100,13 +68,20 @@ func IDs() []string {
 	return out
 }
 
-// Run runs one experiment by id.
-func Run(id string, seed int64, quick bool) (string, error) {
+// RunReport runs one experiment by id. A cell that failed is an error
+// cell in the report (Report.Failed), not an error here.
+func RunReport(id string, seed int64, quick bool) (Report, error) {
 	e, ok := Registry[id]
 	if !ok {
-		return "", fmt.Errorf("unknown experiment %q (known: %v)", id, IDs())
+		return Report{}, fmt.Errorf("unknown experiment %q (known: %v)", id, IDs())
 	}
 	return e.Run(seed, quick), nil
+}
+
+// Run is RunReport rendered as text.
+func Run(id string, seed int64, quick bool) (string, error) {
+	rep, err := RunReport(id, seed, quick)
+	return rep.String(), err
 }
 
 // ListText renders the uniform -list-* flag output every CLI shares:

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -24,6 +25,23 @@ var Workers = 0
 // worker pool, returning results in cell order.
 func mapCells[T any](n int, f func(i int) T) []T {
 	return runner.Map(Workers, n, f)
+}
+
+// grid runs one cell at every point of the index grid dims[0] x dims[1]
+// x ..., first axis outermost, on the shared worker pool, and returns the
+// cells' results (table rows, mostly) in that order.
+func grid[T any](dims []int, cell func(ix []int) T) []T {
+	n := 1
+	for _, d := range dims {
+		n *= d
+	}
+	return mapCells(n, func(i int) T {
+		ix := make([]int, len(dims))
+		for k := len(dims) - 1; k >= 0; k-- {
+			ix[k], i = i%dims[k], i/dims[k]
+		}
+		return cell(ix)
+	})
 }
 
 // NetConfigFor translates a declarative scenario's link description.
@@ -343,4 +361,28 @@ func hopMetrics(m map[string]float64, r *Rig) {
 func RunSweep(g runner.Grid, workers int, onProgress func(done, total int, r runner.Result)) []runner.Result {
 	rn := &runner.Runner{Workers: workers, OnProgress: onProgress}
 	return rn.Run(g.Expand(), RunScenario)
+}
+
+// sweepRows turns a sweep's results into report rows: the cell's label
+// columns, then its error if it failed, else the cells made of its
+// metrics.
+func sweepRows(rs []runner.Result, labels func(sc runner.Scenario) []any, cells func(m map[string]float64) []any) [][]any {
+	rows := make([][]any, len(rs))
+	for i, r := range rs {
+		if r.Err != "" {
+			rows[i] = append(labels(r.Scenario), errors.New(r.Err))
+		} else {
+			rows[i] = append(labels(r.Scenario), cells(r.Metrics)...)
+		}
+	}
+	return rows
+}
+
+// optional is the metric as a cell, nil (printed "-") when the cell did
+// not report it.
+func optional(m map[string]float64, key string) any {
+	if v, ok := m[key]; ok {
+		return v
+	}
+	return nil
 }

@@ -13,9 +13,9 @@ import (
 // tracker measured. (It used to be written from a defer, after the row
 // had been copied out, and printed as 0.00.)
 func TestFig08CopaModeScored(t *testing.T) {
-	row := RunFig08("copa", 1, 4*sim.Second)
-	if !row.HasMode || row.ModeCorrectFrac <= 0 {
-		t.Fatalf("copa: HasMode=%v ModeCorrectFrac=%v, want a scored mode", row.HasMode, row.ModeCorrectFrac)
+	tab := fig08([]string{"copa"}, 1, 4*sim.Second).Panels[0]
+	if acc := tab.Num(0, "mode-acc"); !(acc > 0) {
+		t.Fatalf("copa: mode-acc = %v, want a scored mode", acc)
 	}
 }
 
@@ -88,5 +88,5 @@ func TestMixCrossVocabulary(t *testing.T) {
 			t.Fatal("unknown mix: want a panic")
 		}
 	}()
-	RunTableECell(2, 50*sim.Millisecond, "droptail", 0, "bursty", 1, sim.Second)
+	mixCross("bursty", 50*sim.Millisecond, nil, nil, 0, 0)
 }

@@ -21,31 +21,46 @@ import (
 // TopoSchemes are the schemes under test.
 var TopoSchemes = []string{"nimbus", "cubic", "copa", "bbr"}
 
-// TopoRow is one (scenario, scheme) cell.
-type TopoRow struct {
-	Scenario string // "parking-lot" or "rev-congested"
-	Scheme   string
-	// Mbps is the scheme-under-test's throughput on the full route.
-	Mbps float64
-	// CrossMbps is the mean throughput of the competing flows
-	// (parking-lot: the per-hop cubic flows; rev-congested: zero).
-	CrossMbps float64
-	// Jain scores the long flow against the per-hop flows (parking-lot).
-	Jain float64
-	// HopUtil is each hop's utilization, in topology order.
-	HopUtil []float64
-	// HopQDelayMs is each hop's mean queueing delay.
-	HopQDelayMs []float64
-	// AckDrops counts ACK packets lost on the congested reverse path
-	// (rev-congested only; the reverse link's own drop counter would also
-	// include the CBR cross traffic's losses).
-	AckDrops uint64
+// hopList is a cell holding each hop's utilization and mean queueing
+// delay (ms), in topology order.
+type hopList [][2]float64
+
+func (l hopList) String() string {
+	parts := make([]string, len(l))
+	for i, h := range l {
+		parts[i] = fmt.Sprintf("%.2f/%.1f", h[0], h[1])
+	}
+	return strings.Join(parts, ", ")
 }
 
-// TopoParkingLot runs one scheme over the parking-lot preset: the scheme
+func hopsOf(r *Rig) hopList {
+	var hops hopList
+	for _, l := range r.Net.Links() {
+		hops = append(hops, [2]float64{l.Utilization(), l.MeanQueueDelay().Millis()})
+	}
+	return hops
+}
+
+var topoCols = []Col{
+	{"scenario", "%-14s", "%-14s"},
+	{"scheme", "%-8s", "%-8s"},
+	// The scheme under test's throughput on the full route.
+	{"Mbit/s", "%8s", "%8.2f"},
+	// Parking-lot only: the mean throughput of the per-hop cubic flows,
+	// and Jain's index of the long flow against them.
+	{"crossMbps", "%10s", "%10.2f"},
+	{"jain", "%6s", "%6.3f"},
+	// Rev-congested only: ACK packets lost on the reverse path (the
+	// reverse link's own drop counter would also include the CBR cross
+	// traffic's losses).
+	{"ackDrops", "%9s", "%9d"},
+	{"per-hop util / qdelay(ms)", " %s", " [%s]"},
+}
+
+// topoParkingLot runs one scheme over the parking-lot preset: the scheme
 // under test crosses all three equal-rate hops while one cubic flow
 // contends at each hop.
-func TopoParkingLot(schemeName string, seed int64, dur sim.Time) TopoRow {
+func topoParkingLot(schemeName string, seed int64, dur sim.Time) []any {
 	rtt := 50 * sim.Millisecond
 	r := NewRig(NetConfig{
 		RateMbps: 48, RTT: rtt, Buffer: 100 * sim.Millisecond,
@@ -64,23 +79,18 @@ func TopoParkingLot(schemeName string, seed int64, dur sim.Time) TopoRow {
 	}
 	r.Sch.RunUntil(dur)
 	st := FlowStats(flows, dur)
-	row := TopoRow{Scenario: "parking-lot", Scheme: schemeName,
-		Mbps: st.PerFlowMbps[0], Jain: st.Jain}
+	var cross float64
 	for _, v := range st.PerFlowMbps[1:] {
-		row.CrossMbps += v
+		cross += v
 	}
-	row.CrossMbps /= float64(len(st.PerFlowMbps) - 1)
-	for _, l := range r.Net.Links() {
-		row.HopUtil = append(row.HopUtil, l.Utilization())
-		row.HopQDelayMs = append(row.HopQDelayMs, l.MeanQueueDelay().Millis())
-	}
-	return row
+	cross /= float64(len(st.PerFlowMbps) - 1)
+	return []any{"parking-lot", schemeName, st.PerFlowMbps[0], cross, st.Jain, nil, hopsOf(r)}
 }
 
-// TopoRevCongested runs one scheme over the rev-congested preset: the
+// topoRevCongested runs one scheme over the rev-congested preset: the
 // scheme's ACKs share a narrow reverse link (5% of nominal) with a CBR
 // stream sized to over-subscribe it, so ACKs queue and drop.
-func TopoRevCongested(schemeName string, seed int64, dur sim.Time) TopoRow {
+func topoRevCongested(schemeName string, seed int64, dur sim.Time) []any {
 	rtt := 50 * sim.Millisecond
 	r := NewRig(NetConfig{
 		RateMbps: 48, RTT: rtt, Buffer: 100 * sim.Millisecond,
@@ -98,53 +108,25 @@ func TopoRevCongested(schemeName string, seed int64, dur sim.Time) TopoRow {
 		panic(err)
 	}
 	r.Sch.RunUntil(dur)
-	row := TopoRow{Scenario: "rev-congested", Scheme: schemeName,
-		Mbps: flows[0].Probe.MeanMbps(0, dur), AckDrops: r.Net.AckDrops}
-	for _, l := range r.Net.Links() {
-		row.HopUtil = append(row.HopUtil, l.Utilization())
-		row.HopQDelayMs = append(row.HopQDelayMs, l.MeanQueueDelay().Millis())
-	}
-	return row
+	return []any{"rev-congested", schemeName, flows[0].Probe.MeanMbps(0, dur), nil, nil, r.Net.AckDrops, hopsOf(r)}
 }
 
 // Topo runs the family: every scheme through both scenarios, fanned out
 // on the package worker pool.
-func Topo(seed int64, quick bool) []TopoRow {
+func Topo(seed int64, quick bool) Report {
 	dur := 60 * sim.Second
 	if quick {
 		dur = 20 * sim.Second
 	}
-	n := len(TopoSchemes)
-	return mapCells(2*n, func(i int) TopoRow {
-		schemeName := TopoSchemes[i%n]
-		if i < n {
-			return TopoParkingLot(schemeName, seed, dur)
-		}
-		return TopoRevCongested(schemeName, seed, dur)
-	})
-}
-
-// FormatTopo renders the family's report.
-func FormatTopo(rows []TopoRow) string {
-	var b strings.Builder
-	b.WriteString("Topo: multi-hop topologies (parking-lot fairness; congested ACK path)\n")
-	fmt.Fprintf(&b, "%-14s %-8s %8s %10s %6s %9s  %s\n",
-		"scenario", "scheme", "Mbit/s", "crossMbps", "jain", "ackDrops", "per-hop util / qdelay(ms)")
-	for _, r := range rows {
-		var hops []string
-		for i := range r.HopUtil {
-			hops = append(hops, fmt.Sprintf("%.2f/%.1f", r.HopUtil[i], r.HopQDelayMs[i]))
-		}
-		cross, jain, drops := "-", "-", "-"
-		if r.Scenario == "parking-lot" {
-			cross = fmt.Sprintf("%.2f", r.CrossMbps)
-			jain = fmt.Sprintf("%.3f", r.Jain)
-		} else {
-			drops = fmt.Sprintf("%d", r.AckDrops)
-		}
-		fmt.Fprintf(&b, "%-14s %-8s %8.2f %10s %6s %9s  [%s]\n",
-			r.Scenario, r.Scheme, r.Mbps, cross, jain, drops, strings.Join(hops, ", "))
+	scenarios := []func(string, int64, sim.Time) []any{topoParkingLot, topoRevCongested}
+	return Report{
+		Panels: []Table{{
+			Title: "Topo: multi-hop topologies (parking-lot fairness; congested ACK path)",
+			Cols:  topoCols,
+			Rows: grid([]int{len(scenarios), len(TopoSchemes)}, func(ix []int) []any {
+				return scenarios[ix[0]](TopoSchemes[ix[1]], seed, dur)
+			}),
+		}},
+		Expect: "parking-lot long flows get less than single-hop competitors (the classic multi-bottleneck penalty); on rev-congested, loss- and model-based schemes ride out ACK thinning while delay-based ones see reverse queueing as path delay",
 	}
-	b.WriteString("expected shape: parking-lot long flows get less than single-hop competitors (the classic multi-bottleneck penalty); on rev-congested, loss- and model-based schemes ride out ACK thinning while delay-based ones see reverse queueing as path delay\n")
-	return b.String()
 }

@@ -14,19 +14,21 @@ import (
 // crossing three congested hops gets less than the single-hop flows it
 // competes with at each hop.
 func TestParkingLotPenalty(t *testing.T) {
-	row := TopoParkingLot("cubic", 1, 15*sim.Second)
-	if row.Mbps <= 0 {
-		t.Fatalf("long flow starved entirely: %.2f Mbit/s", row.Mbps)
+	tab := Table{Cols: topoCols, Rows: [][]any{topoParkingLot("cubic", 1, 15*sim.Second)}}
+	mbps, cross := tab.Num(0, "Mbit/s"), tab.Num(0, "crossMbps")
+	if !(mbps > 0) {
+		t.Fatalf("long flow starved entirely: %.2f Mbit/s", mbps)
 	}
-	if row.Mbps >= row.CrossMbps {
-		t.Fatalf("long flow (%.2f) should get less than single-hop flows (%.2f)", row.Mbps, row.CrossMbps)
+	if !(mbps < cross) {
+		t.Fatalf("long flow (%.2f) should get less than single-hop flows (%.2f)", mbps, cross)
 	}
-	if len(row.HopUtil) != 3 {
-		t.Fatalf("want 3 hops, got %v", row.HopUtil)
+	hops := tab.Rows[0][len(topoCols)-1].(hopList)
+	if len(hops) != 3 {
+		t.Fatalf("want 3 hops, got %v", hops)
 	}
-	for i, u := range row.HopUtil {
-		if u < 0.8 {
-			t.Errorf("hop %d underutilized: %.2f", i, u)
+	for i, h := range hops {
+		if util := h[0]; util < 0.8 {
+			t.Errorf("hop %d underutilized: %.2f", i, util)
 		}
 	}
 }
@@ -35,23 +37,24 @@ func TestParkingLotPenalty(t *testing.T) {
 // throughput relative to the same scheme on an ideal reverse path.
 func TestRevCongestedDegrades(t *testing.T) {
 	dur := 15 * sim.Second
-	congested := TopoRevCongested("cubic", 1, dur)
+	tab := Table{Cols: topoCols, Rows: [][]any{topoRevCongested("cubic", 1, dur)}}
+	congested := tab.Num(0, "Mbit/s")
 
 	r := NewRig(NetConfig{RateMbps: 48, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: 1})
 	probe := r.AddFlow(MustScheme("cubic", r.MuBps), 50*sim.Millisecond, 0)
 	r.Sch.RunUntil(dur)
 	ideal := probe.MeanMbps(0, dur)
 
-	if congested.Mbps >= ideal {
-		t.Fatalf("congested ACK path (%.2f) should cost throughput vs ideal (%.2f)", congested.Mbps, ideal)
+	if !(congested < ideal) {
+		t.Fatalf("congested ACK path (%.2f) should cost throughput vs ideal (%.2f)", congested, ideal)
 	}
-	if congested.Mbps <= 0 {
+	if !(congested > 0) {
 		t.Fatal("flow starved entirely under ACK congestion")
 	}
 	// The reverse link is the second hop of the preset; it must have
 	// seen real contention.
-	if congested.HopUtil[1] < 0.5 {
-		t.Fatalf("reverse link barely used: %.2f", congested.HopUtil[1])
+	if util := tab.Rows[0][len(topoCols)-1].(hopList)[1][0]; util < 0.5 {
+		t.Fatalf("reverse link barely used: %.2f", util)
 	}
 }
 

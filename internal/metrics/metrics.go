@@ -157,34 +157,6 @@ func (a *AccuracyTracker) Accuracy() float64 {
 // TotalScored returns how much time has been scored.
 func (a *AccuracyTracker) TotalScored() sim.Time { return a.total }
 
-// Series is a simple (t, value) time series for figure output.
-type Series struct {
-	T []float64 // seconds
-	V []float64
-}
-
-// Add appends a point.
-func (s *Series) Add(t sim.Time, v float64) {
-	s.T = append(s.T, t.Seconds())
-	s.V = append(s.V, v)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.T) }
-
-// Downsample returns every k-th point (k >= 1).
-func (s *Series) Downsample(k int) Series {
-	if k <= 1 {
-		return *s
-	}
-	var out Series
-	for i := 0; i < len(s.T); i += k {
-		out.T = append(out.T, s.T[i])
-		out.V = append(out.V, s.V[i])
-	}
-	return out
-}
-
 // FCTRecord is one flow completion.
 type FCTRecord struct {
 	SizeBytes int

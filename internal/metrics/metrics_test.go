@@ -65,20 +65,6 @@ func TestAccuracyTrackerWarmup(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	var s Series
-	for i := 0; i < 10; i++ {
-		s.Add(sim.Time(i)*sim.Second, float64(i))
-	}
-	if s.Len() != 10 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	d := s.Downsample(3)
-	if d.Len() != 4 || d.V[1] != 3 {
-		t.Fatalf("downsample = %+v", d)
-	}
-}
-
 func TestFCTBuckets(t *testing.T) {
 	recs := []FCTRecord{
 		{SizeBytes: 10e3, FCT: 100 * sim.Millisecond},

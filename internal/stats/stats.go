@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolbox the experiments
-// need: running moments, percentiles and CDFs, exponentially weighted
+// need: running moments, percentiles, exponentially weighted
 // moving averages, windowed extrema, and histograms. Everything is
 // allocation-conscious but favours clarity; the simulator is the hot path,
 // not the statistics.
@@ -153,35 +153,6 @@ func Summarize(xs []float64) Summary {
 	s.P95 = percentileSorted(cp, 0.95)
 	s.P99 = percentileSorted(cp, 0.99)
 	return s
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	X float64 // sample value
-	P float64 // cumulative probability in (0,1]
-}
-
-// CDF returns the empirical CDF of xs, downsampled to at most maxPoints
-// evenly spaced points (by rank). maxPoints <= 0 means no downsampling.
-func CDF(xs []float64, maxPoints int) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	step := 1
-	if maxPoints > 0 && n > maxPoints {
-		step = n / maxPoints
-	}
-	out := make([]CDFPoint, 0, n/step+1)
-	for i := 0; i < n; i += step {
-		out = append(out, CDFPoint{X: cp[i], P: float64(i+1) / float64(n)})
-	}
-	if out[len(out)-1].P != 1 {
-		out = append(out, CDFPoint{X: cp[n-1], P: 1})
-	}
-	return out
 }
 
 // EWMA is an exponentially weighted moving average with a fixed smoothing

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -145,24 +144,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if !almost(s.Mean, 50, 1e-9) {
 		t.Fatalf("mean = %v", s.Mean)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	cdf := CDF(xs, 0)
-	if len(cdf) != 4 {
-		t.Fatalf("cdf len = %d", len(cdf))
-	}
-	if cdf[0].X != 1 || cdf[3].X != 4 || cdf[3].P != 1 {
-		t.Fatalf("cdf = %+v", cdf)
-	}
-	if !sort.SliceIsSorted(cdf, func(i, j int) bool { return cdf[i].X < cdf[j].X }) {
-		t.Fatal("cdf not sorted")
-	}
-	small := CDF(make([]float64, 1000), 10)
-	if len(small) > 110 {
-		t.Fatalf("downsampled cdf too large: %d", len(small))
 	}
 }
 

@@ -6,7 +6,11 @@
 # output per id, drops what is wall-clock (the "[N.Ns wall]" in each
 # header, and the last column of the fidelity table; its "ev ratio"
 # column is simulated and stays), and compares each report's SHA-256 with
-# scripts/reports-seed1.sha256.
+# scripts/reports-seed1.sha256. It then renders the reports again at
+# `-workers 1` and compares them, stripped the same way, with the
+# default-pool output: report cells run on the shared worker pool, and the
+# pool's size must not show. Last, it fails if an "expected shape" line is
+# written anywhere in internal/exp but the one renderer (table.go).
 #
 # A refactor of internal/exp or anything under it must leave every digest
 # unchanged. A change that is meant to alter a report says so, reruns
@@ -21,10 +25,14 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 go build -o "$tmp/nimbus-bench" ./cmd/nimbus-bench
-"$tmp/nimbus-bench" -run all -seed 1 > "$tmp/all.txt"
+mkdir "$tmp/pool" "$tmp/w1"
+"$tmp/nimbus-bench" -run all -seed 1 > "$tmp/pool/all.txt"
+"$tmp/nimbus-bench" -run all -seed 1 -workers 1 > "$tmp/w1/all.txt"
 
-# One file per "==== id (title) [N.Ns wall] ====" section.
-awk -v dir="$tmp" '
+# sections DIR: one file per "==== id (title) [N.Ns wall] ====" section of
+# DIR/all.txt, wall-clock fields removed.
+sections() {
+    awk -v dir="$1" '
     /^==== [a-zA-Z0-9]+ \(.*\) \[[0-9.]+s wall\] ====$/ {
         if (out != "") close(out)
         id = $2
@@ -33,15 +41,18 @@ awk -v dir="$tmp" '
     }
     id == "fidelity" && /x +[0-9.]+x$/ { sub(/ +[0-9.]+x$/, "") }
     out != "" { print > out }
-' "$tmp/all.txt"
+    ' "$1/all.txt"
+    rm "$1/all.txt"
+}
+sections "$tmp/pool"
+sections "$tmp/w1"
 
 {
     echo "# SHA-256 of each nimbus-bench report at seed 1, quick mode, wall-clock"
     echo "# fields removed; written by scripts/check_reports.sh -update. The digests"
     echo "# are for amd64, where Go does not fuse multiply-add: on arm64, ppc64le"
     echo "# or s390x floating-point results may differ in the last digits."
-    for f in "$tmp"/*.txt; do
-        [ "$f" = "$tmp/all.txt" ] && continue
+    for f in "$tmp"/pool/*.txt; do
         printf '%s  %s\n' "$(sha256sum < "$f" | cut -d' ' -f1)" "$(basename "$f" .txt)"
     done
 } > "$tmp/got.sha256"
@@ -58,4 +69,14 @@ if ! diff -u "$want" "$tmp/got.sha256" > "$tmp/diff"; then
     echo "check_reports: rerun with -update only if the change is meant to alter these reports" >&2
     exit 1
 fi
-echo "check_reports: $(grep -vc '^#' "$want") reports match $want"
+if ! diff -r "$tmp/pool" "$tmp/w1" > "$tmp/diff"; then
+    echo "check_reports: FAIL — reports at -workers 1 differ from the default pool's:" >&2
+    cat "$tmp/diff" >&2
+    exit 1
+fi
+if stray=$(grep -l 'expected shape' $(ls internal/exp/*.go | grep -v -e _test.go -e /table.go)); then
+    echo "check_reports: FAIL — an expected-shape line outside the renderer (Report.Expect is the field for it):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "check_reports: $(grep -vc '^#' "$want") reports match $want, at -workers 1 too"
