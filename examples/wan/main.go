@@ -25,6 +25,7 @@ func main() {
 		})
 		sch := exp.MustScheme(scheme, r.MuBps)
 		probe := r.AddFlow(sch, 50*sim.Millisecond, 0)
+		probe.RecordRTT()
 		if err := exp.AddCross(r, "trace", 0.5*r.MuBps, 50*sim.Millisecond); err != nil {
 			panic(err)
 		}

@@ -264,12 +264,12 @@ func (o LinkOracle) Mu() float64 { return o.Link.Schedule.RateAt(o.Link.Sch.Now(
 // SchemeNames lists the schemes most experiments compare.
 var SchemeNames = []string{"nimbus", "cubic", "bbr", "vegas", "copa", "vivace"}
 
-// FlowProbe records a flow's throughput, per-packet queueing delay, and
-// RTT samples.
+// FlowProbe records a flow's throughput and per-packet queueing delay,
+// and, once RecordRTT is called, its RTT samples.
 type FlowProbe struct {
 	Tput   *metrics.Meter
 	Delay  *metrics.DelayRecorder
-	RTTms  *metrics.DelayRecorder
+	RTTms  *metrics.DelayRecorder // empty unless RecordRTT was called
 	Sender *transport.Sender
 }
 
@@ -282,6 +282,9 @@ func (r *Rig) AddFlow(s Scheme, rtt sim.Time, start sim.Time) *FlowProbe {
 // is the default end-to-end route).
 func (r *Rig) AddFlowOn(route string, s Scheme, rtt sim.Time, start sim.Time, src transport.Source) *FlowProbe {
 	sender := transport.NewSenderOn(r.Net, route, rtt, s.Ctrl, src, r.Rng.Split("flow-"+s.Name))
+	// "rttrec" is split whether or not RecordRTT is ever called: a Split is
+	// a draw from the rig's stream, so every later stream depends on it (an
+	// undrawn stream and an empty recorder cost a few words).
 	probe := &FlowProbe{
 		Tput:   metrics.NewMeter(sim.Second),
 		Delay:  metrics.NewDelayRecorder(0, r.Rng.Split("dlyrec")),
@@ -292,11 +295,16 @@ func (r *Rig) AddFlowOn(route string, s Scheme, rtt sim.Time, start sim.Time, sr
 		probe.Tput.Add(now, p.Size)
 		probe.Delay.Add(p.QueueDelay)
 	}
-	sender.OnAckHook = func(a transport.AckInfo) {
-		probe.RTTms.Add(a.RTT)
-	}
 	sender.Start(start)
 	return probe
+}
+
+// RecordRTT makes the probe sample one RTT per ACK into RTTms, from the
+// call on. Only the experiments that report an RTT call it (Figs. 9, 13
+// and 18-20): a sweep cell reads queueing delay only, and an RTT sample
+// per ACK would double what its probe records.
+func (p *FlowProbe) RecordRTT() {
+	p.Sender.OnAckHook = func(a transport.AckInfo) { p.RTTms.Add(a.RTT) }
 }
 
 // MeanMbps is the probe's mean throughput over [from, to).

@@ -13,6 +13,7 @@ import (
 	"nimbus/internal/runner"
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
+	"nimbus/internal/transport"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -138,6 +139,31 @@ func TestNewRigAQMs(t *testing.T) {
 		r := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, AQM: aqm, Seed: 1})
 		if r.Link == nil || r.Net == nil {
 			t.Fatalf("rig for %q incomplete", aqm)
+		}
+	}
+}
+
+// TestProbeRTTOptIn: a probe samples RTT only once an experiment that
+// reports one asks; the stream split for it is taken either way
+// (TestRigEventOrderPinned holds the draw order).
+func TestProbeRTTOptIn(t *testing.T) {
+	for _, record := range []bool{false, true} {
+		r := NewRig(NetConfig{RateMbps: 24, RTT: 20 * sim.Millisecond, Seed: 1})
+		probe := r.AddFlow(MustScheme("cubic", r.MuBps), 20*sim.Millisecond, 0)
+		acks := 0
+		if record {
+			probe.RecordRTT()
+			rec := probe.Sender.OnAckHook
+			probe.Sender.OnAckHook = func(a transport.AckInfo) { acks++; rec(a) }
+		} else if probe.Sender.OnAckHook != nil {
+			t.Fatal("AddFlow installed an ACK hook nobody asked for")
+		}
+		r.Sch.RunUntil(2 * sim.Second)
+		if probe.Delay.Len() == 0 {
+			t.Fatal("no packet delivered")
+		}
+		if got := probe.RTTms.Len(); got != acks || (got > 0) != record {
+			t.Fatalf("RecordRTT %v: %d RTT samples for %d ACKs", record, got, acks)
 		}
 	}
 }

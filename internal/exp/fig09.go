@@ -14,6 +14,7 @@ import (
 func runTrace(sp spec.Spec, seed int64, dur sim.Time, loadFrac float64) (*FlowProbe, []metrics.FCTRecord) {
 	r := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
 	probe := r.AddFlow(MustBuildScheme(sp, r.MuBps), 50*sim.Millisecond, 0)
+	probe.RecordRTT()
 	var fcts []metrics.FCTRecord
 	w := r.crossTrace("", 50*sim.Millisecond, loadFrac*r.MuBps)
 	w.OnComplete = func(size int, fct sim.Time) {
@@ -46,7 +47,7 @@ func Fig09(seed int64, quick bool) Report {
 			},
 			Rows: mapCells(len(SchemeNames), func(i int) []any {
 				probe, _ := runTrace(spec.MustParse(SchemeNames[i]), seed, dur, 0.5)
-				rtt := stats.Percentiles(probe.RTTms.Samples(), 0.5, 0.95) // one sort for both
+				_, rtt := probe.RTTms.MeanQuantiles(0.5, 0.95)
 				return []any{SchemeNames[i], probe.MeanMbps(5*sim.Second, dur), rtt[0], rtt[1]}
 			}),
 		}},

@@ -3,7 +3,6 @@ package exp
 import (
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
-	"nimbus/internal/stats"
 )
 
 // Fig13 reproduces Fig. 13: Nimbus at pulse sizes {0.125, 0.25} against
@@ -33,7 +32,8 @@ func Fig13(seed int64, quick bool) Report {
 			Rows: grid([]int{len(loads), len(schemes)}, func(ix []int) []any {
 				load, s := loads[ix[0]], schemes[ix[1]]
 				probe, _ := runTrace(spec.MustParse(s.spec), seed, dur, load)
-				return []any{s.name, load * 100, probe.MeanMbps(5*sim.Second, dur), stats.Median(probe.RTTms.Samples())}
+				_, rtt := probe.RTTms.MeanQuantiles(0.5)
+				return []any{s.name, load * 100, probe.MeanMbps(5*sim.Second, dur), rtt[0]}
 			}),
 		}},
 		Expect: "nimbus ~ cubic throughput at both loads; delay benefit largest at 50% load; larger pulse behaves better at 50%",

@@ -94,6 +94,7 @@ func runPath(p PathProfile, scheme string, seed int64, dur sim.Time) (mbps, rttM
 	}
 	sch := MustBuildScheme(sp, r.MuBps)
 	probe := r.AddFlow(sch, p.RTT, 0)
+	probe.RecordRTT()
 	if p.BgLoad > 0 {
 		r.crossPoisson("", p.RTT/2, p.BgLoad*r.MuBps, 0)
 	}

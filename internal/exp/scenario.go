@@ -285,7 +285,7 @@ func RunFlowMixScenario(sc runner.Scenario) runner.Result {
 	for i := range flows {
 		m[fmt.Sprintf("flow%02d_mbps", i)] = st.PerFlowMbps[i]
 	}
-	if len(sharedDelay.Samples()) > 0 {
+	if sharedDelay.Len() > 0 {
 		addQdelayMetrics(m, sharedDelay)
 	}
 	dropNonFinite(m)

@@ -59,13 +59,23 @@ func (m *Meter) MeanMbps(from, to sim.Time) float64 {
 
 // DelayRecorder collects per-packet queueing (or RTT) delay samples in
 // milliseconds, with reservoir sampling beyond a cap so long experiments
-// stay in memory.
+// stay in memory. Samples live in fixed-size chunks, so recording writes
+// one slot and never copies what was recorded before (one flat slice
+// grown by append allocates about four times the bytes it ends up
+// holding).
 type DelayRecorder struct {
-	Cap     int
-	samples []float64
-	seen    int
-	rng     *sim.Rand
+	Cap    int
+	chunks [][]float64 // each chunkLen long; sample i is chunks[i>>chunkShift][i&chunkMask]
+	n      int         // samples retained, <= Cap
+	seen   int
+	rng    *sim.Rand
 }
+
+const (
+	chunkShift = 12
+	chunkLen   = 1 << chunkShift
+	chunkMask  = chunkLen - 1
+)
 
 // NewDelayRecorder returns a recorder keeping at most cap samples.
 func NewDelayRecorder(cap int, rng *sim.Rand) *DelayRecorder {
@@ -79,22 +89,43 @@ func NewDelayRecorder(cap int, rng *sim.Rand) *DelayRecorder {
 func (d *DelayRecorder) Add(delay sim.Time) {
 	d.seen++
 	ms := delay.Millis()
-	if len(d.samples) < d.Cap {
-		d.samples = append(d.samples, ms)
+	if d.n < d.Cap {
+		if d.n>>chunkShift == len(d.chunks) {
+			d.chunks = append(d.chunks, make([]float64, chunkLen))
+		}
+		d.chunks[d.n>>chunkShift][d.n&chunkMask] = ms
+		d.n++
 		return
 	}
 	// Reservoir replacement keeps a uniform sample.
 	j := d.rng.Intn(d.seen)
 	if j < d.Cap {
-		d.samples[j] = ms
+		d.chunks[j>>chunkShift][j&chunkMask] = ms
 	}
 }
 
-// Samples returns the retained samples (milliseconds).
-func (d *DelayRecorder) Samples() []float64 { return d.samples }
+// Len returns the number of retained samples.
+func (d *DelayRecorder) Len() int { return d.n }
+
+// Samples returns a copy of the retained samples (milliseconds), in
+// recording order.
+func (d *DelayRecorder) Samples() []float64 {
+	out := make([]float64, 0, d.n)
+	for _, c := range d.chunks {
+		out = append(out, c[:min(chunkLen, d.n-len(out))]...)
+	}
+	return out
+}
+
+// sorted returns the retained samples in ascending order.
+func (d *DelayRecorder) sorted() []float64 {
+	s := d.Samples()
+	sort.Float64s(s)
+	return s
+}
 
 // Summary summarizes the samples.
-func (d *DelayRecorder) Summary() stats.Summary { return stats.Summarize(d.samples) }
+func (d *DelayRecorder) Summary() stats.Summary { return stats.SummarizeSorted(d.sorted()) }
 
 // MeanQuantiles returns the sample mean and the requested quantiles with a
 // single sort of one copy — what report emission needs (mean, p50, p95)
@@ -103,20 +134,19 @@ func (d *DelayRecorder) Summary() stats.Summary { return stats.Summarize(d.sampl
 // Summary() to MeanQuantiles changes no reported value. Empty input yields
 // NaNs throughout.
 func (d *DelayRecorder) MeanQuantiles(ps ...float64) (mean float64, qs []float64) {
-	if len(d.samples) == 0 {
+	if d.n == 0 {
 		qs = make([]float64, len(ps))
 		for i := range qs {
 			qs[i] = math.NaN()
 		}
 		return math.NaN(), qs
 	}
-	cp := append([]float64(nil), d.samples...)
-	sort.Float64s(cp)
+	s := d.sorted()
 	var w stats.Welford
-	for _, x := range cp {
+	for _, x := range s {
 		w.Add(x)
 	}
-	return w.Mean(), stats.PercentilesSorted(cp, ps...)
+	return w.Mean(), stats.PercentilesSorted(s, ps...)
 }
 
 // AccuracyTracker scores a binary classifier against ground truth over

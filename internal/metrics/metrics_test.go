@@ -2,9 +2,13 @@ package metrics
 
 import (
 	"math"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"nimbus/internal/sim"
+	"nimbus/internal/stats"
 )
 
 func TestMeter(t *testing.T) {
@@ -31,13 +35,108 @@ func TestDelayRecorderReservoir(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		d.Add(sim.Time(i%50) * sim.Millisecond)
 	}
-	if len(d.Samples()) != 100 {
-		t.Fatalf("reservoir size = %d", len(d.Samples()))
+	if d.Len() != 100 {
+		t.Fatalf("reservoir size = %d", d.Len())
 	}
 	s := d.Summary()
 	// Uniform over 0..49 ms: median near 24.5.
 	if s.P50 < 10 || s.P50 > 40 {
 		t.Fatalf("p50 = %v implausible for uniform 0-49", s.P50)
+	}
+}
+
+// flatRecorder is the recorder DelayRecorder replaced: one slice grown by
+// append, the same reservoir rule, the same draws, and the same copy,
+// sort and Welford pass behind its statistics.
+type flatRecorder struct {
+	cap, seen int
+	samples   []float64
+	rng       *sim.Rand
+}
+
+func (f *flatRecorder) add(delay sim.Time) {
+	f.seen++
+	if len(f.samples) < f.cap {
+		f.samples = append(f.samples, delay.Millis())
+		return
+	}
+	if j := f.rng.Intn(f.seen); j < f.cap {
+		f.samples[j] = delay.Millis()
+	}
+}
+
+func (f *flatRecorder) meanQuantiles(ps ...float64) (float64, []float64) {
+	if len(f.samples) == 0 {
+		return math.NaN(), stats.Percentiles(nil, ps...)
+	}
+	cp := append([]float64(nil), f.samples...)
+	sort.Float64s(cp)
+	var w stats.Welford
+	for _, x := range cp {
+		w.Add(x)
+	}
+	return w.Mean(), stats.PercentilesSorted(cp, ps...)
+}
+
+// TestDelayRecorderMatchesFlat: chunked storage changes nothing a reader
+// can see, to the bit. Caps below one chunk, on and off chunk boundaries;
+// add counts crossing chunk and cap boundaries.
+func TestDelayRecorderMatchesFlat(t *testing.T) {
+	pick := sim.NewRand(3)
+	caps := []int{1, 100, chunkLen - 1, chunkLen, chunkLen + 1, 3*chunkLen + 17}
+	for i := 0; i < 10; i++ {
+		caps = append(caps, 1+pick.Intn(4*chunkLen))
+	}
+	for _, cp := range caps {
+		for _, n := range []int{0, 1, pick.Intn(6 * chunkLen), chunkLen, chunkLen + 1, cp - 1, cp, cp + 1, 2*cp + 5} {
+			d := NewDelayRecorder(cp, sim.NewRand(int64(cp)))
+			f := &flatRecorder{cap: cp, rng: sim.NewRand(int64(cp))}
+			for k := 0; k < n; k++ {
+				x := sim.Time(pick.Intn(1e9))
+				d.Add(x)
+				f.add(x)
+			}
+			if d.Len() != len(f.samples) || !slices.Equal(d.Samples(), f.samples) {
+				t.Fatalf("cap %d, %d adds: Len %d and Samples differ from the flat recorder's %d", cp, n, d.Len(), len(f.samples))
+			}
+			mean, qs := d.MeanQuantiles(0.5, 0.95)
+			wantMean, wantQs := f.meanQuantiles(0.5, 0.95)
+			if !sameBits(mean, wantMean) || !sameBits(qs[0], wantQs[0]) || !sameBits(qs[1], wantQs[1]) {
+				t.Fatalf("cap %d, %d adds: MeanQuantiles %v %v, flat %v %v", cp, n, mean, qs, wantMean, wantQs)
+			}
+			got, want := reflect.ValueOf(d.Summary()), reflect.ValueOf(stats.Summarize(f.samples))
+			if got.Field(0).Int() != want.Field(0).Int() {
+				t.Fatalf("cap %d, %d adds: Summary.N %v, flat %v", cp, n, got.Field(0), want.Field(0))
+			}
+			for k := 1; k < got.NumField(); k++ {
+				if !sameBits(got.Field(k).Float(), want.Field(k).Float()) {
+					t.Fatalf("cap %d, %d adds: Summary.%s = %v, flat %v", cp, n, got.Type().Field(k).Name, got.Field(k), want.Field(k))
+				}
+			}
+		}
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestAddAllocsBelowCap: recording allocates one chunk per chunkLen
+// samples, plus the chunk table's own doublings, and nothing per sample.
+func TestAddAllocsBelowCap(t *testing.T) {
+	const chunks = 40 // 163 840 adds, below the default cap of 200 000
+	rng := sim.NewRand(1)
+	var d *DelayRecorder
+	allocs := testing.AllocsPerRun(1, func() {
+		d = NewDelayRecorder(0, rng)
+		for i := 0; i < chunks*chunkLen; i++ {
+			d.Add(sim.Millisecond)
+		}
+	})
+	if d.Len() != chunks*chunkLen {
+		t.Fatalf("recorded %d samples, want %d", d.Len(), chunks*chunkLen)
+	}
+	// The recorder, 40 chunks, and a table that doubles 1 -> 64.
+	if allocs > chunks+8 {
+		t.Fatalf("%v allocations for %d Adds, want <= %d", allocs, chunks*chunkLen, chunks+8)
 	}
 }
 

@@ -27,6 +27,11 @@ type Packet struct {
 	EnqueuedAt sim.Time // when it entered the current hop's queue
 	QueueDelay sim.Time // total time spent queued across hops (excludes transmission)
 
+	// Delivered is the receiver's cumulative delivered-byte count,
+	// stamped by a transport's receiver when the packet arrives: the
+	// delivered packet then travels the reverse path as its own ACK.
+	Delivered uint64
+
 	// Raw marks cross-traffic packets injected without a transport
 	// (CBR/Poisson sources). They are counted at the receiver side but
 	// generate no ACKs.

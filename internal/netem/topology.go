@@ -266,7 +266,10 @@ func (a *Attachment) SendAck(fn func(now sim.Time)) {
 // hops, the ACK state rides through those links' queues as an AckSize
 // packet from the shared pool — queued, delayed, and possibly dropped
 // like any other traffic; a dropped ACK packet simply never invokes fn
-// (transports recover via dup-ACKs and RTOs).
+// (transports recover via dup-ACKs and RTOs). An arg that is itself a
+// pool *Packet (a delivered data packet riding back as its own ACK) is
+// returned to the pool with the ACK packet when that happens; otherwise
+// fn is its last holder.
 func (a *Attachment) SendAckArg(fn func(arg any), arg any) {
 	r := a.route
 	if len(r.Rev) == 0 {
@@ -331,8 +334,12 @@ func (t *Topology) deliver(p *Packet, now sim.Time) {
 
 func (t *Topology) drop(p *Packet, now sim.Time) {
 	if p.rev {
-		// A lost ACK: the callback never runs; transports recover.
+		// A lost ACK: the callback never runs; transports recover. The
+		// data packet it carried (SendAckArg) ends its journey here too.
 		t.AckDrops++
+		if data, ok := p.ackArg.(*Packet); ok {
+			t.PutPacket(data)
+		}
 		t.PutPacket(p)
 		return
 	}

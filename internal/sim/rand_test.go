@@ -115,3 +115,41 @@ func BenchmarkRandSplit(b *testing.B) {
 		sinkRand = r.Split("sess")
 	}
 }
+
+// TestDeriveSeedMatchesMathRand holds the jump-ahead to the generator it
+// skips: firstInt63 is the first draw of a math/rand source with that
+// seed, and DeriveSeed is NewRand(base).Split(label).Int63(), on the
+// seeds Seed's normalisation treats specially and on random ones. If a Go
+// release ever changed a seeded source's sequence, this is what fails.
+func TestDeriveSeedMatchesMathRand(t *testing.T) {
+	const m = 1<<31 - 1
+	seeds := []int64{0, 1, -1, m, m - 1, m + 1, -m, -m - 1, -m + 1, 2 * m, 2*m + 1, 2*m - 1,
+		12345 * m, 12345*m + 1, 12345*m - 1, math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MaxInt64 - 1, 89482311}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 20000; i++ {
+		s := int64(rng.Uint64())
+		if i%4 == 0 {
+			s >>= 33 // small seeds too: the ones users type
+		}
+		seeds = append(seeds, s)
+	}
+	labels := []string{"", "cell", "nimbus|96|50|100|poisson|1", "sess"}
+	for i, s := range seeds {
+		if got, want := firstInt63(s), rand.New(rand.NewSource(s)).Int63(); got != want {
+			t.Fatalf("firstInt63(%d) = %d, math/rand draws %d", s, got, want)
+		}
+		l := labels[i%len(labels)]
+		if got, want := DeriveSeed(s, l), NewRand(s).Split(l).Int63(); got != want {
+			t.Fatalf("DeriveSeed(%d, %q) = %d, NewRand.Split.Int63 = %d", s, l, got, want)
+		}
+	}
+}
+
+var sinkSeed int64
+
+func BenchmarkDeriveSeed(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkSeed = DeriveSeed(int64(i), "nimbus|96|50|100|poisson|1")
+	}
+}

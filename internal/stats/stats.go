@@ -130,15 +130,21 @@ type Summary struct {
 
 // Summarize computes a Summary of xs.
 func Summarize(xs []float64) Summary {
+	cp := append([]float64(nil), xs...)
+	sort.Float64s(cp)
+	return SummarizeSorted(cp)
+}
+
+// SummarizeSorted is Summarize for input that is already sorted
+// ascending; it neither copies nor sorts.
+func SummarizeSorted(cp []float64) Summary {
 	var s Summary
-	s.N = len(xs)
+	s.N = len(cp)
 	if s.N == 0 {
 		nan := math.NaN()
 		return Summary{Mean: nan, Std: nan, Min: nan, P10: nan, P25: nan,
 			P50: nan, P75: nan, P90: nan, P95: nan, P99: nan, Max: nan}
 	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
 	var w Welford
 	for _, x := range cp {
 		w.Add(x)

@@ -22,18 +22,6 @@ type pktRec struct {
 	dup    int
 }
 
-// ackRec carries one delivered packet's ACK state across the reverse
-// propagation delay. Records are pooled per sender so the per-ACK cost is
-// allocation-free; the pooled record rides on the scheduler event as its
-// argument instead of being captured in a fresh closure.
-type ackRec struct {
-	seq       uint64
-	size      int
-	sentAt    sim.Time
-	qd        sim.Time
-	delivered uint64
-}
-
 // Sender is a transport endpoint: it emits MSS-sized packets subject to
 // the controller's window and pacing rate, tracks ACKs, declares losses
 // via dup-ACK counting and an RTO, and reports everything to the
@@ -62,17 +50,16 @@ type Sender struct {
 
 	stopped bool
 
-	// Reusable callbacks and free lists for the per-packet hot path.
-	// Packets come from the topology's shared pool and are recycled at
-	// delivery (the receiver is the last holder: netem never retains a
-	// packet past Deliver, and the ACK state rides on a pooled ackRec), so
-	// emit is allocation-free in steady state; dropped packets are simply
-	// left to the garbage collector. The shared pool also lets the
-	// topology recycle in-flight packets of flows detached mid-stream.
+	// Reusable callbacks for the per-packet hot path. Packets come from
+	// the topology's shared pool; a delivered packet is its own ACK (it
+	// rides the reverse path as the ACK event's argument) and goes back to
+	// the pool when the ACK arrives, so emit is allocation-free in steady
+	// state; dropped packets are simply left to the garbage collector. The
+	// shared pool also lets the topology recycle in-flight packets of
+	// flows detached mid-stream.
 	trySendFn func()
 	onRTOFn   func()
 	onAckFn   func(arg any)
-	ackFree   []*ackRec
 
 	// Counters and hooks.
 	SentBytes      uint64
@@ -292,26 +279,19 @@ func (s *Sender) onDeliver(p *netem.Packet, now sim.Time) {
 	if s.OnDeliverHook != nil {
 		s.OnDeliverHook(p, now)
 	}
-	var rec *ackRec
-	if n := len(s.ackFree); n > 0 {
-		rec = s.ackFree[n-1]
-		s.ackFree = s.ackFree[:n-1]
-	} else {
-		rec = &ackRec{}
-	}
-	*rec = ackRec{seq: p.Seq, size: p.Size, sentAt: p.SentAt, qd: p.QueueDelay, delivered: s.DeliveredBytes}
-	s.att.SendAckArg(s.onAckFn, rec)
-	// The packet is dead past this point: the link handed it over, the ACK
-	// state was copied onto rec, and the hooks above do not retain it.
-	s.att.PutPacket(p)
+	// The packet is its own ACK: nothing reads it on the way back but
+	// onAckEvent (or Topology.drop, if the reverse path loses it).
+	p.Delivered = s.DeliveredBytes
+	s.att.SendAckArg(s.onAckFn, p)
 }
 
 // onAckEvent runs at the sender when an ACK arrives on the reverse path.
+// The ACK is the delivered data packet; the sender is its last holder.
 func (s *Sender) onAckEvent(arg any) {
-	rec := arg.(*ackRec)
-	r := *rec
-	s.ackFree = append(s.ackFree, rec)
-	s.handleAck(r.seq, r.size, r.sentAt, r.qd, r.delivered, s.env.Sch.Now())
+	p := arg.(*netem.Packet)
+	seq, size, sentAt, qd, delivered := p.Seq, p.Size, p.SentAt, p.QueueDelay, p.Delivered
+	s.att.PutPacket(p)
+	s.handleAck(seq, size, sentAt, qd, delivered, s.env.Sch.Now())
 }
 
 func (s *Sender) handleAck(seq uint64, size int, sentAt, qd sim.Time, delivered uint64, now sim.Time) {

@@ -131,7 +131,7 @@ func (st *Stats) Snapshot(end sim.Time) Summary {
 		}
 		sm.ElasticFrac = et.Seconds() / end.Seconds()
 	}
-	if len(st.fctRes.Samples()) > 0 {
+	if st.fctRes.Len() > 0 {
 		_, qs := st.fctRes.MeanQuantiles(0.5, 0.95)
 		sm.FCTP50Ms, sm.FCTP95Ms = qs[0], qs[1]
 	}

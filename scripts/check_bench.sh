@@ -2,11 +2,15 @@
 # check_bench.sh BENCH_OUTPUT BASELINE_FILE [COMPARE_OUT]
 #
 # Gates CI on the simulator hot paths: reads allocs/op (and, for the
-# micro-benchmarks, ns/op) for each gated benchmark from `go test -bench`
-# output and fails on regressions against the checked-in baseline.
+# micro-benchmarks, ns/op; for the whole-rig throughput bench, B/op) for
+# each gated benchmark from `go test -bench` output and fails on
+# regressions against the checked-in baseline.
 #
 #   - allocs/op: fail beyond +20% of baseline. A zero baseline is a hard
 #     gate: the benchmark must stay allocation-free.
+#   - B/op: same +20% rule. A count cannot see a few large allocations
+#     (sample arrays re-grown by append were 5.8 MB of 7.7 MB behind 43
+#     of 5492 allocations), so the bytes are gated where they matter.
 #   - ns/op: fail beyond 3x baseline. The band is deliberately wide —
 #     CI hardware varies and these benches run at small -benchtime — so
 #     it only catches order-of-magnitude regressions (an accidental
@@ -20,17 +24,18 @@ bench_out=$1
 baseline_file=$2
 compare_out=${3:-}
 
-# benchmark-name alloc-baseline-key ns-baseline-key ("-" = no ns gate),
-# one gate per line.
+# benchmark-name alloc-baseline-key ns-baseline-key bytes-baseline-key
+# ("-" = no such gate), one benchmark per line.
 gates="
-BenchmarkSimulatorThroughput allocs_per_op -
-BenchmarkTopologyThroughput topo_allocs_per_op -
-BenchmarkDetectorTick detectortick_allocs_per_op detectortick_ns_per_op
-BenchmarkLinkPerPacket link_allocs_per_op link_ns_per_op
-BenchmarkSchedulerChurn/10k schedchurn_allocs_per_op schedchurn_ns_per_op
-BenchmarkFluidLink fluidlink_allocs_per_op fluidlink_ns_per_op
-BenchmarkSweepFluidVsPacket sweepfluid_allocs_per_op -
-BenchmarkSessionChurn sessionchurn_allocs_per_op -
+BenchmarkSimulatorThroughput allocs_per_op - bytes_per_op
+BenchmarkTopologyThroughput topo_allocs_per_op - -
+BenchmarkDetectorTick detectortick_allocs_per_op detectortick_ns_per_op -
+BenchmarkLinkPerPacket link_allocs_per_op link_ns_per_op -
+BenchmarkSchedulerChurn/10k schedchurn_allocs_per_op schedchurn_ns_per_op -
+BenchmarkFluidLink fluidlink_allocs_per_op fluidlink_ns_per_op -
+BenchmarkSweepFluidVsPacket sweepfluid_allocs_per_op - -
+BenchmarkSessionChurn sessionchurn_allocs_per_op - -
+BenchmarkDeriveSeed deriveseed_allocs_per_op - -
 "
 
 [ -n "$compare_out" ] && printf '%-36s %-12s %10s %10s %10s %s\n' \
@@ -54,31 +59,38 @@ record() { # bench metric current baseline limit status
     echo "$1 $2: current=$3 baseline=$4 limit=$5 [$6]"
 }
 
+# count_gate BENCH UNIT KEY: the +20% rule on an integer metric.
+count_gate() {
+    local bench=$1 unit=$2 key=$3 current baseline limit status
+    current=$(extract "$bench" "$unit")
+    if [ -z "$current" ]; then
+        echo "check_bench: no $bench $unit in $bench_out" >&2
+        fail=1
+        return
+    fi
+    baseline=$(baseline_of "$key")
+    if [ -z "$baseline" ]; then
+        echo "check_bench: no $key= line in $baseline_file" >&2
+        fail=1
+        return
+    fi
+    limit=$(( baseline + baseline / 5 ))
+    status=OK
+    if [ "$current" -gt "$limit" ]; then
+        status=FAIL
+        echo "check_bench: FAIL — $bench $unit regressed beyond 20% of baseline" >&2
+        echo "If the increase is intentional, update $baseline_file in the same PR." >&2
+        fail=1
+    fi
+    record "$bench" "$unit" "$current" "$baseline" "$limit" "$status"
+}
+
 fail=0
-while read -r bench akey nskey; do
+while read -r bench akey nskey bkey; do
     [ -z "$bench" ] && continue
 
-    current=$(extract "$bench" allocs/op)
-    if [ -z "$current" ]; then
-        echo "check_bench: no $bench allocs/op in $bench_out" >&2
-        fail=1
-    else
-        baseline=$(baseline_of "$akey")
-        if [ -z "$baseline" ]; then
-            echo "check_bench: no $akey= line in $baseline_file" >&2
-            fail=1
-        else
-            limit=$(( baseline + baseline / 5 ))
-            status=OK
-            if [ "$current" -gt "$limit" ]; then
-                status=FAIL
-                echo "check_bench: FAIL — $bench allocs/op regressed beyond 20% of baseline" >&2
-                echo "If the increase is intentional, update $baseline_file in the same PR." >&2
-                fail=1
-            fi
-            record "$bench" allocs/op "$current" "$baseline" "$limit" "$status"
-        fi
-    fi
+    count_gate "$bench" allocs/op "$akey"
+    [ "$bkey" != "-" ] && count_gate "$bench" B/op "$bkey"
 
     [ "$nskey" = "-" ] && continue
     ns=$(extract "$bench" ns/op)
