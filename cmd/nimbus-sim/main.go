@@ -1,16 +1,16 @@
 // Command nimbus-sim runs scenarios on the emulated bottleneck. With
-// scalar flags it runs one scenario and prints a per-second trace plus a
-// summary — the quickest way to watch Nimbus (or any baseline) against a
-// chosen cross traffic mix. Schemes are typed specs resolved in the
-// scheme registry: "-scheme nimbus(pulse=0.1,mu=est)" parameterizes the
-// scheme inline (-list-schemes documents every scheme and parameter).
-// "-flows nimbus*2+cubic@10" replaces the single scheme under test with
-// a heterogeneous flow mix (counts, staggered joins, finite flows) and
-// reports per-flow throughput plus Jain/JSD fairness. "-churn
-// bulk(load=24)" runs a session-arrival workload (internal/workload)
-// against the scheme under test — short flows arriving and departing for
-// the whole horizon — and reports churn_* metrics (completion times,
-// fairness, elastic ground truth) alongside the usual ones. The bottleneck may
+// scalar flags it runs one scenario and prints a per-second trace, then
+// every metric the cell reports — the quickest way to watch Nimbus (or
+// any baseline) against a chosen cross traffic mix. Schemes are typed
+// specs resolved in the scheme registry: "-scheme nimbus(pulse=0.1,mu=est)"
+// parameterizes the scheme inline (-list-schemes documents every scheme
+// and parameter). "-flows nimbus*2+cubic@10" replaces the single scheme
+// under test with a heterogeneous flow mix (counts, staggered joins,
+// finite flows) and reports per-flow throughput plus Jain/JSD fairness.
+// "-churn bulk(load=24)" adds a session-arrival workload
+// (internal/workload) around the scheme or the mix — short flows arriving
+// and departing for the whole horizon — and reports churn_* metrics
+// (completion times, fairness, elastic ground truth). The bottleneck may
 // be time-varying: -link-trace names an embedded capacity trace (or a
 // time_ms,mbps file) and -rate-pattern applies a step/ramp/outage
 // pattern to the nominal rate. The path may be multi-hop: -topology
@@ -29,7 +29,7 @@
 //	nimbus-sim -scheme nimbus -rate 96 -rtt 50ms -buf 100ms -cross cubic -dur 60s
 //	nimbus-sim -scheme "nimbus(pulse=0.125,mu=est),cubic,bbr" -rate 48,96 \
 //	    -cross poisson -workers 8 -out sweep.csv
-//	nimbus-sim -flows "nimbus+cubic,nimbus*2+bbr@10" -link-trace cell-ramp,wifi-cafe
+//	nimbus-sim -flows "nimbus+cubic,nimbus*2+bbr@10" -churn "web(load=12)" -link-trace cell-ramp
 //	nimbus-sim -scheme nimbus -rate-pattern step:12:48:4000,outage:20000:5000 -dur 60s
 //	nimbus-sim -scheme nimbus,cubic -topology access-hop,parking-lot -out topo.json
 //	nimbus-sim -scheme nimbus -churn "bulk(load=24),web(load=12)" -dur 60s
@@ -39,14 +39,16 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"nimbus/internal/crosstraffic"
 	"nimbus/internal/exp"
+	"nimbus/internal/netem"
 	"nimbus/internal/runner"
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
@@ -66,7 +68,7 @@ func realMain() int {
 		rate    = flag.String("rate", "96", "bottleneck link rate(s), Mbit/s, comma-separated")
 		rtt     = flag.String("rtt", "50ms", "base RTT(s), comma-separated durations")
 		buf     = flag.String("buf", "100ms", "buffer depth(s) (time at link rate), comma-separated durations")
-		aqm     = flag.String("aqm", "droptail", "queue discipline(s): droptail, pie, codel; comma-separated")
+		aqm     = flag.String("aqm", "droptail", "queue discipline(s): "+netem.AQMNames(", ")+"; comma-separated")
 		trace   = flag.String("link-trace", "", "time-varying link capacity trace(s): embedded names (see -list-traces) or time_ms,mbps files; comma-separated")
 		pattern = flag.String("rate-pattern", "", "time-varying link pattern(s): step:LO:HI:PERIODms, ramp:MIN:MAX:PERIODms, outage:ATms:DURms, constant; comma-separated")
 		topo    = flag.String("topology", "", "path topology(ies): preset names (see -list-topologies) or chain specs like access(x4,5ms)->bn; comma-separated")
@@ -116,9 +118,6 @@ func realMain() int {
 		Seeds:        parseInts(*seed, "-seed"),
 	}
 	if *flows != "" {
-		if *churn != "" {
-			fatalf("-flows and -churn are mutually exclusive")
-		}
 		if grid.FlowMixes = spec.SplitList(*flows); len(grid.FlowMixes) == 0 {
 			fatalf("-flows: no values given")
 		}
@@ -143,8 +142,7 @@ func realMain() int {
 		// historical behavior); seed derivation only matters for sweeps,
 		// where cells must not share random streams.
 		scs[0].RunSeed = 0
-		runSingle(scs[0], *quiet)
-		return 0
+		return runSingle(scs[0], *quiet)
 	}
 	return runSweep(scs, *workers, *out)
 }
@@ -195,87 +193,49 @@ func runSweep(scs []runner.Scenario, workers int, out string) int {
 	return 0
 }
 
-// runSingle preserves the classic single-scenario view: a per-second
-// trace of throughput, queueing delay and Nimbus mode, then a summary.
-func runSingle(sc runner.Scenario, quiet bool) {
-	if sc.FlowMix != "" || sc.Churn != "" {
-		runSingleMetrics(sc)
-		return
-	}
-	r, scheme, probe, err := rigFor(sc)
+// runSingle is the single-scenario view, for every scenario kind: a
+// per-second trace of the flows under test (aggregate throughput, queueing
+// delay, the first flow's Nimbus mode and eta), then the cell's metrics,
+// sorted by name. It returns the exit status.
+func runSingle(sc runner.Scenario, quiet bool) int {
+	cell, err := exp.BuildScenario(sc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
-	end := sim.FromSeconds(sc.DurationSec)
+	sch, end := cell.Rig.Sch, sim.FromSeconds(sc.DurationSec)
 	if !quiet {
 		fmt.Printf("%6s %10s %10s %8s %10s\n", "t(s)", "Mbit/s", "delay(ms)", "mode", "eta")
 		var report func()
 		report = func() {
-			now := r.Sch.Now()
+			now := sch.Now()
 			if now > 0 {
+				mbps := 0.0
+				for _, f := range cell.Flows {
+					mbps += f.Probe.MeanMbps(now-sim.Second, now)
+				}
 				mode, eta := "-", "-"
-				if scheme.Nimbus != nil {
-					mode = scheme.Nimbus.Mode().String()
-					eta = fmt.Sprintf("%.2f", scheme.Nimbus.LastEta())
+				if n := cell.Flows[0].Scheme.Nimbus; n != nil {
+					mode = n.Mode().String()
+					eta = fmt.Sprintf("%.2f", n.LastEta())
 				}
 				fmt.Printf("%6.0f %10.2f %10.2f %8s %10s\n",
-					now.Seconds(),
-					probe.MeanMbps(now-sim.Second, now),
-					r.Net.QueueDelayNow().Millis(),
-					mode, eta)
+					now.Seconds(), mbps, cell.Rig.Net.QueueDelayNow().Millis(), mode, eta)
 			}
 			if now < end {
-				r.Sch.After(sim.Second, report)
+				sch.After(sim.Second, report)
 			}
 		}
-		r.Sch.After(0, report)
+		sch.After(0, report)
 	}
-	r.Sch.RunUntil(end)
+	sch.RunUntil(end)
 
-	fmt.Printf("\nsummary: scheme=%s mean=%.2f Mbit/s", sc.Scheme, probe.MeanMbps(0, end))
-	d := probe.Delay.Summary()
-	fmt.Printf(" qdelay mean=%.1fms p50=%.1fms p95=%.1fms", d.Mean, d.P50, d.P95)
-	if scheme.Nimbus != nil {
-		fmt.Printf(" modeSwitches=%d finalMode=%s role=%s",
-			scheme.Nimbus.ModeSwitches, scheme.Nimbus.Mode(), scheme.Nimbus.Role())
+	m := cell.Metrics(end)
+	fmt.Printf("\n%s\n", sc.Key())
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		fmt.Printf("%-18s %12.3f\n", k, m[k])
 	}
-	fmt.Println()
-}
-
-// runSingleMetrics runs one flow-mix or churn scenario and prints every
-// metric the run produced (per-flow throughputs, fairness, delays,
-// churn_* summaries), sorted by name.
-func runSingleMetrics(sc runner.Scenario) {
-	r := exp.RunScenario(sc)
-	if r.Err != "" {
-		fmt.Fprintln(os.Stderr, r.Err)
-		os.Exit(2)
-	}
-	if sc.FlowMix != "" {
-		fmt.Printf("flows: %s\n", sc.FlowMix)
-	} else {
-		fmt.Printf("scheme: %s  churn: %s\n", sc.Scheme, sc.Churn)
-	}
-	names := make([]string, 0, len(r.Metrics))
-	for k := range r.Metrics {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		fmt.Printf("%-18s %12.3f\n", k, r.Metrics[k])
-	}
-}
-
-// rigFor materializes the scenario, turning harness panics (unknown
-// scheme or AQM) into flag-style errors instead of stack traces.
-func rigFor(sc runner.Scenario) (r *exp.Rig, scheme exp.Scheme, probe *exp.FlowProbe, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("%v", p)
-		}
-	}()
-	return exp.RigForScenario(sc)
+	return 0
 }
 
 func splitStrings(s string) []string {

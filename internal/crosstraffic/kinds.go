@@ -4,8 +4,8 @@ import "strings"
 
 // Kind declares one named cross-traffic kind (runner.Scenario.Cross,
 // nimbus-sim -cross). Kinds is the only list of them: exp.AddCrossOn's
-// validation, exp.CrossElastic, HasFluidModel, NewFluid's guard,
-// exp.CanonicalGrid and the -cross help text all read it, and
+// validation, exp.BuildScenario's ground truth, HasFluidModel, NewFluid's
+// guard, exp.CanonicalGrid and the -cross help text all read it, and
 // scripts/check_docs.sh holds docs/experiments.md's table (which also
 // says what each kind starts) to it.
 type Kind struct {

@@ -12,8 +12,8 @@ import (
 
 // CanonicalGrid validates every spec-valued axis of a grid — schemes,
 // flow mixes, churn, topology, fluid; base value and list alike — and
-// the cross-traffic kinds, and returns the grid with each spec in its
-// canonical spelling. Those
+// the cross-traffic kinds and AQM names, and returns the grid with each
+// spec in its canonical spelling. Those
 // strings enter Scenario.Key() verbatim, so this is what makes two
 // spellings of one sweep ("single" and "", "bulk(load=24.0)" and
 // "bulk(load=24)", "nimbus + cubic" and "nimbus+cubic", "nimbus" and
@@ -31,11 +31,7 @@ func CanonicalGrid(g runner.Grid) (runner.Grid, error) {
 		}
 		c, err := spec.Canonical(sp)
 		if err != nil {
-			name := "base.scheme"
-			if i > 0 {
-				name = "schemes"
-			}
-			return g, fmt.Errorf("exp: grid %s: %w", name, err)
+			return g, fmt.Errorf("exp: grid %s: %w", baseOrList(i, "base.scheme", "schemes"), err)
 		}
 		schemes[i] = c
 	}
@@ -61,11 +57,7 @@ func CanonicalGrid(g runner.Grid) (runner.Grid, error) {
 			}
 			c, err := ax.canon(v)
 			if err != nil {
-				name := ax.baseName
-				if i > 0 {
-					name = ax.listName
-				}
-				return g, fmt.Errorf("exp: grid %s: %w", name, err)
+				return g, fmt.Errorf("exp: grid %s: %w", baseOrList(i, ax.baseName, ax.listName), err)
 			}
 			vals[i] = c
 		}
@@ -74,22 +66,31 @@ func CanonicalGrid(g runner.Grid) (runner.Grid, error) {
 			*ax.list = vals[1:]
 		}
 	}
-	// Cross kinds have one spelling each, so they are checked, not
-	// rewritten ("" and "none" stay two keys, as they always were).
-	kinds := []string{g.Base.Cross}
-	for _, c := range g.Crosses {
-		kinds = append(kinds, c.Kind)
+	// Cross kinds and AQMs have one spelling each, so they are checked,
+	// not rewritten ("" and "none", "" and "droptail" stay two keys, as
+	// they always were).
+	for i, c := range append([]runner.Cross{{Kind: g.Base.Cross}}, g.Crosses...) {
+		if _, ok := crosstraffic.KindByName(c.Kind); !ok {
+			return g, fmt.Errorf("exp: grid %s: unknown cross traffic kind %q (have %s)",
+				baseOrList(i, "base.cross", "crosses[].kind"), c.Kind, crosstraffic.KindNames(nil))
+		}
 	}
-	for i, kind := range kinds {
-		if _, ok := crosstraffic.KindByName(kind); !ok {
-			name := "base.cross"
-			if i > 0 {
-				name = "crosses[].kind"
-			}
-			return g, fmt.Errorf("exp: grid %s: unknown cross traffic kind %q (have %s)", name, kind, crosstraffic.KindNames(nil))
+	for i, aqm := range append([]string{g.Base.AQM}, g.AQMs...) {
+		if _, ok := netem.AQMByName(aqm); !ok {
+			return g, fmt.Errorf("exp: grid %s: unknown AQM %q (have %s)",
+				baseOrList(i, "base.aqm", "aqms"), aqm, netem.AQMNames(", "))
 		}
 	}
 	return g, nil
+}
+
+// baseOrList names the grid field value i of a base-then-list slice came
+// from.
+func baseOrList(i int, base, list string) string {
+	if i == 0 {
+		return base
+	}
+	return list
 }
 
 // canonicalFlowMix checks the mix syntax and re-spells every item's

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"nimbus/internal/netem"
 	"nimbus/internal/runner"
 	spec "nimbus/internal/scheme"
 )
@@ -128,5 +129,33 @@ func TestCanonicalGridRejectsBadSpecs(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "grid "+c.name+":") {
 			t.Errorf("bad %s: err = %v, want an error naming the axis", c.name, err)
 		}
+	}
+}
+
+// TestCanonicalGridRejectsUnknownAQM: a misspelt queue discipline is one
+// error naming the field before anything runs — not a panic in NewRig
+// turned into an error row per cell — and the names netem.AQMs lists
+// pass unchanged ("" and "droptail" stay two keys).
+func TestCanonicalGridRejectsUnknownAQM(t *testing.T) {
+	for name, g := range map[string]runner.Grid{
+		"base.aqm": {Base: runner.Scenario{AQM: "bogus"}},
+		"aqms":     {AQMs: []string{"pie", "red"}},
+	} {
+		_, err := CanonicalGrid(g)
+		if err == nil || !strings.Contains(err.Error(), "grid "+name+":") || !strings.Contains(err.Error(), "droptail, pie, codel") {
+			t.Errorf("bad %s: err = %v, want an error naming the field and the AQMs on offer", name, err)
+		}
+	}
+	all := []string{""}
+	for _, a := range netem.AQMs {
+		all = append(all, a.Name)
+	}
+	g, err := CanonicalGrid(runner.Grid{Base: runner.Scenario{AQM: "codel"}, AQMs: all})
+	if err != nil || !reflect.DeepEqual(g.AQMs, all) || g.Base.AQM != "codel" {
+		t.Fatalf("CanonicalGrid(every AQM) = %q, %q, %v; want them unchanged", g.Base.AQM, g.AQMs, err)
+	}
+	// A hand-built cell that skipped CanonicalGrid is an error row.
+	if r := RunScenario(runner.Scenario{RateMbps: 48, RTTms: 50, AQM: "bogus", Scheme: spec.MustParse("cubic"), DurationSec: 1}); !strings.Contains(r.Err, `unknown AQM "bogus"`) {
+		t.Fatalf("RunScenario with a bogus AQM: Err = %q", r.Err)
 	}
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -44,13 +45,52 @@ func TestRunChurnScenarioMetrics(t *testing.T) {
 	if bad.Err == "" {
 		t.Fatal("bad churn spec should produce an error row")
 	}
-	// Churn and FlowMix are mutually exclusive.
-	both := RunScenario(runner.Scenario{
-		RateMbps: 48, RTTms: 50, FlowMix: "nimbus+cubic",
-		Churn: "bulk", DurationSec: 1,
+}
+
+// TestFlowMixWithChurn: a flow mix and a session workload are two axes
+// of one cell, not a choice — the mix's flows run with the sessions
+// arriving and departing around them, the result carries both families
+// of metrics, and a grid of such cells is the same bytes on any number
+// of workers.
+func TestFlowMixWithChurn(t *testing.T) {
+	r := RunScenario(runner.Scenario{
+		RateMbps: 48, RTTms: 50, BufferMs: 100,
+		FlowMix: "nimbus*2+cubic", Churn: "web(load=12)", DurationSec: 6, Seed: 1,
 	})
-	if both.Err == "" || !strings.Contains(both.Err, "pick one") {
-		t.Fatalf("churn+flowmix should be rejected, got %q", both.Err)
+	if r.Err != "" {
+		t.Fatal(r.Err)
+	}
+	if r.Metrics["churn_started"] <= 0 {
+		t.Fatalf("no session started: %v", r.Metrics)
+	}
+	for _, k := range []string{"flow00_mbps", "flow01_mbps", "flow02_mbps", "jain", "jsd_uniform", "churn_fct_p50_ms"} {
+		if _, ok := r.Metrics[k]; !ok {
+			t.Errorf("metric %s missing: %v", k, r.Metrics)
+		}
+	}
+
+	scs := runner.Grid{
+		Base:      runner.Scenario{RateMbps: 48, RTTms: 20, BufferMs: 50, DurationSec: 4},
+		FlowMixes: []string{"nimbus*2+cubic", "nimbus+bbr@2"},
+		Churns:    []string{"web(load=12)", "bulk(load=12)"},
+		Seeds:     []int64{1},
+	}.Expand()
+	emit := func(workers int) string {
+		rs := (&runner.Runner{Workers: workers}).Run(scs, RunScenario)
+		for i := range rs {
+			if rs[i].Err != "" {
+				t.Fatalf("%s: %s", rs[i].Scenario.Name, rs[i].Err)
+			}
+			rs[i].WallSec = 0
+		}
+		var buf bytes.Buffer
+		if err := runner.WriteJSON(&buf, rs); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	if seq, par := emit(1), emit(4); seq != par {
+		t.Fatalf("workers=4 output differs:\n%s\nvs\n%s", par, seq)
 	}
 }
 

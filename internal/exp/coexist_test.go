@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"nimbus/internal/metrics"
 	"nimbus/internal/runner"
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
@@ -150,5 +152,37 @@ func TestAddFlowSpecsRejectsInvertedWindow(t *testing.T) {
 	r.Sch.RunUntil(sim.Second)
 	if r.Link.DeliveredPackets != 0 {
 		t.Fatalf("rejected spec left %d packets on the rig", r.Link.DeliveredPackets)
+	}
+}
+
+// TestFig16WindowIsAllActive: on Fig. 16's schedule — four flows joining
+// a stagger apart, each living four staggers — the fairness figures come
+// from the window where all four run, the last join to the first
+// departure (the paper's [360 s, 480 s)). Every flow here delivers a
+// constant rate for exactly its lifetime, so a window reaching before a
+// join or past a departure reads that flow low. (Fig. 16's own window ran
+// a stagger past the first flow's stop.)
+func TestFig16WindowIsAllActive(t *testing.T) {
+	const stagger, life = 30 * sim.Second, 120 * sim.Second
+	var flows []*Flow
+	for i := 0; i < 4; i++ {
+		start := sim.Time(i) * stagger
+		f := &Flow{Spec: FlowSpec{StartAt: start, StopAt: start + life}, Probe: &FlowProbe{Tput: metrics.NewMeter(sim.Second)}}
+		for at := start; at < start+life; at += sim.Second {
+			f.Probe.Tput.Add(at, 125000*(i+1)) // i+1 Mbit/s
+		}
+		flows = append(flows, f)
+	}
+	st := FlowStats(flows, 3*stagger+life)
+	for i, want := range []float64{1, 2, 3, 4} {
+		if got := st.SharedMbps[i]; math.Abs(got-want) > 1e-9 {
+			t.Errorf("flow %d: %v Mbit/s over the all-active window, want its full rate %v", i, got, want)
+		}
+		if got := st.PerFlowMbps[i]; math.Abs(got-want) > 1e-9 {
+			t.Errorf("flow %d: %v Mbit/s over its own lifetime, want %v", i, got, want)
+		}
+	}
+	if want := metrics.JainIndex([]float64{1, 2, 3, 4}); math.Abs(st.Jain-want) > 1e-9 {
+		t.Errorf("Jain = %v, want %v", st.Jain, want)
 	}
 }

@@ -7,9 +7,10 @@
 // curves behind it: time series and CDFs for plotting belong to the trace
 // sink (ROADMAP item 3), not to fields here. The DESIGN.md experiment
 // index maps every figure/table to its function here and its benchmark in
-// the repository root. The accuracy experiments are descriptions of one
-// scoring cell, in score.go: cross-traffic construction, mode scoring
-// and the cell runner live there and nowhere else.
+// the repository root. Every run with a flow under test — a sweep cell, a
+// scoring cell of the accuracy experiments, nimbus-sim's single run — is
+// built by one function, scoreCell.build in score.go (BuildScenario from
+// outside); cross-traffic construction and mode scoring live there too.
 package exp
 
 import (
@@ -32,7 +33,7 @@ type NetConfig struct {
 	RateMbps  float64
 	RTT       sim.Time // base RTT of the primary flow
 	Buffer    sim.Time // drop-tail buffer depth in time at the link rate
-	AQM       string   // "droptail" (default), "pie", "codel"
+	AQM       string   // a row of netem.AQMs; "" is the default, drop-tail
 	PIETarget sim.Time // PIE target delay (default 20 ms)
 	Seed      int64
 	// Schedule, when non-nil, makes the bottleneck capacity time-varying
@@ -77,8 +78,9 @@ type Rig struct {
 
 // NewRig builds the network from the config's topology spec (the single
 // bottleneck when none is given). Unknown AQMs and malformed topologies
-// panic; the sweep harness's runGuarded turns panics into error rows, and
-// RigForScenario validates scenario specs up front.
+// panic: a scenario's are checked before it gets here (CanonicalGrid
+// for a grid, cellFor for every cell), and the sweep harness's
+// runGuarded turns a hand-built cell's panic into an error row.
 func NewRig(cfg NetConfig) *Rig {
 	if cfg.Buffer == 0 {
 		cfg.Buffer = 100 * sim.Millisecond
@@ -94,6 +96,10 @@ func NewRig(cfg NetConfig) *Rig {
 	sch := sim.NewScheduler()
 	rng := sim.NewRand(cfg.Seed + 1)
 	nominal := cfg.RateMbps * 1e6
+	pieTarget := cfg.PIETarget
+	if pieTarget == 0 {
+		pieTarget = 20 * sim.Millisecond
+	}
 	// The µ link depends on the nominal rate for chains mixing scaled and
 	// absolute rates ("access(x4)->bn(48mbps)" at -rate 24 bottlenecks at
 	// bn, not access).
@@ -119,27 +125,17 @@ func NewRig(cfg NetConfig) *Rig {
 			buf = sim.FromSeconds(ls.BufferMs / 1e3)
 		}
 		bufBytes := netem.BufferBytesForDelay(rate, buf)
-		var q netem.Queue
-		switch aqm {
-		case "", "droptail":
-			q = netem.NewDropTail(bufBytes)
-		case "pie":
-			target := cfg.PIETarget
-			if target == 0 {
-				target = 20 * sim.Millisecond
-			}
-			// The bottleneck's PIE stream keeps its historical label so
-			// single-topology results stay byte-identical.
-			label := "pie"
-			if !isBn {
-				label = "pie-" + ls.Name
-			}
-			q = netem.NewPIE(bufBytes, rate, target, rng.Split(label))
-		case "codel":
-			q = netem.NewCoDel(bufBytes)
-		default:
+		a, ok := netem.AQMByName(aqm)
+		if !ok {
 			panic("exp: unknown AQM " + aqm)
 		}
+		// The bottleneck's PIE stream keeps its historical label so
+		// single-topology results stay byte-identical.
+		label := "pie"
+		if !isBn {
+			label = "pie-" + ls.Name
+		}
+		q := a.New(bufBytes, rate, pieTarget, rng, label)
 		var sched *netem.RateSchedule
 		switch {
 		case isBn && cfg.Schedule != nil:
@@ -420,10 +416,12 @@ type FlowSetStats struct {
 	// bounded by the link capacity and comparable to a single flow's
 	// mean_mbps regardless of how the flows' active windows stagger.
 	AggMbps float64
-	// Jain and JSDUniform score the allocation over the window where
-	// every flow is active (Jain's fairness index; Jensen-Shannon
-	// divergence from the equal-share split, in bits). Both are 0 when
-	// no such window exists.
+	// SharedMbps is each flow's mean throughput over the window where
+	// every flow is active, from the last start to the first stop; Jain
+	// and JSDUniform score that allocation (Jain's fairness index;
+	// Jensen-Shannon divergence from the equal-share split, in bits).
+	// Nil and 0 when no such window exists.
+	SharedMbps []float64
 	Jain       float64
 	JSDUniform float64
 }
@@ -445,12 +443,11 @@ func FlowStats(flows []*Flow, end sim.Time) FlowSetStats {
 		st.AggMbps += f.Probe.MeanMbps(0, end)
 	}
 	if winTo > winFrom {
-		shared := make([]float64, len(flows))
-		for i, f := range flows {
-			shared[i] = f.Probe.MeanMbps(winFrom, winTo)
+		for _, f := range flows {
+			st.SharedMbps = append(st.SharedMbps, f.Probe.MeanMbps(winFrom, winTo))
 		}
-		st.Jain = metrics.JainIndex(shared)
-		st.JSDUniform = metrics.JSDUniform(shared)
+		st.Jain = metrics.JainIndex(st.SharedMbps)
+		st.JSDUniform = metrics.JSDUniform(st.SharedMbps)
 	}
 	return st
 }
@@ -478,28 +475,12 @@ func AddCrossOn(r *Rig, route, kind string, rateBps float64, rtt sim.Time) error
 	if r.Net.Route(route) == nil {
 		return fmt.Errorf("exp: cross traffic %q: no route %q in topology %s", kind, route, r.Cfg.Topology)
 	}
-	k, ok := crosstraffic.KindByName(kind)
-	if !ok {
-		return fmt.Errorf("exp: unknown cross traffic kind %q (have %s)", kind, crosstraffic.KindNames(nil))
+	cross, _, err := crossFor(kind, route, rateBps, rtt)
+	if err != nil {
+		return err
 	}
-	if k.Name == "none" {
-		return nil
+	for _, c := range cross {
+		r.addCross(c)
 	}
-	if r.Fluid.Enabled && k.Fluid {
-		f, err := crosstraffic.NewFluid(r.Net, route, k.Name, rateBps, rtt, r.Fluid, r.Rng.Split("fluid-"+k.Name))
-		if err != nil {
-			return fmt.Errorf("exp: %w", err)
-		}
-		f.Start(0)
-		return nil
-	}
-	c := crossSpec{kind: k.Name, route: route, rate: rateBps, rtt: rtt}
-	switch k.Name {
-	case "cubic":
-		c.label = "ccross0"
-	case "reno":
-		c.label = "reno-cross"
-	}
-	r.addCross(c)
 	return nil
 }

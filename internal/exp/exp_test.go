@@ -170,7 +170,7 @@ func TestProbeRTTOptIn(t *testing.T) {
 
 // TestAddCrossKinds: every row of the kind table starts, as packets or
 // — on a fluid rig, where the row says there is a model — as a rate
-// process, and carries the ground truth CrossElastic reports; nothing
+// process, and carries the ground truth crossFor reports; nothing
 // outside the table is accepted.
 func TestAddCrossKinds(t *testing.T) {
 	for _, k := range crosstraffic.Kinds {
@@ -185,8 +185,8 @@ func TestAddCrossKinds(t *testing.T) {
 				t.Errorf("AddCross(%s) fluid=%q: delivered packets = %v, want %v", k.Name, fluid, got, wantPackets)
 			}
 		}
-		if CrossElastic(k.Name) != k.Elastic {
-			t.Errorf("CrossElastic(%s) = %v, table says %v", k.Name, !k.Elastic, k.Elastic)
+		if _, elastic, _ := crossFor(k.Name, "", 24e6, 0); elastic != k.Elastic {
+			t.Errorf("crossFor(%s): elastic = %v, table says %v", k.Name, elastic, k.Elastic)
 		}
 	}
 	r := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Seed: 1})
@@ -337,7 +337,7 @@ func TestParallelFigureDeterminism(t *testing.T) {
 	cell := func(label string) string {
 		c := scoreCell{cross: []crossSpec{{kind: "bbr", label: label}}, elastic: true}
 		res := c.run(spec.MustParse("nimbus"), 1, 12*sim.Second)
-		return fmt.Sprint(res.probe.MeanMbps(0, 12*sim.Second), res.acc.Accuracy(), res.etas)
+		return fmt.Sprint(res.Flows[0].Probe.MeanMbps(0, 12*sim.Second), res.acc.Accuracy(), res.etas)
 	}
 	a, b := cell("bbr"), cell("bbr")
 	if a != b {

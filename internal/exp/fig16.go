@@ -2,7 +2,6 @@ package exp
 
 import (
 	"nimbus/internal/core"
-	"nimbus/internal/metrics"
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
 )
@@ -80,11 +79,11 @@ func Fig16(seed int64, quick bool) Report {
 	end := 3*stagger + life
 	r.Sch.RunUntil(end)
 
-	// Fairness window: all four flows active (3*stagger .. stagger+life).
-	var perFlow mbpsList
+	// Fairness over the window where all four flows are active, from the
+	// last join to the first departure (the paper's [360 s, 480 s)).
+	st := FlowStats(flows, end)
 	var delaySum float64
 	for _, f := range flows {
-		perFlow = append(perFlow, f.Probe.MeanMbps(3*stagger, stagger+life))
 		delaySum += f.Probe.Delay.Summary().Mean
 	}
 	frac := func(n, of int) float64 { return ratio(float64(n), float64(of)) }
@@ -103,7 +102,7 @@ func Fig16(seed int64, quick bool) Report {
 				{"mean qdelay ms", "", "   mean queueing delay: %.1f ms\n"},
 			},
 			Rows: [][]any{{
-				perFlow, metrics.JainIndex(perFlow),
+				mbpsList(st.SharedMbps), st.Jain,
 				frac(one, census), frac(multi, census), frac(zero, census),
 				frac(delayTicks, totalTicks), delaySum / float64(len(flows)),
 			}},

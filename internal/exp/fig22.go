@@ -36,7 +36,7 @@ func fig22(bufs []float64, seed int64, dur sim.Time) Report {
 				}
 				nim := c.run(spec.MustParse("nimbus"), seed, dur)
 				cub := c.run(spec.MustParse("cubic"), seed, dur)
-				return []any{bufs[i], nim.probe.MeanMbps(5*sim.Second, dur), cub.probe.MeanMbps(5*sim.Second, dur), nim.acc.Accuracy()}
+				return []any{bufs[i], nim.Flows[0].Probe.MeanMbps(5*sim.Second, dur), cub.Flows[0].Probe.MeanMbps(5*sim.Second, dur), nim.acc.Accuracy()}
 			}),
 		}},
 		Expect: "nimbus ~ cubic at every buffer; BBR classified elastic only with deep buffers",

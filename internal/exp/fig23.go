@@ -46,7 +46,7 @@ func Fig23(seed int64, quick bool) Report {
 			Rows: dynamicsGrid(quick, []float64{24, 80}, func(scheme string, cbrMbps float64, dur sim.Time) []any {
 				c := scoreCell{cross: []crossSpec{{kind: "cbr", rate: cbrMbps * 1e6, rtt: 40 * sim.Millisecond}}}
 				res := c.run(spec.MustParse(scheme), seed, dur)
-				return []any{scheme, cbrMbps, res.probe.MeanMbps(5*sim.Second, dur), res.probe.Delay.Summary().Mean, res.wrongModeFrac()}
+				return []any{scheme, cbrMbps, res.Flows[0].Probe.MeanMbps(5*sim.Second, dur), res.Flows[0].Probe.Delay.Summary().Mean, res.wrongModeFrac()}
 			}),
 		}},
 		Expect: "at 80M copa sticks in competitive mode (high delay); nimbus correct at both",
@@ -70,7 +70,7 @@ func Fig24(seed int64, quick bool) Report {
 				crossRTT := sim.Time(float64(50*sim.Millisecond) * ratio)
 				c := scoreCell{cross: []crossSpec{{kind: "reno", label: "reno", rtt: crossRTT}}, elastic: true}
 				res := c.run(spec.MustParse(scheme), seed, dur)
-				return []any{scheme, ratio, res.probe.MeanMbps(5*sim.Second, dur), res.wrongModeFrac()}
+				return []any{scheme, ratio, res.Flows[0].Probe.MeanMbps(5*sim.Second, dur), res.wrongModeFrac()}
 			}),
 		}},
 		Expect: "at 4x copa misclassifies (low share); nimbus stays competitive and keeps its share",

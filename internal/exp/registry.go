@@ -239,7 +239,7 @@ func FormatTopologyList() string {
 		}
 		fmt.Fprintf(&b, "%-14s %-28s %s\n", name, strings.Join(hops, "->"), netem.TopologyDoc(name))
 	}
-	b.WriteString("or a chain spec: name(params,...)->... with params like 100mbps, x4, 5ms, droptail|pie|codel, buf=50ms, pattern=step:6:24:2000\n")
+	fmt.Fprintf(&b, "or a chain spec: name(params,...)->... with params like 100mbps, x4, 5ms, %s, buf=50ms, pattern=step:6:24:2000\n", netem.AQMNames("|"))
 	return b.String()
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"nimbus/internal/core"
 	"nimbus/internal/crosstraffic"
-	"nimbus/internal/metrics"
 	"nimbus/internal/netem"
 	"nimbus/internal/runner"
 	"nimbus/internal/sim"
@@ -62,8 +61,8 @@ func NetConfigFor(sc runner.Scenario) NetConfig {
 // NewRig is called, so a bad cell is an error row rather than a panic or
 // — worse — a normal-looking result: the link rate, RTT and horizon must
 // be finite and positive (a zero-rate link delivers nothing and reports
-// perfect mode accuracy), the link axes must resolve to a schedule, and
-// the topology and fluid specs must parse.
+// perfect mode accuracy), the link axes must resolve to a schedule, the
+// AQM must be one there is, and the topology and fluid specs must parse.
 func netConfigChecked(sc runner.Scenario) (NetConfig, error) {
 	for _, f := range []struct {
 		name string
@@ -79,6 +78,9 @@ func netConfigChecked(sc runner.Scenario) (NetConfig, error) {
 		return NetConfig{}, err
 	}
 	cfg.Schedule = sched
+	if _, ok := netem.AQMByName(sc.AQM); !ok {
+		return NetConfig{}, fmt.Errorf("exp: scenario %q: unknown AQM %q (have %s)", sc.Name, sc.AQM, netem.AQMNames(", "))
+	}
 	if _, err := netem.ParseTopology(sc.Topology); err != nil {
 		return NetConfig{}, err
 	}
@@ -106,112 +108,143 @@ func ScheduleForScenario(sc runner.Scenario) (*netem.RateSchedule, error) {
 	return nil, nil
 }
 
-// RigForScenario materializes a declarative scenario: the bottleneck
-// (constant or time-varying), the scheme under test as a backlogged flow
-// with a probe, and the scenario's cross traffic. The caller may attach
-// extra instrumentation before running the rig to sc.DurationSec.
-func RigForScenario(sc runner.Scenario) (*Rig, Scheme, *FlowProbe, error) {
+// cellFor translates a declarative scenario into the cell it names.
+// Everything a flag or a grid file can spell is checked here, before the
+// rig exists.
+func cellFor(sc runner.Scenario) (scoreCell, error) {
 	cfg, err := netConfigChecked(sc)
 	if err != nil {
-		return nil, Scheme{}, nil, err
+		return scoreCell{}, err
 	}
-	r := NewRig(cfg)
-	var mu core.MuEstimator
-	if r.Link.Varying() {
-		mu = LinkOracle{Link: r.Link}
-	}
-	scheme, err := BuildScheme(sc.Scheme, r.MuBps, mu)
-	if err != nil {
-		return nil, Scheme{}, nil, err
-	}
-	probe := r.AddFlow(scheme, sim.FromSeconds(sc.RTTms/1e3), 0)
-	if err := AddCross(r, sc.Cross, sc.CrossRateMbps*1e6, crossRTT(sc)); err != nil {
-		return nil, Scheme{}, nil, err
-	}
-	return r, scheme, probe, nil
-}
-
-// crossRTT is the cross traffic's base RTT: the scenario's own unless
-// CrossRTTms overrides it.
-func crossRTT(sc runner.Scenario) sim.Time {
-	if sc.CrossRTTms > 0 {
-		return sim.FromSeconds(sc.CrossRTTms / 1e3)
-	}
-	return sim.FromSeconds(sc.RTTms / 1e3)
-}
-
-// CrossElastic reports whether a cross-traffic kind backs off under
-// congestion — the ground truth Nimbus's mode decision is scored against
-// (crosstraffic.Kinds; unknown kinds are not elastic).
-func CrossElastic(kind string) bool {
-	k, _ := crosstraffic.KindByName(kind)
-	return k.Elastic
-}
-
-// RunScenario is the standard runner.RunFunc: it materializes the
-// scenario, runs it to its horizon, and reports the measurements every
-// sweep wants — throughput, queueing delay, utilization, drops, and (for
-// Nimbus schemes) mode telemetry including time-weighted mode accuracy
-// against the cross traffic's known elasticity. The engine fills in wall
-// time.
-//
-// With Churn set, the scheme under test runs as the long-lived flow
-// while the session workload arrives and departs around it on the same
-// rig: the result adds the workload's streaming summary (churn_*
-// metrics), and mode accuracy is scored against the workload's exact
-// elastic-flow ground truth instead of a static label.
-func RunScenario(sc runner.Scenario) runner.Result {
-	fail := func(err error) runner.Result {
-		return runner.Result{Scenario: sc, Err: err.Error()}
-	}
+	c := scoreCell{net: cfg, flows: []FlowSpec{{Scheme: sc.Scheme}}}
 	if sc.FlowMix != "" {
-		if sc.Churn != "" {
-			return fail(fmt.Errorf("exp: scenario %q sets both FlowMix (%s) and Churn (%s); pick one",
-				sc.Name, sc.FlowMix, sc.Churn))
+		c.mixed = true
+		if c.flows, err = ParseFlowMix(sc.FlowMix); err != nil {
+			return scoreCell{}, err
 		}
-		return RunFlowMixScenario(sc)
 	}
-	r, scheme, probe, err := RigForScenario(sc)
-	if err != nil {
-		return fail(err)
+	// A zero cross RTT is the scenario's own.
+	crossRTT := sim.FromSeconds(math.Max(sc.CrossRTTms, 0) / 1e3)
+	if c.cross, c.elastic, err = crossFor(sc.Cross, "", sc.CrossRateMbps*1e6, crossRTT); err != nil {
+		return scoreCell{}, err
 	}
-	truth := CrossElastic(sc.Cross)
-	elastic := func(sim.Time) bool { return truth }
-	var gen *workload.Generator
 	if sc.Churn != "" {
 		wsp, err := workload.ParseSpec(sc.Churn)
 		if err != nil {
-			return fail(err)
+			return scoreCell{}, err
 		}
-		// Built after the rig's flow and cross traffic: Split consumes the
-		// parent stream, so the order is part of every churn cell's result.
-		gen = &workload.Generator{
-			Net:   r.Net,
-			Rng:   r.Rng.Split("churn"),
-			Spec:  wsp,
-			RTT:   sim.FromSeconds(sc.RTTms / 1e3),
-			MuBps: r.MuBps,
+		c.churn = &wsp
+	}
+	return c, nil
+}
+
+// RigForScenario builds the scenario's cell less its churn and its
+// scorer: the bottleneck, the flow under test with its probe, the cross
+// traffic. It survives because the benchmark harness (benchmark/simrun.go
+// buildRig, which a change to the simulator may not edit) compiles
+// against it and adds the churn generator itself; everything else calls
+// BuildScenario.
+func RigForScenario(sc runner.Scenario) (*Rig, Scheme, *FlowProbe, error) {
+	c, err := cellFor(sc)
+	if err != nil {
+		return nil, Scheme{}, nil, err
+	}
+	c.churn = nil
+	b, err := c.build()
+	if err != nil {
+		return nil, Scheme{}, nil, err
+	}
+	return b.Rig, b.Flows[0].Scheme, b.Flows[0].Probe, nil
+}
+
+// BuildScenario materializes a declarative scenario of any kind, ready
+// to run to sc.DurationSec: a single scheme under test or a flow mix,
+// the cross traffic, and — with Churn set — a session workload arriving
+// and departing around them on the same rig (scoreCell.build). A Nimbus
+// scheme under test is scored from a quarter of the horizon on, against
+// the cross kind's elasticity or, in a churn cell, the workload's exact
+// ground truth: is any elastic session flow active right now. Nimbus
+// only: scoring Copa arms a sampler event, which would change the copa
+// cells' event counts and every cached result. Flows in a mix are not
+// scored.
+func BuildScenario(sc runner.Scenario) (*Cell, error) {
+	c, err := cellFor(sc)
+	if err != nil {
+		return nil, err
+	}
+	b, err := c.build()
+	if err != nil {
+		return nil, err
+	}
+	if s := b.Flows[0].Scheme; !c.mixed && s.Nimbus != nil {
+		truth := func(sim.Time) bool { return c.elastic }
+		if b.Churn != nil {
+			truth = func(sim.Time) bool { return b.Churn.ElasticActive() }
 		}
-		if err := gen.Start(0); err != nil {
-			return fail(err)
-		}
-		// Ground truth is live: "is any elastic session flow active right
-		// now", not a per-scenario constant.
-		elastic = func(sim.Time) bool { return gen.ElasticActive() }
+		b.acc = scoreModes(b.Rig, s, truth, sim.FromSeconds(sc.DurationSec)/4)
+	}
+	return b, nil
+}
+
+// RunScenario is the standard runner.RunFunc: it builds the scenario,
+// runs it to its horizon and reports the cell's Metrics. The engine
+// fills in wall time.
+func RunScenario(sc runner.Scenario) runner.Result {
+	b, err := BuildScenario(sc)
+	if err != nil {
+		return runner.Result{Scenario: sc, Err: err.Error()}
 	}
 	end := sim.FromSeconds(sc.DurationSec)
-	// Nimbus schemes only: scoring Copa arms a sampler event, which would
-	// change the copa cells' event counts and every cached result.
-	var acc *metrics.AccuracyTracker
-	if scheme.Nimbus != nil {
-		acc = scoreModes(r, scheme, elastic, end/4)
-	}
-	r.Sch.RunUntil(end)
+	b.Rig.Sch.RunUntil(end)
+	return runner.Result{Scenario: sc, Metrics: b.Metrics(end), Events: b.Rig.Sch.Executed}
+}
 
-	m := linkMetrics(r, probe.MeanMbps(0, end))
-	addQdelayMetrics(m, probe.Delay)
-	if gen != nil {
-		sm := gen.Stats.Snapshot(end)
+// Metrics are the measurements every sweep wants of a cell run to end.
+// Each group is emitted only by the cells that have it, so a cell's
+// result (and its JSON) does not change when another kind gains a metric.
+func (b *Cell) Metrics(end sim.Time) map[string]float64 {
+	r, st := b.Rig, FlowStats(b.Flows, end)
+	m := map[string]float64{
+		"mean_mbps":       st.AggMbps,
+		"utilization":     r.Link.Utilization(),
+		"dropped_packets": float64(r.Link.DroppedPackets),
+	}
+	mean, qs := b.delay.MeanQuantiles(0.5, 0.95)
+	m["qdelay_mean_ms"], m["qdelay_p50_ms"], m["qdelay_p95_ms"] = mean, qs[0], qs[1]
+	// A flow mix: per-flow throughput, and fairness over the interval
+	// where every flow is active.
+	if b.mixed {
+		m["jain"] = st.Jain
+		m["jsd_uniform"] = st.JSDUniform
+		for i, mbps := range st.PerFlowMbps {
+			m[fmt.Sprintf("flow%02d_mbps", i)] = mbps
+		}
+	}
+	// Fluid cross traffic: the background aggregate's achieved rate and
+	// loss.
+	if r.Link.FluidEnabled() {
+		delivered, dropped := r.Link.FluidStats()
+		if now := r.Sch.Now(); now > 0 {
+			m["fluid_mbps"] = delivered * 8 / now.Seconds() / 1e6
+		}
+		if total := delivered + dropped; total > 0 {
+			m["fluid_drop_pct"] = dropped / total * 100
+		}
+	}
+	// A multi-hop topology: the path decomposed per hop.
+	if links := r.Net.Links(); len(links) > 1 {
+		for i, l := range links {
+			prefix := fmt.Sprintf("hop%02d_%s_", i, l.Name)
+			m[prefix+"util"] = l.Utilization()
+			// The discipline's own counter, so CoDel's dequeue-time drops
+			// (invisible to Link.DroppedPackets) are included.
+			m[prefix+"drops"] = float64(l.Q.DropCount())
+			m[prefix+"qdelay_ms"] = l.MeanQueueDelay().Millis()
+		}
+	}
+	// Session churn: the workload's streaming summary.
+	if b.Churn != nil {
+		sm := b.Churn.Stats.Snapshot(end)
 		m["churn_started"] = float64(sm.Started)
 		m["churn_completed"] = float64(sm.Completed)
 		m["churn_capped"] = float64(sm.Capped)
@@ -224,136 +257,26 @@ func RunScenario(sc runner.Scenario) runner.Result {
 		m["churn_jain"] = sm.Jain
 		m["churn_elastic_frac"] = sm.ElasticFrac
 	}
-	if scheme.Nimbus != nil {
-		m["mode_switches"] = float64(scheme.Nimbus.ModeSwitches)
-		m["eta"] = scheme.Nimbus.LastEta()
-		mode := 0.0
-		if scheme.Nimbus.Mode() == core.ModeCompetitive {
-			mode = 1
+	// A scored Nimbus flow: mode telemetry and time-weighted accuracy.
+	if b.acc != nil {
+		n := b.Flows[0].Scheme.Nimbus
+		m["mode_switches"] = float64(n.ModeSwitches)
+		m["eta"] = n.LastEta()
+		m["competitive_mode"] = 0
+		if n.Mode() == core.ModeCompetitive {
+			m["competitive_mode"] = 1
 		}
-		m["competitive_mode"] = mode
-		m["mode_accuracy"] = acc.Accuracy()
+		m["mode_accuracy"] = b.acc.Accuracy()
 	}
-	dropNonFinite(m)
-	return runner.Result{Scenario: sc, Metrics: m, Events: r.Sch.Executed}
-}
-
-// RunFlowMixScenario is RunScenario for scenarios whose FlowMix is set:
-// the mix's heterogeneous flow set replaces the single scheme under
-// test, and the result carries per-flow throughput (flowNN_mbps) plus
-// fairness of the allocation (jain, jsd_uniform) alongside the usual
-// link-level metrics. The fairness window is the interval where every
-// flow in the mix is active.
-func RunFlowMixScenario(sc runner.Scenario) runner.Result {
-	fail := func(err error) runner.Result {
-		return runner.Result{Scenario: sc, Err: err.Error()}
-	}
-	specs, err := ParseFlowMix(sc.FlowMix)
-	if err != nil {
-		return fail(err)
-	}
-	cfg, err := netConfigChecked(sc)
-	if err != nil {
-		return fail(err)
-	}
-	r := NewRig(cfg)
-	flows, err := r.AddFlowSpecs(specs...)
-	if err != nil {
-		return fail(err)
-	}
-	// Aggregate queueing delay comes from one shared recorder fed by
-	// every flow's deliveries: per-flow recorders are reservoirs over
-	// their own flow, so concatenating their samples would weight flows
-	// equally once a busy flow hits the reservoir cap, instead of by
-	// packets actually delivered.
-	sharedDelay := metrics.NewDelayRecorder(0, r.Rng.Split("mix-dlyrec"))
-	for _, f := range flows {
-		f.Probe.Sender.TapDeliveries(func(p *netem.Packet, now sim.Time) {
-			sharedDelay.Add(p.QueueDelay)
-		})
-	}
-	if err := AddCross(r, sc.Cross, sc.CrossRateMbps*1e6, crossRTT(sc)); err != nil {
-		return fail(err)
-	}
-	end := sim.FromSeconds(sc.DurationSec)
-	r.Sch.RunUntil(end)
-
-	st := FlowStats(flows, end)
-	m := linkMetrics(r, st.AggMbps)
-	m["jain"] = st.Jain
-	m["jsd_uniform"] = st.JSDUniform
-	for i := range flows {
-		m[fmt.Sprintf("flow%02d_mbps", i)] = st.PerFlowMbps[i]
-	}
-	if sharedDelay.Len() > 0 {
-		addQdelayMetrics(m, sharedDelay)
-	}
-	dropNonFinite(m)
-	return runner.Result{Scenario: sc, Metrics: m, Events: r.Sch.Executed}
-}
-
-// linkMetrics starts the metric map every scenario runner shares:
-// aggregate throughput, the bottleneck's utilization and drops, and the
-// per-hop decomposition on multi-hop topologies.
-func linkMetrics(r *Rig, meanMbps float64) map[string]float64 {
-	m := map[string]float64{
-		"mean_mbps":       meanMbps,
-		"utilization":     r.Link.Utilization(),
-		"dropped_packets": float64(r.Link.DroppedPackets),
-	}
-	// Fluid-path runs additionally report the background aggregate's
-	// achieved rate and loss; emitted only when fluid is on, so exact
-	// per-packet results (and their JSON) are unchanged.
-	if r.Link.FluidEnabled() {
-		delivered, dropped := r.Link.FluidStats()
-		if now := r.Sch.Now(); now > 0 {
-			m["fluid_mbps"] = delivered * 8 / now.Seconds() / 1e6
-		}
-		if total := delivered + dropped; total > 0 {
-			m["fluid_drop_pct"] = dropped / total * 100
-		}
-	}
-	hopMetrics(m, r)
-	return m
-}
-
-// addQdelayMetrics records a delay recorder's mean/p50/p95 summary.
-func addQdelayMetrics(m map[string]float64, d *metrics.DelayRecorder) {
-	dMean, dQs := d.MeanQuantiles(0.5, 0.95)
-	m["qdelay_mean_ms"] = dMean
-	m["qdelay_p50_ms"] = dQs[0]
-	m["qdelay_p95_ms"] = dQs[1]
-}
-
-// dropNonFinite removes non-finite metrics: a run that delivers nothing
-// (reachable on dark/outage schedules) has no delay samples and NaN
-// summaries, and one such cell must not abort JSON emission for the
-// whole sweep.
-func dropNonFinite(m map[string]float64) {
+	// A run that delivers nothing (reachable on dark/outage schedules) has
+	// no delay samples and NaN summaries, and one such cell must not abort
+	// JSON emission for the whole sweep.
 	for k, v := range m {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			delete(m, k)
 		}
 	}
-}
-
-// hopMetrics decomposes the path into per-hop measurements on multi-hop
-// topologies: each hop's utilization, drops, and mean queueing delay land
-// as hopNN_<name>_* metrics. Single-bottleneck runs emit nothing extra,
-// so pre-topology results (and their JSON) are unchanged.
-func hopMetrics(m map[string]float64, r *Rig) {
-	links := r.Net.Links()
-	if len(links) <= 1 {
-		return
-	}
-	for i, l := range links {
-		prefix := fmt.Sprintf("hop%02d_%s_", i, l.Name)
-		m[prefix+"util"] = l.Utilization()
-		// The discipline's own counter, so CoDel's dequeue-time drops
-		// (invisible to Link.DroppedPackets) are included.
-		m[prefix+"drops"] = float64(l.Q.DropCount())
-		m[prefix+"qdelay_ms"] = l.MeanQueueDelay().Millis()
-	}
+	return m
 }
 
 // RunSweep expands the grid and executes it on the pool, reporting

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -169,5 +170,116 @@ func TestChurnCellTeardown(t *testing.T) {
 	}
 	if r.Net.FreePackets() == 0 {
 		t.Fatal("no packet came back to the shared pool")
+	}
+}
+
+// mirrorRig rebuilds a scenario's rig from exported pieces, step for step
+// as benchmark/simrun.go:buildRig does (the benchmark harness is a module
+// of its own and its replay pass must execute the events RunScenario
+// executed).
+func mirrorRig(sc runner.Scenario) (*Rig, error) {
+	if sc.FlowMix != "" {
+		specs, err := ParseFlowMix(sc.FlowMix)
+		if err != nil {
+			return nil, err
+		}
+		r := NewRig(NetConfigFor(sc))
+		if _, err := r.AddFlowSpecs(specs...); err != nil {
+			return nil, err
+		}
+		r.Rng.Split("mix-dlyrec")
+		return r, AddCross(r, sc.Cross, sc.CrossRateMbps*1e6, sim.FromSeconds(sc.RTTms/1e3))
+	}
+	r, _, _, err := RigForScenario(sc)
+	if err != nil || sc.Churn == "" {
+		return r, err
+	}
+	wsp, err := workload.ParseSpec(sc.Churn)
+	if err != nil {
+		return nil, err
+	}
+	gen := &workload.Generator{
+		Net: r.Net, Rng: r.Rng.Split("churn"), Spec: wsp,
+		RTT: sim.FromSeconds(sc.RTTms / 1e3), MuBps: r.MuBps,
+	}
+	return r, gen.Start(0)
+}
+
+// TestScenarioMatchesReplayMirror: the benchmark's replay contract, held
+// in tier-1 — a rig put together outside the builder from RigForScenario,
+// NewRig, AddFlowSpecs, AddCross and a generator on Split("churn")
+// executes exactly the events RunScenario does, for each kind of cell the
+// benchmark's workloads hold. A step added to scoreCell.build that draws
+// a stream or arms an event fails here, not in a traced benchmark run.
+func TestScenarioMatchesReplayMirror(t *testing.T) {
+	nimbus, cubic := spec.MustParse("nimbus"), spec.MustParse("cubic")
+	for name, sc := range map[string]runner.Scenario{
+		"single":  {Scheme: nimbus, Cross: "cubic"},
+		"churn":   {Scheme: nimbus, Churn: "web(load=12)"},
+		"trace":   {Scheme: cubic, Cross: "trace", CrossRateMbps: 12},
+		"flowmix": {FlowMix: "nimbus*2+cubic@1", Cross: "poisson", CrossRateMbps: 6},
+	} {
+		sc.RateMbps, sc.RTTms, sc.BufferMs, sc.DurationSec, sc.Seed = 48, 20, 50, 4, 1
+		want := RunScenario(sc)
+		if want.Err != "" {
+			t.Fatalf("%s: %s", name, want.Err)
+		}
+		r, err := mirrorRig(sc)
+		if err != nil {
+			t.Fatalf("%s: mirror: %v", name, err)
+		}
+		r.Sch.RunUntil(sim.FromSeconds(sc.DurationSec))
+		if r.Sch.Executed != want.Events {
+			t.Errorf("%s: the mirror executed %d events, RunScenario %d", name, r.Sch.Executed, want.Events)
+		}
+	}
+}
+
+// TestScenarioMetricKeys: the exact metric names of one cell per kind, so
+// the one collector cannot drop, rename or leak a key between kinds
+// unnoticed (a sweep's JSON, the result cache and every report read
+// metrics by name).
+func TestScenarioMetricKeys(t *testing.T) {
+	const (
+		link   = "dropped_packets mean_mbps qdelay_mean_ms qdelay_p50_ms qdelay_p95_ms utilization"
+		nimbus = " competitive_mode eta mode_accuracy mode_switches"
+		mix3   = " flow00_mbps flow01_mbps flow02_mbps jain jsd_uniform"
+		churn  = " churn_capped churn_completed churn_elastic_frac churn_fct_mean_ms churn_fct_p50_ms churn_fct_p95_ms" +
+			" churn_jain churn_max_active churn_mbps churn_mean_active churn_started"
+		hops = " hop00_hop1_drops hop00_hop1_qdelay_ms hop00_hop1_util hop01_hop2_drops hop01_hop2_qdelay_ms hop01_hop2_util" +
+			" hop02_hop3_drops hop02_hop3_qdelay_ms hop02_hop3_util"
+	)
+	nimbusSpec, cubic := spec.MustParse("nimbus"), spec.MustParse("cubic")
+	for _, c := range []struct {
+		name string
+		sc   runner.Scenario
+		want string
+	}{
+		{"nimbus", runner.Scenario{Scheme: nimbusSpec}, link + nimbus},
+		{"cubic", runner.Scenario{Scheme: cubic}, link},
+		{"copa", runner.Scenario{Scheme: spec.MustParse("copa")}, link}, // sweeps do not score Copa: no mode_accuracy
+		{"flowmix", runner.Scenario{FlowMix: "nimbus*2+cubic"}, link + mix3},
+		{"churn", runner.Scenario{Scheme: nimbusSpec, Churn: "bulk(load=12)"}, link + nimbus + churn},
+		{"flowmix+churn", runner.Scenario{FlowMix: "nimbus*2+cubic", Churn: "bulk(load=12)"}, link + mix3 + churn},
+		{"fluid", runner.Scenario{Scheme: cubic, FluidCross: "on"}, link + " fluid_drop_pct fluid_mbps"},
+		{"parking-lot", runner.Scenario{Scheme: cubic, Topology: "parking-lot"}, link + hops},
+	} {
+		sc := c.sc
+		sc.RateMbps, sc.RTTms, sc.BufferMs, sc.DurationSec, sc.Seed = 24, 20, 50, 3, 1
+		sc.Cross, sc.CrossRateMbps = "cbr", 6
+		r := RunScenario(sc)
+		if r.Err != "" {
+			t.Fatalf("%s: %s", c.name, r.Err)
+		}
+		got := make([]string, 0, len(r.Metrics))
+		for k := range r.Metrics {
+			got = append(got, k)
+		}
+		sort.Strings(got)
+		want := strings.Fields(c.want)
+		sort.Strings(want)
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%s: metric keys\n got:  %s\n want: %s", c.name, strings.Join(got, " "), strings.Join(want, " "))
+		}
 	}
 }

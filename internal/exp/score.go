@@ -7,6 +7,7 @@ import (
 	"nimbus/internal/core"
 	"nimbus/internal/crosstraffic"
 	"nimbus/internal/metrics"
+	"nimbus/internal/netem"
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
 	"nimbus/internal/stats"
@@ -14,11 +15,18 @@ import (
 	"nimbus/internal/workload"
 )
 
-// The one scoring cell behind the detector-accuracy experiments: how a
-// cross-traffic kind becomes senders, how mode decisions are scored, how
-// a described cell is run. Rng.Split draws from the parent stream and
-// same-time events run in arming order, so the order of calls here is
-// output: flow under test, cross sources in list order, scorer last.
+// The one cell builder. Every run with a flow under test — a
+// runner.Scenario (BuildScenario: RunScenario, nimbus-sim's single run)
+// or a detector-accuracy figure's cell (scoreCell.run) — is a scoreCell,
+// and scoreCell.build alone turns one into a rig with flows, cross
+// traffic and churn on it. Rng.Split draws from the parent stream and
+// same-time events run in arming order, so build's order is output:
+// flows, a flow mix's shared delay recorder, cross sources in list
+// order, the churn generator. The scorer is the caller's step, last:
+// sweeps score Nimbus only (scoring Copa arms a sampler event and would
+// move every copa cell's event count and cached result), the figures
+// score Copa too. Also here: how a cross-traffic kind becomes senders
+// and how mode decisions are scored.
 
 // crossSender starts one backlogged cross flow. label names its random
 // stream.
@@ -109,9 +117,18 @@ type crossSpec struct {
 	probed bool
 }
 
-// addCross is the one place a cross-traffic kind becomes senders.
-// Unknown kinds panic, as unknown scheme specs do.
+// addCross is the one place a cross-traffic kind becomes senders or, on
+// a fluid rig, a rate process (the kinds with a fluid model). Unknown
+// kinds panic, as unknown scheme specs do.
 func (r *Rig) addCross(c crossSpec) {
+	if r.Fluid.Enabled && crosstraffic.HasFluidModel(c.kind) {
+		f, err := crosstraffic.NewFluid(r.Net, c.route, c.kind, c.rate, c.rtt, r.Fluid, r.Rng.Split("fluid-"+c.kind))
+		if err != nil {
+			panic(err) // the kind has a model; the route is the caller's to check
+		}
+		f.Start(0)
+		return
+	}
 	switch c.kind {
 	case "poisson":
 		r.crossPoisson(c.route, c.rtt, c.rate, 0)
@@ -130,6 +147,26 @@ func (r *Rig) addCross(c crossSpec) {
 		}
 		r.crossSender(c.label, c.route, s.Ctrl, c.rtt, 0)
 	}
+}
+
+// crossFor is the -cross vocabulary (crosstraffic.Kinds) and its ground
+// truth, as mixCross is the figures': the sources a kind starts on a
+// route, none for "none".
+func crossFor(kind, route string, rateBps float64, rtt sim.Time) (cross []crossSpec, elastic bool, err error) {
+	k, ok := crosstraffic.KindByName(kind)
+	if !ok {
+		return nil, false, fmt.Errorf("exp: unknown cross traffic kind %q (have %s)", kind, crosstraffic.KindNames(nil))
+	}
+	c := crossSpec{kind: k.Name, route: route, rate: rateBps, rtt: rtt}
+	switch k.Name {
+	case "none":
+		return nil, false, nil
+	case "cubic":
+		c.label = "ccross0"
+	case "reno":
+		c.label = "reno-cross"
+	}
+	return []crossSpec{c}, k.Elastic, nil
 }
 
 // mixCross is the elastic|inelastic|mix vocabulary of the accuracy
@@ -198,23 +235,73 @@ func scoreModes(r *Rig, s Scheme, truth func(now sim.Time) bool, warmup sim.Time
 // whose horizons can be shorter than this, uses a quarter of its own.)
 const scoreWarmup = 10 * sim.Second
 
-// scoreCell describes one scored run, less the scheme under test: the
-// rig, the cross traffic, and the cross traffic's elasticity as ground
-// truth for the whole run.
+// scoreCell describes one run: the network, the flows under test, the
+// cross traffic and session churn around them, and the cross traffic's
+// elasticity as the scorer's ground truth for the whole run.
 type scoreCell struct {
-	// net is the emulated network; a zero RateMbps, RTT or Buffer means
-	// the standard rig's 96 Mbit/s, 50 ms, 100 ms.
+	// net is the emulated network; in a figure's cell (run) a zero
+	// RateMbps, RTT or Buffer means the standard rig's 96 Mbit/s, 50 ms,
+	// 100 ms.
 	net NetConfig
+	// flows are the flows under test; run puts its scheme here.
+	flows []FlowSpec
+	// mixed marks a flow mix (Scenario.FlowMix), a one-item mix included.
+	// Its queueing delay comes from one recorder fed by every flow:
+	// concatenated per-flow reservoirs would weight the flows equally once
+	// a busy one hits its cap, instead of by packets delivered.
+	mixed bool
 	// cross sources start at 0, in order; a zero rtt means the rig's.
-	cross   []crossSpec
+	cross []crossSpec
+	// churn, when non-nil, is a session workload arriving and departing
+	// around the flows for the whole run, at the rig's RTT.
+	churn   *workload.Spec
 	elastic bool
+}
+
+// Cell is a built run, armed at time 0: a caller may attach
+// instrumentation, then runs Rig.Sch to the horizon and reads Metrics.
+type Cell struct {
+	Rig   *Rig
+	Flows []*Flow             // the flows under test
+	Churn *workload.Generator // nil in a cell without churn
+	// delay is the one flow's delay recorder, or a mix's shared one.
+	delay *metrics.DelayRecorder
+	mixed bool
+	acc   *metrics.AccuracyTracker // nil unless BuildScenario scored the flow
+}
+
+// build materializes the cell, in the order the top of this file gives.
+func (c scoreCell) build() (*Cell, error) {
+	r := NewRig(c.net)
+	flows, err := r.AddFlowSpecs(c.flows...)
+	if err != nil {
+		return nil, err
+	}
+	b := &Cell{Rig: r, Flows: flows, delay: flows[0].Probe.Delay, mixed: c.mixed}
+	if c.mixed {
+		b.delay = metrics.NewDelayRecorder(0, r.Rng.Split("mix-dlyrec"))
+		for _, f := range flows {
+			f.Probe.Sender.TapDeliveries(func(p *netem.Packet, _ sim.Time) { b.delay.Add(p.QueueDelay) })
+		}
+	}
+	for _, x := range c.cross {
+		if x.rtt == 0 {
+			x.rtt = c.net.RTT
+		}
+		r.addCross(x)
+	}
+	if c.churn != nil {
+		b.Churn = &workload.Generator{Net: r.Net, Rng: r.Rng.Split("churn"), Spec: *c.churn, RTT: c.net.RTT, MuBps: r.MuBps}
+		if err := b.Churn.Start(0); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
 // scoreResult is what a scored run leaves behind.
 type scoreResult struct {
-	probe *FlowProbe
-	// acc is nil for schemes without modes.
-	acc *metrics.AccuracyTracker
+	*Cell // run to the horizon; acc is nil for schemes without modes
 	// etas are a Nimbus scheme's η samples after the warm-up, one per
 	// tick with a full detector window; elasticEtas counts those at or
 	// above the detector's threshold.
@@ -222,27 +309,23 @@ type scoreResult struct {
 	elasticEtas int
 }
 
-// run builds the cell with the scheme as a backlogged flow at the rig's
-// RTT and runs it to the horizon.
+// run builds the cell with the scheme as the one flow under test at the
+// rig's RTT, scores its mode decisions and runs it to the horizon.
 func (c scoreCell) run(scheme spec.Spec, seed int64, dur sim.Time) *scoreResult {
-	cfg := c.net
-	cfg.Seed = seed
-	if cfg.RateMbps == 0 {
-		cfg.RateMbps = 96
+	c.net.Seed = seed
+	if c.net.RateMbps == 0 {
+		c.net.RateMbps = 96
 	}
-	if cfg.RTT == 0 {
-		cfg.RTT = 50 * sim.Millisecond
+	if c.net.RTT == 0 {
+		c.net.RTT = 50 * sim.Millisecond
 	}
-	r := NewRig(cfg)
-	s := MustBuildScheme(scheme, r.MuBps)
-	res := &scoreResult{probe: r.AddFlow(s, cfg.RTT, 0)}
-	for _, x := range c.cross {
-		if x.rtt == 0 {
-			x.rtt = cfg.RTT
-		}
-		r.addCross(x)
+	c.flows = []FlowSpec{{Scheme: scheme}}
+	b, err := c.build()
+	if err != nil {
+		panic(err)
 	}
-	res.acc = scoreModes(r, s, func(sim.Time) bool { return c.elastic }, scoreWarmup)
+	s, res := b.Flows[0].Scheme, &scoreResult{Cell: b}
+	b.acc = scoreModes(b.Rig, s, func(sim.Time) bool { return c.elastic }, scoreWarmup)
 	if n := s.Nimbus; n != nil {
 		onTick(n, func(t core.Telemetry) {
 			if t.Now <= scoreWarmup || !t.EtaReady {
@@ -254,7 +337,7 @@ func (c scoreCell) run(scheme spec.Spec, seed int64, dur sim.Time) *scoreResult 
 			}
 		})
 	}
-	r.Sch.RunUntil(dur)
+	b.Rig.Sch.RunUntil(dur)
 	return res
 }
 

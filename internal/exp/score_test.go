@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nimbus/internal/core"
+	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
 )
 
@@ -89,4 +90,39 @@ func TestMixCrossVocabulary(t *testing.T) {
 		}
 	}()
 	mixCross("bursty", 50*sim.Millisecond, nil, nil, 0, 0)
+}
+
+// TestScoreCellBuildsThroughBuild: a figure's scoring cell is put
+// together by scoreCell.build like every other cell, and that moved
+// nothing — one Fig. 14 (left) cell under both schemes it scores and
+// Table 1's shallow-buffer BBR cell keep the event count, accuracy and
+// median η they had when run assembled its rig by hand (MustBuildScheme,
+// AddFlow, addCross in a loop), captured at the last commit that did.
+// TestRigEventOrderPinned and TestCrossTraceCellPinned hold the other
+// callers of the builder.
+func TestScoreCellBuildsThroughBuild(t *testing.T) {
+	fig14Left := scoreCell{cross: []crossSpec{{kind: "poisson", rate: 0.5 * 96e6, rtt: 40 * sim.Millisecond}}}
+	bbrShallow := scoreCell{
+		net:   NetConfig{Buffer: 25 * sim.Millisecond},
+		cross: []crossSpec{{kind: "bbr", label: "cross", rate: 48e6}},
+	}
+	for _, c := range []struct {
+		name   string
+		cell   scoreCell
+		scheme string
+		events uint64
+		acc    float64
+		median float64
+	}{
+		{"fig14-left/nimbus", fig14Left, "nimbus", 550171, 0.901, 0.8126524196941592},
+		{"fig14-left/copa", fig14Left, "copa", 463080, 0.9960000000000001, 0},
+		{"table1/bbr-shallow", bbrShallow, "nimbus-delay", 636718, 1, 1.1371446510309597},
+	} {
+		res := c.cell.run(spec.MustParse(c.scheme), 1, 20*sim.Second)
+		median, _ := res.etaStats()
+		if res.Rig.Sch.Executed != c.events || res.acc.Accuracy() != c.acc || median != c.median {
+			t.Errorf("%s moved: events=%d accuracy=%v median eta=%v, want %d %v %v",
+				c.name, res.Rig.Sch.Executed, res.acc.Accuracy(), median, c.events, c.acc, c.median)
+		}
+	}
 }

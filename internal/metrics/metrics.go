@@ -41,17 +41,17 @@ func (m *Meter) SeriesMbps() []float64 {
 	return out
 }
 
-// MeanMbps returns the mean throughput over [from, to).
+// MeanMbps returns the mean throughput over [from, to): the bytes of the
+// bins inside it over the whole window asked for, so a flow that went
+// silent before to (it was stopped, or starved) averages in its silence
+// instead of reading high over a shorter time.
 func (m *Meter) MeanMbps(from, to sim.Time) float64 {
 	lo, hi := int(from/m.Bin), int(to/m.Bin)
-	if hi > len(m.bins) {
-		hi = len(m.bins)
-	}
 	if lo >= hi {
 		return 0
 	}
 	total := 0.0
-	for i := lo; i < hi; i++ {
+	for i := lo; i < hi && i < len(m.bins); i++ {
 		total += m.bins[i]
 	}
 	return total * 8 / (float64(hi-lo) * m.Bin.Seconds()) / 1e6

@@ -30,6 +30,30 @@ func TestMeter(t *testing.T) {
 	}
 }
 
+// TestMeterMeanOverSilentTail: the mean over a window is bytes over the
+// window asked for, not over the bins the meter happens to hold — a flow
+// that delivered for 20 s and then went silent reads a third of its rate
+// over [0, 60) and nothing over [30, 60). (The divisor used to be
+// clipped to the last bin with data, so both read the 20 s rate.)
+func TestMeterMeanOverSilentTail(t *testing.T) {
+	m := NewMeter(sim.Second)
+	for s := 0; s < 20; s++ {
+		m.Add(sim.Time(s)*sim.Second+500*sim.Millisecond, 1500000) // 12 Mbit in every second
+	}
+	if got := m.MeanMbps(0, 20*sim.Second); math.Abs(got-12) > 1e-9 {
+		t.Fatalf("mean over the active 20 s = %v, want 12", got)
+	}
+	if got := m.MeanMbps(0, 60*sim.Second); math.Abs(got-4) > 1e-9 {
+		t.Fatalf("mean over [0, 60) = %v, want a third of the 20 s rate", got)
+	}
+	if got := m.MeanMbps(10*sim.Second, 30*sim.Second); math.Abs(got-6) > 1e-9 {
+		t.Fatalf("mean over [10, 30) = %v, want half the rate", got)
+	}
+	if got := m.MeanMbps(30*sim.Second, 60*sim.Second); got != 0 {
+		t.Fatalf("mean over the silent [30, 60) = %v, want 0", got)
+	}
+}
+
 func TestDelayRecorderReservoir(t *testing.T) {
 	d := NewDelayRecorder(100, sim.NewRand(1))
 	for i := 0; i < 10000; i++ {

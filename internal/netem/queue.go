@@ -1,6 +1,10 @@
 package netem
 
-import "nimbus/internal/sim"
+import (
+	"strings"
+
+	"nimbus/internal/sim"
+)
 
 // Queue is the buffering discipline at a hop. Enqueue returns false when
 // the packet is dropped (tail drop or AQM drop). Dequeue returns nil
@@ -29,6 +33,49 @@ type Queue interface {
 type FluidAware interface {
 	Queue
 	SetExtraOccupancy(extra func() int)
+}
+
+// AQM is a queue discipline a link can be given by name (exp.NetConfig.AQM,
+// runner.Scenario.AQM, nimbus-sim -aqm, a link parameter of a chain
+// topology spec). AQMs is the only list of them: exp.NewRig builds a
+// link's queue from it, parseLinkSpec recognizes a link parameter by it,
+// and exp.CanonicalGrid checks a grid's AQM axis against it.
+type AQM struct {
+	Name string
+	// New builds the discipline for a buffer of capacityBytes on a link
+	// that nominally drains at rateBps. A discipline that draws random
+	// numbers (PIE, toward pieTarget) splits its stream off rng under
+	// label; the others leave rng where it was.
+	New func(capacityBytes int, rateBps float64, pieTarget sim.Time, rng *sim.Rand, label string) Queue
+}
+
+// AQMs lists every queue discipline; the first is the default.
+var AQMs = []AQM{
+	{"droptail", func(b int, _ float64, _ sim.Time, _ *sim.Rand, _ string) Queue { return NewDropTail(b) }},
+	{"pie", func(b int, bps float64, target sim.Time, rng *sim.Rand, label string) Queue {
+		return NewPIE(b, bps, target, rng.Split(label))
+	}},
+	{"codel", func(b int, _ float64, _ sim.Time, _ *sim.Rand, _ string) Queue { return NewCoDel(b) }},
+}
+
+// AQMByName looks a discipline up; the empty name is the default.
+func AQMByName(name string) (AQM, bool) {
+	for _, a := range AQMs {
+		if a.Name == name || name == "" {
+			return a, true
+		}
+	}
+	return AQM{}, false
+}
+
+// AQMNames returns the discipline names joined by sep, in table order,
+// for help and error text.
+func AQMNames(sep string) string {
+	names := make([]string, len(AQMs))
+	for i, a := range AQMs {
+		names[i] = a.Name
+	}
+	return strings.Join(names, sep)
 }
 
 // fifo is the common FIFO storage used by all queue disciplines: a ring

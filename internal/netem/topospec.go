@@ -261,7 +261,7 @@ func init() {
 // specs — "access(100mbps,5ms)->bn(48mbps,droptail)" — whose default
 // route crosses every link in order. Link parameters, comma-separated in
 // any order: an absolute rate ("100mbps"), a nominal-rate multiple
-// ("x4"), a wire delay ("5ms"), an AQM name (droptail, pie, codel), a
+// ("x4"), a wire delay ("5ms"), an AQM name (a row of AQMs), a
 // buffer depth ("buf=50ms"), a capacity pattern
 // ("pattern=step:6:24:2000"), and a constant fluid background load
 // ("fluid=24mbps"). A chain's bottleneck is its link with no explicit
@@ -375,6 +375,10 @@ func parseLinkSpec(seg string) (LinkSpec, error) {
 		if tok == "" {
 			continue
 		}
+		if _, ok := AQMByName(tok); ok {
+			ls.AQM = tok
+			continue
+		}
 		switch {
 		// fluid= before the bare-rate case: its value also ends in "mbps".
 		case strings.HasPrefix(tok, "fluid="):
@@ -402,8 +406,6 @@ func parseLinkSpec(seg string) (LinkSpec, error) {
 				return LinkSpec{}, fmt.Errorf("link %q: bad delay %q", name, tok)
 			}
 			ls.DelayMs = v
-		case tok == "droptail" || tok == "pie" || tok == "codel":
-			ls.AQM = tok
 		case strings.HasPrefix(tok, "buf="):
 			v := strings.TrimSuffix(strings.TrimPrefix(tok, "buf="), "ms")
 			b, err := strconv.ParseFloat(v, 64)

@@ -3,6 +3,8 @@ package netem
 import (
 	"strings"
 	"testing"
+
+	"nimbus/internal/sim"
 )
 
 // TestTopoSpecPresets: every registered preset parses, validates, and is
@@ -216,5 +218,32 @@ func TestTopoSpecBurstRejected(t *testing.T) {
 	_, err := ParseTopology("bn(48mbps,burst=16)")
 	if err == nil || !strings.Contains(err.Error(), `unknown parameter "burst=16"`) {
 		t.Fatalf("burst=16: error %v, want an unknown-parameter error", err)
+	}
+}
+
+// TestAQMTable: every row of AQMs is a link parameter of a chain spec and
+// builds a queue, and only a discipline that draws random numbers splits
+// a stream off the caller's (a split is a draw, so every later stream of
+// a rig depends on it).
+func TestAQMTable(t *testing.T) {
+	for _, a := range AQMs {
+		ts, err := ParseTopology("access(x4)->bn(" + a.Name + ")")
+		if err != nil || ts.LinkByName("bn").AQM != a.Name {
+			t.Errorf("%s as a link parameter: AQM = %q, err = %v", a.Name, ts.LinkByName("bn").AQM, err)
+		}
+		if got, ok := AQMByName(a.Name); !ok || got.Name != a.Name {
+			t.Errorf("AQMByName(%s) = %q, %v", a.Name, got.Name, ok)
+		}
+		rng, untouched := sim.NewRand(1), sim.NewRand(1)
+		q := a.New(150000, 48e6, 20*sim.Millisecond, rng, "pie")
+		if drew := rng.Int63() != untouched.Int63(); q == nil || drew != (a.Name == "pie") {
+			t.Errorf("%s: queue %v, drew from the caller's stream: %v", a.Name, q, drew)
+		}
+	}
+	if a, ok := AQMByName(""); !ok || a.Name != "droptail" {
+		t.Errorf(`AQMByName("") = %q, %v; want the default, droptail`, a.Name, ok)
+	}
+	if _, ok := AQMByName("red"); ok {
+		t.Error("AQMByName(red) found a discipline")
 	}
 }

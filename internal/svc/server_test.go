@@ -312,7 +312,7 @@ func TestServerBadRequests(t *testing.T) {
 // The stub stands in for exp.CanonicalGrid (which svc must not import):
 // "single" is a spelling of the default topology, pulse=0.25 and load=12
 // are defaults spelt out on the scheme and churn axes, "bogus" is
-// malformed.
+// malformed (as a topology) or unknown (as an AQM).
 func TestSubmitCanonicalizesGrid(t *testing.T) {
 	dir := t.TempDir()
 	journal, _, err := OpenJournal(filepath.Join(dir, "journal"), false)
@@ -330,6 +330,9 @@ func TestSubmitCanonicalizesGrid(t *testing.T) {
 			return stubRun(sc)
 		},
 		Canonical: func(g runner.Grid) (runner.Grid, error) {
+			if g.Base.AQM == "bogus" {
+				return g, fmt.Errorf("grid base.aqm: unknown AQM %q", g.Base.AQM)
+			}
 			for _, c := range g.Crosses {
 				if c.Kind == "cubik" {
 					return g, fmt.Errorf("grid crosses[].kind: unknown cross traffic kind %q", c.Kind)
@@ -432,6 +435,12 @@ func TestSubmitCanonicalizesGrid(t *testing.T) {
 	if _, err := client.Submit(ctx, bad, 0); !errors.As(err, &apiErr) ||
 		apiErr.Status != http.StatusBadRequest || !strings.Contains(apiErr.Message, "crosses[].kind") {
 		t.Fatalf("misspelt cross kind: err = %v, want a 400 naming the field", err)
+	}
+	bad = smallGrid()
+	bad.Base.AQM = "bogus"
+	if _, err := client.Submit(ctx, bad, 0); !errors.As(err, &apiErr) ||
+		apiErr.Status != http.StatusBadRequest || !strings.Contains(apiErr.Message, "base.aqm") {
+		t.Fatalf("misspelt AQM: err = %v, want a 400 naming the field", err)
 	}
 	if m, _ := client.Metrics(ctx); m.JobsSubmitted != 2 {
 		t.Fatalf("a rejected grid became a job: %+v", m)
