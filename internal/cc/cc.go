@@ -8,6 +8,7 @@ package cc
 
 import (
 	"nimbus/internal/sim"
+	"nimbus/internal/stats"
 	"nimbus/internal/transport"
 )
 
@@ -67,8 +68,7 @@ func clampWindow(w, min, max float64) float64 {
 // Vivace use it; Nimbus has its own paired S/R estimator in core.
 type RateEstimator struct {
 	window  sim.Time
-	samples []rateSample // samples[head:] are inside the window
-	head    int
+	samples stats.Queue[rateSample] // the samples inside the window, oldest first
 }
 
 type rateSample struct {
@@ -83,28 +83,21 @@ func NewRateEstimator(window sim.Time) *RateEstimator {
 
 // Add records the cumulative delivered byte count at time t.
 func (r *RateEstimator) Add(t sim.Time, delivered uint64) {
-	r.samples = append(r.samples, rateSample{t, delivered})
+	r.samples.Push(rateSample{t, delivered})
 	cut := t - r.window
-	for r.head < len(r.samples)-1 && r.samples[r.head].t < cut {
-		r.head++
-	}
-	// Copy down once the expired prefix outweighs the live part, so the
-	// backing array is reused instead of walked off its end: re-slicing
-	// from the front made append reallocate for the life of the flow.
-	if r.head > len(r.samples)-r.head {
-		n := copy(r.samples, r.samples[r.head:])
-		r.samples = r.samples[:n]
-		r.head = 0
+	for r.samples.Len() > 1 && r.samples.At(0).t < cut {
+		r.samples.PopFront()
 	}
 }
 
 // RateBps returns the delivery rate in bits/s over the window (0 if not
 // enough data).
 func (r *RateEstimator) RateBps() float64 {
-	if len(r.samples)-r.head < 2 {
+	n := r.samples.Len()
+	if n < 2 {
 		return 0
 	}
-	first, last := r.samples[r.head], r.samples[len(r.samples)-1]
+	first, last := *r.samples.At(0), *r.samples.At(n - 1)
 	dt := (last.t - first.t).Seconds()
 	if dt <= 0 {
 		return 0

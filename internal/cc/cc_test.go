@@ -246,10 +246,10 @@ func TestRateEstimator(t *testing.T) {
 	}
 }
 
-// TestRateEstimatorCompaction holds the in-place window to the
-// re-slicing trim it replaced (same RateBps after every Add, over bursty
-// and sparse arrivals), and checks that a long-lived estimator stops
-// allocating once its backing array fits the window.
+// TestRateEstimatorCompaction holds the estimator's ring to a slice
+// trimmed from the front (same RateBps after every Add, over bursty and
+// sparse arrivals), and checks that a long-lived estimator stops
+// allocating once its ring fits the window.
 func TestRateEstimatorCompaction(t *testing.T) {
 	re := NewRateEstimator(200 * sim.Millisecond)
 	var ref []rateSample

@@ -157,6 +157,62 @@ func TestRateSamplerWindow(t *testing.T) {
 	}
 }
 
+// TestRateSamplerMatchesSlice holds the sampler's ring to a plain slice
+// of records trimmed from the front: the same (S, R, ok) at every read,
+// to the bit, over ACKs arriving in bursts and after gaps longer than the
+// window; and a warm sampler records and reads without allocating.
+func TestRateSamplerMatchesSlice(t *testing.T) {
+	const window = 50 * sim.Millisecond
+	rng := sim.NewRand(5)
+	var rs RateSampler
+	var ref []srRec
+	var now sim.Time
+	step := func() srRec {
+		now += rng.ExpTime(125 * sim.Microsecond)
+		if rng.Intn(2000) == 0 {
+			now += sim.Time(rng.Intn(200)) * sim.Millisecond
+		}
+		rec := srRec{now - 50*sim.Millisecond - sim.Time(rng.Intn(1e6)), now, 1 + rng.Intn(1500)}
+		rs.Add(rec.sent, rec.acked, rec.bytes)
+		return rec
+	}
+	for i := 0; i < 100000; i++ {
+		ref = append(ref, step())
+		if i%80 != 0 {
+			continue
+		}
+		for len(ref) > 0 && ref[0].acked < now-window {
+			ref = ref[1:]
+		}
+		wantS, wantR, wantOK := 0.0, 0.0, false
+		if len(ref) >= 2 {
+			total := -ref[0].bytes
+			for _, r := range ref {
+				total += r.bytes
+			}
+			ds := (ref[len(ref)-1].sent - ref[0].sent).Seconds()
+			dr := (ref[len(ref)-1].acked - ref[0].acked).Seconds()
+			if ds > 0 && dr > 0 && total > 0 {
+				wantS, wantR, wantOK = float64(total)*8/ds, float64(total)*8/dr, true
+			}
+		}
+		S, R, ok := rs.Rates(now, window)
+		if math.Float64bits(S) != math.Float64bits(wantS) || math.Float64bits(R) != math.Float64bits(wantR) || ok != wantOK {
+			t.Fatalf("read %d: Rates = %v %v %v, slice %v %v %v", i/80, S, R, ok, wantS, wantR, wantOK)
+		}
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(20000, func() {
+		step()
+		if k++; k%80 == 0 {
+			rs.Rates(now, window)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm RateSampler allocates %v/op, want 0", allocs)
+	}
+}
+
 func TestBasicDelayRate(t *testing.T) {
 	cfg := DefaultBasicDelayConfig()
 	mu := 96e6

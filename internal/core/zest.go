@@ -5,7 +5,10 @@
 // pulser/watcher protocol for multiple Nimbus flows (§6).
 package core
 
-import "nimbus/internal/sim"
+import (
+	"nimbus/internal/sim"
+	"nimbus/internal/stats"
+)
 
 // srRec records one acknowledged packet for paired send/receive rate
 // estimation (Eq. 2 of the paper).
@@ -21,37 +24,31 @@ type srRec struct {
 // Measurements are taken over roughly one RTT of packets, because sub-RTT
 // measurements are confounded by burstiness (§3.4).
 type RateSampler struct {
-	recs []srRec
-	head int
+	recs stats.Queue[srRec] // oldest first
 }
 
 // Add records an acknowledged packet.
 func (rs *RateSampler) Add(sent, acked sim.Time, bytes int) {
-	rs.recs = append(rs.recs, srRec{sent, acked, bytes})
-	if rs.head > 8192 && rs.head*2 >= len(rs.recs) {
-		n := copy(rs.recs, rs.recs[rs.head:])
-		rs.recs = rs.recs[:n]
-		rs.head = 0
-	}
+	rs.recs.Push(srRec{sent, acked, bytes})
 }
 
 // Rates returns (S, R) in bits/s over packets acknowledged within the
 // last window ending at now. ok is false when there are not enough
 // packets to measure (fewer than 2 or zero time spread).
 func (rs *RateSampler) Rates(now, window sim.Time) (S, R float64, ok bool) {
-	// Advance head past packets older than the window.
+	// Expire packets older than the window.
 	cut := now - window
-	for rs.head < len(rs.recs) && rs.recs[rs.head].acked < cut {
-		rs.head++
+	for rs.recs.Len() > 0 && rs.recs.At(0).acked < cut {
+		rs.recs.PopFront()
 	}
-	n := len(rs.recs) - rs.head
+	n := rs.recs.Len()
 	if n < 2 {
 		return 0, 0, false
 	}
-	first, last := rs.recs[rs.head], rs.recs[len(rs.recs)-1]
+	first, last := *rs.recs.At(0), *rs.recs.At(n - 1)
 	total := 0
-	for i := rs.head; i < len(rs.recs); i++ {
-		total += rs.recs[i].bytes
+	for i := range n {
+		total += rs.recs.At(i).bytes
 	}
 	// Per Eq. 2, the bytes counted are those of the n packets spanning
 	// the interval; we exclude the first packet's bytes so rate = bytes

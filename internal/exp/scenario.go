@@ -187,8 +187,8 @@ func BuildScenario(sc runner.Scenario) (*Cell, error) {
 }
 
 // RunScenario is the standard runner.RunFunc: it builds the scenario,
-// runs it to its horizon and reports the cell's Metrics. The engine
-// fills in wall time.
+// runs it to its horizon, reports the cell's Metrics and hands the cell's
+// sample chunks to the next cell. The engine fills in wall time.
 func RunScenario(sc runner.Scenario) runner.Result {
 	b, err := BuildScenario(sc)
 	if err != nil {
@@ -196,7 +196,9 @@ func RunScenario(sc runner.Scenario) runner.Result {
 	}
 	end := sim.FromSeconds(sc.DurationSec)
 	b.Rig.Sch.RunUntil(end)
-	return runner.Result{Scenario: sc, Metrics: b.Metrics(end), Events: b.Rig.Sch.Executed}
+	res := runner.Result{Scenario: sc, Metrics: b.Metrics(end), Events: b.Rig.Sch.Executed}
+	b.release()
+	return res
 }
 
 // Metrics are the measurements every sweep wants of a cell run to end.

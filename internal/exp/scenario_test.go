@@ -283,3 +283,63 @@ func TestScenarioMetricKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestRunScenarioRecyclesChunks: RunScenario hands a finished cell's
+// sample chunks to the next cell, and no metric can tell. A cell run by
+// hand and never released is the reference for each kind; then the same
+// cells run four at a time, drawing their chunks from whatever the cells
+// finishing beside them just gave back (under -race this is the test
+// that two workers exchange chunks through the pool).
+func TestRunScenarioRecyclesChunks(t *testing.T) {
+	var scs []runner.Scenario
+	for _, sc := range []runner.Scenario{
+		{Scheme: spec.MustParse("nimbus"), Cross: "cubic"},
+		{Scheme: spec.MustParse("cubic"), Cross: "poisson", CrossRateMbps: 12},
+		{FlowMix: "nimbus*2+cubic@1"},
+		{Scheme: spec.MustParse("cubic"), Churn: "web(load=12)"},
+	} {
+		sc.RateMbps, sc.RTTms, sc.BufferMs, sc.DurationSec = 48, 20, 50, 4
+		for seed := int64(1); seed <= 2; seed++ {
+			sc.Seed = seed
+			scs = append(scs, sc)
+		}
+	}
+	want := make([]map[string]float64, len(scs))
+	multi := 0 // cells whose delay recorder holds more than one chunk
+	for i, sc := range scs {
+		b, err := BuildScenario(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		end := sim.FromSeconds(sc.DurationSec)
+		b.Rig.Sch.RunUntil(end)
+		want[i] = b.Metrics(end)
+		if b.delay.Len() > 4096 {
+			multi++
+		}
+		if i == 0 {
+			b.release()
+			if n := b.delay.Len() + b.Flows[0].Probe.Delay.Len() + b.Flows[0].Probe.RTTms.Len(); n != 0 {
+				t.Fatalf("a released cell still holds %d samples", n)
+			}
+		}
+	}
+	if multi < len(scs)/2 {
+		t.Fatalf("%d of %d cells recorded more than one chunk of delay samples: the case needs most to", multi, len(scs))
+	}
+	for _, workers := range []int{1, 4} {
+		for i, r := range (&runner.Runner{Workers: workers}).Run(scs, RunScenario) {
+			if r.Err != "" {
+				t.Fatal(r.Err)
+			}
+			if len(r.Metrics) != len(want[i]) {
+				t.Fatalf("workers=%d, cell %d: %d metrics, unreleased cell %d", workers, i, len(r.Metrics), len(want[i]))
+			}
+			for k, v := range want[i] {
+				if got := r.Metrics[k]; math.Float64bits(got) != math.Float64bits(v) {
+					t.Errorf("workers=%d, cell %d: %s = %v on recycled chunks, %v on its own", workers, i, k, got, v)
+				}
+			}
+		}
+	}
+}

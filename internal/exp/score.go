@@ -299,6 +299,21 @@ func (c scoreCell) build() (*Cell, error) {
 	return b, nil
 }
 
+// release gives the sample chunks of every recorder the cell built back
+// to the pool the next cell draws from; the cell's recorders read as empty
+// afterwards. A sweep runner calls it once Metrics is computed. Figures
+// and nimbus-sim keep reading their probes and never call it.
+func (b *Cell) release() {
+	b.delay.Release()
+	for _, f := range b.Flows {
+		f.Probe.Delay.Release()
+		f.Probe.RTTms.Release()
+	}
+	if b.Churn != nil {
+		b.Churn.Stats.Release()
+	}
+}
+
 // scoreResult is what a scored run leaves behind.
 type scoreResult struct {
 	*Cell // run to the horizon; acc is nil for schemes without modes

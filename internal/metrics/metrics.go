@@ -7,6 +7,7 @@ package metrics
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"nimbus/internal/sim"
 	"nimbus/internal/stats"
@@ -63,12 +64,25 @@ func (m *Meter) MeanMbps(from, to sim.Time) float64 {
 // one slot and never copies what was recorded before (one flat slice
 // grown by append allocates about four times the bytes it ends up
 // holding).
+//
+// Chunks come from a pool shared by every recorder of the process and go
+// back in Release, so a sweep's cells pass one set of chunks along
+// instead of each building a reservoir for the collector. The statistics
+// (MeanQuantiles, Summary) are read in place: a read sorts every chunk
+// where it lies and walks the sorted chunks as one ascending sequence, so
+// no flat copy is built — and the retained samples are afterwards stored
+// in another order. That is invisible while the recorder is below its
+// cap (Add appends; Samples documents storage order), but a reservoir
+// replacement picks its victim by position, so an Add at the cap after a
+// read would record a different sample set than the same Adds without the
+// read: it panics.
 type DelayRecorder struct {
 	Cap    int
-	chunks [][]float64 // each chunkLen long; sample i is chunks[i>>chunkShift][i&chunkMask]
-	n      int         // samples retained, <= Cap
+	chunks []*chunk // sample i is chunks[i>>chunkShift][i&chunkMask]
+	n      int      // samples retained, <= Cap
 	seen   int
 	rng    *sim.Rand
+	read   bool // a statistic has been read: storage is no longer in recording order
 }
 
 const (
@@ -76,6 +90,12 @@ const (
 	chunkLen   = 1 << chunkShift
 	chunkMask  = chunkLen - 1
 )
+
+type chunk [chunkLen]float64
+
+// chunkPool holds the chunks no recorder is using. A chunk from it has
+// whatever a previous recorder left in it: n bounds every read.
+var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
 
 // NewDelayRecorder returns a recorder keeping at most cap samples.
 func NewDelayRecorder(cap int, rng *sim.Rand) *DelayRecorder {
@@ -91,11 +111,14 @@ func (d *DelayRecorder) Add(delay sim.Time) {
 	ms := delay.Millis()
 	if d.n < d.Cap {
 		if d.n>>chunkShift == len(d.chunks) {
-			d.chunks = append(d.chunks, make([]float64, chunkLen))
+			d.chunks = append(d.chunks, chunkPool.Get().(*chunk))
 		}
 		d.chunks[d.n>>chunkShift][d.n&chunkMask] = ms
 		d.n++
 		return
+	}
+	if d.read {
+		panic("metrics: DelayRecorder.Add at the cap after a read: reading reorders storage, so the reservoir would replace a different sample")
 	}
 	// Reservoir replacement keeps a uniform sample.
 	j := d.rng.Intn(d.seen)
@@ -107,46 +130,72 @@ func (d *DelayRecorder) Add(delay sim.Time) {
 // Len returns the number of retained samples.
 func (d *DelayRecorder) Len() int { return d.n }
 
-// Samples returns a copy of the retained samples (milliseconds), in
-// recording order.
-func (d *DelayRecorder) Samples() []float64 {
-	out := make([]float64, 0, d.n)
+// Release hands the recorder's chunks to the next recorder and leaves
+// this one empty (Len 0, NaN statistics). A caller that is done reading
+// calls it; one that never does leaves the chunks to the collector.
+// Releasing twice is a no-op.
+func (d *DelayRecorder) Release() {
 	for _, c := range d.chunks {
-		out = append(out, c[:min(chunkLen, d.n-len(out))]...)
+		chunkPool.Put(c)
+	}
+	*d = DelayRecorder{Cap: d.Cap, rng: d.rng}
+}
+
+// runs returns the retained samples as one slice per chunk, in storage
+// order.
+func (d *DelayRecorder) runs() [][]float64 {
+	out := make([][]float64, len(d.chunks))
+	for i, c := range d.chunks {
+		out[i] = c[:min(chunkLen, d.n-i<<chunkShift)]
 	}
 	return out
 }
 
-// sorted returns the retained samples in ascending order.
-func (d *DelayRecorder) sorted() []float64 {
-	s := d.Samples()
-	sort.Float64s(s)
-	return s
+// Samples returns a copy of the retained samples (milliseconds) in
+// storage order: recording order until a statistic is read, unspecified
+// afterwards.
+func (d *DelayRecorder) Samples() []float64 {
+	out := make([]float64, 0, d.n)
+	for _, r := range d.runs() {
+		out = append(out, r...)
+	}
+	return out
+}
+
+// moments sorts every chunk in place and reads the chunks as the one
+// ascending sequence a sorted flat copy would be: the running moments
+// accumulated in that order and the requested quantiles.
+func (d *DelayRecorder) moments(ps ...float64) (stats.Welford, []float64) {
+	d.read = true
+	runs := d.runs()
+	for _, r := range runs {
+		sort.Float64s(r)
+	}
+	return stats.MergeSorted(runs, ps...)
 }
 
 // Summary summarizes the samples.
-func (d *DelayRecorder) Summary() stats.Summary { return stats.SummarizeSorted(d.sorted()) }
+func (d *DelayRecorder) Summary() stats.Summary {
+	w, qs := d.moments(0, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 1)
+	if w.N() == 0 {
+		return stats.SummarizeSorted(nil)
+	}
+	return stats.Summary{N: w.N(), Mean: w.Mean(), Std: w.Std(),
+		Min: qs[0], P10: qs[1], P25: qs[2], P50: qs[3], P75: qs[4], P90: qs[5], P95: qs[6], P99: qs[7], Max: qs[8]}
+}
 
-// MeanQuantiles returns the sample mean and the requested quantiles with a
-// single sort of one copy — what report emission needs (mean, p50, p95)
-// without Summary's full order-statistic battery. The mean is accumulated
-// over the sorted copy exactly like Summary's, so switching emission from
+// MeanQuantiles returns the sample mean and the requested quantiles from
+// one ordered read — what report emission needs (mean, p50, p95) without
+// Summary's full order-statistic battery. The mean is accumulated in
+// ascending order exactly like Summary's, so switching emission from
 // Summary() to MeanQuantiles changes no reported value. Empty input yields
 // NaNs throughout.
 func (d *DelayRecorder) MeanQuantiles(ps ...float64) (mean float64, qs []float64) {
-	if d.n == 0 {
-		qs = make([]float64, len(ps))
-		for i := range qs {
-			qs[i] = math.NaN()
-		}
+	w, qs := d.moments(ps...)
+	if w.N() == 0 {
 		return math.NaN(), qs
 	}
-	s := d.sorted()
-	var w stats.Welford
-	for _, x := range s {
-		w.Add(x)
-	}
-	return w.Mean(), stats.PercentilesSorted(s, ps...)
+	return w.Mean(), qs
 }
 
 // AccuracyTracker scores a binary classifier against ground truth over

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -123,28 +124,150 @@ func TestDelayRecorderMatchesFlat(t *testing.T) {
 			if d.Len() != len(f.samples) || !slices.Equal(d.Samples(), f.samples) {
 				t.Fatalf("cap %d, %d adds: Len %d and Samples differ from the flat recorder's %d", cp, n, d.Len(), len(f.samples))
 			}
-			mean, qs := d.MeanQuantiles(0.5, 0.95)
-			wantMean, wantQs := f.meanQuantiles(0.5, 0.95)
-			if !sameBits(mean, wantMean) || !sameBits(qs[0], wantQs[0]) || !sameBits(qs[1], wantQs[1]) {
-				t.Fatalf("cap %d, %d adds: MeanQuantiles %v %v, flat %v %v", cp, n, mean, qs, wantMean, wantQs)
-			}
-			got, want := reflect.ValueOf(d.Summary()), reflect.ValueOf(stats.Summarize(f.samples))
-			if got.Field(0).Int() != want.Field(0).Int() {
-				t.Fatalf("cap %d, %d adds: Summary.N %v, flat %v", cp, n, got.Field(0), want.Field(0))
-			}
-			for k := 1; k < got.NumField(); k++ {
-				if !sameBits(got.Field(k).Float(), want.Field(k).Float()) {
-					t.Fatalf("cap %d, %d adds: Summary.%s = %v, flat %v", cp, n, got.Type().Field(k).Name, got.Field(k), want.Field(k))
+			checkReads(t, fmt.Sprintf("cap %d, %d adds", cp, n), d, f)
+		}
+	}
+}
+
+// checkReads holds every statistic of d to the flat recorder's, to the
+// bit: MeanQuantiles with two, one and no quantiles, and each field of
+// Summary.
+func checkReads(t *testing.T, label string, d *DelayRecorder, f *flatRecorder) {
+	t.Helper()
+	for _, ps := range [][]float64{{0.5, 0.95}, {0.5}, {}} {
+		mean, qs := d.MeanQuantiles(ps...)
+		wantMean, wantQs := f.meanQuantiles(ps...)
+		if !sameBits(mean, wantMean) || !slices.EqualFunc(qs, wantQs, sameBits) {
+			t.Fatalf("%s: MeanQuantiles(%v) = %v %v, flat %v %v", label, ps, mean, qs, wantMean, wantQs)
+		}
+	}
+	got, want := reflect.ValueOf(d.Summary()), reflect.ValueOf(stats.Summarize(f.samples))
+	if got.Field(0).Int() != want.Field(0).Int() {
+		t.Fatalf("%s: Summary.N %v, flat %v", label, got.Field(0), want.Field(0))
+	}
+	for k := 1; k < got.NumField(); k++ {
+		if !sameBits(got.Field(k).Float(), want.Field(k).Float()) {
+			t.Fatalf("%s: Summary.%s = %v, flat %v", label, got.Type().Field(k).Name, got.Field(k), want.Field(k))
+		}
+	}
+}
+
+// TestOrderedReadMatchesFlat: sorting the chunks where they lie and
+// walking them in order reads what copying, sorting and walking one flat
+// slice read, to the bit — at the chunk and cap boundaries, with the
+// reservoir active, on streams full of duplicates (ties between runs) and
+// already ascending ones (every run exhausted before the next starts), and
+// again on a second read, when the chunks are already sorted.
+func TestOrderedReadMatchesFlat(t *testing.T) {
+	pick := sim.NewRand(5)
+	streams := map[string]func(k int) sim.Time{
+		"random":     func(int) sim.Time { return sim.Time(pick.Intn(1e9)) },
+		"duplicates": func(int) sim.Time { return sim.Time(pick.Intn(7)) * sim.Millisecond },
+		"ascending":  func(k int) sim.Time { return sim.Time(k) * sim.Microsecond },
+	}
+	for _, cp := range []int{1, 2, chunkLen - 1, chunkLen, chunkLen + 1, 2 * chunkLen, 2*chunkLen + 100} {
+		for _, n := range []int{0, 1, 2, chunkLen - 1, chunkLen, chunkLen + 1, cp - 1, cp, 3 * cp} {
+			for name, next := range streams {
+				d := NewDelayRecorder(cp, sim.NewRand(int64(cp)))
+				f := &flatRecorder{cap: cp, rng: sim.NewRand(int64(cp))}
+				for k := 0; k < n; k++ {
+					x := next(k)
+					d.Add(x)
+					f.add(x)
 				}
+				label := fmt.Sprintf("%s, cap %d, %d adds", name, cp, n)
+				checkReads(t, label, d, f)
+				checkReads(t, label+", second read", d, f)
 			}
 		}
 	}
 }
 
+// TestReleasedChunksAreNotObservable: a recorder built on chunks another
+// one released reads only what it recorded itself, whatever the chunks
+// held; a released recorder is empty, and releasing it again gives nothing
+// back twice.
+func TestReleasedChunksAreNotObservable(t *testing.T) {
+	pick := sim.NewRand(9)
+	old := NewDelayRecorder(0, sim.NewRand(1))
+	for k := 0; k < 3*chunkLen+50; k++ {
+		old.Add(sim.Time(pick.Intn(1e9)))
+	}
+	old.MeanQuantiles(0.5)
+	old.Release()
+	old.Release()
+	if mean, qs := old.MeanQuantiles(0.5); old.Len() != 0 || len(old.Samples()) != 0 || !math.IsNaN(mean) || !math.IsNaN(qs[0]) || !math.IsNaN(old.Summary().P95) {
+		t.Fatalf("a released recorder reads Len %d, mean %v, p50 %v", old.Len(), mean, qs[0])
+	}
+	// Poison whatever the pool holds now (the four chunks just released,
+	// unless the pool dropped some), and a few fresh ones.
+	var pooled []*chunk
+	for i := 0; i < 8; i++ {
+		c := chunkPool.Get().(*chunk)
+		for k := range c {
+			c[k] = math.NaN()
+		}
+		pooled = append(pooled, c)
+	}
+	for _, c := range pooled {
+		chunkPool.Put(c)
+	}
+	d := NewDelayRecorder(0, sim.NewRand(2))
+	f := &flatRecorder{cap: d.Cap, rng: sim.NewRand(2)}
+	for k := 0; k < 2*chunkLen+7; k++ {
+		x := sim.Time(pick.Intn(1e9))
+		d.Add(x)
+		f.add(x)
+	}
+	if !slices.Equal(d.Samples(), f.samples) {
+		t.Fatal("Samples differ from the flat recorder's on recycled chunks")
+	}
+	checkReads(t, "on recycled chunks", d, f)
+	// A released recorder records again like a new one.
+	old.Add(3 * sim.Millisecond)
+	if mean, _ := old.MeanQuantiles(); old.Len() != 1 || mean != 3 {
+		t.Fatalf("after Release and one Add: Len %d, mean %v", old.Len(), mean)
+	}
+}
+
+// TestAddAfterReadAtCapPanics: a read reorders storage, and the reservoir
+// replaces by position, so recording on at the cap after a read would keep
+// a different sample set than the flat recorder: it is refused.
+func TestAddAfterReadAtCapPanics(t *testing.T) {
+	d := NewDelayRecorder(100, sim.NewRand(1))
+	for k := 0; k < 100; k++ {
+		d.Add(sim.Time(100-k) * sim.Millisecond)
+	}
+	d.Add(sim.Millisecond) // at the cap, not yet read: the reservoir's business
+	d.MeanQuantiles(0.5)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Add at the cap after a read did not panic")
+		}
+	}()
+	d.Add(sim.Millisecond)
+}
+
+// TestAddAfterReadBelowCap: below the cap a read between Adds is
+// invisible, since Add appends wherever the earlier samples now lie.
+func TestAddAfterReadBelowCap(t *testing.T) {
+	pick := sim.NewRand(11)
+	d := NewDelayRecorder(3*chunkLen, sim.NewRand(1))
+	f := &flatRecorder{cap: d.Cap, rng: sim.NewRand(1)}
+	for _, n := range []int{chunkLen + 10, 5, chunkLen} {
+		for k := 0; k < n; k++ {
+			x := sim.Time(pick.Intn(1e9))
+			d.Add(x)
+			f.add(x)
+		}
+		checkReads(t, fmt.Sprintf("after %d more adds", n), d, f)
+	}
+}
+
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestAddAllocsBelowCap: recording allocates one chunk per chunkLen
-// samples, plus the chunk table's own doublings, and nothing per sample.
+// TestAddAllocsBelowCap: recording takes one chunk per chunkLen samples,
+// plus the chunk table's own doublings, and allocates nothing per sample.
 func TestAddAllocsBelowCap(t *testing.T) {
 	const chunks = 40 // 163 840 adds, below the default cap of 200 000
 	rng := sim.NewRand(1)
@@ -158,9 +281,11 @@ func TestAddAllocsBelowCap(t *testing.T) {
 	if d.Len() != chunks*chunkLen {
 		t.Fatalf("recorded %d samples, want %d", d.Len(), chunks*chunkLen)
 	}
-	// The recorder, 40 chunks, and a table that doubles 1 -> 64.
-	if allocs > chunks+8 {
-		t.Fatalf("%v allocations for %d Adds, want <= %d", allocs, chunks*chunkLen, chunks+8)
+	// The recorder, 40 chunks (fewer when the pool has some), a table
+	// that doubles 1 -> 64, and the pool's own per-P table, which it
+	// rebuilds (two allocations) after each collection the run triggers.
+	if allocs > chunks+16 {
+		t.Fatalf("%v allocations for %d Adds, want <= %d", allocs, chunks*chunkLen, chunks+16)
 	}
 }
 

@@ -38,7 +38,7 @@ type Route struct {
 // between hops through each link's prebound entry callback, and the
 // topology owns a shared packet free list that senders and raw sources
 // draw from and that delivery (including delivery for detached flows)
-// returns packets to.
+// and drops return packets to.
 type Topology struct {
 	Sch *sim.Scheduler
 	// Link is the designated bottleneck hop: the µ link that oracles and
@@ -178,7 +178,8 @@ type Attachment struct {
 	// Receive is called when a data packet of this flow exits its route.
 	Receive func(p *Packet, now sim.Time)
 	// Dropped, if set, is called when a data packet of this flow is
-	// dropped at any hop.
+	// dropped at any hop. The packet returns to the pool when the hook
+	// does, so it must not be kept.
 	Dropped func(p *Packet, now sim.Time)
 
 	net   *Topology
@@ -343,11 +344,13 @@ func (t *Topology) drop(p *Packet, now sim.Time) {
 		t.PutPacket(p)
 		return
 	}
-	a, ok := t.flows[p.Flow]
-	if !ok || a.Dropped == nil {
-		return
+	// A dropped data packet ends its journey at the queue that refused
+	// it, whoever sent it (a transport, a raw source, a detached flow):
+	// the flow's hook sees it, then the pool has it back.
+	if a, ok := t.flows[p.Flow]; ok && a.Dropped != nil {
+		a.Dropped(p, now)
 	}
-	a.Dropped(p, now)
+	t.PutPacket(p)
 }
 
 // OnDeliver registers a tap invoked for every data packet completing its

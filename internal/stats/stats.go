@@ -58,20 +58,32 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return math.NaN()
 	}
+	lo, hi, frac := rank(len(sorted), p)
+	return interpolate(sorted[lo], sorted[hi], frac)
+}
+
+// rank locates the p-quantile of n > 0 sorted samples: the two order
+// statistics it lies between and how far from the lower one.
+func rank(n int, p float64) (lo, hi int, frac float64) {
 	if p <= 0 {
-		return sorted[0]
+		return 0, 0, 0
 	}
 	if p >= 1 {
-		return sorted[len(sorted)-1]
+		return n - 1, n - 1, 0
 	}
-	pos := p * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
+	pos := p * float64(n-1)
+	lo = int(math.Floor(pos))
+	hi = int(math.Ceil(pos))
+	return lo, hi, pos - float64(lo)
+}
+
+// interpolate is the quantile a frac of the way from order statistic lo
+// to the next one, hi; frac is 0 exactly when the quantile falls on lo.
+func interpolate(lo, hi, frac float64) float64 {
+	if frac == 0 {
+		return lo
 	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return lo*(1-frac) + hi*frac
 }
 
 // Percentiles returns the p-quantiles (each p in [0,1]) of xs, sorting a

@@ -6,8 +6,13 @@ package stats
 // sample. Used for BBR-style max-bandwidth filters and µ estimation.
 type WindowedMax struct {
 	Window int64 // width of the window in key units
-	keys   []int64
-	vals   []float64
+	q      Queue[keyed]
+}
+
+// keyed is one sample of a windowed extremum.
+type keyed struct {
+	key int64
+	val float64
 }
 
 // NewWindowedMax returns a filter over the given window width.
@@ -18,44 +23,37 @@ func NewWindowedMax(window int64) *WindowedMax {
 // Add inserts a sample at key t. Keys must be nondecreasing.
 func (w *WindowedMax) Add(t int64, v float64) {
 	// Drop samples dominated by the new one.
-	for len(w.vals) > 0 && w.vals[len(w.vals)-1] <= v {
-		w.vals = w.vals[:len(w.vals)-1]
-		w.keys = w.keys[:len(w.keys)-1]
+	for n := w.q.Len(); n > 0 && w.q.At(n-1).val <= v; n-- {
+		w.q.PopBack()
 	}
-	w.keys = append(w.keys, t)
-	w.vals = append(w.vals, v)
-	w.expire(t)
+	w.q.Push(keyed{t, v})
+	expire(&w.q, t-w.Window)
 }
 
-func (w *WindowedMax) expire(t int64) {
-	cut := t - w.Window
-	i := 0
-	for i < len(w.keys)-1 && w.keys[i] < cut {
-		i++
-	}
-	if i > 0 {
-		w.keys = w.keys[i:]
-		w.vals = w.vals[i:]
+// expire drops the samples older than cut from the front, always keeping
+// the newest.
+func expire(q *Queue[keyed], cut int64) {
+	for q.Len() > 1 && q.At(0).key < cut {
+		q.PopFront()
 	}
 }
 
 // Max returns the maximum over the window ending at the latest Add (0 if
 // no samples).
 func (w *WindowedMax) Max() float64 {
-	if len(w.vals) == 0 {
+	if w.q.Len() == 0 {
 		return 0
 	}
-	return w.vals[0]
+	return w.q.At(0).val
 }
 
 // Empty reports whether the filter holds no samples.
-func (w *WindowedMax) Empty() bool { return len(w.vals) == 0 }
+func (w *WindowedMax) Empty() bool { return w.q.Len() == 0 }
 
 // WindowedMin is the mirror image of WindowedMax.
 type WindowedMin struct {
 	Window int64
-	keys   []int64
-	vals   []float64
+	q      Queue[keyed]
 }
 
 // NewWindowedMin returns a min filter over the given window width.
@@ -65,33 +63,23 @@ func NewWindowedMin(window int64) *WindowedMin {
 
 // Add inserts a sample at key t. Keys must be nondecreasing.
 func (w *WindowedMin) Add(t int64, v float64) {
-	for len(w.vals) > 0 && w.vals[len(w.vals)-1] >= v {
-		w.vals = w.vals[:len(w.vals)-1]
-		w.keys = w.keys[:len(w.keys)-1]
+	for n := w.q.Len(); n > 0 && w.q.At(n-1).val >= v; n-- {
+		w.q.PopBack()
 	}
-	w.keys = append(w.keys, t)
-	w.vals = append(w.vals, v)
-	cut := t - w.Window
-	i := 0
-	for i < len(w.keys)-1 && w.keys[i] < cut {
-		i++
-	}
-	if i > 0 {
-		w.keys = w.keys[i:]
-		w.vals = w.vals[i:]
-	}
+	w.q.Push(keyed{t, v})
+	expire(&w.q, t-w.Window)
 }
 
 // Min returns the minimum over the window (0 if no samples).
 func (w *WindowedMin) Min() float64 {
-	if len(w.vals) == 0 {
+	if w.q.Len() == 0 {
 		return 0
 	}
-	return w.vals[0]
+	return w.q.At(0).val
 }
 
 // Empty reports whether the filter holds no samples.
-func (w *WindowedMin) Empty() bool { return len(w.vals) == 0 }
+func (w *WindowedMin) Empty() bool { return w.q.Len() == 0 }
 
 // Ring is a fixed-capacity ring buffer of float64 samples with O(1)
 // append; it retains the most recent Cap samples and maintains a running

@@ -3,6 +3,7 @@ package transport
 import (
 	"nimbus/internal/netem"
 	"nimbus/internal/sim"
+	"nimbus/internal/stats"
 )
 
 // Timing constants for the retransmission timer, mirroring common TCP
@@ -37,8 +38,7 @@ type Sender struct {
 
 	nextSeq  uint64
 	inflight int
-	unacked  []pktRec // in-flight records, oldest first; unacked[:head] are settled
-	head     int
+	unacked  stats.Queue[pktRec] // in-flight records, oldest first, from the oldest unsettled one
 
 	srtt, rttvar sim.Time
 	rto          sim.Time
@@ -53,10 +53,10 @@ type Sender struct {
 	// Reusable callbacks for the per-packet hot path. Packets come from
 	// the topology's shared pool; a delivered packet is its own ACK (it
 	// rides the reverse path as the ACK event's argument) and goes back to
-	// the pool when the ACK arrives, so emit is allocation-free in steady
-	// state; dropped packets are simply left to the garbage collector. The
-	// shared pool also lets the topology recycle in-flight packets of
-	// flows detached mid-stream.
+	// the pool when the ACK arrives, and a dropped packet goes back where
+	// it was dropped (Topology.drop), so emit is allocation-free in steady
+	// state. The shared pool also lets the topology recycle in-flight
+	// packets of flows detached mid-stream.
 	trySendFn func()
 	onRTOFn   func()
 	onAckFn   func(arg any)
@@ -205,7 +205,7 @@ func (s *Sender) emit(size int) {
 	p := s.att.GetPacket()
 	*p = netem.Packet{Seq: s.nextSeq, Size: size}
 	s.nextSeq++
-	s.unacked = append(s.unacked, pktRec{seq: p.Seq, size: size, sentAt: now})
+	s.unacked.Push(pktRec{seq: p.Seq, size: size, sentAt: now})
 	s.inflight += size
 	s.SentBytes += uint64(size)
 	s.app.Consume(size)
@@ -253,8 +253,8 @@ func (s *Sender) onRTO() {
 	now := s.env.Sch.Now()
 	// Declare everything outstanding lost, refund, notify once.
 	lostBytes := 0
-	for i := s.head; i < len(s.unacked); i++ {
-		r := &s.unacked[i]
+	for i := range s.unacked.Len() {
+		r := s.unacked.At(i)
 		if !r.acked && !r.lost {
 			r.lost = true
 			lostBytes += r.size
@@ -302,16 +302,16 @@ func (s *Sender) handleAck(seq uint64, size int, sentAt, qd sim.Time, delivered 
 	s.updateRTT(rtt)
 	s.rtoBackoff = 0
 
-	// Loss notifications are snapshotted by value: compact() below moves
-	// the records, and Refund can re-enter emit (via Wake), which appends
-	// over them mid-loop.
+	// Loss notifications are snapshotted by value: compact() below
+	// releases the records' slots, and Refund can re-enter emit (via
+	// Wake), which writes over them (or moves the ring) mid-loop.
 	type lossEntry struct {
 		seq  uint64
 		size int
 	}
 	var losses []lossEntry
-	for i := s.head; i < len(s.unacked); i++ {
-		r := &s.unacked[i]
+	for i := range s.unacked.Len() {
+		r := s.unacked.At(i)
 		if r.seq > seq {
 			break
 		}
@@ -384,20 +384,12 @@ func (s *Sender) updateRTT(rtt sim.Time) {
 	}
 }
 
+// compact releases the settled records at the front of the ring.
 func (s *Sender) compact() {
-	for s.head < len(s.unacked) {
-		r := &s.unacked[s.head]
-		if !r.acked && !r.lost {
+	for s.unacked.Len() > 0 {
+		if r := s.unacked.At(0); !r.acked && !r.lost {
 			break
 		}
-		s.head++
-	}
-	// Copy down once the settled prefix is at least the live part (a
-	// reset to [:0] when nothing is in flight), so the backing array
-	// stays around twice the flight size and is reused.
-	if s.head > 0 && s.head*2 >= len(s.unacked) {
-		n := copy(s.unacked, s.unacked[s.head:])
-		s.unacked = s.unacked[:n]
-		s.head = 0
+		s.unacked.PopFront()
 	}
 }

@@ -37,6 +37,10 @@ func NewStats(rng *sim.Rand) *Stats {
 	return &Stats{fctRes: metrics.NewDelayRecorder(0, rng)}
 }
 
+// Release returns the FCT reservoir's storage for reuse; percentiles read
+// 0 afterwards, like those of a run with no completed flow.
+func (st *Stats) Release() { st.fctRes.Release() }
+
 func (st *Stats) tick(now sim.Time) {
 	st.activeArea += float64(st.activeNow) * (now - st.lastT).Seconds()
 	st.lastT = now
