@@ -12,7 +12,7 @@ import (
 type rig struct {
 	sch  *sim.Scheduler
 	link *netem.Link
-	net  *netem.Network
+	net  *netem.Topology
 	rng  *sim.Rand
 }
 

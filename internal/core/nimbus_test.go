@@ -13,7 +13,7 @@ import (
 type rig struct {
 	sch  *sim.Scheduler
 	link *netem.Link
-	net  *netem.Network
+	net  *netem.Topology
 	rng  *sim.Rand
 	mu   float64
 }

@@ -10,7 +10,7 @@ import (
 	"nimbus/internal/transport"
 )
 
-func newNet(rateMbps float64) (*sim.Scheduler, *netem.Network, *netem.Link) {
+func newNet(rateMbps float64) (*sim.Scheduler, *netem.Topology, *netem.Link) {
 	sch := sim.NewScheduler()
 	rate := rateMbps * 1e6
 	link := netem.NewLink(sch, rate, netem.NewDropTail(netem.BufferBytesForDelay(rate, 100*sim.Millisecond)))

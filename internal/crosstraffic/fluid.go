@@ -127,7 +127,7 @@ type Fluid struct {
 // a route of the topology ("" = default). rtt paces elastic models (and
 // approximates the aggregate's feedback delay); rng drives stochastic
 // resampling and may be nil for cbr.
-func NewFluid(net *netem.Network, route string, kind string, rateBps float64, rtt sim.Time, spec FluidSpec, rng *sim.Rand) (*Fluid, error) {
+func NewFluid(net *netem.Topology, route string, kind string, rateBps float64, rtt sim.Time, spec FluidSpec, rng *sim.Rand) (*Fluid, error) {
 	if !HasFluidModel(kind) {
 		return nil, fmt.Errorf("crosstraffic: no fluid model for cross kind %q (want %s)", kind, KindNames(func(k Kind) bool { return k.Fluid }))
 	}

@@ -10,7 +10,7 @@ import (
 
 // newFluidNet is newNet with the bottleneck's fluid term enabled, as
 // exp.NewRig does for fluid scenarios.
-func newFluidNet(rateMbps float64) (*sim.Scheduler, *netem.Network, *netem.Link) {
+func newFluidNet(rateMbps float64) (*sim.Scheduler, *netem.Topology, *netem.Link) {
 	sch, net, link := newNet(rateMbps)
 	link.EnableFluid(netem.BufferBytesForDelay(rateMbps*1e6, 100*sim.Millisecond))
 	return sch, net, link

@@ -41,27 +41,27 @@ type RawSource struct {
 
 // NewCBR returns a constant bit-rate source at rateBps on the default
 // route.
-func NewCBR(net *netem.Network, rtt sim.Time, rateBps float64) *RawSource {
+func NewCBR(net *netem.Topology, rtt sim.Time, rateBps float64) *RawSource {
 	return NewCBROn(net, "", rtt, rateBps)
 }
 
 // NewCBROn is NewCBR on a named route of the topology.
-func NewCBROn(net *netem.Network, route string, rtt sim.Time, rateBps float64) *RawSource {
+func NewCBROn(net *netem.Topology, route string, rtt sim.Time, rateBps float64) *RawSource {
 	return newRaw(net, route, rtt, rateBps, false, nil)
 }
 
 // NewPoisson returns a source with Poisson packet arrivals at mean
 // rateBps on the default route.
-func NewPoisson(net *netem.Network, rtt sim.Time, rateBps float64, rng *sim.Rand) *RawSource {
+func NewPoisson(net *netem.Topology, rtt sim.Time, rateBps float64, rng *sim.Rand) *RawSource {
 	return NewPoissonOn(net, "", rtt, rateBps, rng)
 }
 
 // NewPoissonOn is NewPoisson on a named route of the topology.
-func NewPoissonOn(net *netem.Network, route string, rtt sim.Time, rateBps float64, rng *sim.Rand) *RawSource {
+func NewPoissonOn(net *netem.Topology, route string, rtt sim.Time, rateBps float64, rng *sim.Rand) *RawSource {
 	return newRaw(net, route, rtt, rateBps, true, rng)
 }
 
-func newRaw(net *netem.Network, route string, rtt sim.Time, rateBps float64, poisson bool, rng *sim.Rand) *RawSource {
+func newRaw(net *netem.Topology, route string, rtt sim.Time, rateBps float64, poisson bool, rng *sim.Rand) *RawSource {
 	att := net.AttachOn(route, rtt)
 	r := &RawSource{
 		att:     att,

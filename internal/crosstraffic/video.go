@@ -17,7 +17,7 @@ import (
 //   - a 1080p ladder below the fair share leaves idle gaps between chunks
 //     (application-limited => inelastic).
 type VideoClient struct {
-	Net *netem.Network
+	Net *netem.Topology
 	Rng *sim.Rand
 	RTT sim.Time
 	// Route is the topology route the connection takes ("" = default).

@@ -8,9 +8,11 @@
 // sink (ROADMAP item 3), not to fields here. The DESIGN.md experiment
 // index maps every figure/table to its function here and its benchmark in
 // the repository root. Every run with a flow under test — a sweep cell, a
-// scoring cell of the accuracy experiments, nimbus-sim's single run — is
-// built by one function, scoreCell.build in score.go (BuildScenario from
-// outside); cross-traffic construction and mode scoring live there too.
+// scoring cell of the accuracy experiments, a scripted figure's scenario,
+// nimbus-sim's single run — is a scoreCell description built by one
+// function, scoreCell.build in score.go (BuildScenario from outside); a
+// figure instruments the built Cell and runs it. Cross-traffic
+// construction and mode scoring live there too.
 package exp
 
 import (
@@ -68,7 +70,7 @@ type NetConfig struct {
 type Rig struct {
 	Sch   *sim.Scheduler
 	Link  *netem.Link
-	Net   *netem.Network
+	Net   *netem.Topology
 	Rng   *sim.Rand
 	MuBps float64
 	Cfg   NetConfig
@@ -223,21 +225,16 @@ func BuildScheme(sp spec.Spec, muBps float64, mu core.MuEstimator) (Scheme, erro
 	return s, nil
 }
 
-// MustBuildScheme is BuildScheme for known-good specs; it panics on
-// error (the harness's runGuarded turns panics into error rows).
-func MustBuildScheme(sp spec.Spec, muBps float64) Scheme {
-	s, err := BuildScheme(sp, muBps, nil)
+// MustScheme parses a spec string ("nimbus", "copa(delta=0.1)",
+// "nimbus(pulse=0.1,multiflow=true)") and builds it, panicking on error
+// (the harness's runGuarded turns panics into error rows). It is the
+// one-liner a cross-traffic sender and a hand-built rig use.
+func MustScheme(s string, muBps float64) Scheme {
+	sc, err := BuildScheme(spec.MustParse(s), muBps, nil)
 	if err != nil {
 		panic(err)
 	}
-	return s
-}
-
-// MustScheme parses a spec string ("nimbus", "copa(delta=0.1)",
-// "nimbus(pulse=0.1,multiflow=true)") and builds it, panicking on error.
-// It is the one-liner the figure reproductions use.
-func MustScheme(s string, muBps float64) Scheme {
-	return MustBuildScheme(spec.MustParse(s), muBps)
+	return sc
 }
 
 // LinkOracle is the time-varying analogue of core.Oracle: it reports the

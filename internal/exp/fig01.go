@@ -3,6 +3,7 @@ package exp
 import (
 	"nimbus/internal/metrics"
 	"nimbus/internal/netem"
+	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
 )
 
@@ -31,20 +32,29 @@ func Fig01(seed int64, _ bool) Report {
 	}
 }
 
+// fig1a describes the scenario of Fig. 1a, which Fig. 3 runs too: the
+// scheme on a 48 Mbit/s link, one Cubic cross flow over [30 s, 90 s) (the
+// elastic phase), then 24 Mbit/s of Poisson traffic over [90 s, 150 s)
+// (the inelastic phase). Both figures measure a phase from 5 s into it and
+// run to 175 s.
+func fig1a(scheme string, seed int64) scoreCell {
+	return scoreCell{
+		net:   NetConfig{RateMbps: 48, Seed: seed},
+		flows: []FlowSpec{{Scheme: spec.MustParse(scheme)}},
+		cross: []crossSpec{
+			{kind: "cubic", label: "ccross0", start: 30 * sim.Second, stop: 90 * sim.Second},
+			{kind: "poisson", rate: 24e6, rtt: 40 * sim.Millisecond, start: 90 * sim.Second, stop: 150 * sim.Second},
+		},
+	}
+}
+
 // runFig01 runs the scenario for one scheme and returns its row: mean
 // throughput and mean queueing delay per phase.
 func runFig01(scheme string, seed int64) []any {
-	r := NewRig(NetConfig{RateMbps: 48, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
-	probe := r.AddFlow(MustScheme(scheme, r.MuBps), 50*sim.Millisecond, 0)
-
-	// Elastic phase: one Cubic flow from 30 s to 90 s.
-	r.cubicCross(1, 50*sim.Millisecond, 30*sim.Second, 90*sim.Second)
-	// Inelastic phase: 24 Mbit/s Poisson from 90 s to 150 s.
-	po := r.crossPoisson("", 40*sim.Millisecond, 24e6, 90*sim.Second)
-	r.Sch.At(150*sim.Second, func() { po.Stop() })
-
-	elasticDelay := metrics.NewDelayRecorder(0, r.Rng.Split("ed"))
-	inelasticDelay := metrics.NewDelayRecorder(0, r.Rng.Split("id"))
+	b := fig1a(scheme, seed).mustBuild()
+	probe := b.Flows[0].Probe
+	elasticDelay := metrics.NewDelayRecorder(0, b.Rig.Rng.Split("ed"))
+	inelasticDelay := metrics.NewDelayRecorder(0, b.Rig.Rng.Split("id"))
 	probe.Sender.TapDeliveries(func(p *netem.Packet, now sim.Time) {
 		switch {
 		case now >= 35*sim.Second && now < 90*sim.Second:
@@ -54,7 +64,7 @@ func runFig01(scheme string, seed int64) []any {
 		}
 	})
 
-	r.Sch.RunUntil(175 * sim.Second)
+	b.Rig.Sch.RunUntil(175 * sim.Second)
 
 	return []any{
 		scheme,

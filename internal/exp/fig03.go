@@ -11,14 +11,11 @@ import (
 // the same in the elastic and the inelastic phase (about half in both),
 // so instantaneous delay decomposition cannot reveal elasticity.
 func Fig03(seed int64, _ bool) Report {
-	r := NewRig(NetConfig{RateMbps: 48, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
-	probe := r.AddFlow(MustScheme("cubic", r.MuBps), 50*sim.Millisecond, 0)
-	r.cubicCross(1, 50*sim.Millisecond, 30*sim.Second, 90*sim.Second)
-	po := r.crossPoisson("", 40*sim.Millisecond, 24e6, 90*sim.Second)
-	r.Sch.At(150*sim.Second, func() { po.Stop() })
+	b := fig1a("cubic", seed).mustBuild()
+	r := b.Rig
 
 	// Track exact per-flow bytes in the bottleneck queue.
-	flowID := probe.Sender.ID()
+	flowID := b.Flows[0].Probe.Sender.ID()
 	var sumSelfEl, sumTotEl, sumSelfInel, sumTotInel float64
 	q := r.Link.Q.(*netem.DropTail)
 	var sample func()

@@ -4,22 +4,24 @@ import (
 	"math"
 
 	"nimbus/internal/core"
+	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
 )
 
-// pulseRig is the scenario of Figs. 4 and 5: a Nimbus flow on a
-// 96 Mbit/s link against one Cubic flow (the "elastic" row) or half-link
+// pulseRig builds the scenario of Figs. 4 and 5: a Nimbus flow on the
+// standard rig against one Cubic flow (the "elastic" row) or half-link
 // CBR (the "inelastic" row). It returns the row's name as well.
-func pulseRig(elastic bool, seed int64) (*Rig, Scheme, string) {
-	r := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
-	s := MustScheme("nimbus", r.MuBps)
-	r.AddFlow(s, 50*sim.Millisecond, 0)
-	if elastic {
-		r.cubicCross(1, 50*sim.Millisecond, 0, 0)
-		return r, s, "elastic"
+func pulseRig(elastic bool, seed int64) (*Cell, string) {
+	c := scoreCell{
+		net:   NetConfig{Seed: seed},
+		flows: []FlowSpec{{Scheme: spec.MustParse("nimbus")}},
+		cross: []crossSpec{{kind: "cbr", rate: 48e6}},
 	}
-	r.crossCBR("", 50*sim.Millisecond, 48e6, 0)
-	return r, s, "inelastic"
+	name := "inelastic"
+	if elastic {
+		c.cross, name = cubicSpecs(1, 0, 0), "elastic"
+	}
+	return c.mustBuild(), name
 }
 
 // Fig04 reproduces Fig. 4: the sender's pulsed rate S(t) against the
@@ -44,16 +46,16 @@ func Fig04(seed int64, _ bool) Report {
 }
 
 func runFig04(elastic bool, seed int64) []any {
-	r, s, name := pulseRig(elastic, seed)
+	b, name := pulseRig(elastic, seed)
 	from, to := 75*sim.Second, 78*sim.Second
 	var sSamp, zSamp []float64
-	s.Nimbus.OnTick = func(t core.Telemetry) {
+	b.Flows[0].Scheme.Nimbus.OnTick = func(t core.Telemetry) {
 		if t.Now >= from && t.Now < to {
 			sSamp = append(sSamp, t.Rate)
 			zSamp = append(zSamp, t.Z)
 		}
 	}
-	r.Sch.RunUntil(to)
+	b.Rig.Sch.RunUntil(to)
 
 	var osc, corr float64
 	if len(zSamp) > 10 {

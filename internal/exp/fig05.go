@@ -15,9 +15,9 @@ func Fig05(seed int64, _ bool) Report {
 				{"eta", "%8s", "%8.2f"},
 			},
 			Rows: mapCells(2, func(i int) []any {
-				r, s, name := pulseRig(i == 0, seed)
-				r.Sch.RunUntil(40 * sim.Second)
-				det := s.Nimbus.Detector()
+				b, name := pulseRig(i == 0, seed)
+				b.Rig.Sch.RunUntil(40 * sim.Second)
+				det := b.Flows[0].Scheme.Nimbus.Detector()
 				spec := det.Spectrum()
 				return []any{name, spec.PeakAround(5, spec.Resolution) / 1e6, det.Elasticity(5)}
 			}),

@@ -1,9 +1,9 @@
 package exp
 
 import (
-	"nimbus/internal/cc"
+	"nimbus/internal/crosstraffic"
+	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
-	"nimbus/internal/transport"
 )
 
 // fig08Phase is one 20-second segment of the Fig. 8 cross-traffic script:
@@ -62,25 +62,25 @@ func fig08(schemes []string, seed int64, phaseDur sim.Time) Report {
 }
 
 func runFig08(scheme string, seed int64, phaseDur sim.Time) []any {
-	r := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
-	sch := MustScheme(scheme, r.MuBps)
-	probe := r.AddFlow(sch, 50*sim.Millisecond, 0)
+	b := scoreCell{
+		net:   NetConfig{Seed: seed},
+		flows: []FlowSpec{{Scheme: spec.MustParse(scheme)}},
+		// Silent until the script sets its rate.
+		cross: []crossSpec{{kind: "poisson", rtt: 40 * sim.Millisecond}},
+	}.mustBuild()
+	r, probe := b.Rig, b.Flows[0].Probe
 
-	po := r.crossPoisson("", 40*sim.Millisecond, 0, 0)
-	elastic := 0
-	var cubics []*transport.Sender
+	po := b.cross[0].(*crosstraffic.RawSource)
+	var cubics []crossSource
 	setPhase := func(p fig08Phase) func() {
 		return func() {
 			po.SetRate(p.PoissonMbps * 1e6)
-			for elastic > p.CubicFlows {
-				s := cubics[len(cubics)-1]
+			for len(cubics) > p.CubicFlows {
+				cubics[len(cubics)-1].Stop()
 				cubics = cubics[:len(cubics)-1]
-				s.Stop()
-				elastic--
 			}
-			for elastic < p.CubicFlows {
-				cubics = append(cubics, r.crossSender("ccross0", "", cc.NewCubic(), 50*sim.Millisecond, r.Sch.Now()))
-				elastic++
+			for len(cubics) < p.CubicFlows {
+				cubics = append(cubics, r.addCross(crossSpec{kind: "cubic", label: "ccross0", rtt: r.Cfg.RTT, start: r.Sch.Now()}))
 			}
 		}
 	}
@@ -97,7 +97,7 @@ func runFig08(scheme string, seed int64, phaseDur sim.Time) []any {
 		}
 		return fig08Script[idx].CubicFlows > 0
 	}
-	acc := scoreModes(r, sch, truth, scoreWarmup)
+	acc := scoreModes(r, b.Flows[0].Scheme, truth, scoreWarmup)
 
 	r.Sch.RunUntil(total)
 

@@ -5,22 +5,26 @@ import (
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
 	"nimbus/internal/stats"
+	"nimbus/internal/workload"
 )
 
 // runTrace runs one scheme against the heavy-tailed WAN trace workload
-// at an offered load on a 96 Mbit/s, 50 ms, 100 ms-buffer link: the
+// at an offered load (a fraction of the link) on the standard rig: the
 // scenario of Figs. 9, 10, 13 and 21. It returns the scheme's probe and
 // the cross flows' completion times.
 func runTrace(sp spec.Spec, seed int64, dur sim.Time, loadFrac float64) (*FlowProbe, []metrics.FCTRecord) {
-	r := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
-	probe := r.AddFlow(MustBuildScheme(sp, r.MuBps), 50*sim.Millisecond, 0)
+	b := scoreCell{
+		net:   NetConfig{Seed: seed},
+		flows: []FlowSpec{{Scheme: sp}},
+		cross: []crossSpec{{kind: "trace", rate: loadFrac * 96e6}},
+	}.mustBuild()
+	probe := b.Flows[0].Probe
 	probe.RecordRTT()
 	var fcts []metrics.FCTRecord
-	w := r.crossTrace("", 50*sim.Millisecond, loadFrac*r.MuBps)
-	w.OnComplete = func(size int, fct sim.Time) {
+	b.cross[0].(*workload.Generator).OnComplete = func(size int, fct sim.Time) {
 		fcts = append(fcts, metrics.FCTRecord{SizeBytes: size, FCT: fct})
 	}
-	r.Sch.RunUntil(dur)
+	b.Rig.Sch.RunUntil(dur)
 	return probe, fcts
 }
 

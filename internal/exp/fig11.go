@@ -1,6 +1,10 @@
 package exp
 
-import "nimbus/internal/sim"
+import (
+	"nimbus/internal/crosstraffic"
+	spec "nimbus/internal/scheme"
+	"nimbus/internal/sim"
+)
 
 // Fig11 reproduces Fig. 11: each scheme's (rate, delay) point against
 // DASH video cross traffic of either quality on a 48 Mbit/s, 50 ms link.
@@ -21,17 +25,25 @@ func Fig11(seed int64, quick bool) Report {
 				{"video Mbps", "%11s", "%11.1f"},
 			},
 			Rows: grid([]int{len(videos), len(SchemeNames)}, func(ix []int) []any {
-				video, scheme := videos[ix[0]], SchemeNames[ix[1]]
-				r := NewRig(NetConfig{RateMbps: 48, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
-				probe := r.AddFlow(MustScheme(scheme, r.MuBps), 50*sim.Millisecond, 0)
-				v := r.crossVideo("", 50*sim.Millisecond, video == "4k")
-				r.Sch.RunUntil(dur)
-				return []any{
-					video, scheme, probe.MeanMbps(5*sim.Second, dur), probe.Delay.Summary().Mean,
-					float64(v.Sender().DeliveredBytes) * 8 / dur.Seconds() / 1e6,
-				}
+				return runFig11(videos[ix[0]], SchemeNames[ix[1]], seed, dur)
 			}),
 		}},
 		Expect: "4k video is elastic (nimbus ~ cubic; vegas/copa near zero); 1080p inelastic (delay-controllers much lower delay at similar rate)",
+	}
+}
+
+// runFig11 runs one scheme against one video client ("4k" or "1080p")
+// and returns its row.
+func runFig11(video, scheme string, seed int64, dur sim.Time) []any {
+	b := scoreCell{
+		net:   NetConfig{RateMbps: 48, Seed: seed},
+		flows: []FlowSpec{{Scheme: spec.MustParse(scheme)}},
+		cross: []crossSpec{{kind: "video" + video}},
+	}.mustBuild()
+	b.Rig.Sch.RunUntil(dur)
+	probe, v := b.Flows[0].Probe, b.cross[0].(*crosstraffic.VideoClient)
+	return []any{
+		video, scheme, probe.MeanMbps(5*sim.Second, dur), probe.Delay.Summary().Mean,
+		float64(v.Sender().DeliveredBytes) * 8 / dur.Seconds() / 1e6,
 	}
 }

@@ -16,7 +16,6 @@ func Fig16(seed int64, quick bool) Report {
 	if quick {
 		scale = 0.25
 	}
-	r := NewRig(NetConfig{RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
 	stagger := sim.Time(float64(120*sim.Second) * scale)
 	life := sim.Time(float64(480*sim.Second) * scale)
 
@@ -27,10 +26,8 @@ func Fig16(seed int64, quick bool) Report {
 		start := sim.Time(i) * stagger
 		specs = append(specs, FlowSpec{Scheme: scheme, StartAt: start, StopAt: start + life})
 	}
-	flows, err := r.AddFlowSpecs(specs...)
-	if err != nil {
-		panic(err)
-	}
+	b := scoreCell{net: NetConfig{Seed: seed}, flows: specs}.mustBuild()
+	r, flows := b.Rig, b.Flows
 
 	// Delay-mode accounting per tick.
 	var delayTicks, totalTicks int

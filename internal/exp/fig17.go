@@ -2,6 +2,7 @@ package exp
 
 import (
 	"nimbus/internal/netem"
+	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
 )
 
@@ -16,34 +17,39 @@ func Fig17(seed int64, quick bool) Report {
 	if quick {
 		scale = 0.4
 	}
-	r := NewRig(NetConfig{RateMbps: 192, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond, Seed: seed})
 	phase := func(x float64) sim.Time { return sim.Time(x * scale * float64(sim.Second)) }
-
-	var probes []*FlowProbe
-	for i := 0; i < 3; i++ {
-		s := MustScheme("nimbus(multiflow=true)", r.MuBps)
-		probes = append(probes, r.AddFlow(s, 50*sim.Millisecond, 0))
-	}
-	r.cubicCross(3, 50*sim.Millisecond, phase(30), phase(90))
-	cbr := r.crossCBR("", 40*sim.Millisecond, 96e6, phase(90))
-	r.Sch.At(phase(150), func() { cbr.Stop() })
+	b := scoreCell{
+		net:   NetConfig{RateMbps: 192, Seed: seed},
+		flows: []FlowSpec{{Scheme: spec.MustParse("nimbus(multiflow=true)"), Count: 3}},
+		cross: append(cubicSpecs(3, phase(30), phase(90)),
+			crossSpec{kind: "cbr", rate: 96e6, rtt: 40 * sim.Millisecond, start: phase(90), stop: phase(150)}),
+	}.mustBuild()
 
 	// Delay sampled from all Nimbus flows per phase.
+	elFrom, elTo, inelFrom, inelTo := phase(35), phase(90), phase(95), phase(150)
 	var elDelay, inelDelay struct {
 		sum float64
 		n   int
 	}
-	for _, p := range probes {
-		addDeliverTapProbe(r, p, phase(35), phase(90), &elDelay.sum, &elDelay.n,
-			phase(95), phase(150), &inelDelay.sum, &inelDelay.n)
+	for _, f := range b.Flows {
+		f.Probe.Sender.TapDeliveries(func(p *netem.Packet, now sim.Time) {
+			switch {
+			case now >= elFrom && now < elTo:
+				elDelay.sum += p.QueueDelay.Millis()
+				elDelay.n++
+			case now >= inelFrom && now < inelTo:
+				inelDelay.sum += p.QueueDelay.Millis()
+				inelDelay.n++
+			}
+		})
 	}
 
-	r.Sch.RunUntil(phase(150))
+	b.Rig.Sch.RunUntil(inelTo)
 
 	var elAgg, inelAgg float64
-	for _, p := range probes {
-		elAgg += p.MeanMbps(phase(35), phase(90))
-		inelAgg += p.MeanMbps(phase(95), phase(150))
+	for _, f := range b.Flows {
+		elAgg += f.Probe.MeanMbps(elFrom, elTo)
+		inelAgg += f.Probe.MeanMbps(inelFrom, inelTo)
 	}
 	return Report{
 		Panels: []Table{{
@@ -58,19 +64,4 @@ func Fig17(seed int64, quick bool) Report {
 		}},
 		Expect: "~fair share in both phases; much lower delay in the inelastic phase",
 	}
-}
-
-func addDeliverTapProbe(r *Rig, p *FlowProbe,
-	f1, t1 sim.Time, sum1 *float64, n1 *int,
-	f2, t2 sim.Time, sum2 *float64, n2 *int) {
-	p.Sender.TapDeliveries(func(pkt *netem.Packet, now sim.Time) {
-		switch {
-		case now >= f1 && now < t1:
-			*sum1 += pkt.QueueDelay.Millis()
-			*n1++
-		case now >= f2 && now < t2:
-			*sum2 += pkt.QueueDelay.Millis()
-			*n2++
-		}
-	})
 }

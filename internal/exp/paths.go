@@ -85,24 +85,22 @@ func runPath(p PathProfile, scheme string, seed int64, dur sim.Time) (mbps, rttM
 		}
 		cfg.Schedule = sched
 	}
-	r := NewRig(cfg)
 	// Real paths don't tell you µ: schemes that take a µ source use the
 	// estimator, as the paper's implementation does.
 	sp := spec.MustParse(scheme)
 	if spec.HasParam(sp.Name, "mu") {
 		sp = sp.With("mu", spec.Str("est"))
 	}
-	sch := MustBuildScheme(sp, r.MuBps)
-	probe := r.AddFlow(sch, p.RTT, 0)
-	probe.RecordRTT()
+	c := scoreCell{net: cfg, flows: []FlowSpec{{Scheme: sp}}}
 	if p.BgLoad > 0 {
-		r.crossPoisson("", p.RTT/2, p.BgLoad*r.MuBps, 0)
+		c.cross = append(c.cross, crossSpec{kind: "poisson", rate: p.BgLoad * (p.RateMbps * 1e6), rtt: p.RTT / 2})
 	}
-	// Intermittent elastic background: a Cubic flow for the middle third.
-	if p.BgElastic > 0 {
-		r.cubicCross(p.BgElastic, p.RTT, dur/3, 2*dur/3)
-	}
-	r.Sch.RunUntil(dur)
+	// Intermittent elastic background: Cubic flows for the middle third.
+	c.cross = append(c.cross, cubicSpecs(p.BgElastic, dur/3, 2*dur/3)...)
+	b := c.mustBuild()
+	probe := b.Flows[0].Probe
+	probe.RecordRTT()
+	b.Rig.Sch.RunUntil(dur)
 	return probe.MeanMbps(5*sim.Second, dur), probe.RTTms.Summary().Mean
 }
 

@@ -15,93 +15,21 @@ import (
 	"nimbus/internal/workload"
 )
 
-// The one cell builder. Every run with a flow under test — a
-// runner.Scenario (BuildScenario: RunScenario, nimbus-sim's single run)
-// or a detector-accuracy figure's cell (scoreCell.run) — is a scoreCell,
-// and scoreCell.build alone turns one into a rig with flows, cross
-// traffic and churn on it. Rng.Split draws from the parent stream and
-// same-time events run in arming order, so build's order is output:
-// flows, a flow mix's shared delay recorder, cross sources in list
-// order, the churn generator. The scorer is the caller's step, last:
-// sweeps score Nimbus only (scoring Copa arms a sampler event and would
-// move every copa cell's event count and cached result), the figures
-// score Copa too. Also here: how a cross-traffic kind becomes senders
-// and how mode decisions are scored.
+// The one cell builder. Every run with a flow under test — a sweep cell
+// (BuildScenario: RunScenario, nimbus-sim's single run), an accuracy
+// figure's cell (scoreCell.run), a scripted figure's scenario — is a
+// scoreCell, and scoreCell.build alone turns one into a rig with flows,
+// cross traffic and churn; the caller instruments the built Cell (probes,
+// taps, OnTick, scoreModes, a script) and runs it. Rng.Split draws from
+// the parent stream and same-time events run in arming order, so build's
+// order is output: flows, a flow mix's delay recorder, cross sources in
+// list order (each started, its stop armed), the churn generator, then
+// the caller's: sweeps score Nimbus only (scoring Copa arms a sampler
+// event and would move every copa cell's event count and cached result),
+// the figures score Copa too. Also here: how a cross-traffic kind becomes
+// a source and how mode decisions are scored.
 
-// crossSender starts one backlogged cross flow. label names its random
-// stream.
-func (r *Rig) crossSender(label, route string, ctrl transport.Controller, rtt, start sim.Time) *transport.Sender {
-	s := transport.NewSenderOn(r.Net, route, rtt, ctrl, transport.Backlogged{}, r.Rng.Split(label))
-	s.Start(start)
-	return s
-}
-
-// cubicCross runs n backlogged Cubic cross flows over [start, stop);
-// stop 0 means to the end of the run.
-func (r *Rig) cubicCross(n int, rtt, start, stop sim.Time) {
-	ss := make([]*transport.Sender, n)
-	for i := range ss {
-		ss[i] = r.crossSender(fmt.Sprintf("ccross%d", i), "", cc.NewCubic(), rtt, start)
-	}
-	if stop > 0 {
-		r.Sch.At(stop, func() {
-			for _, s := range ss {
-				s.Stop()
-			}
-		})
-	}
-}
-
-// crossPoisson starts a Poisson raw source at mean rateBps.
-func (r *Rig) crossPoisson(route string, rtt sim.Time, rateBps float64, start sim.Time) *crosstraffic.RawSource {
-	src := crosstraffic.NewPoissonOn(r.Net, route, rtt, rateBps, r.Rng.Split("poisson"))
-	src.Start(start)
-	return src
-}
-
-// crossCBR starts a constant-bit-rate raw source.
-func (r *Rig) crossCBR(route string, rtt sim.Time, rateBps float64, start sim.Time) *crosstraffic.RawSource {
-	src := crosstraffic.NewCBROn(r.Net, route, rtt, rateBps)
-	src.Start(start)
-	return src
-}
-
-// crossTrace starts the paper's WAN cross traffic (§8.1) at an offered
-// load: Poisson arrivals of finite Cubic flows with heavy-tailed sizes,
-// on the session generator.
-func (r *Rig) crossTrace(route string, rtt sim.Time, loadBps float64) *workload.Generator {
-	sp := workload.MustParseSpec("bulk")
-	sp.Load = loadBps / 1e6
-	g := &workload.Generator{
-		Net: r.Net, Rng: r.Rng.Split("trace"), Spec: sp, RTT: rtt, Route: route, MuBps: r.MuBps,
-		Sizes: workload.HeavyTailedSizes{},
-		// A stream of its own: left nil, Start would split one off the
-		// arrival stream and shift every arrival.
-		Stats: workload.NewStats(sim.NewRand(r.Cfg.Seed)),
-	}
-	if err := g.Start(0); err != nil {
-		panic(err)
-	}
-	return g
-}
-
-// crossVideo starts a DASH client over Cubic on the 4K or the 1080p
-// ladder.
-func (r *Rig) crossVideo(route string, rtt sim.Time, uhd bool) *crosstraffic.VideoClient {
-	ladder := crosstraffic.Ladder1080p
-	if uhd {
-		ladder = crosstraffic.Ladder4K
-	}
-	v := &crosstraffic.VideoClient{
-		Net: r.Net, Rng: r.Rng.Split("video"), RTT: rtt, Route: route,
-		Ladder: ladder,
-		NewCC:  func() transport.Controller { return cc.NewCubic() },
-	}
-	v.Start(0)
-	return v
-}
-
-// crossSpec describes one cross-traffic source started at time 0.
+// crossSpec describes one cross-traffic source and when it runs.
 type crossSpec struct {
 	// kind is "poisson", "cbr", "trace", "video4k", "video1080p", or a
 	// scheme spec ("reno", "fixedwindow(cwnd=160)") run as a backlogged
@@ -111,42 +39,95 @@ type crossSpec struct {
 	rate  float64 // bits/s (poisson, cbr, trace)
 	rtt   sim.Time
 	route string
+	// start and stop bound the source to [start, stop); stop 0 runs it to
+	// the end. A trace generator's stop ends its arrivals, and the flows
+	// already running finish.
+	start, stop sim.Time
 	// probed attaches a scheme kind through AddFlowOn, named label: the
 	// probe's recorder streams are then part of the Split order (fig06's
 	// rate-pinned elastic component).
 	probed bool
 }
 
-// addCross is the one place a cross-traffic kind becomes senders or, on
-// a fluid rig, a rate process (the kinds with a fluid model). Unknown
-// kinds panic, as unknown scheme specs do.
-func (r *Rig) addCross(c crossSpec) {
-	if r.Fluid.Enabled && crosstraffic.HasFluidModel(c.kind) {
+// cubicSpecs are n backlogged Cubic cross flows at the rig's RTT over
+// [start, stop), their streams labelled ccross0, ccross1, ...
+func cubicSpecs(n int, start, stop sim.Time) []crossSpec {
+	out := make([]crossSpec, n)
+	for i := range out {
+		out[i] = crossSpec{kind: "cubic", label: fmt.Sprintf("ccross%d", i), start: start, stop: stop}
+	}
+	return out
+}
+
+// crossSource is a started source as its constructor returned it: a
+// *transport.Sender, *crosstraffic.RawSource, VideoClient or Fluid, or a
+// *workload.Generator.
+type crossSource interface{ Stop() }
+
+// addCross is the one place a cross-traffic kind becomes a source or, on
+// a fluid rig, a rate process (the kinds with a fluid model): it starts
+// the source at c.start and arms its stop. Unknown kinds panic, as
+// unknown scheme specs do.
+func (r *Rig) addCross(c crossSpec) crossSource {
+	var src crossSource
+	switch {
+	case r.Fluid.Enabled && crosstraffic.HasFluidModel(c.kind):
 		f, err := crosstraffic.NewFluid(r.Net, c.route, c.kind, c.rate, c.rtt, r.Fluid, r.Rng.Split("fluid-"+c.kind))
 		if err != nil {
 			panic(err) // the kind has a model; the route is the caller's to check
 		}
-		f.Start(0)
-		return
-	}
-	switch c.kind {
-	case "poisson":
-		r.crossPoisson(c.route, c.rtt, c.rate, 0)
-	case "cbr":
-		r.crossCBR(c.route, c.rtt, c.rate, 0)
-	case "trace":
-		r.crossTrace(c.route, c.rtt, c.rate)
-	case "video4k", "video1080p":
-		r.crossVideo(c.route, c.rtt, c.kind == "video4k")
-	default:
-		s := MustScheme(c.kind, r.MuBps)
-		if c.probed {
-			s.Name = c.label
-			r.AddFlowOn(c.route, s, c.rtt, 0, transport.Backlogged{})
-			return
+		f.Start(c.start)
+		src = f
+	case c.kind == "poisson":
+		p := crosstraffic.NewPoissonOn(r.Net, c.route, c.rtt, c.rate, r.Rng.Split("poisson"))
+		p.Start(c.start)
+		src = p
+	case c.kind == "cbr":
+		p := crosstraffic.NewCBROn(r.Net, c.route, c.rtt, c.rate)
+		p.Start(c.start)
+		src = p
+	case c.kind == "trace":
+		// The paper's WAN cross traffic (§8.1) at an offered load: Poisson
+		// arrivals of finite Cubic flows with heavy-tailed sizes.
+		sp := workload.MustParseSpec("bulk")
+		sp.Load = c.rate / 1e6
+		g := &workload.Generator{
+			Net: r.Net, Rng: r.Rng.Split("trace"), Spec: sp, RTT: c.rtt, Route: c.route, MuBps: r.MuBps,
+			Sizes: workload.HeavyTailedSizes{},
+			// A stream of its own: left nil, Start would split one off the
+			// arrival stream and shift every arrival.
+			Stats: workload.NewStats(sim.NewRand(r.Cfg.Seed)),
 		}
-		r.crossSender(c.label, c.route, s.Ctrl, c.rtt, 0)
+		if err := g.Start(c.start); err != nil {
+			panic(err)
+		}
+		src = g
+	case c.kind == "video4k" || c.kind == "video1080p":
+		// A DASH client over Cubic on the 4K or the 1080p ladder.
+		v := &crosstraffic.VideoClient{
+			Net: r.Net, Rng: r.Rng.Split("video"), RTT: c.rtt, Route: c.route,
+			Ladder: crosstraffic.Ladder1080p,
+			NewCC:  func() transport.Controller { return cc.NewCubic() },
+		}
+		if c.kind == "video4k" {
+			v.Ladder = crosstraffic.Ladder4K
+		}
+		v.Start(c.start)
+		src = v
+	case c.probed:
+		s := MustScheme(c.kind, r.MuBps)
+		s.Name = c.label
+		src = r.AddFlowOn(c.route, s, c.rtt, c.start, transport.Backlogged{}).Sender
+	default:
+		ctrl := MustScheme(c.kind, r.MuBps).Ctrl
+		s := transport.NewSenderOn(r.Net, c.route, c.rtt, ctrl, transport.Backlogged{}, r.Rng.Split(c.label))
+		s.Start(c.start)
+		src = s
 	}
+	if c.stop > 0 {
+		r.Sch.At(c.stop, src.Stop)
+	}
+	return src
 }
 
 // crossFor is the -cross vocabulary (crosstraffic.Kinds) and its ground
@@ -239,9 +220,9 @@ const scoreWarmup = 10 * sim.Second
 // cross traffic and session churn around them, and the cross traffic's
 // elasticity as the scorer's ground truth for the whole run.
 type scoreCell struct {
-	// net is the emulated network; in a figure's cell (run) a zero
-	// RateMbps, RTT or Buffer means the standard rig's 96 Mbit/s, 50 ms,
-	// 100 ms.
+	// net is the emulated network; a zero RateMbps, RTT or Buffer means
+	// the standard rig's 96 Mbit/s, 50 ms, 100 ms (a scenario's are never
+	// zero).
 	net NetConfig
 	// flows are the flows under test; run puts its scheme here.
 	flows []FlowSpec
@@ -250,7 +231,8 @@ type scoreCell struct {
 	// concatenated per-flow reservoirs would weight the flows equally once
 	// a busy one hits its cap, instead of by packets delivered.
 	mixed bool
-	// cross sources start at 0, in order; a zero rtt means the rig's.
+	// cross sources start in order, each over its own window; a zero rtt
+	// means the rig's.
 	cross []crossSpec
 	// churn, when non-nil, is a session workload arriving and departing
 	// around the flows for the whole run, at the rig's RTT.
@@ -264,6 +246,9 @@ type Cell struct {
 	Rig   *Rig
 	Flows []*Flow             // the flows under test
 	Churn *workload.Generator // nil in a cell without churn
+	// cross are the sources build started, in scoreCell.cross order; a
+	// figure that reads one type-asserts it (crossSource lists the types).
+	cross []crossSource
 	// delay is the one flow's delay recorder, or a mix's shared one.
 	delay *metrics.DelayRecorder
 	mixed bool
@@ -272,6 +257,12 @@ type Cell struct {
 
 // build materializes the cell, in the order the top of this file gives.
 func (c scoreCell) build() (*Cell, error) {
+	if c.net.RateMbps == 0 {
+		c.net.RateMbps = 96
+	}
+	if c.net.RTT == 0 {
+		c.net.RTT = 50 * sim.Millisecond
+	}
 	r := NewRig(c.net)
 	flows, err := r.AddFlowSpecs(c.flows...)
 	if err != nil {
@@ -288,7 +279,7 @@ func (c scoreCell) build() (*Cell, error) {
 		if x.rtt == 0 {
 			x.rtt = c.net.RTT
 		}
-		r.addCross(x)
+		b.cross = append(b.cross, r.addCross(x))
 	}
 	if c.churn != nil {
 		b.Churn = &workload.Generator{Net: r.Net, Rng: r.Rng.Split("churn"), Spec: *c.churn, RTT: c.net.RTT, MuBps: r.MuBps}
@@ -297,6 +288,16 @@ func (c scoreCell) build() (*Cell, error) {
 		}
 	}
 	return b, nil
+}
+
+// mustBuild is build for a figure's own description, whose errors are
+// programming errors; it panics on one.
+func (c scoreCell) mustBuild() *Cell {
+	b, err := c.build()
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // release gives the sample chunks of every recorder the cell built back
@@ -328,17 +329,8 @@ type scoreResult struct {
 // rig's RTT, scores its mode decisions and runs it to the horizon.
 func (c scoreCell) run(scheme spec.Spec, seed int64, dur sim.Time) *scoreResult {
 	c.net.Seed = seed
-	if c.net.RateMbps == 0 {
-		c.net.RateMbps = 96
-	}
-	if c.net.RTT == 0 {
-		c.net.RTT = 50 * sim.Millisecond
-	}
 	c.flows = []FlowSpec{{Scheme: scheme}}
-	b, err := c.build()
-	if err != nil {
-		panic(err)
-	}
+	b := c.mustBuild()
 	s, res := b.Flows[0].Scheme, &scoreResult{Cell: b}
 	b.acc = scoreModes(b.Rig, s, func(sim.Time) bool { return c.elastic }, scoreWarmup)
 	if n := s.Nimbus; n != nil {

@@ -2,10 +2,12 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"nimbus/internal/core"
+	"nimbus/internal/netem"
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
 )
@@ -90,6 +92,108 @@ func TestMixCrossVocabulary(t *testing.T) {
 		}
 	}()
 	mixCross("bursty", 50*sim.Millisecond, nil, nil, 0, 0)
+}
+
+// TestFigureCellsPinned: the hand-scripted figures describe a scoreCell
+// and build it like every other cell, and that moved nothing — a few
+// quick cells keep, bit for bit, the numbers they had when each figure
+// put its rig together by hand (NewRig, AddFlow, a typed cross
+// constructor per source), captured at the last commit that did. Fig. 17
+// has a windowed CBR and three windowed Cubic flows, each with its own
+// stop event (one shared stop event then); the A-deep path builds its
+// flow through AddFlowSpecs now; fig08's script adds Cubic flows through
+// addCross at run time. check_reports.sh holds every report.
+func TestFigureCellsPinned(t *testing.T) {
+	fig17 := Fig17(1, true).Panels[0]
+	pathMbps, pathRTT := runPath(Paths25()[0], "nimbus", 1, 30*sim.Second)
+	rev := topoRevCongested("nimbus", 1, 20*sim.Second)
+	video := runFig11("4k", "cubic", 1, 60*sim.Second)
+	fig08 := runFig08("nimbus", 1, 12*sim.Second)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"fig17 elastic agg Mbit/s", fig17.Num(0, "elastic agg Mbit/s"), 53.65690909090909},
+		{"fig17 inelastic agg Mbit/s", fig17.Num(0, "inelastic agg Mbit/s"), 90.50345454545455},
+		{"A-deep/nimbus Mbit/s", pathMbps, 13.8696},
+		{"A-deep/nimbus mean RTT ms", pathRTT, 86.53216219560264},
+		{"rev-congested/nimbus ackDrops", float64(rev[5].(uint64)), 120},
+		{"fig11 4k/cubic video Mbit/s", video[4].(float64), 12.561733333333335},
+		{"fig08 nimbus Mbit/s", fig08[1].(float64), 44.013902912621354},
+		{"fig08 nimbus delay ms", fig08[2].(float64), 26.25676083555486},
+		{"fig08 nimbus fair-err", fig08[3].(float64), 0.39500972222222225},
+		{"fig08 nimbus mode-acc", fig08[4].(float64), 0.6759183673469388},
+	} {
+		if math.Float64bits(c.got) != math.Float64bits(c.want) {
+			t.Errorf("%s moved: %v, want %v", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestCrossWindow: a cross source described over [start, stop) delivers
+// nothing before start and nothing after stop plus one RTT (the rig's
+// 20 ms buffer drains within it), and with stop 0 it runs to the
+// horizon — for every kind addCross starts, each handed back as its
+// constructor returned it. A trace generator's stop ends its arrivals and
+// lets running flows finish, so for it the check is that no flow sends
+// its first packet after stop plus one RTT.
+func TestCrossWindow(t *testing.T) {
+	const start, stop, end = 2 * sim.Second, 6 * sim.Second, 10 * sim.Second
+	for _, c := range []struct {
+		kind, fluid, typ string
+		rate             float64
+	}{
+		{"reno", "", "*transport.Sender", 0},
+		{"poisson", "", "*crosstraffic.RawSource", 24e6},
+		{"cbr", "", "*crosstraffic.RawSource", 24e6},
+		{"trace", "", "*workload.Generator", 48e6},
+		{"video4k", "", "*crosstraffic.VideoClient", 0},
+		{"cubic", "on", "*crosstraffic.Fluid", 24e6},
+	} {
+		for _, until := range []sim.Time{stop, 0} {
+			name := fmt.Sprintf("%s fluid=%q [%v, %v)", c.kind, c.fluid, start, until)
+			b := scoreCell{
+				net:   NetConfig{Buffer: 20 * sim.Millisecond, Seed: 1, Fluid: c.fluid},
+				flows: []FlowSpec{{Scheme: spec.MustParse("vegas")}},
+				cross: []crossSpec{{kind: c.kind, label: "x", rate: c.rate, start: start, stop: until}},
+			}.mustBuild()
+			if got := fmt.Sprintf("%T", b.cross[0]); got != c.typ {
+				t.Fatalf("%s: handle is a %s, want %s", name, got, c.typ)
+			}
+			r, self := b.Rig, b.Flows[0].Probe.Sender.ID()
+			var bytes float64
+			flows := map[netem.FlowID]bool{}
+			r.Net.OnDeliver(func(p *netem.Packet, _ sim.Time) {
+				if p.Flow != self {
+					bytes += float64(p.Size)
+					flows[p.Flow] = true
+				}
+			})
+			// delivered is what the cross traffic delivered so far, in bytes
+			// and in flows that delivered anything.
+			delivered := func(at sim.Time) (float64, int) {
+				r.Sch.RunUntil(at)
+				fluid, _ := r.Link.FluidStats()
+				return bytes + fluid, len(flows)
+			}
+			if got, _ := delivered(start); got != 0 {
+				t.Errorf("%s: %v bytes delivered before start", name, got)
+			}
+			drained, drainedFlows := delivered(stop + r.Cfg.RTT)
+			tail, _ := delivered(end - 2*sim.Second)
+			total, totalFlows := delivered(end)
+			switch {
+			case drained == 0:
+				t.Errorf("%s: nothing delivered in the window", name)
+			case until == 0 && total == tail:
+				t.Errorf("%s: nothing delivered in the last 2 s of an open window", name)
+			case until > 0 && c.kind != "trace" && total != drained:
+				t.Errorf("%s: %v bytes delivered after stop + RTT", name, total-drained)
+			case until > 0 && totalFlows != drainedFlows:
+				t.Errorf("%s: %d flows started after stop + RTT", name, totalFlows-drainedFlows)
+			}
+		}
+	}
 }
 
 // TestScoreCellBuildsThroughBuild: a figure's scoring cell is put

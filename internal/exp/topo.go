@@ -61,54 +61,39 @@ var topoCols = []Col{
 // under test crosses all three equal-rate hops while one cubic flow
 // contends at each hop.
 func topoParkingLot(schemeName string, seed int64, dur sim.Time) []any {
-	rtt := 50 * sim.Millisecond
-	r := NewRig(NetConfig{
-		RateMbps: 48, RTT: rtt, Buffer: 100 * sim.Millisecond,
-		Seed:     sim.DeriveSeed(seed, "topo/parking-lot/"+schemeName),
-		Topology: "parking-lot",
-	})
 	cubic := spec.MustParse("cubic")
-	flows, err := r.AddFlowSpecs(
-		FlowSpec{Scheme: spec.MustParse(schemeName)},
-		FlowSpec{Scheme: cubic, Route: "hop1"},
-		FlowSpec{Scheme: cubic, Route: "hop2"},
-		FlowSpec{Scheme: cubic, Route: "hop3"},
-	)
-	if err != nil {
-		panic(err)
-	}
-	r.Sch.RunUntil(dur)
-	st := FlowStats(flows, dur)
+	b := scoreCell{
+		net: NetConfig{RateMbps: 48, Seed: sim.DeriveSeed(seed, "topo/parking-lot/"+schemeName), Topology: "parking-lot"},
+		flows: []FlowSpec{
+			{Scheme: spec.MustParse(schemeName)},
+			{Scheme: cubic, Route: "hop1"}, {Scheme: cubic, Route: "hop2"}, {Scheme: cubic, Route: "hop3"},
+		},
+	}.mustBuild()
+	b.Rig.Sch.RunUntil(dur)
+	st := FlowStats(b.Flows, dur)
 	var cross float64
 	for _, v := range st.PerFlowMbps[1:] {
 		cross += v
 	}
 	cross /= float64(len(st.PerFlowMbps) - 1)
-	return []any{"parking-lot", schemeName, st.PerFlowMbps[0], cross, st.Jain, nil, hopsOf(r)}
+	return []any{"parking-lot", schemeName, st.PerFlowMbps[0], cross, st.Jain, nil, hopsOf(b.Rig)}
 }
 
 // topoRevCongested runs one scheme over the rev-congested preset: the
 // scheme's ACKs share a narrow reverse link (5% of nominal) with a CBR
 // stream sized to over-subscribe it, so ACKs queue and drop.
 func topoRevCongested(schemeName string, seed int64, dur sim.Time) []any {
-	rtt := 50 * sim.Millisecond
-	r := NewRig(NetConfig{
-		RateMbps: 48, RTT: rtt, Buffer: 100 * sim.Millisecond,
-		Seed:     sim.DeriveSeed(seed, "topo/rev-congested/"+schemeName),
-		Topology: "rev-congested",
-	})
-	flows, err := r.AddFlowSpecs(FlowSpec{Scheme: spec.MustParse(schemeName)})
-	if err != nil {
-		panic(err)
-	}
-	// The reverse link carries ~2 Mbit/s of ACKs at full forward
-	// throughput against 2.4 Mbit/s capacity; 1.5 Mbit/s of CBR pushes it
-	// into overload.
-	if err := AddCrossOn(r, "rev-cross", "cbr", 1.5e6, rtt); err != nil {
-		panic(err)
-	}
+	b := scoreCell{
+		net:   NetConfig{RateMbps: 48, Seed: sim.DeriveSeed(seed, "topo/rev-congested/"+schemeName), Topology: "rev-congested"},
+		flows: []FlowSpec{{Scheme: spec.MustParse(schemeName)}},
+		// The reverse link carries ~2 Mbit/s of ACKs at full forward
+		// throughput against 2.4 Mbit/s capacity; 1.5 Mbit/s of CBR pushes
+		// it into overload.
+		cross: []crossSpec{{kind: "cbr", route: "rev-cross", rate: 1.5e6}},
+	}.mustBuild()
+	r := b.Rig
 	r.Sch.RunUntil(dur)
-	return []any{"rev-congested", schemeName, flows[0].Probe.MeanMbps(0, dur), nil, nil, r.Net.AckDrops, hopsOf(r)}
+	return []any{"rev-congested", schemeName, b.Flows[0].Probe.MeanMbps(0, dur), nil, nil, r.Net.AckDrops, hopsOf(r)}
 }
 
 // Topo runs the family: every scheme through both scenarios, fanned out

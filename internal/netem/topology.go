@@ -30,9 +30,8 @@ type Route struct {
 // delays, so flows sharing a route can still have different base RTTs.
 //
 // The paper's Fig. 2 single-bottleneck network is the trivial topology:
-// one link, one route, an ideal reverse path (see NewNetwork). Network is
-// an alias for Topology, so every layer that speaks *netem.Network works
-// on any topology unchanged.
+// one link, one route, an ideal reverse path (see NewNetwork); every
+// layer attaches to a *Topology, so it works on any topology unchanged.
 //
 // Hop forwarding is allocation-free: packets ride pooled AfterArg events
 // between hops through each link's prebound entry callback, and the
@@ -68,12 +67,6 @@ type Topology struct {
 	AckDrops uint64
 }
 
-// Network is the trivial-through-general topology every layer attaches
-// to. (Historically the single-bottleneck struct; the alias keeps the
-// paper-model name in signatures while the implementation is the general
-// topology.)
-type Network = Topology
-
 // NewTopology returns an empty topology; add links and routes, then set
 // Link to the bottleneck hop.
 func NewTopology(sch *sim.Scheduler) *Topology {
@@ -86,7 +79,7 @@ func NewTopology(sch *sim.Scheduler) *Topology {
 
 // NewNetwork builds the paper's single-bottleneck network: one link, one
 // route over it, an ideal reverse path.
-func NewNetwork(sch *sim.Scheduler, link *Link) *Network {
+func NewNetwork(sch *sim.Scheduler, link *Link) *Topology {
 	t := NewTopology(sch)
 	t.AddLink(link)
 	t.AddRoute(&Route{Fwd: []Hop{{Link: link}}})

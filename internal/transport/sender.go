@@ -76,13 +76,13 @@ type Sender struct {
 // NewSender attaches a flow with the given controller and source to the
 // network's default route with base RTT rtt. The flow does not transmit
 // until Start.
-func NewSender(net *netem.Network, rtt sim.Time, cc Controller, app Source, rng *sim.Rand) *Sender {
+func NewSender(net *netem.Topology, rtt sim.Time, cc Controller, app Source, rng *sim.Rand) *Sender {
 	return NewSenderOn(net, "", rtt, cc, app, rng)
 }
 
 // NewSenderOn is NewSender on a named route of the topology ("" is the
 // default route). Unknown routes panic, mirroring netem.AttachOn.
-func NewSenderOn(net *netem.Network, route string, rtt sim.Time, cc Controller, app Source, rng *sim.Rand) *Sender {
+func NewSenderOn(net *netem.Topology, route string, rtt sim.Time, cc Controller, app Source, rng *sim.Rand) *Sender {
 	att := net.AttachOn(route, rtt)
 	s := &Sender{
 		att: att,

@@ -36,7 +36,7 @@ func (f *fixedCC) Control() Transmission {
 type env struct {
 	sch  *sim.Scheduler
 	link *netem.Link
-	net  *netem.Network
+	net  *netem.Topology
 }
 
 func newEnv(rateMbps float64, bufMs sim.Time) *env {

@@ -56,7 +56,7 @@ const (
 // arrival process, spawns each session's flows, and streams their
 // lifecycle into Stats. Construct with the fields set, then Start it.
 type Generator struct {
-	Net   *netem.Network
+	Net   *netem.Topology
 	Rng   *sim.Rand
 	Spec  Spec
 	RTT   sim.Time // base RTT of session flows

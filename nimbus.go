@@ -101,11 +101,9 @@ type (
 	Time = sim.Time
 	// Scheduler is the discrete-event loop.
 	Scheduler = sim.Scheduler
-	// Network is the emulated network: the paper's single bottleneck
-	// (Fig. 2) by default, or any multi-hop Topology.
-	Network = netem.Network
-	// Topology is a network of named nodes, directed links, and per-flow
-	// routes; Network is its alias.
+	// Topology is the emulated network: named nodes, directed links and
+	// per-flow routes; the paper's single bottleneck (Fig. 2) is the
+	// trivial one.
 	Topology = netem.Topology
 	// TopologySpec is a parsed topology description (presets like
 	// "parking-lot", or chain specs like "access(x4,5ms)->bn").
