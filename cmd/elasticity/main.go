@@ -22,11 +22,11 @@
 // approximation still shows the detector the signature the per-packet
 // source would (elastic aggregates self-congest into a sawtooth).
 //
-// The uniform listing flags every CLI in this repo shares are available
-// here too: -list-traces (embedded capacity traces for -link-trace),
-// -list-topologies (topology presets for -topology), -list-schemes (the
-// scheme registry), -list-experiments (paper experiment ids, runnable
-// with nimbus-bench -run).
+// The -list flag every CLI in this repo shares is available here too:
+// "-list traces" (embedded capacity traces for -link-trace), "-list
+// topologies" (topology presets for -topology), "-list schemes" (the
+// scheme registry), "-list experiments" (paper experiment ids, runnable
+// with nimbus-bench -run), or several at once, comma-separated.
 //
 // Usage:
 //
@@ -36,7 +36,7 @@
 //	elasticity -fp 5 -topology 'access(100mbps,5ms)->bn(48mbps,pattern=ramp:12:48:8000)'
 //	elasticity -fp 5 -churn "bulk(load=24)" -trace-dur 60s
 //	elasticity -fp 5 -fluid cubic:24 -trace-dur 60s
-//	elasticity -list-traces
+//	elasticity -list traces
 package main
 
 import (
@@ -70,13 +70,10 @@ func main() {
 		fluid    = flag.String("fluid", "", "analyze the delivered rate of a fluid-model aggregate (kind[:rateMbps], e.g. cubic:24) on the standard bottleneck instead of stdin")
 		traceDur = flag.Duration("trace-dur", 60*time.Second, "how much signal to generate with -link-trace/-topology/-churn")
 
-		listSchemes     = flag.Bool("list-schemes", false, "list registered schemes with their typed params and exit")
-		listTraces      = flag.Bool("list-traces", false, "list embedded link capacity traces and exit")
-		listTopologies  = flag.Bool("list-topologies", false, "list registered topology presets and exit")
-		listExperiments = flag.Bool("list-experiments", false, "list paper experiment ids (run them with nimbus-bench -run) and exit")
+		list = flag.String("list", "", exp.ListUsage)
 	)
 	flag.Parse()
-	if exp.HandleListFlags(*listSchemes, *listTraces, *listTopologies, *listExperiments) {
+	if exp.HandleListFlag(*list) {
 		return
 	}
 

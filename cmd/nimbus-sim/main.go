@@ -3,7 +3,7 @@
 // every metric the cell reports — the quickest way to watch Nimbus (or
 // any baseline) against a chosen cross traffic mix. Schemes are typed
 // specs resolved in the scheme registry: "-scheme nimbus(pulse=0.1,mu=est)"
-// parameterizes the scheme inline (-list-schemes documents every scheme
+// parameterizes the scheme inline ("-list schemes" documents every scheme
 // and parameter). "-flows nimbus*2+cubic@10" replaces the single scheme
 // under test with a heterogeneous flow mix (counts, staggered joins,
 // finite flows) and reports per-flow throughput plus Jain/JSD fairness.
@@ -15,14 +15,15 @@
 // time_ms,mbps file) and -rate-pattern applies a step/ramp/outage
 // pattern to the nominal rate. The path may be multi-hop: -topology
 // selects a registered preset (single, access-hop, parking-lot,
-// rev-congested; see -list-topologies) or a chain spec like
+// rev-congested; see "-list topologies") or a chain spec like
 // "access(x4,5ms)->bn", and multi-hop runs report per-hop
 // utilization/drops/queueing. Any of -scheme, -flows, -churn, -rate,
 // -rtt, -buf, -aqm, -cross, -fluid, -link-trace, -rate-pattern, -topology
 // and -seed also accept comma-separated lists (commas inside a spec's
 // parentheses don't split); the cartesian product then runs as a
 // parallel sweep on -workers cores and prints one summary row per
-// scenario (optionally written to -out as JSON or CSV).
+// scenario (optionally written to -out as JSON or CSV). -list prints the
+// listings every CLI shares (schemes, traces, topologies, experiments).
 //
 // Examples:
 //
@@ -33,7 +34,7 @@
 //	nimbus-sim -scheme nimbus -rate-pattern step:12:48:4000,outage:20000:5000 -dur 60s
 //	nimbus-sim -scheme nimbus,cubic -topology access-hop,parking-lot -out topo.json
 //	nimbus-sim -scheme nimbus -churn "bulk(load=24),web(load=12)" -dur 60s
-//	nimbus-sim -list-schemes
+//	nimbus-sim -list schemes,topologies
 package main
 
 import (
@@ -62,16 +63,16 @@ func main() {
 
 func realMain() int {
 	var (
-		scheme  = flag.String("scheme", "nimbus", "scheme spec(s) under test, comma-separated (see -list-schemes)")
+		scheme  = flag.String("scheme", "nimbus", "scheme spec(s) under test, comma-separated (see -list schemes)")
 		flows   = flag.String("flows", "", "heterogeneous flow mix(es) replacing -scheme: SPEC[*COUNT][@STARTs[:STOPs]] joined by \"+\"; comma-separated for sweeps")
 		churn   = flag.String("churn", "", "session-arrival workload(s) competing with -scheme: workload specs like bulk(load=24), web(load=12,cc=bbr), trace(src=flash-crowd); comma-separated for sweeps")
 		rate    = flag.String("rate", "96", "bottleneck link rate(s), Mbit/s, comma-separated")
 		rtt     = flag.String("rtt", "50ms", "base RTT(s), comma-separated durations")
 		buf     = flag.String("buf", "100ms", "buffer depth(s) (time at link rate), comma-separated durations")
 		aqm     = flag.String("aqm", "droptail", "queue discipline(s): "+netem.AQMNames(", ")+"; comma-separated")
-		trace   = flag.String("link-trace", "", "time-varying link capacity trace(s): embedded names (see -list-traces) or time_ms,mbps files; comma-separated")
+		trace   = flag.String("link-trace", "", "time-varying link capacity trace(s): embedded names (see -list traces) or time_ms,mbps files; comma-separated")
 		pattern = flag.String("rate-pattern", "", "time-varying link pattern(s): step:LO:HI:PERIODms, ramp:MIN:MAX:PERIODms, outage:ATms:DURms, constant; comma-separated")
-		topo    = flag.String("topology", "", "path topology(ies): preset names (see -list-topologies) or chain specs like access(x4,5ms)->bn; comma-separated")
+		topo    = flag.String("topology", "", "path topology(ies): preset names (see -list topologies) or chain specs like access(x4,5ms)->bn; comma-separated")
 		cross   = flag.String("cross", "none", "cross traffic kind(s), comma-separated: "+crosstraffic.KindNames(nil))
 		crossMb = flag.Float64("cross-rate", 48, "cross traffic rate for poisson/cbr/trace, Mbit/s")
 		fluid   = flag.String("fluid", "", "fluid cross-traffic spec(s): off, on, or dt=5ms, comma-separated for sweeps — simulate the cross aggregate as a rate process instead of packets (cbr/poisson/cubic/reno kinds only; approximate, so fluid cells get their own scenario keys)")
@@ -84,13 +85,10 @@ func realMain() int {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file when the run completes")
 
-		listSchemes     = flag.Bool("list-schemes", false, "list registered schemes with their typed params and exit")
-		listTraces      = flag.Bool("list-traces", false, "list embedded link capacity traces and exit")
-		listTopologies  = flag.Bool("list-topologies", false, "list registered topology presets and exit")
-		listExperiments = flag.Bool("list-experiments", false, "list paper experiment ids (run them with nimbus-bench -run) and exit")
+		list = flag.String("list", "", exp.ListUsage)
 	)
 	flag.Parse()
-	if exp.HandleListFlags(*listSchemes, *listTraces, *listTopologies, *listExperiments) {
+	if exp.HandleListFlag(*list) {
 		return 0
 	}
 
@@ -134,7 +132,7 @@ func realMain() int {
 	// axes (so "-topology single -fluid off" lands on the default key)
 	// is exp.CanonicalGrid's job, shared with -grid files and POST /jobs.
 	if grid, err = exp.CanonicalGrid(grid); err != nil {
-		fatalf("%v (see -list-schemes, -list-topologies)", err)
+		fatalf("%v (see -list schemes,topologies)", err)
 	}
 	scs := grid.Expand()
 	if len(scs) == 1 {
@@ -144,7 +142,7 @@ func realMain() int {
 		scs[0].RunSeed = 0
 		return runSingle(scs[0], *quiet)
 	}
-	return runSweep(scs, *workers, *out)
+	return exp.Sweep(grid, *workers, *out)
 }
 
 // crossList expands a comma-separated -cross value; every kind shares the
@@ -158,39 +156,6 @@ func crossList(kinds string, rateMbps float64) []runner.Cross {
 		fatalf("-cross: no values given")
 	}
 	return out
-}
-
-// runSweep executes the grid on the worker pool, prints a summary table
-// and returns the exit status: 1 when any cell failed.
-func runSweep(scs []runner.Scenario, workers int, out string) int {
-	rn := &runner.Runner{Workers: workers, OnProgress: runner.Progress(os.Stderr)}
-	rs := rn.Run(scs, exp.RunScenario)
-
-	fmt.Printf("%-40s %10s %12s %12s %12s\n", "scenario", "Mbit/s", "qdelay p95", "mode sw", "events/s")
-	for _, r := range rs {
-		if r.Err != "" {
-			fmt.Printf("%-40s ERROR: %s\n", r.Scenario.Name, r.Err)
-			continue
-		}
-		modeSw := "-"
-		if v, ok := r.Metrics["mode_switches"]; ok {
-			modeSw = strconv.Itoa(int(v))
-		}
-		fmt.Printf("%-40s %10.2f %9.1f ms %12s %12.0f\n",
-			r.Scenario.Name, r.Metrics["mean_mbps"], r.Metrics["qdelay_p95_ms"], modeSw, r.EventsPerSec())
-	}
-	if out != "" {
-		if err := runner.WriteFile(out, rs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", out)
-	}
-	if n := runner.Failed(rs); n > 0 {
-		fmt.Fprintf(os.Stderr, "%d of %d cells failed\n", n, len(rs))
-		return 1
-	}
-	return 0
 }
 
 // runSingle is the single-scenario view, for every scenario kind: a

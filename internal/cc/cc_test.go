@@ -23,6 +23,17 @@ func newRig(rateMbps float64, buf sim.Time) *rig {
 	return &rig{sch: sch, link: link, net: netem.NewNetwork(sch, link), rng: sim.NewRand(7)}
 }
 
+// onDeliver observes every packet the bottleneck delivers, before the
+// packet moves on: the rig is one hop with an ideal reverse path, so this
+// is every data packet at the instant it reaches its receiver.
+func (r *rig) onDeliver(f func(p *netem.Packet, now sim.Time)) {
+	next := r.link.Deliver
+	r.link.Deliver = func(p *netem.Packet, now sim.Time) {
+		f(p, now)
+		next(p, now)
+	}
+}
+
 // addFlow attaches a backlogged flow and returns its sender plus a delay
 // probe that accumulates per-packet queueing delay.
 func (r *rig) addFlow(ctrl transport.Controller, rtt sim.Time) *transport.Sender {
@@ -45,7 +56,7 @@ func (r *rig) tapDelay() *struct {
 		sum float64
 		n   int
 	}{}
-	r.net.OnDeliver(func(p *netem.Packet, now sim.Time) {
+	r.onDeliver(func(p *netem.Packet, now sim.Time) {
 		acc.sum += p.QueueDelay.Millis()
 		acc.n++
 	})

@@ -25,6 +25,17 @@ func newRig(rateMbps float64, buf sim.Time) *rig {
 	return &rig{sch: sch, link: link, net: netem.NewNetwork(sch, link), rng: sim.NewRand(11), mu: rate}
 }
 
+// onDeliver observes every packet the bottleneck delivers, before the
+// packet moves on: the rig is one hop with an ideal reverse path, so this
+// is every data packet at the instant it reaches its receiver.
+func (r *rig) onDeliver(f func(p *netem.Packet, now sim.Time)) {
+	next := r.link.Deliver
+	r.link.Deliver = func(p *netem.Packet, now sim.Time) {
+		f(p, now)
+		next(p, now)
+	}
+}
+
 func (r *rig) nimbus(cfg Config, rtt sim.Time) (*Nimbus, *transport.Sender) {
 	if cfg.Mu == nil {
 		cfg.Mu = Oracle{Rate: r.mu}
@@ -85,7 +96,7 @@ func TestNimbusAloneStaysDelayMode(t *testing.T) {
 	acc := attach(n, 10*sim.Second)
 	var delaySum float64
 	var delayN int
-	r.net.OnDeliver(func(p *netem.Packet, now sim.Time) {
+	r.onDeliver(func(p *netem.Packet, now sim.Time) {
 		if now > 10*sim.Second {
 			delaySum += p.QueueDelay.Millis()
 			delayN++
@@ -132,7 +143,7 @@ func TestNimbusDetectsInelasticCross(t *testing.T) {
 	acc := attach(n, 10*sim.Second)
 	var delaySum float64
 	var delayN int
-	r.net.OnDeliver(func(p *netem.Packet, now sim.Time) {
+	r.onDeliver(func(p *netem.Packet, now sim.Time) {
 		if now > 10*sim.Second {
 			delaySum += p.QueueDelay.Millis()
 			delayN++

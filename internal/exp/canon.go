@@ -19,10 +19,10 @@ import (
 // "bulk(load=24)", "nimbus + cubic" and "nimbus+cubic", "nimbus" and
 // "nimbus(pulse=0.25)") one set of keys, seeds, results and cache
 // entries. Every path that builds a grid from user input (nimbus-sim
-// flags, nimbus-bench -benchmark and -grid, POST /jobs) calls it before
-// Expand, and nothing else canonicalizes an axis. The empty string is
-// every axis's default and passes through. The error names the offending
-// axis by its JSON field. g's lists are not modified.
+// flags, nimbus-bench -grid, POST /jobs) calls it before Expand, and
+// nothing else canonicalizes an axis. The empty string is every axis's
+// default and passes through. The error names the offending axis by its
+// JSON field. g's lists are not modified.
 func CanonicalGrid(g runner.Grid) (runner.Grid, error) {
 	schemes := append([]spec.Spec{g.Base.Scheme}, g.Schemes...)
 	for i, sp := range schemes {

@@ -53,6 +53,36 @@ func TestEveryExperimentHasFamily(t *testing.T) {
 	}
 }
 
+// TestListText: each name -list accepts renders the bytes the -list-NAME
+// flag it replaced printed (testdata/list holds them), and any set of
+// names renders each listing once, in Listings order, whatever order the
+// names come in. An unknown name or an empty item is an error naming the
+// four.
+func TestListText(t *testing.T) {
+	var all string
+	for _, name := range Listings {
+		want, err := os.ReadFile(filepath.Join("testdata", "list", name+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ListText(name); err != nil || got != string(want) {
+			t.Errorf("-list %s = %q, %v; want testdata/list/%s.txt:\n%s", name, got, err, name, want)
+		}
+		all += string(want)
+	}
+	for _, list := range []string{"schemes,traces,topologies,experiments", "experiments, topologies,traces,schemes,traces"} {
+		if got, err := ListText(list); err != nil || got != all {
+			t.Errorf("-list %s = %q, %v; want the four listings in order", list, got, err)
+		}
+	}
+	for _, bad := range []string{"", "bogus", "schemes,", ",traces", "schemes,,traces", "Schemes", "schemes,list"} {
+		_, err := ListText(bad)
+		if err == nil || !strings.Contains(err.Error(), strings.Join(Listings, ", ")) {
+			t.Errorf("-list %q: err = %v, want an error naming the four listings", bad, err)
+		}
+	}
+}
+
 // TestStartProfiles: both profiles land on disk when stop runs, an empty
 // path skips its profile, and an unwritable CPU path is an error before
 // anything runs.

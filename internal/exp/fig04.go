@@ -49,12 +49,12 @@ func runFig04(elastic bool, seed int64) []any {
 	b, name := pulseRig(elastic, seed)
 	from, to := 75*sim.Second, 78*sim.Second
 	var sSamp, zSamp []float64
-	b.Flows[0].Scheme.Nimbus.OnTick = func(t core.Telemetry) {
+	onTick(b.Flows[0].Scheme.Nimbus, func(t core.Telemetry) {
 		if t.Now >= from && t.Now < to {
 			sSamp = append(sSamp, t.Rate)
 			zSamp = append(zSamp, t.Z)
 		}
-	}
+	})
 	b.Rig.Sch.RunUntil(to)
 
 	var osc, corr float64

@@ -32,12 +32,12 @@ func Fig16(seed int64, quick bool) Report {
 	// Delay-mode accounting per tick.
 	var delayTicks, totalTicks int
 	for _, f := range flows {
-		f.Scheme.Nimbus.OnTick = func(t core.Telemetry) {
+		onTick(f.Scheme.Nimbus, func(t core.Telemetry) {
 			totalTicks++
 			if t.Mode == core.ModeDelay {
 				delayTicks++
 			}
-		}
+		})
 	}
 	// Pulser census after the first flow's detector warms up.
 	var one, multi, zero, census int

@@ -1,10 +1,12 @@
 package exp
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 
@@ -84,41 +86,73 @@ func Run(id string, seed int64, quick bool) (string, error) {
 	return rep.String(), err
 }
 
-// ListText renders the uniform -list-* flag output every CLI shares:
-// the scheme registry, the embedded trace corpus, the topology presets,
-// and the experiment index, concatenated in that order for whichever
-// flags are set.
-func ListText(schemes, traces, topologies, experiments bool) (string, error) {
+// Listings are the names the -list flag accepts, in the order their
+// listings print: the scheme registry, the embedded trace corpus, the
+// topology presets and the experiment index.
+var Listings = []string{"schemes", "traces", "topologies", "experiments"}
+
+// ListUsage is the -list flag's help text, the same on every CLI.
+const ListUsage = "print listings and exit: a comma-separated subset of schemes,traces,topologies,experiments"
+
+// listNames parses a -list value into the set of listings it names. An
+// unknown or empty name is an error that names the four.
+func listNames(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if !slices.Contains(Listings, name) {
+			return nil, fmt.Errorf("-list: unknown listing %q (have %s)", name, strings.Join(Listings, ", "))
+		}
+		want[name] = true
+	}
+	return want, nil
+}
+
+// ListText renders the -list output every CLI shares: each listing the
+// comma-separated list names, once, in Listings order.
+func ListText(list string) (string, error) {
+	want, err := listNames(list)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
-	if schemes {
+	if want["schemes"] {
 		b.WriteString(spec.FormatList())
 	}
-	if traces {
+	if want["traces"] {
 		out, err := FormatTraceList()
 		if err != nil {
 			return "", err
 		}
 		b.WriteString(out)
 	}
-	if topologies {
+	if want["topologies"] {
 		b.WriteString(FormatTopologyList())
 	}
-	if experiments {
+	if want["experiments"] {
 		b.WriteString(FormatExperimentList())
 	}
 	return b.String(), nil
 }
 
-// HandleListFlags is the CLIs' shared dispatch for the uniform -list-*
-// flags: when any is set it prints the listing to stdout (exiting 1 on
-// error) and reports true, so each main can simply return. Keeping the
-// dispatch here, next to the renderers, means the three binaries cannot
-// drift in output, error path, or exit code.
-func HandleListFlags(schemes, traces, topologies, experiments bool) bool {
-	if !schemes && !traces && !topologies && !experiments {
+// HandleListFlag is the CLIs' shared dispatch for the -list flag: when
+// it is set it prints the listings to stdout and reports true, so each
+// main can simply return. A misspelt or empty name, an empty -list
+// value included, exits 2 before anything prints; a listing that fails
+// to render exits 1. Keeping the dispatch here, next to the renderers,
+// means the three binaries cannot drift in output, error path, or exit
+// code.
+func HandleListFlag(list string) bool {
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == "list" })
+	if !set {
 		return false
 	}
-	out, err := ListText(schemes, traces, topologies, experiments)
+	if _, err := listNames(list); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	out, err := ListText(list)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -207,7 +241,7 @@ func FamilyOf(id string) string {
 }
 
 // FormatExperimentList renders the registry index grouped by family —
-// the text every CLI prints for -list-experiments. Each family gets a
+// the text every CLI prints for -list experiments. Each family gets a
 // "family: doc" header followed by its member experiments, so the
 // listing explains what a family is for, not just which ids exist.
 func FormatExperimentList() string {
@@ -224,7 +258,7 @@ func FormatExperimentList() string {
 }
 
 // FormatTopologyList renders the registered topology presets with their
-// hop structure — the text every CLI prints for -list-topologies. Chain
+// hop structure — the text every CLI prints for -list topologies. Chain
 // specs ("access(x4,5ms)->bn") are accepted anywhere a preset name is.
 func FormatTopologyList() string {
 	var b strings.Builder
@@ -245,7 +279,7 @@ func FormatTopologyList() string {
 
 // FormatTraceList renders the embedded capacity-trace corpus with each
 // trace's span and rate range — the text every CLI prints for
-// -list-traces.
+// -list traces.
 func FormatTraceList() (string, error) {
 	var b strings.Builder
 	for _, name := range netem.TraceNames() {

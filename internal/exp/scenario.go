@@ -3,7 +3,11 @@ package exp
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"os"
+	"strconv"
+	"time"
 
 	"nimbus/internal/core"
 	"nimbus/internal/crosstraffic"
@@ -286,6 +290,61 @@ func (b *Cell) Metrics(end sim.Time) map[string]float64 {
 func RunSweep(g runner.Grid, workers int, onProgress func(done, total int, r runner.Result)) []runner.Result {
 	rn := &runner.Runner{Workers: workers, OnProgress: onProgress}
 	return rn.Run(g.Expand(), RunScenario)
+}
+
+// Sweep is the CLIs' one local sweep path (nimbus-sim's list-valued
+// flags, nimbus-bench -grid): it runs the grid on the pool with progress
+// on stderr, prints the sweep table, writes every row to out (.json or
+// .csv; "" writes nothing) and returns the exit status, which is 1 if out
+// could not be written or any row failed.
+func Sweep(g runner.Grid, workers int, out string) int {
+	start := time.Now()
+	rs := RunSweep(g, workers, runner.Progress(os.Stderr))
+	PrintSweep(os.Stdout, rs, time.Since(start).Seconds())
+	if out != "" {
+		if err := runner.WriteFile(out, rs); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s\n", out)
+	}
+	return SweepStatus(rs)
+}
+
+// PrintSweep writes the sweep table, local or remote: one row per cell
+// (an ERROR row for a failed one), then the events of the cells that ran
+// over wall, the sweep's wall-clock seconds (no line when wall is 0).
+func PrintSweep(w io.Writer, rs []runner.Result, wall float64) {
+	var events uint64
+	fmt.Fprintf(w, "%-40s %10s %12s %12s %12s %12s\n", "scenario", "Mbit/s", "qdelay p95", "mode sw", "events", "events/s")
+	for _, r := range rs {
+		if r.Err != "" {
+			fmt.Fprintf(w, "%-40s ERROR: %s\n", r.Scenario.Name, r.Err)
+			continue
+		}
+		events += r.Events
+		modeSw := "-"
+		if v, ok := r.Metrics["mode_switches"]; ok {
+			modeSw = strconv.Itoa(int(v))
+		}
+		fmt.Fprintf(w, "%-40s %10.2f %9.1f ms %12s %12d %12.0f\n",
+			r.Scenario.Name, r.Metrics["mean_mbps"], r.Metrics["qdelay_p95_ms"], modeSw, r.Events, r.EventsPerSec())
+	}
+	if wall > 0 {
+		fmt.Fprintf(w, "total: %d events in %.1fs wall (%.0f events/s aggregate)\n",
+			events, wall, float64(events)/wall)
+	}
+}
+
+// SweepStatus is a sweep's exit status: 1, with a count on stderr, when
+// any cell failed. Error rows are printed and written like the rest, but
+// a sweep that has them did not succeed.
+func SweepStatus(rs []runner.Result) int {
+	if n := runner.Failed(rs); n > 0 {
+		fmt.Fprintf(os.Stderr, "%d of %d cells failed\n", n, len(rs))
+		return 1
+	}
+	return 0
 }
 
 // sweepRows turns a sweep's results into report rows: the cell's label

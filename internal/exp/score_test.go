@@ -163,12 +163,16 @@ func TestCrossWindow(t *testing.T) {
 			r, self := b.Rig, b.Flows[0].Probe.Sender.ID()
 			var bytes float64
 			flows := map[netem.FlowID]bool{}
-			r.Net.OnDeliver(func(p *netem.Packet, _ sim.Time) {
+			// The bottleneck is the only hop and the reverse path is
+			// ideal, so its deliveries are the rig's.
+			next := r.Link.Deliver
+			r.Link.Deliver = func(p *netem.Packet, now sim.Time) {
 				if p.Flow != self {
 					bytes += float64(p.Size)
 					flows[p.Flow] = true
 				}
-			})
+				next(p, now)
+			}
 			// delivered is what the cross traffic delivered so far, in bytes
 			// and in flows that delivered anything.
 			delivered := func(at sim.Time) (float64, int) {

@@ -52,10 +52,6 @@ type Topology struct {
 	flows map[FlowID]*Attachment
 	next  FlowID
 
-	// onDeliver taps run for every data packet reaching the end of its
-	// route (before per-flow delivery).
-	onDeliver []func(p *Packet, now sim.Time)
-
 	pktFree []*Packet
 	// OrphanRecycled counts in-flight packets recycled at delivery because
 	// their flow was detached (or its receiver cleared) — observable in
@@ -311,9 +307,6 @@ func (t *Topology) advance(p *Packet, now sim.Time) {
 }
 
 func (t *Topology) deliver(p *Packet, now sim.Time) {
-	for _, f := range t.onDeliver {
-		f(p, now)
-	}
 	a, ok := t.flows[p.Flow]
 	if !ok || a.Receive == nil {
 		// The flow was detached (or its receiver stopped): the packet's
@@ -344,13 +337,6 @@ func (t *Topology) drop(p *Packet, now sim.Time) {
 		a.Dropped(p, now)
 	}
 	t.PutPacket(p)
-}
-
-// OnDeliver registers a tap invoked for every data packet completing its
-// route (before per-flow delivery). Experiments use it to measure
-// aggregate cross-traffic rates and per-packet queueing delay.
-func (t *Topology) OnDeliver(f func(p *Packet, now sim.Time)) {
-	t.onDeliver = append(t.onDeliver, f)
 }
 
 // QueueDelayNow returns the current queueing delay implied by occupancy

@@ -305,7 +305,7 @@ func List() []Info {
 	return out
 }
 
-// FormatList renders the registry as the text every CLI's -list-schemes
+// FormatList renders the registry as the text every CLI's -list schemes
 // prints: one line per scheme, then one indented line per parameter with
 // its type, default, and doc.
 func FormatList() string {

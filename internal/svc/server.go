@@ -315,17 +315,18 @@ func (s *Server) runJob(ctx context.Context, j *Job, workers int) {
 		r, oc := s.Store.GetOrRun(ctx, s.Store.Key(sc), func() runner.Result {
 			// The watchdog gets a fresh context, not the job's: a
 			// canceled job must not abort a cell other jobs may be
-			// sharing (in-flight cells finish and cache). Guard panics
-			// here, not just in the runner: a panicking scenario must
-			// still settle the store's flight, or every job sharing
-			// this cell would hang. Likewise a hung cell: the watchdog's
-			// error row settles the flight, releasing every waiter.
+			// sharing (in-flight cells finish and cache). RunWatched
+			// turns a panic into an error row here, inside the flight,
+			// not only in the runner: a panicking scenario must still
+			// settle the store's flight, or every job sharing this cell
+			// would hang. Likewise a hung cell: the watchdog's error row
+			// settles the flight, releasing every waiter.
 			t0 := time.Now()
 			r, reaped := runner.RunWatched(context.Background(), sc, s.CellTimeout, func(cctx context.Context) runner.Result {
 				if err := fault.Fire(cctx, "cell-run"); err != nil {
 					return runner.Result{Scenario: sc, Err: err.Error()}
 				}
-				return guardedRun(s.Run, sc)
+				return s.Run(sc)
 			})
 			if reaped {
 				s.mu.Lock()
@@ -357,17 +358,6 @@ func (s *Server) runJob(ctx context.Context, j *Job, workers int) {
 	st := j.Status()
 	s.logf("job %s: %s in %.1fs — %d hit / %d miss / %d shared / %d errors",
 		j.id, state, st.ElapsedSec, st.Cells.Hit, st.Cells.Miss, st.Cells.Shared, st.Cells.Errors)
-}
-
-// guardedRun converts a panicking scenario into an error row, mirroring
-// the runner's own guard.
-func guardedRun(run runner.RunFunc, sc runner.Scenario) (r runner.Result) {
-	defer func() {
-		if p := recover(); p != nil {
-			r = runner.Result{Scenario: sc, Err: fmt.Sprint(p)}
-		}
-	}()
-	return run(sc)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -277,6 +277,61 @@ func TestServerConcurrentJobsShareCells(t *testing.T) {
 	}
 }
 
+// TestServerPanickingCellIsAnErrorRow: two jobs share one cell whose run
+// panics. The panic settles the store's flight as an error row for both
+// jobs, nothing stays in flight, and the row is not cached: the next
+// submission runs the cell again.
+func TestServerPanickingCellIsAnErrorRow(t *testing.T) {
+	var runs atomic.Int64
+	release := make(chan struct{})
+	client, srv := newTestServer(t, func(sc runner.Scenario) runner.Result {
+		runs.Add(1)
+		<-release
+		panic("boom")
+	})
+	ctx := context.Background()
+	g := runner.Grid{Base: smallGrid().Base}
+	a, err := client.Submit(ctx, g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := client.Submit(ctx, g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.Store.Stats().Shared == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second job never joined the first one's flight")
+		}
+	}
+	close(release)
+	for _, id := range []string{a.ID, b.ID} {
+		rs, err := client.Results(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs) != 1 || rs[0].Err != "boom" {
+			t.Fatalf("job %s rows %+v, want one error row \"boom\"", id, rs)
+		}
+	}
+	if st := srv.Store.Stats(); st.Inflight != 0 {
+		t.Fatalf("store stats %+v after the panic, want nothing in flight", st)
+	}
+	if _, ok := srv.Store.Get(srv.Store.Key(g.Expand()[0])); ok {
+		t.Fatal("the panicking cell's error row was cached")
+	}
+	c, err := client.Submit(ctx, g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Results(ctx, c.ID); err != nil {
+		t.Fatal(err)
+	}
+	if got := runs.Load(); got != 2 {
+		t.Fatalf("%d runs, want 2: one for the shared flight, one for the resubmission", got)
+	}
+}
+
 // TestServerBadRequests: malformed grids and unknown jobs produce typed
 // errors, not hangs.
 func TestServerBadRequests(t *testing.T) {

@@ -169,7 +169,7 @@ func BuildScheme(sp SchemeSpec, muBps float64, mu MuEstimator) (Scheme, error) {
 func MustScheme(s string, muBps float64) Scheme { return exp.MustScheme(s, muBps) }
 
 // Schemes lists every registered scheme with its typed parameters,
-// defaults, and docs (what the CLIs print for -list-schemes).
+// defaults, and docs (what the CLIs print for -list schemes).
 func Schemes() []SchemeInfo { return scheme.List() }
 
 // RegisterScheme adds a scheme to the registry, making it available to

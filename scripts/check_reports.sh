@@ -13,8 +13,10 @@
 # them, stripped the same way, with the default-pool output: report cells
 # run on the shared worker pool, and the pool's size must not show. Last,
 # it fails if an "expected shape" line is written anywhere in internal/exp
-# but the one renderer (table.go), or if a figure builds a rig by hand
-# (NewRig, AddFlow) instead of describing a scoreCell.
+# but the one renderer (table.go), if a figure builds a rig by hand
+# (NewRig, AddFlow) instead of describing a scoreCell, or if it assigns a
+# Nimbus flow's OnTick hook instead of chaining onto it (onTick), which
+# would discard whatever scoreCell.build attached.
 #
 # A refactor of internal/exp or anything under it must leave every digest
 # unchanged. A change that is meant to alter a report says so, reruns
@@ -97,6 +99,11 @@ if stray=$(grep -l 'expected shape' $(ls internal/exp/*.go | grep -v -e _test.go
 fi
 if stray=$(grep -n -e 'NewRig(' -e '\.AddFlow(' $(ls internal/exp/*.go | grep -v -e _test.go -e /exp.go -e /score.go)); then
     echo "check_reports: FAIL — a rig built by hand (describe a scoreCell and build it):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+if stray=$(grep -n '\.OnTick =' $(ls internal/exp/*.go | grep -v -e _test.go -e /score.go)); then
+    echo "check_reports: FAIL — an OnTick hook overwritten (chain it with onTick):" >&2
     echo "$stray" >&2
     exit 1
 fi
