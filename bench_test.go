@@ -123,7 +123,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // (two links, an inter-hop wire, receiver delivery, pool recycling) per
 // op, with the rig built once and all pools warmed before the timer
 // starts. The CI bench smoke gates allocs/op at zero: hop forwarding
-// must stay on pooled timers and the shared packet pool.
+// must stay on delay lines and the shared packet pool.
 func BenchmarkTopologyThroughput(b *testing.B) {
 	r := exp.NewRig(exp.NetConfig{
 		RateMbps: 96, RTT: 10 * sim.Millisecond, Buffer: 100 * sim.Millisecond,

@@ -203,7 +203,7 @@ func TestFluidVaryingLink(t *testing.T) {
 // TestFluidAllocFree pins the optimization's point: a link carrying
 // both foreground packets and a fluid load in steady state allocates
 // nothing — settlement and flush-ahead are pure arithmetic on link
-// fields, and the completion events stay pooled.
+// fields, and the completion timer is re-armed in place.
 func TestFluidAllocFree(t *testing.T) {
 	sch := sim.NewScheduler()
 	l := NewLink(sch, 96e6, NewDropTail(1<<20))

@@ -12,8 +12,8 @@ import "nimbus/internal/sim"
 // transition finishes exactly when the integral of the rate over its
 // transmission interval reaches its size — serialization, busy-time, and
 // utilization accounting stay exact across transitions. A constant-rate
-// link (the common case) keeps the allocation-free fast path: pooled
-// no-handle completion events and no per-packet state beyond the slot.
+// link (the common case) keeps the allocation-free fast path: one owned
+// completion timer and no per-packet state beyond the slot.
 type Link struct {
 	Sch *sim.Scheduler
 	// Name labels the link as a hop of a topology ("bn", "access", ...).
@@ -32,23 +32,23 @@ type Link struct {
 
 	busy bool
 	// In-flight transmission state: the link serializes one packet at a
-	// time, so a single slot plus a reusable completion callback avoids a
-	// closure allocation per packet on the hottest path in the simulator.
-	txPkt  *Packet
-	txTime sim.Time // constant path: serialization time of txPkt
-	txDone func()
+	// time, so a single slot, one owned completion timer re-armed per
+	// packet and a reusable completion callback avoid any allocation per
+	// packet on the hottest path in the simulator.
+	txPkt   *Packet
+	txTimer *sim.Timer
+	txTime  sim.Time // constant path: serialization time of txPkt
+	txDone  func()
 	// Varying path: remaining bits of txPkt and when they were last
-	// drained; the completion timer is cancellable because a rate change
-	// mid-packet reschedules it.
+	// drained; a rate change mid-packet re-arms the completion timer.
 	txBitsLeft float64
 	txUpdated  sim.Time
-	txTimer    *sim.Timer
 	txVarDone  func()
 	rateChange func()
 
 	// enterFn is the topology's prebound entry callback ("send the event's
-	// packet on this link"): one per link, so inter-hop forwarding rides
-	// pooled AfterArg events with no per-packet closures.
+	// packet on this link"): one per link, so packets cross the delay
+	// lines into it with no per-packet closures.
 	enterFn func(arg any)
 
 	// Fluid cross-traffic term (EnableFluid, see fluid.go): an aggregate
@@ -155,7 +155,7 @@ func (l *Link) startNext() {
 		}
 		l.txPkt = p
 		l.txTime = tx
-		l.Sch.AfterFunc(tx, l.txDone)
+		l.txTimer = l.Sch.Rearm(l.txTimer, now+tx, l.txDone)
 		return
 	}
 	l.txPkt = p

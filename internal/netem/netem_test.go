@@ -120,7 +120,7 @@ func TestNetworkRTTAndDelivery(t *testing.T) {
 	}
 	var rtt sim.Time
 	att.Receive = func(p *Packet, now sim.Time) {
-		att.SendAck(func(ackNow sim.Time) { rtt = ackNow - p.SentAt })
+		att.SendAckArg(func(any) { rtt = sch.Now() - p.SentAt }, nil)
 	}
 	att.Send(&Packet{Size: 1500})
 	sch.Run()

@@ -11,6 +11,8 @@ import (
 type Hop struct {
 	Link  *Link
 	Delay sim.Time
+
+	line *sim.Line // the topology's line for Delay, set by AddRoute
 }
 
 // Route is a flow path through the topology: the ordered hops of the data
@@ -33,11 +35,12 @@ type Route struct {
 // one link, one route, an ideal reverse path (see NewNetwork); every
 // layer attaches to a *Topology, so it works on any topology unchanged.
 //
-// Hop forwarding is allocation-free: packets ride pooled AfterArg events
-// between hops through each link's prebound entry callback, and the
-// topology owns a shared packet free list that senders and raw sources
-// draw from and that delivery (including delivery for detached flows)
-// and drops return packets to.
+// Hop forwarding is allocation-free: every wire delay is a sim.Line, one
+// per distinct delay, looked up when a flow attaches or a route is added;
+// packets and ACKs cross it through each link's prebound entry callback.
+// The topology also owns a shared packet free list that senders and raw
+// sources draw from and that delivery (including delivery for detached
+// flows) and drops return packets to.
 type Topology struct {
 	Sch *sim.Scheduler
 	// Link is the designated bottleneck hop: the µ link that oracles and
@@ -48,6 +51,7 @@ type Topology struct {
 	routes map[string]*Route
 	def    *Route
 	nodes  []string
+	lines  map[sim.Time]*sim.Line
 
 	flows map[FlowID]*Attachment
 	next  FlowID
@@ -70,7 +74,20 @@ func NewTopology(sch *sim.Scheduler) *Topology {
 		Sch:    sch,
 		routes: make(map[string]*Route),
 		flows:  make(map[FlowID]*Attachment),
+		lines:  make(map[sim.Time]*sim.Line),
 	}
+}
+
+// line returns the topology's delay line for d, creating it on first use.
+// Everything crossing a wire of delay d shares it: pushes happen at
+// non-decreasing times, so one line per delay keeps each one in order.
+func (t *Topology) line(d sim.Time) *sim.Line {
+	l, ok := t.lines[d]
+	if !ok {
+		l = t.Sch.NewLine(d)
+		t.lines[d] = l
+	}
+	return l
 }
 
 // NewNetwork builds the paper's single-bottleneck network: one link, one
@@ -97,6 +114,11 @@ func (t *Topology) AddLink(l *Link) {
 func (t *Topology) AddRoute(r *Route) {
 	if len(r.Fwd) == 0 {
 		panic("netem: route " + r.Name + " has no forward hops")
+	}
+	for _, hops := range [][]Hop{r.Fwd, r.Rev} {
+		for i := range hops {
+			hops[i].line = t.line(hops[i].Delay)
+		}
 	}
 	t.routes[r.Name] = r
 	if r.Name == "" {
@@ -158,7 +180,8 @@ func (t *Topology) FreePackets() int { return len(t.pktFree) }
 // Flows returns the number of attached flows (tests).
 func (t *Topology) Flows() int { return len(t.flows) }
 
-// Attachment describes one flow's path through the topology.
+// Attachment describes one flow's path through the topology. Its access
+// delays are fixed when it attaches.
 type Attachment struct {
 	ID       FlowID
 	FwdDelay sim.Time // one-way sender→first hop (plus last hop→receiver wire)
@@ -173,6 +196,10 @@ type Attachment struct {
 
 	net   *Topology
 	route *Route
+	// The lines of the access wires: FwdDelay plus the first hop's delay,
+	// and RevDelay (plus the first reverse hop's delay on congested
+	// reverse paths).
+	fwdLine, revLine *sim.Line
 }
 
 // BaseRTT returns the two-way propagation delay of a flow attachment:
@@ -214,6 +241,12 @@ func (t *Topology) AttachAsymOn(route string, fwd, rev sim.Time) *Attachment {
 	}
 	t.next++
 	a := &Attachment{ID: t.next, FwdDelay: fwd, RevDelay: rev, net: t, route: r}
+	a.fwdLine = t.line(fwd + r.Fwd[0].Delay)
+	if len(r.Rev) == 0 {
+		a.revLine = t.line(rev)
+	} else {
+		a.revLine = t.line(rev + r.Rev[0].Delay)
+	}
 	t.flows[a.ID] = a
 	return a
 }
@@ -239,21 +272,13 @@ func (a *Attachment) Send(p *Packet) {
 	p.route = a.route
 	p.hop = 0
 	p.rev = false
-	h := a.route.Fwd[0]
-	a.net.Sch.AfterArg(a.FwdDelay+h.Delay, h.Link.enterFn, p)
-}
-
-// SendAck schedules fn at the sender after the reverse path: a pure
-// propagation delay on ideal reverse routes, or the congested reverse
-// hops plus the propagation delay otherwise.
-func (a *Attachment) SendAck(fn func(now sim.Time)) {
-	a.SendAckArg(func(any) { fn(a.net.Sch.Now()) }, nil)
+	a.fwdLine.Push(a.route.Fwd[0].Link.enterFn, p)
 }
 
 // SendAckArg delivers fn(arg) across the flow's reverse path. On ideal
-// reverse routes the argument rides on a pooled scheduler event (the
-// paper's uncongested-ACK model, allocation-free). On routes with reverse
-// hops, the ACK state rides through those links' queues as an AckSize
+// reverse routes the argument crosses the reverse delay line on its own
+// (the paper's uncongested-ACK model, allocation-free). On routes with
+// reverse hops, the ACK state rides through those links' queues as an AckSize
 // packet from the shared pool — queued, delayed, and possibly dropped
 // like any other traffic; a dropped ACK packet simply never invokes fn
 // (transports recover via dup-ACKs and RTOs). An arg that is itself a
@@ -263,7 +288,7 @@ func (a *Attachment) SendAck(fn func(now sim.Time)) {
 func (a *Attachment) SendAckArg(fn func(arg any), arg any) {
 	r := a.route
 	if len(r.Rev) == 0 {
-		a.net.Sch.AfterArg(a.RevDelay, fn, arg)
+		a.revLine.Push(fn, arg)
 		return
 	}
 	p := a.net.GetPacket()
@@ -274,16 +299,15 @@ func (a *Attachment) SendAckArg(fn func(arg any), arg any) {
 	p.rev = true
 	p.ackFn = fn
 	p.ackArg = arg
-	h := r.Rev[0]
-	a.net.Sch.AfterArg(a.RevDelay+h.Delay, h.Link.enterFn, p)
+	a.revLine.Push(r.Rev[0].Link.enterFn, p)
 }
 
 // advance is every link's delivery callback: it moves the packet to its
 // route's next hop, or completes the traversal — data packets are
 // delivered to the flow's receiver, ACK packets invoke their callback at
-// the sender. Inter-hop forwarding uses the link's prebound entry
-// callback on a pooled AfterArg event, so multi-hop paths cost zero
-// allocations per packet like the single-bottleneck fast path.
+// the sender. Inter-hop forwarding pushes the packet on the hop's delay
+// line with the link's prebound entry callback, so multi-hop paths cost
+// zero allocations per packet like the single-bottleneck fast path.
 func (t *Topology) advance(p *Packet, now sim.Time) {
 	if r := p.route; r != nil {
 		hops := r.Fwd
@@ -292,8 +316,8 @@ func (t *Topology) advance(p *Packet, now sim.Time) {
 		}
 		if n := int(p.hop) + 1; n < len(hops) {
 			p.hop = int16(n)
-			h := hops[n]
-			t.Sch.AfterArg(h.Delay, h.Link.enterFn, p)
+			h := &hops[n]
+			h.line.Push(h.Link.enterFn, p)
 			return
 		}
 	}

@@ -172,7 +172,7 @@ func TestIdealRevPathUnchanged(t *testing.T) {
 	att := topo.AttachAsym(3*sim.Millisecond, 7*sim.Millisecond)
 	var ackAt sim.Time
 	sch.At(0, func() {
-		att.SendAck(func(now sim.Time) { ackAt = now })
+		att.SendAckArg(func(any) { ackAt = sch.Now() }, nil)
 	})
 	sch.Run()
 	if ackAt != 7*sim.Millisecond {

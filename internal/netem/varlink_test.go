@@ -278,8 +278,10 @@ func TestVarLinkCoDelAcrossTransitions(t *testing.T) {
 	}
 }
 
-// TestConstantLinkFastPathUnchanged: a constant-rate link must not pay
-// the varying-path costs (cancellable timers) and must behave as before.
+// TestConstantLinkFastPathUnchanged: a constant-rate link completes each
+// packet one serialization time after the last, re-arms its one owned
+// completion timer instead of drawing from the scheduler's free list,
+// and allocates nothing per packet once warm.
 func TestConstantLinkFastPathUnchanged(t *testing.T) {
 	sch := sim.NewScheduler()
 	link := NewLink(sch, 12e6, NewDropTail(1<<20))
@@ -290,12 +292,38 @@ func TestConstantLinkFastPathUnchanged(t *testing.T) {
 	link.Deliver = func(p *Packet, now sim.Time) { times = append(times, now) }
 	backlog(link, 5)
 	sch.Run()
+	if len(times) != 5 {
+		t.Fatalf("delivered %d packets, want 5", len(times))
+	}
 	for i, at := range times {
 		if want := sim.Time(i+1) * sim.Millisecond; at != want {
 			t.Fatalf("packet %d at %v, want %v", i, at, want)
 		}
 	}
-	if sch.PoolReuses == 0 {
-		t.Fatal("constant path should use pooled timers")
+	if sch.PoolReuses != 0 || sch.FreeTimers() != 0 {
+		t.Fatalf("constant path drew on the scheduler's free list: %d reuses, %d free timers",
+			sch.PoolReuses, sch.FreeTimers())
+	}
+
+	// Warm: the link re-sends what it delivers, so its timer is re-armed
+	// once per packet for as long as the run lasts.
+	link.Deliver = func(p *Packet, now sim.Time) { link.Send(p) }
+	backlog(link, 8)
+	end := sch.Now() + 20*sim.Millisecond
+	sch.RunUntil(end)
+	before := link.DeliveredPackets
+	allocs := testing.AllocsPerRun(50, func() {
+		end += 10 * sim.Millisecond
+		sch.RunUntil(end)
+	})
+	if allocs != 0 {
+		t.Fatalf("constant link allocates %v per 10 packets, want 0", allocs)
+	}
+	if link.DeliveredPackets == before {
+		t.Fatal("warm link delivered nothing")
+	}
+	if sch.PoolReuses != 0 || sch.FreeTimers() != 0 {
+		t.Fatalf("warm constant path drew on the scheduler's free list: %d reuses, %d free timers",
+			sch.PoolReuses, sch.FreeTimers())
 	}
 }

@@ -9,8 +9,9 @@ package sim
 // Rearm. Events scheduled through AtFunc/AfterFunc/AfterArg return no
 // handle; their Timer structs are pooled and reused by the scheduler, which
 // makes them allocation-free in steady state — that is the right API for
-// high-frequency fire-and-forget events (per-packet transmissions,
-// propagation delays, ACK deliveries).
+// fire-and-forget events (arrivals, ticks). Events that all wait the same
+// delay — a packet or ACK crossing a wire — go on a Line instead, which
+// keeps only its earliest entry in the queue.
 type Timer struct {
 	at        Time
 	seq       uint64
@@ -176,6 +177,7 @@ type Scheduler struct {
 	seq     uint64
 	stopped bool
 	free    []*Timer
+	lined   int // Line entries waiting behind their line's head (not in the wheel)
 	// Executed counts events run, useful for progress reporting and tests.
 	Executed uint64
 	// PoolReuses counts pooled timers recycled from the free list
@@ -204,7 +206,11 @@ func (s *Scheduler) schedule(t Time, fn func(), afn func(any), arg any, pooled b
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 		s.PoolReuses++
-		*ev = Timer{at: t, seq: s.seq, fn: fn, afn: afn, arg: arg, sch: s, pooled: true}
+		// Field by field: a composite literal is built on the stack and
+		// copied, and that copy stalls on store forwarding. A released
+		// timer already has sch, pooled and idx right.
+		ev.at, ev.seq, ev.fn, ev.afn, ev.arg = t, s.seq, fn, afn, arg
+		ev.cancelled, ev.fired = false, false
 	} else {
 		ev = &Timer{at: t, seq: s.seq, fn: fn, afn: afn, arg: arg, sch: s, pooled: pooled}
 	}
@@ -262,7 +268,10 @@ func (s *Scheduler) Rearm(tm *Timer, t Time, fn func()) *Timer {
 		panic("sim: scheduling event in the past")
 	}
 	s.seq++
-	*tm = Timer{at: t, seq: s.seq, fn: fn, sch: s}
+	// Field by field, as in schedule; a caller-owned timer never has afn
+	// or arg set.
+	tm.at, tm.seq, tm.fn, tm.sch = t, s.seq, fn, s
+	tm.cancelled, tm.fired = false, false
 	s.wheel.push(tm)
 	return tm
 }
@@ -292,9 +301,10 @@ func (s *Scheduler) AfterArg(d Time, fn func(arg any), arg any) {
 	s.schedule(s.now+d, nil, fn, arg, true)
 }
 
-// Pending returns the number of events currently queued. Cancelled events
-// are removed at Cancel time, so they are never counted.
-func (s *Scheduler) Pending() int { return s.wheel.len() }
+// Pending returns the number of events currently queued, every entry
+// waiting on a Line included. Cancelled events are removed at Cancel
+// time, so they are never counted.
+func (s *Scheduler) Pending() int { return s.wheel.len() + s.lined }
 
 // FreeTimers returns the current size of the timer free list (tests).
 func (s *Scheduler) FreeTimers() int { return len(s.free) }

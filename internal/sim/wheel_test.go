@@ -47,12 +47,16 @@ func (m *wheelModel) runUntil(end Time) []int {
 }
 
 // FuzzWheelOrder: any sequence of At/AfterFunc/AfterArg/Rearm/Cancel/
-// RunUntil — with ties, events on slot and span boundaries, events beyond
-// the span (overflow) that cascade back over many revolutions, and events
-// armed from inside callbacks — runs in exactly the order one eventHeap
-// over the same events pops them, and Pending() always equals the number
-// of events the heap holds. Each operation is four bytes of the input:
-// what to do, how to place the time, and a 16-bit magnitude.
+// RunUntil and Line.Push — with ties, events on slot and span boundaries,
+// events beyond the span (overflow) that cascade back over many
+// revolutions, and events armed from inside callbacks — runs in exactly
+// the order one eventHeap over the same events pops them, and Pending()
+// always equals the number of events the heap holds. The three lines have
+// delays of zero, a few slots and more than the span, so a line head
+// overflows and cascades; the model sees each line entry as the plain
+// event AfterArg would have armed. Each operation is four bytes of the
+// input: what to do, how to place the time (or which line), and a 16-bit
+// magnitude.
 func FuzzWheelOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 5, 1, 1, 0})             // a tie, then run
 	f.Add([]byte{0, 2, 0, 0, 0, 2, 1, 0, 0, 2, 2, 0, 5, 6, 1, 0}) // around a slot boundary
@@ -63,6 +67,7 @@ func FuzzWheelOrder(f *testing.F) {
 		m := &wheelModel{child: map[int]Time{}}
 		var got []int
 		record := func(arg any) { got = append(got, arg.(int)) }
+		lines := []*Line{s.NewLine(0), s.NewLine(3*slot + 7), s.NewLine(wheelSpan + slot/2)}
 		var handles, shadows []*Timer
 		var lastAt Time
 		nextID := 0
@@ -113,7 +118,7 @@ func FuzzWheelOrder(f *testing.F) {
 		}
 
 		for ; len(prog) >= 4; prog = prog[4:] {
-			op, where, mag := prog[0]%8, prog[1], Time(prog[2])|Time(prog[3])<<8
+			op, where, mag := prog[0]%16, prog[1], Time(prog[2])|Time(prog[3])<<8
 			at := when(where, mag)
 			id := nextID
 			nextID += 2 // id+1 is the follow-up, if the event arms one
@@ -156,6 +161,28 @@ func FuzzWheelOrder(f *testing.F) {
 					s.AfterArg(d, record, id+1)
 				})
 				m.child[id] = d
+				m.push(at, id)
+			case 8, 9, 10, 11: // a line entry, which may push a follow-up on a line
+				l := lines[where%3]
+				fn := record
+				if where&4 != 0 {
+					next := lines[(where>>3)%3]
+					fn = func(arg any) {
+						record(arg)
+						next.Push(record, id+1)
+					}
+					m.child[id] = next.d
+				}
+				l.Push(fn, id)
+				lastAt = s.Now() + l.d
+				m.push(lastAt, id)
+			default: // an event that pushes a follow-up on a line when it fires
+				l := lines[where%3]
+				s.AtFunc(at, func() {
+					record(id)
+					l.Push(record, id+1)
+				})
+				m.child[id] = l.d
 				m.push(at, id)
 			}
 			check("arming", nil)

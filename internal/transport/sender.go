@@ -23,6 +23,11 @@ type pktRec struct {
 	dup    int
 }
 
+type lossEntry struct {
+	seq  uint64
+	size int
+}
+
 // Sender is a transport endpoint: it emits MSS-sized packets subject to
 // the controller's window and pacing rate, tracks ACKs, declares losses
 // via dup-ACK counting and an RTO, and reports everything to the
@@ -36,9 +41,10 @@ type Sender struct {
 	mss  int
 	name string
 
-	nextSeq  uint64
-	inflight int
-	unacked  stats.Queue[pktRec] // in-flight records, oldest first, from the oldest unsettled one
+	nextSeq     uint64
+	inflight    int
+	unacked     stats.Queue[pktRec] // in-flight records, oldest first, from the oldest unsettled one
+	lossScratch []lossEntry         // handleAck's loss snapshot, reset per ACK
 
 	srtt, rttvar sim.Time
 	rto          sim.Time
@@ -304,12 +310,10 @@ func (s *Sender) handleAck(seq uint64, size int, sentAt, qd sim.Time, delivered 
 
 	// Loss notifications are snapshotted by value: compact() below
 	// releases the records' slots, and Refund can re-enter emit (via
-	// Wake), which writes over them (or moves the ring) mid-loop.
-	type lossEntry struct {
-		seq  uint64
-		size int
-	}
-	var losses []lossEntry
+	// Wake), which writes over them (or moves the ring) mid-loop. The
+	// snapshot reuses the sender's scratch slice: ACK events never nest,
+	// so nothing else touches it until the loop below is done.
+	losses := s.lossScratch[:0]
 	for i := range s.unacked.Len() {
 		r := s.unacked.At(i)
 		if r.seq > seq {
@@ -336,6 +340,7 @@ func (s *Sender) handleAck(seq uint64, size int, sentAt, qd sim.Time, delivered 
 		}
 	}
 	s.compact()
+	s.lossScratch = losses
 
 	for _, l := range losses {
 		s.app.Refund(l.size)
