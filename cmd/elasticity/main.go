@@ -225,10 +225,10 @@ func churnSamples(churnSpec string, interval, dur sim.Time) ([]float64, error) {
 		out = append(out, bytes*8/interval.Seconds())
 		bytes = 0
 		if r.Sch.Now()+interval <= dur {
-			r.Sch.After(interval, sample)
+			r.Sch.AfterFunc(interval, sample)
 		}
 	}
-	r.Sch.After(interval, sample)
+	r.Sch.AfterFunc(interval, sample)
 	r.Sch.RunUntil(dur)
 	return out, nil
 }
@@ -269,10 +269,10 @@ func fluidSamples(spec string, interval, dur sim.Time) ([]float64, error) {
 		out = append(out, (delivered-last)*8/interval.Seconds())
 		last = delivered
 		if r.Sch.Now()+interval <= dur {
-			r.Sch.After(interval, sample)
+			r.Sch.AfterFunc(interval, sample)
 		}
 	}
-	r.Sch.After(interval, sample)
+	r.Sch.AfterFunc(interval, sample)
 	r.Sch.RunUntil(dur)
 	return out, nil
 }

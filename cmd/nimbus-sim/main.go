@@ -188,10 +188,10 @@ func runSingle(sc runner.Scenario, quiet bool) int {
 					now.Seconds(), mbps, cell.Rig.Net.QueueDelayNow().Millis(), mode, eta)
 			}
 			if now < end {
-				sch.After(sim.Second, report)
+				sch.AfterFunc(sim.Second, report)
 			}
 		}
-		sch.After(0, report)
+		sch.AfterFunc(0, report)
 	}
 	sch.RunUntil(end)
 

@@ -46,10 +46,10 @@ func main() {
 			fmt.Printf("%6.0f %s %s %10.1f\n", now.Seconds(), rates, roles, r.Net.QueueDelayNow().Millis())
 		}
 		if now < 60*sim.Second {
-			r.Sch.After(sim.Second, report)
+			r.Sch.AfterFunc(sim.Second, report)
 		}
 	}
-	r.Sch.After(sim.Second, report)
+	r.Sch.AfterFunc(sim.Second, report)
 	r.Sch.RunUntil(60 * sim.Second)
 	fmt.Println("\nexpected: one pulser, two watchers; ~32 Mbit/s each; queue a few ms (delay mode)")
 }

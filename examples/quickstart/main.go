@@ -38,7 +38,7 @@ func main() {
 	// for 90-150 s.
 	cubic := transport.NewSender(net, 50*sim.Millisecond, cc.NewCubic(), transport.Backlogged{}, rng.Split("cubic"))
 	cubic.Start(30 * sim.Second)
-	sch.At(90*sim.Second, cubic.Stop)
+	sch.AtFunc(90*sim.Second, cubic.Stop)
 	cbr := crosstraffic.NewCBR(net, 40*sim.Millisecond, 24e6)
 	cbr.Start(90 * sim.Second)
 
@@ -56,10 +56,10 @@ func main() {
 				nimbus.LastEta(), nimbus.Mode())
 		}
 		if now < 150*sim.Second {
-			sch.After(sim.Second, report)
+			sch.AfterFunc(sim.Second, report)
 		}
 	}
-	sch.After(sim.Second, report)
+	sch.AfterFunc(sim.Second, report)
 
 	sch.RunUntil(150 * sim.Second)
 	fmt.Printf("\nmode switches: %d (expect: into competitive ~35s, back to delay ~95s)\n", nimbus.ModeSwitches)

@@ -171,11 +171,11 @@ func TestNimbusModeSwitchingSequence(t *testing.T) {
 	// Elastic: Cubic from 20 s to 80 s.
 	cu := transport.NewSender(r.net, 50*sim.Millisecond, cc.NewCubic(), transport.Backlogged{}, r.rng.Split("cu"))
 	cu.Start(20 * sim.Second)
-	r.sch.At(80*sim.Second, cu.Stop)
+	r.sch.AtFunc(80*sim.Second, cu.Stop)
 	// Inelastic: 24 Mbit/s Poisson from 90 s to 150 s.
 	po := crosstraffic.NewPoisson(r.net, 40*sim.Millisecond, 24e6, r.rng.Split("po"))
 	po.Start(90 * sim.Second)
-	r.sch.At(150*sim.Second, func() { po.Stop() })
+	r.sch.AtFunc(150*sim.Second, func() { po.Stop() })
 
 	elasticAcc := &modeAccount{}
 	inelasticAcc := &modeAccount{}
@@ -348,9 +348,9 @@ func TestMultiFlowElectsOnePulser(t *testing.T) {
 				zero++
 			}
 		}
-		r.sch.After(100*sim.Millisecond, probe)
+		r.sch.AfterFunc(100*sim.Millisecond, probe)
 	}
-	r.sch.After(0, probe)
+	r.sch.AfterFunc(0, probe)
 	dur := 90 * sim.Second
 	r.sch.RunUntil(dur)
 	if samples == 0 {

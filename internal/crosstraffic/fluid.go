@@ -163,7 +163,7 @@ func (f *Fluid) RateBps() float64 { return f.rate }
 
 // Start begins the rate process at time at.
 func (f *Fluid) Start(at sim.Time) {
-	f.sch.At(at, func() {
+	f.sch.AtFunc(at, func() {
 		if f.running {
 			return
 		}

@@ -137,9 +137,9 @@ func TestFluidElasticSawtooth(t *testing.T) {
 				if peak > 0 && r < peak*0.8 && (trough == 0 || r < trough) {
 					trough = r
 				}
-				sch.After(100*sim.Millisecond, probe)
+				sch.AfterFunc(100*sim.Millisecond, probe)
 			}
-			sch.After(100*sim.Millisecond, probe)
+			sch.AfterFunc(100*sim.Millisecond, probe)
 			sch.RunUntil(60 * sim.Second)
 			_, dropped := link.FluidStats()
 			if dropped <= 0 {

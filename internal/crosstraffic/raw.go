@@ -86,7 +86,7 @@ func (r *RawSource) ID() netem.FlowID { return r.att.ID }
 
 // Start begins injection at time at.
 func (r *RawSource) Start(at sim.Time) {
-	r.sch.At(at, func() {
+	r.sch.AtFunc(at, func() {
 		if r.running {
 			return
 		}

@@ -66,7 +66,7 @@ func (v *VideoClient) Start(at sim.Time) {
 	v.tputEst = stats.NewEWMA(0.3)
 	v.src = &transport.ChunkSource{OnChunkDone: v.onChunkDone}
 	v.sender = transport.NewSenderOn(v.Net, v.Route, v.RTT, v.NewCC(), v.src, v.Rng.Split("video"))
-	v.Net.Sch.At(at, func() {
+	v.Net.Sch.AtFunc(at, func() {
 		v.lastUpdate = v.Net.Sch.Now()
 		v.sender.Start(v.Net.Sch.Now())
 		v.requestChunk()
@@ -138,7 +138,7 @@ func (v *VideoClient) onChunkDone(now sim.Time) {
 	}
 	// Wait until the buffer drains to the target, then fetch.
 	wait := v.bufLevel - v.BufferTarget
-	v.Net.Sch.After(wait, v.requestChunk)
+	v.Net.Sch.AfterFunc(wait, v.requestChunk)
 }
 
 // MeanBitrate returns the average requested bitrate (bits/s).

@@ -396,7 +396,7 @@ func (r *Rig) AddFlowSpecs(specs ...FlowSpec) ([]*Flow, error) {
 		}
 		f.Probe = r.AddFlowOn(f.Spec.Route, f.Scheme, rtt, f.Spec.StartAt, src)
 		if stop := f.Spec.StopAt; stop > 0 {
-			r.Sch.At(stop, f.Probe.Sender.Stop)
+			r.Sch.AtFunc(stop, f.Probe.Sender.Stop)
 		}
 	}
 	return flows, nil

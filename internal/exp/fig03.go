@@ -31,9 +31,9 @@ func Fig03(seed int64, _ bool) Report {
 			sumSelfInel += selfBytes
 			sumTotInel += totalBytes
 		}
-		r.Sch.After(100*sim.Millisecond, sample)
+		r.Sch.AfterFunc(100*sim.Millisecond, sample)
 	}
-	r.Sch.After(100*sim.Millisecond, sample)
+	r.Sch.AfterFunc(100*sim.Millisecond, sample)
 	r.Sch.RunUntil(175 * sim.Second)
 
 	return Report{

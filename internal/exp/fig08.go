@@ -85,7 +85,7 @@ func runFig08(scheme string, seed int64, phaseDur sim.Time) []any {
 		}
 	}
 	for i, p := range fig08Script {
-		r.Sch.At(sim.Time(i)*phaseDur, setPhase(p))
+		r.Sch.AtFunc(sim.Time(i)*phaseDur, setPhase(p))
 	}
 	total := sim.Time(len(fig08Script)) * phaseDur
 

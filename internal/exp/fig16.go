@@ -69,9 +69,9 @@ func Fig16(seed int64, quick bool) Report {
 				}
 			}
 		}
-		r.Sch.After(100*sim.Millisecond, probeFn)
+		r.Sch.AfterFunc(100*sim.Millisecond, probeFn)
 	}
-	r.Sch.After(0, probeFn)
+	r.Sch.AfterFunc(0, probeFn)
 
 	end := 3*stagger + life
 	r.Sch.RunUntil(end)

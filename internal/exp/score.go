@@ -125,7 +125,7 @@ func (r *Rig) addCross(c crossSpec) crossSource {
 		src = s
 	}
 	if c.stop > 0 {
-		r.Sch.At(c.stop, src.Stop)
+		r.Sch.AtFunc(c.stop, src.Stop)
 	}
 	return src
 }

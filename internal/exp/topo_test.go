@@ -143,7 +143,7 @@ func TestLinkOracleInstantaneous(t *testing.T) {
 	r := NewRig(NetConfig{RateMbps: 24, RTT: 20 * sim.Millisecond, Seed: 1, Schedule: sch})
 	oracle := LinkOracle{Link: r.Link}
 	var atSecond, internal float64
-	r.Sch.At(200*sim.Millisecond, func() {
+	r.Sch.AtFunc(200*sim.Millisecond, func() {
 		atSecond = oracle.Mu()
 		internal = r.Link.Rate()
 	})
@@ -175,7 +175,7 @@ func TestMultiHopOracleReadsBottleneck(t *testing.T) {
 	}
 	oracle := LinkOracle{Link: r.Link}
 	var mid float64
-	r.Sch.At(75*sim.Millisecond, func() { mid = oracle.Mu() })
+	r.Sch.AtFunc(75*sim.Millisecond, func() { mid = oracle.Mu() })
 	r.Sch.RunUntil(100 * sim.Millisecond)
 	if mid != 6e6 {
 		t.Fatalf("oracle mid-low-phase = %g, want 6e6 (the bottleneck's), not the access rate", mid)

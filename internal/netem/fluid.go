@@ -121,30 +121,29 @@ func (l *Link) settleFluid(now sim.Time) {
 // arrived before the packet enqueued (its fluidMark, stamped by Send)
 // delays it — fluid arriving while it waited stays backlog behind it,
 // exactly as later cross packets would in the per-packet path. The
-// flushed bytes' transmission time extends the packet's queueing delay
-// and, on the constant-rate path, its completion event. On a varying
-// link the caller folds the returned bits into txBitsLeft instead, so
-// only the delay attribution (at the current rate, zero during an
-// outage) happens here.
+// caller folds the returned bits into txBitsLeft, so they extend the
+// packet's transmission; here the flushed bytes' transmission time (at
+// the current rate, zero during an outage) is only added to the
+// packet's queueing delay.
 //
 // The mark is the link's cumulative delivered+standing fluid at
 // enqueue time, so "ahead" is mark minus delivered-so-far: head-of-
 // line fluid deliveries consume it, while overflow drops (which shed
 // the newest fluid, behind the packet) do not.
-func (l *Link) flushFluidAhead(p *Packet) (ftx sim.Time, bits float64) {
+func (l *Link) flushFluidAhead(p *Packet) (bits float64) {
 	ahead := p.fluidMark - l.fluidDelivered
 	if ahead > l.fluidBacklog {
 		ahead = l.fluidBacklog
 	}
 	if ahead <= 0 {
-		return 0, 0
+		return 0
 	}
 	l.fluidBacklog -= ahead
 	l.fluidDelivered += ahead
 	if l.rateBps > 0 {
-		ftx = sim.FromSeconds(ahead * 8 / l.rateBps)
+		ftx := sim.FromSeconds(ahead * 8 / l.rateBps)
+		p.QueueDelay += ftx
+		l.qdelaySum += ftx
 	}
-	p.QueueDelay += ftx
-	l.qdelaySum += ftx
-	return ftx, ahead * 8
+	return ahead * 8
 }

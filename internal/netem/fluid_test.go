@@ -131,11 +131,11 @@ func TestFluidFlushAhead(t *testing.T) {
 	l.Deliver = func(p *Packet, now sim.Time) {
 		dels = append(dels, delivery{p.Seq, now, p.QueueDelay})
 	}
-	sch.At(0, func() {
+	sch.AtFunc(0, func() {
 		l.Send(&Packet{Seq: 0, Size: 1500})
 		l.Send(&Packet{Seq: 1, Size: 1500})
 	})
-	sch.At(500*sim.Microsecond, func() {
+	sch.AtFunc(500*sim.Microsecond, func() {
 		l.Send(&Packet{Seq: 2, Size: 1500})
 	})
 	sch.RunUntil(10 * sim.Millisecond)
@@ -164,6 +164,56 @@ func TestFluidFlushAhead(t *testing.T) {
 	if dels[2].qd != 2*sim.Millisecond {
 		t.Fatalf("packet 2 QueueDelay = %v, want 2ms", dels[2].qd)
 	}
+}
+
+// TestFluidAheadOneStep pins the one transmission path: fluid standing
+// ahead of a packet is folded into the packet's bits, and the pair
+// completes at start + FromSeconds((size*8 + ahead*8)/rate) — one
+// conversion, not a packet time and a fluid time each truncated to the
+// nanosecond. At 7 Mbit/s a 1500 B packet takes 1714285.7 ns and the
+// 375 B of fluid ahead of the second one 428571.4 ns, so two truncated
+// steps would finish it 1 ns early. A link whose schedule changes only
+// after that completion must finish it at the same instant.
+func TestFluidAheadOneStep(t *testing.T) {
+	const (
+		rate  = 7e6
+		fluid = 3e6
+		size  = 1500
+		sent  = sim.Millisecond // packet 1 enqueues behind 1 ms of fluid
+	)
+	run := func(t *testing.T, l *Link) {
+		t.Helper()
+		l.EnableFluid(1 << 20)
+		var done []sim.Time
+		l.Deliver = func(p *Packet, now sim.Time) { done = append(done, now) }
+		sch := l.Sch
+		sch.AtFunc(0, func() {
+			l.AddFluidRate(fluid)
+			l.Send(&Packet{Seq: 0, Size: size})
+		})
+		sch.AtFunc(sent, func() { l.Send(&Packet{Seq: 1, Size: size}) })
+		sch.RunUntil(10 * sim.Millisecond)
+		if len(done) < 2 {
+			t.Fatalf("delivered %d packets, want 2", len(done))
+		}
+		start := sim.FromSeconds(size * 8 / rate)
+		ahead := fluid / 8 * sent.Seconds()
+		want := start + sim.FromSeconds((size*8+ahead*8)/rate)
+		if done[0] != start || done[1] != want {
+			t.Fatalf("packets done at %d, %d ns; want %d, %d ns (two truncated steps: %d ns)",
+				done[0], done[1], start, want, start+sim.FromSeconds(size*8/rate)+sim.FromSeconds(ahead*8/rate))
+		}
+	}
+	t.Run("constant", func(t *testing.T) {
+		run(t, NewLink(sim.NewScheduler(), rate, NewDropTail(1<<20)))
+	})
+	t.Run("schedule", func(t *testing.T) {
+		sched, err := NewRateSchedule([]RatePoint{{At: 0, Bps: rate}, {At: 5 * sim.Millisecond, Bps: rate / 2}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(t, NewLinkSchedule(sim.NewScheduler(), sched, NewDropTail(1<<20)))
+	})
 }
 
 // TestFluidVaryingLink runs fluid across a rate step and an outage: the

@@ -7,13 +7,14 @@ import "nimbus/internal/sim"
 // keeps the counters the experiments report (delivered bytes, drops, busy
 // time for utilization).
 //
-// Rate changes are applied as scheduler events: the link registers one
-// event per schedule transition, and a packet in flight across a
-// transition finishes exactly when the integral of the rate over its
-// transmission interval reaches its size — serialization, busy-time, and
-// utilization accounting stay exact across transitions. A constant-rate
-// link (the common case) keeps the allocation-free fast path: one owned
-// completion timer and no per-packet state beyond the slot.
+// Every link, constant-rate or not, sends a packet the same way: it
+// tracks the packet's remaining bits and arms one owned completion timer
+// at the current rate. Rate changes are applied as scheduler events: the
+// link registers one event per schedule transition (none for a constant
+// schedule), and a packet in flight across a transition finishes exactly
+// when the integral of the rate over its transmission interval reaches
+// its size — serialization, busy-time, and utilization accounting stay
+// exact across transitions.
 type Link struct {
 	Sch *sim.Scheduler
 	// Name labels the link as a hop of a topology ("bn", "access", ...).
@@ -28,22 +29,19 @@ type Link struct {
 	OnDrop func(p *Packet, now sim.Time)
 
 	rateBps float64 // current drain rate
-	varying bool    // whether Schedule has transitions
 
 	busy bool
 	// In-flight transmission state: the link serializes one packet at a
 	// time, so a single slot, one owned completion timer re-armed per
 	// packet and a reusable completion callback avoid any allocation per
-	// packet on the hottest path in the simulator.
-	txPkt   *Packet
-	txTimer *sim.Timer
-	txTime  sim.Time // constant path: serialization time of txPkt
-	txDone  func()
-	// Varying path: remaining bits of txPkt and when they were last
-	// drained; a rate change mid-packet re-arms the completion timer.
+	// packet on the hottest path in the simulator. txBitsLeft is what
+	// remains of txPkt (plus any fluid ahead of it) as of txUpdated; a
+	// rate change mid-packet settles it and re-arms the timer.
+	txPkt      *Packet
+	txTimer    *sim.Timer
+	txDone     func()
 	txBitsLeft float64
 	txUpdated  sim.Time
-	txVarDone  func()
 	rateChange func()
 
 	// enterFn is the topology's prebound entry callback ("send the event's
@@ -84,15 +82,11 @@ func NewLinkSchedule(sch *sim.Scheduler, schedule *RateSchedule, q Queue) *Link 
 		Schedule: schedule,
 		Q:        q,
 		rateBps:  schedule.RateAt(sch.Now()),
-		varying:  !schedule.Constant(),
 	}
 	l.txDone = l.finishTx
-	if l.varying {
-		l.txVarDone = l.finishVarTx
-		l.rateChange = l.applyRateChange
-		if next, ok := schedule.NextChange(sch.Now()); ok {
-			sch.AtFunc(next, l.rateChange)
-		}
+	l.rateChange = l.applyRateChange
+	if next, ok := schedule.NextChange(sch.Now()); ok {
+		sch.AtFunc(next, l.rateChange)
 	}
 	return l
 }
@@ -101,7 +95,7 @@ func NewLinkSchedule(sch *sim.Scheduler, schedule *RateSchedule, q Queue) *Link 
 func (l *Link) Rate() float64 { return l.rateBps }
 
 // Varying reports whether the link's capacity changes over time.
-func (l *Link) Varying() bool { return l.varying }
+func (l *Link) Varying() bool { return !l.Schedule.Constant() }
 
 // TxTime returns the serialization time of a packet of n bytes at the
 // current rate (an instantaneous view; a varying link may revise it).
@@ -147,25 +141,13 @@ func (l *Link) startNext() {
 	l.lastStart = now
 	l.qdelaySum += now - p.EnqueuedAt
 	l.dequeues++
-	if !l.varying {
-		tx := l.TxTime(p.Size)
-		if l.fluidOn {
-			ftx, _ := l.flushFluidAhead(p)
-			tx += ftx
-		}
-		l.txPkt = p
-		l.txTime = tx
-		l.txTimer = l.Sch.Rearm(l.txTimer, now+tx, l.txDone)
-		return
-	}
 	l.txPkt = p
 	l.txBitsLeft = float64(p.Size) * 8
 	if l.fluidOn {
 		// Fold the standing backlog into the in-flight bits: the exact
 		// piecewise-rate integration then drains fluid and packet
 		// together across any schedule transitions.
-		_, fbits := l.flushFluidAhead(p)
-		l.txBitsLeft += fbits
+		l.txBitsLeft += l.flushFluidAhead(p)
 	}
 	l.txUpdated = now
 	l.armTx()
@@ -174,14 +156,13 @@ func (l *Link) startNext() {
 // armTx schedules the in-flight packet's completion at the current rate.
 // At rate zero (an outage) no completion is scheduled; the pending rate
 // change event re-arms when capacity returns. Rearm recycles the one
-// completion-timer struct, so a varying link stays allocation-free per
-// packet like the constant-rate fast path.
+// completion-timer struct, so a link allocates nothing per packet.
 func (l *Link) armTx() {
 	if l.rateBps <= 0 {
 		return
 	}
 	at := l.Sch.Now() + sim.FromSeconds(l.txBitsLeft/l.rateBps)
-	l.txTimer = l.Sch.Rearm(l.txTimer, at, l.txVarDone)
+	l.txTimer = l.Sch.Rearm(l.txTimer, at, l.txDone)
 }
 
 // applyRateChange is the scheduler event at every schedule transition: it
@@ -216,18 +197,6 @@ func (l *Link) applyRateChange() {
 }
 
 func (l *Link) finishTx() {
-	p, tx := l.txPkt, l.txTime
-	l.txPkt = nil
-	l.busyTime += tx
-	l.DeliveredPackets++
-	l.DeliveredBytes += uint64(p.Size)
-	if l.Deliver != nil {
-		l.Deliver(p, l.Sch.Now())
-	}
-	l.startNext()
-}
-
-func (l *Link) finishVarTx() {
 	now := l.Sch.Now()
 	p := l.txPkt
 	l.txPkt = nil

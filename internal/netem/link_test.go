@@ -60,7 +60,7 @@ func runLinkScenario(t *testing.T, mkQueue func() Queue, configure func(l *Link)
 			p := &Packet{Seq: uint64(len(r.sentAt)), Size: size}
 			r.sentAt = append(r.sentAt, at)
 			r.size = append(r.size, size)
-			sch.At(at, func() { l.Send(p) })
+			sch.AtFunc(at, func() { l.Send(p) })
 		}
 	}
 	send(0, 8, 1500) // floods the 4-packet buffer: tail drops up front

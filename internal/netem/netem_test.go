@@ -103,7 +103,7 @@ func TestLinkUtilization(t *testing.T) {
 	link := NewLink(sch, 12e6, NewDropTail(1<<20))
 	link.Deliver = func(p *Packet, now sim.Time) {}
 	link.Send(&Packet{Size: 1500})
-	sch.At(2*sim.Millisecond, func() {}) // extend sim to 2 ms
+	sch.AtFunc(2*sim.Millisecond, func() {}) // extend sim to 2 ms
 	sch.Run()
 	if u := link.Utilization(); u < 0.49 || u > 0.51 {
 		t.Fatalf("utilization = %v, want ~0.5", u)
@@ -192,9 +192,9 @@ func TestPIEControlsDelay(t *testing.T) {
 		}
 		att.Send(&Packet{Seq: uint64(n), Size: 1500})
 		n++
-		sch.After(interval, inject)
+		sch.AfterFunc(interval, inject)
 	}
-	sch.After(0, inject)
+	sch.AfterFunc(0, inject)
 	sch.Run()
 	if q.Drops == 0 {
 		t.Fatal("PIE never dropped under persistent overload")
@@ -232,9 +232,9 @@ func TestCoDelDropsUnderOverload(t *testing.T) {
 		}
 		att.Send(&Packet{Seq: uint64(n), Size: 1500})
 		n++
-		sch.After(interval, inject)
+		sch.AfterFunc(interval, inject)
 	}
-	sch.After(0, inject)
+	sch.AfterFunc(0, inject)
 	sch.Run()
 	if q.Drops == 0 {
 		t.Fatal("CoDel never dropped under persistent overload")
@@ -261,9 +261,9 @@ func TestCoDelNoDropsWhenUnderloaded(t *testing.T) {
 		}
 		att.Send(&Packet{Seq: uint64(n), Size: 1500})
 		n++
-		sch.After(interval, inject)
+		sch.AfterFunc(interval, inject)
 	}
-	sch.After(0, inject)
+	sch.AfterFunc(0, inject)
 	sch.Run()
 	if q.Drops != 0 {
 		t.Fatalf("CoDel dropped %d packets at 50%% load", q.Drops)

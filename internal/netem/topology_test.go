@@ -123,7 +123,7 @@ func TestRevRouteAckTiming(t *testing.T) {
 	topo, _ := revTopo(sch, 1<<20)
 	att := topo.AttachAsym(5*sim.Millisecond, 5*sim.Millisecond)
 	var ackAt sim.Time
-	sch.At(0, func() {
+	sch.AtFunc(0, func() {
 		att.SendAckArg(func(any) { ackAt = sch.Now() }, nil)
 	})
 	sch.Run()
@@ -146,7 +146,7 @@ func TestRevRouteAckDrop(t *testing.T) {
 	topo, rev := revTopo(sch, 100)
 	att := topo.AttachAsym(0, 0)
 	delivered := 0
-	sch.At(0, func() {
+	sch.AtFunc(0, func() {
 		for i := 0; i < 3; i++ {
 			att.SendAckArg(func(any) { delivered++ }, nil)
 		}
@@ -171,7 +171,7 @@ func TestIdealRevPathUnchanged(t *testing.T) {
 	topo := NewNetwork(sch, link)
 	att := topo.AttachAsym(3*sim.Millisecond, 7*sim.Millisecond)
 	var ackAt sim.Time
-	sch.At(0, func() {
+	sch.AtFunc(0, func() {
 		att.SendAckArg(func(any) { ackAt = sch.Now() }, nil)
 	})
 	sch.Run()

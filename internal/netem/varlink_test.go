@@ -170,9 +170,9 @@ func feed(sch *sim.Scheduler, link *Link, gap sim.Time) *uint64 {
 		link.Send(&Packet{Seq: seq, Size: 1500})
 		seq++
 		*sent += 1500
-		sch.After(gap, tick)
+		sch.AfterFunc(gap, tick)
 	}
-	sch.At(0, tick)
+	sch.AtFunc(0, tick)
 	return sent
 }
 

@@ -63,13 +63,6 @@ type RunFunc func(sc Scenario) Result
 type Runner struct {
 	// Workers is the pool size; 0 means DefaultWorkers, 1 is sequential.
 	Workers int
-	// CellTimeout, when > 0, bounds each cell's wall-clock time: a cell
-	// still running after the timeout is reaped into an error row
-	// ("watchdog: ...") and the sweep moves on. The reaped cell's
-	// goroutine is released through the context RunWatched hands it;
-	// a run function that ignores that context keeps running detached
-	// (Go cannot kill goroutines) but no longer blocks the sweep.
-	CellTimeout time.Duration
 	// OnProgress, if set, is called after each completed run with the
 	// number done, the total, and the result. Calls are serialized but
 	// arrive in completion order, not submission order.
@@ -110,13 +103,7 @@ func (rn *Runner) RunGrid(ctx context.Context, scs []Scenario, run IndexedRunFun
 			r = Result{Scenario: scs[i], Err: err.Error()}
 		} else {
 			start := time.Now()
-			if rn.CellTimeout > 0 {
-				r, _ = RunWatched(ctx, scs[i], rn.CellTimeout, func(context.Context) Result {
-					return runGuarded(func(sc Scenario) Result { return run(i, sc) }, scs[i])
-				})
-			} else {
-				r = runGuarded(func(sc Scenario) Result { return run(i, sc) }, scs[i])
-			}
+			r = runGuarded(func(sc Scenario) Result { return run(i, sc) }, scs[i])
 			if r.WallSec == 0 {
 				r.WallSec = time.Since(start).Seconds()
 			}

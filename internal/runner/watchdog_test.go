@@ -65,30 +65,3 @@ func TestRunWatchedGuardsPanics(t *testing.T) {
 		t.Fatalf("panicking run = %+v reaped=%v, want its panic as an error row", r, reaped)
 	}
 }
-
-// TestRunnerCellTimeout: the Runner-level watchdog reaps a hung cell and
-// the rest of the sweep completes normally.
-func TestRunnerCellTimeout(t *testing.T) {
-	scs := []Scenario{{Name: "a"}, {Name: "b"}, {Name: "c"}}
-	release := make(chan struct{})
-	defer close(release)
-	rn := &Runner{Workers: 2, CellTimeout: 50 * time.Millisecond}
-	rs := rn.RunGrid(context.Background(), scs, func(i int, sc Scenario) Result {
-		if i == 1 {
-			<-release // hangs past the watchdog (released at test end)
-		}
-		return Result{Scenario: sc, Events: uint64(i) + 1}
-	})
-	if len(rs) != 3 {
-		t.Fatalf("got %d results, want 3", len(rs))
-	}
-	if rs[0].Err != "" || rs[2].Err != "" {
-		t.Fatalf("healthy cells errored: %+v", rs)
-	}
-	if !strings.Contains(rs[1].Err, "watchdog") {
-		t.Fatalf("hung cell result %+v, want a watchdog error row", rs[1])
-	}
-	if rs[1].WallSec == 0 {
-		t.Fatalf("reaped row has no wall-clock: %+v", rs[1])
-	}
-}

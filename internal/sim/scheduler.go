@@ -4,14 +4,14 @@ package sim
 // callback from running; cancelling an already-fired or already-cancelled
 // timer is a no-op.
 //
-// Timers returned by At/After are owned by the caller and are never
-// recycled by the scheduler — though the caller can recycle one through
-// Rearm. Events scheduled through AtFunc/AfterFunc/AfterArg return no
-// handle; their Timer structs are pooled and reused by the scheduler, which
-// makes them allocation-free in steady state — that is the right API for
-// fire-and-forget events (arrivals, ticks). Events that all wait the same
-// delay — a packet or ACK crossing a wire — go on a Line instead, which
-// keeps only its earliest entry in the queue.
+// An event is one of two kinds. Fire-and-forget events (arrivals, ticks,
+// stops) go through AtFunc/AfterFunc/AfterArg and return no handle; their
+// Timer structs are pooled and reused by the scheduler, which makes them
+// allocation-free in steady state. Events that all wait the same delay — a
+// packet or ACK crossing a wire — go on a Line instead, which keeps only
+// its earliest entry in the queue. A caller that must cancel or move its
+// event gets a handle from Rearm: the Timer is owned by the caller, never
+// recycled by the scheduler, and Rearm(nil, ...) allocates the first one.
 type Timer struct {
 	at        Time
 	seq       uint64
@@ -181,7 +181,7 @@ type Scheduler struct {
 	// Executed counts events run, useful for progress reporting and tests.
 	Executed uint64
 	// PoolReuses counts pooled timers recycled from the free list
-	// (observable in tests; it stays zero if only At/After are used).
+	// (observable in tests; it stays zero if only Rearm is used).
 	PoolReuses uint64
 }
 
@@ -231,20 +231,6 @@ func (s *Scheduler) release(ev *Timer) {
 	s.free = append(s.free, ev)
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past is a
-// programming error and panics, because it would silently reorder causality.
-func (s *Scheduler) At(t Time, fn func()) *Timer {
-	return s.schedule(t, fn, nil, nil, false)
-}
-
-// After schedules fn to run d after the current time.
-func (s *Scheduler) After(d Time, fn func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now+d, fn)
-}
-
 // Rearm schedules fn at absolute time t, recycling the caller-owned handle
 // tm: a still-pending tm is cancelled (removed from the queue) first, and
 // the same Timer struct is reused for the new event, so periodically
@@ -258,7 +244,7 @@ func (s *Scheduler) After(d Time, fn func()) *Timer {
 // the old handle must not be retained separately.
 func (s *Scheduler) Rearm(tm *Timer, t Time, fn func()) *Timer {
 	if tm == nil {
-		return s.At(t, fn)
+		return s.schedule(t, fn, nil, nil, false)
 	}
 	if tm.pooled {
 		panic("sim: Rearm on a pooled (no-handle) timer")
@@ -277,7 +263,8 @@ func (s *Scheduler) Rearm(tm *Timer, t Time, fn func()) *Timer {
 }
 
 // AtFunc schedules fn at absolute time t with no handle: the event cannot
-// be cancelled, and its Timer is pooled.
+// be cancelled, and its Timer is pooled. Scheduling in the past is a
+// programming error and panics, because it would silently reorder causality.
 func (s *Scheduler) AtFunc(t Time, fn func()) {
 	s.schedule(t, fn, nil, nil, true)
 }

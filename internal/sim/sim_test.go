@@ -25,9 +25,9 @@ func TestTimeConversions(t *testing.T) {
 func TestSchedulerOrdering(t *testing.T) {
 	s := NewScheduler()
 	var order []int
-	s.At(30*Millisecond, func() { order = append(order, 3) })
-	s.At(10*Millisecond, func() { order = append(order, 1) })
-	s.At(20*Millisecond, func() { order = append(order, 2) })
+	s.AtFunc(30*Millisecond, func() { order = append(order, 3) })
+	s.AtFunc(10*Millisecond, func() { order = append(order, 1) })
+	s.AtFunc(20*Millisecond, func() { order = append(order, 2) })
 	s.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events out of order: %v", order)
@@ -42,7 +42,7 @@ func TestSchedulerFIFOAtSameTime(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(Millisecond, func() { order = append(order, i) })
+		s.AtFunc(Millisecond, func() { order = append(order, i) })
 	}
 	s.Run()
 	for i, v := range order {
@@ -55,7 +55,7 @@ func TestSchedulerFIFOAtSameTime(t *testing.T) {
 func TestSchedulerCancel(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	tm := s.At(Millisecond, func() { fired = true })
+	tm := s.Rearm(nil, Millisecond, func() { fired = true })
 	tm.Cancel()
 	s.Run()
 	if fired {
@@ -73,10 +73,10 @@ func TestSchedulerNestedScheduling(t *testing.T) {
 	tick = func() {
 		count++
 		if count < 5 {
-			s.After(10*Millisecond, tick)
+			s.AfterFunc(10*Millisecond, tick)
 		}
 	}
-	s.After(0, tick)
+	s.AfterFunc(0, tick)
 	s.Run()
 	if count != 5 {
 		t.Fatalf("count = %d, want 5", count)
@@ -91,7 +91,7 @@ func TestSchedulerRunUntil(t *testing.T) {
 	var fired []Time
 	for _, d := range []Time{10, 20, 30, 40} {
 		d := d * Millisecond
-		s.At(d, func() { fired = append(fired, d) })
+		s.AtFunc(d, func() { fired = append(fired, d) })
 	}
 	s.RunUntil(25 * Millisecond)
 	if len(fired) != 2 {
@@ -108,14 +108,14 @@ func TestSchedulerRunUntil(t *testing.T) {
 
 func TestSchedulerPastPanics(t *testing.T) {
 	s := NewScheduler()
-	s.At(10*Millisecond, func() {})
+	s.AtFunc(10*Millisecond, func() {})
 	s.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	s.At(5*Millisecond, func() {})
+	s.AtFunc(5*Millisecond, func() {})
 }
 
 func TestSchedulerStop(t *testing.T) {
@@ -127,9 +127,9 @@ func TestSchedulerStop(t *testing.T) {
 		if count == 3 {
 			s.Stop()
 		}
-		s.After(Millisecond, tick)
+		s.AfterFunc(Millisecond, tick)
 	}
-	s.After(0, tick)
+	s.AfterFunc(0, tick)
 	s.Run()
 	if count != 3 {
 		t.Fatalf("count = %d, want 3 (Stop should halt)", count)
@@ -166,7 +166,7 @@ func TestSchedulerPoolCancelLifecycle(t *testing.T) {
 	// must keep firing in order.
 	s := NewScheduler()
 	var order []int
-	tm := s.At(2*Millisecond, func() { order = append(order, -1) })
+	tm := s.Rearm(nil, 2*Millisecond, func() { order = append(order, -1) })
 	s.AtFunc(1*Millisecond, func() { order = append(order, 1) })
 	s.AtFunc(3*Millisecond, func() { order = append(order, 3) })
 	tm.Cancel()
@@ -212,8 +212,8 @@ func TestSchedulerCancelRemovesImmediately(t *testing.T) {
 	t.Run("Run", func(t *testing.T) {
 		s := NewScheduler()
 		fired := false
-		tm := s.At(2*Millisecond, func() { fired = true })
-		s.At(3*Millisecond, func() {})
+		tm := s.Rearm(nil, 2*Millisecond, func() { fired = true })
+		s.AtFunc(3*Millisecond, func() {})
 		if s.Pending() != 2 {
 			t.Fatalf("Pending = %d, want 2", s.Pending())
 		}
@@ -229,8 +229,8 @@ func TestSchedulerCancelRemovesImmediately(t *testing.T) {
 	t.Run("RunUntil", func(t *testing.T) {
 		s := NewScheduler()
 		fired := false
-		tm := s.At(2*Millisecond, func() { fired = true })
-		s.At(3*Millisecond, func() {})
+		tm := s.Rearm(nil, 2*Millisecond, func() { fired = true })
+		s.AtFunc(3*Millisecond, func() {})
 		tm.Cancel()
 		if s.Pending() != 1 {
 			t.Fatalf("Pending after Cancel = %d, want 1 (eager removal)", s.Pending())
@@ -251,7 +251,7 @@ func TestSchedulerCancelRemovesImmediately(t *testing.T) {
 		var tms []*Timer
 		for i := 1; i <= 9; i++ {
 			i := i
-			tms = append(tms, s.At(Time(i)*Millisecond, func() { order = append(order, i) }))
+			tms = append(tms, s.Rearm(nil, Time(i)*Millisecond, func() { order = append(order, i) }))
 		}
 		tms[4].Cancel()
 		tms[1].Cancel()
@@ -331,7 +331,7 @@ func TestSchedulerHeapMatchesReference(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		at := Time(rng.Intn(50)) * Millisecond // many ties to exercise seq order
 		e := &ev{at: at, id: i}
-		e.tm = s.At(at, func() { got = append(got, e.id) })
+		e.tm = s.Rearm(nil, at, func() { got = append(got, e.id) })
 		evs = append(evs, e)
 	}
 	// Cancel a third of them, including repeats and already-cancelled.

@@ -46,8 +46,8 @@ func (m *wheelModel) runUntil(end Time) []int {
 	return order
 }
 
-// FuzzWheelOrder: any sequence of At/AfterFunc/AfterArg/Rearm/Cancel/
-// RunUntil and Line.Push — with ties, events on slot and span boundaries,
+// FuzzWheelOrder: any sequence of Rearm(nil, …)/AfterFunc/AfterArg/Rearm/
+// Cancel/RunUntil and Line.Push — with ties, events on slot and span boundaries,
 // events beyond the span (overflow) that cascade back over many
 // revolutions, and events armed from inside callbacks — runs in exactly
 // the order one eventHeap over the same events pops them, and Pending()
@@ -124,7 +124,7 @@ func FuzzWheelOrder(f *testing.F) {
 			nextID += 2 // id+1 is the follow-up, if the event arms one
 			switch op {
 			case 0:
-				handles = append(handles, s.At(at, func() { record(id) }))
+				handles = append(handles, s.Rearm(nil, at, func() { record(id) }))
 				shadows = append(shadows, m.push(at, id))
 			case 1:
 				s.AfterFunc(at-s.Now(), func() { record(id) })
@@ -201,8 +201,8 @@ func TestWheelOverflowCascade(t *testing.T) {
 	// Events every 100ms out to 3s — ~11 wheel revolutions — plus ties.
 	for i := 30; i >= 0; i-- { // scheduled in reverse time order
 		at := Time(i) * 100 * Millisecond
-		s.At(at, func() { got = append(got, at) })
-		s.At(at, func() { got = append(got, at) }) // tie: seq order
+		s.AtFunc(at, func() { got = append(got, at) })
+		s.AtFunc(at, func() { got = append(got, at) }) // tie: seq order
 	}
 	s.Run()
 	if len(got) != 62 {
@@ -218,8 +218,8 @@ func TestWheelOverflowCascade(t *testing.T) {
 // TestWheelPendingAndCancel checks bookkeeping across both tiers.
 func TestWheelPendingAndCancel(t *testing.T) {
 	s := NewScheduler()
-	near := s.At(Millisecond, func() {})
-	far := s.At(10*Second, func() {})
+	near := s.Rearm(nil, Millisecond, func() {})
+	far := s.Rearm(nil, 10*Second, func() {})
 	if s.Pending() != 2 {
 		t.Fatalf("Pending = %d, want 2", s.Pending())
 	}

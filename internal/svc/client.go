@@ -147,8 +147,9 @@ func (c *Client) backoff(ctx context.Context, attempt int, err error) error {
 	}
 }
 
-// do issues a request and decodes the JSON response into out (unless
-// nil), retrying per c.Retry. Non-2xx responses surface as *APIError.
+// do issues a request and decodes the JSON response into out, retrying
+// per c.Retry. A nil out discards the body; a *[]byte out receives the
+// body's bytes as sent. Non-2xx responses surface as *APIError.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var payload []byte
 	if body != nil {
@@ -178,32 +179,49 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 }
 
 func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte, out any) error {
+	resp, err := c.open(ctx, method, path, "", payload)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	switch out := out.(type) {
+	case nil:
+		// Drain so the connection is reusable; the body is small (a JSON
+		// document) on every route used with out == nil.
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+		return nil
+	case *[]byte:
+		*out, err = io.ReadAll(resp.Body)
+		return err
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// open sends one request for path (query, if any, is appended to the URL
+// but not to an error's Path) with payload as its JSON body. A 2xx
+// response comes back for the caller to read and close; any other is
+// consumed, closed and returned as *APIError.
+func (c *Client) open(ctx context.Context, method, path, query string, payload []byte) (*http.Response, error) {
 	var rd io.Reader
 	if payload != nil {
 		rd = bytes.NewReader(payload)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, c.Base+path+query, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if payload != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.http().Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		return apiError(resp, path)
+		defer resp.Body.Close()
+		return nil, apiError(resp, path)
 	}
-	if out == nil {
-		// Drain so the connection is reusable; the body is small (a JSON
-		// document) on every route used with out == nil.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return resp, nil
 }
 
 // apiError converts a non-2xx response into an *APIError, consuming (a
@@ -301,23 +319,15 @@ func (c *Client) StreamEvents(ctx context.Context, id string, w io.Writer) error
 // A partial trailing line (the connection died mid-line) is discarded —
 // the reconnect re-fetches it whole.
 func (c *Client) streamOnce(ctx context.Context, id string, from int, w io.Writer) (int, error) {
-	path := "/jobs/" + id + "/events"
-	url := c.Base + path
+	query := ""
 	if from > 0 {
-		url += "?from=" + strconv.Itoa(from)
+		query = "?from=" + strconv.Itoa(from)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.http().Do(req)
+	resp, err := c.open(ctx, http.MethodGet, "/jobs/"+id+"/events", query, nil)
 	if err != nil {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return 0, apiError(resp, path)
-	}
 	n := 0
 	br := bufio.NewReader(resp.Body)
 	for {
@@ -343,44 +353,11 @@ func (c *Client) streamOnce(ctx context.Context, id string, from int, w io.Write
 // runner.WriteJSON as the batch CLIs, so saved remote results are
 // byte-comparable to local ones. Retries (idempotent GET) per c.Retry.
 func (c *Client) RawResults(ctx context.Context, id string) ([]byte, error) {
-	attempts := c.Retry.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			if werr := c.backoff(ctx, attempt-1, err); werr != nil {
-				return nil, werr
-			}
-		}
-		var b []byte
-		b, err = c.rawResultsOnce(ctx, id)
-		if err == nil {
-			return b, nil
-		}
-		if ctx.Err() != nil || !retryable(http.MethodGet, err) {
-			return nil, err
-		}
-	}
-	return nil, err
-}
-
-func (c *Client) rawResultsOnce(ctx context.Context, id string) ([]byte, error) {
-	path := "/jobs/" + id + "/results"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
-	if err != nil {
+	var b []byte
+	if err := c.do(ctx, http.MethodGet, "/jobs/"+id+"/results", nil, &b); err != nil {
 		return nil, err
 	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return nil, apiError(resp, path)
-	}
-	return io.ReadAll(resp.Body)
+	return b, nil
 }
 
 // Results is RawResults decoded into result rows.

@@ -129,7 +129,7 @@ func (s *Sender) Attachment() *netem.Attachment { return s.att }
 // Start initializes the controller and begins transmission at time start.
 func (s *Sender) Start(start sim.Time) {
 	s.cc.Init(&s.env)
-	s.env.Sch.At(start, s.trySendFn)
+	s.env.Sch.AtFunc(start, s.trySendFn)
 }
 
 // Stop retires the flow in one call: it halts transmission, cancels

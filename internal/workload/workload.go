@@ -115,11 +115,11 @@ func (g *Generator) Start(at sim.Time) error {
 	case "trace":
 		for _, a := range g.trace.Arrivals {
 			bytes := a.Bytes
-			g.Net.Sch.At(at+a.At, func() { g.spawnFlow(bytes) })
+			g.Net.Sch.AtFunc(at+a.At, func() { g.spawnFlow(bytes) })
 		}
 	default:
 		g.meanGap = sim.FromSeconds(g.meanSessionBytes() * 8 / (g.Spec.Load * 1e6))
-		g.Net.Sch.At(at, g.arrival)
+		g.Net.Sch.AtFunc(at, g.arrival)
 	}
 	return nil
 }
@@ -190,7 +190,7 @@ func (g *Generator) arrival() {
 		return
 	}
 	g.spawnSession()
-	g.Net.Sch.After(g.Rng.ExpTime(g.meanGap), g.arrival)
+	g.Net.Sch.AfterFunc(g.Rng.ExpTime(g.meanGap), g.arrival)
 }
 
 func (g *Generator) spawnSession() {
@@ -227,7 +227,7 @@ func (g *Generator) spawnFlowAfter(d sim.Time, size int) {
 		g.spawnFlow(size)
 		return
 	}
-	g.Net.Sch.After(d, func() { g.spawnFlow(size) })
+	g.Net.Sch.AfterFunc(d, func() { g.spawnFlow(size) })
 }
 
 func (g *Generator) spawnFlow(size int) {
