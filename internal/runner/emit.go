@@ -10,11 +10,59 @@ import (
 	"strings"
 )
 
-// WriteJSON writes results as indented JSON.
+// WriteJSON writes results as indented JSON: each result encoded by
+// EncodeRow, joined by WriteRows. A nil slice writes "null\n". A result
+// that cannot be encoded (a NaN or Inf metric) fails the whole document
+// before anything is written.
 func WriteJSON(w io.Writer, rs []Result) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rs)
+	if rs == nil {
+		_, err := io.WriteString(w, "null\n")
+		return err
+	}
+	rows := make([][]byte, len(rs))
+	for i, r := range rs {
+		row, err := EncodeRow(r)
+		if err != nil {
+			return err
+		}
+		rows[i] = row
+	}
+	return WriteRows(w, rows)
+}
+
+// EncodeRow encodes one result as an element of the WriteJSON document:
+// indented one level, without a leading indent or a trailing newline.
+// The bytes depend on r alone, so a cached result's row can be encoded
+// once and served verbatim (the experiment service shares one row among
+// every job that names the cell).
+func EncodeRow(r Result) ([]byte, error) {
+	return json.MarshalIndent(r, "  ", "  ")
+}
+
+// WriteRows writes rows from EncodeRow as one JSON array, byte for byte
+// what an indenting json.Encoder writes for the results they encode:
+// "[\n  ", the rows separated by ",\n  ", then "\n]\n"; no rows is
+// "[]\n". The document goes out in one Write.
+func WriteRows(w io.Writer, rows [][]byte) error {
+	if len(rows) == 0 {
+		_, err := io.WriteString(w, "[]\n")
+		return err
+	}
+	n := len("[\n  ") + len("\n]\n") + (len(rows)-1)*len(",\n  ")
+	for _, row := range rows {
+		n += len(row)
+	}
+	doc := make([]byte, 0, n)
+	doc = append(doc, "[\n  "...)
+	for i, row := range rows {
+		if i > 0 {
+			doc = append(doc, ",\n  "...)
+		}
+		doc = append(doc, row...)
+	}
+	doc = append(doc, "\n]\n"...)
+	_, err := w.Write(doc)
+	return err
 }
 
 // WriteCSV writes results as CSV: one row per run, scenario fields first,

@@ -349,9 +349,10 @@ func (c *Client) streamOnce(ctx context.Context, id string, from int, w io.Write
 
 // RawResults blocks until the job completes and returns the results
 // document exactly as the daemon emitted it. Callers that persist results
-// write these bytes verbatim: the daemon encodes with the same
-// runner.WriteJSON as the batch CLIs, so saved remote results are
-// byte-comparable to local ones. Retries (idempotent GET) per c.Retry.
+// write these bytes verbatim: the daemon's rows come from the
+// runner.EncodeRow behind the batch CLIs' runner.WriteJSON, joined by the
+// same runner.WriteRows, so saved remote results are byte-comparable to
+// local ones. Retries (idempotent GET) per c.Retry.
 func (c *Client) RawResults(ctx context.Context, id string) ([]byte, error) {
 	var b []byte
 	if err := c.do(ctx, http.MethodGet, "/jobs/"+id+"/results", nil, &b); err != nil {

@@ -61,11 +61,15 @@ type JobStatus struct {
 	Err string `json:"err,omitempty"`
 }
 
-// Job is one submitted sweep: its expanded scenarios, per-cell progress,
-// the growing event log, and — once done — results in submission order.
+// Job is one submitted sweep: its expanded scenarios while it runs,
+// per-cell progress, the growing event log, and — once done — its
+// encoded result rows in submission order. A row the store cached is
+// the store's own slice, shared with every job naming that cell, so per
+// cell a finished job holds one slice header.
 type Job struct {
 	id     string
-	scs    []runner.Scenario
+	scs    []runner.Scenario // nil once finished
+	total  int
 	cancel context.CancelFunc
 	start  time.Time
 
@@ -76,7 +80,7 @@ type Job struct {
 	done    int
 	events  uint64
 	elapsed time.Duration // frozen on completion
-	results []runner.Result
+	rows    [][]byte      // runner.EncodeRow of each result; read-only
 	log     []byte
 	// lineOff[i] is the byte offset where progress line i starts in log.
 	// StreamLog's ?from=N resume support maps a line count to a byte
@@ -87,7 +91,7 @@ type Job struct {
 }
 
 func newJob(id string, scs []runner.Scenario, cancel context.CancelFunc) *Job {
-	j := &Job{id: id, scs: scs, cancel: cancel, start: time.Now(), state: JobRunning}
+	j := &Job{id: id, scs: scs, total: len(scs), cancel: cancel, start: time.Now(), state: JobRunning}
 	j.cells.Pending = len(scs)
 	j.cond = sync.NewCond(&j.mu)
 	return j
@@ -102,7 +106,7 @@ func (j *Job) Status() JobStatus {
 		elapsed = time.Since(j.start)
 	}
 	return JobStatus{
-		ID: j.id, State: j.state, Total: len(j.scs), Done: j.done,
+		ID: j.id, State: j.state, Total: j.total, Done: j.done,
 		Cells: j.cells, Events: j.events, ElapsedSec: elapsed.Seconds(),
 	}
 }
@@ -144,19 +148,23 @@ func (j *Job) cellFinished(started bool, oc Outcome, r runner.Result, line strin
 	j.mu.Unlock()
 }
 
-// finish records the terminal state and the results (submission order).
-func (j *Job) finish(state JobState, rs []runner.Result) {
+// finish records the terminal state and the encoded result rows
+// (submission order), and drops the scenarios.
+func (j *Job) finish(state JobState, rows [][]byte) {
 	j.mu.Lock()
 	j.state = state
-	j.results = rs
+	j.rows = rows
+	j.scs = nil
 	j.elapsed = time.Since(j.start)
 	j.cond.Broadcast()
 	j.mu.Unlock()
 }
 
 // Results blocks until the job reaches a terminal state, then returns its
-// results (submission order, one per scenario). ctx aborts the wait.
-func (j *Job) Results(ctx context.Context) ([]runner.Result, error) {
+// result rows (runner.EncodeRow bytes, submission order, one per
+// scenario) for runner.WriteRows. The rows are shared: read-only. ctx
+// aborts the wait.
+func (j *Job) Results(ctx context.Context) ([][]byte, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	// The broadcast takes the lock so it cannot slip into the window
@@ -173,7 +181,7 @@ func (j *Job) Results(ctx context.Context) ([]runner.Result, error) {
 		}
 		j.cond.Wait()
 	}
-	return j.results, nil
+	return j.rows, nil
 }
 
 // StreamLog writes the job's event log to emit, skipping the first from

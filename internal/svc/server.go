@@ -291,6 +291,7 @@ func (s *Server) runJob(ctx context.Context, j *Job, workers int) {
 	// for the same index in the same goroutine afterwards — no races.
 	outcomes := make([]Outcome, n)
 	started := make([]bool, n)
+	rows := make([][]byte, n)
 	done := 0 // OnCell calls are serialized by the runner
 	rn := &runner.Runner{Workers: workers}
 	rn.OnCell = func(i int, r runner.Result) {
@@ -312,7 +313,7 @@ func (s *Server) runJob(ctx context.Context, j *Job, workers int) {
 	rs := rn.RunGrid(ctx, j.scs, func(i int, sc runner.Scenario) runner.Result {
 		started[i] = true
 		j.cellStarted()
-		r, oc := s.Store.GetOrRun(ctx, s.Store.Key(sc), func() runner.Result {
+		r, row, oc := s.Store.getOrRun(ctx, s.Store.Key(sc), func() runner.Result {
 			// The watchdog gets a fresh context, not the job's: a
 			// canceled job must not abort a cell other jobs may be
 			// sharing (in-flight cells finish and cache). RunWatched
@@ -340,13 +341,21 @@ func (s *Server) runJob(ctx context.Context, j *Job, workers int) {
 			return r
 		})
 		outcomes[i] = oc
+		rows[i] = row
 		return r
 	})
+	// The store hands over the row of every result it caches; the rest
+	// (error rows, canceled cells that never started) are this job's own.
+	for i, row := range rows {
+		if row == nil {
+			_, rows[i] = encodeRow(rs[i])
+		}
+	}
 	state := JobDone
 	if ctx.Err() != nil {
 		state = JobCanceled
 	}
-	j.finish(state, rs)
+	j.finish(state, rows)
 	s.mu.Lock()
 	if state == JobCanceled {
 		s.jobsCanceled++
@@ -403,23 +412,24 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleResults blocks until the job completes, then emits the merged
-// results with runner.WriteJSON — the same encoder the batch CLIs use, so
-// for the same grid and seed the response is byte-identical to a local
-// nimbus-bench run (the acceptance contract nimbus-bench -remote and the
-// CI smoke verify).
+// handleResults blocks until the job completes, then joins its encoded
+// rows with runner.WriteRows — the rows come from runner.EncodeRow, the
+// encoder behind the batch CLIs' runner.WriteJSON, so for the same grid
+// and seed the response is byte-identical to a local nimbus-bench run
+// (the acceptance contract nimbus-bench -remote and the CI smoke
+// verify). Nothing is encoded here.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	j := s.job(w, r)
 	if j == nil {
 		return
 	}
-	rs, err := j.Results(r.Context())
+	rows, err := j.Results(r.Context())
 	if err != nil {
 		// The client went away while waiting; nothing useful to write.
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	runner.WriteJSON(w, rs)
+	runner.WriteRows(w, rows)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -3,9 +3,11 @@ package svc
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -45,7 +47,7 @@ func smallGrid() runner.Grid {
 
 // newTestServer wires a Server over a stub run function and returns a
 // client pointed at it plus the shared run counter.
-func newTestServer(t *testing.T, run runner.RunFunc) (*Client, *Server) {
+func newTestServer(t testing.TB, run runner.RunFunc) (*Client, *Server) {
 	t.Helper()
 	store := newTestStore(t, t.TempDir(), 64, "test-v1")
 	// No Logf: the job goroutine outlives a test's last HTTP response by
@@ -577,5 +579,158 @@ func TestServerResultsWaitsForCompletion(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("results never returned after completion")
+	}
+}
+
+// TestServerUnencodableRowIsAnErrorRow: a RunFunc that returns a NaN
+// metric gets an "encode: ..." error row per cell, not an empty 200. The
+// row is neither cached nor written to disk, so a resubmission runs the
+// cells again and the disk tier logs no write error.
+func TestServerUnencodableRowIsAnErrorRow(t *testing.T) {
+	var runs atomic.Int64
+	client, srv := newTestServer(t, func(sc runner.Scenario) runner.Result {
+		runs.Add(1)
+		r := stubRun(sc)
+		r.Metrics["mean_mbps"] = math.NaN()
+		return r
+	})
+	ctx := context.Background()
+	scs := smallGrid().Expand()
+	for pass := 1; pass <= 2; pass++ {
+		created, err := client.Submit(ctx, smallGrid(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := client.RawResults(ctx, created.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rs []runner.Result
+		if err := json.Unmarshal(raw, &rs); err != nil {
+			t.Fatalf("pass %d: results body %q: %v", pass, raw, err)
+		}
+		if len(rs) != len(scs) {
+			t.Fatalf("pass %d: %d rows, want %d", pass, len(rs), len(scs))
+		}
+		for i, r := range rs {
+			if !strings.HasPrefix(r.Err, "encode: ") || r.Scenario.Name != scs[i].Name {
+				t.Fatalf("pass %d: row %d is %+v, want the encode error row of %s", pass, i, r, scs[i].Name)
+			}
+		}
+		if st, _ := client.Status(ctx, created.ID); st.Cells.Errors != len(scs) {
+			t.Fatalf("pass %d: status %+v, want every cell an error", pass, st)
+		}
+	}
+	if got := runs.Load(); got != int64(2*len(scs)) {
+		t.Fatalf("%d runs over two passes, want %d: an unencodable row was cached", got, 2*len(scs))
+	}
+	if st := srv.Store.Stats(); st.MemEntries != 0 || st.DiskErrors != 0 {
+		t.Fatalf("store stats %+v, want no entries and no disk errors", st)
+	}
+	if files, _ := filepath.Glob(filepath.Join(srv.Store.dir, "*.json")); len(files) != 0 {
+		t.Fatalf("unencodable rows reached the disk tier: %v", files)
+	}
+}
+
+// storeRow is the memory tier's row for key, or nil.
+func storeRow(s *Store, key string) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.byKey[key]; ok {
+		return el.Value.(*memEntry).row
+	}
+	return nil
+}
+
+// finishedJob waits for job id to finish and returns its rows and whether
+// it still holds its scenarios.
+func finishedJob(t *testing.T, srv *Server, id string) (rows [][]byte, holdsScenarios bool) {
+	t.Helper()
+	srv.mu.Lock()
+	j := srv.jobs[id]
+	srv.mu.Unlock()
+	rows, err := j.Results(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return rows, j.scs != nil
+}
+
+// TestFinishedJobSharesStoreRows: a finished job keeps the store's
+// encoded rows, not copies — the same backing array in every job that
+// names the cell — and drops its scenarios. Cells the store did not
+// cache (canceled before they started) come back as rows the job
+// encoded itself.
+func TestFinishedJobSharesStoreRows(t *testing.T) {
+	release := make(chan struct{})
+	entered := make(chan struct{}, 16)
+	client, srv := newTestServer(t, func(sc runner.Scenario) runner.Result {
+		if sc.Seed == 9 { // the canceled job's cells block
+			entered <- struct{}{}
+			<-release
+		}
+		return stubRun(sc)
+	})
+	ctx := context.Background()
+	g := smallGrid()
+	scs := g.Expand()
+	var raw [2][]byte
+	var rows [2][][]byte
+	for k := range raw {
+		created, err := client.Submit(ctx, g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw[k], err = client.RawResults(ctx, created.ID); err != nil {
+			t.Fatal(err)
+		}
+		var holds bool
+		if rows[k], holds = finishedJob(t, srv, created.ID); holds {
+			t.Fatalf("finished job %s still holds its scenarios", created.ID)
+		}
+	}
+	if !bytes.Equal(raw[0], raw[1]) {
+		t.Fatalf("the two jobs' results differ:\n%s\n%s", raw[0], raw[1])
+	}
+	for i, sc := range scs {
+		want := storeRow(srv.Store, srv.Store.Key(sc))
+		if want == nil {
+			t.Fatalf("cell %d is not in the memory tier", i)
+		}
+		for k := range rows {
+			if &rows[k][i][0] != &want[0] {
+				t.Fatalf("job %d cell %d holds a copy, not the store's row", k+1, i)
+			}
+		}
+	}
+
+	// One worker: cell 0 blocks in the stub, cells 1..3 never start.
+	g.Base.Seed = 9
+	created, err := client.Submit(ctx, g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	if _, err := client.Cancel(ctx, created.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if _, err := client.RawResults(ctx, created.ID); err != nil {
+		t.Fatal(err)
+	}
+	canceled, holds := finishedJob(t, srv, created.ID)
+	if holds {
+		t.Fatal("canceled job still holds its scenarios")
+	}
+	if &canceled[0][0] != &storeRow(srv.Store, srv.Store.Key(g.Expand()[0]))[0] {
+		t.Fatal("the canceled job's finished cell holds a copy, not the store's row")
+	}
+	for i, row := range canceled[1:] {
+		var r runner.Result
+		if err := json.Unmarshal(row, &r); err != nil || !strings.Contains(r.Err, "canceled") {
+			t.Fatalf("unstarted cell %d row %q (%v), want a canceled error row", i+1, row, err)
+		}
 	}
 }

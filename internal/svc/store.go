@@ -105,6 +105,7 @@ type entry struct {
 type flight struct {
 	done chan struct{}
 	r    runner.Result
+	row  []byte
 }
 
 // Store is the two-tier content-addressed result cache: an in-memory LRU
@@ -133,9 +134,13 @@ type Store struct {
 	stats    StoreStats
 }
 
+// memEntry is one memory-tier result beside its encoded row
+// (runner.EncodeRow), encoded once on insert and shared read-only with
+// every job that names the cell.
 type memEntry struct {
 	key string
 	r   runner.Result
+	row []byte
 }
 
 // NewStore opens (creating if needed) the cache directory. maxEntries
@@ -178,18 +183,29 @@ func (s *Store) Path(key string) string {
 // across all concurrent callers of the same key and caches its result.
 // Error results (Result.Err != "") are returned but never cached: a
 // malformed scenario stays an error, but a transient failure is not
-// pinned forever. ctx cancels the wait of a sharing caller (the caller
-// actually running the simulation completes it — a finished result is
-// worth caching).
+// pinned forever. A result that cannot be encoded becomes such an error
+// row (encodeRow). ctx cancels the wait of a sharing caller (the
+// caller actually running the simulation completes it — a finished
+// result is worth caching).
 func (s *Store) GetOrRun(ctx context.Context, key string, run func() runner.Result) (runner.Result, Outcome) {
+	r, _, oc := s.getOrRun(ctx, key, run)
+	return r, oc
+}
+
+// getOrRun is GetOrRun that also returns the result's row: its
+// runner.EncodeRow bytes, encoded once when the result entered the memory
+// tier and shared by every caller, so read-only. row is nil for an error
+// row that run returned (or a canceled wait), which the caller encodes
+// itself.
+func (s *Store) getOrRun(ctx context.Context, key string, run func() runner.Result) (r runner.Result, row []byte, oc Outcome) {
 	s.mu.Lock()
 	// Memory tier.
 	if el, ok := s.byKey[key]; ok {
 		s.lru.MoveToFront(el)
-		r := el.Value.(*memEntry).r
+		e := el.Value.(*memEntry)
 		s.stats.MemHits++
 		s.mu.Unlock()
-		return r, HitMem
+		return e.r, e.row, HitMem
 	}
 	// Someone else is already computing this key: wait and share.
 	if fl, ok := s.inflight[key]; ok {
@@ -197,9 +213,9 @@ func (s *Store) GetOrRun(ctx context.Context, key string, run func() runner.Resu
 		s.mu.Unlock()
 		select {
 		case <-fl.done:
-			return fl.r, Shared
+			return fl.r, fl.row, Shared
 		case <-ctx.Done():
-			return runner.Result{Err: ctx.Err().Error()}, Shared
+			return runner.Result{Err: ctx.Err().Error()}, nil, Shared
 		}
 	}
 	// Take the singleflight slot before touching disk, so two callers
@@ -210,12 +226,16 @@ func (s *Store) GetOrRun(ctx context.Context, key string, run func() runner.Resu
 	s.mu.Unlock()
 
 	if r, ok := s.readDisk(key); ok {
-		s.settle(key, fl, r, true, HitDisk)
-		return r, HitDisk
+		r, row = encodeRow(r)
+		s.settle(key, fl, r, row, HitDisk)
+		return r, row, HitDisk
 	}
 
-	r := run()
+	r = run()
 	if r.Err == "" {
+		r, row = encodeRow(r)
+	}
+	if r.Err == "" { // still: the row encoded
 		if err := s.writeDisk(key, r); err != nil {
 			// The result is still good; only persistence failed. Serve
 			// it (and keep it in memory) rather than failing the cell.
@@ -223,8 +243,23 @@ func (s *Store) GetOrRun(ctx context.Context, key string, run func() runner.Resu
 			fmt.Fprintf(os.Stderr, "svc: cache write for %s: %v\n", s.Path(key), err)
 		}
 	}
-	s.settle(key, fl, r, r.Err == "", Miss)
-	return r, Miss
+	s.settle(key, fl, r, row, Miss)
+	return r, row, Miss
+}
+
+// encodeRow returns r with its runner.EncodeRow bytes. A result that
+// cannot be encoded — a NaN or Inf metric from a pluggable RunFunc — is
+// replaced by the error row "encode: ...", returned with its own bytes,
+// so no one caches, persists or serves a row that cannot be written. The
+// error row always encodes: its scenario was expanded from a decoded
+// grid, and JSON decodes no NaN or Inf.
+func encodeRow(r runner.Result) (runner.Result, []byte) {
+	row, err := runner.EncodeRow(r)
+	if err != nil {
+		r = runner.Result{Scenario: r.Scenario, Err: "encode: " + err.Error()}
+		row, _ = runner.EncodeRow(r)
+	}
+	return r, row
 }
 
 // Get returns the cached result for key without computing anything:
@@ -241,29 +276,33 @@ func (s *Store) Get(key string) (runner.Result, bool) {
 	}
 	s.mu.Unlock()
 	r, ok := s.readDisk(key)
+	var row []byte
+	if ok {
+		r, row = encodeRow(r)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !ok {
+	if !ok || r.Err != "" {
 		s.stats.Misses++
 		return runner.Result{}, false
 	}
 	s.stats.DiskHits++
-	s.insertLocked(key, r)
+	s.insertLocked(key, r, row)
 	return r, true
 }
 
-// settle publishes a flight's result to waiters, records the outcome,
-// inserts into the memory tier when the result is cacheable, and releases
-// the singleflight slot.
-func (s *Store) settle(key string, fl *flight, r runner.Result, cache bool, oc Outcome) {
-	fl.r = r
+// settle publishes a flight's result and row to waiters, records the
+// outcome, inserts into the memory tier when the result is cacheable (not
+// an error row), and releases the singleflight slot.
+func (s *Store) settle(key string, fl *flight, r runner.Result, row []byte, oc Outcome) {
+	fl.r, fl.row = r, row
 	close(fl.done)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.inflight, key)
 	s.stats.Inflight--
-	if cache {
-		s.insertLocked(key, r)
+	if r.Err == "" {
+		s.insertLocked(key, r, row)
 	}
 	if oc == HitDisk {
 		s.stats.DiskHits++
@@ -272,15 +311,16 @@ func (s *Store) settle(key string, fl *flight, r runner.Result, cache bool, oc O
 	}
 }
 
-// insertLocked adds a result to the memory tier, evicting from the cold
-// end past maxEntries. Callers hold s.mu.
-func (s *Store) insertLocked(key string, r runner.Result) {
+// insertLocked adds a result and its row to the memory tier, evicting
+// from the cold end past maxEntries. Callers hold s.mu.
+func (s *Store) insertLocked(key string, r runner.Result, row []byte) {
 	if el, ok := s.byKey[key]; ok {
 		s.lru.MoveToFront(el)
-		el.Value.(*memEntry).r = r
+		e := el.Value.(*memEntry)
+		e.r, e.row = r, row
 		return
 	}
-	s.byKey[key] = s.lru.PushFront(&memEntry{key: key, r: r})
+	s.byKey[key] = s.lru.PushFront(&memEntry{key: key, r: r, row: row})
 	for s.lru.Len() > s.maxEntries {
 		cold := s.lru.Back()
 		delete(s.byKey, cold.Value.(*memEntry).key)

@@ -30,7 +30,7 @@ func testResult(sc runner.Scenario) runner.Result {
 	}
 }
 
-func newTestStore(t *testing.T, dir string, entries int, version string) *Store {
+func newTestStore(t testing.TB, dir string, entries int, version string) *Store {
 	t.Helper()
 	s, err := NewStore(dir, entries, version)
 	if err != nil {

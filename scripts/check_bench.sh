@@ -13,7 +13,8 @@
 #     of 5492 allocations), so the bytes are gated where they matter:
 #     the whole-rig throughput bench and the session-churn bench, where
 #     a larger first allocation per flow lowers the count and raises the
-#     bytes.
+#     bytes, and the daemon's warm job, where a row re-encoded or
+#     copied per job shows in the bytes.
 #   - ns/op: fail beyond 3x baseline. The band is deliberately wide —
 #     CI hardware varies and these benches run at small -benchtime — so
 #     it only catches order-of-magnitude regressions (an accidental
@@ -39,6 +40,7 @@ BenchmarkFluidLink fluidlink_allocs_per_op fluidlink_ns_per_op -
 BenchmarkSweepFluidVsPacket sweepfluid_allocs_per_op - -
 BenchmarkSessionChurn sessionchurn_allocs_per_op - sessionchurn_bytes_per_op
 BenchmarkDeriveSeed deriveseed_allocs_per_op - -
+BenchmarkWarmJob warmjob_allocs_per_op - warmjob_bytes_per_op
 "
 
 [ -n "$compare_out" ] && printf '%-36s %-12s %10s %10s %10s %s\n' \
