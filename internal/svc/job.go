@@ -61,14 +61,15 @@ type JobStatus struct {
 	Err string `json:"err,omitempty"`
 }
 
-// Job is one submitted sweep: its expanded scenarios while it runs,
+// Job is one submitted sweep: its expanded scenarios while it runs (a
+// finished job waiting its turn in a restart's replay pass has none yet),
 // per-cell progress, the growing event log, and — once done — its
 // encoded result rows in submission order. A row the store cached is
 // the store's own slice, shared with every job naming that cell, so per
 // cell a finished job holds one slice header.
 type Job struct {
 	id     string
-	scs    []runner.Scenario // nil once finished
+	scs    []runner.Scenario // nil while queued for a replay pass and once finished
 	total  int
 	cancel context.CancelFunc
 	start  time.Time

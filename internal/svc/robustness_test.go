@@ -6,12 +6,15 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -237,6 +240,258 @@ func TestServerJournalReplay(t *testing.T) {
 	}
 	if m.JournalReplayed != 2 {
 		t.Fatalf("metrics journal_replayed = %d, want 2", m.JournalReplayed)
+	}
+}
+
+// bootJournaled brings a daemon up over cacheDir and the journal in
+// journalDir, replaying whatever the journal holds, as nimbus-svc does at
+// startup. It returns the server, a client for it and the replay count.
+func bootJournaled(t *testing.T, cacheDir, journalDir string, run runner.RunFunc) (*Server, *Client, int) {
+	t.Helper()
+	journal, recs, err := OpenJournal(journalDir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { journal.Close() })
+	srv := &Server{Store: newTestStore(t, cacheDir, 64, "test-v1"), Run: run, Workers: 2, Journal: journal}
+	srv.Start()
+	n := srv.Replay(recs)
+	srv.SetReady()
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+	return srv, NewClient(hs.URL), n
+}
+
+// serverJob is srv's job id, or nil.
+func serverJob(srv *Server, id string) *Job {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	return srv.jobs[id]
+}
+
+// tableRow is what one job of a job table answers once it has finished.
+type tableRow struct {
+	Status JobStatus // ElapsedSec zeroed
+	Raw    string    // the GET /jobs/{id}/results body
+}
+
+// jobTable waits for every job of srv to finish and returns the table.
+func jobTable(t *testing.T, srv *Server) map[string]tableRow {
+	t.Helper()
+	srv.mu.Lock()
+	jobs := maps.Clone(srv.jobs)
+	srv.mu.Unlock()
+	table := map[string]tableRow{}
+	for id, j := range jobs {
+		rows, err := j.Results(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw bytes.Buffer
+		runner.WriteRows(&raw, rows)
+		st := j.Status()
+		st.ElapsedSec = 0
+		table[id] = tableRow{st, raw.String()}
+	}
+	return table
+}
+
+// readWAL is the journal's bytes, waiting until they hold lines records:
+// a done edge is appended just after the job's results are published.
+func readWAL(t *testing.T, journalDir string, lines int) []byte {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		b, err := os.ReadFile(filepath.Join(journalDir, "wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Count(b, []byte("\n")) >= lines || time.Now().After(deadline) {
+			return b
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestReplayIsIdempotent: restarting twice over the same cache and
+// journal rebuilds the same job table — ids, states, totals, cell counts,
+// raw results — and neither replay appends to the journal: every job in
+// it had finished, so its done edge is already there.
+func TestReplayIsIdempotent(t *testing.T) {
+	dir := t.TempDir()
+	cacheDir, journalDir := filepath.Join(dir, "cache"), filepath.Join(dir, "journal")
+	ctx := context.Background()
+
+	// First life: two finished jobs and one canceled mid-flight — submit,
+	// done, submit, done, submit, cancel, done.
+	release := make(chan struct{})
+	entered := make(chan struct{}, 16)
+	_, client, _ := bootJournaled(t, cacheDir, journalDir, func(sc runner.Scenario) runner.Result {
+		if sc.Seed == 7 {
+			entered <- struct{}{}
+			<-release
+		}
+		return stubRun(sc)
+	})
+	g := smallGrid()
+	for _, rate := range []float64{48, 24} {
+		g.RatesMbps = []float64{rate}
+		created, err := client.Submit(ctx, g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.RawResults(ctx, created.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Base.Seed = 7
+	created, err := client.Submit(ctx, g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	if _, err := client.Cancel(ctx, created.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if _, err := client.RawResults(ctx, created.ID); err != nil {
+		t.Fatal(err)
+	}
+	wal0 := readWAL(t, journalDir, 7)
+
+	var tables [2]map[string]tableRow
+	for k := range tables {
+		srv, _, n := bootJournaled(t, cacheDir, journalDir, stubRun)
+		if n != 3 {
+			t.Fatalf("restart %d replayed %d jobs, want 3", k+1, n)
+		}
+		tables[k] = jobTable(t, srv)
+		if wal := readWAL(t, journalDir, 7); !bytes.Equal(wal, wal0) {
+			t.Fatalf("restart %d changed the journal:\nbefore:\n%s\nafter:\n%s", k+1, wal0, wal)
+		}
+	}
+	if !reflect.DeepEqual(tables[0], tables[1]) {
+		t.Fatalf("the two restarts' job tables differ:\n%+v\n%+v", tables[0], tables[1])
+	}
+	if st := tables[0][created.ID].Status; st.State != JobCanceled || st.Cells.Errors != st.Total {
+		t.Fatalf("canceled job replayed as %+v", st)
+	}
+	for _, id := range []string{"1", "2"} {
+		if st := tables[0][id].Status; st.State != JobDone || st.Cells.Hit != st.Total {
+			t.Fatalf("finished job %s replayed as %+v, want done from the cache", id, st)
+		}
+	}
+}
+
+// TestReplayRunsFinishedJobsLazily: after a restart the finished jobs
+// re-resolve one at a time in journal order, and a job waiting its turn
+// holds no cells. While the first finished job blocks (its cache entries
+// were pruned), every later one has no scenarios and reads all cells
+// pending. The job the crash interrupted does not wait behind them, and
+// its done edge is the only record the replay appends.
+func TestReplayRunsFinishedJobsLazily(t *testing.T) {
+	dir := t.TempDir()
+	cacheDir, journalDir := filepath.Join(dir, "cache"), filepath.Join(dir, "journal")
+	ctx := context.Background()
+
+	// Before the crash: four jobs ran, seeds 11-14, and the journal holds
+	// all four submissions but the last job's done edge. The daemon that
+	// ran them journals elsewhere; this test writes the journal itself.
+	beforeSrv, before, _ := bootJournaled(t, cacheDir, filepath.Join(dir, "own-journal"), stubRun)
+	journal, _, err := OpenJournal(journalDir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := map[string][]byte{}
+	var grids []runner.Grid
+	for k := 0; k < 4; k++ {
+		g := smallGrid()
+		g.Base.Seed = int64(11 + k)
+		created, err := before.Submit(ctx, g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw[created.ID], err = before.RawResults(ctx, created.ID); err != nil {
+			t.Fatal(err)
+		}
+		recs := []Record{{Type: recSubmit, ID: created.ID, Grid: &g}}
+		if k < 3 {
+			recs = append(recs, Record{Type: recDone, ID: created.ID, State: JobDone})
+		}
+		for _, rec := range recs {
+			if err := journal.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		grids = append(grids, g)
+	}
+	journal.Close()
+	wal0 := readWAL(t, journalDir, 7)
+	// The first job's cells are pruned from the cache, so they simulate.
+	store := beforeSrv.Store
+	for _, sc := range grids[0].Expand() {
+		if err := os.Remove(store.Path(store.Key(sc))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
+	entered := make(chan struct{}, 16)
+	srv, _, n := bootJournaled(t, cacheDir, journalDir, func(sc runner.Scenario) runner.Result {
+		if sc.Seed == 11 {
+			entered <- struct{}{}
+			<-release
+		}
+		return stubRun(sc)
+	})
+	if n != 4 {
+		t.Fatalf("replayed %d jobs, want 4", n)
+	}
+	<-entered
+
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	rows, err := serverJob(srv, "4").Results(wctx)
+	if err != nil {
+		t.Fatal("the interrupted job waited behind the finished jobs")
+	}
+	var got bytes.Buffer
+	runner.WriteRows(&got, rows)
+	if !bytes.Equal(got.Bytes(), raw["4"]) {
+		t.Fatalf("interrupted job's results changed across the restart:\n%s\n%s", raw["4"], got.Bytes())
+	}
+	for _, id := range []string{"2", "3"} {
+		j := serverJob(srv, id)
+		j.mu.Lock()
+		holds := j.scs != nil
+		j.mu.Unlock()
+		if holds {
+			t.Fatalf("queued finished job %s holds its scenarios", id)
+		}
+		if st := j.Status(); st.State != JobRunning || st.Total != 4 || st.Cells.Pending != st.Total {
+			t.Fatalf("queued finished job %s reads %+v, want running with every cell pending", id, st)
+		}
+	}
+
+	unblock()
+	for id, want := range raw {
+		rows, err := serverJob(srv, id).Results(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Reset()
+		runner.WriteRows(&got, rows)
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("job %s's results changed across the restart:\n%s\n%s", id, want, got.Bytes())
+		}
+	}
+	done4, _ := json.Marshal(Record{Type: recDone, ID: "4", State: JobDone})
+	want := append(append(wal0, done4...), '\n')
+	if wal := readWAL(t, journalDir, 8); !bytes.Equal(wal, want) {
+		t.Fatalf("journal after the replay:\n%s\nwant:\n%s", wal, want)
 	}
 }
 

@@ -235,7 +235,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// a crash at any later point replays it.
 	s.appendJournal(Record{Type: recSubmit, ID: id, Grid: &req.Grid, Workers: req.Workers})
 	s.logf("job %s: submitted, %d cells, %d workers", id, len(scs), workers)
-	go s.runJob(ctx, j, workers)
+	go s.runJob(ctx, j, workers, false)
 	writeJSON(w, http.StatusAccepted, JobCreated{ID: id, Total: len(scs)})
 }
 
@@ -283,8 +283,10 @@ func (s *Server) appendJournal(rec Record) {
 // runJob executes a job's cells through the store: hits cost a lookup,
 // misses simulate (deduplicated across concurrent jobs by the store's
 // singleflight), and every completion appends the progress line a local
-// runner would print, tagged with how the cell was satisfied.
-func (s *Server) runJob(ctx context.Context, j *Job, workers int) {
+// runner would print, tagged with how the cell was satisfied. The done
+// edge is journaled unless doneJournaled says the journal already holds
+// it (a finished job re-resolving after a restart).
+func (s *Server) runJob(ctx context.Context, j *Job, workers int, doneJournaled bool) {
 	start := time.Now()
 	n := len(j.scs)
 	// Written by the cell's own worker in the run closure, read by OnCell
@@ -363,7 +365,9 @@ func (s *Server) runJob(ctx context.Context, j *Job, workers int) {
 		s.jobsDone++
 	}
 	s.mu.Unlock()
-	s.appendJournal(Record{Type: recDone, ID: j.id, State: state})
+	if !doneJournaled {
+		s.appendJournal(Record{Type: recDone, ID: j.id, State: state})
+	}
 	st := j.Status()
 	s.logf("job %s: %s in %.1fs — %d hit / %d miss / %d shared / %d errors",
 		j.id, state, st.ElapsedSec, st.Cells.Hit, st.Cells.Miss, st.Cells.Shared, st.Cells.Errors)
@@ -509,17 +513,23 @@ func (s *Server) SetReady() { s.ready.Store(true) }
 
 // Replay rebuilds the job table from journal records (as returned by
 // OpenJournal) and resumes every journaled job, returning how many. Call
-// it after Start and before serving traffic.
+// it after Start and before serving traffic. Every job is registered,
+// with its cell count, before Replay returns.
 //
 // Replay semantics:
 //
 //   - A job with no done record (pending or running at the crash)
-//     resumes exactly where the cache left it: completed cells are disk
-//     hits, the rest simulate.
-//   - A completed job re-resolves through the cache — every cacheable
-//     cell comes back byte-identical (cached rows keep their original
-//     wall-clock), so GET /jobs/{id}/results keeps answering across
-//     restarts. Error rows (never cached) re-run.
+//     starts at once and resumes exactly where the cache left it:
+//     completed cells are disk hits, the rest simulate.
+//   - A finished job (a done record) re-resolves through the cache —
+//     every cacheable cell comes back byte-identical (cached rows keep
+//     their original wall-clock), so GET /jobs/{id}/results keeps
+//     answering across restarts. Error rows (never cached) re-run.
+//     Finished jobs re-resolve one at a time, in journal order, in one
+//     background pass; a queued job holds only its grid, which is
+//     expanded when its turn comes, so the pass never holds more than
+//     one finished job's cells. Their done edges are already journaled
+//     and are not appended again.
 //   - A canceled job (cancel record, or done record in the canceled
 //     state) replays with its context already canceled: every cell
 //     reports a canceled error row, preserving the id and terminal state
@@ -529,6 +539,7 @@ func (s *Server) Replay(records []Record) int {
 		grid     *runner.Grid
 		workers  int
 		canceled bool
+		finished bool
 	}
 	byID := map[string]*replayJob{}
 	var order []string
@@ -545,8 +556,9 @@ func (s *Server) Replay(records []Record) int {
 				rj.canceled = true
 			}
 		case recDone:
-			if rj := byID[rec.ID]; rj != nil && rec.State == JobCanceled {
-				rj.canceled = true
+			if rj := byID[rec.ID]; rj != nil {
+				rj.finished = true
+				rj.canceled = rj.canceled || rec.State == JobCanceled
 			}
 		}
 	}
@@ -555,6 +567,7 @@ func (s *Server) Replay(records []Record) int {
 		maxCells = 1_000_000
 	}
 	n := 0
+	var pass []func() // the finished jobs, in journal order
 	for _, id := range order {
 		rj := byID[id]
 		scs := safeExpand(rj.grid)
@@ -582,9 +595,28 @@ func (s *Server) Replay(records []Record) int {
 			cancel()
 		}
 		s.logf("journal: replaying job %s (%d cells, canceled=%v)", id, len(scs), rj.canceled)
-		go s.runJob(ctx, j, workers)
 		n++
+		if !rj.finished {
+			go s.runJob(ctx, j, workers, false)
+			continue
+		}
+		// Queued for the pass below with only its grid: the cells are
+		// expanded again when the job's turn comes.
+		j.scs = nil
+		pass = append(pass, func() {
+			scs := safeExpand(rj.grid)
+			j.mu.Lock()
+			j.scs = scs
+			j.mu.Unlock()
+			s.runJob(ctx, j, workers, true)
+		})
 	}
+	go func() {
+		for i, run := range pass {
+			pass[i] = nil // the pass holds only the jobs still to come
+			run()
+		}
+	}()
 	return n
 }
 

@@ -646,9 +646,7 @@ func storeRow(s *Store, key string) []byte {
 // it still holds its scenarios.
 func finishedJob(t *testing.T, srv *Server, id string) (rows [][]byte, holdsScenarios bool) {
 	t.Helper()
-	srv.mu.Lock()
-	j := srv.jobs[id]
-	srv.mu.Unlock()
+	j := serverJob(srv, id)
 	rows, err := j.Results(context.Background())
 	if err != nil {
 		t.Fatal(err)

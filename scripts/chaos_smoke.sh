@@ -7,7 +7,9 @@
 #   1. kill -9 mid-job: a daemon with slowed cells is SIGKILLed while a
 #      job is running, restarted over the same cache dir, and must
 #      replay the journal — the job resumes under its original id and
-#      its results match a clean local run (wall-clock normalized).
+#      its results match a clean local run (wall-clock normalized). A
+#      second restart serves the same raw bytes and appends nothing to
+#      the journal.
 #   2. hung cells: with every cell frozen by a hang failpoint, the
 #      per-cell watchdog reaps them into error rows and the results
 #      request completes instead of hanging.
@@ -100,7 +102,20 @@ cmp "$WORK/local.norm.json" "$WORK/resumed.norm.json" \
 state=$(curl -sf "$BASE/jobs/$job" | jq -r .state)
 [ "$state" = done ] || fail "phase 1: resumed job state is $state, want done"
 stop_daemon
-echo "chaos_smoke: phase 1 OK — job $job survived kill -9, results byte-identical (wall-clock normalized)"
+# A second restart replays the finished job from the cache: the same raw
+# bytes (cached rows keep their wall_sec), and no second done record.
+wal_lines() { jq -Rn '[inputs] | length' "$WORK/cache1/journal/wal"; }
+lines=$(wal_lines)
+start_daemon "$WORK/cache1"
+curl -sf "$BASE/jobs/$job/results" > "$WORK/replayed.json" || fail "phase 1: job $job lost on the second restart"
+cmp "$WORK/resumed.json" "$WORK/replayed.json" \
+    || fail "phase 1: results changed across the second restart"
+state=$(curl -sf "$BASE/jobs/$job" | jq -r .state)
+[ "$state" = done ] || fail "phase 1: job state after the second restart is $state, want done"
+stop_daemon
+[ "$(wal_lines)" -eq "$lines" ] \
+    || fail "phase 1: the second restart appended to the journal ($lines -> $(wal_lines) lines)"
+echo "chaos_smoke: phase 1 OK — job $job survived kill -9 and a second restart, results byte-identical (wall-clock normalized), journal unchanged"
 
 # --- phase 2: hung cells are reaped by the watchdog -------------------
 
