@@ -73,7 +73,7 @@ func BenchmarkFFT512(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		spec := fft.Analyze(samples, 100)
-		if spec.At(5) == 0 {
+		if spec.Mag[spec.BinFor(5)] == 0 {
 			b.Fatal("no signal")
 		}
 	}

@@ -206,9 +206,3 @@ func (b *BBR) Control() transport.Transmission {
 	}
 	return transport.Transmission{CwndBytes: int(cwnd), PaceBps: pace}
 }
-
-// State exposes the current BBR state name (tests, traces).
-func (b *BBR) State() string { return b.state.String() }
-
-// BtlBw exposes the bandwidth estimate in bits/s.
-func (b *BBR) BtlBw() float64 { return b.btlbw.Max() }

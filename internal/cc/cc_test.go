@@ -330,8 +330,7 @@ func TestCompoundDelayWindowRetreats(t *testing.T) {
 	comp := NewCompound()
 	r.addFlow(comp, 50*sim.Millisecond)
 	r.run(40 * sim.Second)
-	_, dwnd := comp.Windows()
-	if dwnd > 100*1500 {
-		t.Fatalf("dwnd = %.0f bytes still huge after queue built", dwnd)
+	if comp.dwnd > 100*1500 {
+		t.Fatalf("dwnd = %.0f bytes still huge after queue built", comp.dwnd)
 	}
 }

@@ -107,6 +107,3 @@ func (c *Compound) OnLoss(l transport.LossInfo) {
 func (c *Compound) Control() transport.Transmission {
 	return transport.Transmission{CwndBytes: int(c.win())}
 }
-
-// Windows exposes (cwnd, dwnd) in bytes for tests.
-func (c *Compound) Windows() (float64, float64) { return c.cwnd, c.dwnd }

@@ -240,8 +240,3 @@ func (c *Copa) SetCwnd(w float64) {
 	c.velocity = 1
 	c.dirCount = 0
 }
-
-// QueueDelayEstimate returns Copa's current standing queue estimate.
-func (c *Copa) QueueDelayEstimate() sim.Time {
-	return sim.Time(c.rttStanding.Min()) - sim.Time(c.rttMin.Min())
-}

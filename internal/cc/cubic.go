@@ -26,7 +26,6 @@ type Cubic struct {
 	epochStart sim.Time // start of current cubic epoch
 	k          float64  // seconds until the plateau
 	wEst       float64  // TCP-friendly (Reno-equivalent) window estimate
-	ackedBytes float64  // accumulator for wEst growth
 }
 
 // NewCubic returns a Cubic controller.
@@ -56,14 +55,12 @@ func (c *Cubic) OnAck(a transport.AckInfo) {
 			c.wMax = c.cwnd
 		}
 		c.wEst = c.cwnd
-		c.ackedBytes = 0
 	}
 	t := (now - c.epochStart).Seconds()
 	// Cubic target window (in bytes) at time t since the epoch started.
 	wCubic := (cubicC*math.Pow(t-c.k, 3) + c.wMax/c.mss) * c.mss
 
 	// TCP-friendly region: emulate Reno's growth rate.
-	c.ackedBytes += float64(a.Bytes)
 	rtt := c.srtt
 	if rtt == 0 {
 		rtt = 100 * sim.Millisecond
@@ -122,6 +119,3 @@ func (c *Cubic) SetCwnd(w float64) {
 	c.wMax = c.cwnd
 	c.epochStart = 0
 }
-
-// SRTT exposes the smoothed RTT (Nimbus converts cwnd to a rate).
-func (c *Cubic) SRTT() sim.Time { return c.srtt }

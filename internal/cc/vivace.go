@@ -25,15 +25,12 @@ type Vivace struct {
 
 	miStart  sim.Time
 	miRate   float64 // sending rate in force during the MI
-	miBytes  uint64
 	miLosses int
 	miAcks   int
 	rttFirst sim.Time
 	rttLast  sim.Time
-	startDel uint64
 
 	phase      int // 0: slow start; 1,2: gradient trial pair; 3: move
-	trialDir   int // +1 then -1
 	epsilon    float64
 	baseRate   float64
 	utilities  [2]float64
@@ -73,7 +70,6 @@ func (v *Vivace) OnAck(a transport.AckInfo) {
 		return
 	}
 	v.miAcks++
-	v.miBytes = a.Delivered - v.startDel
 	v.rttLast = a.RTT
 	mi := v.srtt
 	if mi < 10*sim.Millisecond {
@@ -88,7 +84,6 @@ func (v *Vivace) OnAck(a transport.AckInfo) {
 func (v *Vivace) beginMI(now sim.Time, a transport.AckInfo) {
 	v.miStart = now
 	v.miRate = v.rate
-	v.startDel = a.Delivered
 	v.miLosses = 0
 	v.miAcks = 0
 	v.rttFirst = a.RTT
@@ -117,7 +112,6 @@ func (v *Vivace) endMI(now sim.Time) {
 		if v.prevUtil != 0 && u < v.prevUtil {
 			v.phase = 1
 			v.baseRate = v.rate / 2
-			v.trialDir = 1
 			v.rate = v.baseRate * (1 + v.epsilon)
 		} else {
 			v.prevUtil = u
@@ -156,7 +150,6 @@ func (v *Vivace) endMI(now sim.Time) {
 			v.baseRate = 0.5e6
 		}
 		v.phase = 1
-		v.trialDir = 1
 		v.rate = v.baseRate * (1 + v.epsilon)
 	}
 }
@@ -186,6 +179,3 @@ func (v *Vivace) Control() transport.Transmission {
 	}
 	return transport.Transmission{CwndBytes: int(cwnd), PaceBps: v.rate}
 }
-
-// RateBps exposes the current rate (tests).
-func (v *Vivace) RateBps() float64 { return v.rate }

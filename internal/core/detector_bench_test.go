@@ -53,14 +53,14 @@ func TestDetectorSpectrumCachedPerGeneration(t *testing.T) {
 	if &s1.Mag[0] != &s2.Mag[0] {
 		t.Fatal("repeated Spectrum calls recomputed into a new buffer")
 	}
-	at5 := s1.At(5)
+	at5 := s1.Mag[s1.BinFor(5)]
 	// Same-generation reads through Elasticity agree with the cache.
 	if eta := det.Elasticity(5); eta <= 0 {
 		t.Fatal("eta <= 0")
 	}
 	det.AddSample(0) // new generation: cache must refresh
 	s3 := det.Spectrum()
-	if s3.At(5) == at5 {
+	if s3.Mag[s3.BinFor(5)] == at5 {
 		t.Fatal("Spectrum did not refresh after AddSample")
 	}
 	// The refreshed cache matches a from-scratch analysis of the window.

@@ -61,16 +61,13 @@ type Config struct {
 	// 6 Hz (otherwise delay mode also pulses at 5 Hz).
 	FreqCompetitive float64
 	FreqDelay       float64
-	// Detector configures the elasticity detector.
-	Detector DetectorConfig
-	// BasicDelay configures Eq. 4 when Delay is nil.
-	BasicDelay BasicDelayConfig
 	// Competitive is the TCP-competitive algorithm (default Cubic must
 	// be supplied by the caller to avoid an import cycle; see package
 	// nimbuscc).
 	Competitive WindowCC
 	// Delay, when non-nil, is used as the delay-control algorithm
-	// (e.g. Vegas or Copa default mode); when nil, BasicDelay is used.
+	// (e.g. Vegas or Copa default mode); when nil, BasicDelay (Eq. 4,
+	// DefaultBasicDelayConfig) is used.
 	Delay WindowCC
 	// MultiFlow enables the pulser/watcher protocol.
 	MultiFlow bool
@@ -111,8 +108,6 @@ type Nimbus struct {
 
 	lastS, lastR, lastZ float64
 	haveRates           bool
-	rSum                float64
-	rCnt                int
 
 	rateHist  *stats.Ring // base rate per tick, FFTDuration deep
 	lpFilter  *stats.EWMA // watcher low-pass on the send rate (pole 1)
@@ -179,13 +174,10 @@ func NewNimbus(cfg Config) *Nimbus {
 		// simultaneous elections rare.
 		cfg.Kappa = 0.5
 	}
-	if cfg.BasicDelay == (BasicDelayConfig{}) {
-		cfg.BasicDelay = DefaultBasicDelayConfig()
-	}
 	n := &Nimbus{
 		cfg:  cfg,
 		mode: cfg.StartMode,
-		det:  NewDetector(cfg.Detector),
+		det:  NewDetector(DefaultDetectorConfig()),
 	}
 	if n.cfg.ModeDwell == 0 {
 		n.cfg.ModeDwell = n.det.Config().FFTDuration
@@ -443,7 +435,7 @@ func (n *Nimbus) baseRate() float64 {
 	// is reached so the µ estimator has something to measure.
 	mu := n.cfg.Mu.Mu()
 	if n.startup {
-		if n.haveRates && n.lastRTT > n.xmin+n.cfg.BasicDelay.TargetDelay && n.xmin > 0 {
+		if n.haveRates && n.lastRTT > n.xmin+DefaultBasicDelayConfig().TargetDelay && n.xmin > 0 {
 			n.startup = false
 		} else {
 			r := 2 * n.lastS
@@ -460,7 +452,7 @@ func (n *Nimbus) baseRate() float64 {
 	if !n.haveRates || mu <= 0 {
 		return n.currentRate
 	}
-	return BasicDelayRate(n.cfg.BasicDelay, mu, n.lastS, n.lastZ, n.lastRTT, n.xmin)
+	return BasicDelayRate(DefaultBasicDelayConfig(), mu, n.lastS, n.lastZ, n.lastRTT, n.xmin)
 }
 
 // updateRate recomputes the pulsed/filtered send rate.

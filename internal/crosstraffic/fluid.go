@@ -155,12 +155,6 @@ func NewFluid(net *netem.Topology, route string, kind string, rateBps float64, r
 	return f, nil
 }
 
-// Links returns the route links the source loads (fidelity metrics).
-func (f *Fluid) Links() []*netem.Link { return f.links }
-
-// RateBps returns the currently applied aggregate rate.
-func (f *Fluid) RateBps() float64 { return f.rate }
-
 // Start begins the rate process at time at.
 func (f *Fluid) Start(at sim.Time) {
 	f.sch.AtFunc(at, func() {

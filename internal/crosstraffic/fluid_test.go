@@ -130,7 +130,7 @@ func TestFluidElasticSawtooth(t *testing.T) {
 			var peak, trough float64
 			probe := func() {}
 			probe = func() {
-				r := f.RateBps()
+				r := f.rate
 				if r > peak {
 					peak = r
 				}

@@ -81,9 +81,6 @@ func newRaw(net *netem.Topology, route string, rtt sim.Time, rateBps float64, po
 	return r
 }
 
-// ID returns the flow id at the bottleneck.
-func (r *RawSource) ID() netem.FlowID { return r.att.ID }
-
 // Start begins injection at time at.
 func (r *RawSource) Start(at sim.Time) {
 	r.sch.AtFunc(at, func() {
@@ -110,9 +107,6 @@ func (r *RawSource) SetRate(bps float64) {
 		r.scheduleNext()
 	}
 }
-
-// RateBps returns the configured mean rate.
-func (r *RawSource) RateBps() float64 { return r.rateBps }
 
 // bumpGen invalidates in-flight arrival events and re-boxes the generation
 // argument (the only allocation on a rate change, never per packet).

@@ -172,7 +172,6 @@ func NewRig(cfg NetConfig) *Rig {
 		net.AddRoute(r)
 	}
 	net.Link = byName[bottleneck]
-	net.SetNodes(ts.Nodes())
 	return &Rig{
 		Sch:   sch,
 		Link:  net.Link,
@@ -304,23 +303,19 @@ func (p *FlowProbe) RecordRTT() {
 func (p *FlowProbe) MeanMbps(from, to sim.Time) float64 { return p.Tput.MeanMbps(from, to) }
 
 // FlowSpec declares one group of flows for a Rig: which scheme, how many
-// copies, when they start and stop, and what application drives them.
-// It is the composition unit behind heterogeneous coexistence
-// experiments (Nimbus-vs-Cubic-vs-BBR mixes, late joiners, finite
-// flows) — one Rig hosts any number of FlowSpecs.
+// copies, when they start and stop, and which route they take. Every flow
+// is backlogged and has the rig's RTT. It is the composition unit behind
+// heterogeneous coexistence experiments (Nimbus-vs-Cubic-vs-BBR mixes,
+// late joiners) — one Rig hosts any number of FlowSpecs.
 type FlowSpec struct {
 	// Scheme is the typed scheme spec each flow runs.
 	Scheme spec.Spec
 	// Count is how many identical flows to start (0 means 1). Each gets
 	// its own controller instance and random stream.
 	Count int
-	// RTT is the flows' base RTT; 0 uses the rig's configured RTT.
-	RTT sim.Time
 	// StartAt / StopAt bound the flows' lifetime; StopAt 0 means the
 	// flows run to the end of the simulation.
 	StartAt, StopAt sim.Time
-	// Source is the application source (nil means backlogged).
-	Source transport.Source
 	// Route is the topology route the flows take ("" = the default
 	// end-to-end route). Parking-lot style experiments use it to pin
 	// flows to individual hops.
@@ -343,13 +338,6 @@ func (f *Flow) Active(end sim.Time) (from, to sim.Time) {
 		to = f.Spec.StopAt
 	}
 	return from, to
-}
-
-// MeanMbps is the flow's mean throughput over its active interval
-// clipped to end.
-func (f *Flow) MeanMbps(end sim.Time) float64 {
-	from, to := f.Active(end)
-	return f.Probe.MeanMbps(from, to)
 }
 
 // AddFlowSpecs instantiates flow specs on the rig, in order. Flows on a
@@ -386,15 +374,7 @@ func (r *Rig) AddFlowSpecs(specs ...FlowSpec) ([]*Flow, error) {
 		}
 	}
 	for _, f := range flows {
-		rtt := f.Spec.RTT
-		if rtt == 0 {
-			rtt = r.Cfg.RTT
-		}
-		src := f.Spec.Source
-		if src == nil {
-			src = transport.Backlogged{}
-		}
-		f.Probe = r.AddFlowOn(f.Spec.Route, f.Scheme, rtt, f.Spec.StartAt, src)
+		f.Probe = r.AddFlowOn(f.Spec.Route, f.Scheme, r.Cfg.RTT, f.Spec.StartAt, transport.Backlogged{})
 		if stop := f.Spec.StopAt; stop > 0 {
 			r.Sch.AtFunc(stop, f.Probe.Sender.Stop)
 		}

@@ -16,7 +16,6 @@ import (
 
 // Experiment is a runnable reproduction of one paper artifact.
 type Experiment struct {
-	ID    string
 	Title string
 	// Run executes the experiment and returns its report.
 	Run func(seed int64, quick bool) Report
@@ -26,38 +25,38 @@ type Experiment struct {
 // "mobile", "coexist", "topo") to their runners. cmd/nimbus-bench and
 // the root benchmarks both use it.
 var Registry = map[string]Experiment{
-	"fig01":    {"fig01", "Motivating comparison (Cubic / delay-control / Nimbus)", Fig01},
-	"fig03":    {"fig03", "Self-inflicted delay does not reveal elasticity", Fig03},
-	"fig04":    {"fig04", "Cross-traffic reaction to pulses", Fig04},
-	"fig05":    {"fig05", "FFT of the cross-traffic estimate", Fig05},
-	"fig06":    {"fig06", "Eta distribution vs elastic fraction", Fig06},
-	"fig07":    {"fig07", "Asymmetric pulse shape", Fig07},
-	"fig08":    {"fig08", "Eight-scheme panel with scripted cross traffic", Fig08},
-	"fig09":    {"fig09", "WAN trace workload: rate/RTT distributions", Fig09},
-	"fig10":    {"fig10", "Copa throughput drop vs elastic flows", Fig10},
-	"fig11":    {"fig11", "Video cross traffic", Fig11},
-	"fig12":    {"fig12", "Eta tracks true elastic fraction", Fig12},
-	"fig13":    {"fig13", "Offered load and pulse size", Fig13},
-	"fig14":    {"fig14", "Accuracy vs Copa (inelastic share; RTT ratio)", Fig14},
-	"fig15":    {"fig15", "Accuracy vs cross-traffic RTT", Fig15},
-	"fig16":    {"fig16", "Multiple Nimbus flows: fairness and pulser election", Fig16},
-	"fig17":    {"fig17", "Multiple Nimbus flows with cross traffic", Fig17},
-	"fig18":    {"fig18", "Three example Internet paths", Fig18},
-	"fig19":    {"fig19", "25-path suite summary", Fig19},
-	"fig20":    {"fig20", "Cubic vs delay-control over repeated runs", Fig20},
-	"fig21":    {"fig21", "Cross-flow FCTs", Fig21},
-	"fig22":    {"fig22", "Competing with BBR across buffer sizes", Fig22},
-	"fig23":    {"fig23", "Copa vs Nimbus: CBR dynamics", Fig23},
-	"fig24":    {"fig24", "Copa vs Nimbus: elastic RTT dynamics", Fig24},
-	"fig25":    {"fig25", "Multi-factor accuracy sweep", Fig25},
-	"fig26":    {"fig26", "Detecting PCC-Vivace via pulse frequency", Fig26},
-	"churn":    {"churn", "Internet-scale flow churn: schemes x session workloads", Churn},
-	"coexist":  {"coexist", "Heterogeneous flow mixes: coexistence and fairness", Coexist},
-	"fidelity": {"fidelity", "Fluid vs per-packet cross traffic: approximation error and event savings", Fidelity},
-	"mobile":   {"mobile", "Time-varying links: schemes x capacity-trace corpus", Mobile},
-	"topo":     {"topo", "Multi-hop topologies: parking-lot fairness, congested ACK paths", Topo},
-	"table1":   {"table1", "Classification by traffic class", Table1},
-	"tableE":   {"tableE", "Buffer/RTT/AQM robustness", TableE},
+	"fig01":    {"Motivating comparison (Cubic / delay-control / Nimbus)", Fig01},
+	"fig03":    {"Self-inflicted delay does not reveal elasticity", Fig03},
+	"fig04":    {"Cross-traffic reaction to pulses", Fig04},
+	"fig05":    {"FFT of the cross-traffic estimate", Fig05},
+	"fig06":    {"Eta distribution vs elastic fraction", Fig06},
+	"fig07":    {"Asymmetric pulse shape", Fig07},
+	"fig08":    {"Eight-scheme panel with scripted cross traffic", Fig08},
+	"fig09":    {"WAN trace workload: rate/RTT distributions", Fig09},
+	"fig10":    {"Copa throughput drop vs elastic flows", Fig10},
+	"fig11":    {"Video cross traffic", Fig11},
+	"fig12":    {"Eta tracks true elastic fraction", Fig12},
+	"fig13":    {"Offered load and pulse size", Fig13},
+	"fig14":    {"Accuracy vs Copa (inelastic share; RTT ratio)", Fig14},
+	"fig15":    {"Accuracy vs cross-traffic RTT", Fig15},
+	"fig16":    {"Multiple Nimbus flows: fairness and pulser election", Fig16},
+	"fig17":    {"Multiple Nimbus flows with cross traffic", Fig17},
+	"fig18":    {"Three example Internet paths", Fig18},
+	"fig19":    {"25-path suite summary", Fig19},
+	"fig20":    {"Cubic vs delay-control over repeated runs", Fig20},
+	"fig21":    {"Cross-flow FCTs", Fig21},
+	"fig22":    {"Competing with BBR across buffer sizes", Fig22},
+	"fig23":    {"Copa vs Nimbus: CBR dynamics", Fig23},
+	"fig24":    {"Copa vs Nimbus: elastic RTT dynamics", Fig24},
+	"fig25":    {"Multi-factor accuracy sweep", Fig25},
+	"fig26":    {"Detecting PCC-Vivace via pulse frequency", Fig26},
+	"churn":    {"Internet-scale flow churn: schemes x session workloads", Churn},
+	"coexist":  {"Heterogeneous flow mixes: coexistence and fairness", Coexist},
+	"fidelity": {"Fluid vs per-packet cross traffic: approximation error and event savings", Fidelity},
+	"mobile":   {"Time-varying links: schemes x capacity-trace corpus", Mobile},
+	"topo":     {"Multi-hop topologies: parking-lot fairness, congested ACK paths", Topo},
+	"table1":   {"Classification by traffic class", Table1},
+	"tableE":   {"Buffer/RTT/AQM robustness", TableE},
 }
 
 // IDs returns the experiment ids in sorted order.

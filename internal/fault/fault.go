@@ -66,7 +66,6 @@ type point struct {
 	mode  Mode
 	prob  float64
 	delay time.Duration
-	hits  uint64
 }
 
 var (
@@ -158,19 +157,8 @@ func Reset() { Set("") } //nolint:errcheck // the empty spec cannot fail
 // Enabled reports whether any failpoint is armed.
 func Enabled() bool { return armed.Load() }
 
-// Hits returns how many times the named point has triggered (rolled its
-// probability and injected) since it was last Set.
-func Hits(name string) uint64 {
-	mu.Lock()
-	defer mu.Unlock()
-	if p := points[name]; p != nil {
-		return p.hits
-	}
-	return 0
-}
-
-// eval rolls the named point once, counting a trigger, and returns the
-// injected mode plus the release channel current at roll time.
+// eval rolls the named point once and returns the injected mode plus the
+// release channel current at roll time.
 func eval(name string) (Mode, time.Duration, chan struct{}) {
 	mu.Lock()
 	defer mu.Unlock()
@@ -181,7 +169,6 @@ func eval(name string) (Mode, time.Duration, chan struct{}) {
 	if p.prob < 1 && rng.Float64() >= p.prob {
 		return Off, 0, release
 	}
-	p.hits++
 	return p.mode, p.delay, release
 }
 

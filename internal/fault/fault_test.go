@@ -67,9 +67,6 @@ func TestErrMode(t *testing.T) {
 	if err := Fire(context.Background(), "other"); err != nil {
 		t.Fatalf("Fire(other) = %v, want nil", err)
 	}
-	if got := Hits("boom"); got != 3 {
-		t.Fatalf("Hits(boom) = %d, want 3", got)
-	}
 }
 
 // TestHangReleasedByContext: a hang blocks until its context is
@@ -172,8 +169,5 @@ func TestProbability(t *testing.T) {
 	}
 	if hits == 0 || hits == rolls {
 		t.Fatalf("p=0.5 point hit %d/%d rolls", hits, rolls)
-	}
-	if got := Hits("maybe"); got != uint64(hits) {
-		t.Fatalf("Hits = %d, want %d", got, hits)
 	}
 }

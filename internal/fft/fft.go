@@ -21,7 +21,7 @@ func NextPow2(n int) int {
 
 // FFT computes the in-place decimation-in-time radix-2 FFT of x. The
 // length of x must be a power of two; FFT panics otherwise. The transform
-// is unnormalized: IFFT(FFT(x)) == x.
+// is unnormalized (no 1/n factor).
 func FFT(x []complex128) {
 	n := len(x)
 	if n == 0 {
@@ -56,22 +56,6 @@ func FFT(x []complex128) {
 				w *= wl
 			}
 		}
-	}
-}
-
-// IFFT computes the inverse FFT of x in place (normalized by 1/n).
-func IFFT(x []complex128) {
-	n := len(x)
-	if n == 0 {
-		return
-	}
-	for i := range x {
-		x[i] = cmplx.Conj(x[i])
-	}
-	FFT(x)
-	inv := complex(1/float64(n), 0)
-	for i := range x {
-		x[i] = cmplx.Conj(x[i]) * inv
 	}
 }
 
@@ -116,14 +100,6 @@ func (s Spectrum) BinFor(freq float64) int {
 	return k
 }
 
-// At returns the magnitude at the bin closest to freq Hz.
-func (s Spectrum) At(freq float64) float64 {
-	if len(s.Mag) == 0 {
-		return 0
-	}
-	return s.Mag[s.BinFor(freq)]
-}
-
 // PeakAround returns the maximum magnitude among bins within +-width Hz of
 // freq. The detector uses a small width to tolerate off-bin pulse
 // frequencies.
@@ -137,21 +113,6 @@ func (s Spectrum) PeakAround(freq, width float64) float64 {
 	for k := lo; k <= hi; k++ {
 		if s.Mag[k] > max {
 			max = s.Mag[k]
-		}
-	}
-	return max
-}
-
-// MaxInBand returns the maximum magnitude over bins with frequencies in
-// the open interval (fLo, fHi).
-func (s Spectrum) MaxInBand(fLo, fHi float64) float64 {
-	max := 0.0
-	for k := range s.Mag {
-		f := float64(k) * s.Resolution
-		if f > fLo && f < fHi {
-			if s.Mag[k] > max {
-				max = s.Mag[k]
-			}
 		}
 	}
 	return max

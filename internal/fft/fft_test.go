@@ -49,23 +49,6 @@ func TestFFTNonPow2Panics(t *testing.T) {
 	FFT(make([]complex128, 6))
 }
 
-func TestIFFTInverts(t *testing.T) {
-	rng := sim.NewRand(1)
-	x := make([]complex128, 256)
-	orig := make([]complex128, 256)
-	for i := range x {
-		x[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
-		orig[i] = x[i]
-	}
-	FFT(x)
-	IFFT(x)
-	for i := range x {
-		if cmplx.Abs(x[i]-orig[i]) > 1e-9 {
-			t.Fatalf("round trip failed at %d: %v vs %v", i, x[i], orig[i])
-		}
-	}
-}
-
 // Parseval's theorem: sum |x|^2 == (1/N) sum |X|^2.
 func TestFFTParseval(t *testing.T) {
 	rng := sim.NewRand(2)
@@ -149,7 +132,7 @@ func TestAnalyzeBinFrequency(t *testing.T) {
 		samples[i] = 3 * math.Cos(2*math.Pi*8*float64(i)/128)
 	}
 	spec := Analyze(samples, 128)
-	if got := spec.At(8); math.Abs(got-3) > 1e-9 {
+	if got := spec.Mag[spec.BinFor(8)]; math.Abs(got-3) > 1e-9 {
 		t.Fatalf("amplitude at 8 Hz = %v, want 3", got)
 	}
 }
@@ -159,25 +142,8 @@ func TestAnalyzeEmpty(t *testing.T) {
 	if len(spec.Mag) != 0 {
 		t.Fatal("expected empty spectrum")
 	}
-	if spec.At(5) != 0 || spec.PeakAround(5, 1) != 0 {
+	if spec.PeakAround(5, 1) != 0 {
 		t.Fatal("empty spectrum lookups should be 0")
-	}
-}
-
-func TestMaxInBand(t *testing.T) {
-	n := 128
-	samples := make([]float64, n)
-	for i := range samples {
-		samples[i] = math.Sin(2*math.Pi*8*float64(i)/128) + 0.5*math.Sin(2*math.Pi*12*float64(i)/128)
-	}
-	spec := Analyze(samples, 128)
-	got := spec.MaxInBand(9, 15)
-	if math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("MaxInBand(9,15) = %v, want 0.5", got)
-	}
-	// Band excluding both peaks.
-	if spec.MaxInBand(20, 30) > 1e-9 {
-		t.Fatal("empty band should be ~0")
 	}
 }
 
@@ -191,7 +157,7 @@ func TestGoertzelMatchesFFT(t *testing.T) {
 	spec := Analyze(samples, 128)
 	for _, f := range []float64{4, 8, 16} {
 		g := Goertzel(samples, 128, f)
-		a := spec.At(f)
+		a := spec.Mag[spec.BinFor(f)]
 		if math.Abs(g-a) > 0.05*(a+0.01) {
 			t.Fatalf("Goertzel(%v Hz) = %v, FFT = %v", f, g, a)
 		}

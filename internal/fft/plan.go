@@ -65,12 +65,6 @@ func NewPlan(n int, sampleHz float64) *Plan {
 	return p
 }
 
-// Size returns the plan's FFT length.
-func (p *Plan) Size() int { return p.size }
-
-// SampleHz returns the sampling frequency the plan was built for.
-func (p *Plan) SampleHz() float64 { return p.sampleHz }
-
 // Transform computes the in-place DIT radix-2 FFT of x using the
 // precomputed tables. len(x) must equal Size; the output is bit-identical
 // to FFT(x).

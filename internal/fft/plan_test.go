@@ -78,7 +78,7 @@ func TestPlanAnalyzeIntoAllocFree(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("AnalyzeInto allocates %.2f/op in steady state, want 0", allocs)
 	}
-	if dst.At(5) == 0 {
+	if dst.Mag[dst.BinFor(5)] == 0 {
 		t.Fatal("no signal at 5 Hz")
 	}
 }
@@ -92,7 +92,7 @@ func BenchmarkPlanAnalyze(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		dst = plan.AnalyzeInto(dst, samples)
-		if dst.At(5) == 0 {
+		if dst.Mag[dst.BinFor(5)] == 0 {
 			b.Fatal("no signal")
 		}
 	}

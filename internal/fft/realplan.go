@@ -63,12 +63,6 @@ func NewRealPlan(n int, sampleHz float64) *RealPlan {
 	return p
 }
 
-// Size returns the plan's real FFT length.
-func (p *RealPlan) Size() int { return p.size }
-
-// SampleHz returns the sampling frequency the plan was built for.
-func (p *RealPlan) SampleHz() float64 { return p.sampleHz }
-
 // AnalyzeInto computes the one-sided magnitude spectrum of samples with
 // the same contract as Plan.AnalyzeInto — mean removal, zero padding to
 // the plan size, 1/n scaling with the ×2 one-sided fold, magnitudes

@@ -48,8 +48,8 @@ func TestRealPlanMatchesPlanAcrossSizes(t *testing.T) {
 	for _, n := range []int{2, 3, 8, 100, 256, 257, 300, 500, 512, 1024} {
 		plan := NewPlan(n, 100)
 		rplan := NewRealPlan(n, 100)
-		if plan.Size() != rplan.Size() {
-			t.Fatalf("n=%d: size mismatch: Plan %d RealPlan %d", n, plan.Size(), rplan.Size())
+		if plan.size != rplan.size {
+			t.Fatalf("n=%d: size mismatch: Plan %d RealPlan %d", n, plan.size, rplan.size)
 		}
 		samples := planSignal(n)
 		want := plan.AnalyzeInto(Spectrum{}, samples)
@@ -106,7 +106,7 @@ func TestRealPlanAnalyzeIntoAllocFree(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("AnalyzeInto allocates %.2f/op in steady state, want 0", allocs)
 	}
-	if dst.At(5) == 0 {
+	if dst.Mag[dst.BinFor(5)] == 0 {
 		t.Fatal("no signal at 5 Hz")
 	}
 }
@@ -155,7 +155,7 @@ func BenchmarkRealPlanAnalyze(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		dst = rplan.AnalyzeInto(dst, samples)
-		if dst.At(5) == 0 {
+		if dst.Mag[dst.BinFor(5)] == 0 {
 			b.Fatal("no signal")
 		}
 	}

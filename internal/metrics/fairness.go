@@ -34,9 +34,6 @@ func (j *OnlineJain) Add(x float64) {
 	j.sumSq += x * x
 }
 
-// N returns the number of values observed.
-func (j *OnlineJain) N() int { return j.n }
-
 // Index returns Jain's index over the values observed so far (0 when
 // empty or all-zero, matching JainIndex).
 func (j *OnlineJain) Index() float64 {

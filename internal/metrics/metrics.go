@@ -72,10 +72,9 @@ func (m *Meter) MeanMbps(from, to sim.Time) float64 {
 // where it lies and walks the sorted chunks as one ascending sequence, so
 // no flat copy is built — and the retained samples are afterwards stored
 // in another order. That is invisible while the recorder is below its
-// cap (Add appends; Samples documents storage order), but a reservoir
-// replacement picks its victim by position, so an Add at the cap after a
-// read would record a different sample set than the same Adds without the
-// read: it panics.
+// cap (Add appends), but a reservoir replacement picks its victim by
+// position, so an Add at the cap after a read would record a different
+// sample set than the same Adds without the read: it panics.
 type DelayRecorder struct {
 	Cap    int
 	chunks []*chunk // sample i is chunks[i>>chunkShift][i&chunkMask]
@@ -147,17 +146,6 @@ func (d *DelayRecorder) runs() [][]float64 {
 	out := make([][]float64, len(d.chunks))
 	for i, c := range d.chunks {
 		out[i] = c[:min(chunkLen, d.n-i<<chunkShift)]
-	}
-	return out
-}
-
-// Samples returns a copy of the retained samples (milliseconds) in
-// storage order: recording order until a statistic is read, unspecified
-// afterwards.
-func (d *DelayRecorder) Samples() []float64 {
-	out := make([]float64, 0, d.n)
-	for _, r := range d.runs() {
-		out = append(out, r...)
 	}
 	return out
 }

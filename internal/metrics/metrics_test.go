@@ -121,8 +121,8 @@ func TestDelayRecorderMatchesFlat(t *testing.T) {
 				d.Add(x)
 				f.add(x)
 			}
-			if d.Len() != len(f.samples) || !slices.Equal(d.Samples(), f.samples) {
-				t.Fatalf("cap %d, %d adds: Len %d and Samples differ from the flat recorder's %d", cp, n, d.Len(), len(f.samples))
+			if d.Len() != len(f.samples) || !slices.Equal(slices.Concat(d.runs()...), f.samples) {
+				t.Fatalf("cap %d, %d adds: Len %d and stored samples differ from the flat recorder's %d", cp, n, d.Len(), len(f.samples))
 			}
 			checkReads(t, fmt.Sprintf("cap %d, %d adds", cp, n), d, f)
 		}
@@ -196,7 +196,7 @@ func TestReleasedChunksAreNotObservable(t *testing.T) {
 	old.MeanQuantiles(0.5)
 	old.Release()
 	old.Release()
-	if mean, qs := old.MeanQuantiles(0.5); old.Len() != 0 || len(old.Samples()) != 0 || !math.IsNaN(mean) || !math.IsNaN(qs[0]) || !math.IsNaN(old.Summary().P95) {
+	if mean, qs := old.MeanQuantiles(0.5); old.Len() != 0 || len(slices.Concat(old.runs()...)) != 0 || !math.IsNaN(mean) || !math.IsNaN(qs[0]) || !math.IsNaN(old.Summary().P95) {
 		t.Fatalf("a released recorder reads Len %d, mean %v, p50 %v", old.Len(), mean, qs[0])
 	}
 	// Poison whatever the pool holds now (the four chunks just released,
@@ -219,8 +219,8 @@ func TestReleasedChunksAreNotObservable(t *testing.T) {
 		d.Add(x)
 		f.add(x)
 	}
-	if !slices.Equal(d.Samples(), f.samples) {
-		t.Fatal("Samples differ from the flat recorder's on recycled chunks")
+	if !slices.Equal(slices.Concat(d.runs()...), f.samples) {
+		t.Fatal("stored samples differ from the flat recorder's on recycled chunks")
 	}
 	checkReads(t, "on recycled chunks", d, f)
 	// A released recorder records again like a new one.

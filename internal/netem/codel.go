@@ -21,7 +21,6 @@ type CoDel struct {
 	dropping   bool
 	dropNext   sim.Time
 	count      int
-	lastCount  int
 	Drops      uint64
 }
 
@@ -109,7 +108,6 @@ func (c *CoDel) Dequeue(now sim.Time) *Packet {
 		} else {
 			c.count = 1
 		}
-		c.lastCount = c.count
 		c.dropNext = c.controlLaw(now)
 		p2, _ := c.doDequeue(now)
 		if p2 == nil {

@@ -97,12 +97,6 @@ func (l *Link) Rate() float64 { return l.rateBps }
 // Varying reports whether the link's capacity changes over time.
 func (l *Link) Varying() bool { return !l.Schedule.Constant() }
 
-// TxTime returns the serialization time of a packet of n bytes at the
-// current rate (an instantaneous view; a varying link may revise it).
-func (l *Link) TxTime(n int) sim.Time {
-	return sim.FromSeconds(float64(n) * 8 / l.rateBps)
-}
-
 // Send enqueues p, starting transmission if the link is idle.
 func (l *Link) Send(p *Packet) {
 	now := l.Sch.Now()

@@ -114,10 +114,7 @@ func TestNetworkRTTAndDelivery(t *testing.T) {
 	sch := sim.NewScheduler()
 	link := NewLink(sch, 96e6, NewDropTail(1<<20))
 	net := NewNetwork(sch, link)
-	att := net.Attach(50 * sim.Millisecond)
-	if att.BaseRTT() != 50*sim.Millisecond {
-		t.Fatalf("BaseRTT = %v", att.BaseRTT())
-	}
+	att := net.AttachOn("", 50*sim.Millisecond)
 	var rtt sim.Time
 	att.Receive = func(p *Packet, now sim.Time) {
 		att.SendAckArg(func(any) { rtt = sch.Now() - p.SentAt }, nil)
@@ -125,47 +122,42 @@ func TestNetworkRTTAndDelivery(t *testing.T) {
 	att.Send(&Packet{Size: 1500})
 	sch.Run()
 	// RTT = 50 ms prop + 125 us transmission.
-	tx := link.TxTime(1500)
-	want := 50*sim.Millisecond + tx
+	want := 50*sim.Millisecond + sim.FromSeconds(1500*8/96e6)
 	if rtt != want {
 		t.Fatalf("rtt = %v, want %v", rtt, want)
 	}
 }
 
+// TestNetworkPerFlowRouting: each flow's packets reach its own receiver,
+// and the packets a tiny buffer refuses are exactly what the link counts
+// as dropped.
 func TestNetworkPerFlowRouting(t *testing.T) {
 	sch := sim.NewScheduler()
-	link := NewLink(sch, 96e6, NewDropTail(1<<20))
+	link := NewLink(sch, 96e6, NewDropTail(2000)) // tiny buffer
 	net := NewNetwork(sch, link)
-	a := net.Attach(20 * sim.Millisecond)
-	b := net.Attach(40 * sim.Millisecond)
-	var gotA, gotB int
+	a := net.AttachOn("", 20*sim.Millisecond)
+	b := net.AttachOn("", 40*sim.Millisecond)
+	c := net.AttachOn("", 10*sim.Millisecond)
+	var gotA, gotB, gotC int
 	a.Receive = func(p *Packet, now sim.Time) { gotA++ }
 	b.Receive = func(p *Packet, now sim.Time) { gotB++ }
+	c.Receive = func(p *Packet, now sim.Time) { gotC++ }
 	a.Send(&Packet{Size: 100})
 	b.Send(&Packet{Size: 100})
 	b.Send(&Packet{Size: 100})
+	const burst = 10
+	for i := 0; i < burst; i++ {
+		c.Send(&Packet{Seq: uint64(i), Size: 1500})
+	}
 	sch.Run()
 	if gotA != 1 || gotB != 2 {
 		t.Fatalf("routing wrong: a=%d b=%d", gotA, gotB)
 	}
-}
-
-func TestNetworkDropCallback(t *testing.T) {
-	sch := sim.NewScheduler()
-	link := NewLink(sch, 1e6, NewDropTail(2000)) // tiny buffer
-	net := NewNetwork(sch, link)
-	att := net.Attach(10 * sim.Millisecond)
-	drops := 0
-	att.Dropped = func(p *Packet, now sim.Time) { drops++ }
-	for i := 0; i < 10; i++ {
-		att.Send(&Packet{Seq: uint64(i), Size: 1500})
-	}
-	sch.Run()
-	if drops == 0 {
+	if gotC == burst {
 		t.Fatal("expected drops with tiny buffer")
 	}
-	if link.DroppedPackets != uint64(drops) {
-		t.Fatalf("link counter %d != callback %d", link.DroppedPackets, drops)
+	if link.DroppedPackets != uint64(burst-gotC) {
+		t.Fatalf("link counter %d != %d sent - %d delivered", link.DroppedPackets, burst, gotC)
 	}
 }
 
@@ -177,7 +169,7 @@ func TestPIEControlsDelay(t *testing.T) {
 	q := NewPIE(BufferBytesForDelay(rate, 500*sim.Millisecond), rate, target, rng)
 	link := NewLink(sch, rate, q)
 	net := NewNetwork(sch, link)
-	att := net.Attach(10 * sim.Millisecond)
+	att := net.AttachOn("", 10*sim.Millisecond)
 	var delays []float64
 	att.Receive = func(p *Packet, now sim.Time) {
 		delays = append(delays, p.QueueDelay.Millis())
@@ -218,7 +210,7 @@ func TestCoDelDropsUnderOverload(t *testing.T) {
 	q := NewCoDel(BufferBytesForDelay(rate, 1*sim.Second))
 	link := NewLink(sch, rate, q)
 	net := NewNetwork(sch, link)
-	att := net.Attach(10 * sim.Millisecond)
+	att := net.AttachOn("", 10*sim.Millisecond)
 	var lastDelay sim.Time
 	att.Receive = func(p *Packet, now sim.Time) { lastDelay = p.QueueDelay }
 	interval := sim.FromSeconds(1500 * 8 / (1.3 * rate))
@@ -250,7 +242,7 @@ func TestCoDelNoDropsWhenUnderloaded(t *testing.T) {
 	q := NewCoDel(1 << 20)
 	link := NewLink(sch, rate, q)
 	net := NewNetwork(sch, link)
-	att := net.Attach(10 * sim.Millisecond)
+	att := net.AttachOn("", 10*sim.Millisecond)
 	att.Receive = func(p *Packet, now sim.Time) {}
 	interval := sim.FromSeconds(1500 * 8 / (0.5 * rate))
 	n := 0

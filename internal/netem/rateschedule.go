@@ -317,17 +317,3 @@ func ParseTrace(r io.Reader) (*RateSchedule, error) {
 	}
 	return NewRateSchedule(points, period)
 }
-
-// WriteTrace emits the schedule in the trace file format ParseTrace
-// reads, so schedules round-trip through files exactly.
-func (s *RateSchedule) WriteTrace(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if s.Period > 0 {
-		fmt.Fprintf(bw, "# period_ms: %g\n", s.Period.Millis())
-	}
-	fmt.Fprintln(bw, "time_ms,mbps")
-	for _, p := range s.Points {
-		fmt.Fprintf(bw, "%g,%g\n", p.At.Millis(), p.Bps/1e6)
-	}
-	return bw.Flush()
-}

@@ -1,7 +1,6 @@
 package netem
 
 import (
-	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -183,31 +182,6 @@ func TestEmbeddedTraceCorpus(t *testing.T) {
 		}
 		if s.Period == 0 {
 			t.Fatalf("embedded trace %s should loop", n)
-		}
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	for _, n := range TraceNames() {
-		orig, err := LoadTrace(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := orig.WriteTrace(&buf); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ParseTrace(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%s: re-parse: %v", n, err)
-		}
-		if back.Period != orig.Period || len(back.Points) != len(orig.Points) {
-			t.Fatalf("%s: round trip changed shape", n)
-		}
-		for i := range orig.Points {
-			if back.Points[i] != orig.Points[i] {
-				t.Fatalf("%s: point %d changed: %v vs %v", n, i, back.Points[i], orig.Points[i])
-			}
 		}
 	}
 }

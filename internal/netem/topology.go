@@ -50,7 +50,6 @@ type Topology struct {
 	links  []*Link
 	routes map[string]*Route
 	def    *Route
-	nodes  []string
 	lines  map[sim.Time]*sim.Line
 
 	flows map[FlowID]*Attachment
@@ -138,21 +137,6 @@ func (t *Topology) Route(name string) *Route {
 	return t.routes[name]
 }
 
-// RouteNames returns the registered route names (unsorted).
-func (t *Topology) RouteNames() []string {
-	out := make([]string, 0, len(t.routes))
-	for name := range t.routes {
-		out = append(out, name)
-	}
-	return out
-}
-
-// SetNodes records the topology's node names (display/introspection).
-func (t *Topology) SetNodes(nodes []string) { t.nodes = nodes }
-
-// Nodes returns the topology's node names in path order.
-func (t *Topology) Nodes() []string { return t.nodes }
-
 // GetPacket returns a packet from the shared free list (or a fresh one).
 // Callers reset it with a composite literal before use.
 func (t *Topology) GetPacket() *Packet {
@@ -189,10 +173,6 @@ type Attachment struct {
 
 	// Receive is called when a data packet of this flow exits its route.
 	Receive func(p *Packet, now sim.Time)
-	// Dropped, if set, is called when a data packet of this flow is
-	// dropped at any hop. The packet returns to the pool when the hook
-	// does, so it must not be kept.
-	Dropped func(p *Packet, now sim.Time)
 
 	net   *Topology
 	route *Route
@@ -202,34 +182,9 @@ type Attachment struct {
 	fwdLine, revLine *sim.Line
 }
 
-// BaseRTT returns the two-way propagation delay of a flow attachment:
-// the access delays plus every hop delay of its route, both directions.
-func (a *Attachment) BaseRTT() sim.Time {
-	rtt := a.FwdDelay + a.RevDelay
-	for _, h := range a.route.Fwd {
-		rtt += h.Delay
-	}
-	for _, h := range a.route.Rev {
-		rtt += h.Delay
-	}
-	return rtt
-}
-
-// Attach adds a flow on the default route with the given access RTT,
-// split evenly between the forward and reverse directions.
-func (t *Topology) Attach(rtt sim.Time) *Attachment {
-	return t.AttachAsym(rtt/2, rtt-rtt/2)
-}
-
 // AttachOn adds a flow on the named route ("" = default).
 func (t *Topology) AttachOn(route string, rtt sim.Time) *Attachment {
 	return t.AttachAsymOn(route, rtt/2, rtt-rtt/2)
-}
-
-// AttachAsym adds a flow on the default route with explicit one-way
-// access delays.
-func (t *Topology) AttachAsym(fwd, rev sim.Time) *Attachment {
-	return t.AttachAsymOn("", fwd, rev)
 }
 
 // AttachAsymOn adds a flow on the named route with explicit one-way
@@ -355,11 +310,7 @@ func (t *Topology) drop(p *Packet, now sim.Time) {
 		return
 	}
 	// A dropped data packet ends its journey at the queue that refused
-	// it, whoever sent it (a transport, a raw source, a detached flow):
-	// the flow's hook sees it, then the pool has it back.
-	if a, ok := t.flows[p.Flow]; ok && a.Dropped != nil {
-		a.Dropped(p, now)
-	}
+	// it, whoever sent it (a transport, a raw source, a detached flow).
 	t.PutPacket(p)
 }
 

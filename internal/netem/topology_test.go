@@ -29,7 +29,7 @@ func twoHop(sch *sim.Scheduler) (*Topology, *Link, *Link) {
 func TestMultiHopTiming(t *testing.T) {
 	sch := sim.NewScheduler()
 	topo, _, _ := twoHop(sch)
-	att := topo.AttachAsym(10*sim.Millisecond, 10*sim.Millisecond)
+	att := topo.AttachAsymOn("", 10*sim.Millisecond, 10*sim.Millisecond)
 	var deliveredAt sim.Time
 	att.Receive = func(p *Packet, now sim.Time) {
 		deliveredAt = now
@@ -50,7 +50,7 @@ func TestMultiHopTiming(t *testing.T) {
 func TestMultiHopQueueDelayAccumulates(t *testing.T) {
 	sch := sim.NewScheduler()
 	topo, _, bn := twoHop(sch)
-	att := topo.AttachAsym(0, 0)
+	att := topo.AttachAsymOn("", 0, 0)
 	var last sim.Time
 	att.Receive = func(p *Packet, now sim.Time) {
 		last = p.QueueDelay
@@ -84,7 +84,7 @@ func TestDetachRecyclesInFlight(t *testing.T) {
 	sch := sim.NewScheduler()
 	link := NewLink(sch, 12e6, NewDropTail(1<<20))
 	topo := NewNetwork(sch, link)
-	att := topo.Attach(20 * sim.Millisecond)
+	att := topo.AttachOn("", 20*sim.Millisecond)
 	att.Receive = func(p *Packet, now sim.Time) { topo.PutPacket(p) }
 	const n = 5
 	for i := 0; i < n; i++ {
@@ -121,7 +121,7 @@ func revTopo(sch *sim.Scheduler, revBuf int) (*Topology, *Link) {
 func TestRevRouteAckTiming(t *testing.T) {
 	sch := sim.NewScheduler()
 	topo, _ := revTopo(sch, 1<<20)
-	att := topo.AttachAsym(5*sim.Millisecond, 5*sim.Millisecond)
+	att := topo.AttachAsymOn("", 5*sim.Millisecond, 5*sim.Millisecond)
 	var ackAt sim.Time
 	sch.AtFunc(0, func() {
 		att.SendAckArg(func(any) { ackAt = sch.Now() }, nil)
@@ -144,7 +144,7 @@ func TestRevRouteAckDrop(t *testing.T) {
 	// 100-byte buffer: the first ACK goes straight into transmission, the
 	// second queues (64 B), the third would overflow and drops.
 	topo, rev := revTopo(sch, 100)
-	att := topo.AttachAsym(0, 0)
+	att := topo.AttachAsymOn("", 0, 0)
 	delivered := 0
 	sch.AtFunc(0, func() {
 		for i := 0; i < 3; i++ {
@@ -169,7 +169,7 @@ func TestIdealRevPathUnchanged(t *testing.T) {
 	sch := sim.NewScheduler()
 	link := NewLink(sch, 12e6, NewDropTail(1<<20))
 	topo := NewNetwork(sch, link)
-	att := topo.AttachAsym(3*sim.Millisecond, 7*sim.Millisecond)
+	att := topo.AttachAsymOn("", 3*sim.Millisecond, 7*sim.Millisecond)
 	var ackAt sim.Time
 	sch.AtFunc(0, func() {
 		att.SendAckArg(func(any) { ackAt = sch.Now() }, nil)
@@ -184,26 +184,36 @@ func TestIdealRevPathUnchanged(t *testing.T) {
 }
 
 // TestRouteLookupAndBaseRTT covers route registration and the RTT
-// decomposition (access delays plus hop wire delays).
+// decomposition: a packet's round trip is the access delays plus the hop
+// wire delays of its route plus serialization at each hop.
 func TestRouteLookupAndBaseRTT(t *testing.T) {
 	sch := sim.NewScheduler()
-	topo, access, bn := twoHop(sch)
+	topo, _, bn := twoHop(sch)
 	topo.AddRoute(&Route{Name: "bn-only", Fwd: []Hop{{Link: bn}}})
 	if topo.Route("bn-only") == nil || topo.Route("") == nil || topo.Route("nope") != nil {
 		t.Fatal("route lookup broken")
 	}
-	att := topo.AttachAsymOn("", 10*sim.Millisecond, 10*sim.Millisecond)
-	want := 20*sim.Millisecond + 5*sim.Millisecond // access delays + bn hop wire
-	if att.BaseRTT() != want {
-		t.Fatalf("BaseRTT %v, want %v", att.BaseRTT(), want)
+	rtt := func(route string) sim.Time {
+		att := topo.AttachAsymOn(route, 10*sim.Millisecond, 10*sim.Millisecond)
+		start := sch.Now()
+		var ackAt sim.Time
+		att.Receive = func(p *Packet, now sim.Time) {
+			att.SendAckArg(func(any) { ackAt = sch.Now() }, nil)
+			topo.PutPacket(p)
+		}
+		att.Send(&Packet{Size: 1500})
+		sch.Run()
+		return ackAt - start
+	}
+	// Access delays + bn hop wire + 0.25 ms at 48 Mbit/s + 1 ms at 12 Mbit/s.
+	if got, want := rtt(""), 20*sim.Millisecond+5*sim.Millisecond+1250*sim.Microsecond; got != want {
+		t.Fatalf("default route RTT %v, want %v", got, want)
 	}
 	// The bn-only route has no hop wire delay, so only the access delays
-	// count.
-	short := topo.AttachAsymOn("bn-only", 10*sim.Millisecond, 10*sim.Millisecond)
-	if short.BaseRTT() != 20*sim.Millisecond {
-		t.Fatalf("bn-only BaseRTT %v, want 20ms", short.BaseRTT())
+	// and the bn hop's serialization count.
+	if got, want := rtt("bn-only"), 21*sim.Millisecond; got != want {
+		t.Fatalf("bn-only RTT %v, want %v", got, want)
 	}
-	_ = access
 }
 
 // TestTopologyForwardingAllocFree: once pools are warm, pushing a packet
@@ -212,7 +222,7 @@ func TestRouteLookupAndBaseRTT(t *testing.T) {
 func TestTopologyForwardingAllocFree(t *testing.T) {
 	sch := sim.NewScheduler()
 	topo, _, _ := twoHop(sch)
-	att := topo.AttachAsym(1*sim.Millisecond, 1*sim.Millisecond)
+	att := topo.AttachAsymOn("", 1*sim.Millisecond, 1*sim.Millisecond)
 	att.Receive = func(p *Packet, now sim.Time) { topo.PutPacket(p) }
 	seq := uint64(0)
 	send := func() {

@@ -109,24 +109,6 @@ func (ts TopoSpec) LinkByName(name string) *LinkSpec {
 	return nil
 }
 
-// Nodes returns the spec's node names in link order (unique, preserving
-// first appearance).
-func (ts TopoSpec) Nodes() []string {
-	var out []string
-	seen := map[string]bool{}
-	add := func(n string) {
-		if n != "" && !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	for _, l := range ts.Links {
-		add(l.From)
-		add(l.To)
-	}
-	return out
-}
-
 // String renders the canonical form: the preset name, or the forward
 // chain with each link's non-default parameters ("access(x4,5ms)->bn").
 func (ts TopoSpec) String() string {

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Rand is a deterministic random source for simulations. It wraps
 // math/rand with the distributions the workload generators need. Each
@@ -54,16 +51,14 @@ func splitSeed(label string, draw int64) int64 {
 	return int64(h ^ uint64(draw))
 }
 
-// Int63 returns a uniform non-negative 63-bit sample.
-func (r *Rand) Int63() int64 { return r.src().Int63() }
-
 // DeriveSeed maps (base seed, label) to an independent per-run seed. It is
-// defined as NewRand(base).Split(label).Int63() and computed by jump-ahead
-// (firstInt63), so it depends only on its inputs — never on how many other
-// seeds were derived first — and costs no generator. The sweep engine uses
-// it to give every scenario in a grid its own isolated random stream
-// regardless of worker scheduling order; a run's seed is part of its cached
-// result's name, so these values must never move.
+// defined as the first Int63 drawn from NewRand(base).Split(label) and
+// computed by jump-ahead (firstInt63), so it depends only on its inputs —
+// never on how many other seeds were derived first — and costs no
+// generator. The sweep engine uses it to give every scenario in a grid its
+// own isolated random stream regardless of worker scheduling order; a
+// run's seed is part of its cached result's name, so these values must
+// never move.
 func DeriveSeed(base int64, label string) int64 {
 	return firstInt63(splitSeed(label, firstInt63(base)))
 }
@@ -102,12 +97,6 @@ func (r *Rand) Float64() float64 { return r.src().Float64() }
 // Intn returns a uniform sample in [0,n).
 func (r *Rand) Intn(n int) int { return r.src().Intn(n) }
 
-// Perm returns a random permutation of [0,n).
-func (r *Rand) Perm(n int) []int { return r.src().Perm(n) }
-
-// Exp returns an exponential sample with the given mean.
-func (r *Rand) Exp(mean float64) float64 { return r.src().ExpFloat64() * mean }
-
 // ExpTime returns an exponential Time delta with the given mean.
 func (r *Rand) ExpTime(mean Time) Time {
 	return Time(r.src().ExpFloat64() * float64(mean))
@@ -116,19 +105,4 @@ func (r *Rand) ExpTime(mean Time) Time {
 // Normal returns a normal sample with the given mean and stddev.
 func (r *Rand) Normal(mean, stddev float64) float64 {
 	return r.src().NormFloat64()*stddev + mean
-}
-
-// Pareto returns a bounded Pareto-type sample with scale xm and shape alpha.
-func (r *Rand) Pareto(xm, alpha float64) float64 {
-	u := r.src().Float64()
-	for u == 0 {
-		u = r.src().Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
-// LogNormal returns a log-normal sample with parameters mu, sigma (of the
-// underlying normal).
-func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.src().NormFloat64()*sigma + mu)
 }

@@ -29,9 +29,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Millis returns t as a floating-point number of milliseconds.
 func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 
-// Duration converts t to a time.Duration.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
-
 // String formats the time with millisecond precision, e.g. "12.340s".
 func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
 

@@ -101,7 +101,7 @@ func TestWindowedExtremaMatchSlices(t *testing.T) {
 	const window = 1000
 	wmax, wmin := NewWindowedMax(window), NewWindowedMin(window)
 	refMax, refMin := &sliceExtremum{window: window}, &sliceExtremum{window: window, min: true}
-	if wmax.Max() != 0 || wmin.Min() != 0 || !wmax.Empty() || !wmin.Empty() {
+	if wmax.Max() != 0 || wmin.Min() != 0 {
 		t.Fatal("empty filters do not read 0")
 	}
 	var now int64

@@ -116,18 +116,6 @@ func PercentilesSorted(sorted []float64, ps ...float64) []float64 {
 	return out
 }
 
-// Mean returns the arithmetic mean of xs (NaN for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Percentile(xs, 0.5) }
 
@@ -205,9 +193,3 @@ func (e *EWMA) Add(x float64) float64 {
 
 // Value returns the current average (0 before any sample).
 func (e *EWMA) Value() float64 { return e.val }
-
-// Initialized reports whether at least one sample has been added.
-func (e *EWMA) Initialized() bool { return e.init }
-
-// Reset clears the average.
-func (e *EWMA) Reset() { e.val, e.init = 0, false }

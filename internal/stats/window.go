@@ -47,9 +47,6 @@ func (w *WindowedMax) Max() float64 {
 	return w.q.At(0).val
 }
 
-// Empty reports whether the filter holds no samples.
-func (w *WindowedMax) Empty() bool { return w.q.Len() == 0 }
-
 // WindowedMin is the mirror image of WindowedMax.
 type WindowedMin struct {
 	Window int64
@@ -77,9 +74,6 @@ func (w *WindowedMin) Min() float64 {
 	}
 	return w.q.At(0).val
 }
-
-// Empty reports whether the filter holds no samples.
-func (w *WindowedMin) Empty() bool { return w.q.Len() == 0 }
 
 // Ring is a fixed-capacity ring buffer of float64 samples with O(1)
 // append; it retains the most recent Cap samples and maintains a running

@@ -382,13 +382,6 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobStatus, error) {
 	return st, err
 }
 
-// CacheStats fetches the store counters.
-func (c *Client) CacheStats(ctx context.Context) (StoreStats, error) {
-	var st StoreStats
-	err := c.do(ctx, http.MethodGet, "/cache/stats", nil, &st)
-	return st, err
-}
-
 // Metrics fetches the daemon-wide observability document.
 func (c *Client) Metrics(ctx context.Context) (Metrics, error) {
 	var m Metrics

@@ -56,9 +56,6 @@ type JobStatus struct {
 	// ElapsedSec is wall-clock time since submission (frozen at
 	// completion).
 	ElapsedSec float64 `json:"elapsed_sec"`
-	// Err is a whole-job failure (bad grid); per-cell errors live in the
-	// results.
-	Err string `json:"err,omitempty"`
 }
 
 // Job is one submitted sweep: its expanded scenarios while it runs (a

@@ -49,7 +49,6 @@ const (
 type Journal struct {
 	mu    sync.Mutex
 	f     *os.File
-	dir   string
 	fsync bool
 	// dirty is set after a failed or torn append: the next successful
 	// append starts with a newline so the partial line on disk becomes a
@@ -84,7 +83,7 @@ func OpenJournal(dir string, fsync bool) (*Journal, []Record, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("svc: journal open: %w", err)
 	}
-	return &Journal{f: f, dir: dir, fsync: fsync}, records, nil
+	return &Journal{f: f, fsync: fsync}, records, nil
 }
 
 // replayRecords parses newline-delimited JSON records. keep is the byte

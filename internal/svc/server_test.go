@@ -132,8 +132,8 @@ func TestServerEndToEnd(t *testing.T) {
 	if m.SimEvents == 0 || m.EventsPerSec == 0 {
 		t.Fatalf("metrics missing throughput aggregates: %+v", m)
 	}
-	cs, err := client.CacheStats(ctx)
-	if err != nil {
+	var cs StoreStats
+	if err := client.do(ctx, http.MethodGet, "/cache/stats", nil, &cs); err != nil {
 		t.Fatal(err)
 	}
 	if cs.Misses != 4 || cs.MemHits != 4 || cs.CodeVersion != "test-v1" {

@@ -60,9 +60,6 @@ func (o Outcome) String() string {
 	return "miss"
 }
 
-// Hit reports whether the outcome avoided running a simulation.
-func (o Outcome) Hit() bool { return o != Miss }
-
 // StoreStats is a snapshot of the cache counters (GET /cache/stats).
 type StoreStats struct {
 	// MemHits / DiskHits / Misses / Shared count GetOrRun outcomes.

@@ -15,12 +15,11 @@ const (
 )
 
 type pktRec struct {
-	seq    uint64
-	size   int
-	sentAt sim.Time
-	acked  bool
-	lost   bool
-	dup    int
+	seq   uint64
+	size  int
+	acked bool
+	lost  bool
+	dup   int
 }
 
 type lossEntry struct {
@@ -34,12 +33,11 @@ type lossEntry struct {
 // controller. The receiver side is folded in: delivered packets generate
 // ACK events on the uncongested reverse path.
 type Sender struct {
-	env  Env
-	att  *netem.Attachment
-	cc   Controller
-	app  Source
-	mss  int
-	name string
+	env Env
+	att *netem.Attachment
+	cc  Controller
+	app Source
+	mss int
 
 	nextSeq     uint64
 	inflight    int
@@ -111,20 +109,8 @@ func NewSenderOn(net *netem.Topology, route string, rtt sim.Time, cc Controller,
 // ID returns the flow's identifier at the bottleneck.
 func (s *Sender) ID() netem.FlowID { return s.att.ID }
 
-// MSS returns the segment size.
-func (s *Sender) MSS() int { return s.mss }
-
-// SRTT returns the smoothed RTT estimate (0 before any sample).
-func (s *Sender) SRTT() sim.Time { return s.srtt }
-
-// BaseRTT returns the flow's two-way propagation delay.
-func (s *Sender) BaseRTT() sim.Time { return s.att.BaseRTT() }
-
 // Inflight returns bytes currently in flight.
 func (s *Sender) Inflight() int { return s.inflight }
-
-// Attachment exposes the flow's network attachment (for experiments).
-func (s *Sender) Attachment() *netem.Attachment { return s.att }
 
 // Start initializes the controller and begins transmission at time start.
 func (s *Sender) Start(start sim.Time) {
@@ -207,11 +193,10 @@ func (s *Sender) trySend() {
 }
 
 func (s *Sender) emit(size int) {
-	now := s.env.Sch.Now()
 	p := s.att.GetPacket()
 	*p = netem.Packet{Seq: s.nextSeq, Size: size}
 	s.nextSeq++
-	s.unacked.Push(pktRec{seq: p.Seq, size: size, sentAt: now})
+	s.unacked.Push(pktRec{seq: p.Seq, size: size})
 	s.inflight += size
 	s.SentBytes += uint64(size)
 	s.app.Consume(size)

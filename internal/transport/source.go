@@ -69,9 +69,6 @@ func (f *FiniteFlow) Delivered(n int, now sim.Time) {
 // Done reports whether the transfer completed.
 func (f *FiniteFlow) Done() bool { return f.done }
 
-// DeliveredBytes returns bytes received so far.
-func (f *FiniteFlow) DeliveredBytes() int { return f.delivered }
-
 // ChunkSource models a chunked application (DASH video): the application
 // enqueues chunks over time; between chunks the flow is idle
 // (application-limited). OnChunkDone fires when a chunk is fully

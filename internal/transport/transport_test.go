@@ -75,7 +75,7 @@ func TestRTTMeasurement(t *testing.T) {
 	if len(cc.rtts) == 0 {
 		t.Fatal("no RTT samples")
 	}
-	tx := e.link.TxTime(1500)
+	tx := sim.FromSeconds(1500 * 8 / e.link.Rate())
 	min := cc.rtts[0]
 	for _, r := range cc.rtts {
 		if r < min {
@@ -85,8 +85,8 @@ func TestRTTMeasurement(t *testing.T) {
 	if min < rtt+tx || min > rtt+2*tx+sim.Millisecond {
 		t.Fatalf("min RTT = %v, want ~%v", min, rtt+tx)
 	}
-	if s.SRTT() < rtt {
-		t.Fatalf("srtt = %v below base", s.SRTT())
+	if s.srtt < rtt {
+		t.Fatalf("srtt = %v below base", s.srtt)
 	}
 }
 
@@ -150,8 +150,8 @@ func TestFiniteFlowCompletes(t *testing.T) {
 	if fct < 100*sim.Millisecond || fct > 2*sim.Second {
 		t.Fatalf("fct = %v", fct)
 	}
-	if src.DeliveredBytes() < 150000 {
-		t.Fatalf("delivered %d < size", src.DeliveredBytes())
+	if src.delivered < 150000 {
+		t.Fatalf("delivered %d < size", src.delivered)
 	}
 }
 
@@ -169,7 +169,7 @@ func TestFiniteFlowCompletesDespiteLosses(t *testing.T) {
 		t.Fatal("test needs losses to be meaningful")
 	}
 	if !done {
-		t.Fatalf("flow did not complete despite refunds (delivered %d)", src.DeliveredBytes())
+		t.Fatalf("flow did not complete despite refunds (delivered %d)", src.delivered)
 	}
 }
 

@@ -82,9 +82,6 @@ func (st *Stats) flowCompleted(now sim.Time, size int, fct sim.Time, elastic boo
 
 func (st *Stats) flowCapped() { st.capped++ }
 
-// Active returns the number of currently active flows.
-func (st *Stats) Active() int { return st.activeNow }
-
 // ElasticActive reports whether any active flow is in the elastic class
 // (size above ElasticThresholdBytes) — the ground truth an elasticity
 // detector's mode decision is scored against.

@@ -155,8 +155,8 @@ func TestStatsStreaming(t *testing.T) {
 	s := sim.FromSeconds
 	st.flowStarted(s(0), true)
 	st.flowStarted(s(1), false)
-	if !st.ElasticActive() || st.Active() != 2 {
-		t.Fatalf("active=%d elastic=%v", st.Active(), st.ElasticActive())
+	if !st.ElasticActive() || st.activeNow != 2 {
+		t.Fatalf("active=%d elastic=%v", st.activeNow, st.ElasticActive())
 	}
 	st.flowCompleted(s(2), 1e6, s(2), true)
 	if st.ElasticActive() {

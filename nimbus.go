@@ -139,7 +139,7 @@ type (
 	// SchemeInfo describes a registered scheme (name, doc, parameters).
 	SchemeInfo = scheme.Info
 	// FlowSpec declares a group of flows on a Rig: scheme spec, count,
-	// start/stop times, and application source.
+	// start/stop times, and route.
 	FlowSpec = exp.FlowSpec
 	// Flow is one instantiated flow of a FlowSpec.
 	Flow = exp.Flow
@@ -165,7 +165,7 @@ func BuildScheme(sp SchemeSpec, muBps float64, mu MuEstimator) (Scheme, error) {
 // the one-liner for experiments:
 //
 //	s := nimbus.MustScheme("nimbus(pulse=0.1,mu=est)", 96e6)
-//	rig.AddFlow(s, 50*nimbus.Millisecond, 0)
+//	rig.AddFlow(s, nimbus.Time(50*time.Millisecond), 0)
 func MustScheme(s string, muBps float64) Scheme { return exp.MustScheme(s, muBps) }
 
 // Schemes lists every registered scheme with its typed parameters,
