@@ -58,6 +58,11 @@ var uncalledAllowed = map[string]string{
 // uncalledAllowed does not list. A method that satisfies an interface
 // counts as referenced.
 func TestNoUncalledAPI(t *testing.T) {
+	if raceEnabled {
+		// A static check starts no goroutine, so the race detector has
+		// nothing to watch; it only makes type-checking about 5x slower.
+		t.Skip("static check: runs without -race")
+	}
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("needs the go command to list packages")
 	}

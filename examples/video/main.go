@@ -44,10 +44,10 @@ func main() {
 
 		r.Sch.RunUntil(dur)
 
-		qd := probe.Delay.Summary()
+		qdMean, _ := probe.Delay.MeanQuantiles()
 		fmt.Printf("%s video: nimbus %.1f Mbit/s (qdelay mean %.1f ms), video %.1f Mbit/s avg bitrate %.1f Mbit/s, rebuffers %d, final mode %s\n",
 			quality,
-			probe.MeanMbps(5*sim.Second, dur), qd.Mean,
+			probe.MeanMbps(5*sim.Second, dur), qdMean,
 			float64(video.Sender().DeliveredBytes)*8/dur.Seconds()/1e6,
 			video.MeanBitrate()/1e6,
 			video.Rebuffers,

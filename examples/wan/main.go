@@ -30,10 +30,10 @@ func main() {
 			panic(err)
 		}
 		r.Sch.RunUntil(dur)
-		rtt := probe.RTTms.Summary()
-		qd := probe.Delay.Summary()
+		_, rtt := probe.RTTms.MeanQuantiles(0.5, 0.95)
+		_, qd := probe.Delay.MeanQuantiles(0.95)
 		fmt.Printf("%-8s %10.1f %9.0f ms %9.0f ms %9.0f ms\n",
-			scheme, probe.MeanMbps(5*sim.Second, dur), rtt.P50, rtt.P95, qd.P95)
+			scheme, probe.MeanMbps(5*sim.Second, dur), rtt[0], rtt[1], qd[0])
 	}
 	fmt.Println("\nexpected: nimbus ~ cubic throughput at a much lower median RTT; vegas loses throughput")
 }

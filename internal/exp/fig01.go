@@ -66,9 +66,11 @@ func runFig01(scheme string, seed int64) []any {
 
 	b.Rig.Sch.RunUntil(175 * sim.Second)
 
+	elasticMean, _ := elasticDelay.MeanQuantiles()
+	inelasticMean, _ := inelasticDelay.MeanQuantiles()
 	return []any{
 		scheme,
-		probe.MeanMbps(35*sim.Second, 90*sim.Second), elasticDelay.Summary().Mean,
-		probe.MeanMbps(95*sim.Second, 150*sim.Second), inelasticDelay.Summary().Mean,
+		probe.MeanMbps(35*sim.Second, 90*sim.Second), elasticMean,
+		probe.MeanMbps(95*sim.Second, 150*sim.Second), inelasticMean,
 	}
 }

@@ -131,5 +131,6 @@ func runFig08(scheme string, seed int64, phaseDur sim.Time) []any {
 	if acc != nil {
 		modeAcc = acc.Accuracy()
 	}
-	return []any{scheme, probe.MeanMbps(5*sim.Second, total), probe.Delay.Summary().Mean, fairErr, modeAcc}
+	delay, _ := probe.Delay.MeanQuantiles()
+	return []any{scheme, probe.MeanMbps(5*sim.Second, total), delay, fairErr, modeAcc}
 }

@@ -42,8 +42,9 @@ func runFig11(video, scheme string, seed int64, dur sim.Time) []any {
 	}.mustBuild()
 	b.Rig.Sch.RunUntil(dur)
 	probe, v := b.Flows[0].Probe, b.cross[0].(*crosstraffic.VideoClient)
+	delay, _ := probe.Delay.MeanQuantiles()
 	return []any{
-		video, scheme, probe.MeanMbps(5*sim.Second, dur), probe.Delay.Summary().Mean,
+		video, scheme, probe.MeanMbps(5*sim.Second, dur), delay,
 		float64(v.Sender().DeliveredBytes) * 8 / dur.Seconds() / 1e6,
 	}
 }

@@ -81,7 +81,8 @@ func Fig16(seed int64, quick bool) Report {
 	st := FlowStats(flows, end)
 	var delaySum float64
 	for _, f := range flows {
-		delaySum += f.Probe.Delay.Summary().Mean
+		mean, _ := f.Probe.Delay.MeanQuantiles()
+		delaySum += mean
 	}
 	frac := func(n, of int) float64 { return ratio(float64(n), float64(of)) }
 	return Report{

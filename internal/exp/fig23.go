@@ -46,7 +46,9 @@ func Fig23(seed int64, quick bool) Report {
 			Rows: dynamicsGrid(quick, []float64{24, 80}, func(scheme string, cbrMbps float64, dur sim.Time) []any {
 				c := scoreCell{cross: []crossSpec{{kind: "cbr", rate: cbrMbps * 1e6, rtt: 40 * sim.Millisecond}}}
 				res := c.run(spec.MustParse(scheme), seed, dur)
-				return []any{scheme, cbrMbps, res.Flows[0].Probe.MeanMbps(5*sim.Second, dur), res.Flows[0].Probe.Delay.Summary().Mean, res.wrongModeFrac()}
+				probe := res.Flows[0].Probe
+				delay, _ := probe.Delay.MeanQuantiles()
+				return []any{scheme, cbrMbps, probe.MeanMbps(5*sim.Second, dur), delay, res.wrongModeFrac()}
 			}),
 		}},
 		Expect: "at 80M copa sticks in competitive mode (high delay); nimbus correct at both",

@@ -101,7 +101,8 @@ func runPath(p PathProfile, scheme string, seed int64, dur sim.Time) (mbps, rttM
 	probe := b.Flows[0].Probe
 	probe.RecordRTT()
 	b.Rig.Sch.RunUntil(dur)
-	return probe.MeanMbps(5*sim.Second, dur), probe.RTTms.Summary().Mean
+	rtt, _ := probe.RTTms.MeanQuantiles()
+	return probe.MeanMbps(5*sim.Second, dur), rtt
 }
 
 // PathSchemes are the four schemes the paper runs on real paths.

@@ -5,8 +5,9 @@
 package metrics
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"nimbus/internal/sim"
@@ -58,30 +59,45 @@ func (m *Meter) MeanMbps(from, to sim.Time) float64 {
 	return total * 8 / (float64(hi-lo) * m.Bin.Seconds()) / 1e6
 }
 
-// DelayRecorder collects per-packet queueing (or RTT) delay samples in
-// milliseconds, with reservoir sampling beyond a cap so long experiments
-// stay in memory. Samples live in fixed-size chunks, so recording writes
-// one slot and never copies what was recorded before (one flat slice
-// grown by append allocates about four times the bytes it ends up
-// holding).
+// DelayRecorder collects per-packet queueing (or RTT) delay samples, with
+// reservoir sampling beyond a cap so long experiments stay in memory, and
+// reports their statistics in milliseconds. Samples live in fixed-size
+// chunks, so recording writes one slot and never copies what was recorded
+// before (one flat slice grown by append allocates about four times the
+// bytes it ends up holding).
 //
-// Chunks come from a pool shared by every recorder of the process and go
-// back in Release, so a sweep's cells pass one set of chunks along
-// instead of each building a reservoir for the collector. The statistics
-// (MeanQuantiles, Summary) are read in place: a read sorts every chunk
-// where it lies and walks the sorted chunks as one ascending sequence, so
-// no flat copy is built — and the retained samples are afterwards stored
-// in another order. That is invisible while the recorder is below its
-// cap (Add appends), but a reservoir replacement picks its victim by
-// position, so an Add at the cap after a read would record a different
-// sample set than the same Adds without the read: it panics.
+// A sample is stored as the delay's nanosecond count, in 32 bits while
+// every sample fits [0, 2^32) ns (4.29 s: every queueing delay and RTT a
+// figure records): half the bytes of float64 milliseconds, in the
+// reservoirs that make up most of a sweep's live heap. The first sample
+// outside that range (a long flow's completion time, a negative delay)
+// moves the recorder once to 64-bit sim.Time slots, which hold any
+// delay, for the rest of its life. A read converts each sample to
+// milliseconds as it consumes it (sim.Time.Millis), and that map is
+// monotone, so sorting the integers orders the milliseconds as sorting
+// them would: every statistic is bit for bit what storing float64
+// milliseconds reads.
+//
+// Chunks come from pools (one per width) shared by every recorder of the
+// process and go back in Release, so a sweep's cells pass one set of
+// chunks along instead of each building a reservoir for the collector.
+// The statistics (MeanQuantiles) are read in place: a read sorts every
+// chunk where it lies and walks the sorted chunks as one ascending
+// sequence, so no flat copy is built — and the retained samples are
+// afterwards stored in another order. That is invisible while the
+// recorder is below its cap (Add appends), but a reservoir replacement
+// picks its victim by position, so an Add at the cap after a read would
+// record a different sample set than the same Adds without the read: it
+// panics.
 type DelayRecorder struct {
-	Cap    int
-	chunks []*chunk // sample i is chunks[i>>chunkShift][i&chunkMask]
-	n      int      // samples retained, <= Cap
-	seen   int
-	rng    *sim.Rand
-	read   bool // a statistic has been read: storage is no longer in recording order
+	Cap     int
+	narrow  []*[chunkLen]uint32   // sample i is narrow[i>>chunkShift][i&chunkMask]
+	wide    []*[chunkLen]sim.Time // the same, once widened
+	widened bool                  // a sample fell outside [0, 2^32) ns
+	n       int                   // samples retained, <= Cap
+	seen    int
+	rng     *sim.Rand
+	read    bool // a statistic has been read: storage is no longer in recording order
 }
 
 const (
@@ -90,11 +106,13 @@ const (
 	chunkMask  = chunkLen - 1
 )
 
-type chunk [chunkLen]float64
-
-// chunkPool holds the chunks no recorder is using. A chunk from it has
-// whatever a previous recorder left in it: n bounds every read.
-var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
+// narrowPool and widePool hold the chunks no recorder is using. A chunk
+// from them has whatever a previous recorder left in it: n bounds every
+// read.
+var (
+	narrowPool = sync.Pool{New: func() any { return new([chunkLen]uint32) }}
+	widePool   = sync.Pool{New: func() any { return new([chunkLen]sim.Time) }}
+)
 
 // NewDelayRecorder returns a recorder keeping at most cap samples.
 func NewDelayRecorder(cap int, rng *sim.Rand) *DelayRecorder {
@@ -107,23 +125,49 @@ func NewDelayRecorder(cap int, rng *sim.Rand) *DelayRecorder {
 // Add records a delay sample.
 func (d *DelayRecorder) Add(delay sim.Time) {
 	d.seen++
-	ms := delay.Millis()
-	if d.n < d.Cap {
-		if d.n>>chunkShift == len(d.chunks) {
-			d.chunks = append(d.chunks, chunkPool.Get().(*chunk))
+	i := d.n
+	if i >= d.Cap {
+		if d.read {
+			panic("metrics: DelayRecorder.Add at the cap after a read: reading reorders storage, so the reservoir would replace a different sample")
 		}
-		d.chunks[d.n>>chunkShift][d.n&chunkMask] = ms
-		d.n++
-		return
+		// Reservoir replacement keeps a uniform sample.
+		if i = d.rng.Intn(d.seen); i >= d.Cap {
+			return
+		}
 	}
-	if d.read {
-		panic("metrics: DelayRecorder.Add at the cap after a read: reading reorders storage, so the reservoir would replace a different sample")
+	c, k := i>>chunkShift, i&chunkMask
+	if !d.widened && uint64(delay) < 1<<32 {
+		if c == len(d.narrow) {
+			d.narrow = append(d.narrow, narrowPool.Get().(*[chunkLen]uint32))
+		}
+		d.narrow[c][k] = uint32(delay)
+	} else {
+		if !d.widened {
+			d.widen()
+		}
+		if c == len(d.wide) {
+			d.wide = append(d.wide, widePool.Get().(*[chunkLen]sim.Time))
+		}
+		d.wide[c][k] = delay
 	}
-	// Reservoir replacement keeps a uniform sample.
-	j := d.rng.Intn(d.seen)
-	if j < d.Cap {
-		d.chunks[j>>chunkShift][j&chunkMask] = ms
+	if i == d.n {
+		d.n++ // appended below the cap
 	}
+}
+
+// widen moves the n retained samples to 64-bit chunks, each to the
+// position it held, and hands the narrow chunks back.
+func (d *DelayRecorder) widen() {
+	d.widened = true
+	for c, nc := range d.narrow {
+		wc := widePool.Get().(*[chunkLen]sim.Time)
+		for k, v := range nc[:min(chunkLen, d.n-c<<chunkShift)] {
+			wc[k] = sim.Time(v)
+		}
+		d.wide = append(d.wide, wc)
+		narrowPool.Put(nc)
+	}
+	d.narrow = nil
 }
 
 // Len returns the number of retained samples.
@@ -134,50 +178,47 @@ func (d *DelayRecorder) Len() int { return d.n }
 // calls it; one that never does leaves the chunks to the collector.
 // Releasing twice is a no-op.
 func (d *DelayRecorder) Release() {
-	for _, c := range d.chunks {
-		chunkPool.Put(c)
+	for _, c := range d.narrow {
+		narrowPool.Put(c)
+	}
+	for _, c := range d.wide {
+		widePool.Put(c)
 	}
 	*d = DelayRecorder{Cap: d.Cap, rng: d.rng}
 }
 
-// runs returns the retained samples as one slice per chunk, in storage
-// order.
-func (d *DelayRecorder) runs() [][]float64 {
-	out := make([][]float64, len(d.chunks))
-	for i, c := range d.chunks {
-		out[i] = c[:min(chunkLen, d.n-i<<chunkShift)]
+// runs returns the retained samples of chunks as one slice per chunk, in
+// storage order.
+func runs[T any](chunks []*[chunkLen]T, n int) [][]T {
+	out := make([][]T, len(chunks))
+	for i, c := range chunks {
+		out[i] = c[:min(chunkLen, n-i<<chunkShift)]
 	}
 	return out
 }
 
 // moments sorts every chunk in place and reads the chunks as the one
-// ascending sequence a sorted flat copy would be: the running moments
-// accumulated in that order and the requested quantiles.
+// ascending sequence a sorted flat copy of the millisecond values would
+// be: the running moments accumulated in that order and the requested
+// quantiles.
 func (d *DelayRecorder) moments(ps ...float64) (stats.Welford, []float64) {
 	d.read = true
-	runs := d.runs()
+	if d.widened {
+		return sortedMoments(runs(d.wide, d.n), sim.Time.Millis, ps)
+	}
+	return sortedMoments(runs(d.narrow, d.n), func(v uint32) float64 { return sim.Time(v).Millis() }, ps)
+}
+
+func sortedMoments[T cmp.Ordered](runs [][]T, ms func(T) float64, ps []float64) (stats.Welford, []float64) {
 	for _, r := range runs {
-		sort.Float64s(r)
+		slices.Sort(r)
 	}
-	return stats.MergeSorted(runs, ps...)
+	return stats.MergeSorted(runs, ms, ps...)
 }
 
-// Summary summarizes the samples.
-func (d *DelayRecorder) Summary() stats.Summary {
-	w, qs := d.moments(0, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 1)
-	if w.N() == 0 {
-		return stats.SummarizeSorted(nil)
-	}
-	return stats.Summary{N: w.N(), Mean: w.Mean(), Std: w.Std(),
-		Min: qs[0], P10: qs[1], P25: qs[2], P50: qs[3], P75: qs[4], P90: qs[5], P95: qs[6], P99: qs[7], Max: qs[8]}
-}
-
-// MeanQuantiles returns the sample mean and the requested quantiles from
-// one ordered read — what report emission needs (mean, p50, p95) without
-// Summary's full order-statistic battery. The mean is accumulated in
-// ascending order exactly like Summary's, so switching emission from
-// Summary() to MeanQuantiles changes no reported value. Empty input yields
-// NaNs throughout.
+// MeanQuantiles returns the sample mean, accumulated in ascending order,
+// and the requested quantiles, in milliseconds, from one ordered read.
+// Empty input yields NaNs throughout.
 func (d *DelayRecorder) MeanQuantiles(ps ...float64) (mean float64, qs []float64) {
 	w, qs := d.moments(ps...)
 	if w.N() == 0 {

@@ -2,8 +2,8 @@ package metrics
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -63,31 +63,76 @@ func TestDelayRecorderReservoir(t *testing.T) {
 	if d.Len() != 100 {
 		t.Fatalf("reservoir size = %d", d.Len())
 	}
-	s := d.Summary()
+	_, qs := d.MeanQuantiles(0.5)
 	// Uniform over 0..49 ms: median near 24.5.
-	if s.P50 < 10 || s.P50 > 40 {
-		t.Fatalf("p50 = %v implausible for uniform 0-49", s.P50)
+	if qs[0] < 10 || qs[0] > 40 {
+		t.Fatalf("p50 = %v implausible for uniform 0-49", qs[0])
 	}
 }
 
-// flatRecorder is the recorder DelayRecorder replaced: one slice grown by
-// append, the same reservoir rule, the same draws, and the same copy,
-// sort and Welford pass behind its statistics.
+// flatRecorder is the recorder DelayRecorder replaced: one slice of
+// float64 milliseconds grown by append, the same reservoir rule, the same
+// draws, and the same copy, sort and Welford pass behind its statistics.
 type flatRecorder struct {
 	cap, seen int
 	samples   []float64
 	rng       *sim.Rand
+	wide      bool // it stored a delay outside [0, 2^32) ns
 }
 
 func (f *flatRecorder) add(delay sim.Time) {
 	f.seen++
-	if len(f.samples) < f.cap {
-		f.samples = append(f.samples, delay.Millis())
-		return
+	j := len(f.samples)
+	if j >= f.cap {
+		if j = f.rng.Intn(f.seen); j >= f.cap {
+			return
+		}
 	}
-	if j := f.rng.Intn(f.seen); j < f.cap {
+	f.wide = f.wide || delay < 0 || delay >= 1<<32
+	if j == len(f.samples) {
+		f.samples = append(f.samples, delay.Millis())
+	} else {
 		f.samples[j] = delay.Millis()
 	}
+}
+
+// stored returns d's retained samples in milliseconds, in storage order.
+func stored(d *DelayRecorder) []float64 {
+	var out []float64
+	if d.widened {
+		for _, r := range runs(d.wide, d.n) {
+			for _, v := range r {
+				out = append(out, v.Millis())
+			}
+		}
+		return out
+	}
+	for _, r := range runs(d.narrow, d.n) {
+		for _, v := range r {
+			out = append(out, sim.Time(v).Millis())
+		}
+	}
+	return out
+}
+
+// record feeds the same stream to a recorder and the flat reference and
+// checks what each stores: the same samples at the same positions, in
+// 64-bit slots exactly when a stored sample needed them.
+func record(t *testing.T, label string, cp int, seed int64, stream []sim.Time) (*DelayRecorder, *flatRecorder) {
+	t.Helper()
+	d := NewDelayRecorder(cp, sim.NewRand(seed))
+	f := &flatRecorder{cap: d.Cap, rng: sim.NewRand(seed)}
+	for _, x := range stream {
+		d.Add(x)
+		f.add(x)
+	}
+	if d.Len() != len(f.samples) || !slices.Equal(stored(d), f.samples) {
+		t.Fatalf("%s: Len %d and stored samples differ from the flat recorder's %d", label, d.Len(), len(f.samples))
+	}
+	if d.widened != f.wide {
+		t.Fatalf("%s: recorder wide %v, flat recorder stored a sample outside 32 bits: %v", label, d.widened, f.wide)
+	}
+	return d, f
 }
 
 func (f *flatRecorder) meanQuantiles(ps ...float64) (float64, []float64) {
@@ -103,52 +148,63 @@ func (f *flatRecorder) meanQuantiles(ps ...float64) (float64, []float64) {
 	return w.Mean(), stats.PercentilesSorted(cp, ps...)
 }
 
-// TestDelayRecorderMatchesFlat: chunked storage changes nothing a reader
-// can see, to the bit. Caps below one chunk, on and off chunk boundaries;
-// add counts crossing chunk and cap boundaries.
+// TestDelayRecorderMatchesFlat: chunked 32-bit storage, and the 64-bit
+// storage a recorder widens to, change nothing a reader can see, to the
+// bit. Caps below one chunk, on and off chunk boundaries; add counts
+// crossing chunk and cap boundaries; and streams that leave 32 bits below
+// the cap, exactly at it (the last append and the first reservoir draw),
+// and after reservoir replacements.
 func TestDelayRecorderMatchesFlat(t *testing.T) {
 	pick := sim.NewRand(3)
 	caps := []int{1, 100, chunkLen - 1, chunkLen, chunkLen + 1, 3*chunkLen + 17}
+	boundaries := len(caps)
 	for i := 0; i < 10; i++ {
 		caps = append(caps, 1+pick.Intn(4*chunkLen))
 	}
-	for _, cp := range caps {
+	for ci, cp := range caps {
 		for _, n := range []int{0, 1, pick.Intn(6 * chunkLen), chunkLen, chunkLen + 1, cp - 1, cp, cp + 1, 2*cp + 5} {
-			d := NewDelayRecorder(cp, sim.NewRand(int64(cp)))
-			f := &flatRecorder{cap: cp, rng: sim.NewRand(int64(cp))}
-			for k := 0; k < n; k++ {
-				x := sim.Time(pick.Intn(1e9))
-				d.Add(x)
-				f.add(x)
+			stream := make([]sim.Time, max(n, 0))
+			for k := range stream {
+				stream[k] = sim.Time(pick.Intn(1 << 32))
 			}
-			if d.Len() != len(f.samples) || !slices.Equal(slices.Concat(d.runs()...), f.samples) {
-				t.Fatalf("cap %d, %d adds: Len %d and stored samples differ from the flat recorder's %d", cp, n, d.Len(), len(f.samples))
+			label := fmt.Sprintf("cap %d, %d adds", cp, n)
+			d, f := record(t, label, cp, int64(cp), stream)
+			checkReads(t, label, d, f)
+			// On the boundary caps, the same stream with one sample past
+			// 32 bits at each of these places: before the cap, the last
+			// append, the first reservoir draw, after replacements.
+			for _, at := range []int{n / 2, cp - 1, cp, cp + n/2} {
+				if ci >= boundaries || at < 0 || at >= n {
+					continue
+				}
+				wide := slices.Clone(stream)
+				wide[at] = 1<<32 + sim.Time(pick.Intn(1e12))
+				label := fmt.Sprintf("%s, wide at %d", label, at)
+				d, f := record(t, label, cp, int64(cp), wide)
+				checkReads(t, label, d, f)
 			}
-			checkReads(t, fmt.Sprintf("cap %d, %d adds", cp, n), d, f)
 		}
 	}
 }
 
+// readBattery is the quantile battery stats.Summary reports.
+var readBattery = []float64{0, 0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 1}
+
 // checkReads holds every statistic of d to the flat recorder's, to the
-// bit: MeanQuantiles with two, one and no quantiles, and each field of
-// Summary.
+// bit: MeanQuantiles with the whole quantile battery, two, one and no
+// quantiles, and the count and standard deviation of the moments.
 func checkReads(t *testing.T, label string, d *DelayRecorder, f *flatRecorder) {
 	t.Helper()
-	for _, ps := range [][]float64{{0.5, 0.95}, {0.5}, {}} {
+	for _, ps := range [][]float64{readBattery, {0.5, 0.95}, {0.5}, {}} {
 		mean, qs := d.MeanQuantiles(ps...)
 		wantMean, wantQs := f.meanQuantiles(ps...)
 		if !sameBits(mean, wantMean) || !slices.EqualFunc(qs, wantQs, sameBits) {
 			t.Fatalf("%s: MeanQuantiles(%v) = %v %v, flat %v %v", label, ps, mean, qs, wantMean, wantQs)
 		}
 	}
-	got, want := reflect.ValueOf(d.Summary()), reflect.ValueOf(stats.Summarize(f.samples))
-	if got.Field(0).Int() != want.Field(0).Int() {
-		t.Fatalf("%s: Summary.N %v, flat %v", label, got.Field(0), want.Field(0))
-	}
-	for k := 1; k < got.NumField(); k++ {
-		if !sameBits(got.Field(k).Float(), want.Field(k).Float()) {
-			t.Fatalf("%s: Summary.%s = %v, flat %v", label, got.Type().Field(k).Name, got.Field(k), want.Field(k))
-		}
+	w, _ := d.moments()
+	if want := stats.Summarize(f.samples); w.N() != want.N || w.N() > 0 && !sameBits(w.Std(), want.Std) {
+		t.Fatalf("%s: N %d, std %v; flat %d, %v", label, w.N(), w.Std(), want.N, want.Std)
 	}
 }
 
@@ -164,18 +220,22 @@ func TestOrderedReadMatchesFlat(t *testing.T) {
 		"random":     func(int) sim.Time { return sim.Time(pick.Intn(1e9)) },
 		"duplicates": func(int) sim.Time { return sim.Time(pick.Intn(7)) * sim.Millisecond },
 		"ascending":  func(k int) sim.Time { return sim.Time(k) * sim.Microsecond },
+		// All of 32 bits, so half the samples have the top bit set.
+		"32-bit": func(int) sim.Time { return sim.Time(pick.Intn(1 << 32)) },
+		// Zero, and negatives (64-bit slots from the first one).
+		"zero and negative": func(int) sim.Time { return sim.Time(pick.Intn(5)-3) * sim.Millisecond },
+		// Flow completion times: up to 100 s, mostly past 32 bits.
+		"fct": func(int) sim.Time { return sim.Time(pick.Intn(100e9)) },
 	}
 	for _, cp := range []int{1, 2, chunkLen - 1, chunkLen, chunkLen + 1, 2 * chunkLen, 2*chunkLen + 100} {
 		for _, n := range []int{0, 1, 2, chunkLen - 1, chunkLen, chunkLen + 1, cp - 1, cp, 3 * cp} {
-			for name, next := range streams {
-				d := NewDelayRecorder(cp, sim.NewRand(int64(cp)))
-				f := &flatRecorder{cap: cp, rng: sim.NewRand(int64(cp))}
-				for k := 0; k < n; k++ {
-					x := next(k)
-					d.Add(x)
-					f.add(x)
+			for _, name := range slices.Sorted(maps.Keys(streams)) {
+				stream := make([]sim.Time, max(n, 0))
+				for k := range stream {
+					stream[k] = streams[name](k)
 				}
 				label := fmt.Sprintf("%s, cap %d, %d adds", name, cp, n)
+				d, f := record(t, label, cp, int64(cp), stream)
 				checkReads(t, label, d, f)
 				checkReads(t, label+", second read", d, f)
 			}
@@ -185,49 +245,95 @@ func TestOrderedReadMatchesFlat(t *testing.T) {
 
 // TestReleasedChunksAreNotObservable: a recorder built on chunks another
 // one released reads only what it recorded itself, whatever the chunks
-// held; a released recorder is empty, and releasing it again gives nothing
-// back twice.
+// held, in either width; a released recorder is empty, and releasing it
+// again gives nothing back twice.
 func TestReleasedChunksAreNotObservable(t *testing.T) {
 	pick := sim.NewRand(9)
 	old := NewDelayRecorder(0, sim.NewRand(1))
 	for k := 0; k < 3*chunkLen+50; k++ {
 		old.Add(sim.Time(pick.Intn(1e9)))
 	}
-	old.MeanQuantiles(0.5)
-	old.Release()
-	old.Release()
-	if mean, qs := old.MeanQuantiles(0.5); old.Len() != 0 || len(slices.Concat(old.runs()...)) != 0 || !math.IsNaN(mean) || !math.IsNaN(qs[0]) || !math.IsNaN(old.Summary().P95) {
-		t.Fatalf("a released recorder reads Len %d, mean %v, p50 %v", old.Len(), mean, qs[0])
+	wideOld := NewDelayRecorder(0, sim.NewRand(1))
+	for k := 0; k < 3*chunkLen+50; k++ {
+		wideOld.Add(sim.Time(pick.Intn(100e9)))
 	}
-	// Poison whatever the pool holds now (the four chunks just released,
-	// unless the pool dropped some), and a few fresh ones.
-	var pooled []*chunk
-	for i := 0; i < 8; i++ {
-		c := chunkPool.Get().(*chunk)
-		for k := range c {
-			c[k] = math.NaN()
+	for _, r := range []*DelayRecorder{old, wideOld} {
+		r.MeanQuantiles(0.5)
+		r.Release()
+		r.Release()
+		if mean, qs := r.MeanQuantiles(0.5); r.Len() != 0 || len(stored(r)) != 0 || r.widened || !math.IsNaN(mean) || !math.IsNaN(qs[0]) {
+			t.Fatalf("a released recorder reads Len %d, mean %v, p50 %v", r.Len(), mean, qs[0])
 		}
-		pooled = append(pooled, c)
 	}
-	for _, c := range pooled {
-		chunkPool.Put(c)
+	// Poison whatever the pools hold now (the chunks just released,
+	// unless a pool dropped some), and a few fresh ones, with all-ones
+	// words: the largest 32-bit delay, and -1 ns.
+	var narrow []*[chunkLen]uint32
+	var wide []*[chunkLen]sim.Time
+	for i := 0; i < 8; i++ {
+		nc := narrowPool.Get().(*[chunkLen]uint32)
+		wc := widePool.Get().(*[chunkLen]sim.Time)
+		for k := range chunkLen {
+			nc[k], wc[k] = math.MaxUint32, -1
+		}
+		narrow, wide = append(narrow, nc), append(wide, wc)
 	}
-	d := NewDelayRecorder(0, sim.NewRand(2))
-	f := &flatRecorder{cap: d.Cap, rng: sim.NewRand(2)}
-	for k := 0; k < 2*chunkLen+7; k++ {
-		x := sim.Time(pick.Intn(1e9))
-		d.Add(x)
-		f.add(x)
+	for i := range narrow {
+		narrowPool.Put(narrow[i])
+		widePool.Put(wide[i])
 	}
-	if !slices.Equal(slices.Concat(d.runs()...), f.samples) {
-		t.Fatal("stored samples differ from the flat recorder's on recycled chunks")
+	streams := map[string]func(k int) sim.Time{
+		"32-bit":         func(int) sim.Time { return sim.Time(pick.Intn(1e9)) },
+		"64-bit":         func(int) sim.Time { return sim.Time(pick.Intn(100e9)) },
+		"widens halfway": func(k int) sim.Time { return sim.Time(pick.Intn(1e9)) + sim.Time(k/(chunkLen+3))*5*sim.Second },
 	}
-	checkReads(t, "on recycled chunks", d, f)
-	// A released recorder records again like a new one.
-	old.Add(3 * sim.Millisecond)
-	if mean, _ := old.MeanQuantiles(); old.Len() != 1 || mean != 3 {
-		t.Fatalf("after Release and one Add: Len %d, mean %v", old.Len(), mean)
+	for _, name := range slices.Sorted(maps.Keys(streams)) {
+		stream := make([]sim.Time, 2*chunkLen+7)
+		for k := range stream {
+			stream[k] = streams[name](k)
+		}
+		d, f := record(t, name+" on recycled chunks", 0, 2, stream)
+		checkReads(t, name+" on recycled chunks", d, f)
+		d.Release()
 	}
+	// A released recorder records again like a new one, narrow.
+	for _, r := range []*DelayRecorder{old, wideOld} {
+		r.Add(3 * sim.Millisecond)
+		if mean, _ := r.MeanQuantiles(); r.Len() != 1 || r.widened || mean != 3 {
+			t.Fatalf("after Release and one Add: Len %d, wide %v, mean %v", r.Len(), r.widened, mean)
+		}
+	}
+}
+
+// FuzzDelayRecorderMatchesFlat draws a cap and a stream and holds the
+// recorder to the flat reference: the same samples stored, 64-bit slots
+// exactly when a stored sample needs them, and every statistic equal to
+// the bit on two reads. The stream is segments of (count/64, kind) byte
+// pairs; the values come from seed.
+func FuzzDelayRecorderMatchesFlat(f *testing.F) {
+	f.Add(uint16(100), int64(1), []byte{2, 0, 1, 2, 2, 0})
+	f.Add(uint16(chunkLen+1), int64(2), []byte{100, 1, 1, 3, 50, 4})
+	f.Fuzz(func(t *testing.T, cp uint16, seed int64, segs []byte) {
+		pick := sim.NewRand(seed)
+		kinds := []func() sim.Time{
+			func() sim.Time { return sim.Time(pick.Intn(200e6)) },                 // queueing delays
+			func() sim.Time { return sim.Time(pick.Intn(1 << 32)) },               // all of 32 bits
+			func() sim.Time { return sim.Time(pick.Intn(100e9)) },                 // completion times
+			func() sim.Time { return sim.Time(pick.Intn(5)-3) * sim.Millisecond }, // zero and negative
+			func() sim.Time { return sim.Time(pick.Intn(7)) * sim.Millisecond },   // ties
+		}
+		var stream []sim.Time
+		for i := 0; i+1 < len(segs) && len(stream) < 1<<16; i += 2 {
+			next := kinds[int(segs[i+1])%len(kinds)]
+			for range 64 * int(segs[i]) {
+				stream = append(stream, next())
+			}
+		}
+		label := fmt.Sprintf("cap %d, %d adds", cp, len(stream))
+		d, fl := record(t, label, int(cp), seed, stream)
+		checkReads(t, label, d, fl)
+		checkReads(t, label+", second read", d, fl)
+	})
 }
 
 // TestAddAfterReadAtCapPanics: a read reorders storage, and the reservoir

@@ -1,19 +1,22 @@
 package stats
 
 import (
+	"cmp"
 	"math"
 	"slices"
 )
 
 // MergeSorted reads several ascending runs as the one ascending sequence
 // their concatenation would sort to, without building it: it returns the
-// running moments accumulated over that sequence in order and its
-// p-quantiles (each p in [0,1]; NaN when the runs hold nothing) — bit for
-// bit what a Welford pass and PercentilesSorted over the sorted
-// concatenation return. The walk keeps one cursor per run in a heap
-// keyed by the cursor's next sample, so it costs O(log len(runs)) per
-// sample and no memory beyond runs itself, which it consumes.
-func MergeSorted(runs [][]float64, ps ...float64) (w Welford, qs []float64) {
+// running moments of ms over that sequence, accumulated in order, and
+// its p-quantiles (each p in [0,1]; NaN when the runs hold nothing) — bit
+// for bit what a Welford pass and PercentilesSorted over the sorted
+// concatenation of the ms values return, provided ms is monotone
+// (non-decreasing). The walk keeps one cursor per run in a heap keyed by
+// the cursor's next element, compared as T, so ms is called once per
+// element, when the walk consumes it. It costs O(log len(runs)) per
+// element and no memory beyond runs itself, which it consumes.
+func MergeSorted[T cmp.Ordered](runs [][]T, ms func(T) float64, ps ...float64) (w Welford, qs []float64) {
 	n := 0
 	live := runs[:0]
 	for _, r := range runs {
@@ -44,12 +47,12 @@ func MergeSorted(runs [][]float64, ps ...float64) (w Welford, qs []float64) {
 	}
 	slices.SortFunc(picks, func(a, b pick) int { return a.at - b.at })
 
-	h := runHeap(live)
+	h := runHeap[T](live)
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
 	for i := 0; len(h) > 0; i++ {
-		x := h[0][0]
+		x := ms(h[0][0])
 		w.Add(x)
 		for len(picks) > 0 && picks[0].at == i {
 			*picks[0].dst = x
@@ -68,10 +71,10 @@ func MergeSorted(runs [][]float64, ps ...float64) (w Welford, qs []float64) {
 }
 
 // runHeap is a min-heap of non-empty ascending runs ordered by their
-// first sample.
-type runHeap [][]float64
+// first element.
+type runHeap[T cmp.Ordered] [][]T
 
-func (h runHeap) down(i int) {
+func (h runHeap[T]) down(i int) {
 	for {
 		c := 2*i + 1
 		if c >= len(h) {

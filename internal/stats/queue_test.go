@@ -160,12 +160,46 @@ func TestMergeSortedMatchesFlatSort(t *testing.T) {
 		for _, x := range flat {
 			want.Add(x)
 		}
-		got, qs := MergeSorted(runs, ps...)
+		got, qs := MergeSorted(runs, func(x float64) float64 { return x }, ps...)
 		if got != want {
 			t.Fatalf("trial %d: moments %+v, flat %+v", trial, got, want)
 		}
 		if wantQs := Percentiles(flat, ps...); !slices.EqualFunc(qs, wantQs, sameBits) {
 			t.Fatalf("trial %d: quantiles %v of %v = %v, flat %v", trial, ps, flat, qs, wantQs)
+		}
+	}
+}
+
+// TestMergeSortedConvertsAsItConsumes: runs of integers, ordered as
+// integers, read through a monotone conversion that maps several of them
+// to one value, give what sorting the converted values gives, to the bit.
+func TestMergeSortedConvertsAsItConsumes(t *testing.T) {
+	rng := sim.NewRand(4)
+	ms := func(v uint32) float64 { return float64(v/3) / 7 }
+	for trial := 0; trial < 300; trial++ {
+		var runs [][]uint32
+		var flat []float64
+		for r := rng.Intn(8); r > 0; r-- {
+			run := make([]uint32, rng.Intn(40))
+			for i := range run {
+				run[i] = uint32(rng.Intn(1 << 32))
+				flat = append(flat, ms(run[i]))
+			}
+			slices.Sort(run)
+			runs = append(runs, run)
+		}
+		sort.Float64s(flat)
+		ps := []float64{0, 0.1, 0.5, 0.95, 1}[:rng.Intn(6)]
+		var want Welford
+		for _, x := range flat {
+			want.Add(x)
+		}
+		got, qs := MergeSorted(runs, ms, ps...)
+		if got != want {
+			t.Fatalf("trial %d: moments %+v, flat %+v", trial, got, want)
+		}
+		if wantQs := Percentiles(flat, ps...); !slices.EqualFunc(qs, wantQs, sameBits) {
+			t.Fatalf("trial %d: quantiles %v = %v, flat %v", trial, ps, qs, wantQs)
 		}
 	}
 }

@@ -132,12 +132,6 @@ type Summary struct {
 func Summarize(xs []float64) Summary {
 	cp := append([]float64(nil), xs...)
 	sort.Float64s(cp)
-	return SummarizeSorted(cp)
-}
-
-// SummarizeSorted is Summarize for input that is already sorted
-// ascending; it neither copies nor sorts.
-func SummarizeSorted(cp []float64) Summary {
 	var s Summary
 	s.N = len(cp)
 	if s.N == 0 {

@@ -1,7 +1,9 @@
 package svc
 
 import (
+	"bytes"
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -79,13 +81,9 @@ type Job struct {
 	events  uint64
 	elapsed time.Duration // frozen on completion
 	rows    [][]byte      // runner.EncodeRow of each result; read-only
-	log     []byte
-	// lineOff[i] is the byte offset where progress line i starts in log.
-	// StreamLog's ?from=N resume support maps a line count to a byte
-	// offset through it; line counts (unlike byte offsets) survive a
-	// daemon restart, because a replayed job re-emits the same number of
-	// lines even though their text (tags, timings) differs.
-	lineOff []int
+	// log is the progress lines, one per finished cell (done of them),
+	// each ending in '\n'. Bytes once appended never change.
+	log []byte
 }
 
 func newJob(id string, scs []runner.Scenario, cancel context.CancelFunc) *Job {
@@ -139,7 +137,6 @@ func (j *Job) cellFinished(started bool, oc Outcome, r runner.Result, line strin
 		j.cells.Hit++
 	}
 	j.done++
-	j.lineOff = append(j.lineOff, len(j.log))
 	j.log = append(j.log, line...)
 	j.log = append(j.log, '\n')
 	j.cond.Broadcast()
@@ -147,12 +144,14 @@ func (j *Job) cellFinished(started bool, oc Outcome, r runner.Result, line strin
 }
 
 // finish records the terminal state and the encoded result rows
-// (submission order), and drops the scenarios.
+// (submission order), drops the scenarios, and trims the log, which
+// append grew with spare capacity, to its length.
 func (j *Job) finish(state JobState, rows [][]byte) {
 	j.mu.Lock()
 	j.state = state
 	j.rows = rows
 	j.scs = nil
+	j.log = slices.Clone(j.log)
 	j.elapsed = time.Since(j.start)
 	j.cond.Broadcast()
 	j.mu.Unlock()
@@ -187,10 +186,12 @@ func (j *Job) Results(ctx context.Context) ([][]byte, error) {
 // terminal state and the log is drained. from=0 streams from the
 // beginning; a resuming client passes the number of lines it already
 // delivered, so the stream neither drops nor duplicates progress lines
-// across a reconnect. If from lines have not been emitted yet, StreamLog
-// waits until they are (or the job ends). emit is called without the job
-// lock held; returning an error stops the stream (a disconnected
-// client). ctx also stops it.
+// across a reconnect. Line counts (unlike byte offsets) survive a daemon
+// restart, because a replayed job re-emits the same number of lines even
+// though their text (tags, timings) differs. If from lines have not been
+// emitted yet, StreamLog waits until they are (or the job ends). emit is
+// called without the job lock held; returning an error stops the stream
+// (a disconnected client). ctx also stops it.
 func (j *Job) StreamLog(ctx context.Context, from int, emit func(chunk []byte) error) error {
 	stop := context.AfterFunc(ctx, func() {
 		j.mu.Lock()
@@ -199,13 +200,10 @@ func (j *Job) StreamLog(ctx context.Context, from int, emit func(chunk []byte) e
 	})
 	defer stop()
 	j.mu.Lock()
-	for len(j.lineOff) < from && j.state == JobRunning && ctx.Err() == nil {
+	for j.done < from && j.state == JobRunning && ctx.Err() == nil {
 		j.cond.Wait()
 	}
-	off := len(j.log) // from past the end: resume at the live tail
-	if from < len(j.lineOff) {
-		off = j.lineOff[from]
-	}
+	off := lineStart(j.log, from)
 	j.mu.Unlock()
 	for {
 		j.mu.Lock()
@@ -228,4 +226,18 @@ func (j *Job) StreamLog(ctx context.Context, from int, emit func(chunk []byte) e
 			return nil
 		}
 	}
+}
+
+// lineStart returns the offset in log where line from starts, or
+// len(log) — the live tail — when log holds fewer complete lines.
+func lineStart(log []byte, from int) int {
+	off := 0
+	for ; from > 0; from-- {
+		i := bytes.IndexByte(log[off:], '\n')
+		if i < 0 {
+			return len(log)
+		}
+		off += i + 1
+	}
+	return off
 }

@@ -27,6 +27,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"nimbus/internal/fault"
@@ -244,8 +245,11 @@ func (s *Store) getOrRun(ctx context.Context, key string, run func() runner.Resu
 	return r, row, Miss
 }
 
-// encodeRow returns r with its runner.EncodeRow bytes. A result that
-// cannot be encoded — a NaN or Inf metric from a pluggable RunFunc — is
+// encodeRow returns r with its runner.EncodeRow bytes, copied to their
+// length: json.MarshalIndent leaves a buffer twice the compact encoding,
+// whose spare capacity the memory tier and every job sharing the row
+// would hold as long as the row. A result that cannot be encoded — a NaN
+// or Inf metric from a pluggable RunFunc — is
 // replaced by the error row "encode: ...", returned with its own bytes,
 // so no one caches, persists or serves a row that cannot be written. The
 // error row always encodes: its scenario was expanded from a decoded
@@ -256,7 +260,7 @@ func encodeRow(r runner.Result) (runner.Result, []byte) {
 		r = runner.Result{Scenario: r.Scenario, Err: "encode: " + err.Error()}
 		row, _ = runner.EncodeRow(r)
 	}
-	return r, row
+	return r, slices.Clone(row)
 }
 
 // Get returns the cached result for key without computing anything:
