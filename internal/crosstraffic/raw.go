@@ -35,8 +35,6 @@ type RawSource struct {
 	// packet pool — so steady-state injection allocates nothing.
 	arriveFn func(arg any)
 	genArg   any
-
-	SentPackets uint64
 }
 
 // NewCBR returns a constant bit-rate source at rateBps on the default
@@ -122,7 +120,6 @@ func (r *RawSource) arrive(arg any) {
 		return
 	}
 	r.seq++
-	r.SentPackets++
 	p := r.att.GetPacket()
 	*p = netem.Packet{Seq: r.seq, Size: r.size, Raw: true}
 	r.att.Send(p)

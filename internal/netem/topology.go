@@ -27,9 +27,9 @@ type Route struct {
 }
 
 // Topology is a network of named nodes and directed links with per-flow
-// routes. Each attached flow follows one route; its own access
-// propagation delays (FwdDelay/RevDelay) come on top of the route's hop
-// delays, so flows sharing a route can still have different base RTTs.
+// routes. Each attached flow follows one route; its own one-way access
+// propagation delays (AttachAsymOn's fwd and rev) come on top of the
+// route's hop delays, so flows sharing a route can still have different base RTTs.
 //
 // The paper's Fig. 2 single-bottleneck network is the trivial topology:
 // one link, one route, an ideal reverse path (see NewNetwork); every
@@ -167,18 +167,17 @@ func (t *Topology) Flows() int { return len(t.flows) }
 // Attachment describes one flow's path through the topology. Its access
 // delays are fixed when it attaches.
 type Attachment struct {
-	ID       FlowID
-	FwdDelay sim.Time // one-way sender→first hop (plus last hop→receiver wire)
-	RevDelay sim.Time // one-way receiver→sender (receiver→first reverse hop on congested reverse paths)
+	ID FlowID
 
 	// Receive is called when a data packet of this flow exits its route.
 	Receive func(p *Packet, now sim.Time)
 
 	net   *Topology
 	route *Route
-	// The lines of the access wires: FwdDelay plus the first hop's delay,
-	// and RevDelay (plus the first reverse hop's delay on congested
-	// reverse paths).
+	// The lines of the access wires: the forward access delay (sender to
+	// first hop, plus the last hop to receiver wire) plus the first hop's
+	// delay, and the reverse access delay (plus the first reverse hop's
+	// delay on congested reverse paths).
 	fwdLine, revLine *sim.Line
 }
 
@@ -195,7 +194,7 @@ func (t *Topology) AttachAsymOn(route string, fwd, rev sim.Time) *Attachment {
 		panic(fmt.Sprintf("netem: no route %q in topology", route))
 	}
 	t.next++
-	a := &Attachment{ID: t.next, FwdDelay: fwd, RevDelay: rev, net: t, route: r}
+	a := &Attachment{ID: t.next, net: t, route: r}
 	a.fwdLine = t.line(fwd + r.Fwd[0].Delay)
 	if len(r.Rev) == 0 {
 		a.revLine = t.line(rev)

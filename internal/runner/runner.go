@@ -178,14 +178,29 @@ func runGuarded(run RunFunc, sc Scenario) (r Result) {
 // scenario name, and the run's simulator throughput in events per
 // wall-clock second (or its error). Progress prints exactly these lines;
 // the experiment service streams them per job so a remote sweep reads the
-// same as a local one.
+// same as a local one. A line is AppendProgressHead's head followed by
+// ProgressTail's tail.
 func FormatProgress(elapsed time.Duration, done, total int, r Result) string {
+	return string(AppendProgressHead(nil, elapsed, done, total)) + ProgressTail(r)
+}
+
+// AppendProgressHead appends the part of a progress line that depends on
+// the sweep, not the run: position and elapsed wall-clock seconds,
+// ending in a space.
+func AppendProgressHead(dst []byte, elapsed time.Duration, done, total int) []byte {
+	return fmt.Appendf(dst, "[%3d/%3d %6.1fs] ", done, total, elapsed.Seconds())
+}
+
+// ProgressTail is the part of a progress line that depends on the run
+// alone: the scenario name and the run's throughput (or its error). The
+// experiment service formats it once per cached result and renders each
+// job's lines from it when they are read.
+func ProgressTail(r Result) string {
 	status := fmt.Sprintf("%.1fs %.0f ev/s", r.WallSec, r.EventsPerSec())
 	if r.Err != "" {
 		status = "ERROR: " + r.Err
 	}
-	return fmt.Sprintf("[%3d/%3d %6.1fs] %-40s %s",
-		done, total, elapsed.Seconds(), r.Scenario.Name, status)
+	return fmt.Sprintf("%-40s %s", r.Scenario.Name, status)
 }
 
 // Progress returns an OnProgress callback that writes one FormatProgress

@@ -1,9 +1,7 @@
 package svc
 
 import (
-	"bytes"
 	"context"
-	"slices"
 	"sync"
 	"time"
 
@@ -60,36 +58,57 @@ type JobStatus struct {
 	ElapsedSec float64 `json:"elapsed_sec"`
 }
 
-// Job is one submitted sweep: its expanded scenarios while it runs (a
-// finished job waiting its turn in a restart's replay pass has none yet),
-// per-cell progress, the growing event log, and — once done — its
-// encoded result rows in submission order. A row the store cached is
-// the store's own slice, shared with every job naming that cell, so per
-// cell a finished job holds one slice header.
+// Job is one submitted sweep: per-cell progress and, per finished cell,
+// one record pointer and one 16-byte line entry (a finished job waiting
+// its turn in a restart's replay pass has room for none yet). A record
+// the store cached is the store's own, shared with every job naming that
+// cell; the event stream's text is rendered from the records and entries
+// when it is read. The scenarios belong to the goroutine that runs the
+// job.
 type Job struct {
-	id     string
-	scs    []runner.Scenario // nil while queued for a replay pass and once finished
-	total  int
-	cancel context.CancelFunc
-	start  time.Time
+	id    string
+	total int
+	start time.Time
 
-	mu      sync.Mutex
-	cond    *sync.Cond // broadcast on any event-log or state change
+	mu   sync.Mutex
+	cond sync.Cond // on mu; broadcast on any line or state change
+	// cancel stops the job; nil once used, once the job finished, and for
+	// a replayed job that cannot be canceled again.
+	cancel  context.CancelFunc
 	state   JobState
 	cells   CellCounts
-	done    int
 	events  uint64
 	elapsed time.Duration // frozen on completion
-	rows    [][]byte      // runner.EncodeRow of each result; read-only
-	// log is the progress lines, one per finished cell (done of them),
-	// each ending in '\n'. Bytes once appended never change.
-	log []byte
+	// recs is each cell's record, by submission index, set when the cell
+	// finishes; read-only.
+	recs []*cellRecord
+	// lines is the event log: one entry per finished cell, in completion
+	// order. Entries once appended never change.
+	lines []line
 }
 
-func newJob(id string, scs []runner.Scenario, cancel context.CancelFunc) *Job {
-	j := &Job{id: id, scs: scs, total: len(scs), cancel: cancel, start: time.Now(), state: JobRunning}
-	j.cells.Pending = len(scs)
-	j.cond = sync.NewCond(&j.mu)
+// line is one progress line of a job's event stream, kept as what
+// renders it: when the cell finished, counted from the start of the
+// job's run, which cell, and how it was satisfied.
+type line struct {
+	elapsed  time.Duration
+	cell     int32
+	outcome  Outcome
+	canceled bool // the cell never started
+}
+
+// label is the line's tag: the cell's outcome, or "canceled".
+func (l line) label() string {
+	if l.canceled {
+		return "canceled"
+	}
+	return l.outcome.String()
+}
+
+func newJob(id string, total int, cancel context.CancelFunc) *Job {
+	j := &Job{id: id, total: total, cancel: cancel, start: time.Now(), state: JobRunning}
+	j.cells.Pending = total
+	j.cond.L = &j.mu
 	return j
 }
 
@@ -102,9 +121,18 @@ func (j *Job) Status() JobStatus {
 		elapsed = time.Since(j.start)
 	}
 	return JobStatus{
-		ID: j.id, State: j.state, Total: j.total, Done: j.done,
+		ID: j.id, State: j.state, Total: j.total, Done: len(j.lines),
 		Cells: j.cells, Events: j.events, ElapsedSec: elapsed.Seconds(),
 	}
+}
+
+// begin readies a job to run its n cells: room for one record and one
+// line each.
+func (j *Job) begin(n int) {
+	j.mu.Lock()
+	j.recs = make([]*cellRecord, n)
+	j.lines = make([]line, 0, n)
+	j.mu.Unlock()
 }
 
 // cellStarted moves one cell pending → running.
@@ -115,10 +143,11 @@ func (j *Job) cellStarted() {
 	j.mu.Unlock()
 }
 
-// cellFinished retires a running cell with its outcome and appends the
-// run's progress line to the event log. Cells cancelled before starting
-// come through with started=false (they were never moved to running).
-func (j *Job) cellFinished(started bool, oc Outcome, r runner.Result, line string) {
+// cellFinished retires running cell i with its outcome and record and
+// appends its line, elapsed after the start of the run. Cells cancelled
+// before starting come through with started=false (they were never moved
+// to running).
+func (j *Job) cellFinished(i int, started bool, oc Outcome, r runner.Result, rec *cellRecord, elapsed time.Duration) {
 	j.mu.Lock()
 	if started {
 		j.cells.Running--
@@ -136,25 +165,36 @@ func (j *Job) cellFinished(started bool, oc Outcome, r runner.Result, line strin
 	default:
 		j.cells.Hit++
 	}
-	j.done++
-	j.log = append(j.log, line...)
-	j.log = append(j.log, '\n')
+	j.recs[i] = rec
+	j.lines = append(j.lines, line{elapsed: elapsed, cell: int32(i), outcome: oc, canceled: !started})
 	j.cond.Broadcast()
 	j.mu.Unlock()
 }
 
-// finish records the terminal state and the encoded result rows
-// (submission order), drops the scenarios, and trims the log, which
-// append grew with spare capacity, to its length.
-func (j *Job) finish(state JobState, rows [][]byte) {
+// finish records the terminal state and releases the cancel context.
+func (j *Job) finish(state JobState) {
 	j.mu.Lock()
 	j.state = state
-	j.rows = rows
-	j.scs = nil
-	j.log = slices.Clone(j.log)
+	if j.cancel != nil {
+		j.cancel()
+		j.cancel = nil
+	}
 	j.elapsed = time.Since(j.start)
 	j.cond.Broadcast()
 	j.mu.Unlock()
+}
+
+// requestCancel cancels a running job and reports whether it did: a job
+// that finished, or was already canceled, is left as it is.
+func (j *Job) requestCancel() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state != JobRunning || j.cancel == nil {
+		return false
+	}
+	j.cancel()
+	j.cancel = nil
+	return true
 }
 
 // Results blocks until the job reaches a terminal state, then returns its
@@ -178,20 +218,26 @@ func (j *Job) Results(ctx context.Context) ([][]byte, error) {
 		}
 		j.cond.Wait()
 	}
-	return j.rows, nil
+	rows := make([][]byte, len(j.recs))
+	for i, rec := range j.recs {
+		rows[i] = rec.row
+	}
+	return rows, nil
 }
 
 // StreamLog writes the job's event log to emit, skipping the first from
-// complete lines, then following appends until the job reaches a
-// terminal state and the log is drained. from=0 streams from the
-// beginning; a resuming client passes the number of lines it already
-// delivered, so the stream neither drops nor duplicates progress lines
-// across a reconnect. Line counts (unlike byte offsets) survive a daemon
-// restart, because a replayed job re-emits the same number of lines even
-// though their text (tags, timings) differs. If from lines have not been
-// emitted yet, StreamLog waits until they are (or the job ends). emit is
-// called without the job lock held; returning an error stops the stream
-// (a disconnected client). ctx also stops it.
+// lines, then following new lines until the job reaches a terminal state
+// and the log is drained. from=0 streams from the beginning; a resuming
+// client passes the number of lines it already delivered, so the stream
+// neither drops nor duplicates progress lines across a reconnect. Line
+// counts (unlike byte offsets) survive a daemon restart, because a
+// replayed job re-emits the same number of lines even though their text
+// (tags, timings) differs. If from lines have not been emitted yet,
+// StreamLog waits until they are (or the job ends). Lines are rendered
+// here, from the job's line entries and cell records. emit is called
+// without the job lock held and must not keep chunk past the call;
+// returning an error stops the stream (a disconnected client). ctx also
+// stops it.
 func (j *Job) StreamLog(ctx context.Context, from int, emit func(chunk []byte) error) error {
 	stop := context.AfterFunc(ctx, func() {
 		j.mu.Lock()
@@ -199,22 +245,22 @@ func (j *Job) StreamLog(ctx context.Context, from int, emit func(chunk []byte) e
 		j.mu.Unlock()
 	})
 	defer stop()
-	j.mu.Lock()
-	for j.done < from && j.state == JobRunning && ctx.Err() == nil {
-		j.cond.Wait()
-	}
-	off := lineStart(j.log, from)
-	j.mu.Unlock()
+	next := from
+	var chunk []byte
 	for {
 		j.mu.Lock()
-		for off == len(j.log) && j.state == JobRunning && ctx.Err() == nil {
+		for len(j.lines) <= next && j.state == JobRunning && ctx.Err() == nil {
 			j.cond.Wait()
 		}
-		chunk := j.log[off:]
-		off = len(j.log)
+		// Entries and records up to len(lines) are written once, under
+		// the lock, before the line is appended: they are read here
+		// without it.
+		lines, recs := j.lines, j.recs
 		terminal := j.state != JobRunning
 		j.mu.Unlock()
-		if len(chunk) > 0 {
+		if next < len(lines) {
+			chunk = j.render(chunk[:0], lines[next:], next, recs)
+			next = len(lines)
 			if err := emit(chunk); err != nil {
 				return err
 			}
@@ -222,22 +268,21 @@ func (j *Job) StreamLog(ctx context.Context, from int, emit func(chunk []byte) e
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if terminal && len(chunk) == 0 {
+		if terminal {
 			return nil
 		}
 	}
 }
 
-// lineStart returns the offset in log where line from starts, or
-// len(log) — the live tail — when log holds fewer complete lines.
-func lineStart(log []byte, from int) int {
-	off := 0
-	for ; from > 0; from-- {
-		i := bytes.IndexByte(log[off:], '\n')
-		if i < 0 {
-			return len(log)
-		}
-		off += i + 1
+// render appends lines, the first of which is line first of the log
+// (from 0), as runner.FormatProgress lines tagged with their label.
+func (j *Job) render(dst []byte, lines []line, first int, recs []*cellRecord) []byte {
+	for k, l := range lines {
+		dst = runner.AppendProgressHead(dst, l.elapsed, first+k+1, j.total)
+		dst = append(dst, recs[l.cell].tail...)
+		dst = append(dst, "  ["...)
+		dst = append(dst, l.label()...)
+		dst = append(dst, "]\n"...)
 	}
-	return off
+	return dst
 }

@@ -383,11 +383,83 @@ func TestReplayIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestCancelAfterDoneSurvivesReplay: a DELETE on a finished job changes
+// nothing, then or after a restart. It journals no cancel record, and a
+// cancel record after the done record (as an older build journaled such
+// a DELETE) is ignored by replay: across two restarts the job reads done
+// with the same raw results, and neither restart appends to the journal.
+func TestCancelAfterDoneSurvivesReplay(t *testing.T) {
+	dir := t.TempDir()
+	cacheDir, journalDir := filepath.Join(dir, "cache"), filepath.Join(dir, "journal")
+	ctx := context.Background()
+	_, client, _ := bootJournaled(t, cacheDir, journalDir, stubRun)
+	created, err := client.Submit(ctx, smallGrid(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := client.RawResults(ctx, created.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal0 := readWAL(t, journalDir, 2)
+	st, err := client.Cancel(ctx, created.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != JobDone {
+		t.Fatalf("DELETE on a finished job reads %+v, want done", st)
+	}
+	if got, _ := client.RawResults(ctx, created.ID); !bytes.Equal(got, raw) {
+		t.Fatalf("DELETE on a finished job changed its results:\n%s\n%s", raw, got)
+	}
+	if wal := readWAL(t, journalDir, 2); !bytes.Equal(wal, wal0) {
+		t.Fatalf("DELETE on a finished job was journaled:\n%s", wal)
+	}
+
+	journal, _, err := OpenJournal(journalDir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := journal.Append(Record{Type: recCancel, ID: created.ID}); err != nil {
+		t.Fatal(err)
+	}
+	journal.Close()
+	wal1 := readWAL(t, journalDir, 3)
+
+	var statuses [2]JobStatus
+	for k := range statuses {
+		_, client, n := bootJournaled(t, cacheDir, journalDir, stubRun)
+		if n != 1 {
+			t.Fatalf("restart %d replayed %d jobs, want 1", k+1, n)
+		}
+		got, err := client.RawResults(ctx, created.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, raw) {
+			t.Fatalf("restart %d changed the results:\n%s\n%s", k+1, raw, got)
+		}
+		if statuses[k], err = client.Status(ctx, created.ID); err != nil {
+			t.Fatal(err)
+		}
+		statuses[k].ElapsedSec = 0
+		if st := statuses[k]; st.State != JobDone || st.Cells.Errors != 0 {
+			t.Fatalf("restart %d: the job reads %+v, want done without errors", k+1, st)
+		}
+		if wal := readWAL(t, journalDir, 3); !bytes.Equal(wal, wal1) {
+			t.Fatalf("restart %d changed the journal:\nbefore:\n%s\nafter:\n%s", k+1, wal1, wal)
+		}
+	}
+	if statuses[0] != statuses[1] {
+		t.Fatalf("the two restarts' statuses differ:\n%+v\n%+v", statuses[0], statuses[1])
+	}
+}
+
 // TestReplayRunsFinishedJobsLazily: after a restart the finished jobs
 // re-resolve one at a time in journal order, and a job waiting its turn
 // holds no cells. While the first finished job blocks (its cache entries
-// were pruned), every later one has no scenarios and reads all cells
-// pending. The job the crash interrupted does not wait behind them, and
+// were pruned), every later one has no room for cells yet and reads all
+// cells pending. The job the crash interrupted does not wait behind them, and
 // its done edge is the only record the replay appends.
 func TestReplayRunsFinishedJobsLazily(t *testing.T) {
 	dir := t.TempDir()
@@ -466,10 +538,10 @@ func TestReplayRunsFinishedJobsLazily(t *testing.T) {
 	for _, id := range []string{"2", "3"} {
 		j := serverJob(srv, id)
 		j.mu.Lock()
-		holds := j.scs != nil
+		holds := j.recs != nil || j.lines != nil
 		j.mu.Unlock()
 		if holds {
-			t.Fatalf("queued finished job %s holds its scenarios", id)
+			t.Fatalf("queued finished job %s holds room for its cells", id)
 		}
 		if st := j.Status(); st.State != JobRunning || st.Total != 4 || st.Cells.Pending != st.Total {
 			t.Fatalf("queued finished job %s reads %+v, want running with every cell pending", id, st)

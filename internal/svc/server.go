@@ -224,7 +224,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.nextID++
 	id := strconv.Itoa(s.nextID)
-	j := newJob(id, scs, cancel)
+	j := newJob(id, len(scs), cancel)
 	if s.jobs == nil {
 		s.jobs = map[string]*Job{}
 	}
@@ -235,7 +235,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// a crash at any later point replays it.
 	s.appendJournal(Record{Type: recSubmit, ID: id, Grid: &req.Grid, Workers: req.Workers})
 	s.logf("job %s: submitted, %d cells, %d workers", id, len(scs), workers)
-	go s.runJob(ctx, j, workers, false)
+	go s.runJob(ctx, j, scs, workers, false)
 	writeJSON(w, http.StatusAccepted, JobCreated{ID: id, Total: len(scs)})
 }
 
@@ -280,30 +280,32 @@ func (s *Server) appendJournal(rec Record) {
 	}
 }
 
-// runJob executes a job's cells through the store: hits cost a lookup,
+// runJob executes a job's cells, scs, through the store: hits cost a lookup,
 // misses simulate (deduplicated across concurrent jobs by the store's
-// singleflight), and every completion appends the progress line a local
-// runner would print, tagged with how the cell was satisfied. The done
-// edge is journaled unless doneJournaled says the journal already holds
-// it (a finished job re-resolving after a restart).
-func (s *Server) runJob(ctx context.Context, j *Job, workers int, doneJournaled bool) {
+// singleflight), and every completion appends the job's line entry for
+// the progress line a local runner would print, tagged with how the cell
+// was satisfied. The done edge is journaled unless doneJournaled says the
+// journal already holds it (a finished job re-resolving after a restart).
+func (s *Server) runJob(ctx context.Context, j *Job, scs []runner.Scenario, workers int, doneJournaled bool) {
 	start := time.Now()
-	n := len(j.scs)
+	n := len(scs)
+	j.begin(n)
 	// Written by the cell's own worker in the run closure, read by OnCell
 	// for the same index in the same goroutine afterwards — no races.
 	outcomes := make([]Outcome, n)
 	started := make([]bool, n)
-	rows := make([][]byte, n)
-	done := 0 // OnCell calls are serialized by the runner
+	recs := make([]*cellRecord, n)
 	rn := &runner.Runner{Workers: workers}
 	rn.OnCell = func(i int, r runner.Result) {
-		done++
-		label := outcomes[i].String()
-		if !started[i] {
-			label = "canceled"
+		rec := recs[i]
+		if rec == nil {
+			// No flight settled it: a cell canceled before it started,
+			// or a shared wait the cancel cut short. Its record is the
+			// job's own, made now so that every line renders at once.
+			_, row := encodeRow(r)
+			rec = newCellRecord(r, row)
 		}
-		line := fmt.Sprintf("%s  [%s]", runner.FormatProgress(time.Since(start), done, n, r), label)
-		j.cellFinished(started[i], outcomes[i], r, line)
+		j.cellFinished(i, started[i], outcomes[i], r, rec, time.Since(start))
 		if started[i] && outcomes[i] == Miss && r.Err == "" {
 			s.mu.Lock()
 			s.cellsSimulated++
@@ -312,10 +314,10 @@ func (s *Server) runJob(ctx context.Context, j *Job, workers int, doneJournaled 
 			s.mu.Unlock()
 		}
 	}
-	rs := rn.RunGrid(ctx, j.scs, func(i int, sc runner.Scenario) runner.Result {
+	rn.RunGrid(ctx, scs, func(i int, sc runner.Scenario) runner.Result {
 		started[i] = true
 		j.cellStarted()
-		r, row, oc := s.Store.getOrRun(ctx, s.Store.Key(sc), func() runner.Result {
+		r, rec, oc := s.Store.getOrRun(ctx, s.Store.Key(sc), func() runner.Result {
 			// The watchdog gets a fresh context, not the job's: a
 			// canceled job must not abort a cell other jobs may be
 			// sharing (in-flight cells finish and cache). RunWatched
@@ -343,21 +345,14 @@ func (s *Server) runJob(ctx context.Context, j *Job, workers int, doneJournaled 
 			return r
 		})
 		outcomes[i] = oc
-		rows[i] = row
+		recs[i] = rec
 		return r
 	})
-	// The store hands over the row of every result it caches; the rest
-	// (error rows, canceled cells that never started) are this job's own.
-	for i, row := range rows {
-		if row == nil {
-			_, rows[i] = encodeRow(rs[i])
-		}
-	}
 	state := JobDone
 	if ctx.Err() != nil {
 		state = JobCanceled
 	}
-	j.finish(state, rows)
+	j.finish(state)
 	s.mu.Lock()
 	if state == JobCanceled {
 		s.jobsCanceled++
@@ -441,9 +436,13 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	j.cancel()
-	s.appendJournal(Record{Type: recCancel, ID: j.id})
-	s.logf("job %s: cancel requested", j.id)
+	// Only a running job has anything to cancel: a DELETE on a finished
+	// job changes nothing, so it journals nothing either (a cancel record
+	// would make the next restart replay the job canceled).
+	if j.requestCancel() {
+		s.appendJournal(Record{Type: recCancel, ID: j.id})
+		s.logf("job %s: cancel requested", j.id)
+	}
 	writeJSON(w, http.StatusOK, j.Status())
 }
 
@@ -526,14 +525,17 @@ func (s *Server) SetReady() { s.ready.Store(true) }
 //     their original wall-clock), so GET /jobs/{id}/results keeps
 //     answering across restarts. Error rows (never cached) re-run.
 //     Finished jobs re-resolve one at a time, in journal order, in one
-//     background pass; a queued job holds only its grid, which is
-//     expanded when its turn comes, so the pass never holds more than
-//     one finished job's cells. Their done edges are already journaled
-//     and are not appended again.
+//     background pass; a queued job holds only its grid, as JSON bytes,
+//     which is decoded and expanded when its turn comes, so the pass
+//     never holds more than one finished job's cells. Their done edges
+//     are already journaled and are not appended again, and they cannot
+//     be canceled: a DELETE on a finished job changes nothing.
 //   - A canceled job (cancel record, or done record in the canceled
 //     state) replays with its context already canceled: every cell
 //     reports a canceled error row, preserving the id and terminal state
-//     without re-simulating work the operator threw away.
+//     without re-simulating work the operator threw away. A cancel
+//     record after a done record in the done state is ignored: a build
+//     that journaled a DELETE on a finished job wrote it.
 func (s *Server) Replay(records []Record) int {
 	type replayJob struct {
 		grid     *runner.Grid
@@ -552,7 +554,7 @@ func (s *Server) Replay(records []Record) int {
 			byID[rec.ID] = &replayJob{grid: rec.Grid, workers: rec.Workers}
 			order = append(order, rec.ID)
 		case recCancel:
-			if rj := byID[rec.ID]; rj != nil {
+			if rj := byID[rec.ID]; rj != nil && !rj.finished {
 				rj.canceled = true
 			}
 		case recDone:
@@ -566,8 +568,17 @@ func (s *Server) Replay(records []Record) int {
 	if maxCells == 0 {
 		maxCells = 1_000_000
 	}
+	// Every canceled job replays on this one canceled context.
+	canceled, cancelAll := context.WithCancel(context.Background())
+	cancelAll()
+	type queued struct {
+		j       *Job
+		ctx     context.Context
+		grid    []byte // json.Marshal of the job's grid
+		workers int
+	}
 	n := 0
-	var pass []func() // the finished jobs, in journal order
+	var pass []queued // the finished jobs, in journal order
 	for _, id := range order {
 		rj := byID[id]
 		scs := safeExpand(rj.grid)
@@ -579,7 +590,13 @@ func (s *Server) Replay(records []Record) int {
 		if workers == 0 {
 			workers = s.Workers
 		}
-		ctx, cancel := context.WithCancel(context.Background())
+		ctx, cancel := context.Background(), context.CancelFunc(nil)
+		switch {
+		case rj.canceled:
+			ctx = canceled
+		case !rj.finished:
+			ctx, cancel = context.WithCancel(ctx)
+		}
 		s.mu.Lock()
 		if num, err := strconv.Atoi(id); err == nil && num > s.nextID {
 			s.nextID = num
@@ -587,34 +604,29 @@ func (s *Server) Replay(records []Record) int {
 		if s.jobs == nil {
 			s.jobs = map[string]*Job{}
 		}
-		j := newJob(id, scs, cancel)
+		j := newJob(id, len(scs), cancel)
 		s.jobs[id] = j
 		s.journalReplayed++
 		s.mu.Unlock()
-		if rj.canceled {
-			cancel()
-		}
 		s.logf("journal: replaying job %s (%d cells, canceled=%v)", id, len(scs), rj.canceled)
 		n++
 		if !rj.finished {
-			go s.runJob(ctx, j, workers, false)
+			go s.runJob(ctx, j, scs, workers, false)
 			continue
 		}
-		// Queued for the pass below with only its grid: the cells are
-		// expanded again when the job's turn comes.
-		j.scs = nil
-		pass = append(pass, func() {
-			scs := safeExpand(rj.grid)
-			j.mu.Lock()
-			j.scs = scs
-			j.mu.Unlock()
-			s.runJob(ctx, j, workers, true)
-		})
+		// Queued for the pass below with only its grid's bytes: the
+		// cells are decoded and expanded again when the job's turn
+		// comes. The grid was decoded from JSON, so it encodes.
+		grid, _ := json.Marshal(rj.grid)
+		pass = append(pass, queued{j: j, ctx: ctx, grid: grid, workers: workers})
 	}
 	go func() {
-		for i, run := range pass {
-			pass[i] = nil // the pass holds only the jobs still to come
-			run()
+		for i := range pass {
+			q := pass[i]
+			pass[i] = queued{} // the pass holds only the jobs still to come
+			var g runner.Grid
+			json.Unmarshal(q.grid, &g)
+			s.runJob(q.ctx, q.j, safeExpand(&g), q.workers, true)
 		}
 	}()
 	return n

@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -175,6 +176,184 @@ func TestServerEvents(t *testing.T) {
 	}
 	if n := strings.Count(buf.String(), "[hit-"); n != created2.Total {
 		t.Fatalf("second stream shows %d hits, want %d:\n%s", n, created2.Total, buf.String())
+	}
+}
+
+// TestEventLinesMatchFormatProgress pins the event stream's bytes: line
+// k is runner.FormatProgress of the job's own result row for that cell,
+// at position k+1, tagged with the cell's label. One job mixes every
+// kind of cell (a memory hit, a disk hit, a miss, a per-cell error, a
+// result that does not encode, a shared cell, a cell that finishes after
+// the cancel and one the cancel stopped), and a second job resubmits the
+// grid. The streams are read from the start and from the middle while
+// the first job runs, after both finished, and after a replay.
+func TestEventLinesMatchFormatProgress(t *testing.T) {
+	dir := t.TempDir()
+	cacheDir, journalDir := filepath.Join(dir, "cache"), filepath.Join(dir, "journal")
+	ctx := context.Background()
+	g := smallGrid()
+	g.RatesMbps = []float64{10, 20, 30, 40, 50, 60, 70, 80}
+	g.RTTsMs = nil
+	scs := g.Expand()
+	gate60, gate70 := make(chan struct{}), make(chan struct{})
+	entered70 := make(chan struct{}, 1)
+	run := func(sc runner.Scenario) runner.Result {
+		r := stubRun(sc)
+		switch sc.RateMbps {
+		case 40:
+			r = runner.Result{Scenario: sc, Err: "no such link"}
+		case 50:
+			r.Metrics["mean_mbps"] = math.NaN()
+		case 70:
+			select {
+			case entered70 <- struct{}{}:
+			default:
+			}
+			<-gate70
+		}
+		return r
+	}
+	srv, client, _ := bootJournaled(t, cacheDir, journalDir, run)
+	cached := func(s *Store, sc runner.Scenario, gate chan struct{}) {
+		s.GetOrRun(ctx, s.Key(sc), func() runner.Result { <-gate; return stubRun(sc) })
+	}
+	ungated := make(chan struct{})
+	close(ungated)
+	cached(srv.Store, scs[0], ungated)                                // rate=10: memory tier
+	cached(newTestStore(t, cacheDir, 64, "test-v1"), scs[1], ungated) // rate=20: disk only
+	go cached(srv.Store, scs[5], gate60)                              // rate=60: in flight
+	waitUntil(t, func() bool { return srv.Store.Stats().Inflight == 1 })
+
+	created1, err := client.Submit(ctx, g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j1 := serverJob(srv, created1.ID)
+	// The job waits on the rate=60 flight: five cells done, one running.
+	waitUntil(t, func() bool { st := j1.Status(); return st.Done == 5 && st.Cells.Running == 1 })
+	close(gate60)
+	<-entered70
+	running := [][]string{readEvents(t, client.Base, created1.ID, 0, 6), readEvents(t, client.Base, created1.ID, 4, 2)}
+	if _, err := client.Cancel(ctx, created1.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(gate70)
+	rows1, err := client.Results(ctx, created1.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := j1.Status()
+	if want := (CellCounts{Hit: 2, Miss: 2, Shared: 1, Errors: 3}); st.State != JobCanceled || st.Cells != want {
+		t.Fatalf("job 1 reads %+v, want canceled with %+v", st, want)
+	}
+	labels1 := []string{"hit-mem", "hit-disk", "miss", "miss", "miss", "shared", "miss", "canceled"}
+	checkLines(t, "job 1 running, from 0", running[0], 0, rows1, labels1)
+	checkLines(t, "job 1 running, from 4", running[1], 4, rows1, labels1)
+
+	created2, err := client.Submit(ctx, g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows2, err := client.Results(ctx, created2.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels2 := []string{"hit-mem", "hit-mem", "hit-mem", "miss", "miss", "hit-mem", "hit-mem", "miss"}
+	finished := func(stage string, base string, rows [2][]runner.Result, labels [2][]string) {
+		for k, id := range []string{created1.ID, created2.ID} {
+			for _, from := range []int{0, 3} {
+				lines := readEvents(t, base, id, from, -1)
+				if len(lines) != len(scs)-from {
+					t.Fatalf("%s: job %s from %d streamed %d lines, want %d", stage, id, from, len(lines), len(scs)-from)
+				}
+				checkLines(t, fmt.Sprintf("%s: job %s from %d", stage, id, from), lines, from, rows[k], labels[k])
+			}
+		}
+	}
+	finished("finished", client.Base, [2][]runner.Result{rows1, rows2}, [2][]string{labels1, labels2})
+
+	// After a restart the canceled job's cells are all canceled, and the
+	// resubmission's cached cells come from the disk tier.
+	srv2, client2, _ := bootJournaled(t, cacheDir, journalDir, run)
+	for k, id := range []string{created1.ID, created2.ID} {
+		rows, err := client2.Results(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == 0 {
+			rows1 = rows
+		} else {
+			rows2 = rows
+		}
+	}
+	if st := serverJob(srv2, created1.ID).Status(); st.State != JobCanceled || st.Cells.Errors != len(scs) {
+		t.Fatalf("replayed job 1 reads %+v, want every cell canceled", st)
+	}
+	canceled := make([]string, len(scs))
+	for i := range canceled {
+		canceled[i] = "canceled"
+	}
+	labels2 = []string{"hit-disk", "hit-disk", "hit-disk", "miss", "miss", "hit-disk", "hit-disk", "hit-disk"}
+	finished("replayed", client2.Base, [2][]runner.Result{rows1, rows2}, [2][]string{canceled, labels2})
+}
+
+// waitUntil polls cond for up to five seconds.
+func waitUntil(t *testing.T, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting")
+		}
+	}
+}
+
+// readEvents reads job id's event stream from line from: n lines, then
+// it hangs up, or every line to the end of the stream if n < 0.
+func readEvents(t *testing.T, base, id string, from, n int) []string {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/jobs/%s/events?from=%d", base, id, from), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	var lines []string
+	for n < 0 || len(lines) < n {
+		ln, err := br.ReadString('\n')
+		if err == io.EOF && ln == "" && n < 0 {
+			return lines
+		}
+		if err != nil {
+			t.Fatalf("job %s events from %d: %v after %d lines", id, from, err, len(lines))
+		}
+		lines = append(lines, ln)
+	}
+	return lines
+}
+
+// checkLines fails unless lines, from line from of a job's event stream
+// on, are runner.FormatProgress of the job's result rows (with the
+// elapsed time each line shows) tagged with labels.
+func checkLines(t *testing.T, stage string, lines []string, from int, rows []runner.Result, labels []string) {
+	t.Helper()
+	for k, ln := range lines {
+		i := from + k
+		var done, total int
+		var sec float64
+		if _, err := fmt.Sscanf(ln, "[%d/%d %fs]", &done, &total, &sec); err != nil {
+			t.Fatalf("%s: line %d %q: %v", stage, i, ln, err)
+		}
+		elapsed := time.Duration(math.Round(sec*10)) * time.Second / 10
+		want := runner.FormatProgress(elapsed, i+1, len(rows), rows[i]) + "  [" + labels[i] + "]\n"
+		if ln != want {
+			t.Errorf("%s: line %d\n got %q\nwant %q", stage, i, ln, want)
+		}
 	}
 }
 
@@ -637,14 +816,14 @@ func storeRow(s *Store, key string) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.byKey[key]; ok {
-		return el.Value.(*memEntry).row
+		return el.Value.(*memEntry).rec.row
 	}
 	return nil
 }
 
 // finishedJob waits for job id to finish and returns its rows and whether
-// it still holds its scenarios.
-func finishedJob(t *testing.T, srv *Server, id string) (rows [][]byte, holdsScenarios bool) {
+// it still holds its cancel context.
+func finishedJob(t *testing.T, srv *Server, id string) (rows [][]byte, holdsCancel bool) {
 	t.Helper()
 	j := serverJob(srv, id)
 	rows, err := j.Results(context.Background())
@@ -653,13 +832,13 @@ func finishedJob(t *testing.T, srv *Server, id string) (rows [][]byte, holdsScen
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return rows, j.scs != nil
+	return rows, j.cancel != nil
 }
 
 // TestFinishedJobSharesStoreRows: a finished job keeps the store's
 // encoded rows, not copies — the same backing array in every job that
-// names the cell — and drops its scenarios. Cells the store did not
-// cache (canceled before they started) come back as rows the job
+// names the cell — and releases its cancel context. Cells the store did
+// not cache (canceled before they started) come back as rows the job
 // encoded itself.
 func TestFinishedJobSharesStoreRows(t *testing.T) {
 	release := make(chan struct{})
@@ -686,7 +865,7 @@ func TestFinishedJobSharesStoreRows(t *testing.T) {
 		}
 		var holds bool
 		if rows[k], holds = finishedJob(t, srv, created.ID); holds {
-			t.Fatalf("finished job %s still holds its scenarios", created.ID)
+			t.Fatalf("finished job %s still holds its cancel context", created.ID)
 		}
 	}
 	if !bytes.Equal(raw[0], raw[1]) {
@@ -720,7 +899,7 @@ func TestFinishedJobSharesStoreRows(t *testing.T) {
 	}
 	canceled, holds := finishedJob(t, srv, created.ID)
 	if holds {
-		t.Fatal("canceled job still holds its scenarios")
+		t.Fatal("canceled job still holds its cancel context")
 	}
 	if &canceled[0][0] != &storeRow(srv.Store, srv.Store.Key(g.Expand()[0]))[0] {
 		t.Fatal("the canceled job's finished cell holds a copy, not the store's row")

@@ -35,7 +35,7 @@ import (
 )
 
 // Outcome says where GetOrRun found (or put) a result.
-type Outcome int
+type Outcome uint8
 
 const (
 	// Miss: no usable cached result; this caller ran the simulation.
@@ -103,7 +103,23 @@ type entry struct {
 type flight struct {
 	done chan struct{}
 	r    runner.Result
+	rec  *cellRecord
+}
+
+// cellRecord is a finished cell as a job serves it: the result's
+// runner.EncodeRow bytes and the tail of its progress line
+// (runner.ProgressTail), both made once and read-only after. The store
+// makes one per result it settles: a cached result's record is shared by
+// every job that names the cell, an error row's by the jobs that waited
+// on its flight.
+type cellRecord struct {
 	row  []byte
+	tail string
+}
+
+// newCellRecord returns the record of r, whose row is row.
+func newCellRecord(r runner.Result, row []byte) *cellRecord {
+	return &cellRecord{row: row, tail: runner.ProgressTail(r)}
 }
 
 // Store is the two-tier content-addressed result cache: an in-memory LRU
@@ -132,13 +148,13 @@ type Store struct {
 	stats    StoreStats
 }
 
-// memEntry is one memory-tier result beside its encoded row
-// (runner.EncodeRow), encoded once on insert and shared read-only with
-// every job that names the cell.
+// memEntry is one memory-tier result beside its record (encoded row and
+// progress tail), made once when the result entered the tier and shared
+// read-only with every job that names the cell.
 type memEntry struct {
 	key string
 	r   runner.Result
-	row []byte
+	rec *cellRecord
 }
 
 // NewStore opens (creating if needed) the cache directory. maxEntries
@@ -190,12 +206,11 @@ func (s *Store) GetOrRun(ctx context.Context, key string, run func() runner.Resu
 	return r, oc
 }
 
-// getOrRun is GetOrRun that also returns the result's row: its
-// runner.EncodeRow bytes, encoded once when the result entered the memory
-// tier and shared by every caller, so read-only. row is nil for an error
-// row that run returned (or a canceled wait), which the caller encodes
-// itself.
-func (s *Store) getOrRun(ctx context.Context, key string, run func() runner.Result) (r runner.Result, row []byte, oc Outcome) {
+// getOrRun is GetOrRun that also returns the result's record: its
+// runner.EncodeRow bytes and progress tail, made once when the result
+// settled and shared by every caller, so read-only. rec is nil only for a
+// canceled wait, whose error row the caller records itself.
+func (s *Store) getOrRun(ctx context.Context, key string, run func() runner.Result) (r runner.Result, rec *cellRecord, oc Outcome) {
 	s.mu.Lock()
 	// Memory tier.
 	if el, ok := s.byKey[key]; ok {
@@ -203,7 +218,7 @@ func (s *Store) getOrRun(ctx context.Context, key string, run func() runner.Resu
 		e := el.Value.(*memEntry)
 		s.stats.MemHits++
 		s.mu.Unlock()
-		return e.r, e.row, HitMem
+		return e.r, e.rec, HitMem
 	}
 	// Someone else is already computing this key: wait and share.
 	if fl, ok := s.inflight[key]; ok {
@@ -211,7 +226,7 @@ func (s *Store) getOrRun(ctx context.Context, key string, run func() runner.Resu
 		s.mu.Unlock()
 		select {
 		case <-fl.done:
-			return fl.r, fl.row, Shared
+			return fl.r, fl.rec, Shared
 		case <-ctx.Done():
 			return runner.Result{Err: ctx.Err().Error()}, nil, Shared
 		}
@@ -223,16 +238,23 @@ func (s *Store) getOrRun(ctx context.Context, key string, run func() runner.Resu
 	s.stats.Inflight++
 	s.mu.Unlock()
 
-	if r, ok := s.readDisk(key); ok {
-		r, row = encodeRow(r)
-		s.settle(key, fl, r, row, HitDisk)
-		return r, row, HitDisk
+	var row []byte
+	if disk, ok := s.readDisk(key); ok {
+		r, row = encodeRow(disk)
+		rec = newCellRecord(r, row)
+		s.settle(key, fl, r, rec, HitDisk)
+		return r, rec, HitDisk
 	}
 
 	r = run()
+	enc, row := encodeRow(r)
 	if r.Err == "" {
-		r, row = encodeRow(r)
+		// A result that does not encode is its encode error row from
+		// here on. An error row whose row had to become the encode
+		// error row keeps its own error in its line.
+		r = enc
 	}
+	rec = newCellRecord(r, row)
 	if r.Err == "" { // still: the row encoded
 		if err := s.writeDisk(key, r); err != nil {
 			// The result is still good; only persistence failed. Serve
@@ -241,8 +263,8 @@ func (s *Store) getOrRun(ctx context.Context, key string, run func() runner.Resu
 			fmt.Fprintf(os.Stderr, "svc: cache write for %s: %v\n", s.Path(key), err)
 		}
 	}
-	s.settle(key, fl, r, row, Miss)
-	return r, row, Miss
+	s.settle(key, fl, r, rec, Miss)
+	return r, rec, Miss
 }
 
 // encodeRow returns r with its runner.EncodeRow bytes, copied to their
@@ -288,22 +310,22 @@ func (s *Store) Get(key string) (runner.Result, bool) {
 		return runner.Result{}, false
 	}
 	s.stats.DiskHits++
-	s.insertLocked(key, r, row)
+	s.insertLocked(key, r, newCellRecord(r, row))
 	return r, true
 }
 
-// settle publishes a flight's result and row to waiters, records the
+// settle publishes a flight's result and record to waiters, records the
 // outcome, inserts into the memory tier when the result is cacheable (not
 // an error row), and releases the singleflight slot.
-func (s *Store) settle(key string, fl *flight, r runner.Result, row []byte, oc Outcome) {
-	fl.r, fl.row = r, row
+func (s *Store) settle(key string, fl *flight, r runner.Result, rec *cellRecord, oc Outcome) {
+	fl.r, fl.rec = r, rec
 	close(fl.done)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.inflight, key)
 	s.stats.Inflight--
 	if r.Err == "" {
-		s.insertLocked(key, r, row)
+		s.insertLocked(key, r, rec)
 	}
 	if oc == HitDisk {
 		s.stats.DiskHits++
@@ -312,16 +334,16 @@ func (s *Store) settle(key string, fl *flight, r runner.Result, row []byte, oc O
 	}
 }
 
-// insertLocked adds a result and its row to the memory tier, evicting
+// insertLocked adds a result and its record to the memory tier, evicting
 // from the cold end past maxEntries. Callers hold s.mu.
-func (s *Store) insertLocked(key string, r runner.Result, row []byte) {
+func (s *Store) insertLocked(key string, r runner.Result, rec *cellRecord) {
 	if el, ok := s.byKey[key]; ok {
 		s.lru.MoveToFront(el)
 		e := el.Value.(*memEntry)
-		e.r, e.row = r, row
+		e.r, e.rec = r, rec
 		return
 	}
-	s.byKey[key] = s.lru.PushFront(&memEntry{key: key, r: r, row: row})
+	s.byKey[key] = s.lru.PushFront(&memEntry{key: key, r: r, rec: rec})
 	for s.lru.Len() > s.maxEntries {
 		cold := s.lru.Back()
 		delete(s.byKey, cold.Value.(*memEntry).key)

@@ -2,9 +2,10 @@
 # check_bench.sh BENCH_OUTPUT BASELINE_FILE [COMPARE_OUT]
 #
 # Gates CI on the simulator hot paths: reads allocs/op (and, for the
-# micro-benchmarks, ns/op; for the whole-rig benches, B/op) for
-# each gated benchmark from `go test -bench` output and fails on
-# regressions against the checked-in baseline.
+# micro-benchmarks, ns/op; for the whole-rig benches, B/op; for the
+# daemon's memory benches, the retained bytes they report) for each gated
+# benchmark from `go test -bench` output and fails on regressions against
+# the checked-in baseline.
 #
 #   - allocs/op: fail beyond +20% of baseline. A zero baseline is a hard
 #     gate: the benchmark must stay allocation-free.
@@ -15,6 +16,10 @@
 #     a larger first allocation per flow lowers the count and raises the
 #     bytes, and the daemon's warm job, where a row re-encoded or
 #     copied per job shows in the bytes.
+#   - retained bytes (b.ReportMetric): same +20% rule. What a finished
+#     nimbus-svc job, or a finished job queued in a restart's replay
+#     pass, keeps on the live heap is the daemon's memory; an allocation
+#     count cannot see a field that outlives the job.
 #   - ns/op: fail beyond 3x baseline. The band is deliberately wide —
 #     CI hardware varies and these benches run at small -benchtime — so
 #     it only catches order-of-magnitude regressions (an accidental
@@ -43,6 +48,13 @@ BenchmarkDeriveSeed deriveseed_allocs_per_op - -
 BenchmarkWarmJob warmjob_allocs_per_op - warmjob_bytes_per_op
 "
 
+# benchmark-name unit baseline-key: a metric the benchmark reports
+# itself, gated by the +20% rule.
+metric_gates="
+BenchmarkWarmJob retained-B/job warmjob_retained_bytes_per_job
+BenchmarkReplayFinished retained-B/queued-job replay_retained_bytes_per_queued_job
+"
+
 [ -n "$compare_out" ] && printf '%-36s %-12s %10s %10s %10s %s\n' \
     benchmark metric current baseline limit status > "$compare_out"
 
@@ -64,7 +76,8 @@ record() { # bench metric current baseline limit status
     echo "$1 $2: current=$3 baseline=$4 limit=$5 [$6]"
 }
 
-# count_gate BENCH UNIT KEY: the +20% rule on an integer metric.
+# count_gate BENCH UNIT KEY: the +20% rule on a metric with an integer
+# baseline (the current value may be fractional).
 count_gate() {
     local bench=$1 unit=$2 key=$3 current baseline limit status
     current=$(extract "$bench" "$unit")
@@ -81,7 +94,7 @@ count_gate() {
     fi
     limit=$(( baseline + baseline / 5 ))
     status=OK
-    if [ "$current" -gt "$limit" ]; then
+    if awk -v c="$current" -v l="$limit" 'BEGIN { exit !(c > l) }'; then
         status=FAIL
         echo "check_bench: FAIL — $bench $unit regressed beyond 20% of baseline" >&2
         echo "If the increase is intentional, update $baseline_file in the same PR." >&2
@@ -121,6 +134,11 @@ while read -r bench akey nskey bkey; do
     fi
     record "$bench" ns/op "$ns" "$nsbase" "$nslimit" "$status"
 done <<< "$gates"
+
+while read -r bench unit key; do
+    [ -z "$bench" ] && continue
+    count_gate "$bench" "$unit" "$key"
+done <<< "$metric_gates"
 
 # Relative gate: the fluid cross-traffic path must execute at least 3x
 # fewer scheduler events than the per-packet path on the cross-heavy
