@@ -10,19 +10,22 @@ import (
 	"go/types"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// uncalledAllowed lists the exported functions, methods and struct fields
-// under internal/ that no non-test code references, each with the reason it
-// stays. Everything else without a caller is deleted, not listed here.
+// uncalledAllowed lists the exported functions and methods under internal/
+// that no non-test code references, and the struct fields there that no
+// non-test code reads, each with the reason it stays. Everything else
+// without a caller or a reader is deleted, not listed here.
 //
 // The classes: (a) the facade's documented API, used by nimbus_test.go;
 // (c) readers the planned trace recorder (ROADMAP item 3) needs; (d)
 // instruments and reference oracles that tests use to check behaviour that
-// stays.
+// stays; (e) written by benchmark/, which only a benchmark PR may edit.
 var uncalledAllowed = map[string]string{
 	"core.Detector.Elastic": "(a) the facade doc's Elasticity/Elastic pair; TestFacadeDetector",
 
@@ -50,13 +53,28 @@ var uncalledAllowed = map[string]string{
 	"svc.Store.Get":                       "(d) tests read the cache tiers without running a cell",
 	"transport.FiniteFlow.Done":           "(d) tests check that finite transfers complete",
 	"transport.Sender.Inflight":           "(d) tests check that in-flight bytes settle to zero",
+
+	"crosstraffic.Fluid.RateChanges": "(d) counter: tests check how often CBR and Poisson fluid sources change rate",
+	"netem.Link.DeliveredBytes":      "(d) counter: tests check a raw source's delivered rate and that Stop stops it",
+	"netem.Topology.OrphanRecycled":  "(d) counter: tests check that packets of detached flows return to the pool",
+	"sim.Scheduler.PoolReuses":       "(d) counter: tests check that a pooled timer is reused, not allocated",
+	"transport.Sender.LostPackets":   "(d) counter: tests check losses against the in-flight ring's slice model",
+	"transport.Sender.SentBytes":     "(d) counter: tests check that a stopped or idle sender sends nothing",
+	"transport.Sender.Timeouts":      "(d) counter: tests check that retransmission timeouts fire",
+
+	"core.DetectorConfig.RFFT": "(e) written by benchmark/, which only a benchmark PR may edit",
+	"exp.NetConfig.TimerWheel": "(e) written by benchmark/, which only a benchmark PR may edit",
 }
 
 // TestNoUncalledAPI type-checks the non-test packages of this module and of
-// benchmark/ and fails on any exported function, method or struct field
-// declared under internal/ that none of them references and that
-// uncalledAllowed does not list. A method that satisfies an interface
-// counts as referenced.
+// benchmark/ and fails on any exported function or method declared under
+// internal/ that none of them references, and on any struct field there,
+// exported or not, that none of them reads, unless uncalledAllowed lists
+// it. A method that satisfies an interface counts as referenced. A field
+// is written, not read, where it is the outermost selector on an
+// assignment's left-hand side, the operand of ++ or --, or the key of a
+// keyed composite literal; every other use reads it, and a field with a
+// json tag counts as read (encoding/json reads it).
 func TestNoUncalledAPI(t *testing.T) {
 	if raceEnabled {
 		// A static check starts no goroutine, so the race detector has
@@ -70,13 +88,67 @@ func TestNoUncalledAPI(t *testing.T) {
 	for _, name := range uncalledAPI(t) {
 		uncalled[name] = true
 		if _, ok := uncalledAllowed[name]; !ok {
-			t.Errorf("%s has no non-test caller: delete it, or list it in uncalledAllowed with its reason", name)
+			t.Errorf("%s has no non-test caller or reader: delete it, or list it in uncalledAllowed with its reason", name)
 		}
 	}
 	for name := range uncalledAllowed {
 		if !uncalled[name] {
 			t.Errorf("uncalledAllowed lists %s, which is gone or now has a caller: drop the entry", name)
 		}
+	}
+}
+
+// TestFieldReadsOnly holds the classifier behind TestNoUncalledAPI to its
+// rules on a small package: writes (assignment, ++, keyed literal) do not
+// count as uses, a selector that reaches a written field reads what it
+// passes through, a json tag counts as a read, and unexported fields are
+// covered.
+func TestFieldReadsOnly(t *testing.T) {
+	const src = `package p
+
+type T struct {
+	assigned int
+	inc      int
+	keyed    int
+	read     int
+	inner    *U
+	Tagged   int ` + "`json:\"tagged\"`" + `
+	Exported int
+}
+
+type U struct{ g int }
+
+func use() int {
+	x := &T{keyed: 1, inner: &U{}}
+	x.assigned = 2
+	x.inc++
+	x.Exported--
+	x.inner.g = 3
+	return x.read
+}
+
+var _ = use
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := []*ast.File{f}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	pkg, err := (&types.Config{}).Check("p", fset, files, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[types.Object]bool{}
+	noteUses(files, info, used, map[*types.Interface]bool{})
+	got := unusedIn(pkg, used, nil)
+	// inner is only passed through on the way to g: a read. read is
+	// returned, Tagged has a json tag; the rest are only written.
+	want := []string{"p.T.Exported", "p.T.assigned", "p.T.inc", "p.T.keyed", "p.U.g"}
+	sort.Strings(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("unread fields %v, want %v", got, want)
 	}
 }
 
@@ -121,9 +193,10 @@ func (m moduleImporter) Import(path string) (*types.Package, error) {
 	return m.std.Import(path)
 }
 
-// uncalledAPI returns, sorted, every exported function, method and struct
-// field under internal/ without a reference from non-test code, named
-// "pkg.Func", "pkg.Type.Method" or "pkg.Type.Field".
+// uncalledAPI returns, sorted, every exported function and method under
+// internal/ without a reference from non-test code and every struct field
+// there that no non-test code reads, named "pkg.Func", "pkg.Type.Method" or
+// "pkg.Type.Field".
 func uncalledAPI(t *testing.T) []string {
 	fset := token.NewFileSet()
 	imp := moduleImporter{importer.ForCompiler(fset, "source", nil), map[string]*types.Package{}}
@@ -149,18 +222,7 @@ func uncalledAPI(t *testing.T) []string {
 				t.Fatalf("type-checking %s: %v", lp.ImportPath, err)
 			}
 			imp.checked[lp.ImportPath] = pkg
-			for _, obj := range info.Uses {
-				used[origin(obj)] = true
-				// A call through an interface names the interface's
-				// method; any concrete method it may dispatch to is used.
-				if fn, ok := obj.(*types.Func); ok {
-					if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-						if it, ok := recv.Type().Underlying().(*types.Interface); ok {
-							ifaces[it] = true
-						}
-					}
-				}
-			}
+			noteUses(files, info, used, ifaces)
 			if strings.HasPrefix(lp.ImportPath, "nimbus/internal/") {
 				internal = append(internal, pkg)
 			}
@@ -170,40 +232,104 @@ func uncalledAPI(t *testing.T) []string {
 
 	var out []string
 	for _, pkg := range internal {
-		short := strings.TrimPrefix(pkg.Path(), "nimbus/internal/")
-		scope := pkg.Scope()
-		for _, name := range scope.Names() {
-			switch obj := scope.Lookup(name).(type) {
-			case *types.Func:
-				if obj.Exported() && !used[obj] {
-					out = append(out, short+"."+name)
-				}
-			case *types.TypeName:
-				named, ok := obj.Type().(*types.Named)
-				if !ok {
-					continue
-				}
-				for i := 0; i < named.NumMethods(); i++ {
-					m := named.Method(i)
-					if m.Exported() && !used[m] && !satisfies(named, m.Name(), ifaces) {
-						out = append(out, short+"."+name+"."+m.Name())
-					}
-				}
-				st, ok := named.Underlying().(*types.Struct)
-				if !ok {
-					continue
-				}
-				for i := 0; i < st.NumFields(); i++ {
-					// An embedded field is used through what it promotes.
-					f := st.Field(i)
-					if f.Exported() && !f.Embedded() && !used[f] {
-						out = append(out, short+"."+name+"."+f.Name())
-					}
+		out = append(out, unusedIn(pkg, used, ifaces)...)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// noteUses marks in used every object that files reference, except that a
+// struct field counts only where it is read, and adds to ifaces every
+// interface a method call goes through.
+func noteUses(files []*ast.File, info *types.Info, used map[types.Object]bool, ifaces map[*types.Interface]bool) {
+	writes := fieldWrites(files)
+	for id, obj := range info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && writes[id] {
+			continue
+		}
+		used[origin(obj)] = true
+		// A call through an interface names the interface's method; any
+		// concrete method it may dispatch to is used.
+		if fn, ok := obj.(*types.Func); ok {
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+				if it, ok := recv.Type().Underlying().(*types.Interface); ok {
+					ifaces[it] = true
 				}
 			}
 		}
 	}
-	sort.Strings(out)
+}
+
+// fieldWrites returns the identifiers that write what they name: the
+// outermost selector of an assignment's left-hand side, of the operand of
+// ++ or --, and the key of a keyed composite literal. In x.f.g = v only g
+// is written; f is read to reach it.
+func fieldWrites(files []*ast.File) map[*ast.Ident]bool {
+	writes := map[*ast.Ident]bool{}
+	lhs := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					lhs(e)
+				}
+			case *ast.IncDecStmt:
+				lhs(n.X)
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					writes[id] = true
+				}
+			}
+			return true
+		})
+	}
+	return writes
+}
+
+// unusedIn returns pkg's exported functions and methods that are not in
+// used and do not satisfy one of ifaces, and its struct fields, exported
+// or not, that are not in used and carry no json tag (encoding/json reads
+// those).
+func unusedIn(pkg *types.Package, used map[types.Object]bool, ifaces map[*types.Interface]bool) []string {
+	var out []string
+	short := strings.TrimPrefix(pkg.Path(), "nimbus/internal/")
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		switch obj := scope.Lookup(name).(type) {
+		case *types.Func:
+			if obj.Exported() && !used[obj] {
+				out = append(out, short+"."+name)
+			}
+		case *types.TypeName:
+			named, ok := obj.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				m := named.Method(i)
+				if m.Exported() && !used[m] && !satisfies(named, m.Name(), ifaces) {
+					out = append(out, short+"."+name+"."+m.Name())
+				}
+			}
+			st, ok := named.Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				// An embedded field is used through what it promotes.
+				f := st.Field(i)
+				if _, tagged := reflect.StructTag(st.Tag(i)).Lookup("json"); tagged || f.Embedded() || f.Name() == "_" || used[f] {
+					continue
+				}
+				out = append(out, short+"."+name+"."+f.Name())
+			}
+		}
+	}
 	return out
 }
 

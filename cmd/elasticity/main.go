@@ -41,8 +41,11 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -68,7 +71,7 @@ func main() {
 		topo     = flag.String("topology", "", "analyze a topology spec's bottleneck-link capacity signal instead of stdin (the bottleneck needs an absolute rate)")
 		churn    = flag.String("churn", "", "analyze the aggregate delivered rate of a simulated session workload (a workload spec like bulk(load=24)) instead of stdin")
 		fluid    = flag.String("fluid", "", "analyze the delivered rate of a fluid-model aggregate (kind[:rateMbps], e.g. cubic:24) on the standard bottleneck instead of stdin")
-		traceDur = flag.Duration("trace-dur", 60*time.Second, "how much signal to generate with -link-trace/-topology/-churn")
+		traceDur = flag.Duration("trace-dur", 60*time.Second, "how much signal to generate with -link-trace/-topology/-churn/-fluid")
 
 		list = flag.String("list", "", exp.ListUsage)
 	)
@@ -77,7 +80,15 @@ func main() {
 		return
 	}
 
-	freqs := parseFreqs(*fps)
+	if err := checkDurations(*interval, *window, *traceDur); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	freqs, err := parseFreqs(*fps, *interval)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	cfg := core.DetectorConfig{
 		SampleInterval: sim.FromDuration(*interval),
 		FFTDuration:    sim.FromDuration(*window),
@@ -91,7 +102,6 @@ func main() {
 		}
 	}
 	var samples []float64
-	var err error
 	switch {
 	case sources > 1:
 		fmt.Fprintln(os.Stderr, "pick one of -link-trace, -topology, -churn and -fluid")
@@ -277,8 +287,11 @@ func fluidSamples(spec string, interval, dur sim.Time) ([]float64, error) {
 	return out, nil
 }
 
-func readSamples(f *os.File) ([]float64, error) {
-	sc := bufio.NewScanner(f)
+// readSamples reads one value per line ("rate" or "t,rate"), skipping
+// blank lines, '#' comments and, with a message, lines that are not a
+// finite number.
+func readSamples(r io.Reader) ([]float64, error) {
+	sc := bufio.NewScanner(r)
 	var out []float64
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -290,6 +303,9 @@ func readSamples(f *os.File) ([]float64, error) {
 			line = strings.TrimSpace(line[i+1:])
 		}
 		v, err := strconv.ParseFloat(line, 64)
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			err = errors.New("not a finite number")
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "skipping %q: %v\n", line, err)
 			continue
@@ -299,7 +315,26 @@ func readSamples(f *os.File) ([]float64, error) {
 	return out, sc.Err()
 }
 
-func parseFreqs(s string) []float64 {
+// checkDurations rejects a sample interval, FFT window or generated
+// signal length that is not positive: a zero interval never advances the
+// resampling loops.
+func checkDurations(interval, window, traceDur time.Duration) error {
+	for _, f := range []struct {
+		name string
+		v    time.Duration
+	}{{"-interval", interval}, {"-window", window}, {"-trace-dur", traceDur}} {
+		if f.v <= 0 {
+			return fmt.Errorf("%s must be > 0, got %v", f.name, f.v)
+		}
+	}
+	return nil
+}
+
+// parseFreqs parses -fp's comma-separated pulse frequencies. Each must be
+// finite and positive, and Eq. 3's band (fp, 2fp) must fit below the
+// Nyquist frequency of samples taken every interval: 2·fp <= 1/(2·interval).
+func parseFreqs(s string, interval time.Duration) ([]float64, error) {
+	nyquist := 1 / (2 * interval.Seconds())
 	var out []float64
 	for _, p := range strings.Split(s, ",") {
 		p = strings.TrimSpace(p)
@@ -308,14 +343,18 @@ func parseFreqs(s string) []float64 {
 		}
 		v, err := strconv.ParseFloat(p, 64)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "-fp: bad frequency %q: %v\n", p, err)
-			os.Exit(2)
+			return nil, fmt.Errorf("-fp: bad frequency %q: %v", p, err)
+		}
+		if !(v > 0) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("-fp: frequency %q must be finite and > 0", p)
+		}
+		if 2*v > nyquist {
+			return nil, fmt.Errorf("-fp: frequency %q: its band (fp, 2fp) must fit below the %g Hz Nyquist frequency of a %v interval", p, nyquist, interval)
 		}
 		out = append(out, v)
 	}
 	if len(out) == 0 {
-		fmt.Fprintln(os.Stderr, "-fp: no frequencies given")
-		os.Exit(2)
+		return nil, errors.New("-fp: no frequencies given")
 	}
-	return out
+	return out, nil
 }

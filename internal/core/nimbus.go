@@ -135,14 +135,10 @@ type Nimbus struct {
 type Telemetry struct {
 	Now      sim.Time
 	Mode     Mode
-	Role     Role
 	Eta      float64
 	EtaReady bool
-	S, R, Z  float64
-	Mu       float64
+	Z        float64
 	Rate     float64
-	RTT      sim.Time
-	MinRTT   sim.Time
 }
 
 // NewNimbus returns a Nimbus controller. cfg.Competitive and cfg.Mu are
@@ -311,10 +307,9 @@ func (n *Nimbus) tick() {
 
 	if n.OnTick != nil {
 		n.OnTick(Telemetry{
-			Now: now, Mode: n.mode, Role: n.role,
+			Now: now, Mode: n.mode,
 			Eta: n.lastEta, EtaReady: n.det.Ready(),
-			S: n.lastS, R: n.lastR, Z: n.lastZ, Mu: n.cfg.Mu.Mu(),
-			Rate: n.currentRate, RTT: n.lastRTT, MinRTT: n.xmin,
+			Z: n.lastZ, Rate: n.currentRate,
 		})
 	}
 }

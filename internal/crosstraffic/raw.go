@@ -121,7 +121,7 @@ func (r *RawSource) arrive(arg any) {
 	}
 	r.seq++
 	p := r.att.GetPacket()
-	*p = netem.Packet{Seq: r.seq, Size: r.size, Raw: true}
+	*p = netem.Packet{Seq: r.seq, Size: r.size}
 	r.att.Send(p)
 	r.scheduleNext()
 }

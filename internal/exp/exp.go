@@ -195,9 +195,7 @@ func hopDelay(ts netem.TopoSpec, name string) sim.Time {
 type Scheme struct {
 	// Name is the registered scheme name (the spec's name without
 	// parameters); random streams and result rows are labeled with it.
-	Name string
-	// Spec is the full typed spec the scheme was built from.
-	Spec   spec.Spec
+	Name   string
 	Ctrl   transport.Controller
 	Nimbus *core.Nimbus // nil for non-Nimbus schemes
 	Copa   *cc.Copa     // non-nil for the Copa baseline (mode telemetry)
@@ -214,7 +212,7 @@ func BuildScheme(sp spec.Spec, muBps float64, mu core.MuEstimator) (Scheme, erro
 	if err != nil {
 		return Scheme{}, err
 	}
-	s := Scheme{Name: sp.Name, Spec: sp, Ctrl: ctrl}
+	s := Scheme{Name: sp.Name, Ctrl: ctrl}
 	if n, ok := ctrl.(*core.Nimbus); ok {
 		s.Nimbus = n
 	}
@@ -326,7 +324,6 @@ type FlowSpec struct {
 // its probe, and where it came from.
 type Flow struct {
 	Spec   FlowSpec
-	Index  int // index within the FlowSpec's Count
 	Scheme Scheme
 	Probe  *FlowProbe
 }
@@ -365,12 +362,12 @@ func (r *Rig) AddFlowSpecs(specs ...FlowSpec) ([]*Flow, error) {
 		if count <= 0 {
 			count = 1
 		}
-		for i := 0; i < count; i++ {
+		for range count {
 			s, err := BuildScheme(fs.Scheme, r.MuBps, mu)
 			if err != nil {
 				return nil, err
 			}
-			flows = append(flows, &Flow{Spec: fs, Index: i, Scheme: s})
+			flows = append(flows, &Flow{Spec: fs, Scheme: s})
 		}
 	}
 	for _, f := range flows {

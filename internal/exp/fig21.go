@@ -4,7 +4,6 @@ import (
 	"nimbus/internal/metrics"
 	spec "nimbus/internal/scheme"
 	"nimbus/internal/sim"
-	"nimbus/internal/stats"
 )
 
 var fig21Buckets = []string{"15KB", "150KB", "1.5MB", "15MB", "150MB"}
@@ -19,7 +18,7 @@ func Fig21(seed int64, quick bool) Report {
 		dur = 60 * sim.Second
 	}
 	schemes := []string{"nimbus", "bbr", "cubic", "vegas", "copa", "vivace"}
-	buckets := mapCells(len(schemes), func(i int) map[string]stats.Summary {
+	buckets := mapCells(len(schemes), func(i int) map[string]float64 {
 		_, fcts := runTrace(spec.MustParse(schemes[i]), seed, dur, 0.5)
 		return metrics.FCTBuckets(fcts)
 	})
@@ -32,8 +31,8 @@ func Fig21(seed int64, quick bool) Report {
 		row := []any{s}
 		for _, name := range fig21Buckets {
 			b, ok := buckets[i][name]
-			if base := buckets[0][name].P95; ok && base > 0 {
-				row = append(row, b.P95/base)
+			if base := buckets[0][name]; ok && base > 0 {
+				row = append(row, b/base)
 			} else {
 				row = append(row, nil)
 			}

@@ -65,8 +65,10 @@ func NetConfigFor(sc runner.Scenario) NetConfig {
 // NewRig is called, so a bad cell is an error row rather than a panic or
 // — worse — a normal-looking result: the link rate, RTT and horizon must
 // be finite and positive (a zero-rate link delivers nothing and reports
-// perfect mode accuracy), the link axes must resolve to a schedule, the
-// AQM must be one there is, and the topology and fluid specs must parse.
+// perfect mode accuracy), the cross rate finite and not negative (zero is
+// valid: elastic kinds ignore it), the link axes must resolve to a
+// schedule, the AQM must be one there is, and the topology and fluid
+// specs must parse.
 func netConfigChecked(sc runner.Scenario) (NetConfig, error) {
 	for _, f := range []struct {
 		name string
@@ -75,6 +77,9 @@ func netConfigChecked(sc runner.Scenario) (NetConfig, error) {
 		if !(f.v > 0) || math.IsInf(f.v, 0) { // !(v > 0) also catches NaN
 			return NetConfig{}, fmt.Errorf("exp: scenario %q: %s must be finite and > 0, got %v", sc.Name, f.name, f.v)
 		}
+	}
+	if v := sc.CrossRateMbps; !(v >= 0) || math.IsInf(v, 0) {
+		return NetConfig{}, fmt.Errorf("exp: scenario %q: cross_rate_mbps must be finite and >= 0, got %v", sc.Name, v)
 	}
 	cfg := NetConfigFor(sc)
 	sched, err := ScheduleForScenario(sc)

@@ -14,32 +14,42 @@ import (
 )
 
 // TestScenarioRejectsNonPositive: a link rate, RTT or horizon that is
-// zero, negative, NaN or infinite is a scenario error on every path into
-// NewRig (single scheme, flow mix, churn) — never a simulated cell whose
-// row looks normal (a zero-rate link used to report mode_accuracy 1).
+// zero, negative, NaN or infinite, and a cross rate that is negative, NaN
+// or infinite, is a scenario error on every path into NewRig (single
+// scheme, flow mix, churn) — never a simulated cell whose row looks
+// normal (a zero-rate link used to report mode_accuracy 1, a negative
+// cross rate the metrics of no cross traffic, a NaN one ran out of
+// memory).
 func TestScenarioRejectsNonPositive(t *testing.T) {
 	base := runner.Scenario{
 		Name: "cell", RateMbps: 48, RTTms: 50, BufferMs: 100,
 		Scheme: spec.MustParse("cubic"), DurationSec: 1, Seed: 1,
 	}
-	fields := map[string]func(*runner.Scenario, float64){
-		"rate_mbps":    func(sc *runner.Scenario, v float64) { sc.RateMbps = v },
-		"rtt_ms":       func(sc *runner.Scenario, v float64) { sc.RTTms = v },
-		"duration_sec": func(sc *runner.Scenario, v float64) { sc.DurationSec = v },
+	positive := []float64{0, -5, math.NaN(), math.Inf(1)}
+	fields := map[string]struct {
+		set  func(*runner.Scenario, float64)
+		bad  []float64
+		rule string
+	}{
+		"rate_mbps":    {func(sc *runner.Scenario, v float64) { sc.RateMbps = v }, positive, "> 0"},
+		"rtt_ms":       {func(sc *runner.Scenario, v float64) { sc.RTTms = v }, positive, "> 0"},
+		"duration_sec": {func(sc *runner.Scenario, v float64) { sc.DurationSec = v }, positive, "> 0"},
+		"cross_rate_mbps": {func(sc *runner.Scenario, v float64) { sc.Cross, sc.CrossRateMbps = "poisson", v },
+			[]float64{-10, math.NaN(), math.Inf(1), math.Inf(-1)}, ">= 0"},
 	}
 	paths := map[string]func(*runner.Scenario){
 		"single":  func(*runner.Scenario) {},
 		"flowmix": func(sc *runner.Scenario) { sc.FlowMix = "nimbus+cubic" },
 		"churn":   func(sc *runner.Scenario) { sc.Churn = "bulk(load=12)" },
 	}
-	for field, set := range fields {
-		for _, v := range []float64{0, -5, math.NaN(), math.Inf(1)} {
+	for field, f := range fields {
+		for _, v := range f.bad {
 			for path, shape := range paths {
 				sc := base
 				shape(&sc)
-				set(&sc, v)
+				f.set(&sc, v)
 				r := RunScenario(sc)
-				if !strings.Contains(r.Err, field+" must be finite and > 0") {
+				if !strings.Contains(r.Err, field+" must be finite and "+f.rule) {
 					t.Errorf("%s %s=%v: Err = %q, want it to name the field", path, field, v, r.Err)
 				}
 				if r.Metrics != nil || r.Events != 0 {
@@ -50,6 +60,12 @@ func TestScenarioRejectsNonPositive(t *testing.T) {
 	}
 	if r := RunScenario(base); r.Err != "" {
 		t.Fatalf("the valid base scenario failed: %s", r.Err)
+	}
+	// Zero is a valid cross rate: elastic kinds ignore it.
+	zero := base
+	zero.Cross = "poisson"
+	if r := RunScenario(zero); r.Err != "" {
+		t.Fatalf("cross_rate_mbps=0 failed: %s", r.Err)
 	}
 }
 

@@ -62,13 +62,12 @@ func FFT(x []complex128) {
 // Spectrum holds a one-sided magnitude spectrum of a real signal.
 type Spectrum struct {
 	// Mag[k] is the magnitude at frequency k*Resolution Hz, for
-	// k = 0..N/2. Magnitudes are |X_k|/N scaled by 2 for k in (0, N/2)
-	// so a unit-amplitude sinusoid at a bin frequency has magnitude ~1.
+	// k = 0..N/2 with N the FFT length. Magnitudes are |X_k|/N scaled
+	// by 2 for k in (0, N/2) so a unit-amplitude sinusoid at a bin
+	// frequency has magnitude ~1.
 	Mag []float64
 	// Resolution is the bin width in Hz.
 	Resolution float64
-	// N is the FFT length used.
-	N int
 }
 
 // Analyze computes the one-sided magnitude spectrum of the real signal

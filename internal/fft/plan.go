@@ -146,6 +146,5 @@ func (p *Plan) AnalyzeMeanInto(dst Spectrum, samples []float64) (Spectrum, float
 	return Spectrum{
 		Mag:        mag,
 		Resolution: p.sampleHz / float64(p.size),
-		N:          p.size,
 	}, mean
 }

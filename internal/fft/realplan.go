@@ -127,6 +127,5 @@ func (p *RealPlan) AnalyzeMeanInto(dst Spectrum, samples []float64) (Spectrum, f
 	return Spectrum{
 		Mag:        mag,
 		Resolution: p.sampleHz / float64(p.size),
-		N:          p.size,
 	}, mean
 }

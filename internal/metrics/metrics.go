@@ -273,7 +273,7 @@ type FCTRecord struct {
 
 // FCTBuckets groups completion times by the paper's size buckets
 // (Fig. 21) and reports the p95 per bucket.
-func FCTBuckets(recs []FCTRecord) map[string]stats.Summary {
+func FCTBuckets(recs []FCTRecord) map[string]float64 {
 	buckets := map[string][]float64{}
 	for _, r := range recs {
 		var name string
@@ -291,9 +291,9 @@ func FCTBuckets(recs []FCTRecord) map[string]stats.Summary {
 		}
 		buckets[name] = append(buckets[name], r.FCT.Seconds())
 	}
-	out := map[string]stats.Summary{}
+	out := map[string]float64{}
 	for k, v := range buckets {
-		out[k] = stats.Summarize(v)
+		out[k] = stats.Percentile(v, 0.95)
 	}
 	return out
 }

@@ -32,11 +32,6 @@ type Packet struct {
 	// delivered packet then travels the reverse path as its own ACK.
 	Delivered uint64
 
-	// Raw marks cross-traffic packets injected without a transport
-	// (CBR/Poisson sources). They are counted at the receiver side but
-	// generate no ACKs.
-	Raw bool
-
 	// fluidMark is the link-local FIFO position of the packet relative
 	// to the fluid cross-traffic process: the link's cumulative
 	// delivered-plus-standing fluid bytes when the packet enqueued

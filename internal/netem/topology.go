@@ -246,7 +246,7 @@ func (a *Attachment) SendAckArg(fn func(arg any), arg any) {
 		return
 	}
 	p := a.net.GetPacket()
-	*p = Packet{Flow: a.ID, Size: AckSize, Raw: true}
+	*p = Packet{Flow: a.ID, Size: AckSize}
 	p.SentAt = a.net.Sch.Now()
 	p.route = r
 	p.hop = 0

@@ -12,9 +12,6 @@ import (
 // specs leave defaulted parameters to the registry.
 type LinkSpec struct {
 	Name string
-	// From/To are the node names the link connects (derived for chain
-	// specs, declared by presets). Display/introspection only.
-	From, To string
 	// RateMbps is the link's absolute capacity; 0 defers to RateScale.
 	RateMbps float64
 	// RateScale, when RateMbps is 0 and RateScale > 0, makes the link's
@@ -189,7 +186,7 @@ func init() {
 	RegisterTopology("single",
 		"the paper's Fig. 2 single bottleneck (the default)",
 		TopoSpec{
-			Links:      []LinkSpec{{Name: "bn", From: "sender", To: "receiver"}},
+			Links:      []LinkSpec{{Name: "bn"}},
 			Routes:     []RouteSpec{{Fwd: []string{"bn"}}},
 			Bottleneck: "bn",
 		})
@@ -197,8 +194,8 @@ func init() {
 		"a fast access link (4x nominal, 5 ms) in front of the bottleneck; cross traffic can enter at the bottleneck via route bn-only",
 		TopoSpec{
 			Links: []LinkSpec{
-				{Name: "access", From: "sender", To: "edge", RateScale: 4, DelayMs: 5},
-				{Name: "bn", From: "edge", To: "receiver"},
+				{Name: "access", RateScale: 4, DelayMs: 5},
+				{Name: "bn"},
 			},
 			Routes: []RouteSpec{
 				{Fwd: []string{"access", "bn"}},
@@ -210,9 +207,9 @@ func init() {
 		"three equal-rate hops in a chain; the default route crosses all three, routes hop1/hop2/hop3 cross one each (multi-bottleneck fairness)",
 		TopoSpec{
 			Links: []LinkSpec{
-				{Name: "hop1", From: "n0", To: "n1", DelayMs: 2},
-				{Name: "hop2", From: "n1", To: "n2", DelayMs: 2},
-				{Name: "hop3", From: "n2", To: "n3", DelayMs: 2},
+				{Name: "hop1", DelayMs: 2},
+				{Name: "hop2", DelayMs: 2},
+				{Name: "hop3", DelayMs: 2},
 			},
 			Routes: []RouteSpec{
 				{Fwd: []string{"hop1", "hop2", "hop3"}},
@@ -226,8 +223,8 @@ func init() {
 		"the bottleneck plus a narrow reverse link (5% of nominal) that ACKs traverse; congest it via route rev-cross",
 		TopoSpec{
 			Links: []LinkSpec{
-				{Name: "bn", From: "sender", To: "receiver"},
-				{Name: "rev", From: "receiver", To: "sender", RateScale: 0.05},
+				{Name: "bn"},
+				{Name: "rev", RateScale: 0.05},
 			},
 			Routes: []RouteSpec{
 				{Fwd: []string{"bn"}, Rev: []string{"rev"}},
@@ -277,8 +274,6 @@ func ParseTopology(s string) (TopoSpec, error) {
 		if ts.LinkByName(ls.Name) != nil {
 			return TopoSpec{}, fmt.Errorf("netem: topology %q: duplicate link %q", s, ls.Name)
 		}
-		ls.From = fmt.Sprintf("n%d", len(ts.Links))
-		ls.To = fmt.Sprintf("n%d", len(ts.Links)+1)
 		ts.Links = append(ts.Links, ls)
 	}
 	route := RouteSpec{}
@@ -290,7 +285,7 @@ func ParseTopology(s string) (TopoSpec, error) {
 	// A one-link chain with no parameters — "bn()"-style, since a bare
 	// name without parens is a preset lookup — is the single topology;
 	// canonicalize so it shares a key with "single" and "".
-	if len(ts.Links) == 1 && ts.Links[0] == (LinkSpec{Name: ts.Links[0].Name, From: "n0", To: "n1"}) {
+	if len(ts.Links) == 1 && ts.Links[0] == (LinkSpec{Name: ts.Links[0].Name}) {
 		return topoPresets["single"].spec.clone(), nil
 	}
 	if err := validateTopoSpec(ts); err != nil {

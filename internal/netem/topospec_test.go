@@ -192,22 +192,6 @@ func TestTopoSpecPresetIsolation(t *testing.T) {
 	}
 }
 
-// TestTopoSpecNodes: a parsed chain numbers its nodes along the links,
-// each link starting where the previous one ends.
-func TestTopoSpecNodes(t *testing.T) {
-	ts, err := ParseTopology("a(10mbps)->b(20mbps)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, l := range ts.Links {
-		got = append(got, l.From+">"+l.To)
-	}
-	if s := strings.Join(got, ","); s != "n0>n1,n1>n2" {
-		t.Fatalf("chain links: %s", s)
-	}
-}
-
 // TestTopoSpecBurstRejected: burst link forwarding was deleted (see
 // DESIGN.md, "Decided"), and a spec still asking for it must fail loudly
 // as an unknown parameter rather than run per-packet under a burst name.

@@ -70,9 +70,9 @@ func TestAxesCoverGrid(t *testing.T) {
 		var g Grid // only this list is set
 		reflect.ValueOf(&g).Elem().Field(i).Set(two)
 		var readers []string
-		for _, a := range axes {
+		for j, a := range axes {
 			if a.n(&g) == 2 {
-				readers = append(readers, a.name)
+				readers = append(readers, fmt.Sprintf("axes[%d]", j))
 			}
 		}
 		if len(readers) != 1 {
@@ -85,17 +85,18 @@ func TestAxesCoverGrid(t *testing.T) {
 
 	scType := reflect.TypeOf(Scenario{})
 	writers := map[string][]string{}
-	for _, a := range axes {
+	for j, a := range axes {
+		name := fmt.Sprintf("axes[%d]", j)
 		var sc Scenario
 		a.set(&sc, &full, 1)
 		for i := 0; i < scType.NumField(); i++ {
 			if !reflect.ValueOf(sc).Field(i).IsZero() {
-				writers[scType.Field(i).Name] = append(writers[scType.Field(i).Name], a.name)
+				writers[scType.Field(i).Name] = append(writers[scType.Field(i).Name], name)
 			}
 		}
 		// probeValue(_, 1) is "probe1", 124.5 or 988 depending on the type.
 		if label := a.label(&sc); !strings.Contains(label, "probe1") && !strings.Contains(label, "124.5") && !strings.Contains(label, "988") {
-			t.Errorf("axis %s: label %q does not show the value it set", a.name, label)
+			t.Errorf("%s: label %q does not show the value it set", name, label)
 		}
 	}
 	for i := 0; i < scType.NumField(); i++ {

@@ -212,7 +212,6 @@ type Grid struct {
 // axis's Grid list, writes its Scenario field(s), and formats the part
 // of the cell name the axis contributes when it varies.
 type axis struct {
-	name  string
 	n     func(g *Grid) int                  // length of the axis's Grid list
 	set   func(sc *Scenario, g *Grid, i int) // copy list value i into sc
 	label func(sc *Scenario) string
@@ -222,7 +221,6 @@ type axis struct {
 // field, labelled "name=value".
 func newAxis[T any](name string, list func(*Grid) []T, field func(*Scenario) *T, format func(T) string) axis {
 	return axis{
-		name:  name,
 		n:     func(g *Grid) int { return len(list(g)) },
 		set:   func(sc *Scenario, g *Grid, i int) { *field(sc) = list(g)[i] },
 		label: func(sc *Scenario) string { return name + "=" + format(*field(sc)) },
@@ -249,7 +247,6 @@ func formatOr(empty string) func(string) string {
 // to Grid's lists and Scenario's fields.
 var axes = []axis{
 	{
-		name:  "scheme",
 		n:     func(g *Grid) int { return len(g.Schemes) },
 		set:   func(sc *Scenario, g *Grid, i int) { sc.Scheme = g.Schemes[i] },
 		label: func(sc *Scenario) string { return sc.Scheme.String() },
@@ -257,8 +254,7 @@ var axes = []axis{
 	newAxis("flows", func(g *Grid) []string { return g.FlowMixes }, func(sc *Scenario) *string { return &sc.FlowMix }, formatString),
 	newAxis("churn", func(g *Grid) []string { return g.Churns }, func(sc *Scenario) *string { return &sc.Churn }, formatString),
 	{
-		name: "cross",
-		n:    func(g *Grid) int { return len(g.Crosses) },
+		n: func(g *Grid) int { return len(g.Crosses) },
 		set: func(sc *Scenario, g *Grid, i int) {
 			sc.Cross, sc.CrossRateMbps = g.Crosses[i].Kind, g.Crosses[i].RateMbps
 		},

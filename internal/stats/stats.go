@@ -10,11 +10,10 @@ import (
 	"sort"
 )
 
-// Welford accumulates mean and variance in a single pass.
+// Welford accumulates the mean in a single pass.
 type Welford struct {
 	n    int
 	mean float64
-	m2   float64
 }
 
 // Add incorporates a sample.
@@ -22,7 +21,6 @@ func (w *Welford) Add(x float64) {
 	w.n++
 	d := x - w.mean
 	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
 }
 
 // N returns the number of samples seen.
@@ -30,17 +28,6 @@ func (w *Welford) N() int { return w.n }
 
 // Mean returns the running mean (0 for no samples).
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the unbiased sample variance (0 for fewer than 2 samples).
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 
 // Percentile returns the p-quantile (p in [0,1]) of xs using linear
 // interpolation between order statistics. It returns NaN for empty input.
@@ -118,42 +105,6 @@ func PercentilesSorted(sorted []float64, ps ...float64) []float64 {
 
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Percentile(xs, 0.5) }
-
-// Summary bundles the usual reporting quantiles of a sample.
-type Summary struct {
-	N                  int
-	Mean, Std          float64
-	Min, P10, P25, P50 float64
-	P75, P90, P95, P99 float64
-	Max                float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	var s Summary
-	s.N = len(cp)
-	if s.N == 0 {
-		nan := math.NaN()
-		return Summary{Mean: nan, Std: nan, Min: nan, P10: nan, P25: nan,
-			P50: nan, P75: nan, P90: nan, P95: nan, P99: nan, Max: nan}
-	}
-	var w Welford
-	for _, x := range cp {
-		w.Add(x)
-	}
-	s.Mean, s.Std = w.Mean(), w.Std()
-	s.Min, s.Max = cp[0], cp[len(cp)-1]
-	s.P10 = percentileSorted(cp, 0.10)
-	s.P25 = percentileSorted(cp, 0.25)
-	s.P50 = percentileSorted(cp, 0.50)
-	s.P75 = percentileSorted(cp, 0.75)
-	s.P90 = percentileSorted(cp, 0.90)
-	s.P95 = percentileSorted(cp, 0.95)
-	s.P99 = percentileSorted(cp, 0.99)
-	return s
-}
 
 // EWMA is an exponentially weighted moving average with a fixed smoothing
 // factor per sample. The zero value is ready to use: the first sample

@@ -19,8 +19,8 @@ import (
 )
 
 // APIError is a non-2xx daemon response: the status code, the path that
-// produced it, the server's error message (when the body carried one),
-// and a truncated copy of the raw body. Retry logic inspects it — 429
+// produced it, and the server's error message (when the body carried
+// one). Retry logic inspects it — 429
 // means "come back after RetryAfter", a 404 after a restart means the
 // daemon lost the job — and so can callers, via errors.As.
 type APIError struct {
@@ -30,8 +30,6 @@ type APIError struct {
 	Path string
 	// Message is the server's error document's "error" field, if any.
 	Message string
-	// Body is the raw response body, truncated to 4 KiB.
-	Body string
 	// RetryAfter is the parsed Retry-After header (0 if absent): how long
 	// the daemon asked us to back off. Set on load-shed 429s.
 	RetryAfter time.Duration
@@ -228,7 +226,7 @@ func (c *Client) open(ctx context.Context, method, path, query string, payload [
 // bounded prefix of) the body. The caller still owns closing the body.
 func apiError(resp *http.Response, path string) error {
 	b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	e := &APIError{Status: resp.StatusCode, Path: path, Body: string(b)}
+	e := &APIError{Status: resp.StatusCode, Path: path}
 	var doc struct {
 		Error string `json:"error"`
 	}

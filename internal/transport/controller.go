@@ -8,30 +8,22 @@
 // receive rate are reflected in the send rate one RTT later.
 package transport
 
-import (
-	"nimbus/internal/netem"
-	"nimbus/internal/sim"
-)
+import "nimbus/internal/sim"
 
 // AckInfo is delivered to the controller for every acknowledged packet.
 type AckInfo struct {
-	Seq        uint64
-	Bytes      int
-	SentAt     sim.Time // when the packet left the sender
-	AckedAt    sim.Time // when the ACK reached the sender (now)
-	RTT        sim.Time // AckedAt - SentAt
-	QueueDelay sim.Time // bottleneck queueing delay experienced by the packet
-	Inflight   int      // bytes in flight after this ACK
-	Delivered  uint64   // cumulative bytes delivered to the receiver
+	Bytes     int
+	SentAt    sim.Time // when the packet left the sender
+	AckedAt   sim.Time // when the ACK reached the sender (now)
+	RTT       sim.Time // AckedAt - SentAt
+	Inflight  int      // bytes in flight after this ACK
+	Delivered uint64   // cumulative bytes delivered to the receiver
 }
 
 // LossInfo is delivered to the controller for every packet declared lost.
 type LossInfo struct {
-	Seq      uint64
-	Bytes    int
-	Now      sim.Time
-	Timeout  bool // true when declared by RTO rather than dup-ACKs
-	Inflight int
+	Now     sim.Time
+	Timeout bool // true when declared by RTO rather than dup-ACKs
 }
 
 // Transmission tells the sender how it may transmit.
@@ -48,7 +40,6 @@ type Env struct {
 	Sch  *sim.Scheduler
 	Rand *sim.Rand
 	MSS  int
-	ID   netem.FlowID
 	// Sender is the transport endpoint the controller is attached to.
 	Sender *Sender
 }

@@ -7,10 +7,9 @@ import (
 	"nimbus/internal/sim"
 )
 
-// lossNote is what a controller is told about one loss, less the
-// in-flight bytes (compared on their own after every step).
+// lossNote is one loss as the sender reports it: the bytes refunded to
+// the source, then whether the controller was told of a timeout.
 type lossNote struct {
-	seq     uint64
 	bytes   int
 	timeout bool
 }
@@ -51,7 +50,7 @@ func (m *sliceFlight) ack(seq uint64) {
 				r.lost = true
 				m.inflight -= r.size
 				m.lost++
-				m.losses = append(m.losses, lossNote{seq: r.seq, bytes: r.size})
+				m.losses = append(m.losses, lossNote{bytes: r.size})
 			}
 		}
 	}
@@ -91,6 +90,9 @@ type ringHarness struct {
 	m      *sliceFlight
 	cwnd   int
 	losses []lossNote
+	// refunded is the size of the last refund, which the sender makes
+	// just before it tells the controller of the loss.
+	refunded int
 	// reentered counts the refunds that emitted from inside the sender's
 	// loss handling.
 	reentered int
@@ -99,12 +101,13 @@ type ringHarness struct {
 func (h *ringHarness) Init(*Env)     {}
 func (h *ringHarness) OnAck(AckInfo) {}
 func (h *ringHarness) OnLoss(l LossInfo) {
-	h.losses = append(h.losses, lossNote{l.Seq, l.Bytes, l.Timeout})
+	h.losses = append(h.losses, lossNote{h.refunded, l.Timeout})
 }
 func (h *ringHarness) Control() Transmission  { return Transmission{CwndBytes: h.cwnd} }
 func (h *ringHarness) Available(sim.Time) int { return 1 << 30 }
 func (h *ringHarness) Consume(n int)          { h.m.emit(n) }
-func (h *ringHarness) Refund(int) {
+func (h *ringHarness) Refund(n int) {
+	h.refunded = n
 	before := h.m.nextSeq
 	h.s.Wake()
 	if h.m.nextSeq > before {
@@ -151,7 +154,7 @@ func TestUnackedRing(t *testing.T) {
 				seq = uint64(rng.Intn(int(seq)))
 			}
 			m.ack(seq)
-			s.handleAck(seq, netem.DefaultMSS, 0, 0, 0, sim.Time(step))
+			s.handleAck(seq, netem.DefaultMSS, 0, 0, sim.Time(step))
 		}
 		if s.inflight != m.inflight || s.LostPackets != m.lost || s.nextSeq != m.nextSeq {
 			t.Fatalf("step %d: inflight %d lost %d next %d, slice model %d %d %d", step, s.inflight, s.LostPackets, s.nextSeq, m.inflight, m.lost, m.nextSeq)

@@ -22,11 +22,6 @@ type pktRec struct {
 	dup   int
 }
 
-type lossEntry struct {
-	seq  uint64
-	size int
-}
-
 // Sender is a transport endpoint: it emits MSS-sized packets subject to
 // the controller's window and pacing rate, tracks ACKs, declares losses
 // via dup-ACK counting and an RTO, and reports everything to the
@@ -42,7 +37,7 @@ type Sender struct {
 	nextSeq     uint64
 	inflight    int
 	unacked     stats.Queue[pktRec] // in-flight records, oldest first, from the oldest unsettled one
-	lossScratch []lossEntry         // handleAck's loss snapshot, reset per ACK
+	lossScratch []int               // handleAck's lost sizes, reset per ACK
 
 	srtt, rttvar sim.Time
 	rto          sim.Time
@@ -95,7 +90,7 @@ func NewSenderOn(net *netem.Topology, route string, rtt sim.Time, cc Controller,
 		mss: netem.DefaultMSS,
 		rto: 1 * sim.Second,
 	}
-	s.env = Env{Sch: net.Sch, Rand: rng, MSS: s.mss, ID: att.ID, Sender: s}
+	s.env = Env{Sch: net.Sch, Rand: rng, MSS: s.mss, Sender: s}
 	s.trySendFn = s.trySend
 	s.onRTOFn = s.onRTO
 	s.onAckFn = s.onAckEvent
@@ -255,7 +250,7 @@ func (s *Sender) onRTO() {
 	s.compact()
 	s.inflight = 0
 	s.app.Refund(lostBytes)
-	s.cc.OnLoss(LossInfo{Now: now, Bytes: lostBytes, Timeout: true, Inflight: 0})
+	s.cc.OnLoss(LossInfo{Now: now, Timeout: true})
 	s.armRTO()
 	s.trySend()
 }
@@ -280,12 +275,12 @@ func (s *Sender) onDeliver(p *netem.Packet, now sim.Time) {
 // The ACK is the delivered data packet; the sender is its last holder.
 func (s *Sender) onAckEvent(arg any) {
 	p := arg.(*netem.Packet)
-	seq, size, sentAt, qd, delivered := p.Seq, p.Size, p.SentAt, p.QueueDelay, p.Delivered
+	seq, size, sentAt, delivered := p.Seq, p.Size, p.SentAt, p.Delivered
 	s.att.PutPacket(p)
-	s.handleAck(seq, size, sentAt, qd, delivered, s.env.Sch.Now())
+	s.handleAck(seq, size, sentAt, delivered, s.env.Sch.Now())
 }
 
-func (s *Sender) handleAck(seq uint64, size int, sentAt, qd sim.Time, delivered uint64, now sim.Time) {
+func (s *Sender) handleAck(seq uint64, size int, sentAt sim.Time, delivered uint64, now sim.Time) {
 	if s.stopped {
 		return
 	}
@@ -293,7 +288,7 @@ func (s *Sender) handleAck(seq uint64, size int, sentAt, qd sim.Time, delivered 
 	s.updateRTT(rtt)
 	s.rtoBackoff = 0
 
-	// Loss notifications are snapshotted by value: compact() below
+	// Lost sizes are snapshotted by value: compact() below
 	// releases the records' slots, and Refund can re-enter emit (via
 	// Wake), which writes over them (or moves the ring) mid-loop. The
 	// snapshot reuses the sender's scratch slice: ACK events never nest,
@@ -320,26 +315,24 @@ func (s *Sender) handleAck(seq uint64, size int, sentAt, qd sim.Time, delivered 
 				r.lost = true
 				s.inflight -= r.size
 				s.LostPackets++
-				losses = append(losses, lossEntry{r.seq, r.size})
+				losses = append(losses, r.size)
 			}
 		}
 	}
 	s.compact()
 	s.lossScratch = losses
 
-	for _, l := range losses {
-		s.app.Refund(l.size)
-		s.cc.OnLoss(LossInfo{Seq: l.seq, Bytes: l.size, Now: now, Inflight: s.inflight})
+	for _, size := range losses {
+		s.app.Refund(size)
+		s.cc.OnLoss(LossInfo{Now: now})
 	}
 	ai := AckInfo{
-		Seq:        seq,
-		Bytes:      size,
-		SentAt:     sentAt,
-		AckedAt:    now,
-		RTT:        rtt,
-		QueueDelay: qd,
-		Inflight:   s.inflight,
-		Delivered:  delivered,
+		Bytes:     size,
+		SentAt:    sentAt,
+		AckedAt:   now,
+		RTT:       rtt,
+		Inflight:  s.inflight,
+		Delivered: delivered,
 	}
 	s.cc.OnAck(ai)
 	if s.OnAckHook != nil {

@@ -279,7 +279,7 @@ func TestAckInfoFields(t *testing.T) {
 			t.Fatal("Delivered went backwards")
 		}
 		lastDel = a.Delivered
-		if a.Bytes <= 0 || a.QueueDelay < 0 {
+		if a.Bytes <= 0 {
 			t.Fatalf("bad ack: %+v", a)
 		}
 	}

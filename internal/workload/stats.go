@@ -16,7 +16,6 @@ type Stats struct {
 	fctMs  stats.Welford          // flow completion time, ms
 	fctRes *metrics.DelayRecorder // reservoir of FCTs for percentiles, ms
 	rates  metrics.OnlineJain     // per-flow mean rate (bits/s) at completion
-	sizes  stats.Welford          // completed flow sizes, bytes
 
 	started, completed, capped int
 	bytes                      float64 // delivered by completed flows
@@ -66,7 +65,6 @@ func (st *Stats) flowCompleted(now sim.Time, size int, fct sim.Time, elastic boo
 	st.completed++
 	st.activeNow--
 	st.bytes += float64(size)
-	st.sizes.Add(float64(size))
 	st.fctMs.Add(fct.Millis())
 	st.fctRes.Add(fct)
 	if fct > 0 {
@@ -100,8 +98,6 @@ type Summary struct {
 	// FCT statistics over completed flows, milliseconds; percentiles
 	// come from the reservoir sample.
 	FCTMeanMs, FCTP50Ms, FCTP95Ms float64
-	// MeanSizeBytes is the mean completed-flow size.
-	MeanSizeBytes float64
 	// Jain is Jain's fairness index over per-flow mean rates
 	// (size/FCT) at completion — fairness across the session population,
 	// complementing the long-lived flows' share-based index.
@@ -115,13 +111,12 @@ type Summary struct {
 func (st *Stats) Snapshot(end sim.Time) Summary {
 	st.tick(end)
 	sm := Summary{
-		Started:       st.started,
-		Completed:     st.completed,
-		Capped:        st.capped,
-		MaxActive:     st.maxActive,
-		MeanSizeBytes: st.sizes.Mean(),
-		FCTMeanMs:     st.fctMs.Mean(),
-		Jain:          st.rates.Index(),
+		Started:   st.started,
+		Completed: st.completed,
+		Capped:    st.capped,
+		MaxActive: st.maxActive,
+		FCTMeanMs: st.fctMs.Mean(),
+		Jain:      st.rates.Index(),
 	}
 	if end > 0 {
 		sm.AggMbps = st.bytes * 8 / end.Seconds() / 1e6

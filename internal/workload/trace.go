@@ -24,7 +24,6 @@ type SessionArrival struct {
 // load a Poisson model can't — flash crowds, diurnal ramps, measured
 // packet captures reduced to (start, bytes) pairs.
 type SessionTrace struct {
-	Name     string
 	Arrivals []SessionArrival
 }
 
@@ -37,7 +36,7 @@ const maxTraceLines = 1 << 20
 // an optional "time_ms,bytes" header. Times must be non-negative and
 // non-decreasing; sizes must be positive. name labels errors.
 func ParseSessionTrace(name string, data []byte) (*SessionTrace, error) {
-	tr := &SessionTrace{Name: name}
+	tr := &SessionTrace{}
 	lastMs := -1.0
 	for ln, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
