@@ -5,38 +5,20 @@
 // frequencies can be tested at once; they are analyzed in parallel on
 // -workers cores.
 //
-// Instead of stdin, -link-trace resamples a capacity trace (an embedded
-// netem trace name or a time_ms,mbps file) at -interval and analyzes
-// that — a quick check of whether a path's rate variation itself looks
-// elastic to the detector. -topology does the same for a topology spec's
-// bottleneck link: "elasticity -topology 'bn(48mbps,pattern=step:6:24:2000)'"
-// analyzes the bottleneck hop's scheduled capacity signal (the spec's
-// bottleneck needs an absolute rate, since there is no scenario to
-// inherit one from). -churn simulates a session-arrival workload
-// (internal/workload) on the standard bottleneck and analyzes its
-// aggregate delivered rate — what churning Internet traffic actually
-// looks like to the detector. -fluid does the same for a fluid-model
-// aggregate (internal/crosstraffic.Fluid): "elasticity -fluid cubic:24"
-// simulates the rate process alone on the standard bottleneck and
-// analyzes its delivered rate, a direct check that the fluid
-// approximation still shows the detector the signature the per-packet
-// source would (elastic aggregates self-congest into a sawtooth).
+// It analyzes a series and nothing else. To ask the detector about a
+// capacity trace, a topology, a session workload or a fluid aggregate,
+// run the scenario with the pulser present: nimbus-sim -scheme nimbus
+// with -link-trace, -topology, -churn, or -cross cubic -fluid on.
 //
-// The -list flag every CLI in this repo shares is available here too:
-// "-list traces" (embedded capacity traces for -link-trace), "-list
-// topologies" (topology presets for -topology), "-list schemes" (the
-// scheme registry), "-list experiments" (paper experiment ids, runnable
-// with nimbus-bench -run), or several at once, comma-separated.
+// The -list option every CLI in this repo shares is available here too:
+// "-list schemes", "-list traces", "-list topologies", "-list
+// experiments", or several at once, comma-separated.
 //
 // Usage:
 //
 //	elasticity -fp 5 -interval 10ms < zseries.csv
 //	elasticity -fp 5,2,1 -workers 4 < zseries.csv
-//	elasticity -fp 5 -link-trace cell-ramp -trace-dur 60s
-//	elasticity -fp 5 -topology 'access(100mbps,5ms)->bn(48mbps,pattern=ramp:12:48:8000)'
-//	elasticity -fp 5 -churn "bulk(load=24)" -trace-dur 60s
-//	elasticity -fp 5 -fluid cubic:24 -trace-dur 60s
-//	elasticity -list traces
+//	elasticity -list schemes
 package main
 
 import (
@@ -52,13 +34,16 @@ import (
 	"time"
 
 	"nimbus/internal/core"
-	"nimbus/internal/crosstraffic"
 	"nimbus/internal/exp"
-	"nimbus/internal/netem"
+	"nimbus/internal/fft"
 	"nimbus/internal/runner"
 	"nimbus/internal/sim"
-	"nimbus/internal/workload"
 )
+
+// maxWindowSamples bounds the FFT window in samples (131x the paper's
+// 500), so a tiny -interval is a usage error rather than an allocation
+// the machine cannot make.
+const maxWindowSamples = 1 << 16
 
 func main() {
 	var (
@@ -67,11 +52,6 @@ func main() {
 		window   = flag.Duration("window", 5*time.Second, "FFT window")
 		thresh   = flag.Float64("threshold", 2, "elasticity threshold")
 		workers  = flag.Int("workers", 0, "parallel analyses (0 = all cores)")
-		trace    = flag.String("link-trace", "", "analyze a capacity trace (embedded name or time_ms,mbps file) instead of stdin")
-		topo     = flag.String("topology", "", "analyze a topology spec's bottleneck-link capacity signal instead of stdin (the bottleneck needs an absolute rate)")
-		churn    = flag.String("churn", "", "analyze the aggregate delivered rate of a simulated session workload (a workload spec like bulk(load=24)) instead of stdin")
-		fluid    = flag.String("fluid", "", "analyze the delivered rate of a fluid-model aggregate (kind[:rateMbps], e.g. cubic:24) on the standard bottleneck instead of stdin")
-		traceDur = flag.Duration("trace-dur", 60*time.Second, "how much signal to generate with -link-trace/-topology/-churn/-fluid")
 
 		list = flag.String("list", "", exp.ListUsage)
 	)
@@ -80,11 +60,15 @@ func main() {
 		return
 	}
 
-	if err := checkDurations(*interval, *window, *traceDur); err != nil {
+	if err := checkDurations(*interval, *window); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	freqs, err := parseFreqs(*fps, *interval)
+	if err := checkThreshold(*thresh); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	freqs, err := parseFreqs(*fps, *interval, *window)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -95,28 +79,7 @@ func main() {
 		Threshold:      *thresh,
 	}
 
-	sources := 0
-	for _, s := range []string{*trace, *topo, *churn, *fluid} {
-		if s != "" {
-			sources++
-		}
-	}
-	var samples []float64
-	switch {
-	case sources > 1:
-		fmt.Fprintln(os.Stderr, "pick one of -link-trace, -topology, -churn and -fluid")
-		os.Exit(2)
-	case *trace != "":
-		samples, err = traceSamples(*trace, cfg.SampleInterval, sim.FromDuration(*traceDur))
-	case *topo != "":
-		samples, err = topoSamples(*topo, cfg.SampleInterval, sim.FromDuration(*traceDur))
-	case *churn != "":
-		samples, err = churnSamples(*churn, cfg.SampleInterval, sim.FromDuration(*traceDur))
-	case *fluid != "":
-		samples, err = fluidSamples(*fluid, cfg.SampleInterval, sim.FromDuration(*traceDur))
-	default:
-		samples, err = readSamples(os.Stdin)
-	}
+	samples, err := readSamples(os.Stdin)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -163,130 +126,6 @@ func report(fp, eta, thresh float64) {
 	fmt.Printf("eta(fp=%.1fHz) = %.3f  threshold = %.1f  =>  %s\n", fp, eta, thresh, class)
 }
 
-// traceSamples resamples a rate schedule at the detector's interval.
-func traceSamples(nameOrPath string, interval, dur sim.Time) ([]float64, error) {
-	s, err := netem.LoadTrace(nameOrPath)
-	if err != nil {
-		return nil, err
-	}
-	var out []float64
-	for t := sim.Time(0); t < dur; t += interval {
-		out = append(out, s.RateAt(t))
-	}
-	return out, nil
-}
-
-// topoSamples resamples a topology spec's bottleneck-link capacity
-// schedule (its pattern anchored at its absolute rate, or the constant
-// rate) at the detector's interval.
-func topoSamples(topoSpec string, interval, dur sim.Time) ([]float64, error) {
-	ts, err := netem.ParseTopology(topoSpec)
-	if err != nil {
-		return nil, err
-	}
-	// There is no scenario here, so resolve the bottleneck at a zero
-	// nominal rate: all-absolute chains order correctly (the slowest
-	// link wins), and any scale- or inherit-rate link resolves to 0,
-	// gets picked, and lands in the no-absolute-rate error below.
-	bn := ts.LinkByName(ts.BottleneckAt(0))
-	if bn.RateMbps <= 0 {
-		return nil, fmt.Errorf("topology %q: bottleneck link %q has no absolute rate to analyze; give one, e.g. %s(48mbps)",
-			topoSpec, bn.Name, bn.Name)
-	}
-	sched := netem.ConstantRate(bn.RateMbps * 1e6)
-	if bn.Pattern != "" {
-		sched, err = netem.ParsePattern(bn.Pattern, bn.RateMbps*1e6)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var out []float64
-	for t := sim.Time(0); t < dur; t += interval {
-		out = append(out, sched.RateAt(t))
-	}
-	return out, nil
-}
-
-// churnSamples simulates a session workload (internal/workload) alone on
-// the standard 96 Mbit/s bottleneck and samples its aggregate delivered
-// rate at the detector's interval — the measurement use of the detector
-// against realistic churning traffic rather than a synthetic series.
-func churnSamples(churnSpec string, interval, dur sim.Time) ([]float64, error) {
-	wsp, err := workload.ParseSpec(churnSpec)
-	if err != nil {
-		return nil, err
-	}
-	r := exp.NewRig(exp.NetConfig{
-		RateMbps: 96, RTT: 50 * sim.Millisecond, Buffer: 100 * sim.Millisecond,
-		Seed: 1,
-	})
-	var bytes float64
-	gen := &workload.Generator{
-		Net: r.Net, Rng: r.Rng.Split("churn"), Spec: wsp,
-		RTT: 50 * sim.Millisecond, MuBps: r.MuBps,
-		OnDeliver: func(p *netem.Packet, now sim.Time) { bytes += float64(p.Size) },
-	}
-	if err := gen.Start(0); err != nil {
-		return nil, err
-	}
-	var out []float64
-	var sample func()
-	sample = func() {
-		out = append(out, bytes*8/interval.Seconds())
-		bytes = 0
-		if r.Sch.Now()+interval <= dur {
-			r.Sch.AfterFunc(interval, sample)
-		}
-	}
-	r.Sch.AfterFunc(interval, sample)
-	r.Sch.RunUntil(dur)
-	return out, nil
-}
-
-// fluidSamples simulates a fluid-model aggregate (crosstraffic.Fluid)
-// alone on the standard 96 Mbit/s bottleneck and samples its delivered
-// rate at the detector's interval — the fluid counterpart of -churn,
-// checking the rate-process approximation shows the detector the same
-// elastic/inelastic signature as the packet source it replaces. The
-// spec is kind[:rateMbps]; an elastic kind (cubic, reno) defaults to
-// no target rate and grows until it self-congests.
-func fluidSamples(spec string, interval, dur sim.Time) ([]float64, error) {
-	kind, rateMbps := spec, 0.0
-	if i := strings.IndexByte(spec, ':'); i >= 0 {
-		kind = spec[:i]
-		v, err := strconv.ParseFloat(spec[i+1:], 64)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("-fluid: bad rate in %q (want kind[:rateMbps], e.g. cubic:24)", spec)
-		}
-		rateMbps = v
-	}
-	const rtt = 50 * sim.Millisecond
-	r := exp.NewRig(exp.NetConfig{
-		RateMbps: 96, RTT: rtt, Buffer: 100 * sim.Millisecond,
-		Seed: 1, Fluid: "on",
-	})
-	fsp, _ := crosstraffic.ParseFluidSpec("on")
-	src, err := crosstraffic.NewFluid(r.Net, "", kind, rateMbps*1e6, rtt, fsp, r.Rng.Split("fluid-"+kind))
-	if err != nil {
-		return nil, fmt.Errorf("-fluid: %w", err)
-	}
-	src.Start(0)
-	var out []float64
-	var last float64
-	var sample func()
-	sample = func() {
-		delivered, _ := r.Link.FluidStats()
-		out = append(out, (delivered-last)*8/interval.Seconds())
-		last = delivered
-		if r.Sch.Now()+interval <= dur {
-			r.Sch.AfterFunc(interval, sample)
-		}
-	}
-	r.Sch.AfterFunc(interval, sample)
-	r.Sch.RunUntil(dur)
-	return out, nil
-}
-
 // readSamples reads one value per line ("rate" or "t,rate"), skipping
 // blank lines, '#' comments and, with a message, lines that are not a
 // finite number.
@@ -315,26 +154,44 @@ func readSamples(r io.Reader) ([]float64, error) {
 	return out, sc.Err()
 }
 
-// checkDurations rejects a sample interval, FFT window or generated
-// signal length that is not positive: a zero interval never advances the
-// resampling loops.
-func checkDurations(interval, window, traceDur time.Duration) error {
+// checkDurations rejects a sample interval or FFT window that is not
+// positive, and a window of more than maxWindowSamples samples, before
+// any detector allocates one.
+func checkDurations(interval, window time.Duration) error {
 	for _, f := range []struct {
 		name string
 		v    time.Duration
-	}{{"-interval", interval}, {"-window", window}, {"-trace-dur", traceDur}} {
+	}{{"-interval", interval}, {"-window", window}} {
 		if f.v <= 0 {
 			return fmt.Errorf("%s must be > 0, got %v", f.name, f.v)
 		}
+	}
+	if n := window / interval; n > maxWindowSamples {
+		return fmt.Errorf("-window %v at a %v -interval is %d samples, over the bound of %d", window, interval, n, maxWindowSamples)
+	}
+	return nil
+}
+
+// checkThreshold rejects an η threshold that is not finite and positive:
+// the detector would replace it with its default while the verdicts
+// compared against the raw value.
+func checkThreshold(v float64) error {
+	if !(v > 0) || math.IsInf(v, 0) {
+		return fmt.Errorf("-threshold must be finite and > 0, got %v", v)
 	}
 	return nil
 }
 
 // parseFreqs parses -fp's comma-separated pulse frequencies. Each must be
-// finite and positive, and Eq. 3's band (fp, 2fp) must fit below the
-// Nyquist frequency of samples taken every interval: 2·fp <= 1/(2·interval).
-func parseFreqs(s string, interval time.Duration) ([]float64, error) {
+// finite and positive, Eq. 3's band (fp, 2fp) must fit below the Nyquist
+// frequency of samples taken every interval (2·fp <= 1/(2·interval)), and
+// at least one bin of a window's transform must lie in the denominator
+// band, else η reads its cap whatever the series.
+func parseFreqs(s string, interval, window time.Duration) ([]float64, error) {
 	nyquist := 1 / (2 * interval.Seconds())
+	// core.NewDetector's window and transform size; core.newBand's bins.
+	size := fft.NextPow2(max(int(window/interval), 8))
+	res := 1 / sim.FromDuration(interval).Seconds() / float64(size)
 	var out []float64
 	for _, p := range strings.Split(s, ",") {
 		p = strings.TrimSpace(p)
@@ -351,10 +208,24 @@ func parseFreqs(s string, interval time.Duration) ([]float64, error) {
 		if 2*v > nyquist {
 			return nil, fmt.Errorf("-fp: frequency %q: its band (fp, 2fp) must fit below the %g Hz Nyquist frequency of a %v interval", p, nyquist, interval)
 		}
+		if !denominatorHasBin(v, res, size/2+1) {
+			return nil, fmt.Errorf("-fp: frequency %q: no bin of a %v -window (%.3g Hz apart) lies in its η denominator band; widen -window", p, window, res)
+		}
 		out = append(out, v)
 	}
 	if len(out) == 0 {
 		return nil, errors.New("-fp: no frequencies given")
 	}
 	return out, nil
+}
+
+// denominatorHasBin reports whether any of nbins bins res Hz apart
+// passes core.newBand's denominator test for fp.
+func denominatorHasBin(fp, res float64, nbins int) bool {
+	for k := 0; k < nbins; k++ {
+		if f := float64(k) * res; f > fp+2*res && f < 2*fp-res {
+			return true
+		}
+	}
+	return false
 }

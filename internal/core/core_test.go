@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -270,6 +271,43 @@ func TestDetectorSyntheticInelastic(t *testing.T) {
 	eta := d.Elasticity(5)
 	if eta >= 2 {
 		t.Fatalf("white-noise eta = %v, want < 2", eta)
+	}
+}
+
+// TestDetectorNullDistribution pins η's distribution under the null: a
+// cross-traffic series with no oscillation at all (48 ± 6 Mbit/s white
+// noise), read at fp = 5 Hz once per full window over 4000 consecutive
+// windows. At math/rand seed 1 the mean is 0.691, 11.1 % of windows read
+// η >= 1 and 1 of 4000 reaches the default threshold of 2 (max 2.054).
+func TestDetectorNullDistribution(t *testing.T) {
+	const windows = 4000
+	d := NewDetector(DetectorConfig{})
+	rng := rand.New(rand.NewSource(1))
+	var sum float64
+	var overOne, overThresh int
+	for w := 0; w < windows; w++ {
+		for i := 0; i < d.WindowSamples(); i++ {
+			d.AddSample(48e6 + 6e6*rng.NormFloat64())
+		}
+		eta := d.Elasticity(5)
+		sum += eta
+		if eta >= 1 {
+			overOne++
+		}
+		if eta >= 2 {
+			overThresh++
+		}
+	}
+	mean, pOne := sum/windows, float64(overOne)/windows
+	t.Logf("mean η %.3f, P(η >= 1) %.3f, %d of %d windows at η >= 2", mean, pOne, overThresh, windows)
+	if mean < 0.6 || mean > 0.8 {
+		t.Errorf("mean η %.3f under the null, want within [0.6, 0.8]", mean)
+	}
+	if pOne < 0.08 || pOne > 0.15 {
+		t.Errorf("P(η >= 1) %.3f under the null, want within [0.08, 0.15]", pOne)
+	}
+	if overThresh > 2 {
+		t.Errorf("%d of %d white-noise windows read η >= 2, want at most 2", overThresh, windows)
 	}
 }
 

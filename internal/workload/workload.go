@@ -67,9 +67,6 @@ type Generator struct {
 	// Stats receives the streaming per-flow measurements; NewStats is
 	// used when nil.
 	Stats *Stats
-	// OnDeliver, when non-nil, observes every session-flow packet
-	// delivery (for feeding rate meters or detectors).
-	OnDeliver func(p *netem.Packet, now sim.Time)
 	// Sizes, when non-nil, replaces the bulk model's bounded-Pareto
 	// flow sizes (the WAN-trace cross traffic sets HeavyTailedSizes).
 	Sizes Sampler
@@ -248,7 +245,6 @@ func (g *Generator) spawnFlow(size int) {
 	sf := &sessionFlow{size: size, started: now, elastic: size > ElasticThresholdBytes}
 	src := transport.NewFiniteFlow(size, func(done sim.Time) { g.finish(sf, done) })
 	sf.sender = transport.NewSenderOn(g.Net, g.Route, g.RTT, ctrl, src, g.Rng.Split("sess"))
-	sf.sender.OnDeliverHook = g.OnDeliver
 	g.active[sf.sender.ID()] = sf
 	g.Stats.flowStarted(now, sf.elastic)
 	sf.sender.Start(now)

@@ -9,6 +9,11 @@
 #   - And the reverse: every "-flagname" token in README.md or docs/*.md
 #     must be a flag some cmd/*/main.go defines (or one of go test's own,
 #     allow-listed below), so a deleted flag cannot survive in prose.
+#   - Per binary: on a line that invokes cmd/<bin> or starts with
+#     "<bin> -" (also at the start of a code span), every flag of that
+#     command must be one cmd/<bin>/main.go defines, so a flag deleted
+#     from one binary cannot survive on its command line because another
+#     binary defines a flag of the same name.
 #   - Every experiment family in exp.Families (internal/exp/registry.go)
 #     must have a "## family" section in docs/experiments.md.
 #   - Every HTTP route the service daemon registers (internal/svc/server.go)
@@ -30,7 +35,8 @@ fail=0
 
 # --- every CLI flag is documented ------------------------------------
 
-flags=$(grep -hoE 'flag\.(String|Bool|Int|Int64|Uint|Float64|Duration)\("[^"]+"' cmd/*/main.go |
+flagdef='flag\.(String|Bool|Int|Int64|Uint|Float64|Duration)\("[^"]+"'
+flags=$(grep -hoE "$flagdef" cmd/*/main.go |
     sed -E 's/.*\("([^"]+)".*/\1/' | sort -u || true)
 if [ -z "$flags" ]; then
     echo "check_docs: found no flag definitions under cmd/ — extraction broken?" >&2
@@ -68,6 +74,40 @@ for f in $mentioned; do
 done
 n=$(echo "$mentioned" | wc -l)
 echo "check_docs: $n documented flag names checked against cmd/*/main.go"
+
+# --- each invocation uses its own binary's flags ----------------------
+
+# A command runs from the binary's name to the first pipe, ';', '&&',
+# closing backtick or '#' comment; its flag tokens are matched as above.
+lines=0
+for main in cmd/*/main.go; do
+    bin=$(basename "$(dirname "$main")")
+    own=" $(grep -hoE "$flagdef" "$main" | sed -E 's/.*\("([^"]+)".*/\1/' | tr '\n' ' ') $gotest "
+    out=$(awk -v bin="$bin" -v own="$own" '
+        match($0, "cmd/" bin "([^a-z0-9-]|$)") || match($0, "(^[[:space:]]*|`)" bin " -") {
+            lines++
+            cmd = substr($0, RSTART + RLENGTH - 1)
+            for (i = 1; i <= 4; i++) {
+                d = substr("|;`#", i, 1)
+                if (j = index(cmd, d)) cmd = substr(cmd, 1, j - 1)
+            }
+            if (j = index(cmd, "&&")) cmd = substr(cmd, 1, j - 1)
+            while (match(cmd, /(^|[[:space:]"\047(\/[])-[a-z][a-z0-9-]+/)) {
+                tok = substr(cmd, RSTART, RLENGTH)
+                sub(/^[^-]*-/, "", tok)
+                if (index(own, " " tok " ") == 0)
+                    printf "check_docs: FAIL — %s:%d: %s has no -%s flag\n", FILENAME, FNR, bin, tok
+                cmd = substr(cmd, RSTART + RLENGTH)
+            }
+        }
+        END { print lines + 0 }' $docs)
+    if [ -n "$(echo "$out" | sed '$d')" ]; then
+        echo "$out" | sed '$d' >&2
+        fail=1
+    fi
+    lines=$((lines + $(echo "$out" | tail -n 1)))
+done
+echo "check_docs: $lines command lines checked against their own binary's flags"
 
 # --- every experiment family has a docs section ----------------------
 
