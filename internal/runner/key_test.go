@@ -2,6 +2,8 @@ package runner
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -150,4 +152,130 @@ func TestKeyDistinguishesNewAxes(t *testing.T) {
 		}
 		keys[k] = fmt.Sprintf("%+v", sc)
 	}
+}
+
+// fmtKey is Key() as it was spelt with fmt.Sprintf: the reference the
+// appending encoder must match byte for byte, since a key names a
+// derived seed and a cached result.
+func fmtKey(s Scenario) string {
+	key := fmt.Sprintf("rate=%g/trace=%s/pattern=%s/rtt=%g/buf=%g/aqm=%s/pie=%g/scheme=%s/cross=%s:%g@%g/dur=%g/seed=%d",
+		s.RateMbps, s.LinkTrace, s.RatePattern, s.RTTms, s.BufferMs, s.AQM, s.PIETargetMs, s.Scheme,
+		s.Cross, s.CrossRateMbps, s.CrossRTTms, s.DurationSec, s.Seed)
+	if s.FlowMix != "" {
+		key += "/flows=" + s.FlowMix
+	}
+	if s.Topology != "" {
+		key += "/topo=" + s.Topology
+	}
+	if s.Churn != "" {
+		key += "/churn=" + s.Churn
+	}
+	if s.FluidCross != "" {
+		key += "/fluid=" + s.FluidCross
+	}
+	return key
+}
+
+// fmtCacheKey is CacheKey(v) as it was spelt with fmt.Sprintf.
+func fmtCacheKey(s Scenario, v string) string {
+	return fmt.Sprintf("%s/%d/%s", fmtKey(s), s.EffectiveSeed(), v)
+}
+
+// specialFloats are the values whose spelling differs most between
+// formatters: signed zero, infinities, NaN, the switch to an exponent,
+// the smallest subnormal and the largest finite float.
+var specialFloats = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	1e21, 1e20, 1e-5, 1e-4, 5e-324, math.MaxFloat64, -math.MaxFloat64,
+	math.SmallestNonzeroFloat64 * 3, 0.1, 123.456, 96, -48.5, 1 << 53,
+}
+
+// randomScenario fills every keyed field of a scenario from rng: floats
+// from specialFloats or random bit patterns and magnitudes, seeds of
+// either sign, and each optional string set or empty.
+func randomScenario(rng *rand.Rand) Scenario {
+	f := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return specialFloats[rng.Intn(len(specialFloats))]
+		case 1:
+			return math.Float64frombits(rng.Uint64())
+		case 2:
+			return float64(rng.Intn(2000)) / 4
+		}
+		return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(60)-30))
+	}
+	str := func(vals ...string) string { return vals[rng.Intn(len(vals))] }
+	sc := Scenario{
+		RateMbps: f(), RTTms: f(), BufferMs: f(), PIETargetMs: f(),
+		CrossRateMbps: f(), CrossRTTms: f(), DurationSec: f(),
+		LinkTrace:   str("", "cell-ramp", "/tmp/a b.trace"),
+		RatePattern: str("", "step:6:24:2000"),
+		AQM:         str("", "pie", "codel"),
+		Scheme:      scheme.MustParse(str("nimbus", "copa(delta=0.1)", "nimbus(pulse=0.25,mu=est)")),
+		Cross:       str("", "poisson", "cbr"),
+		FlowMix:     str("", "nimbus*2+cubic@10"),
+		Topology:    str("", "parking-lot", "access(x4,5ms)->bn"),
+		Churn:       str("", "bulk(load=24)"),
+		FluidCross:  str("", "on", "dt=5ms"),
+		Seed:        rng.Int63() - rng.Int63(),
+	}
+	if rng.Intn(2) == 0 {
+		sc.Scheme = scheme.Spec{}
+	}
+	if rng.Intn(2) == 0 {
+		sc.RunSeed = rng.Int63() - rng.Int63()
+	}
+	return sc
+}
+
+// TestScenarioKeyMatchesFmt holds Key() and CacheKey(v) to their
+// fmt.Sprintf spelling over random scenarios and every special float in
+// every float field: a one-byte drift would move every derived seed and
+// every cache entry.
+func TestScenarioKeyMatchesFmt(t *testing.T) {
+	check := func(sc Scenario) {
+		t.Helper()
+		if got, want := sc.Key(), fmtKey(sc); got != want {
+			t.Fatalf("Key() = %q\nfmt spelling %q", got, want)
+		}
+		for _, v := range []string{"", "test-v1"} {
+			if got, want := sc.CacheKey(v), fmtCacheKey(sc, v); got != want {
+				t.Fatalf("CacheKey(%q) = %q\nfmt spelling %q", v, got, want)
+			}
+		}
+	}
+	check(Scenario{})
+	for _, x := range specialFloats {
+		check(Scenario{RateMbps: x, RTTms: x, BufferMs: x, PIETargetMs: x,
+			CrossRateMbps: x, CrossRTTms: x, DurationSec: x, Seed: -1, RunSeed: math.MinInt64})
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		check(randomScenario(rng))
+	}
+}
+
+// FuzzScenarioKey compares Key() and CacheKey(v) with their fmt.Sprintf
+// spelling on arbitrary floats, seeds and strings.
+func FuzzScenarioKey(f *testing.F) {
+	for i, x := range specialFloats {
+		f.Add(x, specialFloats[(i+1)%len(specialFloats)], int64(i)-5, int64(-i), "nimbus", "parking-lot", "test-v1")
+	}
+	f.Add(1e21, 5e-324, int64(math.MinInt64), int64(math.MaxInt64), "", "", "")
+	f.Fuzz(func(t *testing.T, a, b float64, seed, runSeed int64, cross, topo, version string) {
+		sc := Scenario{
+			RateMbps: a, RTTms: b, BufferMs: a * b, PIETargetMs: -a,
+			CrossRateMbps: b / 3, CrossRTTms: a + b, DurationSec: b,
+			Cross: cross, Topology: topo, Churn: cross, FlowMix: topo, FluidCross: version,
+			AQM: topo, LinkTrace: cross, RatePattern: version,
+			Seed: seed, RunSeed: runSeed,
+		}
+		if got, want := sc.Key(), fmtKey(sc); got != want {
+			t.Fatalf("Key() = %q\nfmt spelling %q", got, want)
+		}
+		if got, want := sc.CacheKey(version), fmtCacheKey(sc, version); got != want {
+			t.Fatalf("CacheKey(%q) = %q\nfmt spelling %q", version, got, want)
+		}
+	})
 }

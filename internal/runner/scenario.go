@@ -138,24 +138,63 @@ func (s Scenario) EffectiveSeed() int64 {
 // enforces that invariant by reflection — adding a field without
 // extending Key (or the test's exemption list) fails the build.
 func (s Scenario) Key() string {
-	key := fmt.Sprintf("rate=%g/trace=%s/pattern=%s/rtt=%g/buf=%g/aqm=%s/pie=%g/scheme=%s/cross=%s:%g@%g/dur=%g/seed=%d",
-		s.RateMbps, s.LinkTrace, s.RatePattern, s.RTTms, s.BufferMs, s.AQM, s.PIETargetMs, s.Scheme,
-		s.Cross, s.CrossRateMbps, s.CrossRTTms, s.DurationSec, s.Seed)
+	var buf [keyBuf]byte
+	return string(s.appendKey(buf[:0]))
+}
+
+// keyBuf is the stack buffer a key is built in: room for a typical
+// cache key, which only a long spec string outgrows.
+const keyBuf = 256
+
+// appendKey appends Key() to b. Floats are spelt as fmt's %g spells them
+// (strconv's shortest 'g' form) and the seed as %d, the spelling every
+// derived seed and cache entry was made with.
+func (s Scenario) appendKey(b []byte) []byte {
+	b = append(b, "rate="...)
+	b = strconv.AppendFloat(b, s.RateMbps, 'g', -1, 64)
+	b = append(b, "/trace="...)
+	b = append(b, s.LinkTrace...)
+	b = append(b, "/pattern="...)
+	b = append(b, s.RatePattern...)
+	b = append(b, "/rtt="...)
+	b = strconv.AppendFloat(b, s.RTTms, 'g', -1, 64)
+	b = append(b, "/buf="...)
+	b = strconv.AppendFloat(b, s.BufferMs, 'g', -1, 64)
+	b = append(b, "/aqm="...)
+	b = append(b, s.AQM...)
+	b = append(b, "/pie="...)
+	b = strconv.AppendFloat(b, s.PIETargetMs, 'g', -1, 64)
+	b = append(b, "/scheme="...)
+	b = append(b, s.Scheme.String()...)
+	b = append(b, "/cross="...)
+	b = append(b, s.Cross...)
+	b = append(b, ':')
+	b = strconv.AppendFloat(b, s.CrossRateMbps, 'g', -1, 64)
+	b = append(b, '@')
+	b = strconv.AppendFloat(b, s.CrossRTTms, 'g', -1, 64)
+	b = append(b, "/dur="...)
+	b = strconv.AppendFloat(b, s.DurationSec, 'g', -1, 64)
+	b = append(b, "/seed="...)
+	b = strconv.AppendInt(b, s.Seed, 10)
 	// Appended only when set, so every pre-existing scenario keeps its
 	// exact key (and therefore its derived seed and results).
 	if s.FlowMix != "" {
-		key += "/flows=" + s.FlowMix
+		b = append(b, "/flows="...)
+		b = append(b, s.FlowMix...)
 	}
 	if s.Topology != "" {
-		key += "/topo=" + s.Topology
+		b = append(b, "/topo="...)
+		b = append(b, s.Topology...)
 	}
 	if s.Churn != "" {
-		key += "/churn=" + s.Churn
+		b = append(b, "/churn="...)
+		b = append(b, s.Churn...)
 	}
 	if s.FluidCross != "" {
-		key += "/fluid=" + s.FluidCross
+		b = append(b, "/fluid="...)
+		b = append(b, s.FluidCross...)
 	}
-	return key
+	return b
 }
 
 // CacheKey returns the content address of this scenario's result for a
@@ -176,7 +215,13 @@ func (s Scenario) Key() string {
 //
 // TestCacheKeyCoversEveryField pins this composition by reflection.
 func (s Scenario) CacheKey(codeVersion string) string {
-	return fmt.Sprintf("%s/%d/%s", s.Key(), s.EffectiveSeed(), codeVersion)
+	var buf [keyBuf]byte
+	b := s.appendKey(buf[:0])
+	b = append(b, '/')
+	b = strconv.AppendInt(b, s.EffectiveSeed(), 10)
+	b = append(b, '/')
+	b = append(b, codeVersion...)
+	return string(b)
 }
 
 // Cross pairs a cross-traffic kind with its offered rate for sweeps.

@@ -3,9 +3,11 @@ package svc
 import (
 	"context"
 	"io"
+	"net/http"
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,13 +25,27 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
+// countingTransport counts the requests a client sends.
+type countingTransport struct {
+	base http.RoundTripper
+	n    atomic.Int64
+}
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return c.base.RoundTrip(r)
+}
+
 // BenchmarkWarmJob is one resubmission of a cached 6-cell grid per op
 // through an httptest daemon: submit, stream the events, fetch the raw
 // results — the memory-tier hit path a warm nimbus-svc serves. Client and
 // daemon share the process, so allocs/op and B/op count both sides.
-// retained-B/job is what each finished job adds to the live heap.
+// retained-B/job is what each finished job adds to the live heap, and
+// requests/job the HTTP requests each job sends.
 func BenchmarkWarmJob(b *testing.B) {
 	client, _ := newTestServer(b, stubRun)
+	tr := &countingTransport{base: http.DefaultTransport}
+	client.HTTP = &http.Client{Transport: tr}
 	ctx := context.Background()
 	g := smallGrid()
 	g.RatesMbps = []float64{24, 48, 96}
@@ -47,6 +63,7 @@ func BenchmarkWarmJob(b *testing.B) {
 	}
 	job() // the cold job fills the cache
 	before := liveHeap()
+	tr.n.Store(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -55,6 +72,7 @@ func BenchmarkWarmJob(b *testing.B) {
 	b.StopTimer()
 	after := liveHeap()
 	b.ReportMetric(float64(int64(after)-int64(before))/float64(b.N), "retained-B/job")
+	b.ReportMetric(float64(tr.n.Load())/float64(b.N), "requests/job")
 }
 
 // BenchmarkReplayFinished restarts a daemon over a journal of 1 000

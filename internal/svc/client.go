@@ -264,6 +264,13 @@ func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
 // runner.Progress would print locally, tagged with each cell's cache
 // outcome.
 //
+// A stream the daemon ran to the job's end carries the job's terminal
+// state in its trailer, and StreamEvents returns on it. A stream that
+// ends cleanly without one (an older daemon, a proxy that strips
+// trailers, a crashing daemon closing the socket after a complete line)
+// says nothing about the job: StreamEvents then asks for the job's
+// status and returns only on a terminal state.
+//
 // With Retry set the stream self-heals: only complete lines are written
 // to w, the client counts them, and when the connection drops (daemon
 // restart, network blip) it reconnects with ?from=<count> so the daemon
@@ -276,16 +283,15 @@ func (c *Client) StreamEvents(ctx context.Context, id string, w io.Writer) error
 	}
 	delivered := 0
 	failures := 0
-	var err error
 	for {
-		var n int
-		n, err = c.streamOnce(ctx, id, delivered, w)
+		n, state, err := c.streamOnce(ctx, id, delivered, w)
 		delivered += n
 		if err == nil {
-			// Clean end of stream. The daemon ends the stream at a terminal
-			// state — but a crashing daemon can also close the socket after
-			// a complete line, which is indistinguishable here. Trust the
-			// status document, not the EOF.
+			if state == JobDone || state == JobCanceled {
+				return nil
+			}
+			// No terminal trailer: trust the status document, not the
+			// EOF.
 			st, serr := c.Status(ctx, id)
 			if serr == nil && st.State != JobRunning {
 				return nil
@@ -313,17 +319,18 @@ func (c *Client) StreamEvents(ctx context.Context, id string, w io.Writer) error
 }
 
 // streamOnce runs one /events connection, emitting only complete lines
-// to w from line offset `from`, and returns how many lines it delivered.
-// A partial trailing line (the connection died mid-line) is discarded —
-// the reconnect re-fetches it whole.
-func (c *Client) streamOnce(ctx context.Context, id string, from int, w io.Writer) (int, error) {
+// to w from line offset `from`, and returns how many lines it delivered
+// and, for a stream read to its end, the state its trailer named ("" if
+// none). A partial trailing line (the connection died mid-line) is
+// discarded — the reconnect re-fetches it whole.
+func (c *Client) streamOnce(ctx context.Context, id string, from int, w io.Writer) (int, JobState, error) {
 	query := ""
 	if from > 0 {
 		query = "?from=" + strconv.Itoa(from)
 	}
 	resp, err := c.open(ctx, http.MethodGet, "/jobs/"+id+"/events", query, nil)
 	if err != nil {
-		return 0, err
+		return 0, "", err
 	}
 	defer resp.Body.Close()
 	n := 0
@@ -332,15 +339,16 @@ func (c *Client) streamOnce(ctx context.Context, id string, from int, w io.Write
 		line, err := br.ReadString('\n')
 		if strings.HasSuffix(line, "\n") {
 			if _, werr := io.WriteString(w, line); werr != nil {
-				return n, werr
+				return n, "", werr
 			}
 			n++
 		}
 		if err != nil {
 			if err == io.EOF {
-				return n, nil
+				// The trailer is read with the body's end.
+				return n, JobState(resp.Trailer.Get(stateTrailer)), nil
 			}
-			return n, err
+			return n, "", err
 		}
 	}
 }

@@ -227,18 +227,19 @@ func (j *Job) Results(ctx context.Context) ([][]byte, error) {
 
 // StreamLog writes the job's event log to emit, skipping the first from
 // lines, then following new lines until the job reaches a terminal state
-// and the log is drained. from=0 streams from the beginning; a resuming
-// client passes the number of lines it already delivered, so the stream
-// neither drops nor duplicates progress lines across a reconnect. Line
-// counts (unlike byte offsets) survive a daemon restart, because a
-// replayed job re-emits the same number of lines even though their text
-// (tags, timings) differs. If from lines have not been emitted yet,
-// StreamLog waits until they are (or the job ends). Lines are rendered
-// here, from the job's line entries and cell records. emit is called
-// without the job lock held and must not keep chunk past the call;
-// returning an error stops the stream (a disconnected client). ctx also
-// stops it.
-func (j *Job) StreamLog(ctx context.Context, from int, emit func(chunk []byte) error) error {
+// and the log is drained, and returns that state. from=0 streams from the
+// beginning; a resuming client passes the number of lines it already
+// delivered, so the stream neither drops nor duplicates progress lines
+// across a reconnect. Line counts (unlike byte offsets) survive a daemon
+// restart, because a replayed job re-emits the same number of lines even
+// though their text (tags, timings) differs. If from lines have not been
+// emitted yet, StreamLog waits until they are (or the job ends). Lines
+// are rendered here, from the job's line entries and cell records. emit
+// is called without the job lock held and must not keep chunk past the
+// call; last is true on the chunk that holds the log's final line (the
+// job had finished when it was rendered). Returning an error from emit
+// stops the stream (a disconnected client). ctx also stops it.
+func (j *Job) StreamLog(ctx context.Context, from int, emit func(chunk []byte, last bool) error) (JobState, error) {
 	stop := context.AfterFunc(ctx, func() {
 		j.mu.Lock()
 		j.cond.Broadcast()
@@ -255,21 +256,21 @@ func (j *Job) StreamLog(ctx context.Context, from int, emit func(chunk []byte) e
 		// Entries and records up to len(lines) are written once, under
 		// the lock, before the line is appended: they are read here
 		// without it.
-		lines, recs := j.lines, j.recs
-		terminal := j.state != JobRunning
+		lines, recs, state := j.lines, j.recs, j.state
 		j.mu.Unlock()
+		terminal := state != JobRunning
 		if next < len(lines) {
 			chunk = j.render(chunk[:0], lines[next:], next, recs)
 			next = len(lines)
-			if err := emit(chunk); err != nil {
-				return err
+			if err := emit(chunk, terminal); err != nil {
+				return state, err
 			}
 		}
 		if err := ctx.Err(); err != nil {
-			return err
+			return state, err
 		}
 		if terminal {
-			return nil
+			return state, nil
 		}
 	}
 }

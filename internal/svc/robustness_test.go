@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -969,5 +970,306 @@ func TestHealthzReadyz(t *testing.T) {
 	srv.SetReady()
 	if got := get("/readyz"); got != http.StatusOK {
 		t.Fatalf("/readyz after SetReady = %d, want 200", got)
+	}
+}
+
+// requestLog records the requests a client sends.
+type requestLog struct {
+	base  http.RoundTripper
+	mu    sync.Mutex
+	paths []string
+}
+
+func (l *requestLog) RoundTrip(r *http.Request) (*http.Response, error) {
+	l.mu.Lock()
+	l.paths = append(l.paths, r.Method+" "+r.URL.Path)
+	l.mu.Unlock()
+	return l.base.RoundTrip(r)
+}
+
+// sent returns the requests recorded since the last call and forgets
+// them.
+func (l *requestLog) sent() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	p := l.paths
+	l.paths = nil
+	return p
+}
+
+// TestFinishedJobCostsThreeRequests: the event stream of a job carries
+// its terminal state in the Nimbus-Job-State trailer, so a job through
+// the client is a submit, one stream and one results fetch, cold or
+// warm: no status request after the stream.
+func TestFinishedJobCostsThreeRequests(t *testing.T) {
+	client, _ := newTestServer(t, stubRun)
+	tr := &requestLog{base: http.DefaultTransport}
+	client.HTTP = &http.Client{Transport: tr}
+	ctx := context.Background()
+	for _, stage := range []string{"cold", "warm"} {
+		created, err := client.Submit(ctx, smallGrid(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := client.StreamEvents(ctx, created.ID, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.RawResults(ctx, created.ID); err != nil {
+			t.Fatal(err)
+		}
+		want := []string{"POST /jobs", "GET /jobs/" + created.ID + "/events", "GET /jobs/" + created.ID + "/results"}
+		if got := tr.sent(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s job sent %q, want %q", stage, got, want)
+		}
+		if n := strings.Count(buf.String(), "\n"); n != created.Total {
+			t.Fatalf("%s job streamed %d lines, want %d", stage, n, created.Total)
+		}
+	}
+
+	// The trailer names the terminal state, done or canceled, and the
+	// body is the progress lines alone.
+	release := make(chan struct{})
+	client2, _ := newTestServer(t, func(sc runner.Scenario) runner.Result {
+		<-release
+		return stubRun(sc)
+	})
+	created, err := client2.Submit(ctx, smallGrid(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client2.Cancel(ctx, created.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	for _, c := range []struct {
+		base, id string
+		state    JobState
+	}{{client.Base, "2", JobDone}, {client2.Base, created.ID, JobCanceled}} {
+		resp, err := http.Get(c.base + "/jobs/" + c.id + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.Trailer.Get(stateTrailer); got != string(c.state) {
+			t.Fatalf("job %s at %s: trailer %s = %q, want %q", c.id, c.base, stateTrailer, got, c.state)
+		}
+		if n := strings.Count(string(body), "\n"); n != 4 || !strings.HasSuffix(string(body), "]\n") {
+			t.Fatalf("job %s body %q, want 4 progress lines", c.id, body)
+		}
+	}
+}
+
+// hideTrailer serves inner with the event stream's trailer removed, the
+// way an older daemon or a proxy that strips trailers answers. With cut
+// set, the first /events response also ends cleanly after one complete
+// line, while the job may still be running. Once the first status
+// request has been answered, it closes released (if not nil).
+type hideTrailer struct {
+	inner    http.Handler
+	cut      bool
+	cutDone  atomic.Bool
+	released chan struct{}
+	once     sync.Once
+}
+
+func (h *hideTrailer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	isStatus := r.Method == http.MethodGet && strings.Count(r.URL.Path, "/") == 2
+	tw := &trailerless{ResponseWriter: w}
+	tw.cut = h.cut && strings.HasSuffix(r.URL.Path, "/events") && h.cutDone.CompareAndSwap(false, true)
+	h.inner.ServeHTTP(tw, r)
+	w.Header().Del("Trailer")
+	w.Header().Del(stateTrailer)
+	if isStatus && h.released != nil {
+		h.once.Do(func() { close(h.released) })
+	}
+}
+
+type trailerless struct {
+	http.ResponseWriter
+	cut bool
+}
+
+func (t *trailerless) WriteHeader(code int) {
+	t.Header().Del("Trailer")
+	t.ResponseWriter.WriteHeader(code)
+}
+
+func (t *trailerless) Write(b []byte) (int, error) {
+	t.Header().Del("Trailer")
+	if t.cut {
+		if i := bytes.IndexByte(b, '\n'); i >= 0 {
+			t.ResponseWriter.Write(b[:i+1])
+			return i + 1, errors.New("stream cut after one line")
+		}
+	}
+	return t.ResponseWriter.Write(b)
+}
+
+func (t *trailerless) Flush() {
+	t.Header().Del("Trailer")
+	t.ResponseWriter.(http.Flusher).Flush()
+}
+
+// TestStreamEventsWithoutTrailer: a stream that ends cleanly without the
+// trailer says nothing about the job, so the client asks for its status
+// and returns only on a terminal state. A finished job then costs the
+// fourth request it always did; a stream cut after one line while the
+// job runs is resumed, and the client returns once the job is done.
+func TestStreamEventsWithoutTrailer(t *testing.T) {
+	ctx := context.Background()
+	serve := func(h *hideTrailer, run runner.RunFunc) (*Client, *requestLog) {
+		srv := &Server{Store: newTestStore(t, t.TempDir(), 64, "test-v1"), Run: run, Workers: 1}
+		srv.Start()
+		h.inner = srv.Handler()
+		hs := httptest.NewServer(h)
+		t.Cleanup(hs.Close)
+		client := NewClient(hs.URL)
+		tr := &requestLog{base: http.DefaultTransport}
+		client.HTTP = &http.Client{Transport: tr}
+		return client, tr
+	}
+
+	// A finished job: the stream ends without the trailer; the status
+	// request says done.
+	client, tr := serve(&hideTrailer{}, stubRun)
+	created, err := client.Submit(ctx, smallGrid(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Results(ctx, created.ID); err != nil {
+		t.Fatal(err)
+	}
+	tr.sent()
+	var buf bytes.Buffer
+	if err := client.StreamEvents(ctx, created.ID, &buf); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"GET /jobs/" + created.ID + "/events", "GET /jobs/" + created.ID}
+	if got := tr.sent(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("trailerless stream of a finished job sent %q, want %q", got, want)
+	}
+	if n := strings.Count(buf.String(), "\n"); n != created.Total {
+		t.Fatalf("streamed %d lines, want %d", n, created.Total)
+	}
+
+	// A running job: the 96 Mbit/s cells block until the first status
+	// request has read the job running.
+	released := make(chan struct{})
+	client, tr = serve(&hideTrailer{cut: true, released: released}, func(sc runner.Scenario) runner.Result {
+		if sc.RateMbps == 96 {
+			<-released
+		}
+		return stubRun(sc)
+	})
+	client.Retry = Retry{Attempts: 5, Base: time.Millisecond, Max: 5 * time.Millisecond}
+	created, err = client.Submit(ctx, smallGrid(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := client.StreamEvents(ctx, created.ID, &buf); err != nil {
+		t.Fatal(err)
+	}
+	st, err := client.Status(ctx, created.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != JobDone {
+		t.Fatalf("StreamEvents returned while the job was %s", st.State)
+	}
+	if lines := strings.Split(strings.TrimSpace(buf.String()), "\n"); len(lines) != created.Total {
+		t.Fatalf("streamed %d lines across the cut, want %d:\n%s", len(lines), created.Total, buf.String())
+	}
+	events := "GET /jobs/" + created.ID + "/events"
+	status := "GET /jobs/" + created.ID
+	want = []string{"POST /jobs", events, status, events, status, status}
+	if got := tr.sent(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cut trailerless stream sent %q, want %q", got, want)
+	}
+}
+
+// flushCounter counts the flushes handlers make on their responses.
+type flushCounter struct {
+	inner http.Handler
+	n     atomic.Int64
+}
+
+func (f *flushCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	f.inner.ServeHTTP(&countedFlusher{ResponseWriter: w, n: &f.n}, r)
+}
+
+type countedFlusher struct {
+	http.ResponseWriter
+	n *atomic.Int64
+}
+
+func (c *countedFlusher) Flush() {
+	c.n.Add(1)
+	c.ResponseWriter.(http.Flusher).Flush()
+}
+
+// TestEventsFlushWhileRunning: a running job's lines are flushed as its
+// cells finish, so the first line reaches a client before the job ends;
+// a finished job's stream is not flushed by the handler, so its lines
+// and the chunked terminator leave in one write.
+func TestEventsFlushWhileRunning(t *testing.T) {
+	release := make(chan struct{})
+	srv := &Server{Store: newTestStore(t, t.TempDir(), 64, "test-v1"), Workers: 1, Run: func(sc runner.Scenario) runner.Result {
+		if sc.RateMbps == 96 {
+			<-release
+		}
+		return stubRun(sc)
+	}}
+	srv.Start()
+	flushes := &flushCounter{inner: srv.Handler()}
+	hs := httptest.NewServer(flushes)
+	t.Cleanup(hs.Close)
+	client := NewClient(hs.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	created, err := client.Submit(ctx, smallGrid(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, client.Base+"/jobs/"+created.ID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	line, err := bufio.NewReader(resp.Body).ReadString('\n')
+	if err != nil {
+		t.Fatalf("no line from a running job's stream: %v", err)
+	}
+	if !strings.HasSuffix(line, "[miss]\n") {
+		t.Fatalf("first line %q, want a miss", line)
+	}
+	st, err := client.Status(ctx, created.ID)
+	close(release)
+	if err != nil || st.State != JobRunning {
+		t.Fatalf("status %+v (%v), want the job still running", st, err)
+	}
+	if _, err := client.Results(ctx, created.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	flushes.n.Store(0)
+	var buf bytes.Buffer
+	if err := client.StreamEvents(ctx, created.ID, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(buf.String(), "\n"); n != created.Total {
+		t.Fatalf("finished job streamed %d lines, want %d", n, created.Total)
+	}
+	if n := flushes.n.Load(); n != 0 {
+		t.Fatalf("finished job's stream flushed %d times, want 0", n)
 	}
 }

@@ -123,6 +123,14 @@ type Server struct {
 	eventsResumed   int
 }
 
+// stateTrailer is the HTTP trailer GET /jobs/{id}/events ends with when
+// the stream ran to the job's terminal state: the state's name ("done"
+// or "canceled"). A client that reads it needs no status request to
+// know the job finished; a stream that ends without it (a dropped
+// connection, an older daemon, a proxy that strips trailers) does not
+// say so.
+const stateTrailer = "Nimbus-Job-State"
+
 // maxJobBody bounds the POST /jobs request body: large enough for any
 // sane grid document, small enough that a hostile client cannot balloon
 // daemon memory with one request.
@@ -397,18 +405,27 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		s.eventsResumed++
 		s.mu.Unlock()
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Header().Set("X-Content-Type-Options", "nosniff")
+	h := w.Header()
+	h.Set("Content-Type", "text/plain; charset=utf-8")
+	h.Set("X-Content-Type-Options", "nosniff")
+	h.Set("Trailer", stateTrailer)
+	// A running job's lines leave one flush at a time, as they happen. A
+	// finished job's chunk is not flushed: its lines, the chunked
+	// terminator and the trailer leave in one write when the handler
+	// returns.
 	flusher, _ := w.(http.Flusher)
-	j.StreamLog(r.Context(), from, func(chunk []byte) error {
+	state, err := j.StreamLog(r.Context(), from, func(chunk []byte, last bool) error {
 		if _, err := w.Write(chunk); err != nil {
 			return err
 		}
-		if flusher != nil {
+		if flusher != nil && !last {
 			flusher.Flush()
 		}
 		return nil
 	})
+	if err == nil {
+		h.Set(stateTrailer, string(state))
+	}
 }
 
 // handleResults blocks until the job completes, then joins its encoded

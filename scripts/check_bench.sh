@@ -20,6 +20,9 @@
 #     nimbus-svc job, or a finished job queued in a restart's replay
 #     pass, keeps on the live heap is the daemon's memory; an allocation
 #     count cannot see a field that outlives the job.
+#   - requests per warm job (b.ReportMetric): same +20% rule, which on
+#     an integer baseline of 3 fails a fourth request (a status call
+#     back after the event stream).
 #   - ns/op: fail beyond 3x baseline. The band is deliberately wide —
 #     CI hardware varies and these benches run at small -benchtime — so
 #     it only catches order-of-magnitude regressions (an accidental
@@ -52,6 +55,7 @@ BenchmarkWarmJob warmjob_allocs_per_op - warmjob_bytes_per_op
 # itself, gated by the +20% rule.
 metric_gates="
 BenchmarkWarmJob retained-B/job warmjob_retained_bytes_per_job
+BenchmarkWarmJob requests/job warmjob_requests_per_job
 BenchmarkReplayFinished retained-B/queued-job replay_retained_bytes_per_queued_job
 "
 
