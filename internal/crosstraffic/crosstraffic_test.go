@@ -39,6 +39,33 @@ func TestPoissonMeanRate(t *testing.T) {
 	}
 }
 
+// TestPoissonQueueIsMD1 holds the packet path to queueing theory rather
+// than to itself: Poisson arrivals of 1500 B packets on a 96 Mbit/s link
+// with room to queue them all are an M/D/1 queue (service time 125 µs),
+// whose mean wait is the Pollaczek-Khinchine ρ/(2(1-ρ)) · 125 µs. 40
+// simulated seconds keep every seed within ±5 % (the worst reads 0.970,
+// at ρ = 0.8, seed 3; at 20 s it is 0.954) in under a second of wall time
+// for all twelve runs.
+func TestPoissonQueueIsMD1(t *testing.T) {
+	const service = 125e-6 // seconds to serialize 1500 B at 96 Mbit/s
+	for _, rho := range []float64{0.3, 0.5, 0.7, 0.8} {
+		want := rho / (2 * (1 - rho)) * service
+		for seed := int64(1); seed <= 3; seed++ {
+			sch, net, link := newNet(96)
+			p := NewPoisson(net, 10*sim.Millisecond, rho*96e6, sim.NewRand(seed))
+			p.Start(0)
+			sch.RunUntil(40 * sim.Second)
+			if link.DroppedPackets != 0 {
+				t.Fatalf("rho=%.1f seed %d: %d drops; the M/D/1 queue is unbounded", rho, seed, link.DroppedPackets)
+			}
+			if r := link.MeanQueueDelay().Seconds() / want; math.Abs(r-1) > 0.05 {
+				t.Errorf("rho=%.1f seed %d: mean queueing delay %v is %.3f of the Pollaczek-Khinchine %.1f µs",
+					rho, seed, link.MeanQueueDelay(), r, want*1e6)
+			}
+		}
+	}
+}
+
 func TestRawSourceStop(t *testing.T) {
 	sch, net, link := newNet(96)
 	cbr := NewCBR(net, 40*sim.Millisecond, 24e6)

@@ -8,13 +8,21 @@ package sim
 // stops) go through AtFunc/AfterFunc/AfterArg and return no handle; their
 // Timer structs are pooled and reused by the scheduler, which makes them
 // allocation-free in steady state. Events that all wait the same delay — a
-// packet or ACK crossing a wire — go on a Line instead, which keeps only
-// its earliest entry in the queue. A caller that must cancel or move its
+// packet or ACK crossing a wire — go on a Line instead, which waits beside
+// the event queue rather than in it. A caller that must cancel or move its
 // event gets a handle from Rearm: the Timer is owned by the caller, never
 // recycled by the scheduler, and Rearm(nil, ...) allocates the first one.
+//
+// A handle moved later while it is still queued stays where it is in the
+// queue, keyed (at, seq), and carries the time and seq it is due at in
+// (due, dueSeq); dueSeq is non-zero exactly while that deferral is
+// pending. When the handle reaches the head of the queue, the scheduler
+// re-queues it at (due, dueSeq) instead of running it.
 type Timer struct {
 	at        Time
 	seq       uint64
+	due       Time
+	dueSeq    uint64
 	fn        func()
 	afn       func(arg any)
 	arg       any
@@ -36,15 +44,31 @@ func (t *Timer) Cancel() {
 	t.cancelled = true
 	if t.idx >= 0 && t.sch != nil {
 		t.sch.wheel.remove(t)
+		t.settle()
 		t.sch.release(t)
+	}
+}
+
+// settle drops a pending deferral, keying the timer at the time and seq
+// it was due at. The timer must not be queued.
+func (t *Timer) settle() {
+	if t.dueSeq != 0 {
+		t.at, t.seq, t.dueSeq = t.due, t.dueSeq, 0
 	}
 }
 
 // Fired reports whether the timer's callback has already run.
 func (t *Timer) Fired() bool { return t != nil && t.fired }
 
-// When returns the simulated time at which the timer fires.
-func (t *Timer) When() Time { return t.at }
+// When returns the simulated time at which the timer fires: for a handle
+// moved later while queued, the time it was moved to, not the key it
+// still holds in the queue.
+func (t *Timer) When() Time {
+	if t.dueSeq != 0 {
+		return t.due
+	}
+	return t.at
+}
 
 func (t *Timer) run() {
 	if t.fn != nil {
@@ -177,7 +201,9 @@ type Scheduler struct {
 	seq     uint64
 	stopped bool
 	free    []*Timer
-	lined   int // Line entries waiting behind their line's head (not in the wheel)
+	lines   []*Line // every line made by NewLine
+	early   *Line   // the line whose head entry is earliest; nil when all are empty
+	lined   int     // entries waiting on lines (never in the wheel)
 	// Executed counts events run, useful for progress reporting and tests.
 	Executed uint64
 	// PoolReuses counts pooled timers recycled from the free list
@@ -232,16 +258,23 @@ func (s *Scheduler) release(ev *Timer) {
 }
 
 // Rearm schedules fn at absolute time t, recycling the caller-owned handle
-// tm: a still-pending tm is cancelled (removed from the queue) first, and
-// the same Timer struct is reused for the new event, so periodically
-// re-armed timers — pacing gaps, retransmission timeouts — cost zero
-// allocations in steady state. A nil tm allocates a fresh handle, so
-// callers can unconditionally write
+// tm, so periodically re-armed timers — pacing gaps, retransmission
+// timeouts — cost zero allocations in steady state. A nil tm allocates a
+// fresh handle, so callers can unconditionally write
 //
 //	s.timer = sch.Rearm(s.timer, at, fn)
 //
 // The returned pointer is the caller's new handle (tm itself when reused);
 // the old handle must not be retained separately.
+//
+// A still-queued tm moved to t at or after its queued time is not
+// touched in the queue: Rearm takes a seq as for any other event and
+// records t, that seq and fn on the handle, and the scheduler re-queues
+// the handle at exactly that (t, seq) when its old key reaches the head
+// (a retransmission timeout pushed later on every ACK costs three field
+// writes, not a removal and an insert). A move to an earlier time
+// removes tm from the queue and inserts it again. Either way the event
+// runs where a fresh event armed by this call would.
 func (s *Scheduler) Rearm(tm *Timer, t Time, fn func()) *Timer {
 	if tm == nil {
 		return s.schedule(t, fn, nil, nil, false)
@@ -249,14 +282,20 @@ func (s *Scheduler) Rearm(tm *Timer, t Time, fn func()) *Timer {
 	if tm.pooled {
 		panic("sim: Rearm on a pooled (no-handle) timer")
 	}
-	tm.Cancel()
 	if t < s.now {
 		panic("sim: scheduling event in the past")
 	}
 	s.seq++
+	if tm.idx >= 0 {
+		if t >= tm.at {
+			tm.due, tm.dueSeq, tm.fn = t, s.seq, fn
+			return tm
+		}
+		tm.sch.wheel.remove(tm)
+	}
 	// Field by field, as in schedule; a caller-owned timer never has afn
 	// or arg set.
-	tm.at, tm.seq, tm.fn, tm.sch = t, s.seq, fn, s
+	tm.at, tm.seq, tm.dueSeq, tm.fn, tm.sch = t, s.seq, 0, fn, s
 	tm.cancelled, tm.fired = false, false
 	s.wheel.push(tm)
 	return tm
@@ -289,8 +328,8 @@ func (s *Scheduler) AfterArg(d Time, fn func(arg any), arg any) {
 }
 
 // Pending returns the number of events currently queued, every entry
-// waiting on a Line included. Cancelled events are removed at Cancel
-// time, so they are never counted.
+// waiting on a Line included. A handle moved later counts once, and
+// cancelled events are removed at Cancel time, so they are never counted.
 func (s *Scheduler) Pending() int { return s.wheel.len() + s.lined }
 
 // FreeTimers returns the current size of the timer free list (tests).
@@ -299,27 +338,68 @@ func (s *Scheduler) FreeTimers() int { return len(s.free) }
 // Stop halts Run/RunUntil after the current event completes.
 func (s *Scheduler) Stop() { s.stopped = true }
 
-// step runs the earliest event. It returns false when no events remain.
+// step runs the earliest event if it is due by end, and reports whether
+// it did. The earliest event is the earliest line head or the wheel's
+// head, whichever comes first by (at, seq); the wheel's head is read once
+// and, when it goes first, popped from the slot that read found.
 // Cancelled events never reach this point: Cancel removes them from the
-// queue (releasing pooled ones) immediately, so Run and RunUntil share
-// this single drain-free pop path.
-func (s *Scheduler) step() bool {
-	ev := s.wheel.pop()
-	if ev == nil {
+// queue (releasing pooled ones) immediately.
+func (s *Scheduler) step(end Time) bool {
+	slot, ev := s.wheel.front()
+	if l := s.early; l != nil && (ev == nil || l.before(ev.at, ev.seq)) {
+		if l.ring[l.head].at > end {
+			return false
+		}
+		s.runLine(l)
+		return true
+	}
+	if ev == nil || ev.at > end {
 		return false
+	}
+	s.fire(s.wheel.popFront(slot))
+	return true
+}
+
+// fire runs a timer just taken off the wheel, or re-queues it at the key
+// it was deferred to. A re-queue is not an event: it leaves the clock,
+// Executed and Pending as they were.
+func (s *Scheduler) fire(ev *Timer) {
+	if ev.dueSeq != 0 {
+		ev.settle()
+		s.wheel.push(ev)
+		return
 	}
 	s.now = ev.at
 	ev.fired = true
 	s.Executed++
 	ev.run()
 	s.release(ev)
-	return true
 }
+
+// runLine runs line l's head entry, which must be the earliest event.
+// The earliest line is found again before the entry runs, so the entry
+// may push onto any line.
+func (s *Scheduler) runLine(l *Line) {
+	e := l.pop()
+	s.lined--
+	s.early = nil
+	for _, o := range s.lines {
+		if o.n > 0 && (s.early == nil || o.before(s.early.key())) {
+			s.early = o
+		}
+	}
+	s.now = e.at
+	s.Executed++
+	e.fn(e.arg)
+}
+
+// never is later than any event.
+const never = Time(1<<63 - 1)
 
 // Run executes events until none remain or Stop is called.
 func (s *Scheduler) Run() {
 	s.stopped = false
-	for !s.stopped && s.step() {
+	for !s.stopped && s.step(never) {
 	}
 }
 
@@ -327,12 +407,7 @@ func (s *Scheduler) Run() {
 // end. Events scheduled beyond end remain queued.
 func (s *Scheduler) RunUntil(end Time) {
 	s.stopped = false
-	for !s.stopped {
-		head := s.wheel.peek()
-		if head == nil || head.at > end {
-			break
-		}
-		s.step()
+	for !s.stopped && s.step(end) {
 	}
 	if s.now < end {
 		s.now = end

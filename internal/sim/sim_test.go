@@ -300,6 +300,191 @@ func TestSchedulerRearm(t *testing.T) {
 	}
 }
 
+// TestRearmLaterStaysQueued: a pending handle moved later keeps its place
+// in the queue and runs once, at the last time it was moved to, with the
+// last fn, in the seq order that last Rearm took. Moving it earlier than
+// its queued key, or cancelling it, acts on the queue at once.
+func TestRearmLaterStaysQueued(t *testing.T) {
+	s := NewScheduler()
+	var got []string
+	tag := func(name string) func() { return func() { got = append(got, name) } }
+	tm := s.Rearm(nil, 2*Millisecond, tag("first"))
+	at, seq, idx := tm.at, tm.seq, tm.idx
+	s.AtFunc(7*Millisecond, tag("tie armed before")) // same time, earlier seq
+	tm = s.Rearm(tm, 5*Millisecond, tag("middle"))
+	tm = s.Rearm(tm, 7*Millisecond, tag("last"))
+	s.AtFunc(7*Millisecond, tag("tie armed after"))
+	if tm.at != at || tm.seq != seq || tm.idx != idx {
+		t.Fatalf("moved later, the handle left its queue slot: (%v, %d, %d) -> (%v, %d, %d)", at, seq, idx, tm.at, tm.seq, tm.idx)
+	}
+	if tm.When() != 7*Millisecond {
+		t.Fatalf("When() = %v, want the due time 7ms", tm.When())
+	}
+	if s.Pending() != 3 {
+		t.Fatalf("Pending = %d, want 3 (the handle counts once)", s.Pending())
+	}
+	// Past its queued key: the handle is re-queued, not run.
+	s.RunUntil(4 * Millisecond)
+	if s.Executed != 0 || s.Pending() != 3 || len(got) != 0 || tm.Fired() {
+		t.Fatalf("at 4ms: Executed = %d, Pending = %d, ran %v, fired %v; want nothing run and 3 pending", s.Executed, s.Pending(), got, tm.Fired())
+	}
+	if tm.When() != 7*Millisecond || s.Now() != 4*Millisecond {
+		t.Fatalf("at 4ms: When() = %v, Now() = %v", tm.When(), s.Now())
+	}
+	s.Run()
+	want := []string{"tie armed before", "last", "tie armed after"}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("ran %v, want %v", got, want)
+	}
+	if s.Executed != 3 || s.Pending() != 0 || !tm.Fired() || s.Now() != 7*Millisecond {
+		t.Fatalf("Executed = %d, Pending = %d, fired %v, Now() = %v", s.Executed, s.Pending(), tm.Fired(), s.Now())
+	}
+
+	t.Run("alone", func(t *testing.T) {
+		s := NewScheduler()
+		runs := 0
+		tm := s.Rearm(nil, Millisecond, func() { runs++ })
+		for i := 2; i <= 6; i++ {
+			tm = s.Rearm(tm, Time(i)*Millisecond, func() { runs += 10 })
+			if s.Pending() != 1 || s.wheel.len() != 1 {
+				t.Fatalf("Pending = %d, wheel holds %d; want 1 and 1", s.Pending(), s.wheel.len())
+			}
+		}
+		s.Run()
+		if runs != 10 || s.Executed != 1 || s.Now() != 6*Millisecond {
+			t.Fatalf("runs = %d, Executed = %d, Now() = %v; want 10, 1, 6ms", runs, s.Executed, s.Now())
+		}
+	})
+	t.Run("cancel", func(t *testing.T) {
+		s := NewScheduler()
+		tm := s.Rearm(nil, Millisecond, func() { t.Fatal("cancelled handle ran") })
+		tm = s.Rearm(tm, 3*Millisecond, func() { t.Fatal("cancelled handle ran") })
+		tm.Cancel()
+		if s.Pending() != 0 || s.wheel.len() != 0 || tm.idx != -1 {
+			t.Fatalf("Pending = %d, wheel holds %d, idx = %d after Cancel", s.Pending(), s.wheel.len(), tm.idx)
+		}
+		if tm.When() != 3*Millisecond {
+			t.Fatalf("When() = %v after Cancel, want 3ms", tm.When())
+		}
+		s.Run()
+		if s.Executed != 0 {
+			t.Fatalf("Executed = %d, want 0", s.Executed)
+		}
+	})
+	t.Run("earlier", func(t *testing.T) {
+		s := NewScheduler()
+		var ran []Time
+		fn := func() { ran = append(ran, s.Now()) }
+		tm := s.Rearm(nil, 5*Millisecond, fn)
+		tm = s.Rearm(tm, 8*Millisecond, fn) // deferred
+		tm = s.Rearm(tm, 3*Millisecond, fn) // before the queued key: moves
+		if tm.at != 3*Millisecond || tm.dueSeq != 0 || tm.When() != 3*Millisecond {
+			t.Fatalf("queued at %v (dueSeq %d, When %v), want 3ms and no deferral", tm.at, tm.dueSeq, tm.When())
+		}
+		s.Run()
+		if len(ran) != 1 || ran[0] != 3*Millisecond {
+			t.Fatalf("ran at %v, want once at 3ms", ran)
+		}
+	})
+}
+
+// TestRearmPastLeavesHandle: a Rearm into the past panics before it
+// touches the handle, so a caller that recovers still has its pending
+// event.
+func TestRearmPastLeavesHandle(t *testing.T) {
+	s := NewScheduler()
+	ran := false
+	tm := s.Rearm(nil, 5*Millisecond, func() { ran = true })
+	s.RunUntil(2 * Millisecond)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Rearm into the past did not panic")
+			}
+		}()
+		s.Rearm(tm, Millisecond, func() {})
+	}()
+	if s.Pending() != 1 || tm.When() != 5*Millisecond {
+		t.Fatalf("after the panic: Pending = %d, When() = %v; want 1 and 5ms", s.Pending(), tm.When())
+	}
+	s.Run()
+	if !ran {
+		t.Fatal("the handle's event was lost to the panicking Rearm")
+	}
+}
+
+// TestLinesBesideTheWheel: line entries never enter the wheel but count in
+// Pending and Executed, and they interleave with wheel events in exact
+// (at, seq) order, same-nanosecond ties included, whichever side armed
+// first and whether armed before a run or from inside a callback.
+func TestLinesBesideTheWheel(t *testing.T) {
+	s := NewScheduler()
+	lines := []*Line{s.NewLine(0), s.NewLine(Millisecond), s.NewLine(3 * Millisecond)}
+	type key struct {
+		at Time
+		k  int
+	}
+	var want []key // every event armed, by id; k counts arming calls as seq does
+	var got []int
+	arm := func(at Time) int {
+		want = append(want, key{at, len(want)})
+		return len(want) - 1
+	}
+	record := func(arg any) { got = append(got, arg.(int)) }
+
+	for i, l := range lines {
+		for j := 0; j <= i; j++ {
+			l.Push(record, arm(s.Now()+l.d))
+		}
+	}
+	if s.wheel.len() != 0 || s.Pending() != 6 {
+		t.Fatalf("wheel holds %d, Pending = %d; want 0 and 6", s.wheel.len(), s.Pending())
+	}
+	for round := 0; round < 4; round++ {
+		now := s.Now()
+		// Ties with each line's entries, armed after them.
+		for _, l := range lines {
+			s.AfterArg(l.d, record, arm(now+l.d))
+		}
+		// Events that push onto every line when they fire, so entries
+		// armed inside callbacks tie with wheel events armed earlier.
+		id := arm(now + 500*Microsecond)
+		s.AtFunc(now+500*Microsecond, func() {
+			got = append(got, id)
+			for _, l := range lines {
+				l.Push(record, arm(s.Now()+l.d))
+			}
+		})
+		s.AfterArg(500*Microsecond+Millisecond, record, arm(now+500*Microsecond+Millisecond))
+		// More entries, pushed after those wheel events at the same times.
+		for _, l := range lines {
+			l.Push(record, arm(now+l.d))
+		}
+		s.RunUntil(now + 700*Microsecond)
+	}
+	s.Run()
+
+	order := make([]int, len(want))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		x, y := want[order[a]], want[order[b]]
+		return x.at < y.at || x.at == y.at && x.k < y.k
+	})
+	if len(got) != len(order) {
+		t.Fatalf("ran %d events, armed %d", len(got), len(order))
+	}
+	for i := range order {
+		if got[i] != order[i] {
+			t.Fatalf("event %d: ran id %d, want %d (at %v)", i, got[i], order[i], want[order[i]].at)
+		}
+	}
+	if s.Executed != uint64(len(want)) || s.Pending() != 0 {
+		t.Fatalf("Executed = %d, Pending = %d; want %d and 0", s.Executed, s.Pending(), len(want))
+	}
+}
+
 func TestSchedulerRearmSteadyStateAllocs(t *testing.T) {
 	s := NewScheduler()
 	fn := func() {}

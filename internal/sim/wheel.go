@@ -139,34 +139,32 @@ func (w *timerWheel) firstSlot() int {
 	}
 }
 
-// peek returns the earliest event without removing it. It may heapify
-// the head bucket, but never moves base.
-func (w *timerWheel) peek() *Timer {
+// front returns the earliest event and the bucket it is in (-1 for the
+// overflow heap), or a nil event when the wheel is empty. It may heapify
+// the head bucket, but never moves base; popFront(slot) then takes that
+// event off without looking for it again.
+func (w *timerWheel) front() (int, *Timer) {
 	if w.size == 0 {
 		if len(w.overflow) == 0 {
-			return nil
+			return -1, nil
 		}
-		return w.overflow[0]
+		return -1, w.overflow[0]
 	}
 	s := w.firstSlot()
 	if !w.heaped[s] {
 		w.heapify(s)
 	}
-	return w.slots[s][0]
+	return s, w.slots[s][0]
 }
 
-func (w *timerWheel) pop() *Timer {
+// popFront removes and returns the event front just returned from slot s,
+// and advances the window to it. Nothing may be pushed or removed between
+// the two calls.
+func (w *timerWheel) popFront(s int) *Timer {
 	var t *Timer
-	if w.size == 0 {
-		if len(w.overflow) == 0 {
-			return nil
-		}
+	if s < 0 {
 		t = w.overflow.pop()
 	} else {
-		s := w.firstSlot()
-		if !w.heaped[s] {
-			w.heapify(s)
-		}
 		t = (*eventHeap)(&w.slots[s]).pop()
 		if len(w.slots[s]) == 0 {
 			w.occ[s>>6] &^= 1 << uint(s&63)

@@ -9,10 +9,21 @@ import (
 // the event's id in arg. It mirrors the scheduler's seq counter, so the
 // two agree on FIFO order among ties as long as they have agreed so far.
 type wheelModel struct {
-	heap  eventHeap
-	seq   uint64
-	now   Time
-	child map[int]Time // id -> delay of the follow-up event id+1 it arms when it fires
+	heap    eventHeap
+	seq     uint64
+	now     Time
+	popped  uint64
+	child   map[int]Time   // id -> delay of the follow-up event id+1 it arms when it fires
+	retime  map[int]retime // id -> the handle it moves when it fires
+	shadows []*Timer       // the shadow of each caller-owned handle, by index
+}
+
+// retime is an event that, when it fires, moves handle i to d after the
+// firing time, with the follow-up id+1 as the handle's new event: the
+// retransmission timeout an ACK pushes later.
+type retime struct {
+	i int
+	d Time
 }
 
 func (m *wheelModel) push(at Time, id int) *Timer {
@@ -34,10 +45,15 @@ func (m *wheelModel) runUntil(end Time) []int {
 	for len(m.heap) > 0 && m.heap[0].at <= end {
 		t := m.heap.pop()
 		m.now = t.at
+		m.popped++
 		id := t.arg.(int)
 		order = append(order, id)
 		if d, ok := m.child[id]; ok {
 			m.push(m.now+d, id+1)
+		}
+		if r, ok := m.retime[id]; ok {
+			m.cancel(m.shadows[r.i])
+			m.shadows[r.i] = m.push(m.now+r.d, id+1)
 		}
 	}
 	if m.now < end {
@@ -49,26 +65,37 @@ func (m *wheelModel) runUntil(end Time) []int {
 // FuzzWheelOrder: any sequence of Rearm(nil, …)/AfterFunc/AfterArg/Rearm/
 // Cancel/RunUntil and Line.Push — with ties, events on slot and span boundaries,
 // events beyond the span (overflow) that cascade back over many
-// revolutions, and events armed from inside callbacks — runs in exactly
-// the order one eventHeap over the same events pops them, and Pending()
-// always equals the number of events the heap holds. The three lines have
-// delays of zero, a few slots and more than the span, so a line head
-// overflows and cascades; the model sees each line entry as the plain
-// event AfterArg would have armed. Each operation is four bytes of the
+// revolutions, events armed from inside callbacks, and events that move a
+// pending handle later when they fire — runs in exactly
+// the order one eventHeap over the same events pops them. After every
+// operation Pending() equals the number of events the heap holds,
+// Executed the number it has popped, and each handle's When() its
+// shadow's time, also while a handle moved later still waits in the
+// queue under its old key. The three lines have delays of zero, a few
+// slots and more than the span; the model sees each line entry as the
+// plain event AfterArg would have armed. Each operation is four bytes of the
 // input: what to do, how to place the time (or which line), and a 16-bit
 // magnitude.
 func FuzzWheelOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 5, 1, 1, 0})             // a tie, then run
 	f.Add([]byte{0, 2, 0, 0, 0, 2, 1, 0, 0, 2, 2, 0, 5, 6, 1, 0}) // around a slot boundary
 	f.Add([]byte{0, 3, 0, 0, 0, 3, 1, 0, 0, 3, 2, 0, 5, 5, 2, 0}) // around the span boundary
+	// A handle armed 50 µs out, then events every 10 µs that each move it
+	// about 16 ms (the retransmission timeout) after themselves, the way
+	// every ACK does; then run.
+	f.Add([]byte{0, 1, 50, 0, 11, 249, 10, 0, 11, 249, 20, 0, 11, 249, 30, 0, 11, 249, 40, 0, 5, 6, 100, 0})
+	// A handle at 100 µs moved later to 200 and 150 µs (deferred), earlier
+	// than its queued key to 50 µs, later again to 300 µs, cancelled, then
+	// re-armed earlier than the key it had in the queue; then run.
+	f.Add([]byte{0, 1, 100, 0, 3, 1, 200, 0, 3, 1, 150, 0, 3, 1, 50, 0, 3, 1, 44, 1, 4, 0, 0, 0, 3, 1, 20, 0, 5, 6, 1, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		const slot = Time(1) << wheelShift
 		s := NewScheduler()
-		m := &wheelModel{child: map[int]Time{}}
+		m := &wheelModel{child: map[int]Time{}, retime: map[int]retime{}}
 		var got []int
 		record := func(arg any) { got = append(got, arg.(int)) }
 		lines := []*Line{s.NewLine(0), s.NewLine(3*slot + 7), s.NewLine(wheelSpan + slot/2)}
-		var handles, shadows []*Timer
+		var handles []*Timer
 		var lastAt Time
 		nextID := 0
 
@@ -115,6 +142,14 @@ func FuzzWheelOrder(f *testing.F) {
 			if s.Pending() != len(m.heap) {
 				t.Fatalf("after %s: Pending() = %d, the heap holds %d", op, s.Pending(), len(m.heap))
 			}
+			if s.Executed != m.popped {
+				t.Fatalf("after %s: Executed = %d, the heap popped %d", op, s.Executed, m.popped)
+			}
+			for i, h := range handles {
+				if h.When() != m.shadows[i].at {
+					t.Fatalf("after %s: handle %d When() = %v, its shadow's time %v", op, i, h.When(), m.shadows[i].at)
+				}
+			}
 		}
 
 		for ; len(prog) >= 4; prog = prog[4:] {
@@ -125,7 +160,7 @@ func FuzzWheelOrder(f *testing.F) {
 			switch op {
 			case 0:
 				handles = append(handles, s.Rearm(nil, at, func() { record(id) }))
-				shadows = append(shadows, m.push(at, id))
+				m.shadows = append(m.shadows, m.push(at, id))
 			case 1:
 				s.AfterFunc(at-s.Now(), func() { record(id) })
 				m.push(at, id)
@@ -138,15 +173,15 @@ func FuzzWheelOrder(f *testing.F) {
 				}
 				i := int(mag) % len(handles)
 				handles[i] = s.Rearm(handles[i], at, func() { record(id) })
-				m.cancel(shadows[i])
-				shadows[i] = m.push(at, id)
+				m.cancel(m.shadows[i])
+				m.shadows[i] = m.push(at, id)
 			case 4:
 				if len(handles) == 0 {
 					continue
 				}
 				i := int(mag) % len(handles)
 				handles[i].Cancel()
-				m.cancel(shadows[i])
+				m.cancel(m.shadows[i])
 			case 5:
 				s.RunUntil(at)
 				check("RunUntil", m.runUntil(at))
@@ -162,7 +197,7 @@ func FuzzWheelOrder(f *testing.F) {
 				})
 				m.child[id] = d
 				m.push(at, id)
-			case 8, 9, 10, 11: // a line entry, which may push a follow-up on a line
+			case 8, 9, 10: // a line entry, which may push a follow-up on a line
 				l := lines[where%3]
 				fn := record
 				if where&4 != 0 {
@@ -176,6 +211,18 @@ func FuzzWheelOrder(f *testing.F) {
 				l.Push(fn, id)
 				lastAt = s.Now() + l.d
 				m.push(lastAt, id)
+			case 11: // an event that moves a handle to d after itself when it fires
+				if len(handles) == 0 {
+					continue
+				}
+				i := int(mag) % len(handles)
+				d := Time(where) * slot / 4
+				s.AtFunc(at, func() {
+					record(id)
+					handles[i] = s.Rearm(handles[i], s.Now()+d, func() { record(id + 1) })
+				})
+				m.retime[id] = retime{i, d}
+				m.push(at, id)
 			default: // an event that pushes a follow-up on a line when it fires
 				l := lines[where%3]
 				s.AtFunc(at, func() {
@@ -275,9 +322,79 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.step()
+			s.step(never)
 		}
 	})
+}
+
+// ackClock is the event pattern of one window-limited flow, on a bare
+// scheduler: a link serializes a packet every tx on one owned timer,
+// re-armed after it fires; each packet crosses a forward line and its
+// ACK a reverse line; every ACK pushes the retransmission timeout later
+// and hands the link its next packet. Steady state is three events per
+// packet (completion, arrival, ACK) and an RTO re-arm that stays queued.
+type ackClock struct {
+	s        *Scheduler
+	fwd, rev *Line
+	link     *Timer
+	rto      *Timer
+	backlog  int // packets waiting for the link
+	acks     int
+
+	txDone       func()
+	arrive, ack  func(any)
+	timeout      func()
+	tx, rtoDelay Time
+}
+
+func newAckClock(s *Scheduler, window int) *ackClock {
+	c := &ackClock{s: s, fwd: s.NewLine(20 * Millisecond), rev: s.NewLine(20 * Millisecond),
+		tx: 125 * Microsecond, rtoDelay: 200 * Millisecond}
+	c.txDone = func() {
+		c.fwd.Push(c.arrive, nil)
+		if c.backlog > 0 {
+			c.backlog--
+			c.link = c.s.Rearm(c.link, c.s.Now()+c.tx, c.txDone)
+		}
+	}
+	c.arrive = func(any) { c.rev.Push(c.ack, nil) }
+	c.ack = func(any) {
+		c.acks++
+		c.rto = c.s.Rearm(c.rto, c.s.Now()+c.rtoDelay, c.timeout)
+		c.send()
+	}
+	c.timeout = func() { panic("ackClock: the retransmission timeout fired") }
+	for i := 0; i < window; i++ {
+		c.send()
+	}
+	c.rto = s.Rearm(nil, c.rtoDelay, c.timeout)
+	return c
+}
+
+// send hands one packet to the link: it starts now if the link is idle.
+func (c *ackClock) send() {
+	if c.link != nil && !c.link.Fired() {
+		c.backlog++
+		return
+	}
+	c.link = c.s.Rearm(c.link, c.s.Now()+c.tx, c.txDone)
+}
+
+// BenchmarkSchedulerAckClock runs the ACK-clock pattern a simulated flow
+// puts on the scheduler (ackClock above: 400 packets in flight, a 125 µs
+// link, two 20 ms lines). One op is one packet: its link completion, its
+// two line entries and the RTO re-arm its ACK makes.
+func BenchmarkSchedulerAckClock(b *testing.B) {
+	s := NewScheduler()
+	c := newAckClock(s, 400)
+	s.RunUntil(Second) // rings and buckets at their steady-state size
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for n := c.acks; c.acks == n; {
+			s.step(never)
+		}
+	}
 }
 
 // TestSchedulerWheelChurnAllocFree asserts the wheel's steady state
@@ -294,7 +411,7 @@ func TestSchedulerWheelChurnAllocFree(t *testing.T) {
 	s.RunUntil(3 * Second)
 	allocs := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 50; i++ {
-			s.step()
+			s.step(never)
 		}
 	})
 	if allocs > 0 {

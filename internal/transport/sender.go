@@ -225,8 +225,11 @@ func (s *Sender) armRTO() {
 	if d > maxRTO {
 		d = maxRTO
 	}
-	// Re-armed on every ACK; Rearm cancels the pending timeout and reuses
-	// its Timer struct in place of a fresh allocation.
+	// Re-armed on every ACK, nearly always later than the pending
+	// timeout: Rearm then leaves the handle where it is in the event
+	// queue and records the new time on it, and the scheduler re-queues
+	// it there when the old time comes up. No allocation, and no queue
+	// work per ACK; only a timeout that shrank moves it earlier.
 	s.rtoTimer = s.env.Sch.Rearm(s.rtoTimer, s.env.Sch.Now()+d, s.onRTOFn)
 }
 

@@ -44,6 +44,7 @@ BenchmarkTopologyThroughput topo_allocs_per_op - -
 BenchmarkDetectorTick detectortick_allocs_per_op detectortick_ns_per_op -
 BenchmarkLinkPerPacket link_allocs_per_op link_ns_per_op -
 BenchmarkSchedulerChurn/10k schedchurn_allocs_per_op schedchurn_ns_per_op -
+BenchmarkSchedulerAckClock schedackclock_allocs_per_op schedackclock_ns_per_op -
 BenchmarkFluidLink fluidlink_allocs_per_op fluidlink_ns_per_op -
 BenchmarkSweepFluidVsPacket sweepfluid_allocs_per_op - -
 BenchmarkSessionChurn sessionchurn_allocs_per_op - sessionchurn_bytes_per_op
