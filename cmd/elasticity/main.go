@@ -2,8 +2,8 @@
 // elasticity detector (§1): feed it a cross-traffic rate time series (one
 // value per line, or CSV "t,rate") sampled at a fixed interval, and it
 // reports the elasticity metric η and the classification. Several pulse
-// frequencies can be tested at once; they are analyzed in parallel on
-// -workers cores.
+// frequencies can be tested at once; they are analyzed one after another
+// and reported in the order given.
 //
 // It analyzes a series and nothing else. To ask the detector about a
 // capacity trace, a topology, a session workload or a fluid aggregate,
@@ -17,7 +17,7 @@
 // Usage:
 //
 //	elasticity -fp 5 -interval 10ms < zseries.csv
-//	elasticity -fp 5,2,1 -workers 4 < zseries.csv
+//	elasticity -fp 5,2,1 < zseries.csv
 //	elasticity -list schemes
 package main
 
@@ -36,7 +36,6 @@ import (
 	"nimbus/internal/core"
 	"nimbus/internal/exp"
 	"nimbus/internal/fft"
-	"nimbus/internal/runner"
 	"nimbus/internal/sim"
 )
 
@@ -51,7 +50,6 @@ func main() {
 		interval = flag.Duration("interval", 10*time.Millisecond, "sample interval of the input series")
 		window   = flag.Duration("window", 5*time.Second, "FFT window")
 		thresh   = flag.Float64("threshold", 2, "elasticity threshold")
-		workers  = flag.Int("workers", 0, "parallel analyses (0 = all cores)")
 
 		list = flag.String("list", "", exp.ListUsage)
 	)
@@ -90,31 +88,17 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Each frequency gets its own detector (the analysis reuses scratch
-	// buffers internally), fed the same series; the analyses run in
-	// parallel and report in input order.
-	type verdict struct {
-		fp, eta float64
-		every   []float64 // eta per full window, in series order
-	}
-	out := runner.Map(*workers, len(freqs), func(i int) verdict {
+	// Each frequency gets its own detector, fed the same series: η at
+	// every full window in series order, then at the end of the series.
+	for _, fp := range freqs {
 		det := core.NewDetector(cfg)
-		v := verdict{fp: freqs[i]}
 		for n, s := range samples {
 			det.AddSample(s)
 			if det.Ready() && (n+1)%det.WindowSamples() == 0 {
-				v.every = append(v.every, det.Elasticity(freqs[i]))
+				report(fp, det.Elasticity(fp), *thresh)
 			}
 		}
-		v.eta = det.Elasticity(freqs[i])
-		return v
-	})
-
-	for _, v := range out {
-		for _, eta := range v.every {
-			report(v.fp, eta, *thresh)
-		}
-		report(v.fp, v.eta, *thresh)
+		report(fp, det.Elasticity(fp), *thresh)
 	}
 }
 

@@ -86,7 +86,7 @@ func (b *BBR) bdpBytes(gain float64) float64 {
 
 // OnAck updates the filters and advances the state machine.
 func (b *BBR) OnAck(a transport.AckInfo) {
-	b.seeRTT(a.RTT)
+	b.clock.See(a.RTT)
 	now := b.now()
 	b.rtprop.Add(int64(now), float64(a.RTT))
 	b.rateEst.Add(now, a.Delivered)
@@ -114,7 +114,7 @@ func (b *BBR) OnAck(a transport.AckInfo) {
 }
 
 func (b *BBR) checkStartupDone(now sim.Time) {
-	rtt := b.srtt
+	rtt := b.clock.SRTT()
 	if rtt == 0 {
 		return
 	}
@@ -148,7 +148,7 @@ func (b *BBR) enterProbeBW(now sim.Time) {
 func (b *BBR) advanceCycle(now sim.Time) {
 	rt := sim.Time(b.rtprop.Min())
 	if rt <= 0 {
-		rt = b.srtt
+		rt = b.clock.SRTT()
 	}
 	if now-b.cycleStart < rt {
 		return
@@ -191,11 +191,7 @@ func (b *BBR) Control() transport.Transmission {
 	} else {
 		// No estimate yet: pace the initial window over the RTT or a
 		// default.
-		rtt := b.srtt
-		if rtt == 0 {
-			rtt = 100 * sim.Millisecond
-		}
-		pace = 10 * b.mss * 8 / rtt.Seconds() * b.pacingGain
+		pace = 10 * b.mss * 8 / b.clock.RTT().Seconds() * b.pacingGain
 	}
 	cwnd := b.bdpBytes(b.cwndGain)
 	if b.state == bbrProbeRTT {

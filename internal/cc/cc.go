@@ -3,7 +3,11 @@
 // delay-controlling schemes (Vegas, Copa's default mode), the adaptive
 // baselines (Copa with its own mode switching, BBR, PCC-Vivace), and a
 // fixed-window sender used in Table 1. All algorithms implement
-// transport.Controller. Window arithmetic is done in float64 bytes.
+// transport.Controller. Window arithmetic is done in float64 bytes. Each
+// controller keeps its round-trip state in its own transport.RTTClock:
+// the smoothed and minimum RTT, the 100 ms stand-in before the first
+// sample, the once-per-RTT gate and the congestion-event gate that allows
+// one window cut per RTT.
 package cc
 
 import (
@@ -14,11 +18,9 @@ import (
 
 // common holds the bookkeeping every algorithm needs.
 type common struct {
-	env     *transport.Env
-	mss     float64
-	srtt    sim.Time
-	minRTT  sim.Time
-	lastCut sim.Time // for one-reduction-per-RTT loss events
+	env   *transport.Env
+	mss   float64
+	clock transport.RTTClock
 }
 
 func (c *common) init(env *transport.Env) {
@@ -28,29 +30,19 @@ func (c *common) init(env *transport.Env) {
 
 func (c *common) now() sim.Time { return c.env.Sch.Now() }
 
-func (c *common) seeRTT(rtt sim.Time) {
-	if c.srtt == 0 {
-		c.srtt = rtt
-	} else {
-		c.srtt += (rtt - c.srtt) / 8
-	}
-	if c.minRTT == 0 || rtt < c.minRTT {
-		c.minRTT = rtt
-	}
+// rttMean averages the RTT samples added since it was last taken.
+type rttMean struct {
+	sum sim.Time
+	n   int
 }
 
-// lossEvent reports whether this loss starts a new loss event (at most
-// one congestion response per RTT).
-func (c *common) lossEvent(now sim.Time) bool {
-	guard := c.srtt
-	if guard == 0 {
-		guard = 100 * sim.Millisecond
-	}
-	if now-c.lastCut < guard {
-		return false
-	}
-	c.lastCut = now
-	return true
+func (m *rttMean) add(rtt sim.Time) { m.sum += rtt; m.n++ }
+
+// take returns the mean and starts a new one; it needs a sample.
+func (m *rttMean) take() sim.Time {
+	avg := m.sum / sim.Time(m.n)
+	*m = rttMean{}
+	return avg
 }
 
 func clampWindow(w, min, max float64) float64 {

@@ -25,8 +25,7 @@ type Compound struct {
 	k        float64
 	gamma    float64 // packets of self-inflicted queueing allowed
 	lastDwnd sim.Time
-	rttSum   sim.Time
-	rttCnt   int
+	mean     rttMean
 }
 
 // NewCompound returns a Compound TCP controller with the published
@@ -47,27 +46,20 @@ func (c *Compound) win() float64 { return c.cwnd + c.dwnd }
 
 // OnAck grows cwnd like Reno and adjusts dwnd once per RTT.
 func (c *Compound) OnAck(a transport.AckInfo) {
-	c.seeRTT(a.RTT)
-	c.rttSum += a.RTT
-	c.rttCnt++
+	c.clock.See(a.RTT)
+	c.mean.add(a.RTT)
 	if c.win() < c.ssthresh {
 		c.cwnd += float64(a.Bytes)
 	} else {
 		c.cwnd += c.mss * float64(a.Bytes) / c.win()
 	}
-	guard := c.srtt
-	if guard == 0 {
-		guard = 100 * sim.Millisecond
-	}
-	now := c.now()
-	if now-c.lastDwnd < guard || c.minRTT <= 0 || c.rttCnt == 0 {
+	minRTT := c.clock.Min()
+	if minRTT <= 0 || !c.clock.Every(&c.lastDwnd, c.now()) {
 		return
 	}
-	c.lastDwnd = now
-	avgRTT := c.rttSum / sim.Time(c.rttCnt)
-	c.rttSum, c.rttCnt = 0, 0
+	avgRTT := c.mean.take()
 	// diff: estimated self-queued packets.
-	diff := c.win() * float64(avgRTT-c.minRTT) / float64(avgRTT) / c.mss
+	diff := c.win() * float64(avgRTT-minRTT) / float64(avgRTT) / c.mss
 	winPkts := c.win() / c.mss
 	if diff < c.gamma {
 		// Aggressive growth: dwnd += alpha*win^k - 1 (packets).
@@ -87,14 +79,13 @@ func (c *Compound) OnAck(a transport.AckInfo) {
 
 // OnLoss halves the total window, splitting the reduction per CTCP.
 func (c *Compound) OnLoss(l transport.LossInfo) {
+	if !c.clock.Congestion(l) {
+		return
+	}
 	if l.Timeout {
 		c.ssthresh = clampWindow(c.win()/2, 2*c.mss, 0)
 		c.cwnd = c.mss
 		c.dwnd = 0
-		c.lastCut = l.Now
-		return
-	}
-	if !c.lossEvent(l.Now) {
 		return
 	}
 	w := c.win()

@@ -36,27 +36,24 @@ type Copa struct {
 	lastVelUpd sim.Time
 	prevCwnd   float64
 
-	// Mode switching state.
-	ModeSwitchingEnabled bool
-	competitive          bool
-	lastDrain            sim.Time // last time dq was "nearly empty"
-	lossInRTT            bool
-	lastDeltaUpd         sim.Time
-
-	// DefaultModeOnly pins Copa to default mode (used as Nimbus's
-	// delay-control algorithm).
-	DefaultModeOnly bool
+	// Mode switching state. defaultOnly pins Copa to default mode (used
+	// as Nimbus's delay-control algorithm).
+	defaultOnly  bool
+	competitive  bool
+	lastDrain    sim.Time // last time dq was "nearly empty"
+	lossInRTT    bool
+	lastDeltaUpd sim.Time
 }
 
 // NewCopa returns Copa with mode switching enabled (the full baseline).
 func NewCopa() *Copa {
-	return &Copa{deltaDefault: 0.5, ModeSwitchingEnabled: true}
+	return &Copa{deltaDefault: 0.5}
 }
 
 // NewCopaDefaultMode returns Copa pinned to its default (delay-control)
 // mode, the configuration Nimbus uses as a delay-controlling algorithm.
 func NewCopaDefaultMode() *Copa {
-	return &Copa{deltaDefault: 0.5, DefaultModeOnly: true}
+	return &Copa{deltaDefault: 0.5, defaultOnly: true}
 }
 
 // Init sets up the filters.
@@ -72,12 +69,12 @@ func (c *Copa) Init(env *transport.Env) {
 
 // OnAck applies Copa's per-ACK window update.
 func (c *Copa) OnAck(a transport.AckInfo) {
-	c.seeRTT(a.RTT)
+	c.clock.See(a.RTT)
 	now := c.now()
 	c.rttMin.Add(int64(now), float64(a.RTT))
 	c.rttMax.Add(int64(now), float64(a.RTT))
 	// Standing RTT: min over the last srtt/2.
-	half := c.srtt / 2
+	half := c.clock.SRTT() / 2
 	if half < 10*sim.Millisecond {
 		half = 10 * sim.Millisecond
 	}
@@ -116,14 +113,9 @@ func (c *Copa) updateVelocity(now sim.Time, up bool) {
 	if up {
 		dir = 1
 	}
-	guard := c.srtt
-	if guard == 0 {
-		guard = 100 * sim.Millisecond
-	}
-	if now-c.lastVelUpd < guard {
+	if !c.clock.Every(&c.lastVelUpd, now) {
 		return
 	}
-	c.lastVelUpd = now
 	if dir == c.direction {
 		c.dirCount++
 		// Velocity doubles only after the same direction persists for
@@ -149,7 +141,7 @@ func (c *Copa) updateVelocity(now sim.Time, up bool) {
 
 // updateMode runs Copa's queue-drain detector.
 func (c *Copa) updateMode(now sim.Time, dq sim.Time) {
-	if c.DefaultModeOnly || !c.ModeSwitchingEnabled {
+	if c.defaultOnly {
 		c.competitive = false
 		return
 	}
@@ -162,11 +154,7 @@ func (c *Copa) updateMode(now sim.Time, dq sim.Time) {
 	if dq < spread/10 {
 		c.lastDrain = now
 	}
-	guard := c.srtt
-	if guard == 0 {
-		guard = 100 * sim.Millisecond
-	}
-	c.competitive = now-c.lastDrain > 5*guard
+	c.competitive = now-c.lastDrain > 5*c.clock.RTT()
 	if !c.competitive {
 		c.delta = c.deltaDefault
 	}
@@ -177,14 +165,9 @@ func (c *Copa) updateDelta(now sim.Time) {
 	if !c.competitive {
 		return
 	}
-	guard := c.srtt
-	if guard == 0 {
-		guard = 100 * sim.Millisecond
-	}
-	if now-c.lastDeltaUpd < guard {
+	if !c.clock.Every(&c.lastDeltaUpd, now) {
 		return
 	}
-	c.lastDeltaUpd = now
 	if c.lossInRTT {
 		c.delta *= 2 // halve 1/delta
 		c.lossInRTT = false
@@ -209,7 +192,7 @@ func (c *Copa) OnLoss(l transport.LossInfo) {
 		c.velocity = 1
 		return
 	}
-	if c.competitive && c.lossEvent(l.Now) {
+	if c.competitive && c.clock.Congestion(l) {
 		c.cwnd = clampWindow(c.cwnd/2, 2*c.mss, 0)
 	}
 }
@@ -218,7 +201,7 @@ func (c *Copa) OnLoss(l transport.LossInfo) {
 func (c *Copa) Control() transport.Transmission {
 	standing := sim.Time(c.rttStanding.Min())
 	if standing <= 0 {
-		standing = c.srtt
+		standing = c.clock.SRTT()
 	}
 	var pace float64
 	if standing > 0 {

@@ -40,7 +40,7 @@ func (c *Cubic) Init(env *transport.Env) {
 
 // OnAck grows the window per RFC 8312.
 func (c *Cubic) OnAck(a transport.AckInfo) {
-	c.seeRTT(a.RTT)
+	c.clock.See(a.RTT)
 	if c.cwnd < c.ssthresh {
 		c.cwnd += float64(a.Bytes)
 		return
@@ -61,10 +61,6 @@ func (c *Cubic) OnAck(a transport.AckInfo) {
 	wCubic := (cubicC*math.Pow(t-c.k, 3) + c.wMax/c.mss) * c.mss
 
 	// TCP-friendly region: emulate Reno's growth rate.
-	rtt := c.srtt
-	if rtt == 0 {
-		rtt = 100 * sim.Millisecond
-	}
 	c.wEst += 3 * (1 - cubicBeta) / (1 + cubicBeta) * (float64(a.Bytes) * c.mss / c.cwnd)
 
 	target := wCubic
@@ -81,14 +77,13 @@ func (c *Cubic) OnAck(a transport.AckInfo) {
 
 // OnLoss applies the multiplicative decrease with fast convergence.
 func (c *Cubic) OnLoss(l transport.LossInfo) {
+	if !c.clock.Congestion(l) {
+		return
+	}
 	if l.Timeout {
 		c.ssthresh = clampWindow(c.cwnd*cubicBeta, 2*c.mss, 0)
 		c.cwnd = c.mss
 		c.epochStart = 0
-		c.lastCut = l.Now
-		return
-	}
-	if !c.lossEvent(l.Now) {
 		return
 	}
 	// Fast convergence: release bandwidth faster when the window is

@@ -22,7 +22,7 @@ func (f *FixedWindow) Init(env *transport.Env) {
 }
 
 // OnAck does nothing: the window is fixed.
-func (f *FixedWindow) OnAck(a transport.AckInfo) { f.seeRTT(a.RTT) }
+func (f *FixedWindow) OnAck(a transport.AckInfo) { f.clock.See(a.RTT) }
 
 // OnLoss does nothing.
 func (f *FixedWindow) OnLoss(transport.LossInfo) {}

@@ -25,7 +25,7 @@ func (r *Reno) Init(env *transport.Env) {
 
 // OnAck grows the window.
 func (r *Reno) OnAck(a transport.AckInfo) {
-	r.seeRTT(a.RTT)
+	r.clock.See(a.RTT)
 	if r.cwnd < r.ssthresh {
 		r.cwnd += float64(a.Bytes)
 	} else {
@@ -35,13 +35,12 @@ func (r *Reno) OnAck(a transport.AckInfo) {
 
 // OnLoss halves the window once per loss event.
 func (r *Reno) OnLoss(l transport.LossInfo) {
+	if !r.clock.Congestion(l) {
+		return
+	}
 	if l.Timeout {
 		r.ssthresh = clampWindow(r.cwnd/2, 2*r.mss, 0)
 		r.cwnd = r.mss
-		r.lastCut = l.Now
-		return
-	}
-	if !r.lossEvent(l.Now) {
 		return
 	}
 	r.ssthresh = clampWindow(r.cwnd/2, 2*r.mss, 0)

@@ -19,8 +19,7 @@ type Vegas struct {
 
 	inSlowStart bool
 	lastAdjust  sim.Time
-	rttSum      sim.Time
-	rttCnt      int
+	mean        rttMean
 }
 
 // NewVegas returns a Vegas controller with the classic alpha=2, beta=4.
@@ -35,25 +34,17 @@ func (v *Vegas) Init(env *transport.Env) {
 
 // OnAck applies the once-per-RTT Vegas adjustment.
 func (v *Vegas) OnAck(a transport.AckInfo) {
-	v.seeRTT(a.RTT)
-	v.rttSum += a.RTT
-	v.rttCnt++
-	guard := v.srtt
-	if guard == 0 {
-		guard = 100 * sim.Millisecond
-	}
-	now := v.now()
-	if now-v.lastAdjust < guard {
+	v.clock.See(a.RTT)
+	v.mean.add(a.RTT)
+	if !v.clock.Every(&v.lastAdjust, v.now()) {
 		return
 	}
-	v.lastAdjust = now
-	avgRTT := v.rttSum / sim.Time(v.rttCnt)
-	v.rttSum, v.rttCnt = 0, 0
-	if avgRTT <= 0 || v.minRTT <= 0 {
+	avgRTT, minRTT := v.mean.take(), v.clock.Min()
+	if avgRTT <= 0 || minRTT <= 0 {
 		return
 	}
 	// diff in packets: cwnd*(RTT-baseRTT)/RTT / mss
-	diff := v.cwnd * float64(avgRTT-v.minRTT) / float64(avgRTT) / v.mss
+	diff := v.cwnd * float64(avgRTT-minRTT) / float64(avgRTT) / v.mss
 	if v.inSlowStart {
 		if diff > 1 {
 			v.inSlowStart = false
@@ -74,13 +65,12 @@ func (v *Vegas) OnAck(a transport.AckInfo) {
 
 // OnLoss halves the window (Vegas falls back to Reno behaviour on loss).
 func (v *Vegas) OnLoss(l transport.LossInfo) {
+	if !v.clock.Congestion(l) {
+		return
+	}
 	if l.Timeout {
 		v.cwnd = 2 * v.mss
 		v.inSlowStart = true
-		v.lastCut = l.Now
-		return
-	}
-	if !v.lossEvent(l.Now) {
 		return
 	}
 	v.cwnd = clampWindow(v.cwnd/2, 2*v.mss, 0)

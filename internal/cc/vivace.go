@@ -63,7 +63,7 @@ func (v *Vivace) utility(rateBps float64, rttGrad float64, lossRate float64) flo
 // OnAck accumulates monitor-interval statistics and steps the learner at
 // MI boundaries.
 func (v *Vivace) OnAck(a transport.AckInfo) {
-	v.seeRTT(a.RTT)
+	v.clock.See(a.RTT)
 	now := v.now()
 	if v.miStart == 0 {
 		v.beginMI(now, a)
@@ -71,7 +71,7 @@ func (v *Vivace) OnAck(a transport.AckInfo) {
 	}
 	v.miAcks++
 	v.rttLast = a.RTT
-	mi := v.srtt
+	mi := v.clock.SRTT()
 	if mi < 10*sim.Millisecond {
 		mi = 10 * sim.Millisecond
 	}
@@ -169,11 +169,7 @@ func (v *Vivace) OnLoss(l transport.LossInfo) {
 
 // Control paces at the learned rate with a generous window cap.
 func (v *Vivace) Control() transport.Transmission {
-	rtt := v.srtt
-	if rtt == 0 {
-		rtt = 100 * sim.Millisecond
-	}
-	cwnd := 4 * v.rate / 8 * rtt.Seconds()
+	cwnd := 4 * v.rate / 8 * v.clock.RTT().Seconds()
 	if cwnd < 4*v.mss {
 		cwnd = 4 * v.mss
 	}

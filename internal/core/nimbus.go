@@ -103,8 +103,7 @@ type Nimbus struct {
 	rdet    *Detector // FFT of R (watchers; multi-pulser check)
 
 	lastRTT sim.Time
-	srtt    sim.Time
-	xmin    sim.Time
+	clock   transport.RTTClock
 
 	lastS, lastR, lastZ float64
 	haveRates           bool
@@ -227,14 +226,7 @@ func (n *Nimbus) Init(env *transport.Env) {
 func (n *Nimbus) OnAck(a transport.AckInfo) {
 	n.sampler.Add(a.SentAt, a.AckedAt, a.Bytes)
 	n.lastRTT = a.RTT
-	if n.srtt == 0 {
-		n.srtt = a.RTT
-	} else {
-		n.srtt += (a.RTT - n.srtt) / 8
-	}
-	if n.xmin == 0 || a.RTT < n.xmin {
-		n.xmin = a.RTT
-	}
+	n.clock.See(a.RTT)
 	if n.mode == ModeCompetitive {
 		n.cfg.Competitive.OnAck(a)
 	} else if n.cfg.Delay != nil {
@@ -264,7 +256,7 @@ func (n *Nimbus) pulseFreq() float64 {
 // the detectors, run role and mode logic, and recompute the send rate.
 func (n *Nimbus) tick() {
 	now := n.env.Sch.Now()
-	window := n.srtt
+	window := n.clock.SRTT()
 	if window < 2*n.det.Config().SampleInterval {
 		window = 2 * n.det.Config().SampleInterval
 	}
@@ -389,11 +381,7 @@ func (n *Nimbus) switchToCompetitive(now sim.Time) {
 	if n.rateHist.Full() {
 		rate = n.rateHist.At(n.rateHist.Cap() - 1) // oldest: ~FFTDuration ago
 	}
-	srtt := n.srtt
-	if srtt <= 0 {
-		srtt = 100 * sim.Millisecond
-	}
-	n.cfg.Competitive.SetCwnd(rate / 8 * srtt.Seconds())
+	n.cfg.Competitive.SetCwnd(rate / 8 * n.clock.RTT().Seconds())
 	if n.env.Sender != nil {
 		n.env.Sender.KickPacing()
 	}
@@ -406,20 +394,13 @@ func (n *Nimbus) switchToDelay(now sim.Time) {
 	n.voteN = 0
 	n.ModeSwitches++
 	if n.cfg.Delay != nil {
-		srtt := n.srtt
-		if srtt <= 0 {
-			srtt = 100 * sim.Millisecond
-		}
-		n.cfg.Delay.SetCwnd(n.currentRate / 8 * srtt.Seconds())
+		n.cfg.Delay.SetCwnd(n.currentRate / 8 * n.clock.RTT().Seconds())
 	}
 }
 
 // baseRate computes the un-pulsed rate dictated by the active algorithm.
 func (n *Nimbus) baseRate() float64 {
-	srtt := n.srtt
-	if srtt <= 0 {
-		srtt = 100 * sim.Millisecond
-	}
+	srtt := n.clock.RTT()
 	if n.mode == ModeCompetitive {
 		return n.cfg.Competitive.Cwnd() * 8 / srtt.Seconds()
 	}
@@ -430,7 +411,8 @@ func (n *Nimbus) baseRate() float64 {
 	// is reached so the µ estimator has something to measure.
 	mu := n.cfg.Mu.Mu()
 	if n.startup {
-		if n.haveRates && n.lastRTT > n.xmin+DefaultBasicDelayConfig().TargetDelay && n.xmin > 0 {
+		xmin := n.clock.Min()
+		if n.haveRates && n.lastRTT > xmin+DefaultBasicDelayConfig().TargetDelay && xmin > 0 {
 			n.startup = false
 		} else {
 			r := 2 * n.lastS
@@ -447,7 +429,7 @@ func (n *Nimbus) baseRate() float64 {
 	if !n.haveRates || mu <= 0 {
 		return n.currentRate
 	}
-	return BasicDelayRate(DefaultBasicDelayConfig(), mu, n.lastS, n.lastZ, n.lastRTT, n.xmin)
+	return BasicDelayRate(DefaultBasicDelayConfig(), mu, n.lastS, n.lastZ, n.lastRTT, n.clock.Min())
 }
 
 // updateRate recomputes the pulsed/filtered send rate.
@@ -483,11 +465,7 @@ func (n *Nimbus) updateRate(now sim.Time) {
 
 // Control paces at the pulsed rate with a generous window cap.
 func (n *Nimbus) Control() transport.Transmission {
-	srtt := n.srtt
-	if srtt <= 0 {
-		srtt = 100 * sim.Millisecond
-	}
-	cap := 2 * n.cfg.Mu.Mu() / 8 * srtt.Seconds()
+	cap := 2 * n.cfg.Mu.Mu() / 8 * n.clock.RTT().Seconds()
 	if c := 2 * n.cfg.Competitive.Cwnd(); n.mode == ModeCompetitive && c > cap {
 		cap = c
 	}

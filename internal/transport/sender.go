@@ -39,10 +39,11 @@ type Sender struct {
 	unacked     stats.Queue[pktRec] // in-flight records, oldest first, from the oldest unsettled one
 	lossScratch []int               // handleAck's lost sizes, reset per ACK
 
-	srtt, rttvar sim.Time
-	rto          sim.Time
-	rtoTimer     *sim.Timer
-	rtoBackoff   int
+	clock      RTTClock
+	rttvar     sim.Time
+	rto        sim.Time
+	rtoTimer   *sim.Timer
+	rtoBackoff int
 
 	paceTimer  *sim.Timer
 	nextSendAt sim.Time
@@ -350,18 +351,17 @@ func (s *Sender) handleAck(seq uint64, size int, sentAt sim.Time, delivered uint
 }
 
 func (s *Sender) updateRTT(rtt sim.Time) {
-	if s.srtt == 0 {
-		s.srtt = rtt
+	if srtt := s.clock.SRTT(); srtt == 0 {
 		s.rttvar = rtt / 2
 	} else {
-		d := s.srtt - rtt
+		d := srtt - rtt
 		if d < 0 {
 			d = -d
 		}
 		s.rttvar += (d - s.rttvar) / 4
-		s.srtt += (rtt - s.srtt) / 8
 	}
-	s.rto = s.srtt + 4*s.rttvar
+	s.clock.See(rtt)
+	s.rto = s.clock.SRTT() + 4*s.rttvar
 	if s.rto < minRTO {
 		s.rto = minRTO
 	}

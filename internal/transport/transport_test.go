@@ -85,8 +85,8 @@ func TestRTTMeasurement(t *testing.T) {
 	if min < rtt+tx || min > rtt+2*tx+sim.Millisecond {
 		t.Fatalf("min RTT = %v, want ~%v", min, rtt+tx)
 	}
-	if s.srtt < rtt {
-		t.Fatalf("srtt = %v below base", s.srtt)
+	if s.clock.SRTT() < rtt {
+		t.Fatalf("srtt = %v below base", s.clock.SRTT())
 	}
 }
 
