@@ -10,15 +10,10 @@
 // run the scenario with the pulser present: nimbus-sim -scheme nimbus
 // with -link-trace, -topology, -churn, or -cross cubic -fluid on.
 //
-// The -list option every CLI in this repo shares is available here too:
-// "-list schemes", "-list traces", "-list topologies", "-list
-// experiments", or several at once, comma-separated.
-//
 // Usage:
 //
 //	elasticity -fp 5 -interval 10ms < zseries.csv
 //	elasticity -fp 5,2,1 < zseries.csv
-//	elasticity -list schemes
 package main
 
 import (
@@ -34,7 +29,6 @@ import (
 	"time"
 
 	"nimbus/internal/core"
-	"nimbus/internal/exp"
 	"nimbus/internal/fft"
 	"nimbus/internal/sim"
 )
@@ -50,13 +44,8 @@ func main() {
 		interval = flag.Duration("interval", 10*time.Millisecond, "sample interval of the input series")
 		window   = flag.Duration("window", 5*time.Second, "FFT window")
 		thresh   = flag.Float64("threshold", 2, "elasticity threshold")
-
-		list = flag.String("list", "", exp.ListUsage)
 	)
 	flag.Parse()
-	if exp.HandleListFlag(*list) {
-		return
-	}
 
 	if err := checkDurations(*interval, *window); err != nil {
 		fmt.Fprintln(os.Stderr, err)

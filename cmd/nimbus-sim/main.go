@@ -23,7 +23,7 @@
 // parentheses don't split); the cartesian product then runs as a
 // parallel sweep on -workers cores and prints one summary row per
 // scenario (optionally written to -out as JSON or CSV). -list prints the
-// listings every CLI shares (schemes, traces, topologies, experiments).
+// listings nimbus-bench shares (schemes, traces, topologies, experiments).
 //
 // Examples:
 //

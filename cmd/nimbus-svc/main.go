@@ -61,25 +61,20 @@ func realMain() int {
 		maxCells     = flag.Int("max-cells", 1_000_000, "reject grids expanding to more cells than this")
 		codeVersion  = flag.String("code-version", "", "override the cache key's code-version component (default: hash of this executable)")
 		fsync        = flag.Bool("fsync", false, "fsync journal appends and cache writes before acknowledging (crash-durable; slower)")
-		failpoints   = flag.String("failpoints", "", "comma-separated fault injections, e.g. 'disk-write=err:0.5,cell-run=hang:1' (also via NIMBUS_FAILPOINTS; chaos testing only)")
+		failpoints   = flag.String("failpoints", "", "comma-separated fault injections, e.g. 'disk-write=err:0.5,cell-run=hang:1' (chaos testing only)")
 		cellTimeout  = flag.Duration("cell-timeout", 0, "per-cell watchdog: reap a cell still simulating after this long (0 = no watchdog)")
 		maxJobs      = flag.Int("max-jobs", 0, "shed new submissions with 429 while this many jobs are running (0 = unbounded)")
-		maxInflight  = flag.Int("max-inflight-cells", 0, "shed new submissions while this many cells are simulating (0 = unbounded)")
 		pprofOn      = flag.Bool("pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/ (off by default; enable only on trusted networks)")
 	)
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "nimbus-svc: ", log.LstdFlags)
-	spec := *failpoints
-	if spec == "" {
-		spec = os.Getenv("NIMBUS_FAILPOINTS")
-	}
-	if spec != "" {
-		if err := fault.Set(spec); err != nil {
+	if *failpoints != "" {
+		if err := fault.Set(*failpoints); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		logger.Printf("FAULT INJECTION ARMED: %s", spec)
+		logger.Printf("FAULT INJECTION ARMED: %s", *failpoints)
 	}
 
 	version := *codeVersion
@@ -101,16 +96,15 @@ func realMain() int {
 	defer journal.Close()
 
 	server := &svc.Server{
-		Store:            store,
-		Run:              exp.RunScenario,
-		Canonical:        exp.CanonicalGrid,
-		Workers:          *workers,
-		MaxCells:         *maxCells,
-		Journal:          journal,
-		CellTimeout:      *cellTimeout,
-		MaxJobs:          *maxJobs,
-		MaxInflightCells: *maxInflight,
-		Logf:             logger.Printf,
+		Store:       store,
+		Run:         exp.RunScenario,
+		Canonical:   exp.CanonicalGrid,
+		Workers:     *workers,
+		MaxCells:    *maxCells,
+		Journal:     journal,
+		CellTimeout: *cellTimeout,
+		MaxJobs:     *maxJobs,
+		Logf:        logger.Printf,
 	}
 	server.Start()
 	if n := server.Replay(records); n > 0 {

@@ -54,21 +54,19 @@ func TestEveryExperimentHasFamily(t *testing.T) {
 }
 
 // TestListText: each name -list accepts renders the bytes the -list-NAME
-// flag it replaced printed (testdata/list holds them), and any set of
-// names renders each listing once, in Listings order, whatever order the
-// names come in. An unknown name or an empty item is an error naming the
-// four.
+// flag it replaced printed (testdata/list holds them; -update rewrites
+// them), and any set of names renders each listing once, in Listings
+// order, whatever order the names come in. An unknown name or an empty
+// item is an error naming the four.
 func TestListText(t *testing.T) {
 	var all string
 	for _, name := range Listings {
-		want, err := os.ReadFile(filepath.Join("testdata", "list", name+".txt"))
+		got, err := ListText(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := ListText(name); err != nil || got != string(want) {
-			t.Errorf("-list %s = %q, %v; want testdata/list/%s.txt:\n%s", name, got, err, name, want)
-		}
-		all += string(want)
+		checkGolden(t, "testdata/list/"+name+".txt", got)
+		all += got
 	}
 	for _, list := range []string{"schemes,traces,topologies,experiments", "experiments, topologies,traces,schemes,traces"} {
 		if got, err := ListText(list); err != nil || got != all {

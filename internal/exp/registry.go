@@ -90,7 +90,8 @@ func Run(id string, seed int64, quick bool) (string, error) {
 // topology presets and the experiment index.
 var Listings = []string{"schemes", "traces", "topologies", "experiments"}
 
-// ListUsage is the -list flag's help text, the same on every CLI.
+// ListUsage is the -list flag's help text, the same on both CLIs that
+// take it.
 const ListUsage = "print listings and exit: a comma-separated subset of schemes,traces,topologies,experiments"
 
 // listNames parses a -list value into the set of listings it names. An
@@ -107,8 +108,8 @@ func listNames(list string) (map[string]bool, error) {
 	return want, nil
 }
 
-// ListText renders the -list output every CLI shares: each listing the
-// comma-separated list names, once, in Listings order.
+// ListText renders the -list output nimbus-sim and nimbus-bench share:
+// each listing the comma-separated list names, once, in Listings order.
 func ListText(list string) (string, error) {
 	want, err := listNames(list)
 	if err != nil {
@@ -139,7 +140,7 @@ func ListText(list string) (string, error) {
 // main can simply return. A misspelt or empty name, an empty -list
 // value included, exits 2 before anything prints; a listing that fails
 // to render exits 1. Keeping the dispatch here, next to the renderers,
-// means the three binaries cannot drift in output, error path, or exit
+// means the two binaries cannot drift in output, error path, or exit
 // code.
 func HandleListFlag(list string) bool {
 	set := false
@@ -240,9 +241,9 @@ func FamilyOf(id string) string {
 }
 
 // FormatExperimentList renders the registry index grouped by family —
-// the text every CLI prints for -list experiments. Each family gets a
-// "family: doc" header followed by its member experiments, so the
-// listing explains what a family is for, not just which ids exist.
+// the text -list experiments prints. Each family gets a "family: doc"
+// header followed by its member experiments, so the listing explains
+// what a family is for, not just which ids exist.
 func FormatExperimentList() string {
 	var b strings.Builder
 	for _, f := range Families {
@@ -257,8 +258,8 @@ func FormatExperimentList() string {
 }
 
 // FormatTopologyList renders the registered topology presets with their
-// hop structure — the text every CLI prints for -list topologies. Chain
-// specs ("access(x4,5ms)->bn") are accepted anywhere a preset name is.
+// hop structure — the text -list topologies prints. Chain specs
+// ("access(x4,5ms)->bn") are accepted anywhere a preset name is.
 func FormatTopologyList() string {
 	var b strings.Builder
 	for _, name := range netem.TopologyNames() {
@@ -277,8 +278,7 @@ func FormatTopologyList() string {
 }
 
 // FormatTraceList renders the embedded capacity-trace corpus with each
-// trace's span and rate range — the text every CLI prints for
-// -list traces.
+// trace's span and rate range — the text -list traces prints.
 func FormatTraceList() (string, error) {
 	var b strings.Builder
 	for _, name := range netem.TraceNames() {

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -102,32 +101,33 @@ func TestMixCrossVocabulary(t *testing.T) {
 // has a windowed CBR and three windowed Cubic flows, each with its own
 // stop event (one shared stop event then); the A-deep path builds its
 // flow through AddFlowSpecs now; fig08's script adds Cubic flows through
-// addCross at run time. check_reports.sh holds every report.
+// addCross at run time (testdata/figure-cells.golden). check_reports.sh
+// holds every report.
 func TestFigureCellsPinned(t *testing.T) {
 	fig17 := Fig17(1, true).Panels[0]
 	pathMbps, pathRTT := runPath(Paths25()[0], "nimbus", 1, 30*sim.Second)
 	rev := topoRevCongested("nimbus", 1, 20*sim.Second)
 	video := runFig11("4k", "cubic", 1, 60*sim.Second)
 	fig08 := runFig08("nimbus", 1, 12*sim.Second)
+	var got strings.Builder
 	for _, c := range []struct {
-		name      string
-		got, want float64
+		name string
+		v    float64
 	}{
-		{"fig17 elastic agg Mbit/s", fig17.Num(0, "elastic agg Mbit/s"), 53.65690909090909},
-		{"fig17 inelastic agg Mbit/s", fig17.Num(0, "inelastic agg Mbit/s"), 90.50345454545455},
-		{"A-deep/nimbus Mbit/s", pathMbps, 13.8696},
-		{"A-deep/nimbus mean RTT ms", pathRTT, 86.53216219560264},
-		{"rev-congested/nimbus ackDrops", float64(rev[5].(uint64)), 120},
-		{"fig11 4k/cubic video Mbit/s", video[4].(float64), 12.561733333333335},
-		{"fig08 nimbus Mbit/s", fig08[1].(float64), 44.013902912621354},
-		{"fig08 nimbus delay ms", fig08[2].(float64), 26.25676083555486},
-		{"fig08 nimbus fair-err", fig08[3].(float64), 0.39500972222222225},
-		{"fig08 nimbus mode-acc", fig08[4].(float64), 0.6759183673469388},
+		{"fig17 elastic agg Mbit/s", fig17.Num(0, "elastic agg Mbit/s")},
+		{"fig17 inelastic agg Mbit/s", fig17.Num(0, "inelastic agg Mbit/s")},
+		{"A-deep/nimbus Mbit/s", pathMbps},
+		{"A-deep/nimbus mean RTT ms", pathRTT},
+		{"rev-congested/nimbus ackDrops", float64(rev[5].(uint64))},
+		{"fig11 4k/cubic video Mbit/s", video[4].(float64)},
+		{"fig08 nimbus Mbit/s", fig08[1].(float64)},
+		{"fig08 nimbus delay ms", fig08[2].(float64)},
+		{"fig08 nimbus fair-err", fig08[3].(float64)},
+		{"fig08 nimbus mode-acc", fig08[4].(float64)},
 	} {
-		if math.Float64bits(c.got) != math.Float64bits(c.want) {
-			t.Errorf("%s moved: %v, want %v", c.name, c.got, c.want)
-		}
+		fmt.Fprintf(&got, "%s\t%s\n", c.name, pin(c.v))
 	}
+	checkGolden(t, "testdata/figure-cells.golden", got.String())
 }
 
 // TestCrossWindow: a cross source described over [start, stop) delivers
@@ -205,7 +205,8 @@ func TestCrossWindow(t *testing.T) {
 // nothing — one Fig. 14 (left) cell under both schemes it scores and
 // Table 1's shallow-buffer BBR cell keep the event count, accuracy and
 // median η they had when run assembled its rig by hand (MustBuildScheme,
-// AddFlow, addCross in a loop), captured at the last commit that did.
+// AddFlow, addCross in a loop), captured at the last commit that did
+// (testdata/score-cells.golden).
 // TestRigEventOrderPinned and TestCrossTraceCellPinned hold the other
 // callers of the builder.
 func TestScoreCellBuildsThroughBuild(t *testing.T) {
@@ -214,23 +215,20 @@ func TestScoreCellBuildsThroughBuild(t *testing.T) {
 		net:   NetConfig{Buffer: 25 * sim.Millisecond},
 		cross: []crossSpec{{kind: "bbr", label: "cross", rate: 48e6}},
 	}
+	var got strings.Builder
 	for _, c := range []struct {
 		name   string
 		cell   scoreCell
 		scheme string
-		events uint64
-		acc    float64
-		median float64
 	}{
-		{"fig14-left/nimbus", fig14Left, "nimbus", 550171, 0.901, 0.8126524196941592},
-		{"fig14-left/copa", fig14Left, "copa", 463080, 0.9960000000000001, 0},
-		{"table1/bbr-shallow", bbrShallow, "nimbus-delay", 636718, 1, 1.1371446510309597},
+		{"fig14-left/nimbus", fig14Left, "nimbus"},
+		{"fig14-left/copa", fig14Left, "copa"},
+		{"table1/bbr-shallow", bbrShallow, "nimbus-delay"},
 	} {
 		res := c.cell.run(spec.MustParse(c.scheme), 1, 20*sim.Second)
 		median, _ := res.etaStats()
-		if res.Rig.Sch.Executed != c.events || res.acc.Accuracy() != c.acc || median != c.median {
-			t.Errorf("%s moved: events=%d accuracy=%v median eta=%v, want %d %v %v",
-				c.name, res.Rig.Sch.Executed, res.acc.Accuracy(), median, c.events, c.acc, c.median)
-		}
+		fmt.Fprintf(&got, "%[1]s events\t%[2]d\n%[1]s accuracy\t%[3]s\n%[1]s median eta\t%[4]s\n",
+			c.name, res.Rig.Sch.Executed, pin(res.acc.Accuracy()), pin(median))
 	}
+	checkGolden(t, "testdata/score-cells.golden", got.String())
 }

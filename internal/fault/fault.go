@@ -4,8 +4,7 @@
 // the disabled fast path is a single atomic load, so production traffic
 // pays one branch per instrumented operation and nothing else.
 //
-// Points are armed from a spec string — the daemon's -failpoints flag or
-// the NIMBUS_FAILPOINTS environment variable:
+// Points are armed from a spec string, the daemon's -failpoints flag:
 //
 //	disk-write=err:0.5,cell-run=hang:1
 //	journal-append=torn

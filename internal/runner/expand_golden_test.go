@@ -2,16 +2,12 @@ package runner
 
 import (
 	"crypto/sha256"
-	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
 	"nimbus/internal/scheme"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite testdata/expand_golden.txt from the current Grid.Expand")
 
 // goldenGrids are the expansions pinned cell by cell. The two all-axes
 // grids give every axis two values (a grid cannot sweep schemes and flow
@@ -70,6 +66,9 @@ func goldenGrids() []struct {
 // readable.
 const goldenStride = 257
 
+// renderGolden is one pin per grid for its cell count and one for the
+// digest of all its lines, then the sampled lines, each named by grid and
+// cell index.
 func renderGolden() string {
 	var b strings.Builder
 	for _, gg := range goldenGrids() {
@@ -83,9 +82,9 @@ func renderGolden() string {
 				sample = append(sample, line)
 			}
 		}
-		fmt.Fprintf(&b, "# %s: %d cells, sha256 of all lines %x\n", gg.name, len(scs), h.Sum(nil))
+		fmt.Fprintf(&b, "%s cells\t%d\n%[1]s sha256 of all lines\t%[3]x\n", gg.name, len(scs), h.Sum(nil))
 		for _, l := range sample {
-			b.WriteString(l + "\n")
+			fmt.Fprintf(&b, "%s %s\n", gg.name, l)
 		}
 	}
 	return b.String()
@@ -95,33 +94,5 @@ func renderGolden() string {
 // expansion order, to what the hand-written 13-deep loop nest produced
 // before Expand was derived from the axes table.
 func TestExpandGolden(t *testing.T) {
-	const path = "testdata/expand_golden.txt"
-	got := renderGolden()
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == string(want) {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := range gl {
-		if i >= len(wl) || gl[i] != wl[i] {
-			w := "(end of file)"
-			if i < len(wl) {
-				w = wl[i]
-			}
-			t.Fatalf("expansion differs from %s at line %d:\n got  %s\n want %s", path, i+1, gl[i], w)
-		}
-	}
-	t.Fatalf("expansion is a prefix of %s: got %d lines, want %d", path, len(gl), len(wl))
+	checkGolden(t, "testdata/expand_golden.txt", renderGolden())
 }

@@ -305,9 +305,9 @@ func List() []Info {
 	return out
 }
 
-// FormatList renders the registry as the text every CLI's -list schemes
-// prints: one line per scheme, then one indented line per parameter with
-// its type, default, and doc.
+// FormatList renders the registry as the text -list schemes prints: one
+// line per scheme, then one indented line per parameter with its type,
+// default, and doc.
 func FormatList() string {
 	var b strings.Builder
 	for _, info := range List() {

@@ -99,9 +99,6 @@ type Server struct {
 	// while this many jobs are running — load shedding instead of
 	// collapse. 0 is unbounded.
 	MaxJobs int
-	// MaxInflightCells, when > 0, sheds new submissions while the store
-	// has at least this many simulations in flight. 0 is unbounded.
-	MaxInflightCells int
 	// Logf, if set, receives one line per job lifecycle edge.
 	Logf func(format string, args ...any)
 
@@ -248,33 +245,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // shed decides whether to reject a new submission under overload,
-// returning a human-readable reason (empty = admit). Both bounds are
-// soft admission checks, not hard guarantees — two racing submissions
-// may both pass — which is fine: the point is a bounded queue, not an
-// exact one.
+// returning a human-readable reason (empty = admit). The bound is a soft
+// admission check, not a hard guarantee — two racing submissions may both
+// pass — which is fine: the point is a bounded queue, not an exact one.
 func (s *Server) shed() string {
-	if s.MaxJobs > 0 {
-		s.mu.Lock()
-		running := s.nextID - s.jobsDone - s.jobsCanceled
-		s.mu.Unlock()
-		if running >= s.MaxJobs {
-			s.countShed()
-			return fmt.Sprintf("%d jobs already running (limit %d)", running, s.MaxJobs)
-		}
+	if s.MaxJobs <= 0 {
+		return ""
 	}
-	if s.MaxInflightCells > 0 {
-		if inflight := s.Store.Stats().Inflight; inflight >= s.MaxInflightCells {
-			s.countShed()
-			return fmt.Sprintf("%d cells already in flight (limit %d)", inflight, s.MaxInflightCells)
-		}
-	}
-	return ""
-}
-
-func (s *Server) countShed() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	running := s.nextID - s.jobsDone - s.jobsCanceled
+	if running < s.MaxJobs {
+		return ""
+	}
 	s.jobsShed++
-	s.mu.Unlock()
+	return fmt.Sprintf("%d jobs already running (limit %d)", running, s.MaxJobs)
 }
 
 // appendJournal records a lifecycle edge, degrading gracefully: a WAL

@@ -19,9 +19,9 @@
 # would discard whatever scoreCell.build attached.
 #
 # A refactor of internal/exp or anything under it must leave every digest
-# unchanged. A change that is meant to alter a report says so, reruns
-# with -update (which writes both digest files), and commits the new
-# digests with the delta recorded in CHANGES.md.
+# unchanged. A change that is meant to alter a report says so and runs
+# scripts/update_pins.sh, which calls this script with -update (writing
+# both digest files) and prints the moved digests for CHANGES.md.
 set -euo pipefail
 export LC_ALL=C # the digest files are in glob order
 
@@ -81,7 +81,7 @@ compare() {
     if ! diff -u "$1" "$2" > "$tmp/diff"; then
         echo "check_reports: FAIL — reports differ from $1:" >&2
         grep '^[-+][0-9a-f]' "$tmp/diff" >&2
-        echo "check_reports: rerun with -update only if the change is meant to alter these reports" >&2
+        echo "check_reports: run scripts/update_pins.sh only if the change is meant to alter these reports" >&2
         exit 1
     fi
 }

@@ -130,7 +130,7 @@ for w in 1 4; do
     "$tmp/new/nimbus-bench" -grid BENCH_grid.json -workers $w -out "$out" >/dev/null 2>"$out.log" ||
         { echo "check_sweeps: FAIL — nimbus-bench -grid BENCH_grid.json -workers $w" >&2; cat "$out.log" >&2; exit 1; }
     jq 'map(.wall_sec = 0)' "$out" | cmp - "$tmp/bench.want" ||
-        { echo "check_sweeps: FAIL — BENCH_grid.json at -workers $w differs from BENCH_runner.json; regenerate it with nimbus-bench -grid BENCH_grid.json -out BENCH_runner.json and declare the delta" >&2; exit 1; }
+        { echo "check_sweeps: FAIL — BENCH_grid.json at -workers $w differs from BENCH_runner.json; if the change is meant to move it, run scripts/update_pins.sh and declare the delta" >&2; exit 1; }
 done
 
 msg="check_sweeps: $n grids byte-identical at -workers 1 and 4"
