@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -72,10 +73,46 @@ var DefaultRetry = Retry{Attempts: 5, Base: 200 * time.Millisecond, Max: 5 * tim
 // honor Retry-After, and StreamEvents resumes a dropped stream from the
 // last progress line it delivered — so a sweep rides through a daemon
 // restart without dropping or duplicating output.
+//
+// A job the daemon answered inside POST /jobs (every cell was a memory
+// hit) costs one request: Submit keeps that answer, and StreamEvents and
+// RawResults (and Results) for the job serve their part of it once,
+// without a request. The client holds one such answer, the last Submit's;
+// any other call goes to the daemon.
 type Client struct {
 	Base  string
 	HTTP  *http.Client
 	Retry Retry
+
+	mu     sync.Mutex
+	inline inlineAnswer
+}
+
+// inlineAnswer is the answer of a job the daemon finished inside its
+// POST: the job's id and the parts not yet served ("" once served).
+type inlineAnswer struct {
+	id, events, results string
+}
+
+// takeInline returns, once, the events (or, with results set, the results
+// document) of the inline answer held for job id.
+func (c *Client) takeInline(id string, results bool) (string, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	a := &c.inline
+	if a.id != id {
+		return "", false
+	}
+	part := &a.events
+	if results {
+		part = &a.results
+	}
+	v := *part
+	*part = ""
+	if a.events == "" && a.results == "" {
+		*a = inlineAnswer{}
+	}
+	return v, v != ""
 }
 
 // NewClient returns a client for the daemon at base.
@@ -245,10 +282,19 @@ func apiError(resp *http.Response, path string) error {
 // the daemon's default pool size. Submit retries only failures where the
 // job provably does not exist (connection refused, load-shed 429) — a
 // mid-flight transport error is surfaced, never blindly retried, so a
-// sweep is never submitted twice.
+// sweep is never submitted twice. A job the daemon answered inline
+// (created.State set) replaces the answer the client holds; any other
+// submission drops it.
 func (c *Client) Submit(ctx context.Context, g runner.Grid, workers int) (JobCreated, error) {
 	var created JobCreated
 	err := c.do(ctx, http.MethodPost, "/jobs", JobRequest{Grid: g, Workers: workers}, &created)
+	a := inlineAnswer{}
+	if err == nil && created.State != "" {
+		a = inlineAnswer{id: created.ID, events: created.Events, results: created.Results}
+	}
+	c.mu.Lock()
+	c.inline = a
+	c.mu.Unlock()
 	return created, err
 }
 
@@ -276,7 +322,14 @@ func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
 // restart, network blip) it reconnects with ?from=<count> so the daemon
 // skips what was already delivered. The consumer sees each progress line
 // exactly once, across any number of reconnects.
+//
+// For a job answered inline StreamEvents writes the answer's progress log
+// to w and sends no request.
 func (c *Client) StreamEvents(ctx context.Context, id string, w io.Writer) error {
+	if events, ok := c.takeInline(id, false); ok {
+		_, err := io.WriteString(w, events)
+		return err
+	}
 	attempts := c.Retry.Attempts
 	if attempts < 1 {
 		attempts = 1
@@ -358,8 +411,12 @@ func (c *Client) streamOnce(ctx context.Context, id string, from int, w io.Write
 // write these bytes verbatim: the daemon's rows come from the
 // runner.EncodeRow behind the batch CLIs' runner.WriteJSON, joined by the
 // same runner.WriteRows, so saved remote results are byte-comparable to
-// local ones. Retries (idempotent GET) per c.Retry.
+// local ones. Retries (idempotent GET) per c.Retry. For a job answered
+// inline it returns the answer's results document and sends no request.
 func (c *Client) RawResults(ctx context.Context, id string) ([]byte, error) {
+	if results, ok := c.takeInline(id, true); ok {
+		return []byte(results), nil
+	}
 	var b []byte
 	if err := c.do(ctx, http.MethodGet, "/jobs/"+id+"/results", nil, &b); err != nil {
 		return nil, err

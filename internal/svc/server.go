@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,11 +23,24 @@ type JobRequest struct {
 	Workers int         `json:"workers,omitempty"`
 }
 
-// JobCreated is the POST /jobs response.
+// JobCreated is the POST /jobs response. A job whose every cell the
+// memory tier held when it was submitted finished inside the request: the
+// response is 200 OK and carries the job's whole answer in State, Events
+// and Results. Any other job is 202 Accepted with ID and Total alone, and
+// runs in the background.
 type JobCreated struct {
 	ID string `json:"id"`
 	// Total is the number of cells the grid expanded to.
 	Total int `json:"total"`
+	// State is the terminal state of a job answered inline, "" otherwise.
+	State JobState `json:"state,omitempty"`
+	// Events is an inline job's progress log, the bytes GET
+	// /jobs/{id}/events streams.
+	Events string `json:"events,omitempty"`
+	// Results is an inline job's results document, the bytes GET
+	// /jobs/{id}/results returns. It is a string so that no encoder
+	// re-indents the rows runner.EncodeRow wrote.
+	Results string `json:"results,omitempty"`
 }
 
 // Metrics is the GET /metrics document: cache counters plus job-level
@@ -40,6 +54,9 @@ type Metrics struct {
 	JobsDone      int `json:"jobs_done"`
 	JobsCanceled  int `json:"jobs_canceled"`
 	JobsRunning   int `json:"jobs_running"`
+	// JobsInline counts the submitted jobs that finished inside POST
+	// /jobs (every cell in the memory tier) and were answered there.
+	JobsInline int `json:"jobs_inline"`
 	// CellsSimulated / SimEvents / SimWallSec aggregate the cells that
 	// actually ran (cache misses): total simulator events and the
 	// wall-clock they took, summed over cells (not elapsed time — cells
@@ -110,6 +127,7 @@ type Server struct {
 	started time.Time
 
 	jobsDone, jobsCanceled int
+	jobsInline             int
 	cellsSimulated         int
 	simEvents              uint64
 	simWallSec             float64
@@ -240,8 +258,42 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// a crash at any later point replays it.
 	s.appendJournal(Record{Type: recSubmit, ID: id, Grid: &req.Grid, Workers: req.Workers})
 	s.logf("job %s: submitted, %d cells, %d workers", id, len(scs), workers)
-	go s.runJob(ctx, j, scs, workers, false)
+	if keys := s.Store.memKeys(scs); keys != nil {
+		// Every cell is a memory hit: the job is done in the time it
+		// takes to look them up, so it runs here, through the one job
+		// runner, and the response is its answer. (A cell evicted since
+		// the peek is a disk hit or a miss like in any job.)
+		s.runJob(ctx, j, scs, keys, workers, false)
+		s.answerInline(w, j)
+		return
+	}
+	go s.runJob(ctx, j, scs, nil, workers, false)
 	writeJSON(w, http.StatusAccepted, JobCreated{ID: id, Total: len(scs)})
+}
+
+// answerInline writes the 200 response of a job that finished inside its
+// POST: its state, its progress log as GET /jobs/{id}/events renders it
+// and its results document as GET /jobs/{id}/results writes it. The
+// document is not indented (unlike writeJSON's): nearly all of it is the
+// two strings, and an indenting pass would copy them once more for no
+// whitespace inside them.
+func (s *Server) answerInline(w http.ResponseWriter, j *Job) {
+	// The job has finished and nothing cancels these reads, so neither
+	// returns an error.
+	var events string
+	state, _ := j.StreamLog(context.Background(), 0, func(chunk []byte, _ bool) error {
+		events += string(chunk)
+		return nil
+	})
+	rows, _ := j.Results(context.Background())
+	var results strings.Builder
+	runner.WriteRows(&results, rows)
+	s.mu.Lock()
+	s.jobsInline++
+	s.mu.Unlock()
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	json.NewEncoder(w).Encode(JobCreated{ID: j.id, Total: j.total, State: state, Events: events, Results: results.String()})
 }
 
 // shed decides whether to reject a new submission under overload,
@@ -273,13 +325,14 @@ func (s *Server) appendJournal(rec Record) {
 	}
 }
 
-// runJob executes a job's cells, scs, through the store: hits cost a lookup,
+// runJob executes a job's cells, scs, through the store (keys, if not nil,
+// are their store keys, already built): hits cost a lookup,
 // misses simulate (deduplicated across concurrent jobs by the store's
 // singleflight), and every completion appends the job's line entry for
 // the progress line a local runner would print, tagged with how the cell
 // was satisfied. The done edge is journaled unless doneJournaled says the
 // journal already holds it (a finished job re-resolving after a restart).
-func (s *Server) runJob(ctx context.Context, j *Job, scs []runner.Scenario, workers int, doneJournaled bool) {
+func (s *Server) runJob(ctx context.Context, j *Job, scs []runner.Scenario, keys []string, workers int, doneJournaled bool) {
 	start := time.Now()
 	n := len(scs)
 	j.begin(n)
@@ -310,7 +363,13 @@ func (s *Server) runJob(ctx context.Context, j *Job, scs []runner.Scenario, work
 	rn.RunGrid(ctx, scs, func(i int, sc runner.Scenario) runner.Result {
 		started[i] = true
 		j.cellStarted()
-		r, rec, oc := s.Store.getOrRun(ctx, s.Store.Key(sc), func() runner.Result {
+		var key string
+		if keys != nil {
+			key = keys[i]
+		} else {
+			key = s.Store.Key(sc)
+		}
+		r, rec, oc := s.Store.getOrRun(ctx, key, func() runner.Result {
 			// The watchdog gets a fresh context, not the job's: a
 			// canceled job must not abort a cell other jobs may be
 			// sharing (in-flight cells finish and cache). RunWatched
@@ -477,6 +536,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		JobsDone:       s.jobsDone,
 		JobsCanceled:   s.jobsCanceled,
 		JobsRunning:    s.nextID - s.jobsDone - s.jobsCanceled,
+		JobsInline:     s.jobsInline,
 		CellsSimulated: s.cellsSimulated,
 		SimEvents:      s.simEvents,
 		SimWallSec:     s.simWallSec,
@@ -613,7 +673,7 @@ func (s *Server) Replay(records []Record) int {
 		s.logf("journal: replaying job %s (%d cells, canceled=%v)", id, len(scs), rj.canceled)
 		n++
 		if !rj.finished {
-			go s.runJob(ctx, j, scs, workers, false)
+			go s.runJob(ctx, j, scs, nil, workers, false)
 			continue
 		}
 		// Queued for the pass below with only its grid's bytes: the
@@ -628,7 +688,7 @@ func (s *Server) Replay(records []Record) int {
 			pass[i] = queued{} // the pass holds only the jobs still to come
 			var g runner.Grid
 			json.Unmarshal(q.grid, &g)
-			s.runJob(q.ctx, q.j, safeExpand(&g), q.workers, true)
+			s.runJob(q.ctx, q.j, safeExpand(&g), nil, q.workers, true)
 		}
 	}()
 	return n

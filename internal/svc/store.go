@@ -72,8 +72,8 @@ type StoreStats struct {
 	// copy survives eviction).
 	Evictions uint64 `json:"evictions"`
 	// Corrupt counts disk entries rejected as unreadable — truncated
-	// writes, foreign files, key mismatches — each treated as a miss and
-	// rewritten.
+	// writes, foreign files, key mismatches, results that do not match
+	// their digest — each treated as a miss and rewritten.
 	Corrupt uint64 `json:"corrupt"`
 	// DiskErrors counts IO failures on the disk tier (reads that failed
 	// for reasons other than absence, and writes that could not persist).
@@ -92,10 +92,20 @@ type StoreStats struct {
 
 // entry is the on-disk envelope. Storing the full key (not just its hash)
 // makes corruption and hash collisions detectable on read: an entry whose
-// recorded key differs from the requested one is rejected as corrupt.
+// recorded key differs from the requested one is rejected as corrupt. Sum
+// binds the result to the entry the same way: the hex SHA-256 of the
+// result's runner.EncodeRow bytes, which a read re-encodes and checks, so
+// a changed digit is a corrupt miss, not a hit.
 type entry struct {
 	Key    string        `json:"key"`
+	Sum    string        `json:"sum"`
 	Result runner.Result `json:"result"`
+}
+
+// rowSum is the hex SHA-256 of an encoded row: an entry's Sum.
+func rowSum(row []byte) string {
+	sum := sha256.Sum256(row)
+	return hex.EncodeToString(sum[:])
 }
 
 // flight is one in-progress simulation that concurrent callers of the
@@ -238,9 +248,8 @@ func (s *Store) getOrRun(ctx context.Context, key string, run func() runner.Resu
 	s.stats.Inflight++
 	s.mu.Unlock()
 
-	var row []byte
-	if disk, ok := s.readDisk(key); ok {
-		r, row = encodeRow(disk)
+	if disk, row, ok := s.readDisk(key); ok {
+		r = disk
 		rec = newCellRecord(r, row)
 		s.settle(key, fl, r, rec, HitDisk)
 		return r, rec, HitDisk
@@ -256,7 +265,7 @@ func (s *Store) getOrRun(ctx context.Context, key string, run func() runner.Resu
 	}
 	rec = newCellRecord(r, row)
 	if r.Err == "" { // still: the row encoded
-		if err := s.writeDisk(key, r); err != nil {
+		if err := s.writeDisk(key, r, row); err != nil {
 			// The result is still good; only persistence failed. Serve
 			// it (and keep it in memory) rather than failing the cell.
 			s.countDiskError()
@@ -298,14 +307,10 @@ func (s *Store) Get(key string) (runner.Result, bool) {
 		return r, true
 	}
 	s.mu.Unlock()
-	r, ok := s.readDisk(key)
-	var row []byte
-	if ok {
-		r, row = encodeRow(r)
-	}
+	r, row, ok := s.readDisk(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !ok || r.Err != "" {
+	if !ok {
 		s.stats.Misses++
 		return runner.Result{}, false
 	}
@@ -314,14 +319,36 @@ func (s *Store) Get(key string) (runner.Result, bool) {
 	return r, true
 }
 
-// settle publishes a flight's result and record to waiters, records the
-// outcome, inserts into the memory tier when the result is cacheable (not
-// an error row), and releases the singleflight slot.
+// memKeys returns the scenarios' keys if the memory tier holds every
+// one's result, and nil otherwise. It is a peek, not a lookup: no counter
+// moves and the LRU order stays. Each key is built outside the lock. A
+// grid larger than the memory tier cannot be held whole, and is not
+// looked at.
+func (s *Store) memKeys(scs []runner.Scenario) []string {
+	if len(scs) > s.maxEntries {
+		return nil
+	}
+	keys := make([]string, len(scs))
+	for i, sc := range scs {
+		keys[i] = s.Key(sc)
+		s.mu.Lock()
+		_, ok := s.byKey[keys[i]]
+		s.mu.Unlock()
+		if !ok {
+			return nil
+		}
+	}
+	return keys
+}
+
+// settle records the outcome, inserts into the memory tier when the
+// result is cacheable (not an error row), releases the singleflight slot,
+// and then publishes the flight's result and record to waiters: a waiter
+// released by the flight finds the result in the memory tier, never the
+// flight still registered.
 func (s *Store) settle(key string, fl *flight, r runner.Result, rec *cellRecord, oc Outcome) {
 	fl.r, fl.rec = r, rec
-	close(fl.done)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	delete(s.inflight, key)
 	s.stats.Inflight--
 	if r.Err == "" {
@@ -332,6 +359,8 @@ func (s *Store) settle(key string, fl *flight, r runner.Result, rec *cellRecord,
 	} else {
 		s.stats.Misses++
 	}
+	s.mu.Unlock()
+	close(fl.done)
 }
 
 // insertLocked adds a result and its record to the memory tier, evicting
@@ -352,33 +381,37 @@ func (s *Store) insertLocked(key string, r runner.Result, rec *cellRecord) {
 	}
 }
 
-// readDisk loads a key's entry from the disk tier. Any failure —
-// missing, truncated, unparseable, or recorded under a different key —
-// is a miss; corrupt entries are counted and will be overwritten by the
-// next writeDisk, and IO errors (including injected ones — the
-// "disk-read" failpoint) additionally count as disk_errors. A failing
-// disk therefore degrades the store to pass-through: misses simulate,
-// jobs keep completing.
-func (s *Store) readDisk(key string) (runner.Result, bool) {
+// readDisk loads a key's entry from the disk tier and returns its result
+// with its runner.EncodeRow bytes (copied to their length). Any failure —
+// missing, truncated, unparseable, recorded under a different key, or a
+// result whose encoded row does not match the entry's Sum — is a miss;
+// corrupt entries are counted and will be overwritten by the next
+// writeDisk, and IO errors (including injected ones — the "disk-read"
+// failpoint) additionally count as disk_errors. A failing disk therefore
+// degrades the store to pass-through: misses simulate, jobs keep
+// completing.
+func (s *Store) readDisk(key string) (runner.Result, []byte, bool) {
 	if err := fault.Fire(context.Background(), "disk-read"); err != nil {
 		s.countDiskError()
-		return runner.Result{}, false
+		return runner.Result{}, nil, false
 	}
 	b, err := os.ReadFile(s.Path(key))
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
 			s.countDiskError()
 		}
-		return runner.Result{}, false
+		return runner.Result{}, nil, false
 	}
 	var e entry
-	if json.Unmarshal(b, &e) != nil || e.Key != key {
-		s.mu.Lock()
-		s.stats.Corrupt++
-		s.mu.Unlock()
-		return runner.Result{}, false
+	if json.Unmarshal(b, &e) == nil && e.Key == key && e.Result.Err == "" {
+		if row, err := runner.EncodeRow(e.Result); err == nil && rowSum(row) == e.Sum {
+			return e.Result, slices.Clone(row), true
+		}
 	}
-	return e.Result, true
+	s.mu.Lock()
+	s.stats.Corrupt++
+	s.mu.Unlock()
+	return runner.Result{}, nil, false
 }
 
 // writeDisk persists an entry atomically: marshal, write to a temp file
@@ -388,9 +421,10 @@ func (s *Store) readDisk(key string) (runner.Result, bool) {
 // the entry also survives power loss. The "disk-write" failpoint fails
 // the write (err mode) or — torn mode — leaves a truncated file at the
 // final path, simulating a crash mid-write by a non-atomic writer; the
-// key-verified read path must then reject it as corrupt.
-func (s *Store) writeDisk(key string, r runner.Result) error {
-	b, err := json.Marshal(entry{Key: key, Result: r})
+// key-verified read path must then reject it as corrupt. row is r's
+// runner.EncodeRow bytes, whose digest the entry carries.
+func (s *Store) writeDisk(key string, r runner.Result, row []byte) error {
+	b, err := json.Marshal(entry{Key: key, Sum: rowSum(row), Result: r})
 	if err != nil {
 		return err
 	}

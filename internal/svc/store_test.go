@@ -239,9 +239,10 @@ func TestStoreErrorResultsNotCached(t *testing.T) {
 }
 
 // TestStoreDiskEnvelope pins the on-disk layout (docs/service.md): the
-// file sits at sha256(key).json and holds {"key": ..., "result": ...},
-// with the recorded key checked on read so a hash collision or a file
-// renamed by hand cannot serve the wrong scenario's result.
+// file sits at sha256(key).json and holds {"key": ..., "sum": ...,
+// "result": ...}, with the recorded key checked on read so a hash
+// collision or a file renamed by hand cannot serve the wrong scenario's
+// result, and sum the SHA-256 of the result's runner.EncodeRow bytes.
 func TestStoreDiskEnvelope(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestStore(t, dir, 16, "v1")
@@ -264,6 +265,13 @@ func TestStoreDiskEnvelope(t *testing.T) {
 	if e.Key != key || e.Result.Events != 123456 {
 		t.Fatalf("envelope %+v does not round-trip key/result", e)
 	}
+	row, err := runner.EncodeRow(testResult(sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Sum != rowSum(row) {
+		t.Fatalf("envelope sum %q, want the SHA-256 of the encoded row %q", e.Sum, rowSum(row))
+	}
 
 	// An entry recorded under a different key is rejected even though it
 	// is valid JSON at the right path.
@@ -279,5 +287,48 @@ func TestStoreDiskEnvelope(t *testing.T) {
 	}
 	if cold.Stats().Corrupt != 1 {
 		t.Fatalf("key mismatch not counted corrupt: %+v", cold.Stats())
+	}
+}
+
+// TestStoreChangedDigitIsCorrupt: an entry that parses under the right
+// key but whose result was edited on disk (one digit of mean_mbps) no
+// longer matches its sum. A fresh store's Get misses and counts it
+// corrupt, and GetOrRun re-simulates and rewrites it.
+func TestStoreChangedDigitIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestStore(t, dir, 16, "v1")
+	sc := testScenario(1)
+	key := s.Key(sc)
+	s.GetOrRun(context.Background(), key, func() runner.Result { return testResult(sc) })
+
+	b, err := os.ReadFile(s.Path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := strings.Replace(string(b), `"mean_mbps":42.5`, `"mean_mbps":52.5`, 1)
+	if edited == string(b) {
+		t.Fatalf("no mean_mbps of 42.5 to edit in %s", b)
+	}
+	if err := os.WriteFile(s.Path(key), []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cold := newTestStore(t, dir, 16, "v1")
+	if got, ok := cold.Get(key); ok {
+		t.Fatalf("edited entry served as a hit: %+v", got)
+	}
+	if st := cold.Stats(); st.Corrupt != 1 || st.Misses != 1 {
+		t.Fatalf("edited entry: %+v, want 1 corrupt miss", st)
+	}
+	runs := 0
+	r, oc := cold.GetOrRun(context.Background(), key, func() runner.Result {
+		runs++
+		return testResult(sc)
+	})
+	if oc != Miss || runs != 1 || r.Metrics["mean_mbps"] != 42.5 {
+		t.Fatalf("after the corrupt miss: outcome %v, %d runs, %+v", oc, runs, r)
+	}
+	again := newTestStore(t, dir, 16, "v1")
+	if got, ok := again.Get(key); !ok || got.Metrics["mean_mbps"] != 42.5 || again.Stats().Corrupt != 0 {
+		t.Fatalf("rewritten entry: ok=%v %+v %+v", ok, got, again.Stats())
 	}
 }

@@ -21,8 +21,8 @@
 #     pass, keeps on the live heap is the daemon's memory; an allocation
 #     count cannot see a field that outlives the job.
 #   - requests per warm job (b.ReportMetric): same +20% rule, which on
-#     an integer baseline of 3 fails a fourth request (a status call
-#     back after the event stream).
+#     an integer baseline of 1 fails a second request (an event stream or
+#     results fetch back after a job answered inside POST /jobs).
 #   - ns/op: fail beyond 3x baseline. The band is deliberately wide —
 #     CI hardware varies and these benches run at small -benchtime — so
 #     it only catches order-of-magnitude regressions (an accidental

@@ -11,7 +11,8 @@
 # horizons at -full, so the quick pass alone leaves those cells unpinned.
 # It then renders the quick reports again at `-workers 1` and compares
 # them, stripped the same way, with the default-pool output: report cells
-# run on the shared worker pool, and the pool's size must not show. Last,
+# run on the shared worker pool, and the pool's size must not show
+# (-update only writes the digests, so it skips this render). Last,
 # it fails if an "expected shape" line is written anywhere in internal/exp
 # but the one renderer (table.go), if a figure builds a rig by hand
 # (NewRig, AddFlow) instead of describing a scoreCell, or if it assigns a
@@ -32,9 +33,11 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 go build -o "$tmp/nimbus-bench" ./cmd/nimbus-bench
+update=false
+[ "${1:-}" = "-update" ] && update=true
 mkdir "$tmp/pool" "$tmp/w1" "$tmp/full"
 "$tmp/nimbus-bench" -run all -seed 1 > "$tmp/pool/all.txt"
-"$tmp/nimbus-bench" -run all -seed 1 -workers 1 > "$tmp/w1/all.txt"
+$update || "$tmp/nimbus-bench" -run all -seed 1 -workers 1 > "$tmp/w1/all.txt"
 "$tmp/nimbus-bench" -run all -seed 1 -full > "$tmp/full/all.txt"
 
 # sections DIR: one file per "==== id (title) [N.Ns wall] ====" section of
@@ -53,7 +56,7 @@ sections() {
     rm "$1/all.txt"
 }
 sections "$tmp/pool"
-sections "$tmp/w1"
+$update || sections "$tmp/w1"
 sections "$tmp/full"
 
 # digests DIR MODE: the digest file of DIR's reports.
@@ -69,7 +72,7 @@ digests() {
 digests "$tmp/pool" "quick mode" > "$tmp/got.sha256"
 digests "$tmp/full" "-full" > "$tmp/got-full.sha256"
 
-if [ "${1:-}" = "-update" ]; then
+if $update; then
     cp "$tmp/got.sha256" "$want"
     cp "$tmp/got-full.sha256" "$want_full"
     echo "check_reports: wrote $(grep -vc '^#' "$want") digests to $want and $(grep -vc '^#' "$want_full") to $want_full"
